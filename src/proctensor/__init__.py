@@ -56,7 +56,6 @@ from .tomography import (
     RestrictedProcessTensor,
     TomoRecord,
     fit_restricted_tensor,
-    predict_output,
     qpt_chi,
     qst_six_axis,
     records_from_text,
@@ -91,7 +90,7 @@ __all__ = [
     "generate_records", "markov_predict", "reduced_step_maps", "run_process",
     "simulate_counts",
     "RestrictedProcessTensor", "TomoRecord", "fit_restricted_tensor",
-    "predict_output", "qpt_chi", "qst_six_axis", "records_from_text",
+    "qpt_chi", "qst_six_axis", "records_from_text",
     "records_to_text",
     "ChoiFamily", "ChoiState", "MinimizeResult", "SupportMismatchError",
     "bloch_volume", "condition_family", "default_theta_grid",

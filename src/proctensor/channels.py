@@ -3,10 +3,21 @@
 The chi matrix expresses a map Λ(ρ) = Σ_mn χ_mn E_m ρ E_n† in the Pauli
 product basis. Superoperators act on column-stacked vec(ρ), so the action
 ρ ↦ A ρ B† has matrix conj(B) ⊗ A.
+
+This module alone fixes the Choi leg order. A k-step map sends the
+column-stacked vec of its intervention actions (step k-1 first in the Kronecker
+product, step 0 last) to vec of the output state. Its Choi state is
+Σ Λ(ρ ↦ A_{k-1} ρ B_{k-1}†, …, ρ ↦ A_0 ρ B_0†) ⊗ |A_{k-1}⟩⟩⟨⟨B_{k-1}| ⊗ … ⊗
+|A_0⟩⟩⟨⟨B_0| over unit matrices A, B, with |A⟩⟩ the row-major vectorization.
+Its legs are therefore: output qubit, then per step from last to first the
+action's output side followed by its input side. The Choi state of a
+superoperator is Σ_ij Λ(E_ij) ⊗ E_ij, output legs first. Both are index
+reshuffles of the map (:func:`map_to_choi`, :func:`superop_to_choi`).
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -27,6 +38,8 @@ __all__ = [
     "chi_to_superop",
     "superop_to_chi",
     "superop_to_choi",
+    "map_to_choi",
+    "choi_to_map",
     "reduced_superop",
     "reduced_map",
 ]
@@ -37,6 +50,33 @@ def pauli_basis(nqubits: int) -> list[np.ndarray]:
     if nqubits == 1:
         return list(PAULIS)
     return [kron(a, b) for a, b in itertools.product(PAULIS, PAULIS)]
+
+
+@functools.cache
+def _pauli_pairs(nqubits: int) -> np.ndarray:
+    """Read-only tensor P[m, n] = conj(E_n) ⊗ E_m, the superoperator of ρ ↦ E_m ρ E_n†."""
+    basis = pauli_basis(nqubits)
+    pairs = np.array([[np.kron(en.conj(), em) for en in basis] for em in basis])
+    pairs.setflags(write=False)
+    return pairs
+
+
+#: Choi leg permutation of a k-step map reshaped to 2x...x2 (see module docstring).
+_CHOI_LEGS = {1: (1, 5, 3, 0, 4, 2), 2: (1, 5, 3, 9, 7, 0, 4, 2, 8, 6)}
+
+
+def map_to_choi(m, steps: int) -> np.ndarray:
+    """Choi state of a (4, 16**steps) map over intervention actions."""
+    legs = _CHOI_LEGS[steps]
+    side = 2 ** (len(legs) // 2)
+    return np.asarray(m).reshape((2,) * len(legs)).transpose(legs).reshape(side, side)
+
+
+def choi_to_map(choi, steps: int) -> np.ndarray:
+    """Inverse of :func:`map_to_choi`."""
+    legs = _CHOI_LEGS[steps]
+    t = np.asarray(choi).reshape((2,) * len(legs)).transpose(np.argsort(legs))
+    return t.reshape(4, 16**steps)
 
 
 def action_superop(k) -> np.ndarray:
@@ -84,21 +124,12 @@ def chi_from_process(prepared_inputs, measured_outputs, psd: bool = False) -> np
     in_mat = np.array([vec(r) for r in inputs])
     if np.linalg.matrix_rank(in_mat, tol=1e-9) < d * d:
         raise ValueError("insufficient-basis: inputs do not span the operator space")
-    basis = pauli_basis(n)
-    nb = len(basis)
+    pairs = _pauli_pairs(n)
+    nb = pairs.shape[0]
     # design: vec(out) = sum_mn chi_mn (conj(E_n) ⊗ E_m) vec(in)
-    blocks = []
-    targets = []
-    pair_ops = [
-        np.kron(basis[nn].conj(), basis[mm]) for mm in range(nb) for nn in range(nb)
-    ]
-    for rin, rout in zip(inputs, outputs):
-        vin = vec(rin)
-        row = np.stack([op @ vin for op in pair_ops], axis=1)
-        blocks.append(row)
-        targets.append(vec(rout))
-    design = np.vstack(blocks)
-    y = np.concatenate(targets)
+    flat = pairs.reshape(nb * nb, d * d, d * d)
+    design = np.vstack([(flat @ vin).T for vin in in_mat])
+    y = np.concatenate([vec(r) for r in outputs])
     sol, *_ = np.linalg.lstsq(design, y, rcond=None)
     chi = sol.reshape(nb, nb)
     chi = (chi + chi.conj().T) / 2
@@ -129,40 +160,23 @@ def chi_fidelity(chi, chi_ideal) -> float:
 
 
 def chi_is_trace_preserving(chi, tol: float = 1e-6) -> bool:
-    """Check Σ_mn χ_mn E_n† E_m = I."""
-    c = as_square(chi, "chi")
-    n = qubit_count(int(round(np.sqrt(c.shape[0]))), "chi")
-    basis = pauli_basis(n)
-    acc = np.zeros_like(basis[0])
-    for m_, em in enumerate(basis):
-        for n_, en in enumerate(basis):
-            acc = acc + c[m_, n_] * (en.conj().T @ em)
-    return bool(np.abs(acc - np.eye(acc.shape[0])).max() <= tol)
+    """Check Σ_mn χ_mn E_n† E_m = I, i.e. vec(I)† S = vec(I)† for the superoperator S."""
+    s = chi_to_superop(chi)
+    v = vec(np.eye(int(round(np.sqrt(s.shape[0])))))
+    return bool(np.abs(v @ s - v).max() <= tol)
 
 
 def chi_to_superop(chi) -> np.ndarray:
     c = as_square(chi, "chi")
     n = qubit_count(int(round(np.sqrt(c.shape[0]))), "chi")
-    basis = pauli_basis(n)
-    nb = len(basis)
-    s = np.zeros((nb, nb), dtype=complex)
-    for m_ in range(nb):
-        for n_ in range(nb):
-            s += c[m_, n_] * np.kron(basis[n_].conj(), basis[m_])
-    return s
+    return np.einsum("mn,mnij->ij", c, _pauli_pairs(n))
 
 
 def superop_to_chi(superop) -> np.ndarray:
     s = as_square(superop, "superop")
     n = qubit_count(int(round(np.sqrt(s.shape[0]))), "superop")
-    basis = pauli_basis(n)
-    nb = len(basis)
-    d = basis[0].shape[0]
-    chi = np.zeros((nb, nb), dtype=complex)
-    for m_ in range(nb):
-        for n_ in range(nb):
-            op = np.kron(basis[n_].conj(), basis[m_])
-            chi[m_, n_] = np.trace(op.conj().T @ s) / (d * d)
+    pairs = _pauli_pairs(n)
+    chi = np.trace(pairs.conj().swapaxes(-2, -1) @ s, axis1=-2, axis2=-1) / s.shape[0]
     return (chi + chi.conj().T) / 2
 
 
@@ -170,13 +184,7 @@ def superop_to_choi(superop) -> np.ndarray:
     """Choi matrix Σ_ij Λ(E_ij) ⊗ E_ij with output legs first."""
     s = as_square(superop, "superop")
     d = int(round(np.sqrt(s.shape[0])))
-    choi = np.zeros((d * d, d * d), dtype=complex)
-    for i in range(d):
-        for j in range(d):
-            e = np.zeros((d, d), dtype=complex)
-            e[i, j] = 1.0
-            choi += np.kron(unvec(s @ vec(e), d, d), e)
-    return choi
+    return s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
 
 
 def reduced_superop(u, rho_env, noise: NoiseSpec | None = None) -> np.ndarray:

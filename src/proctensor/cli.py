@@ -88,12 +88,17 @@ def _parse_theta_grid(text: str) -> tuple:
         raise ConfigError(f"bad theta grid {text!r}: {exc}") from None
     if not values:
         raise ConfigError("theta grid is empty")
+    if not all(math.isfinite(v) for v in values):
+        raise ConfigError(f"theta grid {text!r} has a non-finite angle")
     return values
 
 
 def _load_file(path: str) -> dict:
     parser = configparser.ConfigParser()
-    read = parser.read(path)
+    try:
+        read = parser.read(path)
+    except configparser.Error as exc:
+        raise ConfigError(f"bad config file {path!r}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     out: dict = {}
@@ -311,16 +316,24 @@ def cmd_volume(cfg: RunConfig, n_samples: int = 200) -> int:
         if cfg.theta_grid is not None
         else (0.0, math.pi / 4, math.pi / 2)
     )
+    # Every cloud is computed before any is written, so a vanishing branch
+    # leaves no partial output.
+    clouds = {}
     for kind in ("process-tensor", "markov-map"):
         for idx, theta in enumerate(thetas):
-            cloud = bloch_volume(kind, fit, theta, n_samples, process=spec)
-            rows = [tuple(row) for row in cloud]
-            write_table(
-                out / f"volume_{kind}_theta{idx}.csv",
-                ["theta_a1", "phi_a1", "bx", "by", "bz"],
-                rows,
-                digest,
-            )
+            try:
+                clouds[kind, idx] = bloch_volume(kind, fit, theta, n_samples, process=spec)
+            except ValueError as exc:
+                if "vanishing-branch" not in str(exc):
+                    raise
+                raise ConfigError(f"theta {theta!r}: {exc}") from None
+    for (kind, idx), cloud in clouds.items():
+        write_table(
+            out / f"volume_{kind}_theta{idx}.csv",
+            ["theta_a1", "phi_a1", "bx", "by", "bz"],
+            [tuple(row) for row in cloud],
+            digest,
+        )
     return 0
 
 
@@ -362,6 +375,9 @@ def main(argv=None) -> int:
         return 2
     try:
         return COMMANDS[args.command](cfg)
+    except ConfigError as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
     except OSError as exc:
         print(f"io-error: {exc}", file=sys.stderr)
         return 4

@@ -69,33 +69,29 @@ def herm_eig(m, tol: float = 1e-8) -> HermEigen:
     return HermEigen(w[::-1].copy(), np.ascontiguousarray(v[:, ::-1]))
 
 
+def _spectral(m, fn) -> np.ndarray:
+    """Hermitian matrix function V fn(w) V† on the descending eigenpairs of m."""
+    e = herm_eig(m)
+    v = e.eigenvectors
+    out = (v * fn(e.eigenvalues)) @ v.conj().T
+    return (out + out.conj().T) / 2
+
+
 def mat_sqrt_psd(m) -> np.ndarray:
     """Hermitian PSD square root; negative eigenvalues are clipped to zero."""
-    e = herm_eig(m)
-    w = np.sqrt(np.clip(e.eigenvalues, 0.0, None))
-    v = e.eigenvectors
-    out = (v * w) @ v.conj().T
-    return (out + out.conj().T) / 2
+    return _spectral(m, lambda w: np.sqrt(np.clip(w, 0.0, None)))
 
 
 def mat_log_psd(m, floor: float = 1e-12) -> np.ndarray:
     """Matrix logarithm with eigenvalues floored at `floor` (must be > 0)."""
     if not floor > 0:
         raise ValueError(f"bad-floor: floor must be positive, got {floor}")
-    e = herm_eig(m)
-    w = np.log(np.maximum(e.eigenvalues, floor))
-    v = e.eigenvectors
-    out = (v * w) @ v.conj().T
-    return (out + out.conj().T) / 2
+    return _spectral(m, lambda w: np.log(np.maximum(w, floor)))
 
 
 def project_psd(m) -> np.ndarray:
     """Nearest PSD matrix in Frobenius norm (eigenvalue clipping)."""
-    e = herm_eig(m)
-    w = np.clip(e.eigenvalues, 0.0, None)
-    v = e.eigenvectors
-    out = (v * w) @ v.conj().T
-    return (out + out.conj().T) / 2
+    return _spectral(m, lambda w: np.clip(w, 0.0, None))
 
 
 def vec(m) -> np.ndarray:

@@ -10,13 +10,14 @@ first-step branch probability.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .channels import action_dual, action_superop, reduced_superop, superop_to_choi
+from .channels import action_dual, action_superop, map_to_choi, reduced_superop, superop_to_choi
 from .linalg import mat_log_psd, project_psd, unvec, vec
 from .process import ProcessSpec, first_step_env_marginal
 from .qubit import FIT_BASIS_LABELS, Projector, named_projector, zy_projector, bloch_vector
@@ -79,26 +80,6 @@ def _as_fit(records_or_fit) -> RestrictedProcessTensor:
     return fit_restricted_tensor(records_or_fit)
 
 
-def _one_step_choi(t1: np.ndarray) -> np.ndarray:
-    """8x8 Choi state of a (4, 16) one-step map over intervention actions.
-
-    Leg order: output qubit, action output side, action input side.
-    """
-    e = [[np.zeros((2, 2), dtype=complex) for _ in range(2)] for _ in range(2)]
-    for i in range(2):
-        for j in range(2):
-            e[i][j][i, j] = 1.0
-    choi = np.zeros((8, 8), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            for k in range(2):
-                for l in range(2):
-                    m = np.kron(e[k][l], e[i][j])
-                    out = unvec(t1 @ vec(m))
-                    choi += np.kron(np.kron(out, e[i][k]), e[j][l])
-    return choi
-
-
 def family_predict(choi, op) -> np.ndarray:
     """Contract a conditioned Choi state against one intervention."""
     c = np.asarray(choi.mat if isinstance(choi, ChoiState) else choi, dtype=complex)
@@ -132,18 +113,14 @@ def _herm_basis(n: int) -> list[np.ndarray]:
     return basis
 
 
-_KERNEL_CACHE: dict[str, np.ndarray] = {}
-
-
+@functools.cache
 def _kernel_directions() -> np.ndarray:
     """Hermitian directions annihilating all nine basis-projector functionals.
 
     These span the conditioned-Choi degrees of freedom that projective records
-    cannot fix; the cache key is the (module-constant) fit basis.
+    cannot fix. The (module-constant) fit basis fixes them, so the read-only
+    result is computed once.
     """
-    key = ",".join(FIT_BASIS_LABELS)
-    if key in _KERNEL_CACHE:
-        return _KERNEL_CACHE[key]
     hb = _herm_basis(8)
     rows = []
     for g in hb:
@@ -157,7 +134,7 @@ def _kernel_directions() -> np.ndarray:
     rank = int(np.sum(svals > 1e-10))
     null = vh[rank:]
     dirs = np.stack([sum(c * b for c, b in zip(row, hb)) for row in null])
-    _KERNEL_CACHE[key] = dirs
+    dirs.setflags(write=False)
     return dirs
 
 
@@ -185,7 +162,7 @@ def condition_family(records_or_fit, theta: float) -> ChoiFamily:
     """
     fit = _as_fit(records_or_fit)
     t1, p_branch = _conditioned_map(fit, theta)
-    base = hermitian_part(_one_step_choi(t1), tol=np.inf)
+    base = hermitian_part(map_to_choi(t1, 1), tol=np.inf)
     dirs = _kernel_directions()
     traces = np.array([float(np.trace(d).real) for d in dirs])
     norm2 = float(traces @ traces)

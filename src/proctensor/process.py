@@ -204,7 +204,10 @@ def _derived_rng(seed: int, *parts) -> np.random.Generator:
     """Deterministic generator keyed by the seed and a tuple of task parts.
 
     Floats are hashed via their IEEE-754 bytes, so any (sequence, readout)
-    pair maps to a stable, independent stream.
+    pair maps to a stable, independent stream. Callers key on the initial
+    state, sequence, readout and seed only, not on the interactions or the
+    noise: processes that differ only there (cnot-cz and cz-cnot) draw common
+    random numbers.
     """
     h = hashlib.sha256()
     h.update(int(seed).to_bytes(8, "little", signed=False))
@@ -243,7 +246,8 @@ def simulate_counts(spec: ProcessSpec, ops: Sequence[Projector], readout_axis: P
     Returns (counts_pass, counts_total): counts_total shots survive every
     intervention post-selection, counts_pass additionally give the readout
     "+" outcome. The generator is derived from (initial state, sequence,
-    readout, seed), so independent batches are reproducible in any order.
+    readout, seed) only, so independent batches are reproducible in any order
+    and processes differing only in interactions or noise share random numbers.
     """
     _check_sequence(spec, ops)
     probs = _stage_probabilities(spec, ops, readout_axis)

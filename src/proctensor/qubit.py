@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import kron, mat_sqrt_psd, partial_trace
+from .linalg import kron, mat_sqrt_psd
 from .validation import as_square, check_normalized, qubit_count
 
 __all__ = [
@@ -233,12 +233,3 @@ def apply_noise(rho, spec: NoiseSpec) -> np.ndarray:
         a = sum(op @ a @ op.conj().T for op in ops)
     return a
 
-
-def env_marginal(rho_se) -> np.ndarray:
-    """Environment marginal of a system-environment state."""
-    return partial_trace(rho_se, 2, 2, keep="b")
-
-
-def sys_marginal(rho_se) -> np.ndarray:
-    """System marginal of a system-environment state."""
-    return partial_trace(rho_se, 2, 2, keep="a")

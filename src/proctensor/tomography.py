@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import minimize as _scipy_minimize
 
-from .channels import action_dual, action_superop, chi_from_process
+from .channels import action_dual, action_superop, chi_from_process, choi_to_map, map_to_choi
 from .linalg import project_psd, unvec, vec
 from .qubit import FIT_BASIS_LABELS, PAULIS, Projector, named_projector
 from .validation import as_square, check_density_matrix
@@ -29,7 +29,6 @@ __all__ = [
     "sequence_vector",
     "RestrictedProcessTensor",
     "fit_restricted_tensor",
-    "predict_output",
     "records_to_text",
     "records_from_text",
 ]
@@ -132,62 +131,6 @@ def _basis_action_vectors() -> np.ndarray:
     )
 
 
-_E2 = [[np.zeros((2, 2), dtype=complex) for _ in range(2)] for _ in range(2)]
-for _i in range(2):
-    for _j in range(2):
-        _E2[_i][_j][_i, _j] = 1.0
-
-_UNIT_ACTIONS = [
-    np.kron(_E2[k][l], _E2[i][j])
-    for i in range(2) for j in range(2) for k in range(2) for l in range(2)
-]
-_UNIT_BLOCKS = [
-    (np.kron(_E2[i][k], _E2[j][l]))
-    for i in range(2) for j in range(2) for k in range(2) for l in range(2)
-]
-
-
-def _two_step_choi(tensor_map: np.ndarray) -> np.ndarray:
-    """32x32 Choi state of a fitted 4x256 tensor map.
-
-    Leg order: output qubit, step-1 action legs (out, in), step-0 action legs
-    (out, in). Built by evaluating the map on the unit-matrix operator basis.
-    """
-    choi = np.zeros((32, 32), dtype=complex)
-    for a1, blk1 in zip(_UNIT_ACTIONS, _UNIT_BLOCKS):
-        for a0, blk0 in zip(_UNIT_ACTIONS, _UNIT_BLOCKS):
-            x = np.kron(vec(a1), vec(a0))
-            out = unvec(tensor_map @ x)
-            choi += np.kron(np.kron(out, blk1), blk0)
-    return choi
-
-
-def _map_from_two_step_choi(choi: np.ndarray) -> np.ndarray:
-    """Inverse of _two_step_choi: read the 4x256 map back off the Choi state.
-
-    The vecs of the unit-matrix actions form the standard basis of C^16, so
-    each contraction fills one column of the map directly.
-    """
-    y6 = choi.reshape(2, 16, 2, 16)
-    tensor = np.zeros((4, 256), dtype=complex)
-    for a1 in _UNIT_ACTIONS:
-        b1 = action_dual(a1)
-        p1 = int(np.argmax(np.abs(vec(a1))))
-        for a0 in _UNIT_ACTIONS:
-            out = np.einsum("oapc,ca->op", y6, np.kron(b1, action_dual(a0)))
-            p0 = int(np.argmax(np.abs(vec(a0))))
-            tensor[:, p1 * 16 + p0] = vec(out)
-    return tensor
-
-
-def _choi_predict(choi: np.ndarray, ops) -> np.ndarray:
-    """Contract a two-step Choi state against a sequence of two operations."""
-    b1 = action_dual(action_matrix(ops[1]))
-    b0 = action_dual(action_matrix(ops[0]))
-    y6 = choi.reshape(2, 16, 2, 16)
-    return np.einsum("oapc,ca->op", y6, np.kron(b1, b0))
-
-
 def _psd_refit_choi(choi0, duals, targets, weights, max_iter=800):
     """Weighted least-squares refit of the two-step Choi with a PSD penalty.
 
@@ -233,12 +176,11 @@ def _psd_refit_choi(choi0, duals, targets, weights, max_iter=800):
 class RestrictedProcessTensor:
     """Two-step process tensor fitted from projective-intervention records.
 
+    The linear solve is the SVD minimum-norm least-squares solution, which
+    keeps contraction and direct sub-fits consistent to machine precision.
+
     Parameters
     ----------
-    ridge:
-        Tikhonov weight for the linear solve. 0 (default) uses the SVD
-        minimum-norm least-squares solution, which keeps contraction and
-        direct sub-fits consistent to machine precision.
     psd:
         When True, the least-squares tensor is refined so that its two-step
         Choi state is positive semidefinite, trading a little training
@@ -255,23 +197,22 @@ class RestrictedProcessTensor:
     choi_ : 32x32 PSD Choi state of the refined tensor (only when psd=True).
     """
 
-    def __init__(self, ridge: float = 0.0, psd: bool = False):
-        self.ridge = ridge
+    def __init__(self, psd: bool = False):
         self.psd = psd
 
     # -- sklearn-style parameter plumbing -------------------------------
     def get_params(self, deep: bool = True) -> dict:
-        return {"ridge": self.ridge, "psd": self.psd}
+        return {"psd": self.psd}
 
     def set_params(self, **params) -> "RestrictedProcessTensor":
         for key, value in params.items():
-            if key not in ("ridge", "psd"):
+            if key != "psd":
                 raise ValueError(f"bad-param: unknown parameter {key!r}")
             setattr(self, key, value)
         return self
 
     def __repr__(self) -> str:
-        return f"RestrictedProcessTensor(ridge={self.ridge!r}, psd={self.psd!r})"
+        return f"RestrictedProcessTensor(psd={self.psd!r})"
 
     # -- fitting ---------------------------------------------------------
     def fit(self, records) -> "RestrictedProcessTensor":
@@ -295,11 +236,7 @@ class RestrictedProcessTensor:
             i0, i1 = rec.basis_indices
             design[row] = sequence_vector([basis[i0], basis[i1]])
             targets[row] = rec.p_joint * vec(rec.rho_measured)
-        if self.ridge > 0:
-            gram = design.conj().T @ design + self.ridge * np.eye(256)
-            solution = np.linalg.solve(gram, design.conj().T @ targets)
-        else:
-            solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
+        solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
         self.map_ = solution.T.copy()
         _, svals, vh = np.linalg.svd(design)
         rank = int(np.sum(svals > 1e-10 * svals[0]))
@@ -309,7 +246,7 @@ class RestrictedProcessTensor:
         q, _ = np.linalg.qr(self._basis_vecs.T)
         self._span_q = q
         if self.psd:
-            choi0 = _two_step_choi(self.map_)
+            choi0 = map_to_choi(self.map_, 2)
             choi0 = (choi0 + choi0.conj().T) / 2
             duals, tgt, wts = [], [], []
             for rec in records:
@@ -323,7 +260,7 @@ class RestrictedProcessTensor:
                 tgt.append(rec.p_joint * rec.rho_measured)
                 wts.append(1.0 / max(np.sqrt(rec.p_joint), 0.05))
             self.choi_ = _psd_refit_choi(choi0, duals, tgt, wts)
-            self.map_ = _map_from_two_step_choi(self.choi_)
+            self.map_ = choi_to_map(self.choi_, 2)
         else:
             self.choi_ = None
         resid = 0.0
@@ -380,14 +317,9 @@ class RestrictedProcessTensor:
         return np.einsum("kab,b->ka", t3, x0)
 
 
-def fit_restricted_tensor(records, ridge: float = 0.0, psd: bool = False):
+def fit_restricted_tensor(records, psd: bool = False):
     """Convenience constructor returning a fitted RestrictedProcessTensor."""
-    return RestrictedProcessTensor(ridge=ridge, psd=psd).fit(records)
-
-
-def predict_output(tensor: RestrictedProcessTensor, ops, span_tol: float = 1e-8):
-    """Functional alias for RestrictedProcessTensor.predict."""
-    return tensor.predict(ops, span_tol=span_tol)
+    return RestrictedProcessTensor(psd=psd).fit(records)
 
 
 # -- record serialization -------------------------------------------------

@@ -10,6 +10,8 @@ from proctensor.channels import (
     chi_is_trace_preserving,
     chi_of_operator,
     chi_to_superop,
+    choi_to_map,
+    map_to_choi,
     pauli_basis,
     reduced_map,
     reduced_superop,
@@ -262,3 +264,149 @@ def test_chi_from_process_z_gate():
     expected = np.zeros((4, 4))
     expected[3, 3] = 1.0
     assert np.abs(chi - expected).max() < 1e-10
+
+
+# ------------------- reshuffles and Pauli-pair tensor vs the loops they replaced
+#
+# The loops below are the unit-matrix and Pauli-pair constructions the
+# index reshuffles replaced; they stay here as references, and the
+# reshuffles must reproduce them bit for bit.
+
+def unit(i, j, d=2):
+    e = np.zeros((d, d), dtype=complex)
+    e[i, j] = 1.0
+    return e
+
+
+def loop_two_step_choi(tensor_map):
+    actions = [
+        np.kron(unit(k, l), unit(i, j))
+        for i in range(2) for j in range(2) for k in range(2) for l in range(2)
+    ]
+    blocks = [
+        np.kron(unit(i, k), unit(j, l))
+        for i in range(2) for j in range(2) for k in range(2) for l in range(2)
+    ]
+    choi = np.zeros((32, 32), dtype=complex)
+    for a1, blk1 in zip(actions, blocks):
+        for a0, blk0 in zip(actions, blocks):
+            out = unvec(tensor_map @ np.kron(vec(a1), vec(a0)))
+            choi += np.kron(np.kron(out, blk1), blk0)
+    return choi
+
+
+def loop_one_step_choi(t1):
+    choi = np.zeros((8, 8), dtype=complex)
+    for i in range(2):
+        for j in range(2):
+            for k in range(2):
+                for l in range(2):
+                    out = unvec(t1 @ vec(np.kron(unit(k, l), unit(i, j))))
+                    choi += np.kron(np.kron(out, unit(i, k)), unit(j, l))
+    return choi
+
+
+def loop_superop_to_choi(s):
+    d = int(round(np.sqrt(s.shape[0])))
+    choi = np.zeros((d * d, d * d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            e = unit(i, j, d)
+            choi += np.kron(unvec(s @ vec(e), d, d), e)
+    return choi
+
+
+def loop_chi_to_superop(chi):
+    basis = pauli_basis(2 if chi.shape[0] == 16 else 1)
+    s = np.zeros_like(chi)
+    for m_, em in enumerate(basis):
+        for n_, en in enumerate(basis):
+            s += chi[m_, n_] * np.kron(en.conj(), em)
+    return s
+
+
+def loop_superop_to_chi(s):
+    basis = pauli_basis(2 if s.shape[0] == 16 else 1)
+    d = basis[0].shape[0]
+    chi = np.zeros_like(s)
+    for m_, em in enumerate(basis):
+        for n_, en in enumerate(basis):
+            op = np.kron(en.conj(), em)
+            chi[m_, n_] = np.trace(op.conj().T @ s) / (d * d)
+    return (chi + chi.conj().T) / 2
+
+
+def loop_chi_from_process(inputs, outputs):
+    basis = pauli_basis(2 if inputs[0].shape[0] == 4 else 1)
+    nb = len(basis)
+    pair_ops = [np.kron(basis[n_].conj(), basis[m_]) for m_ in range(nb) for n_ in range(nb)]
+    design = np.vstack([np.stack([op @ vec(r) for op in pair_ops], axis=1) for r in inputs])
+    y = np.concatenate([vec(r) for r in outputs])
+    sol, *_ = np.linalg.lstsq(design, y, rcond=None)
+    chi = sol.reshape(nb, nb)
+    return (chi + chi.conj().T) / 2
+
+
+def loop_chi_is_trace_preserving(chi, tol=1e-6):
+    basis = pauli_basis(2 if chi.shape[0] == 16 else 1)
+    acc = np.zeros_like(basis[0])
+    for m_, em in enumerate(basis):
+        for n_, en in enumerate(basis):
+            acc = acc + chi[m_, n_] * (en.conj().T @ em)
+    return bool(np.abs(acc - np.eye(acc.shape[0])).max() <= tol)
+
+
+def random_complex(seed, shape):
+    rng = np.random.default_rng(seed)
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2]))
+def test_choi_map_round_trip_is_exact(seed, steps):
+    m = random_complex(seed, (4, 16**steps))
+    choi = map_to_choi(m, steps)
+    assert choi.shape == (2 * 4**steps,) * 2
+    assert np.array_equal(choi_to_map(choi, steps), m)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(0, 10_000))
+def test_map_to_choi_matches_unit_matrix_loops(seed):
+    two, one = random_complex(seed, (4, 256)), random_complex(seed, (4, 16))
+    assert np.array_equal(map_to_choi(two, 2), loop_two_step_choi(two))
+    assert np.array_equal(map_to_choi(one, 1), loop_one_step_choi(one))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]))
+def test_superop_to_choi_matches_unit_matrix_loop(seed, d):
+    s = random_complex(seed, (d * d, d * d))
+    assert np.array_equal(superop_to_choi(s), loop_superop_to_choi(s))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([4, 16]))
+def test_pauli_pair_conversions_match_loops(seed, side):
+    m = random_complex(seed, (side, side))
+    assert np.array_equal(chi_to_superop(m), loop_chi_to_superop(m))
+    assert np.array_equal(superop_to_chi(m), loop_superop_to_chi(m))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([1, 2]))
+def test_chi_from_process_matches_pair_loop(seed, nqubits):
+    d = 2**nqubits
+    inputs = [random_density(seed + k, d) for k in range(d * d)]
+    outputs = [random_density(seed + 100 + k, d) for k in range(d * d)]
+    assert np.array_equal(chi_from_process(inputs, outputs),
+                          loop_chi_from_process(inputs, outputs))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([0.0, 1e-9, 1e-7, 1e-5, 1e-2]),
+       st.sampled_from([1, 2]))
+def test_trace_preserving_verdict_matches_loop(seed, eps, nqubits):
+    chi = chi_of_operator(random_unitary(seed, 2**nqubits))
+    chi = chi + eps * random_complex(seed + 1, chi.shape)
+    assert chi_is_trace_preserving(chi) == loop_chi_is_trace_preserving(chi)

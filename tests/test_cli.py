@@ -56,8 +56,25 @@ def test_missing_config_exits_2(tmp_path):
     assert run_cli(["tomo-predict", "--config", tmp_path / "nope.cfg"]) == 2
 
 
+def test_config_without_section_header_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("process = cnot-cz\n")
+    assert run_cli(["tomo-predict", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_bad_theta_grid_exits_2(tmp_path):
-    assert run_cli(["nonmarkov", "--theta-grid", "a,b", "--out", tmp_path]) == 2
+    for grid in ("a,b", "nan,0.5", "inf"):
+        assert run_cli(["nonmarkov", "--theta-grid", grid, "--out", tmp_path]) == 2, grid
+
+
+def test_volume_vanishing_branch_exits_2(tmp_path, capsys):
+    out = tmp_path / "vol"
+    assert run_cli(["volume", "--theta-grid", "3.14159265358979", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "3.14159265358979" in err and "vanishing-branch" in err
+    assert not list(out.iterdir())
 
 
 # --------------------------------------------------------- subcommands

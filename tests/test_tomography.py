@@ -23,7 +23,6 @@ from proctensor.tomography import (
     RestrictedProcessTensor,
     TomoRecord,
     fit_restricted_tensor,
-    predict_output,
     qpt_chi,
     qst_six_axis,
     records_from_text,
@@ -162,10 +161,10 @@ def test_fit_reproduces_training_records(cnot_cz_fit, cnot_cz_records):
 
 
 def test_estimator_params_round_trip():
-    est = RestrictedProcessTensor(ridge=1e-9, psd=True)
-    assert est.get_params() == {"ridge": 1e-9, "psd": True}
-    est.set_params(ridge=0.0, psd=False)
-    assert est.get_params() == {"ridge": 0.0, "psd": False}
+    est = RestrictedProcessTensor(psd=True)
+    assert est.get_params() == {"psd": True}
+    est.set_params(psd=False)
+    assert est.get_params() == {"psd": False}
     with pytest.raises(ValueError, match="bad-param"):
         est.set_params(unknown=1)
 
@@ -207,14 +206,6 @@ def test_forbidden_pair_prediction(cnot_cz_fit):
     rho, p = cnot_cz_fit.predict([named_projector("z+"), named_projector("z-")])
     assert p <= 1e-9
     assert rho is None
-
-
-def test_predict_functional_alias(cnot_cz_fit):
-    ops = [named_projector("y-"), named_projector("x+")]
-    a = cnot_cz_fit.predict(ops)
-    b = predict_output(cnot_cz_fit, ops)
-    assert abs(a[1] - b[1]) < 1e-15
-    assert np.array_equal(a[0], b[0])
 
 
 def test_outside_span_rejected(cnot_cz_fit):
