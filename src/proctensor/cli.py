@@ -139,8 +139,8 @@ def resolve_config(args) -> RunConfig:
     if shots is not None and shots < 100:
         raise ConfigError(f"shots must be >= 100, got {shots}")
     seed = values.get("seed", 0)
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
     noise = None
     if "noise_gamma" in values or "noise_lambda" in values:
         try:

@@ -13,9 +13,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
-from .channels import action_dual, action_superop, chi_from_process, choi_to_map, map_to_choi
+from .channels import action_superop, chi_from_process, choi_to_map, map_to_choi
 from .linalg import project_psd, unvec, vec
 from .qubit import FIT_BASIS_LABELS, PAULIS, Projector, named_projector
 from .validation import as_square, check_density_matrix
@@ -131,46 +130,41 @@ def _basis_action_vectors() -> np.ndarray:
     )
 
 
-def _psd_refit_choi(choi0, duals, targets, weights, max_iter=800):
-    """Weighted least-squares refit of the two-step Choi with a PSD penalty.
+#: Relative-step stop of the PSD refit and its iteration cap.
+REFIT_TOL = 1e-6
+REFIT_MAX_ITER = 20000
 
-    Minimizes sum_r w_r ||pred_r(Y) - y_r||_F^2 + mu ||negpart(Y)||_F^2 over
-    Hermitian Y with an increasing penalty schedule, then projects the result
-    onto the PSD cone.
+
+def _psd_refit_choi(map0, design, targets, weights):
+    """Weighted least-squares refit of the two-step Choi onto the PSD cone.
+
+    Minimizes sum_r w_r ||M d_r - t_r||^2 over maps M whose two-step Choi
+    state Y is PSD, by accelerated projected gradient (FISTA with gradient
+    restart, eigenvalue clipping as the projection). The Choi reshuffle is a
+    permutation, so the map-space gradient and its Lipschitz constant carry
+    over to Y unchanged. Starts from the clipped Choi state of map0 and stops
+    when the relative step falls below REFIT_TOL.
+
+    Returns the Choi state and (iterations, converged).
     """
-    n = choi0.shape[0]
-    b = np.stack(duals)
-    tgt = np.stack(targets)
-    w = np.asarray(weights, dtype=float)
-
-    def unpack(x):
-        re = x[: n * n].reshape(n, n)
-        im = x[n * n :].reshape(n, n)
-        return (re + re.T) / 2 + 1j * (im - im.T) / 2
-
-    def fun(x, mu):
-        y = unpack(x)
-        y6 = y.reshape(2, 16, 2, 16)
-        pred = np.einsum("oapc,rca->rop", y6, b)
-        r = pred - tgt
-        val = float(np.sum(w * np.sum(np.abs(r) ** 2, axis=(1, 2))))
-        g6 = np.einsum("r,rop,rca->oapc", w, r.conj(), b)
-        grad = g6.reshape(n, n).conj()
-        ev, vv = np.linalg.eigh(y)
-        neg = np.minimum(ev, 0.0)
-        val += mu * float(np.sum(neg**2))
-        grad = grad + (vv * (2 * mu * neg)) @ vv.conj().T
-        m = (grad + grad.conj().T) / 2
-        return val, np.concatenate([np.real(m).reshape(-1), np.imag(m).reshape(-1)])
-
-    x = np.concatenate([choi0.real.reshape(-1), choi0.imag.reshape(-1)])
-    for mu in (1e2, 1e4, 1e6):
-        res = _scipy_minimize(
-            fun, x, args=(mu,), jac=True, method="L-BFGS-B",
-            options={"maxiter": max_iter, "ftol": 1e-15, "gtol": 1e-12},
-        )
-        x = res.x
-    return project_psd(unpack(x))
+    gram = (design.T * weights) @ design.conj()
+    rhs = (targets.T * weights) @ design.conj()
+    step = 1.0 / np.linalg.eigvalsh(gram)[-1]
+    y = project_psd(map_to_choi(map0, 2))
+    z, t = y, 1.0
+    for it in range(1, REFIT_MAX_ITER + 1):
+        g = map_to_choi(choi_to_map(z, 2) @ gram - rhs, 2)
+        y_next = project_psd(z - step * (g + g.conj().T) / 2)
+        dy = y_next - y
+        if np.vdot(z - y_next, dy).real > 0:
+            t = 1.0
+        t_next = (1 + np.sqrt(1 + 4 * t * t)) / 2
+        z = y_next + ((t - 1) / t_next) * dy
+        done = np.linalg.norm(dy) < REFIT_TOL * max(1.0, np.linalg.norm(y))
+        y, t = y_next, t_next
+        if done:
+            return y, (it, True)
+    return y, (REFIT_MAX_ITER, False)
 
 
 class RestrictedProcessTensor:
@@ -195,6 +189,8 @@ class RestrictedProcessTensor:
     basis_labels_ : the nine projector labels of the fit basis.
     residual_ : worst training-record residual of map_.
     choi_ : 32x32 PSD Choi state of the refined tensor (only when psd=True).
+    refit_info_ : (iterations, converged) of the PSD refit, or None when
+        psd=False.
     """
 
     def __init__(self, psd: bool = False):
@@ -246,27 +242,14 @@ class RestrictedProcessTensor:
         q, _ = np.linalg.qr(self._basis_vecs.T)
         self._span_q = q
         if self.psd:
-            choi0 = map_to_choi(self.map_, 2)
-            choi0 = (choi0 + choi0.conj().T) / 2
-            duals, tgt, wts = [], [], []
-            for rec in records:
-                i0, i1 = rec.basis_indices
-                duals.append(
-                    np.kron(
-                        action_dual(action_superop(basis[i1].mat)),
-                        action_dual(action_superop(basis[i0].mat)),
-                    )
-                )
-                tgt.append(rec.p_joint * rec.rho_measured)
-                wts.append(1.0 / max(np.sqrt(rec.p_joint), 0.05))
-            self.choi_ = _psd_refit_choi(choi0, duals, tgt, wts)
+            p = np.array([rec.p_joint for rec in records])
+            weights = 1.0 / np.sqrt(np.maximum(p, 0.05**2))
+            self.choi_, self.refit_info_ = _psd_refit_choi(self.map_, design, targets, weights)
             self.map_ = choi_to_map(self.choi_, 2)
         else:
             self.choi_ = None
-        resid = 0.0
-        for row, rec in enumerate(records):
-            resid = max(resid, float(np.abs(self.map_ @ design[row] - targets[row]).max()))
-        self.residual_ = resid
+            self.refit_info_ = None
+        self.residual_ = float(np.abs(design @ self.map_.T - targets).max())
         return self
 
     def _require_fitted(self):

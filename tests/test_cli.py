@@ -68,6 +68,12 @@ def test_bad_theta_grid_exits_2(tmp_path):
         assert run_cli(["nonmarkov", "--theta-grid", grid, "--out", tmp_path]) == 2, grid
 
 
+def test_bad_seed_exits_2(tmp_path):
+    for seed in ("-1", "18446744073709551616"):
+        assert run_cli(["tomo-predict", "--shots", "100", "--seed", seed,
+                        "--out", tmp_path]) == 2, seed
+
+
 def test_volume_vanishing_branch_exits_2(tmp_path, capsys):
     out = tmp_path / "vol"
     assert run_cli(["volume", "--theta-grid", "3.14159265358979", "--out", out]) == 2

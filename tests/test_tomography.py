@@ -3,8 +3,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proctensor.channels import action_superop, chi_fidelity, chi_of_operator
-from proctensor.linalg import vec
+from proctensor.channels import (
+    action_superop,
+    chi_fidelity,
+    chi_of_operator,
+    choi_to_map,
+    map_to_choi,
+)
+from proctensor.linalg import project_psd, vec
 from proctensor.process import (
     ShotConfig,
     intervention_qpt_data,
@@ -255,6 +261,30 @@ def test_psd_refit_keeps_choi_positive(cnot_cz_spec):
     assert fit.choi_ is not None
     w = np.linalg.eigvalsh(fit.choi_)
     assert w.min() > -1e-10
+
+
+def test_psd_refit_is_optimal(cnot_cz_spec, cnot_cz_fit):
+    # projected-gradient fixed point of the weighted least squares on the PSD cone
+    from proctensor.process import generate_records
+
+    records = generate_records(cnot_cz_spec, ShotConfig(shots=500, seed=3))
+    fit = fit_restricted_tensor(records, psd=True)
+    iterations, converged = fit.refit_info_
+    assert converged and iterations > 0
+    basis = [named_projector(l) for l in FIT_BASIS_LABELS]
+    design = np.array(
+        [sequence_vector([basis[r.basis_indices[0]], basis[r.basis_indices[1]]]) for r in records]
+    )
+    targets = np.array([r.p_joint * vec(r.rho_measured) for r in records])
+    w = np.array([1.0 / max(np.sqrt(r.p_joint), 0.05) for r in records])
+    gram = (design.T * w) @ design.conj()
+    rhs = (targets.T * w) @ design.conj()
+    y = fit.choi_
+    g = map_to_choi(choi_to_map(y, 2) @ gram - rhs, 2)
+    step = 1.0 / np.linalg.eigvalsh(gram)[-1]
+    moved = project_psd(y - step * (g + g.conj().T) / 2)
+    assert np.linalg.norm(y - moved) / np.linalg.norm(y) < 1e-6
+    assert cnot_cz_fit.refit_info_ is None
 
 
 def test_sequence_vector_shape():
