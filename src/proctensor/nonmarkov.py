@@ -6,6 +6,14 @@ on a nine-dimensional functional span; everything orthogonal is free. The
 non-Markovianity is the minimum relative entropy between a PSD member of that
 affine family and the uncorrelated product reference, normalized per the
 first-step branch probability.
+
+The relative entropy is finite only for members inside the support of the
+reference, a linear condition on the family coefficients. The minimiser
+solves it first: exact records of both gate orders pin every coefficient,
+so N is a single evaluation; exact records with local noise leave a few
+coefficients for the penalty loop; sampled records leave no member inside
+the support, and the loop runs over the full family with weight outside the
+support priced at -ln LOG_FLOOR (about 27.6 nat) per unit.
 """
 
 from __future__ import annotations
@@ -67,10 +75,17 @@ class ChoiFamily:
 
 @dataclass(frozen=True)
 class MinimizeResult:
+    """Minimiser outcome. free_directions counts the family coefficients
+    left after the support restriction (all of them when it does not apply);
+    min_eig is the minimum eigenvalue of the final member before it is
+    projected onto the PSD cone."""
+
     n_value: float
     optimizer: ChoiState
     converged: bool
     iterations: int
+    free_directions: int
+    min_eig: float
 
 
 def _as_fit(records_or_fit) -> RestrictedProcessTensor:
@@ -294,29 +309,71 @@ def _penalized_value_grad(c, base, dirs, log_ref, mu, floor):
     return val, grad
 
 
+def _restrict_to_support(base, dirs, refn):
+    """Members of base + sum_k c_k dirs_k lying inside the support of refn.
+
+    A PSD member Y lies in supp(refn) exactly when N† Y = 0, N spanning the
+    eigenvectors of refn below LOG_FLOOR (the rule relative_entropy applies).
+    That is linear in c; one SVD gives c = c0 + K z with orthonormal K, and
+    the member base + sum c0_k dirs_k with the directions K^T dirs is
+    returned. When even the least-squares c0 leaves an off-support block
+    ||N† Y(c0)||_F above SUPPORT_WEIGHT_TOL times tr(base), no member lies in
+    the support and (base, dirs) are returned unchanged.
+    """
+    w, v = np.linalg.eigh(refn)
+    null = v[:, w < LOG_FLOOR]
+    if not null.shape[1]:
+        return base, dirs
+    nb = null.conj().T @ base
+    nd = np.einsum("ai,kab->kib", null.conj(), dirs)
+    a = np.concatenate([nd.real, nd.imag], axis=1).reshape(len(dirs), -1).T
+    b = np.concatenate([nb.real, nb.imag]).reshape(-1)
+    u, svals, vh = np.linalg.svd(a)
+    rank = int(np.sum(svals > 1e-10 * svals[0]))
+    c0 = -vh[:rank].T @ ((u[:, :rank].T @ b) / svals[:rank])
+    if np.linalg.norm(a @ c0 + b) > SUPPORT_WEIGHT_TOL * abs(np.trace(base).real):
+        return base, dirs
+    base = base + np.einsum("k,kij->ij", c0, dirs)
+    return base, np.einsum("jk,kab->jab", vh[rank:], dirs)
+
+
 def minimize_nonmarkovianity(fam: ChoiFamily, ref: ChoiState,
                              max_iter: int = 60000, tol: float = 1e-10) -> MinimizeResult:
     """Minimum relative entropy to the reference over the PSD family members.
 
-    Penalty continuation over the family coefficients with analytic
-    gradients; the PSD constraint enters through an increasing quadratic
-    penalty on negative eigenvalues and the final iterate is projected onto
-    the cone. max_iter is the total quasi-Newton budget across the penalty
-    stages; boundary-pinned minima need a few thousand iterations at the
-    stiffest penalty. Deterministic for fixed inputs.
+    The relative entropy is finite only for members inside the support of
+    the reference, so the family is first restricted to them (a linear
+    condition on the coefficients, solved once). Three outcomes follow:
+
+    * no free direction is left (every exact point of the two gate orders):
+      N is one evaluation of that member, with 0 iterations, and converged
+      means its minimum eigenvalue is above -1e-6;
+    * some directions are left (exact records with local noise): the penalty
+      loop below runs over those only;
+    * no member lies in the support within SUPPORT_WEIGHT_TOL (sampled
+      records): the loop runs over the full family, and weight outside the
+      support is priced at -ln LOG_FLOOR per unit.
+
+    The loop is penalty continuation with analytic gradients; the PSD
+    constraint enters through an increasing quadratic penalty on negative
+    eigenvalues and the final iterate is projected onto the cone. max_iter
+    is the total quasi-Newton budget across the penalty stages.
+    Deterministic for fixed inputs.
     """
     base = _choi_mat(fam.base)
     dirs = np.stack([np.asarray(d, dtype=complex) for d in fam.directions])
     refn = _choi_mat(ref)
     refn = hermitian_part(refn, 1e-8, "ref") / float(np.trace(refn).real)
     log_ref = mat_log_psd(refn, LOG_FLOOR)
+    base, dirs = _restrict_to_support(base, dirs, refn)
 
     schedule = (1e2, 1e4, 1e6, 1e8, 1e10, 1e12)
     per_stage = max(max_iter // len(schedule), 10)
     c = np.zeros(len(dirs))
     iterations = 0
     exhausted = False
-    for mu in schedule:
+    # L-BFGS-B rejects an empty coefficient vector: a pinned member needs no loop
+    for mu in schedule if len(dirs) else ():
         res = _scipy_minimize(
             _penalized_value_grad,
             c,
@@ -341,6 +398,8 @@ def minimize_nonmarkovianity(fam: ChoiFamily, ref: ChoiState,
         optimizer=ChoiState(optimizer, fam.base.normalization),
         converged=converged,
         iterations=iterations,
+        free_directions=len(dirs),
+        min_eig=min_eig,
     )
 
 

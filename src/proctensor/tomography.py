@@ -232,10 +232,10 @@ class RestrictedProcessTensor:
             i0, i1 = rec.basis_indices
             design[row] = sequence_vector([basis[i0], basis[i1]])
             targets[row] = rec.p_joint * vec(rec.rho_measured)
-        solution, *_ = np.linalg.lstsq(design, targets, rcond=None)
-        self.map_ = solution.T.copy()
-        _, svals, vh = np.linalg.svd(design)
+        u, svals, vh = np.linalg.svd(design)
         rank = int(np.sum(svals > 1e-10 * svals[0]))
+        coef = (u[:, :rank].conj().T @ targets) / svals[:rank, None]
+        self.map_ = coef.T @ vh[:rank].conj()
         self.kernel_basis_ = vh[rank:].conj().copy()
         self.basis_labels_ = tuple(FIT_BASIS_LABELS)
         self._basis_vecs = _basis_action_vectors()

@@ -1,10 +1,15 @@
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 
+import proctensor
 from proctensor.cli import main, resolve_config, build_parser
 from proctensor.fileio import read_matrix
+from proctensor.nonmarkov import default_theta_grid
 
 
 def run_cli(args):
@@ -169,6 +174,29 @@ def test_nonmarkov_vanishing_point_marked_absent(tmp_path):
     assert code == 0
     _, rows = read_table_rows(out / "nonmarkovianity.csv")
     assert rows[1][1] == "absent"
+
+
+def test_nonmarkov_independent_of_blas_threads(tmp_path):
+    grid = list(default_theta_grid()) + [math.pi / 2]
+    grid_arg = ",".join(format(float(t), ".17g") for t in grid)
+    src = str(Path(proctensor.__file__).resolve().parents[1])
+    tables = {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "proctensor.cli", "nonmarkov", "--process", "cnot-cz",
+             "--theta-grid", grid_arg, "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, (threads, proc.stderr)
+        _, rows = read_table_rows(out / "nonmarkovianity.csv")
+        tables[threads] = rows
+    one, two = tables["1"], tables["2"]
+    assert [r[2] for r in one] == [r[2] for r in two]
+    for r1, r2 in zip(one, two):
+        assert abs(float(r1[1]) - float(r2[1])) <= 1e-12, (r1, r2)
 
 
 def test_volume_files(tmp_path):
