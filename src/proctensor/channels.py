@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import kron, partial_trace, project_psd, unvec, vec
 from .qubit import PAULIS, NoiseSpec, apply_noise
-from .validation import as_square, check_unitary, qubit_count
+from .validation import as_matrix, as_square, check_unitary, qubit_count
 
 __all__ = [
     "pauli_basis",
@@ -113,15 +113,26 @@ def chi_from_process(prepared_inputs, measured_outputs, psd: bool = False) -> np
 
     The inputs must span the operator space of the qubit register; outputs may
     be subnormalized (probability-weighted), which is how non-trace-preserving
-    measurement operators are characterized.
+    measurement operators are characterized. measured_outputs holds one output
+    per input, or a stack (R, k, d, d) of R repetitions measured on the same k
+    inputs; a stack gives R chi matrices (R, d², d²) from one design, one
+    least-squares solve with R right-hand sides and one stacked projection.
+    For one qubit each matrix equals the one-repetition result bit for bit;
+    on the larger two-qubit design LAPACK may round the many-column solve
+    differently (measured: within 3e-15 relative).
     """
-    inputs = [as_square(r, "input") for r in prepared_inputs]
-    outputs = [as_square(r, "output") for r in measured_outputs]
-    if len(inputs) != len(outputs) or not inputs:
+    inputs = as_matrix(prepared_inputs, "input")
+    outputs = as_matrix(measured_outputs, "output")
+    single = outputs.ndim == 3
+    stack = outputs[None] if single else outputs
+    if inputs.ndim != 3 or inputs.shape[1] != inputs.shape[2]:
+        raise ValueError(f"bad-dims: inputs must be square matrices, got shape {inputs.shape}")
+    if not len(inputs) or stack.ndim != 4 or stack.shape[1:] != inputs.shape:
         raise ValueError("insufficient-basis: need matching, nonempty input/output lists")
-    d = inputs[0].shape[0]
+    k, d = inputs.shape[:2]
     n = qubit_count(d, "input")
-    in_mat = np.array([vec(r) for r in inputs])
+    # vec(r) is column-stacking: the transpose read row by row
+    in_mat = inputs.swapaxes(-1, -2).reshape(k, d * d)
     if np.linalg.matrix_rank(in_mat, tol=1e-9) < d * d:
         raise ValueError("insufficient-basis: inputs do not span the operator space")
     pairs = _pauli_pairs(n)
@@ -129,13 +140,13 @@ def chi_from_process(prepared_inputs, measured_outputs, psd: bool = False) -> np
     # design: vec(out) = sum_mn chi_mn (conj(E_n) ⊗ E_m) vec(in)
     flat = pairs.reshape(nb * nb, d * d, d * d)
     design = np.vstack([(flat @ vin).T for vin in in_mat])
-    y = np.concatenate([vec(r) for r in outputs])
+    y = stack.swapaxes(-1, -2).reshape(len(stack), k * d * d).T
     sol, *_ = np.linalg.lstsq(design, y, rcond=None)
-    chi = sol.reshape(nb, nb)
-    chi = (chi + chi.conj().T) / 2
+    chi = sol.T.reshape(-1, nb, nb)
+    chi = (chi + chi.conj().swapaxes(-1, -2)) / 2
     if psd:
         chi = project_psd(chi)
-    return chi
+    return chi[0] if single else chi
 
 
 def apply_chi(chi, rho) -> np.ndarray:

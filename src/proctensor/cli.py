@@ -180,21 +180,17 @@ def cmd_characterize_povm(cfg: RunConfig) -> int:
     for index, label in enumerate(OVERCOMPLETE_LABELS):
         op = named_projector(label)
         ideal = chi_of_operator(op.mat)
-        reps = QPT_REPETITIONS if cfg.shots is not None else 1
-        fids = []
-        for rep in range(reps):
-            shot_cfg = None
-            if cfg.shots is not None:
-                shot_cfg = ShotConfig(shots=cfg.shots, seed=cfg.seed)
-            inputs, outputs = intervention_qpt_data(
-                op, shot_cfg, run_tag=index * QPT_REPETITIONS + rep
-            )
-            chi = qpt_chi(inputs, outputs, psd=cfg.shots is not None)
-            fid = chi_fidelity(chi, ideal)
-            fids.append(fid)
-            rows.append((label, rep, fid))
-            if rep == 0:
-                write_matrix(out / f"chi_povm_{_safe_name(label)}.txt", chi)
+        shot_cfg = None
+        reps = 1
+        if cfg.shots is not None:
+            shot_cfg = ShotConfig(shots=cfg.shots, seed=cfg.seed)
+            reps = QPT_REPETITIONS
+        first = index * QPT_REPETITIONS
+        inputs, outputs = intervention_qpt_data(op, shot_cfg, range(first, first + reps))
+        chis = qpt_chi(inputs, outputs, psd=shot_cfg is not None)
+        fids = [chi_fidelity(chi, ideal) for chi in chis]
+        rows.extend((label, rep, fid) for rep, fid in enumerate(fids))
+        write_matrix(out / f"chi_povm_{_safe_name(label)}.txt", chis[0])
         summary.append((label, float(np.mean(fids)), float(np.std(fids))))
     write_table(out / "povm_fidelities.csv", ["povm", "rep", "fidelity"], rows, digest)
     write_table(

@@ -2,7 +2,9 @@
 
 Kronecker products, partial traces, Hermitian eigendecomposition, PSD-safe
 matrix functions, PSD projection and column-stacking vectorization. All
-functions are pure and operate on plain numpy arrays.
+functions are pure and operate on plain numpy arrays. The spectral functions
+(herm_eig, mat_sqrt_psd, mat_log_psd, project_psd) also take stacks
+(..., n, n) and treat each matrix as they treat a single one.
 """
 
 from __future__ import annotations
@@ -35,12 +37,15 @@ class HermEigen:
 
     def reconstruct(self) -> np.ndarray:
         v = self.eigenvectors
-        return (v * self.eigenvalues) @ v.conj().T
+        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def kron(a, b) -> np.ndarray:
-    """Kronecker product a ⊗ b."""
-    return np.kron(as_matrix(a, "a"), as_matrix(b, "b"))
+    """Kronecker product a ⊗ b of two matrices."""
+    a, b = as_matrix(a, "a"), as_matrix(b, "b")
+    if a.ndim != 2 or b.ndim != 2:
+        raise ValueError(f"bad-dims: kron takes two matrices, got {a.shape} and {b.shape}")
+    return np.kron(a, b)
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep) -> np.ndarray:
@@ -63,18 +68,18 @@ def partial_trace(m, dim_a: int, dim_b: int, keep) -> np.ndarray:
 
 
 def herm_eig(m, tol: float = 1e-8) -> HermEigen:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues descending."""
+    """Eigendecomposition of a Hermitian matrix or stack, eigenvalues descending."""
     h = hermitian_part(m, tol, "m")
     w, v = np.linalg.eigh(h)
-    return HermEigen(w[::-1].copy(), np.ascontiguousarray(v[:, ::-1]))
+    return HermEigen(w[..., ::-1].copy(), np.ascontiguousarray(v[..., ::-1]))
 
 
 def _spectral(m, fn) -> np.ndarray:
     """Hermitian matrix function V fn(w) V† on the descending eigenpairs of m."""
     e = herm_eig(m)
     v = e.eigenvectors
-    out = (v * fn(e.eigenvalues)) @ v.conj().T
-    return (out + out.conj().T) / 2
+    out = (v * fn(e.eigenvalues)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
 def mat_sqrt_psd(m) -> np.ndarray:
@@ -95,8 +100,11 @@ def project_psd(m) -> np.ndarray:
 
 
 def vec(m) -> np.ndarray:
-    """Column-stacking vectorization."""
-    return as_matrix(m, "m").reshape(-1, order="F")
+    """Column-stacking vectorization of one matrix."""
+    a = as_matrix(m, "m")
+    if a.ndim != 2:
+        raise ValueError(f"bad-dims: vec takes one matrix, got shape {a.shape}")
+    return a.reshape(-1, order="F")
 
 
 def unvec(v, rows: int = 2, cols: int = 2) -> np.ndarray:

@@ -175,8 +175,11 @@ def condition_family(records_or_fit, theta: float) -> ChoiFamily:
     records, so this choice picks a representative without changing the
     family as a set.
     """
-    fit = _as_fit(records_or_fit)
-    t1, p_branch = _conditioned_map(fit, theta)
+    t1, p_branch = _conditioned_map(_as_fit(records_or_fit), theta)
+    return _family_of_map(t1, p_branch, theta)
+
+
+def _family_of_map(t1: np.ndarray, p_branch: float, theta: float) -> ChoiFamily:
     base = hermitian_part(map_to_choi(t1, 1), tol=np.inf)
     dirs = _kernel_directions()
     traces = np.array([float(np.trace(d).real) for d in dirs])
@@ -215,8 +218,12 @@ def uncorrelated_choi(records_or_fit, theta: float, process: ProcessSpec) -> Cho
     definition supplies it. The trace equals that of the family base (both
     are 2 for a branch-normalized trace-preserving step).
     """
-    fit = _as_fit(records_or_fit)
-    t1, p_branch = _conditioned_map(fit, theta)
+    t1, p_branch = _conditioned_map(_as_fit(records_or_fit), theta)
+    return _reference_of_map(t1, p_branch, theta, process)
+
+
+def _reference_of_map(t1: np.ndarray, p_branch: float, theta: float,
+                      process: ProcessSpec) -> ChoiState:
     rho1 = _avg_state_after_first(t1)
     env, _ = first_step_env_marginal(process, zy_projector(theta))
     sup = reduced_superop(process.interactions[1], env, process.step_noise(1))
@@ -422,8 +429,10 @@ def sweep_theta(records_or_fit, thetas=None, *, process: ProcessSpec,
     rows = []
     for theta in thetas:
         try:
-            fam = condition_family(fit, theta)
-            ref = uncorrelated_choi(fit, theta, process)
+            # one conditioned map per angle, shared by the family and the reference
+            t1, p_branch = _conditioned_map(fit, theta)
+            fam = _family_of_map(t1, p_branch, theta)
+            ref = _reference_of_map(t1, p_branch, theta, process)
         except ValueError as exc:
             if "vanishing-branch" in str(exc):
                 rows.append((float(theta), None, False, 0))

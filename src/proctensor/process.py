@@ -9,6 +9,7 @@ consistent with the exact stage probabilities.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -96,8 +97,8 @@ class ShotConfig:
     def __post_init__(self):
         if self.shots < 1:
             raise ValueError(f"bad-shots: shots must be >= 1, got {self.shots}")
-        if self.seed < 0:
-            raise ValueError(f"bad-seed: seed must be non-negative, got {self.seed}")
+        if not 0 <= self.seed < 2**64:
+            raise ValueError(f"bad-seed: seed must be in [0, 2**64), got {self.seed}")
 
 
 def cnot_cz_process(noise: NoiseSpec | None = None) -> ProcessSpec:
@@ -180,8 +181,12 @@ def markov_predict(spec: ProcessSpec, ops: Sequence[Projector], reduced_maps):
     return rho / float(np.trace(rho).real)
 
 
-def _stage_probabilities(spec: ProcessSpec, ops: Sequence[Projector], readout: Projector):
-    """Conditional pass probability per projector stage plus the readout stage."""
+def _stage_probabilities(spec: ProcessSpec, ops: Sequence[Projector], readouts):
+    """Conditional pass probability per projector stage plus one readout stage.
+
+    The chain is contracted once; returns one row of stage probabilities per
+    readout projector.
+    """
     probs = []
     rho = spec.initial_state.copy()
     for step, (u, op) in enumerate(zip(spec.interactions, ops)):
@@ -195,9 +200,9 @@ def _stage_probabilities(spec: ProcessSpec, ops: Sequence[Projector], readout: P
         if noise is not None:
             rho = apply_noise(rho, noise)
     out = partial_trace(rho, 2, 2, keep="a")
-    q = float(np.trace(readout.mat @ out).real)
-    probs.append(min(max(q, 0.0), 1.0))
-    return probs
+    return [
+        probs + [min(max(float(np.trace(r.mat @ out).real), 0.0), 1.0)] for r in readouts
+    ]
 
 
 def _derived_rng(seed: int, *parts) -> np.random.Generator:
@@ -220,9 +225,8 @@ def _derived_rng(seed: int, *parts) -> np.random.Generator:
             h.update(part.encode())
         else:
             h.update(int(part).to_bytes(8, "little", signed=True))
-    digest = h.digest()
-    words = [int.from_bytes(digest[4 * i : 4 * i + 4], "little") for i in range(8)]
-    return np.random.default_rng(words)
+    # the digest's eight little-endian 32-bit words are the seed entropy
+    return np.random.default_rng(np.frombuffer(h.digest(), dtype="<u4"))
 
 
 def _staged_counts(probs, cfg: ShotConfig, rng: np.random.Generator):
@@ -234,8 +238,8 @@ def _staged_counts(probs, cfg: ShotConfig, rng: np.random.Generator):
     passed = np.ones(cfg.shots, dtype=bool)
     for j, p in enumerate(probs[:-1]):
         passed &= u[:, j] < p
-    total = int(passed.sum())
-    npass = int((passed & (u[:, -1] < probs[-1])).sum())
+    total = int(np.count_nonzero(passed))
+    npass = int(np.count_nonzero(passed & (u[:, -1] < probs[-1])))
     return npass, total
 
 
@@ -250,28 +254,39 @@ def simulate_counts(spec: ProcessSpec, ops: Sequence[Projector], readout_axis: P
     and processes differing only in interactions or noise share random numbers.
     """
     _check_sequence(spec, ops)
-    probs = _stage_probabilities(spec, ops, readout_axis)
+    probs = _stage_probabilities(spec, ops, [readout_axis])[0]
     rng = _derived_rng(cfg.seed, spec.initial_state, *ops, readout_axis)
     return _staged_counts(probs, cfg, rng)
 
 
-def _sampled_state(stage_fn, cfg: ShotConfig, rng_parts):
-    """Three-axis QST from sampled counts; both outcomes share each axis run."""
-    plus = {}
-    totals = []
-    for axis in QST_AXES:
-        probs = stage_fn(named_projector(axis + "+"))
-        rng = _derived_rng(cfg.seed, *rng_parts, axis)
-        npass, total = _staged_counts(probs, cfg, rng)
-        plus[axis] = npass / total if total else 0.5
-        totals.append(total / cfg.shots)
-    p_joint = float(np.mean(totals))
-    if min(totals) <= 0.0:
-        return ID2 / 2, p_joint
-    probabilities = [
-        plus["x"], 1 - plus["x"], plus["y"], 1 - plus["y"], plus["z"], 1 - plus["z"],
-    ]
-    return qst_six_axis(probabilities), p_joint
+#: "+" projector of each QST axis, the readout stage of a sampled state.
+_QST_READOUTS = tuple(named_projector(axis + "+") for axis in QST_AXES)
+
+
+def _sampled_states(stage_probs, keys, cfg: ShotConfig):
+    """Three-axis QST of N items from sampled counts; both outcomes share each axis run.
+
+    stage_probs[i][a] lists the stage probabilities of item i read out on
+    _QST_READOUTS[a]. Stream (i, a) is _derived_rng(cfg.seed, *keys[i],
+    QST_AXES[a]), drawn and reduced to counts by _staged_counts one stream at
+    a time. Returns (states (N, 2, 2), p_joint (N,)), with p_joint the mean
+    post-selection rate over the three axes and the maximally mixed state
+    for items that some axis never post-selects.
+    """
+    counts = np.array([
+        [_staged_counts(probs, cfg, _derived_rng(cfg.seed, *key, axis))
+         for probs, axis in zip(item, QST_AXES)]
+        for item, key in zip(stage_probs, keys)
+    ]).reshape(len(keys), len(QST_AXES), 2)
+    npass, total = counts[..., 0], counts[..., 1]
+    rates = total / cfg.shots
+    plus = npass / np.maximum(total, 1)
+    seen = rates.min(axis=1) > 0.0
+    states = np.repeat(ID2[None] / 2, len(keys), axis=0)
+    probabilities = np.stack([plus, 1 - plus], axis=-1).reshape(-1, 2 * len(QST_AXES))
+    if seen.any():
+        states[seen] = qst_six_axis(probabilities[seen])
+    return states, rates.mean(axis=1)
 
 
 def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None,
@@ -280,55 +295,56 @@ def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None,
 
     Without a ShotConfig the records are exact contraction results; with one,
     each record is a three-axis sampled state estimate with the post-selection
-    rate standing in for the joint probability.
+    rate standing in for the joint probability. The chain of each sequence is
+    contracted once for its three readouts, and the streams stay keyed on
+    (initial state, sequence, axis, seed).
     """
     if spec.nsteps != 2:
         raise ValueError("bad-sequence: record generation expects a two-step process")
-    records = []
-    for i0, l0 in enumerate(basis_labels):
-        for i1, l1 in enumerate(basis_labels):
-            ops = [named_projector(l0), named_projector(l1)]
-            if cfg is None:
-                rho, p = run_process(spec, ops)
-                if rho is None:
-                    rho = ID2 / 2
-                records.append(TomoRecord((i0, i1), rho, p))
-            else:
-                rho, p = _sampled_state(
-                    lambda ax: _stage_probabilities(spec, ops, ax),
-                    cfg,
-                    (spec.initial_state, *ops),
-                )
-                records.append(TomoRecord((i0, i1), rho, p))
-    return records
+    indices = list(itertools.product(range(len(basis_labels)), repeat=2))
+    sequences = [[named_projector(basis_labels[i]) for i in idx] for idx in indices]
+    if cfg is None:
+        records = []
+        for idx, ops in zip(indices, sequences):
+            rho, p = run_process(spec, ops)
+            if rho is None:
+                rho = ID2 / 2
+            records.append(TomoRecord(idx, rho, p))
+        return records
+    states, p_joint = _sampled_states(
+        [_stage_probabilities(spec, ops, _QST_READOUTS) for ops in sequences],
+        [(spec.initial_state, *ops) for ops in sequences],
+        cfg,
+    )
+    return [TomoRecord(idx, rho, float(p)) for idx, rho, p in zip(indices, states, p_joint)]
 
 
-def intervention_qpt_data(op: Projector, cfg: ShotConfig | None = None, run_tag: int = 0):
+def intervention_qpt_data(op: Projector, cfg: ShotConfig | None = None, run_tags=(0,)):
     """Input/output pairs characterizing a single projective intervention.
 
-    The six axis states are prepared exactly; the intervention and the
-    three-axis state readout are sampled when a ShotConfig is given. Outputs
-    are subnormalized by the measured pass rate. run_tag separates the random
-    streams of repeated characterizations.
+    Returns (inputs (6, 2, 2), outputs (R, 6, 2, 2)), one row of outputs per
+    entry of run_tags. The six axis states are prepared exactly; the
+    intervention and the three-axis state readout are sampled when a
+    ShotConfig is given, with the streams of repetition tag t keyed on
+    (t, op, input label, axis, seed). Outputs are subnormalized by the
+    measured pass rate. Without a ShotConfig every row is the exact output.
     """
-    inputs = []
-    outputs = []
-    for label in ("x+", "x-", "y+", "y-", "z+", "z-"):
-        rin = named_projector(label).mat
-        p_pass = min(max(float(np.trace(op.mat @ rin).real), 0.0), 1.0)
-        if cfg is None:
-            inputs.append(rin)
-            outputs.append(op.mat @ rin @ op.mat.conj().T)
-            continue
-
-        def stages(readout: Projector, _p=p_pass):
-            q = float(np.trace(readout.mat @ op.mat).real)
-            return [_p, min(max(q, 0.0), 1.0)]
-
-        rho, p_hat = _sampled_state(stages, cfg, (run_tag, op, label))
-        inputs.append(rin)
-        outputs.append(p_hat * rho)
-    return inputs, outputs
+    labels = ("x+", "x-", "y+", "y-", "z+", "z-")
+    inputs = np.array([named_projector(label).mat for label in labels])
+    tags = list(run_tags)
+    if cfg is None:
+        exact = np.array([op.mat @ rin @ op.mat.conj().T for rin in inputs])
+        return inputs, np.repeat(exact[None], len(tags), axis=0)
+    readout = [min(max(float(np.trace(r.mat @ op.mat).real), 0.0), 1.0) for r in _QST_READOUTS]
+    stages = [
+        [[min(max(float(np.trace(op.mat @ rin).real), 0.0), 1.0), q] for q in readout]
+        for rin in inputs
+    ]
+    states, p_hat = _sampled_states(
+        stages * len(tags), [(tag, op, label) for tag in tags for label in labels], cfg
+    )
+    outputs = p_hat[:, None, None] * states
+    return inputs, outputs.reshape(len(tags), len(labels), 2, 2)
 
 
 def first_step_env_marginal(spec: ProcessSpec, op: Projector):

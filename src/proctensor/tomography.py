@@ -62,25 +62,27 @@ class TomoRecord:
 def qst_six_axis(probabilities) -> np.ndarray:
     """Linear-inversion state estimate from six axis-projection probabilities.
 
-    probabilities is ordered (x+, x-, y+, y-, z+, z-). Opposite-axis pairs
+    probabilities is ordered (x+, x-, y+, y-, z+, z-) along its last axis; a
+    stack (..., 6) gives one state per row, (..., 2, 2). Opposite-axis pairs
     must sum to one within the finite-shot slack. The linear inverse is
     PSD-projected and renormalized.
     """
-    p = np.asarray(probabilities, dtype=float).reshape(-1)
-    if p.size != 6:
-        raise ValueError(f"bad-dims: expected 6 probabilities, got {p.size}")
+    p = np.asarray(probabilities, dtype=float)
+    if p.ndim == 0 or p.shape[-1] != 6:
+        raise ValueError(f"bad-dims: expected 6 probabilities, got shape {p.shape}")
     if np.any(p < -1e-9) or np.any(p > 1 + 1e-9):
         raise ValueError("inconsistent-probs: probabilities outside [0, 1]")
-    for k, axis in enumerate("xyz"):
-        s = p[2 * k] + p[2 * k + 1]
-        if abs(s - 1.0) > PAIR_SUM_SLACK:
-            raise ValueError(
-                f"inconsistent-probs: {axis}-axis pair sums to {s:.4f}"
-            )
-    r = [p[0] - p[1], p[2] - p[3], p[4] - p[5]]
-    rho = 0.5 * (PAULIS[0] + r[0] * PAULIS[1] + r[1] * PAULIS[2] + r[2] * PAULIS[3])
+    sums = p[..., 0::2] + p[..., 1::2]
+    bad = np.argwhere(np.abs(sums - 1.0) > PAIR_SUM_SLACK)
+    if len(bad):
+        *row, k = bad[0]
+        raise ValueError(
+            f"inconsistent-probs: {'xyz'[k]}-axis pair sums to {sums[(*row, k)]:.4f}"
+        )
+    x, y, z = (p[..., 2 * k, None, None] - p[..., 2 * k + 1, None, None] for k in range(3))
+    rho = 0.5 * (PAULIS[0] + x * PAULIS[1] + y * PAULIS[2] + z * PAULIS[3])
     rho = project_psd(rho)
-    return rho / float(np.trace(rho).real)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
 def six_axis_probabilities(rho) -> list[float]:
@@ -94,7 +96,10 @@ def six_axis_probabilities(rho) -> list[float]:
 
 
 def qpt_chi(prepared_inputs, measured_outputs, psd: bool = False) -> np.ndarray:
-    """Least-squares chi matrix from state-tomography input/output pairs."""
+    """Least-squares chi matrix from state-tomography input/output pairs.
+
+    A stack of outputs (R, k, d, d) gives R chi matrices; see chi_from_process.
+    """
     return chi_from_process(prepared_inputs, measured_outputs, psd=psd)
 
 

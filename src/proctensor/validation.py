@@ -16,29 +16,36 @@ __all__ = [
 
 
 def as_matrix(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to a 2-D complex array with finite entries."""
+    """Coerce to a complex matrix or stack of matrices (..., rows, cols) with finite entries."""
     a = np.asarray(m, dtype=complex)
-    if a.ndim != 2:
-        raise ValueError(f"bad-dims: {name} must be 2-D, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if a.ndim < 2:
+        raise ValueError(f"bad-dims: {name} must be a matrix or a stack, got shape {a.shape}")
+    if not np.isfinite(a).all():
         raise ValueError(f"non-finite: {name} contains NaN or Inf entries")
     return a
 
 
 def as_square(m, name: str = "matrix") -> np.ndarray:
+    """Coerce to one square complex matrix with finite entries."""
     a = as_matrix(m, name)
-    if a.shape[0] != a.shape[1]:
-        raise ValueError(f"bad-dims: {name} must be square, got shape {a.shape}")
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"bad-dims: {name} must be a square matrix, got shape {a.shape}")
     return a
 
 
 def hermitian_part(m, tol: float = 1e-8, name: str = "matrix") -> np.ndarray:
-    """Return (m + m†)/2; reject if the anti-Hermitian part exceeds tol entrywise."""
-    a = as_square(m, name)
-    asym = float(np.abs(a - a.conj().T).max())
+    """Return (m + m†)/2 of a matrix or a stack (..., n, n).
+
+    Rejects the input if its anti-Hermitian part exceeds tol entrywise.
+    """
+    a = as_matrix(m, name)
+    if a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"bad-dims: {name} must be square, got shape {a.shape}")
+    ah = a.conj().swapaxes(-1, -2)
+    asym = float(np.abs(a - ah).max(initial=0.0))
     if asym > tol:
         raise ValueError(f"not-hermitian: {name} deviates from Hermiticity by {asym:.3e}")
-    return (a + a.conj().T) / 2
+    return (a + ah) / 2
 
 
 def check_unitary(u, tol: float = 1e-8, name: str = "matrix") -> np.ndarray:
@@ -51,7 +58,7 @@ def check_unitary(u, tol: float = 1e-8, name: str = "matrix") -> np.ndarray:
 
 def check_density_matrix(rho, name: str = "state") -> np.ndarray:
     """Validate Hermiticity, positivity and trace of a (possibly subnormalized) state."""
-    a = hermitian_part(rho, 1e-8, name)
+    a = hermitian_part(as_square(rho, name), 1e-8, name)
     w = np.linalg.eigvalsh(a)
     if w.min() < -1e-8:
         raise ValueError(f"not-psd: {name} has eigenvalue {w.min():.3e}")

@@ -161,9 +161,9 @@ def test_criterion_5_finite_shot_tomography():
     for run_tag, label in enumerate(FIT_BASIS_LABELS):
         op = named_projector(label)
         inputs, outputs = intervention_qpt_data(
-            op, ShotConfig(shots=SHOTS, seed=SEED), run_tag=run_tag
+            op, ShotConfig(shots=SHOTS, seed=SEED), [run_tag]
         )
-        chi = qpt_chi(inputs, outputs, psd=True)
+        chi = qpt_chi(inputs, outputs[0], psd=True)
         fids.append(chi_fidelity(chi, chi_of_operator(op.mat)))
     fids = np.array(fids)
     assert np.all(fids >= 0.95) and np.all(fids <= 1.0)

@@ -18,7 +18,7 @@ from proctensor.channels import (
     superop_to_chi,
     superop_to_choi,
 )
-from proctensor.linalg import kron, unvec, vec
+from proctensor.linalg import kron, project_psd, unvec, vec
 from proctensor.qubit import CNOT, CZ, ID2, SZ, NoiseSpec, named_projector
 
 AXIS = ["x+", "x-", "y+", "y-", "z+", "z-"]
@@ -401,6 +401,45 @@ def test_chi_from_process_matches_pair_loop(seed, nqubits):
     outputs = [random_density(seed + 100 + k, d) for k in range(d * d)]
     assert np.array_equal(chi_from_process(inputs, outputs),
                           loop_chi_from_process(inputs, outputs))
+
+
+def stacked_chi_case(seed, d, reps, psd):
+    inputs = [random_density(seed + k, d) for k in range(d * d + 2)]
+    stack = np.array([[random_density(seed + 100 * (r + 1) + k, d) for k in range(len(inputs))]
+                      for r in range(reps)])
+    chis = chi_from_process(inputs, stack, psd=psd)
+    assert chis.shape == (reps, d * d, d * d)
+    for outputs, chi in zip(stack, chis):
+        reference = loop_chi_from_process(inputs, outputs)
+        if psd:
+            reference = project_psd(reference)
+        yield chi, reference, chi_from_process(inputs, list(outputs), psd=psd)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 20), st.booleans())
+def test_stacked_chi_from_process_equals_per_repetition(seed, reps, psd):
+    # the characterization path: one qubit, the stacked solve gives the same bytes
+    for chi, reference, single in stacked_chi_case(seed, 2, reps, psd):
+        assert np.array_equal(chi, reference)
+        assert np.array_equal(chi, single)
+
+
+@pytest.mark.parametrize("psd", [False, True])
+def test_stacked_two_qubit_chi_within_rounding(psd):
+    # LAPACK's solve with many right-hand sides on the 2-qubit design may
+    # round differently from one right-hand side
+    for chi, reference, single in stacked_chi_case(11, 4, 3, psd):
+        scale = np.abs(reference).max()
+        assert np.abs(chi - reference).max() <= 1e-13 * scale
+        assert np.abs(chi - single).max() <= 1e-13 * scale
+
+
+def test_chi_from_process_rejects_mismatched_stack():
+    with pytest.raises(ValueError, match="insufficient-basis"):
+        chi_from_process(AXIS_STATES, np.array([AXIS_STATES[:5]]))
+    with pytest.raises(ValueError, match="bad-dims"):
+        chi_from_process(np.ones((6, 2, 3)), np.ones((6, 2, 3)))
 
 
 @settings(max_examples=25, deadline=None)

@@ -5,6 +5,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import proctensor
 from proctensor.cli import main, resolve_config, build_parser
@@ -209,12 +210,13 @@ def test_volume_files(tmp_path):
             assert len(rows) > 100
 
 
-def test_byte_identical_reruns(tmp_path):
+@pytest.mark.parametrize("command", ["tomo-predict", "characterize-povm"])
+def test_byte_identical_reruns(tmp_path, command):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"
     for out in (out1, out2):
         assert run_cli([
-            "tomo-predict", "--shots", "400", "--seed", "7", "--out", out,
+            command, "--shots", "400", "--seed", "7", "--out", out,
         ]) == 0
     files1 = sorted(p.name for p in out1.iterdir())
     files2 = sorted(p.name for p in out2.iterdir())

@@ -219,6 +219,48 @@ def test_project_idempotent(m):
     assert np.linalg.eigvalsh(once).min() > -1e-13
 
 
+def loop_project_psd(m):
+    """One-matrix eigenvalue clipping, the reference for stacked projection."""
+    h = (m + m.conj().T) / 2
+    w, v = np.linalg.eigh(h)
+    w, v = w[::-1].copy(), np.ascontiguousarray(v[:, ::-1])
+    out = (v * np.clip(w, 0.0, None)) @ v.conj().T
+    return (out + out.conj().T) / 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([2, 4, 16]), st.integers(0, 5))
+def test_stacked_project_psd_equals_per_matrix(seed, n, count):
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
+    stack = (a + a.conj().swapaxes(-1, -2)) / 2
+    out = project_psd(stack)
+    assert out.shape == stack.shape
+    for m, got in zip(stack, out):
+        assert np.array_equal(got, loop_project_psd(m))
+        assert np.array_equal(got, project_psd(m))
+
+
+def test_stacked_spectral_functions_keep_shape_and_checks():
+    stack = np.array([I2, SZ, np.diag([4.0, 9.0])], dtype=complex)
+    assert np.abs(mat_sqrt_psd(stack)[2] - np.diag([2.0, 3.0])).max() < 1e-12
+    e = herm_eig(stack)
+    assert e.eigenvalues.shape == (3, 2)
+    assert np.abs(e.reconstruct() - stack).max() < 1e-12
+    with pytest.raises(ValueError, match="not-hermitian"):
+        project_psd(np.array([I2, [[0, 1], [0, 0]]], dtype=complex))
+
+
+def test_single_matrix_functions_reject_stacks():
+    stack = np.array([I2, SZ])
+    with pytest.raises(ValueError, match="bad-dims"):
+        kron(stack, I2)
+    with pytest.raises(ValueError, match="bad-dims"):
+        vec(stack)
+    with pytest.raises(ValueError, match="bad-dims"):
+        partial_trace(np.zeros((3, 4, 4)), 2, 2, keep="a")
+
+
 # ------------------------------------------------------------ vec/unvec
 
 def test_vec_identity():

@@ -9,6 +9,9 @@ from proctensor.linalg import kron
 from proctensor.process import (
     ProcessSpec,
     ShotConfig,
+    _derived_rng,
+    _stage_probabilities,
+    _staged_counts,
     cnot_cz_process,
     cz_cnot_process,
     first_step_env_marginal,
@@ -22,11 +25,14 @@ from proctensor.process import (
 from proctensor.qubit import (
     CNOT,
     CZ,
+    ID2,
+    QST_AXES,
     NoiseSpec,
     named_projector,
     projector,
     state_fidelity,
 )
+from proctensor.tomography import qst_six_axis
 
 angles = st.floats(0.05, math.pi - 0.05, allow_nan=False)
 phases = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -54,6 +60,15 @@ def test_shot_config_validation():
         ShotConfig(shots=0)
     with pytest.raises(ValueError, match="bad-seed"):
         ShotConfig(seed=-1)
+
+
+def test_shot_config_rejects_seed_beyond_64_bits():
+    with pytest.raises(ValueError, match="bad-seed"):
+        ShotConfig(seed=2**64)
+    # the largest accepted seed still keys a stream
+    cfg = ShotConfig(shots=10, seed=2**64 - 1)
+    ops = [named_projector("z+"), named_projector("z+")]
+    assert simulate_counts(cnot_cz_process(), ops, named_projector("z+"), cfg) == (10, 10)
 
 
 def test_run_process_length_mismatch():
@@ -258,9 +273,84 @@ def test_sampled_records_close_to_exact(cnot_cz_spec, cnot_cz_records):
 def test_qpt_data_exact_mode():
     op = named_projector("y-")
     inputs, outputs = intervention_qpt_data(op)
-    assert len(inputs) == len(outputs) == 6
-    for rin, rout in zip(inputs, outputs):
+    assert len(inputs) == len(outputs[0]) == 6
+    for rin, rout in zip(inputs, outputs[0]):
         assert np.abs(op.mat @ rin @ op.mat - rout).max() < 1e-12
+
+
+# ------------------------------------------- per-stream sampling reference
+
+def loop_sampled_state(stage_fn, cfg, rng_parts):
+    """Three-axis QST drawn one stream and one state at a time.
+
+    The per-stream form the stacked sampler replaced; both must give the
+    same bytes.
+    """
+    plus = {}
+    totals = []
+    for axis in QST_AXES:
+        probs = stage_fn(named_projector(axis + "+"))
+        rng = _derived_rng(cfg.seed, *rng_parts, axis)
+        npass, total = _staged_counts(probs, cfg, rng)
+        plus[axis] = npass / total if total else 0.5
+        totals.append(total / cfg.shots)
+    p_joint = float(np.mean(totals))
+    if min(totals) <= 0.0:
+        return ID2 / 2, p_joint
+    probabilities = [
+        plus["x"], 1 - plus["x"], plus["y"], 1 - plus["y"], plus["z"], 1 - plus["z"],
+    ]
+    return qst_six_axis(probabilities), p_joint
+
+
+@pytest.mark.parametrize("shots,seed", [(300, 0), (3000, 7)])
+@pytest.mark.parametrize("make_spec", [
+    cnot_cz_process, cz_cnot_process,
+    lambda: cnot_cz_process(NoiseSpec(gamma_amp=0.05, lambda_phase=0.05)),
+])
+def test_sampled_records_equal_per_stream_loop(make_spec, shots, seed):
+    spec = make_spec()
+    cfg = ShotConfig(shots=shots, seed=seed)
+    records = generate_records(spec, cfg)
+    assert len(records) == 81
+    for rec in records:
+        ops = [named_projector(label) for label in rec.labels]
+        rho, p = loop_sampled_state(
+            lambda ax: _stage_probabilities(spec, ops, [ax])[0], cfg,
+            (spec.initial_state, *ops),
+        )
+        assert rec.p_joint == p, rec.labels
+        assert np.array_equal(rec.rho_measured, rho), rec.labels
+
+
+@pytest.mark.parametrize("label", ["x+", "y-", "z+", "zy-", "xz+"])
+def test_qpt_data_equals_per_stream_loop(label):
+    op = named_projector(label)
+    cfg = ShotConfig(shots=500, seed=4)
+    tags = [0, 3, 17, 359]
+    inputs, outputs = intervention_qpt_data(op, cfg, tags)
+    assert outputs.shape == (len(tags), 6, 2, 2)
+    for rep, tag in enumerate(tags):
+        for k, axis_label in enumerate(("x+", "x-", "y+", "y-", "z+", "z-")):
+            rin = named_projector(axis_label).mat
+            assert np.array_equal(inputs[k], rin)
+            p_pass = min(max(float(np.trace(op.mat @ rin).real), 0.0), 1.0)
+
+            def stages(readout, _p=p_pass):
+                q = float(np.trace(readout.mat @ op.mat).real)
+                return [_p, min(max(q, 0.0), 1.0)]
+
+            rho, p_hat = loop_sampled_state(stages, cfg, (tag, op, axis_label))
+            assert np.array_equal(outputs[rep, k], p_hat * rho), (tag, axis_label)
+
+
+def test_qpt_data_repetitions_are_independent_streams():
+    cfg = ShotConfig(shots=500, seed=4)
+    op = named_projector("x+")
+    _, both = intervention_qpt_data(op, cfg, [5, 6])
+    _, alone = intervention_qpt_data(op, cfg, [6])
+    assert np.array_equal(both[1], alone[0])
+    assert not np.array_equal(both[0], both[1])
 
 
 def test_per_step_noise_list():

@@ -21,6 +21,7 @@ from proctensor.process import (
 from proctensor.qubit import (
     FIT_BASIS_LABELS,
     OVERCOMPLETE_LABELS,
+    PAULIS,
     named_projector,
     projector,
     state_fidelity,
@@ -81,6 +82,39 @@ def test_qst_rejects_bad_range():
         qst_six_axis([1.2, -0.2, 0.5, 0.5, 0.5, 0.5])
 
 
+def loop_qst_six_axis(probabilities):
+    """One-state linear inversion, the reference for the stacked estimator."""
+    p = np.asarray(probabilities, dtype=float)
+    r = [p[0] - p[1], p[2] - p[3], p[4] - p[5]]
+    rho = 0.5 * (PAULIS[0] + r[0] * PAULIS[1] + r[1] * PAULIS[2] + r[2] * PAULIS[3])
+    rho = project_psd(rho)
+    return rho / float(np.trace(rho).real)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
+                          st.floats(-0.05, 0.05)), min_size=0, max_size=6))
+def test_stacked_qst_equals_per_state(rows):
+    probs = np.array([
+        [x, 1 - x, y, 1 - y, min(max(z + e, 0.0), 1.0), 1 - z] for x, y, z, e in rows
+    ]).reshape(-1, 6)
+    out = qst_six_axis(probs)
+    assert out.shape == (len(probs), 2, 2)
+    for p, got in zip(probs, out):
+        assert np.array_equal(got, loop_qst_six_axis(p))
+        assert np.array_equal(got, qst_six_axis(list(p)))
+
+
+def test_stacked_qst_checks_every_row():
+    good = [0.5, 0.5, 0.5, 0.5, 1.0, 0.0]
+    with pytest.raises(ValueError, match="inconsistent-probs: y-axis pair sums to 1.3000"):
+        qst_six_axis([good, [0.5, 0.5, 0.9, 0.4, 0.5, 0.5]])
+    with pytest.raises(ValueError, match="outside"):
+        qst_six_axis([[good, good], [good, [1.2, -0.2, 0.5, 0.5, 0.5, 0.5]]])
+    with pytest.raises(ValueError, match="bad-dims"):
+        qst_six_axis(np.zeros((2, 5)))
+
+
 # ------------------------------------------------------------------ QPT
 
 def test_qpt_identity_process():
@@ -96,7 +130,7 @@ def test_qpt_identity_process():
 def test_qpt_ideal_y_minus():
     op = named_projector("y-")
     inputs, outputs = intervention_qpt_data(op)
-    chi = qpt_chi(inputs, outputs)
+    chi = qpt_chi(inputs, outputs[0])
     assert np.abs(chi - chi_of_operator(op.mat)).max() < 1e-10
 
 
@@ -104,8 +138,8 @@ def test_qpt_sampled_fidelity_band():
     cfg = ShotConfig(shots=3000, seed=7)
     for run_tag, label in enumerate(FIT_BASIS_LABELS):
         op = named_projector(label)
-        inputs, outputs = intervention_qpt_data(op, cfg, run_tag=run_tag)
-        chi = qpt_chi(inputs, outputs, psd=True)
+        inputs, outputs = intervention_qpt_data(op, cfg, [run_tag])
+        chi = qpt_chi(inputs, outputs[0], psd=True)
         fid = chi_fidelity(chi, chi_of_operator(op.mat))
         assert 0.95 <= fid <= 1.0, (label, fid)
 
