@@ -40,6 +40,7 @@ __all__ = [
     "superop_to_choi",
     "map_to_choi",
     "choi_to_map",
+    "step_choi_factor",
     "reduced_superop",
     "reduced_map",
 ]
@@ -77,6 +78,18 @@ def choi_to_map(choi, steps: int) -> np.ndarray:
     legs = _CHOI_LEGS[steps]
     t = np.asarray(choi).reshape((2,) * len(legs)).transpose(np.argsort(legs))
     return t.reshape(4, 16**steps)
+
+
+def step_choi_factor(x) -> np.ndarray:
+    """4x4 factor of one step in the Choi state of a product map.
+
+    The legs of each step stay together in :func:`map_to_choi`, so the map
+    sending x_{k-1} ⊗ … ⊗ x_0 to vec(O) has the Choi state
+    kron(O, F(x_{k-1}), …, F(x_0)) with F(x) this reshuffle of the 16-vector
+    x. Works on stacks (..., 16).
+    """
+    x = np.asarray(x)
+    return x.reshape(x.shape[:-1] + (2, 2, 2, 2)).swapaxes(-1, -4).reshape(x.shape[:-1] + (4, 4))
 
 
 def action_superop(k) -> np.ndarray:

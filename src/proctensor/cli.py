@@ -4,7 +4,8 @@ Subcommands reproduce the full workflow as machine-readable files:
 characterize-povm, reduced-maps, tomo-predict, nonmarkov and volume. A
 key-value config file with [run] and [noise] sections may supply defaults;
 command-line flags override file keys. Exit codes: 0 success, 2 config
-error, 3 numeric non-convergence (partial output written), 4 I/O error.
+error, 3 numeric non-convergence (a sweep point or the PSD refit; output is
+still written), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ from .channels import chi_fidelity, chi_of_operator, reduced_map
 from .fileio import config_digest, write_matrix, write_table
 from .nonmarkov import bloch_volume, default_theta_grid, sweep_theta
 from .process import (
+    MAX_SHOTS,
     PROCESS_NAMES,
     ShotConfig,
     generate_records,
@@ -136,8 +138,8 @@ def resolve_config(args) -> RunConfig:
     if process not in PROCESS_NAMES:
         raise ConfigError(f"unknown process {process!r}; choose from {sorted(PROCESS_NAMES)}")
     shots = values.get("shots")
-    if shots is not None and shots < 100:
-        raise ConfigError(f"shots must be >= 100, got {shots}")
+    if shots is not None and not 100 <= shots <= MAX_SHOTS:
+        raise ConfigError(f"shots must be in [100, {MAX_SHOTS}], got {shots}")
     seed = values.get("seed", 0)
     if not 0 <= seed < 2**64:
         raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
@@ -166,6 +168,16 @@ def resolve_config(args) -> RunConfig:
 def _ensure_outdir(cfg: RunConfig) -> Path:
     cfg.output_dir.mkdir(parents=True, exist_ok=True)
     return cfg.output_dir
+
+
+def _refit_converged(fit) -> bool:
+    """False, with a note on stderr, when the PSD refit of a sampled fit did not converge."""
+    info = fit.refit_info_
+    if info is None or info.converged:
+        return True
+    print(f"PSD refit not converged after {info.iterations} Newton steps "
+          f"(fixed-point residual {info.optimality:.3e})", file=sys.stderr)
+    return False
 
 
 def _safe_name(label: str) -> str:
@@ -273,7 +285,7 @@ def cmd_tomo_predict(cfg: RunConfig) -> int:
         summary,
         digest,
     )
-    return 0
+    return 0 if _refit_converged(fit) else 3
 
 
 def cmd_nonmarkov(cfg: RunConfig) -> int:
@@ -285,7 +297,7 @@ def cmd_nonmarkov(cfg: RunConfig) -> int:
     thetas = cfg.theta_grid if cfg.theta_grid is not None else default_theta_grid()
     results = sweep_theta(fit, thetas, process=spec)
     rows = []
-    all_converged = True
+    all_converged = _refit_converged(fit)
     for theta, n_value, converged, iterations in results:
         if n_value is None:
             rows.append((theta, "absent", False, iterations))
@@ -330,7 +342,7 @@ def cmd_volume(cfg: RunConfig, n_samples: int = 200) -> int:
             [tuple(row) for row in cloud],
             digest,
         )
-    return 0
+    return 0 if _refit_converged(fit) else 3
 
 
 COMMANDS = {

@@ -23,6 +23,7 @@ __all__ = [
     "mat_sqrt_psd",
     "mat_log_psd",
     "project_psd",
+    "clip_divided_differences",
     "vec",
     "unvec",
 ]
@@ -97,6 +98,23 @@ def mat_log_psd(m, floor: float = 1e-12) -> np.ndarray:
 def project_psd(m) -> np.ndarray:
     """Nearest PSD matrix in Frobenius norm (eigenvalue clipping)."""
     return _spectral(m, lambda w: np.clip(w, 0.0, None))
+
+
+def clip_divided_differences(eigenvalues) -> np.ndarray:
+    """Divided differences of eigenvalue clipping, the Jacobian of project_psd.
+
+    Returns Omega_ij = (max(w_i, 0) - max(w_j, 0)) / (w_i - w_j), read as 1
+    when w_i and w_j are both positive and 0 when neither is. At a Hermitian
+    matrix V diag(w) V† the (generalized) Jacobian of project_psd is
+    H -> V (Omega o V† H V) V†; its entries lie in [0, 1].
+    """
+    w = np.asarray(eigenvalues, dtype=float)
+    pos = w > 0
+    omega = (pos[:, None] & pos[None, :]).astype(float)
+    mixed = pos[:, None] != pos[None, :]
+    p = np.clip(w, 0.0, None)
+    omega[mixed] = (p[:, None] - p[None, :])[mixed] / (w[:, None] - w[None, :])[mixed]
+    return omega
 
 
 def vec(m) -> np.ndarray:

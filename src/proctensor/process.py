@@ -34,6 +34,7 @@ from .validation import check_normalized, check_unitary
 __all__ = [
     "ProcessSpec",
     "ShotConfig",
+    "MAX_SHOTS",
     "cnot_cz_process",
     "cz_cnot_process",
     "PROCESS_NAMES",
@@ -89,14 +90,19 @@ class ProcessSpec:
         return self.noise[step]
 
 
+#: Largest accepted shot count: each stream draws shots x stages uniforms at
+#: once (24 MB at this bound with three stages).
+MAX_SHOTS = 10**6
+
+
 @dataclass(frozen=True)
 class ShotConfig:
     shots: int = 3000
     seed: int = 0
 
     def __post_init__(self):
-        if self.shots < 1:
-            raise ValueError(f"bad-shots: shots must be >= 1, got {self.shots}")
+        if not 1 <= self.shots <= MAX_SHOTS:
+            raise ValueError(f"bad-shots: shots must be in [1, {MAX_SHOTS}], got {self.shots}")
         if not 0 <= self.seed < 2**64:
             raise ValueError(f"bad-seed: seed must be in [0, 2**64), got {self.seed}")
 

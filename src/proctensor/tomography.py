@@ -11,11 +11,18 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .channels import action_superop, chi_from_process, choi_to_map, map_to_choi
-from .linalg import project_psd, unvec, vec
+from .channels import (
+    action_superop,
+    chi_from_process,
+    choi_to_map,
+    map_to_choi,
+    step_choi_factor,
+)
+from .linalg import clip_divided_differences, project_psd, unvec, vec
 from .qubit import FIT_BASIS_LABELS, PAULIS, Projector, named_projector
 from .validation import as_square, check_density_matrix
 
@@ -27,6 +34,7 @@ __all__ = [
     "action_matrix",
     "sequence_vector",
     "RestrictedProcessTensor",
+    "RefitInfo",
     "fit_restricted_tensor",
     "records_to_text",
     "records_from_text",
@@ -135,41 +143,198 @@ def _basis_action_vectors() -> np.ndarray:
     )
 
 
-#: Relative-step stop of the PSD refit and its iteration cap.
-REFIT_TOL = 1e-6
-REFIT_MAX_ITER = 20000
+#: Stop of the PSD refit: projected-gradient fixed-point residual of the
+#: Choi state, relative to its norm.
+REFIT_TOL = 1e-10
+#: Proximal parameter of the refit: first value, growth per outer step, cap.
+SIGMA_START, SIGMA_GROWTH, SIGMA_MAX = 1e3, 5.0, 1e5
+#: Safeguards of the refit; hitting one ends it with converged=False.
+NEWTON_MAX_STEPS = 200
+LINE_SEARCH_MIN_STEP = 1e-8
+
+#: vec(Pauli)/sqrt(2): an orthonormal basis, in the real inner product, of
+#: the vec of Hermitian 2x2 matrices.
+_HERM_VECS = np.array([vec(p) for p in PAULIS]).T / np.sqrt(2)
 
 
-def _psd_refit_choi(map0, design, targets, weights):
+class RefitInfo(NamedTuple):
+    """Diagnostics of the PSD refit.
+
+    iterations: Newton steps over all proximal subproblems. converged: the
+    fixed-point residual fell below REFIT_TOL before a safeguard (Newton step
+    cap, line-search floor) was hit. objective: the weighted least squares
+    sum_r w_r ||M d_r - t_r||^2 of the returned state. optimality:
+    ||Y - P(Y - grad/L)||_F / ||Y||_F, P the PSD projection and L the largest
+    eigenvalue of the weighted Gram matrix.
+    """
+
+    iterations: int
+    converged: bool
+    objective: float
+    optimality: float
+
+
+class _PairGridLeastSquares:
+    """The refit objective 1/2 ||A(Y) - b||^2 on the 9x9 grid of basis pairs.
+
+    A record's design row is kron(x1, x0) of two basis action vectors, so a
+    map's predictions on the whole grid are B M_k B^T for each output entry k
+    (B the 9x16 basis actions, M_k the map's row k as 16x16). Records
+    sharing a cell merge into their weighted mean, which changes the
+    objective only by the constant `offset`. A sends Hermitian Y to
+    Hermitian output entries, so the dual variable has real coordinates
+    c (4, 81) on _HERM_VECS in each cell.
+    """
+
+    def __init__(self, basis_vecs, cells, weights, targets):
+        nb = len(basis_vecs)
+        w = np.bincount(cells, weights, nb * nb)
+        t = np.zeros((nb * nb, 4), dtype=complex)
+        np.add.at(t, cells, weights[:, None] * targets)
+        self.sqrt_w = np.sqrt(w).reshape(nb, nb)
+        self.b = (t / w[:, None]).T.reshape(4, nb, nb) * self.sqrt_w
+        self.b_coords = self.to_coords(self.b)
+        self.offset = float(np.sum(weights * np.sum(np.abs(targets) ** 2, axis=1))
+                            - np.sum(np.abs(self.b) ** 2))
+        self._bv, self._bvt = basis_vecs, basis_vecs.T
+        self._bvh, self._bvc = basis_vecs.conj().T, basis_vecs.conj()
+        bb = basis_vecs @ self._bvh
+        gram = np.kron(bb, bb) * np.outer(self.sqrt_w, self.sqrt_w)
+        self.lipschitz = float(np.linalg.eigvalsh(gram)[-1])
+        # A* of the coordinate (mu, cell) is sqrt(w) kron(P_mu, F_i1, F_i0),
+        # P_mu = Pauli/sqrt(2) = sum_p d_p u_p u_p† and F_i = f_i f_i† the
+        # rank-1 step factors of the conjugate basis actions
+        d, u = np.linalg.eigh(np.array(PAULIS) / np.sqrt(2))
+        fw, fv = np.linalg.eigh(step_choi_factor(self._bvc))
+        f = fv[:, :, -1] * np.sqrt(fw[:, -1:])
+        self._factors = np.einsum("map,ib,jc->mpijabc", u, f, f).reshape(4, 2, nb * nb, 32)
+        self._factor_weights = (d[:, :, None] * self.sqrt_w.reshape(1, 1, -1)).transpose(0, 2, 1)
+
+    def to_coords(self, lam):
+        return (_HERM_VECS.conj().T @ lam.reshape(4, -1)).real
+
+    def from_coords(self, c):
+        return (_HERM_VECS @ c).reshape(self.b.shape)
+
+    def forward(self, y):
+        """A(Y): weighted grid predictions of the two-step Choi state Y."""
+        return (self._bv @ choi_to_map(y, 2).reshape(4, 16, 16) @ self._bvt) * self.sqrt_w
+
+    def adjoint(self, lam):
+        """A*(lam), Hermitian part (A acts on Hermitian Y)."""
+        g = map_to_choi((self._bvh @ (lam * self.sqrt_w) @ self._bvc).reshape(4, 256), 2)
+        return (g + g.conj().T) / 2
+
+    def objective(self, y) -> float:
+        return float(np.sum(np.abs(self.forward(y) - self.b) ** 2)) + self.offset
+
+    def optimality(self, y) -> float:
+        g = self.adjoint(self.forward(y) - self.b)
+        moved = project_psd(y - g / self.lipschitz)
+        return float(np.linalg.norm(y - moved) / (np.linalg.norm(y) or 1.0))
+
+    def newton_matrix(self, sigma, w, v):
+        """I + sigma A J A* in dual coordinates, J the Jacobian of project_psd at V diag(w) V†.
+
+        Entry (i, j) of A J A* is <V† A*(e_i) V, Omega o V† A*(e_j) V>. Omega
+        vanishes outside the rows and columns of the positive eigenvalues, so
+        only those rows are formed, the mirrored columns counted twice.
+        """
+        pos = w > 0
+        omega = clip_divided_differences(w)[pos]
+        omega[:, ~pos] *= 2
+        g = (self._factors @ v.conj()).transpose(0, 2, 3, 1)
+        rows = (g[:, :, pos] * self._factor_weights[:, :, None]) @ g.conj().swapaxes(-1, -2)
+        rows *= np.sqrt(omega)
+        x = rows.reshape(self.b_coords.size, -1).view(float)
+        h = sigma * (x @ x.T)
+        h[np.diag_indices_from(h)] += 1
+        return h
+
+
+def _proximal_dual(problem, y_k, sigma, c):
+    """Smooth dual of one proximal subproblem of the refit, at coordinates c.
+
+    The subproblem min_{Y psd} 1/2 ||A(Y) - b||^2 + ||Y - Y_k||^2 / (2 sigma)
+    has the dual phi(lam) = 1/2 ||lam||^2 + <lam, b> + ||P(Z)||^2 / (2 sigma),
+    Z = Y_k - sigma A*(lam), with gradient lam + b - A(P(Z)) and generalized
+    Hessian I + sigma A J A*, J the Jacobian of the PSD projection P at Z. At
+    its minimum lam is the weighted residual of Y = P(Z).
+
+    Returns (phi, gradient, Y, eigenvalues of Z, eigenvectors of Z).
+    """
+    w, v = np.linalg.eigh(y_k - sigma * problem.adjoint(problem.from_coords(c)))
+    keep = w > 0
+    y = (v[:, keep] * w[keep]) @ v[:, keep].conj().T
+    phi = (0.5 * np.sum(c * c) + np.sum(c * problem.b_coords)
+           + 0.5 / sigma * float(np.sum(w[keep] ** 2)))
+    grad = c + problem.b_coords - problem.to_coords(problem.forward(y))
+    return phi, grad, y, w, v
+
+
+def _solve_proximal(problem, y_k, sigma, c, gtol, steps):
+    """Semismooth Newton with Armijo line search on one proximal dual, from c.
+
+    Returns (c, Y, steps, safe); safe is False when the Newton step cap or
+    the line-search floor was hit.
+    """
+    point = _proximal_dual(problem, y_k, sigma, c)
+    while np.linalg.norm(point[1]) > gtol:
+        if steps == NEWTON_MAX_STEPS:
+            return c, point[2], steps, False
+        phi, grad, _, w, v = point
+        d = np.linalg.solve(problem.newton_matrix(sigma, w, v), -grad.reshape(-1))
+        d = d.reshape(c.shape)
+        slope = np.sum(grad * d)
+        step = 1.0
+        while True:
+            trial = _proximal_dual(problem, y_k, sigma, c + step * d)
+            if trial[0] <= phi + 1e-4 * step * slope:
+                break
+            # phi's decrease is below its rounding: accept a smaller gradient
+            if (-step * slope < 1e-13 * abs(phi)
+                    and np.linalg.norm(trial[1]) < np.linalg.norm(grad)):
+                break
+            step /= 2
+            if step < LINE_SEARCH_MIN_STEP:
+                return c, point[2], steps, False
+        c, point, steps = c + step * d, trial, steps + 1
+    return c, point[2], steps, True
+
+
+def _psd_refit_choi(map0, basis_vecs, cells, weights, targets):
     """Weighted least-squares refit of the two-step Choi onto the PSD cone.
 
-    Minimizes sum_r w_r ||M d_r - t_r||^2 over maps M whose two-step Choi
-    state Y is PSD, by accelerated projected gradient (FISTA with gradient
-    restart, eigenvalue clipping as the projection). The Choi reshuffle is a
-    permutation, so the map-space gradient and its Lipschitz constant carry
-    over to Y unchanged. Starts from the clipped Choi state of map0 and stops
-    when the relative step falls below REFIT_TOL.
+    Minimizes 1/2 ||A(Y) - b||^2 over PSD Choi states Y, with A(Y) the map's
+    predictions on the records' design rows scaled by sqrt(w) and b the
+    targets scaled alike, by a proximal point method (Zhao, Sun & Toh, SIAM
+    J. Optim. 20, 1737 (2010)). Each outer step adds ||Y - Y_k||^2 /
+    (2 sigma) and solves the subproblem through its smooth dual by
+    semismooth Newton (Qi & Sun, SIAM J. Matrix Anal. Appl. 28, 360 (2006)),
+    warm-started at the previous dual point. The 324x324 Newton system is
+    formed and solved directly: a truncated iterative solve leaves rounding
+    differences that the ill-conditioned objective turns into
+    thread-count-dependent results. A subproblem counts as solved once its
+    dual gradient is at most the current fixed-point residual times ||b||;
+    sigma then grows from SIGMA_START by SIGMA_GROWTH up to SIGMA_MAX.
+    Starts from the clipped Choi state of map0 and stops when the fixed-point
+    residual falls below REFIT_TOL.
 
-    Returns the Choi state and (iterations, converged).
+    cells[r] = i1 * 9 + i0 is record r's basis pair. Returns the Choi state
+    and its RefitInfo.
     """
-    gram = (design.T * weights) @ design.conj()
-    rhs = (targets.T * weights) @ design.conj()
-    step = 1.0 / np.linalg.eigvalsh(gram)[-1]
+    problem = _PairGridLeastSquares(basis_vecs, cells, weights, targets)
     y = project_psd(map_to_choi(map0, 2))
-    z, t = y, 1.0
-    for it in range(1, REFIT_MAX_ITER + 1):
-        g = map_to_choi(choi_to_map(z, 2) @ gram - rhs, 2)
-        y_next = project_psd(z - step * (g + g.conj().T) / 2)
-        dy = y_next - y
-        if np.vdot(z - y_next, dy).real > 0:
-            t = 1.0
-        t_next = (1 + np.sqrt(1 + 4 * t * t)) / 2
-        z = y_next + ((t - 1) / t_next) * dy
-        done = np.linalg.norm(dy) < REFIT_TOL * max(1.0, np.linalg.norm(y))
-        y, t = y_next, t_next
-        if done:
-            return y, (it, True)
-    return y, (REFIT_MAX_ITER, False)
+    c = problem.to_coords(problem.forward(y) - problem.b)
+    optimality = problem.optimality(y)
+    sigma, steps, safe = SIGMA_START, 0, True
+    while safe and optimality >= REFIT_TOL:
+        gtol = optimality * np.linalg.norm(problem.b)
+        c, y, steps, safe = _solve_proximal(problem, y, sigma, c, gtol, steps)
+        optimality = problem.optimality(y)
+        sigma = min(SIGMA_GROWTH * sigma, SIGMA_MAX)
+    info = RefitInfo(steps, bool(safe and optimality < REFIT_TOL), problem.objective(y), optimality)
+    return y, info
 
 
 class RestrictedProcessTensor:
@@ -194,8 +359,8 @@ class RestrictedProcessTensor:
     basis_labels_ : the nine projector labels of the fit basis.
     residual_ : worst training-record residual of map_.
     choi_ : 32x32 PSD Choi state of the refined tensor (only when psd=True).
-    refit_info_ : (iterations, converged) of the PSD refit, or None when
-        psd=False.
+    refit_info_ : RefitInfo of the PSD refit (Newton steps, converged,
+        weighted objective, fixed-point residual), or None when psd=False.
     """
 
     def __init__(self, psd: bool = False):
@@ -249,7 +414,10 @@ class RestrictedProcessTensor:
         if self.psd:
             p = np.array([rec.p_joint for rec in records])
             weights = 1.0 / np.sqrt(np.maximum(p, 0.05**2))
-            self.choi_, self.refit_info_ = _psd_refit_choi(self.map_, design, targets, weights)
+            cells = np.array([i1 * nb + i0 for i0, i1 in (rec.basis_indices for rec in records)])
+            self.choi_, self.refit_info_ = _psd_refit_choi(
+                self.map_, self._basis_vecs, cells, weights, targets
+            )
             self.map_ = choi_to_map(self.choi_, 2)
         else:
             self.choi_ = None

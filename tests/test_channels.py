@@ -15,6 +15,7 @@ from proctensor.channels import (
     pauli_basis,
     reduced_map,
     reduced_superop,
+    step_choi_factor,
     superop_to_chi,
     superop_to_choi,
 )
@@ -368,6 +369,18 @@ def test_choi_map_round_trip_is_exact(seed, steps):
     choi = map_to_choi(m, steps)
     assert choi.shape == (2 * 4**steps,) * 2
     assert np.array_equal(choi_to_map(choi, steps), m)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10_000))
+def test_product_map_choi_is_kron_of_step_factors(seed):
+    e, x1, x0 = (random_complex(seed + k, n) for k, n in enumerate((4, 16, 16)))
+    two = map_to_choi(np.outer(e, np.kron(x1, x0)), 2)
+    assert np.array_equal(two, np.kron(unvec(e), np.kron(step_choi_factor(x1), step_choi_factor(x0))))
+    one = map_to_choi(np.outer(e, x0), 1)
+    assert np.array_equal(one, np.kron(unvec(e), step_choi_factor(x0)))
+    stack = step_choi_factor(np.array([x1, x0]))
+    assert np.array_equal(stack, [step_choi_factor(x1), step_choi_factor(x0)])
 
 
 @settings(max_examples=10, deadline=None)

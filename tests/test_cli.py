@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -78,6 +79,16 @@ def test_bad_seed_exits_2(tmp_path):
     for seed in ("-1", "18446744073709551616"):
         assert run_cli(["tomo-predict", "--shots", "100", "--seed", seed,
                         "--out", tmp_path]) == 2, seed
+
+
+def test_shots_above_bound_exits_2(tmp_path, capsys):
+    for shots in ("1000001", "10000000000"):
+        assert run_cli(["tomo-predict", "--shots", shots, "--out", tmp_path / "o"]) == 2, shots
+        assert "config error: shots must be in [100, 1000000]" in capsys.readouterr().err
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[run]\nshots = 10000000000\n")
+    assert run_cli(["tomo-predict", "--config", cfg_file, "--out", tmp_path / "o"]) == 2
+    assert not (tmp_path / "o").exists()
 
 
 def test_volume_vanishing_branch_exits_2(tmp_path, capsys):
@@ -198,6 +209,57 @@ def test_nonmarkov_independent_of_blas_threads(tmp_path):
     assert [r[2] for r in one] == [r[2] for r in two]
     for r1, r2 in zip(one, two):
         assert abs(float(r1[1]) - float(r2[1])) <= 1e-12, (r1, r2)
+
+
+_PREDICT_SCRIPT = """
+import json, sys
+import numpy as np
+from proctensor import OVERCOMPLETE_LABELS, fit_restricted_tensor, named_projector, records_from_text
+fit = fit_restricted_tensor(records_from_text(open(sys.argv[1]).read()), psd=True)
+out = []
+for l0 in OVERCOMPLETE_LABELS:
+    for l1 in OVERCOMPLETE_LABELS:
+        rho, p = fit.predict([named_projector(l0), named_projector(l1)])
+        out.append([p] + ([] if rho is None else np.asarray(rho).view(float).ravel().tolist()))
+print(json.dumps({"converged": fit.refit_info_.converged, "predictions": out}))
+"""
+
+
+def test_tomo_predict_shots_independent_of_blas_threads(tmp_path):
+    # exit 0 at both thread counts means both PSD refits converged (an
+    # unconverged refit exits 3)
+    src = str(Path(proctensor.__file__).resolve().parents[1])
+    tables, fits = {}, {}
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-m", "proctensor.cli", "tomo-predict", "--shots", "3000",
+             "--out", str(out)],
+            env=env, capture_output=True, text=True, timeout=600,
+        )
+        assert proc.returncode == 0, (threads, proc.stderr)
+        _, tables[threads] = read_table_rows(out / "predictions.csv")
+        proc = subprocess.run(
+            [sys.executable, "-c", _PREDICT_SCRIPT, str(out / "records.txt")],
+            env=env, capture_output=True, text=True, timeout=600, check=True,
+        )
+        fits[threads] = json.loads(proc.stdout)
+    assert (tmp_path / "1" / "records.txt").read_bytes() == (tmp_path / "2" / "records.txt").read_bytes()
+    # the refit's predictions agree to 1e-9
+    assert fits["1"]["converged"] and fits["2"]["converged"]
+    for a, b in zip(fits["1"]["predictions"], fits["2"]["predictions"]):
+        assert len(a) == len(b) and np.abs(np.subtract(a, b)).max() <= 1e-9, (a, b)
+    # state_fidelity takes square roots of eigenvalues at rounding level when
+    # the true state is pure, so it resolves the fidelities only to about
+    # sqrt(machine epsilon) = 1.5e-8
+    one, two = tables["1"], tables["2"]
+    assert [r[:2] for r in one] == [r[:2] for r in two]
+    for r1, r2 in zip(one, two):
+        assert abs(float(r1[2]) - float(r2[2])) <= 1e-12, (r1, r2)
+        for col in (3, 4):
+            assert abs(float(r1[col]) - float(r2[col])) <= 1e-7, (r1, r2)
 
 
 def test_volume_files(tmp_path):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from proctensor.linalg import (
+    clip_divided_differences,
     herm_eig,
     kron,
     mat_log_psd,
@@ -239,6 +240,45 @@ def test_stacked_project_psd_equals_per_matrix(seed, n, count):
     for m, got in zip(stack, out):
         assert np.array_equal(got, loop_project_psd(m))
         assert np.array_equal(got, project_psd(m))
+
+
+def random_hermitian(rng, n):
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (a + a.conj().T) / 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10_000), st.sampled_from([2, 4, 8, 32]))
+def test_clip_jacobian_matches_finite_difference(seed, n):
+    rng = np.random.default_rng(seed)
+    # eigenvalues at least 0.1 away from 0: the projection is smooth there
+    w = rng.uniform(0.1, 1.0, n) * rng.choice([-1, 1], n)
+    v, _ = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    m = (v * w) @ v.conj().T
+    h = random_hermitian(rng, n)
+    vals, vecs = np.linalg.eigh(m)
+    omega = clip_divided_differences(vals)
+    jh = vecs @ (omega * (vecs.conj().T @ h @ vecs)) @ vecs.conj().T
+    t = 1e-5
+    fd = (project_psd(m + t * h) - project_psd(m - t * h)) / (2 * t)
+    assert np.abs(jh - fd).max() < 1e-7 * max(1.0, np.abs(h).max())
+    inner = np.vdot(h, jh).real
+    assert -1e-12 <= inner <= np.vdot(h, h).real + 1e-12
+    assert np.all((omega >= 0) & (omega <= 1))
+
+
+def test_clip_divided_differences_values():
+    omega = clip_divided_differences([2.0, 1.0, -1.0, -3.0])
+    expected = np.array([
+        [1.0, 1.0, 2 / 3, 2 / 5],
+        [1.0, 1.0, 1 / 2, 1 / 4],
+        [2 / 3, 1 / 2, 0.0, 0.0],
+        [2 / 5, 1 / 4, 0.0, 0.0],
+    ])
+    assert np.allclose(omega, expected, rtol=0, atol=1e-15)
+    # zero counts as clipped; repeated eigenvalues need no division
+    assert np.array_equal(clip_divided_differences([0.0, 0.0, 1.0, 1.0]),
+                          [[0, 0, 1, 1], [0, 0, 1, 1], [1, 1, 1, 1], [1, 1, 1, 1]])
 
 
 def test_stacked_spectral_functions_keep_shape_and_checks():

@@ -62,6 +62,16 @@ def test_shot_config_validation():
         ShotConfig(seed=-1)
 
 
+def test_shot_config_rejects_shots_above_bound():
+    # rejected at construction, before any stream draws shots x stages uniforms
+    from proctensor.process import MAX_SHOTS
+
+    for shots in (MAX_SHOTS + 1, 10**10):
+        with pytest.raises(ValueError, match="bad-shots"):
+            ShotConfig(shots=shots)
+    assert ShotConfig(shots=MAX_SHOTS).shots == MAX_SHOTS
+
+
 def test_shot_config_rejects_seed_beyond_64_bits():
     with pytest.raises(ValueError, match="bad-seed"):
         ShotConfig(seed=2**64)

@@ -297,28 +297,93 @@ def test_psd_refit_keeps_choi_positive(cnot_cz_spec):
     assert w.min() > -1e-10
 
 
-def test_psd_refit_is_optimal(cnot_cz_spec, cnot_cz_fit):
-    # projected-gradient fixed point of the weighted least squares on the PSD cone
-    from proctensor.process import generate_records
+#: Weighted objective of the projected-gradient (FISTA) refit this solver
+#: replaced, on the 500-shot seed-3 cnot-cz records.
+FISTA_OBJECTIVE_500_3 = 0.0372756934
 
-    records = generate_records(cnot_cz_spec, ShotConfig(shots=500, seed=3))
-    fit = fit_restricted_tensor(records, psd=True)
-    iterations, converged = fit.refit_info_
-    assert converged and iterations > 0
+
+def _refit_problem(records):
+    """Design, targets and weights of the refit, built from the records directly."""
     basis = [named_projector(l) for l in FIT_BASIS_LABELS]
     design = np.array(
         [sequence_vector([basis[r.basis_indices[0]], basis[r.basis_indices[1]]]) for r in records]
     )
     targets = np.array([r.p_joint * vec(r.rho_measured) for r in records])
     w = np.array([1.0 / max(np.sqrt(r.p_joint), 0.05) for r in records])
+    return design, targets, w
+
+
+def test_psd_refit_is_optimal(cnot_cz_spec, cnot_cz_fit):
+    # projected-gradient fixed point of the weighted least squares on the PSD cone
+    from proctensor.process import generate_records
+
+    records = generate_records(cnot_cz_spec, ShotConfig(shots=500, seed=3))
+    fit = fit_restricted_tensor(records, psd=True)
+    info = fit.refit_info_
+    assert info.converged and info.iterations > 0
+    design, targets, w = _refit_problem(records)
     gram = (design.T * w) @ design.conj()
     rhs = (targets.T * w) @ design.conj()
     y = fit.choi_
     g = map_to_choi(choi_to_map(y, 2) @ gram - rhs, 2)
     step = 1.0 / np.linalg.eigvalsh(gram)[-1]
     moved = project_psd(y - step * (g + g.conj().T) / 2)
-    assert np.linalg.norm(y - moved) / np.linalg.norm(y) < 1e-6
+    residual = np.linalg.norm(y - moved) / np.linalg.norm(y)
+    assert residual < 1e-8
+    assert info.optimality < 1e-8 and abs(info.optimality - residual) < 1e-12
+    objective = float(np.sum(w * np.sum(np.abs(design @ fit.map_.T - targets) ** 2, axis=1)))
+    assert abs(info.objective - objective) <= 1e-12 * objective
+    assert info.objective <= FISTA_OBJECTIVE_500_3
     assert cnot_cz_fit.refit_info_ is None
+
+
+def test_refit_newton_matrix_matches_operator(cnot_cz_spec):
+    # the directly formed Newton matrix equals I + sigma A J A* applied
+    # matrix-free, with J from the divided differences of eigenvalue clipping
+    from proctensor.linalg import clip_divided_differences
+    from proctensor.process import generate_records
+    from proctensor.tomography import _PairGridLeastSquares, _basis_action_vectors
+
+    records = generate_records(cnot_cz_spec, ShotConfig(shots=400, seed=2))
+    design, targets, w = _refit_problem(records)
+    cells = np.array([i1 * 9 + i0 for i0, i1 in (r.basis_indices for r in records)])
+    problem = _PairGridLeastSquares(_basis_action_vectors(), cells, w, targets)
+    rng = np.random.default_rng(5)
+    # forward/adjoint: the record predictions, and adjoint in the real inner product
+    m = rng.normal(size=(4, 256)) + 1j * rng.normal(size=(4, 256))
+    y = map_to_choi(m, 2)
+    y = (y + y.conj().T) / 2
+    pred = (choi_to_map(y, 2) @ design.T) * np.sqrt(w)
+    grid = problem.forward(y).reshape(4, 81)[:, cells]
+    assert np.abs(grid - pred).max() < 1e-12
+    c = rng.normal(size=(4, 81))
+    lam = problem.from_coords(c)
+    assert abs(np.vdot(problem.forward(y), lam).real - np.vdot(y, problem.adjoint(lam)).real) < 1e-10
+    vals, vecs = np.linalg.eigh(y)
+    omega = clip_divided_differences(vals)
+    sigma = 7.0
+
+    def apply(coords):
+        h = problem.adjoint(problem.from_coords(coords))
+        jh = vecs @ (omega * (vecs.conj().T @ h @ vecs)) @ vecs.conj().T
+        return coords + sigma * problem.to_coords(problem.forward(jh))
+
+    newton = problem.newton_matrix(sigma, vals, vecs)
+    scale = np.abs(newton).max()
+    for d in rng.normal(size=(3, 4, 81)):
+        assert np.abs(newton @ d.reshape(-1) - apply(d).reshape(-1)).max() < 1e-12 * scale
+    assert np.allclose(newton, newton.T, rtol=0, atol=1e-12 * scale)
+
+
+def test_refit_step_cap_reports_unconverged(cnot_cz_spec, monkeypatch):
+    from proctensor import tomography
+    from proctensor.process import generate_records
+
+    records = generate_records(cnot_cz_spec, ShotConfig(shots=400, seed=2))
+    monkeypatch.setattr(tomography, "NEWTON_MAX_STEPS", 3)
+    info = fit_restricted_tensor(records, psd=True).refit_info_
+    assert info.iterations == 3 and not info.converged
+    assert info.optimality > tomography.REFIT_TOL
 
 
 def test_sequence_vector_shape():
