@@ -13,7 +13,8 @@ solves it first: exact records of both gate orders pin every coefficient,
 so N is a single evaluation; exact records with local noise leave a few
 coefficients for the penalty loop; sampled records leave no member inside
 the support, and the loop runs over the full family with weight outside the
-support priced at -ln LOG_FLOOR (about 27.6 nat) per unit.
+support priced at -ln LOG_FLOOR (about 27.6 nat) per unit. scipy is needed
+only by that penalty loop, which imports it on first use.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize as _scipy_minimize
 
 from .channels import action_dual, action_superop, map_to_choi, reduced_superop, superop_to_choi
 from .linalg import mat_log_psd, project_psd, unvec, vec
@@ -379,19 +379,22 @@ def minimize_nonmarkovianity(fam: ChoiFamily, ref: ChoiState,
     c = np.zeros(len(dirs))
     iterations = 0
     exhausted = False
-    # L-BFGS-B rejects an empty coefficient vector: a pinned member needs no loop
-    for mu in schedule if len(dirs) else ():
-        res = _scipy_minimize(
-            _penalized_value_grad,
-            c,
-            args=(base, dirs, log_ref, mu, LOG_FLOOR),
-            jac=True,
-            method="L-BFGS-B",
-            options={"maxiter": per_stage, "ftol": tol * 1e-3, "gtol": 1e-11},
-        )
-        c = res.x
-        iterations += int(res.nit)
-        exhausted = res.status == 1
+    # L-BFGS-B rejects an empty coefficient vector: a pinned member needs no
+    # loop. Only the loop needs scipy, so it is imported here, on first use.
+    if len(dirs):
+        from scipy.optimize import minimize
+        for mu in schedule:
+            res = minimize(
+                _penalized_value_grad,
+                c,
+                args=(base, dirs, log_ref, mu, LOG_FLOOR),
+                jac=True,
+                method="L-BFGS-B",
+                options={"maxiter": per_stage, "ftol": tol * 1e-3, "gtol": 1e-11},
+            )
+            c = res.x
+            iterations += int(res.nit)
+            exhausted = res.status == 1
     y = base + np.einsum("k,kij->ij", c, dirs)
     min_eig = float(np.linalg.eigvalsh(y).min())
     optimizer = project_psd(y)

@@ -18,6 +18,17 @@ def run_cli(args):
     return main([str(a) for a in args])
 
 
+def subprocess_env(**extra):
+    """Environment for a fresh interpreter that imports this checkout's package."""
+    src = str(Path(proctensor.__file__).resolve().parents[1])
+    return dict(os.environ, **extra,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def read_tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in Path(root).rglob("*") if p.is_file()}
+
+
 def read_table_rows(path):
     lines = Path(path).read_text().splitlines()
     assert lines[0].startswith("# config=")
@@ -191,12 +202,10 @@ def test_nonmarkov_vanishing_point_marked_absent(tmp_path):
 def test_nonmarkov_independent_of_blas_threads(tmp_path):
     grid = list(default_theta_grid()) + [math.pi / 2]
     grid_arg = ",".join(format(float(t), ".17g") for t in grid)
-    src = str(Path(proctensor.__file__).resolve().parents[1])
     tables = {}
     for threads in ("1", "2"):
         out = tmp_path / threads
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "proctensor.cli", "nonmarkov", "--process", "cnot-cz",
              "--theta-grid", grid_arg, "--out", str(out)],
@@ -228,12 +237,10 @@ print(json.dumps({"converged": fit.refit_info_.converged, "predictions": out}))
 def test_tomo_predict_shots_independent_of_blas_threads(tmp_path):
     # exit 0 at both thread counts means both PSD refits converged (an
     # unconverged refit exits 3)
-    src = str(Path(proctensor.__file__).resolve().parents[1])
     tables, fits = {}, {}
     for threads in ("1", "2"):
         out = tmp_path / threads
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
         proc = subprocess.run(
             [sys.executable, "-m", "proctensor.cli", "tomo-predict", "--shots", "3000",
              "--out", str(out)],
@@ -304,3 +311,90 @@ def test_characterize_povm_sampled_band(tmp_path):
         assert float(std) < 0.02, povm
     _, rep_rows = read_table_rows(out / "povm_fidelities.csv")
     assert len(rep_rows) == 18 * 20
+
+
+# ------------------------------------------------------------- scipy on demand
+
+_SCIPY_GUARD_SCRIPT = """
+import json, math, sys
+import proctensor, proctensor.cli as cli
+
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+
+cli.build_parser()
+report = {"import": scipy_modules()}
+theta = repr(math.pi / 2)
+report["exact_rc"] = cli.main(["nonmarkov", "--theta-grid", theta, "--out", sys.argv[1] + "/exact"])
+report["exact"] = scipy_modules()
+report["noisy_rc"] = cli.main(["nonmarkov", "--noise-gamma", "0.05", "--noise-lambda", "0.05",
+                               "--theta-grid", theta, "--out", sys.argv[1] + "/noisy"])
+report["noisy"] = scipy_modules()
+print(json.dumps(report))
+"""
+
+
+def test_scipy_loaded_only_by_penalty_loop(tmp_path):
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_GUARD_SCRIPT, str(tmp_path)],
+        env=subprocess_env(), capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["import"] == []
+    assert report["exact_rc"] == 0 and report["exact"] == []
+    _, rows = read_table_rows(tmp_path / "exact" / "nonmarkovianity.csv")
+    assert rows[0][3] == "0"
+    # a noisy point leaves free directions: the penalty loop imports scipy and runs
+    assert report["noisy_rc"] == 0 and "scipy.optimize" in report["noisy"]
+    _, rows = read_table_rows(tmp_path / "noisy" / "nonmarkovianity.csv")
+    assert int(rows[0][3]) > 0
+
+
+_SCIPY_FREE_CALLS = (
+    ("tomo-predict",),
+    ("tomo-predict", "--shots", "3000"),
+    ("characterize-povm", "--shots", "3000"),
+    ("nonmarkov",),
+    ("volume",),
+    ("reduced-maps",),
+)
+
+_SCIPY_BLOCKED_SCRIPT = """
+import json, sys
+
+
+class BlockScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            raise ImportError("scipy is blocked: " + name)
+
+
+sys.meta_path.insert(0, BlockScipy())
+try:
+    import scipy
+except ImportError:
+    pass
+else:
+    sys.exit("the blocker let scipy through")
+import proctensor.cli as cli
+
+calls = json.loads(sys.argv[2])
+print(json.dumps([cli.main(call + ["--out", f"{sys.argv[1]}/{i}"]) for i, call in enumerate(calls)]))
+"""
+
+
+def test_cli_runs_without_scipy(tmp_path):
+    blocked, free = tmp_path / "blocked", tmp_path / "free"
+    proc = subprocess.run(
+        [sys.executable, "-c", _SCIPY_BLOCKED_SCRIPT, str(blocked), json.dumps(_SCIPY_FREE_CALLS)],
+        env=subprocess_env(), capture_output=True, text=True, timeout=600,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0] * len(_SCIPY_FREE_CALLS)
+    for i, call in enumerate(_SCIPY_FREE_CALLS):
+        assert run_cli([*call, "--out", free / str(i)]) == 0
+        files = read_tree(free / str(i))
+        assert files and read_tree(blocked / str(i)) == files, call
