@@ -48,8 +48,10 @@ from .process import (
     cz_cnot_process,
     generate_records,
     markov_predict,
+    markov_sequences,
     reduced_step_maps,
     run_process,
+    run_sequences,
     simulate_counts,
 )
 from .tomography import (
@@ -87,8 +89,8 @@ __all__ = [
     "apply_chi", "chi_fidelity", "chi_from_process", "chi_is_trace_preserving",
     "chi_of_operator", "reduced_map",
     "ProcessSpec", "ShotConfig", "cnot_cz_process", "cz_cnot_process",
-    "generate_records", "markov_predict", "reduced_step_maps", "run_process",
-    "simulate_counts",
+    "generate_records", "markov_predict", "markov_sequences", "reduced_step_maps",
+    "run_process", "run_sequences", "simulate_counts",
     "RestrictedProcessTensor", "TomoRecord", "fit_restricted_tensor",
     "qpt_chi", "qst_six_axis", "records_from_text",
     "records_to_text",

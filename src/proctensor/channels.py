@@ -22,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from .linalg import kron, partial_trace, project_psd, unvec, vec
+from .linalg import kron, project_psd, unvec, vec, vec_stack
 from .qubit import PAULIS, NoiseSpec, apply_noise
 from .validation import as_matrix, as_square, check_unitary, qubit_count
 
@@ -93,22 +93,24 @@ def step_choi_factor(x) -> np.ndarray:
 
 
 def action_superop(k) -> np.ndarray:
-    """Superoperator of rho -> K rho K† on vec(rho)."""
-    a = as_square(k, "k")
-    return np.kron(a.conj(), a)
+    """Superoperator conj(K) ⊗ K of rho -> K rho K† on vec(rho), or a stack of them."""
+    a = as_square(k, "k", stack=True)
+    d = a.shape[-1]
+    prod = a.conj()[..., :, None, :, None] * a[..., None, :, None, :]
+    return prod.reshape(a.shape[:-2] + (d * d, d * d))
 
 
 def action_dual(superop) -> np.ndarray:
-    """Reshuffle an action superoperator into its contraction dual.
+    """Reshuffle an action superoperator, or a stack of them, into its contraction dual.
 
     For a single-qubit action M the dual B satisfies
     B[2k+l, 2i+j] = M[2k+i, 2l+j]; contracting a process Choi state against
     I ⊗ B evaluates the process on the operation M represents.
     """
-    m = as_square(superop, "superop")
-    if m.shape[0] != 4:
+    m = as_square(superop, "superop", stack=True)
+    if m.shape[-1] != 4:
         raise ValueError(f"bad-dims: expected a 4x4 superoperator, got {m.shape}")
-    return m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    return m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(m.shape)
 
 
 def chi_of_operator(k) -> np.ndarray:
@@ -217,16 +219,11 @@ def reduced_superop(u, rho_env, noise: NoiseSpec | None = None) -> np.ndarray:
     if uu.shape[0] != 4:
         raise ValueError(f"bad-dims: expected a two-qubit unitary, got {uu.shape}")
     env = as_square(rho_env, "rho_env")
-    s = np.zeros((4, 4), dtype=complex)
-    for j in range(2):
-        for i in range(2):
-            e = np.zeros((2, 2), dtype=complex)
-            e[i, j] = 1.0
-            joint = uu @ kron(e, env) @ uu.conj().T
-            if noise is not None:
-                joint = apply_noise(joint, noise)
-            s[:, 2 * j + i] = vec(partial_trace(joint, 2, 2, keep="a"))
-    return s
+    # column 2j + i is the image of the unit matrix E_ij, whose vec is that unit vector
+    joint = uu @ np.kron(unvec(np.eye(4)), env) @ uu.conj().T
+    if noise is not None:
+        joint = apply_noise(joint, noise)
+    return vec_stack(np.einsum("nijkj->nik", joint.reshape(4, 2, 2, 2, 2))).T
 
 
 def reduced_map(u, rho_env, noise: NoiseSpec | None = None) -> np.ndarray:

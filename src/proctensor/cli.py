@@ -24,13 +24,14 @@ from .fileio import config_digest, write_matrix, write_table
 from .nonmarkov import bloch_volume, default_theta_grid, sweep_theta
 from .process import (
     MAX_SHOTS,
+    P_JOINT_CUTOFF,
     PROCESS_NAMES,
     ShotConfig,
     generate_records,
     intervention_qpt_data,
+    markov_sequences,
     reduced_step_maps,
-    markov_predict,
-    run_process,
+    run_sequences,
 )
 from .qubit import (
     CNOT,
@@ -187,16 +188,13 @@ def _safe_name(label: str) -> str:
 def cmd_characterize_povm(cfg: RunConfig) -> int:
     out = _ensure_outdir(cfg)
     digest = cfg.digest()
+    shot_cfg = cfg.shot_config()
+    reps = 1 if shot_cfg is None else QPT_REPETITIONS
     rows = []
     summary = []
     for index, label in enumerate(OVERCOMPLETE_LABELS):
         op = named_projector(label)
         ideal = chi_of_operator(op.mat)
-        shot_cfg = None
-        reps = 1
-        if cfg.shots is not None:
-            shot_cfg = ShotConfig(shots=cfg.shots, seed=cfg.seed)
-            reps = QPT_REPETITIONS
         first = index * QPT_REPETITIONS
         inputs, outputs = intervention_qpt_data(op, shot_cfg, range(first, first + reps))
         chis = qpt_chi(inputs, outputs, psd=shot_cfg is not None)
@@ -249,21 +247,19 @@ def cmd_tomo_predict(cfg: RunConfig) -> int:
     records = generate_records(spec, cfg.shot_config())
     (out / "records.txt").write_text(records_to_text(records))
     fit = fit_restricted_tensor(records, psd=cfg.shots is not None)
-    reduced = reduced_step_maps(spec)
-    rows = []
-    grouped: dict[str, list] = {}
-    for l0 in OVERCOMPLETE_LABELS:
-        for l1 in OVERCOMPLETE_LABELS:
-            ops = [named_projector(l0), named_projector(l1)]
-            truth, p_true = run_process(spec, ops)
-            if truth is None or p_true < 1e-9:
-                continue
-            predicted, p_pred = fit.predict(ops)
-            fid_tensor = state_fidelity(truth, predicted) if predicted is not None else 0.0
-            baseline = markov_predict(spec, ops, reduced)
-            fid_markov = state_fidelity(truth, baseline) if baseline is not None else 0.0
-            rows.append((l0, l1, p_true, fid_tensor, fid_markov))
-            grouped.setdefault(l0, []).append((fid_tensor, fid_markov))
+    # every pair of the overcomplete set at once: arrays indexed [a0, a1]
+    labels = np.array(OVERCOMPLETE_LABELS)
+    mats = np.array([named_projector(label).mat for label in labels])
+    steps = (mats[:, None], mats[None, :])
+    truth, p_true = run_sequences(spec, steps)
+    predicted, p_pred = fit.predict_sequences(steps)
+    baseline, p_markov = markov_sequences(spec, steps, reduced_step_maps(spec))
+    # 0.0 marks a pair the tensor or the baseline has no state for
+    fid_tensor = np.where(p_pred >= P_JOINT_CUTOFF, state_fidelity(truth, predicted), 0.0)
+    fid_markov = np.where(p_markov >= P_JOINT_CUTOFF, state_fidelity(truth, baseline), 0.0)
+    keep = p_true >= 1e-9
+    a0, a1 = np.nonzero(keep)
+    rows = zip(labels[a0], labels[a1], p_true[keep], fid_tensor[keep], fid_markov[keep])
     write_table(
         out / "predictions.csv",
         ["a0", "a1", "p_joint", "fidelity_tensor", "fidelity_markov"],
@@ -271,13 +267,9 @@ def cmd_tomo_predict(cfg: RunConfig) -> int:
         digest,
     )
     summary = [
-        (
-            l0,
-            float(np.mean([f for f, _ in vals])),
-            float(np.mean([m for _, m in vals])),
-            len(vals),
-        )
-        for l0, vals in grouped.items()
+        (label, float(np.mean(fid_tensor[i, keep[i]])), float(np.mean(fid_markov[i, keep[i]])),
+         int(keep[i].sum()))
+        for i, label in enumerate(labels) if keep[i].any()
     ]
     write_table(
         out / "predictions_by_a0.csv",

@@ -2,9 +2,9 @@
 
 Kronecker products, partial traces, Hermitian eigendecomposition, PSD-safe
 matrix functions, PSD projection and column-stacking vectorization. All
-functions are pure and operate on plain numpy arrays. The spectral functions
-(herm_eig, mat_sqrt_psd, mat_log_psd, project_psd) also take stacks
-(..., n, n) and treat each matrix as they treat a single one.
+functions are pure and operate on plain numpy arrays. The spectral functions,
+vec_stack and unvec also take stacks (..., n, n) and treat each matrix as
+they treat a single one.
 """
 
 from __future__ import annotations
@@ -23,8 +23,10 @@ __all__ = [
     "mat_sqrt_psd",
     "mat_log_psd",
     "project_psd",
+    "normalized_psd",
     "clip_divided_differences",
     "vec",
+    "vec_stack",
     "unvec",
 ]
 
@@ -100,6 +102,19 @@ def project_psd(m) -> np.ndarray:
     return _spectral(m, lambda w: np.clip(w, 0.0, None))
 
 
+def normalized_psd(m, cutoff: float):
+    """Unit-trace PSD projections of a matrix or stack, with the traces before projection.
+
+    Matrices whose trace is below cutoff become the maximally mixed state.
+    Returns (states (..., n, n), traces (...)).
+    """
+    a = as_matrix(m, "m")
+    tr = np.trace(a, axis1=-2, axis2=-1).real
+    mixed = np.eye(a.shape[-1]) / a.shape[-1]
+    rho = project_psd(np.where((tr >= cutoff)[..., None, None], a, mixed))
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None], tr
+
+
 def clip_divided_differences(eigenvalues) -> np.ndarray:
     """Divided differences of eigenvalue clipping, the Jacobian of project_psd.
 
@@ -122,12 +137,18 @@ def vec(m) -> np.ndarray:
     a = as_matrix(m, "m")
     if a.ndim != 2:
         raise ValueError(f"bad-dims: vec takes one matrix, got shape {a.shape}")
-    return a.reshape(-1, order="F")
+    return vec_stack(a)
+
+
+def vec_stack(m) -> np.ndarray:
+    """Column-stacking vectorization of each matrix of a stack (..., rows, cols)."""
+    a = as_matrix(m, "m")
+    return a.swapaxes(-1, -2).reshape(a.shape[:-2] + (-1,))
 
 
 def unvec(v, rows: int = 2, cols: int = 2) -> np.ndarray:
-    """Inverse of vec for a rows x cols matrix."""
-    a = np.asarray(v, dtype=complex).reshape(-1)
-    if a.size != rows * cols:
-        raise ValueError(f"bad-dims: length {a.size} does not match {rows}x{cols}")
-    return a.reshape((rows, cols), order="F")
+    """Inverse of vec for a rows x cols matrix, or of vec_stack for a stack (..., rows*cols)."""
+    a = np.asarray(v, dtype=complex)
+    if a.ndim == 0 or a.shape[-1] != rows * cols:
+        raise ValueError(f"bad-dims: shape {a.shape} does not end in {rows}*{cols}")
+    return a.reshape(a.shape[:-1] + (cols, rows)).swapaxes(-1, -2)

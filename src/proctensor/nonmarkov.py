@@ -26,10 +26,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import action_dual, action_superop, map_to_choi, reduced_superop, superop_to_choi
-from .linalg import mat_log_psd, project_psd, unvec, vec
+from .linalg import mat_log_psd, normalized_psd, project_psd, unvec, vec_stack
 from .process import ProcessSpec, first_step_env_marginal
-from .qubit import FIT_BASIS_LABELS, Projector, named_projector, zy_projector, bloch_vector
-from .tomography import RestrictedProcessTensor, fit_restricted_tensor
+from .qubit import FIT_BASIS_LABELS, bloch_vector, named_projector, zy_projector
+from .tomography import RestrictedProcessTensor, action_matrix, fit_restricted_tensor
 from .validation import hermitian_part
 
 __all__ = [
@@ -96,35 +96,26 @@ def _as_fit(records_or_fit) -> RestrictedProcessTensor:
 
 
 def family_predict(choi, op) -> np.ndarray:
-    """Contract a conditioned Choi state against one intervention."""
+    """Contract a conditioned Choi state against one intervention; stacks of
+    states (..., 8, 8) and of operations broadcast and give (..., 2, 2)."""
     c = np.asarray(choi.mat if isinstance(choi, ChoiState) else choi, dtype=complex)
-    if isinstance(op, Projector):
-        sup = action_superop(op.mat)
-    else:
-        sup = np.asarray(op, dtype=complex)
-        if sup.shape == (2, 2):
-            sup = action_superop(sup)
-    b = action_dual(sup)
-    y6 = c.reshape(2, 4, 2, 4)
-    return np.einsum("oapc,ca->op", y6, b)
+    b = action_dual(action_matrix(op))
+    y6 = c.reshape(c.shape[:-2] + (2, 4, 2, 4))
+    return np.einsum("...oapc,...ca->...op", y6, b)
 
 
-def _herm_basis(n: int) -> list[np.ndarray]:
-    """Orthonormal basis of Hermitian n x n matrices (Frobenius inner product)."""
-    basis = []
-    for i in range(n):
-        m = np.zeros((n, n), dtype=complex)
-        m[i, i] = 1.0
-        basis.append(m)
-    for i in range(n):
-        for j in range(i + 1, n):
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = m[j, i] = 1 / math.sqrt(2)
-            basis.append(m)
-            m = np.zeros((n, n), dtype=complex)
-            m[i, j] = -1j / math.sqrt(2)
-            m[j, i] = 1j / math.sqrt(2)
-            basis.append(m)
+def _herm_basis(n: int) -> np.ndarray:
+    """Orthonormal basis (n*n, n, n) of Hermitian n x n matrices (Frobenius
+    inner product): the diagonal units, then per pair i < j its symmetric and
+    antisymmetric units."""
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    d = np.arange(n)
+    basis[d, d, d] = 1.0
+    i, j = np.triu_indices(n, 1)
+    k = n + 2 * np.arange(len(i))
+    basis[k, i, j] = basis[k, j, i] = 1 / math.sqrt(2)
+    basis[k + 1, i, j] = -1j / math.sqrt(2)
+    basis[k + 1, j, i] = 1j / math.sqrt(2)
     return basis
 
 
@@ -137,30 +128,29 @@ def _kernel_directions() -> np.ndarray:
     result is computed once.
     """
     hb = _herm_basis(8)
-    rows = []
-    for g in hb:
-        cons = []
-        for label in FIT_BASIS_LABELS:
-            m = family_predict(g, named_projector(label))
-            cons.extend([m[0, 0].real, m[1, 1].real, m[0, 1].real, m[0, 1].imag])
-        rows.append(cons)
-    constraint = np.array(rows).T
-    _, svals, vh = np.linalg.svd(constraint)
+    basis = np.array([named_projector(label).mat for label in FIT_BASIS_LABELS])
+    m = family_predict(hb[:, None], basis[None])
+    cons = np.stack([m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1].real, m[..., 0, 1].imag],
+                    axis=-1)
+    _, svals, vh = np.linalg.svd(cons.reshape(len(hb), -1).T)
     rank = int(np.sum(svals > 1e-10))
-    null = vh[rank:]
-    dirs = np.stack([sum(c * b for c, b in zip(row, hb)) for row in null])
+    dirs = np.einsum("kg,gij->kij", vh[rank:], hb)
     dirs.setflags(write=False)
     return dirs
+
+
+def _push(t1: np.ndarray, mats) -> np.ndarray:
+    """Outputs (..., 2, 2) of a one-step map (4, 16) on a stack of operators
+    (..., 2, 2), one matrix-vector product each, as for a single operator."""
+    return unvec((t1 @ vec_stack(action_superop(mats))[..., None])[..., 0])
 
 
 def _conditioned_map(fit: RestrictedProcessTensor, theta: float):
     """(normalized one-step map, branch probability) at first-step angle theta."""
     op = zy_projector(theta)
     t1 = fit.contract_first_step(op)
-    p_branch = 0.0
-    for label in ("z+", "z-"):
-        out = unvec(t1 @ vec(action_superop(named_projector(label).mat)))
-        p_branch += float(np.trace(out).real)
+    outs = _push(t1, np.array([named_projector(label).mat for label in ("z+", "z-")]))
+    p_branch = float(np.trace(outs, axis1=-2, axis2=-1).real.sum())
     if p_branch < 1e-9:
         raise ValueError(f"vanishing-branch: first-step probability {p_branch:.3e}")
     return t1 / p_branch, p_branch
@@ -196,13 +186,9 @@ def _avg_state_after_first(t1: np.ndarray) -> np.ndarray:
     Inverts the nine basis-projection probabilities encoded in the
     conditioned map (least squares, PSD projection, unit trace).
     """
-    rows, probs = [], []
-    for label in FIT_BASIS_LABELS:
-        p = named_projector(label)
-        out = unvec(t1 @ vec(action_superop(p.mat)))
-        probs.append(float(np.trace(out).real))
-        rows.append(vec(p.mat).conj())
-    sol, *_ = np.linalg.lstsq(np.array(rows), np.array(probs), rcond=None)
+    mats = np.array([named_projector(label).mat for label in FIT_BASIS_LABELS])
+    probs = np.trace(_push(t1, mats), axis1=-2, axis2=-1).real
+    sol, *_ = np.linalg.lstsq(vec_stack(mats).conj(), probs, rcond=None)
     rho = project_psd(unvec(sol))
     tr = float(np.trace(rho).real)
     if tr <= 0:
@@ -446,55 +432,35 @@ def sweep_theta(records_or_fit, thetas=None, *, process: ProcessSpec,
     return rows
 
 
-def _fibonacci_sphere(n: int) -> list[tuple[float, float]]:
-    """Deterministic, nearly uniform (theta, phi) sampling of the sphere."""
-    golden = math.pi * (3.0 - math.sqrt(5.0))
-    out = []
-    for i in range(n):
-        z = 1.0 - (2.0 * i + 1.0) / n
-        theta = math.acos(min(max(z, -1.0), 1.0))
-        phi = math.fmod(golden * i, 2 * math.pi)
-        out.append((theta, phi))
-    return out
-
-
 def bloch_volume(map_kind: str, records_or_fit, theta: float, n_samples: int = 200,
                  *, process: ProcessSpec | None = None) -> np.ndarray:
     """Accessible output states under the chosen last-step description.
 
-    Samples second interventions on a Fibonacci lattice and pushes each
-    through either the conditioned process tensor or the uncorrelated
-    (memoryless) channel. Rows are (theta_a1, phi_a1, bx, by, bz); vanishing
-    trajectories are skipped.
+    Samples second interventions on a Fibonacci lattice and pushes the whole
+    cloud through either the conditioned process tensor or the uncorrelated
+    (memoryless) channel as one stack. Rows are (theta_a1, phi_a1, bx, by,
+    bz); vanishing trajectories are skipped.
     """
     if n_samples < 1:
         raise ValueError(f"bad-samples: n_samples must be >= 1, got {n_samples}")
     fit = _as_fit(records_or_fit)
+    # Fibonacci lattice: deterministic and nearly uniform over the sphere
+    i = np.arange(n_samples)
+    th = np.arccos(np.clip(1.0 - (2.0 * i + 1.0) / n_samples, -1.0, 1.0))
+    ph = np.fmod(math.pi * (3.0 - math.sqrt(5.0)) * i, 2 * math.pi)
+    kets = np.stack([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)], axis=-1)
+    mats = kets[:, :, None] * kets[:, None, :].conj()
     if map_kind == "process-tensor":
         t1, _ = _conditioned_map(fit, theta)
-
-        def push(op: Projector):
-            return unvec(t1 @ vec(action_superop(op.mat)))
-
+        out = _push(t1, mats)
     elif map_kind == "markov-map":
         if process is None:
             raise ValueError("bad-map-kind: markov-map requires the process spec")
         env, _ = first_step_env_marginal(process, zy_projector(theta))
         sup = reduced_superop(process.interactions[1], env, process.step_noise(1))
-
-        def push(op: Projector):
-            return unvec(sup @ vec(op.mat))
-
+        out = unvec(vec_stack(mats) @ sup.T)
     else:
         raise ValueError(f"bad-map-kind: {map_kind!r}")
-    rows = []
-    for th, ph in _fibonacci_sphere(n_samples):
-        out = push(Projector(th, ph))
-        p = float(np.trace(out).real)
-        if p < 1e-9:
-            continue
-        rho = project_psd(out)
-        rho = rho / float(np.trace(rho).real)
-        b = bloch_vector(rho)
-        rows.append((th, ph, b[0], b[1], b[2]))
-    return np.array(rows)
+    states, p = normalized_psd(out, 1e-9)
+    keep = p >= 1e-9
+    return np.column_stack([th, ph, bloch_vector(states)])[keep]

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import apply_chi, reduced_map
-from .linalg import kron, partial_trace, project_psd
+from .channels import chi_to_superop, reduced_map
+from .linalg import kron, normalized_psd, partial_trace, unvec, vec_stack
 from .qubit import (
     CNOT,
     CZ,
@@ -28,8 +28,8 @@ from .qubit import (
     apply_noise,
     named_projector,
 )
-from .tomography import TomoRecord, qst_six_axis
-from .validation import check_normalized, check_unitary
+from .tomography import P_JOINT_CUTOFF, TomoRecord, qst_six_axis
+from .validation import as_square, check_normalized, check_unitary
 
 __all__ = [
     "ProcessSpec",
@@ -38,8 +38,10 @@ __all__ = [
     "cnot_cz_process",
     "cz_cnot_process",
     "PROCESS_NAMES",
+    "run_sequences",
     "run_process",
     "reduced_step_maps",
+    "markov_sequences",
     "markov_predict",
     "simulate_counts",
     "generate_records",
@@ -47,10 +49,8 @@ __all__ = [
     "first_step_env_marginal",
 ]
 
-P_JOINT_CUTOFF = 1e-12
-
-_GROUND2 = np.zeros((4, 4), dtype=complex)
-_GROUND2[0, 0] = 1.0
+_GROUND1 = np.diag([1.0, 0.0]).astype(complex)
+_GROUND2 = np.kron(_GROUND1, _GROUND1)
 
 
 @dataclass(frozen=True)
@@ -68,9 +68,8 @@ class ProcessSpec:
     def __post_init__(self):
         us = tuple(check_unitary(u, 1e-8, "interaction") for u in self.interactions)
         object.__setattr__(self, "interactions", us)
-        object.__setattr__(
-            self, "initial_state", check_normalized(self.initial_state, 1e-6, "initial_state")
-        )
+        state = as_square(self.initial_state, "initial_state")
+        object.__setattr__(self, "initial_state", check_normalized(state, 1e-6, "initial_state"))
         if isinstance(self.noise, Sequence) and not isinstance(self.noise, NoiseSpec):
             if len(self.noise) != len(us):
                 raise ValueError(
@@ -118,19 +117,20 @@ def cz_cnot_process(noise: NoiseSpec | None = None) -> ProcessSpec:
 PROCESS_NAMES = {"cnot-cz": cnot_cz_process, "cz-cnot": cz_cnot_process}
 
 
-def _check_sequence(spec: ProcessSpec, ops: Sequence[Projector]):
+def _check_sequence(spec: ProcessSpec, ops: Sequence):
     if len(ops) != spec.nsteps:
         raise ValueError(
             f"bad-sequence: {len(ops)} interventions for {spec.nsteps} interactions"
         )
 
 
-def _chain(spec: ProcessSpec, ops: Sequence[Projector]):
-    """Contract the full chain, returning the subnormalized joint state."""
-    rho = spec.initial_state.copy()
-    for step, (u, op) in enumerate(zip(spec.interactions, ops)):
-        a = kron(op.mat, ID2)
-        rho = a @ rho @ a.conj().T
+def _chain(spec: ProcessSpec, steps: Sequence[np.ndarray]):
+    """Contract the chain over per-step stacks of projector matrices, up to
+    the last given step, into subnormalized joint states."""
+    rho = spec.initial_state
+    for step, (u, mats) in enumerate(zip(spec.interactions, steps)):
+        a = np.kron(mats, ID2)
+        rho = a @ rho @ a.conj().swapaxes(-1, -2)
         rho = u @ rho @ u.conj().T
         noise = spec.step_noise(step)
         if noise is not None:
@@ -138,53 +138,61 @@ def _chain(spec: ProcessSpec, ops: Sequence[Projector]):
     return rho
 
 
-def run_process(spec: ProcessSpec, ops: Sequence[Projector]):
-    """Exact contraction of the intervened process.
+def run_sequences(spec: ProcessSpec, steps: Sequence[np.ndarray]):
+    """Exact contraction of a stack of intervened sequences.
 
-    Returns (rho_out, p_joint) where p_joint is the joint probability of all
-    projector outcomes and rho_out is the normalized system marginal, or None
-    when the trajectory probability falls below the reporting cutoff.
+    steps holds one stack (..., 2, 2) of projector matrices per interaction;
+    the stacks broadcast, so a column and a row stack give a whole grid.
+    Returns the joint probabilities of all outcomes p_joint (...), clipped
+    at 0, and the normalized system marginals (..., 2, 2), maximally mixed
+    where p_joint is below the reporting cutoff, as (states, p_joint).
     """
-    _check_sequence(spec, ops)
-    rho = _chain(spec, ops)
-    p_joint = float(np.trace(rho).real)
-    if p_joint < P_JOINT_CUTOFF:
-        return None, max(p_joint, 0.0)
-    out = partial_trace(rho, 2, 2, keep="a") / p_joint
-    return out, p_joint
+    _check_sequence(spec, steps)
+    rho = _chain(spec, [np.asarray(m, dtype=complex) for m in steps])
+    p_joint = np.maximum(np.trace(rho, axis1=-2, axis2=-1).real, 0.0)
+    out = np.einsum("...ijkj->...ik", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)))
+    out = out / np.maximum(p_joint, P_JOINT_CUTOFF)[..., None, None]
+    return np.where((p_joint >= P_JOINT_CUTOFF)[..., None, None], out, ID2 / 2), p_joint
+
+
+def run_process(spec: ProcessSpec, ops: Sequence[Projector]):
+    """(rho_out, p_joint) of one sequence of Projectors (see run_sequences);
+    rho_out is None below the reporting cutoff."""
+    rho, p = run_sequences(spec, [op.mat for op in ops])
+    return (None if p < P_JOINT_CUTOFF else rho), float(p)
 
 
 def reduced_step_maps(spec: ProcessSpec) -> list[np.ndarray]:
     """Per-step reduced chi matrices conditioned on the environment staying in |0⟩."""
-    ground = np.zeros((2, 2), dtype=complex)
-    ground[0, 0] = 1.0
     return [
-        reduced_map(u, ground, spec.step_noise(i))
+        reduced_map(u, _GROUND1, spec.step_noise(i))
         for i, u in enumerate(spec.interactions)
     ]
 
 
-def markov_predict(spec: ProcessSpec, ops: Sequence[Projector], reduced_maps):
-    """Memoryless baseline prediction.
+def markov_sequences(spec: ProcessSpec, steps: Sequence[np.ndarray], reduced_maps):
+    """Memoryless baseline over a stack of sequences (steps as in run_sequences).
 
-    Starting from the system ground state, alternately applies each projector
-    and the corresponding environment-in-ground reduced map, then normalizes.
+    From the system ground state, alternately applies each projector and the
+    environment-in-ground reduced map of its step. Returns (states, p): unit
+    trace PSD states, maximally mixed where p is below the reporting cutoff.
     """
-    _check_sequence(spec, ops)
+    _check_sequence(spec, steps)
     if len(reduced_maps) != spec.nsteps:
         raise ValueError(
             f"bad-sequence: {len(reduced_maps)} reduced maps for {spec.nsteps} steps"
         )
-    rho = np.zeros((2, 2), dtype=complex)
-    rho[0, 0] = 1.0
-    for op, chi in zip(ops, reduced_maps):
-        rho = op.mat @ rho @ op.mat.conj().T
-        rho = apply_chi(chi, rho)
-    p = float(np.trace(rho).real)
-    if p < P_JOINT_CUTOFF:
-        return None
-    rho = project_psd(rho / p)
-    return rho / float(np.trace(rho).real)
+    rho = _GROUND1
+    for mats, sup in zip(steps, [chi_to_superop(chi) for chi in reduced_maps]):
+        rho = mats @ rho @ np.conj(mats).swapaxes(-1, -2)
+        rho = unvec(vec_stack(rho) @ sup.T)
+    return normalized_psd(rho, P_JOINT_CUTOFF)
+
+
+def markov_predict(spec: ProcessSpec, ops: Sequence[Projector], reduced_maps):
+    """Memoryless baseline for one sequence (see markov_sequences); None below the cutoff."""
+    rho, p = markov_sequences(spec, [op.mat for op in ops], reduced_maps)
+    return None if p < P_JOINT_CUTOFF else rho
 
 
 def _stage_probabilities(spec: ProcessSpec, ops: Sequence[Projector], readouts):
@@ -308,21 +316,18 @@ def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None,
     if spec.nsteps != 2:
         raise ValueError("bad-sequence: record generation expects a two-step process")
     indices = list(itertools.product(range(len(basis_labels)), repeat=2))
-    sequences = [[named_projector(basis_labels[i]) for i in idx] for idx in indices]
     if cfg is None:
-        records = []
-        for idx, ops in zip(indices, sequences):
-            rho, p = run_process(spec, ops)
-            if rho is None:
-                rho = ID2 / 2
-            records.append(TomoRecord(idx, rho, p))
-        return records
-    states, p_joint = _sampled_states(
-        [_stage_probabilities(spec, ops, _QST_READOUTS) for ops in sequences],
-        [(spec.initial_state, *ops) for ops in sequences],
-        cfg,
-    )
-    return [TomoRecord(idx, rho, float(p)) for idx, rho, p in zip(indices, states, p_joint)]
+        mats = np.array([named_projector(label).mat for label in basis_labels])
+        states, p_joint = run_sequences(spec, [mats[:, None], mats[None, :]])
+    else:
+        sequences = [[named_projector(basis_labels[i]) for i in idx] for idx in indices]
+        states, p_joint = _sampled_states(
+            [_stage_probabilities(spec, ops, _QST_READOUTS) for ops in sequences],
+            [(spec.initial_state, *ops) for ops in sequences],
+            cfg,
+        )
+    return [TomoRecord(idx, rho, float(p)) for idx, rho, p
+            in zip(indices, states.reshape(-1, 2, 2), p_joint.reshape(-1))]
 
 
 def intervention_qpt_data(op: Projector, cfg: ShotConfig | None = None, run_tags=(0,)):
@@ -361,12 +366,7 @@ def first_step_env_marginal(spec: ProcessSpec, op: Projector):
     """
     if spec.nsteps < 1:
         raise ValueError("bad-sequence: process has no interactions")
-    a = kron(op.mat, ID2)
-    rho = a @ spec.initial_state @ a.conj().T
-    rho = spec.interactions[0] @ rho @ spec.interactions[0].conj().T
-    noise = spec.step_noise(0)
-    if noise is not None:
-        rho = apply_noise(rho, noise)
+    rho = _chain(spec, [op.mat])
     p = float(np.trace(rho).real)
     if p < 1e-9:
         raise ValueError(f"vanishing-branch: first-step probability {p:.3e}")

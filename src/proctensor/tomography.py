@@ -22,7 +22,7 @@ from .channels import (
     map_to_choi,
     step_choi_factor,
 )
-from .linalg import clip_divided_differences, project_psd, unvec, vec
+from .linalg import clip_divided_differences, normalized_psd, project_psd, unvec, vec, vec_stack
 from .qubit import FIT_BASIS_LABELS, PAULIS, Projector, named_projector
 from .validation import as_square, check_density_matrix
 
@@ -42,6 +42,8 @@ __all__ = [
 
 #: Pair-sum slack accepted by the six-axis estimator (finite-shot data).
 PAIR_SUM_SLACK = 0.1
+#: Trajectory probability below which no output state is reported.
+P_JOINT_CUTOFF = 1e-12
 
 
 @dataclass(frozen=True)
@@ -112,18 +114,18 @@ def qpt_chi(prepared_inputs, measured_outputs, psd: bool = False) -> np.ndarray:
 
 
 def action_matrix(op) -> np.ndarray:
-    """4x4 superoperator of an intervention.
+    """4x4 superoperator of an intervention, or a stack (..., 4, 4) of them.
 
-    Accepts a Projector, a 2x2 operator K (interpreted as rho -> K rho K†),
-    or a precomputed 4x4 action superoperator (useful for affine combinations
-    of operations).
+    Accepts a Projector, 2x2 operators K (interpreted as rho -> K rho K†),
+    or precomputed 4x4 action superoperators (useful for affine combinations
+    of operations), singly or as a stack (..., 2, 2) or (..., 4, 4).
     """
     if isinstance(op, Projector):
         return action_superop(op.mat)
     a = np.asarray(op, dtype=complex)
-    if a.shape == (2, 2):
+    if a.shape[-2:] == (2, 2):
         return action_superop(a)
-    if a.shape == (4, 4):
+    if a.shape[-2:] == (4, 4):
         return a
     raise ValueError(f"bad-dims: cannot interpret operation of shape {a.shape}")
 
@@ -138,9 +140,7 @@ def sequence_vector(ops) -> np.ndarray:
 
 
 def _basis_action_vectors() -> np.ndarray:
-    return np.array(
-        [vec(action_superop(named_projector(l).mat)) for l in FIT_BASIS_LABELS]
-    )
+    return vec_stack(action_superop(np.array([named_projector(l).mat for l in FIT_BASIS_LABELS])))
 
 
 #: Stop of the PSD refit: projected-gradient fixed-point residual of the
@@ -395,28 +395,23 @@ class RestrictedProcessTensor:
                 f"incomplete-records: {len(missing)} basis combinations missing, "
                 f"first {missing[0]}"
             )
-        basis = [named_projector(l) for l in FIT_BASIS_LABELS]
-        design = np.empty((len(records), 256), dtype=complex)
-        targets = np.empty((len(records), 4), dtype=complex)
-        for row, rec in enumerate(records):
-            i0, i1 = rec.basis_indices
-            design[row] = sequence_vector([basis[i0], basis[i1]])
-            targets[row] = rec.p_joint * vec(rec.rho_measured)
+        # design row kron(x1, x0) of each record's pair of basis action vectors
+        bv = _basis_action_vectors()
+        i0, i1 = np.array([rec.basis_indices for rec in records]).T
+        design = (bv[i1][:, :, None] * bv[i0][:, None, :]).reshape(len(records), -1)
+        targets = np.array([rec.p_joint * vec(rec.rho_measured) for rec in records])
         u, svals, vh = np.linalg.svd(design)
         rank = int(np.sum(svals > 1e-10 * svals[0]))
         coef = (u[:, :rank].conj().T @ targets) / svals[:rank, None]
         self.map_ = coef.T @ vh[:rank].conj()
         self.kernel_basis_ = vh[rank:].conj().copy()
         self.basis_labels_ = tuple(FIT_BASIS_LABELS)
-        self._basis_vecs = _basis_action_vectors()
-        q, _ = np.linalg.qr(self._basis_vecs.T)
-        self._span_q = q
+        self._span_q, _ = np.linalg.qr(bv.T)
         if self.psd:
             p = np.array([rec.p_joint for rec in records])
             weights = 1.0 / np.sqrt(np.maximum(p, 0.05**2))
-            cells = np.array([i1 * nb + i0 for i0, i1 in (rec.basis_indices for rec in records)])
             self.choi_, self.refit_info_ = _psd_refit_choi(
-                self.map_, self._basis_vecs, cells, weights, targets
+                self.map_, bv, i1 * nb + i0, weights, targets
             )
             self.map_ = choi_to_map(self.choi_, 2)
         else:
@@ -429,37 +424,40 @@ class RestrictedProcessTensor:
         if not hasattr(self, "map_"):
             raise ValueError("not-fitted: call fit(records) first")
 
-    def _checked_action_vec(self, op, span_tol: float):
-        x = vec(action_matrix(op))
-        resid = float(np.linalg.norm(x - self._span_q @ (self._span_q.conj().T @ x)))
-        if resid > span_tol:
+    def _checked_action_vecs(self, op, span_tol: float):
+        """vec of each operation's action, checked to lie in the basis span."""
+        x = vec_stack(action_matrix(op))
+        resid = np.linalg.norm(x - (x @ self._span_q.conj()) @ self._span_q.T, axis=-1)
+        worst = float(np.max(resid, initial=0.0))
+        if worst > span_tol:
             raise ValueError(
-                f"outside-span: operation expansion residual {resid:.3e} > {span_tol:g}"
+                f"outside-span: operation expansion residual {worst:.3e} > {span_tol:g}"
             )
         return x
 
     # -- prediction ------------------------------------------------------
-    def predict(self, ops, span_tol: float = 1e-8):
-        """Predict (rho_out, p_joint) for a two-operation sequence.
+    def predict_sequences(self, steps, span_tol: float = 1e-8):
+        """Predict (states, p_joint) for a stack of two-operation sequences.
 
-        Each operation must lie in the span of the projector-action basis
-        (all rank-1 projectors do). The state is reported None when the
-        predicted trajectory probability is below the cutoff.
+        steps holds one operation or a stack of them per step, in any form
+        action_matrix takes; the stacks broadcast as in run_sequences. Each
+        operation must lie in the span of the projector-action basis (all
+        rank-1 projectors do). The states are PSD-projected and unit-trace,
+        maximally mixed where p_joint is below P_JOINT_CUTOFF.
         """
         self._require_fitted()
-        if len(ops) != 2:
-            raise ValueError(f"bad-sequence: expected 2 operations, got {len(ops)}")
-        x0 = self._checked_action_vec(ops[0], span_tol)
-        x1 = self._checked_action_vec(ops[1], span_tol)
-        raw = unvec(self.map_ @ np.kron(x1, x0))
-        p = float(np.trace(raw).real)
-        if p < 1e-12:
-            return None, max(p, 0.0)
-        rho = project_psd(raw)
-        tr = float(np.trace(rho).real)
-        if tr <= 0.0:
-            return None, max(p, 0.0)
-        return rho / tr, p
+        if len(steps) != 2:
+            raise ValueError(f"bad-sequence: expected 2 operations, got {len(steps)}")
+        x0, x1 = (self._checked_action_vecs(op, span_tol) for op in steps)
+        raw = np.einsum("kab,...a,...b->...k", self.map_.reshape(4, 16, 16), x1, x0)
+        return normalized_psd(unvec(raw), P_JOINT_CUTOFF)
+
+    def predict(self, ops, span_tol: float = 1e-8):
+        """Predict (rho_out, p_joint) for one two-operation sequence (see
+        predict_sequences); rho_out is None below the cutoff."""
+        rho, p = self.predict_sequences(ops, span_tol)
+        p = float(p)
+        return (None, max(p, 0.0)) if p < P_JOINT_CUTOFF else (rho, p)
 
     def contract_first_step(self, op, span_tol: float = 1e-8) -> np.ndarray:
         """One-step map over the remaining intervention, first step fixed.
@@ -468,7 +466,7 @@ class RestrictedProcessTensor:
         vec of the (subnormalized) output state.
         """
         self._require_fitted()
-        x0 = self._checked_action_vec(op, span_tol)
+        x0 = self._checked_action_vecs(op, span_tol)
         t3 = self.map_.reshape(4, 16, 16)
         return np.einsum("kab,b->ka", t3, x0)
 

@@ -25,11 +25,13 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def as_square(m, name: str = "matrix") -> np.ndarray:
-    """Coerce to one square complex matrix with finite entries."""
+def as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
+    """Coerce to one square complex matrix with finite entries, or with
+    stack=True to a stack (..., n, n) of them."""
     a = as_matrix(m, name)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"bad-dims: {name} must be a square matrix, got shape {a.shape}")
+    if (a.ndim != 2 and not stack) or a.shape[-1] != a.shape[-2]:
+        kind = "square matrices" if stack else "a square matrix"
+        raise ValueError(f"bad-dims: {name} must be {kind}, got shape {a.shape}")
     return a
 
 
@@ -38,9 +40,7 @@ def hermitian_part(m, tol: float = 1e-8, name: str = "matrix") -> np.ndarray:
 
     Rejects the input if its anti-Hermitian part exceeds tol entrywise.
     """
-    a = as_matrix(m, name)
-    if a.shape[-1] != a.shape[-2]:
-        raise ValueError(f"bad-dims: {name} must be square, got shape {a.shape}")
+    a = as_square(m, name, stack=True)
     ah = a.conj().swapaxes(-1, -2)
     asym = float(np.abs(a - ah).max(initial=0.0))
     if asym > tol:
@@ -69,10 +69,12 @@ def check_density_matrix(rho, name: str = "state") -> np.ndarray:
 
 
 def check_normalized(rho, tol: float = 1e-6, name: str = "state") -> np.ndarray:
-    a = as_square(rho, name)
-    tr = float(np.trace(a).real)
-    if abs(tr - 1.0) > tol:
-        raise ValueError(f"not-normalized: {name} has trace {tr:.8f}")
+    """Coerce a square matrix or a stack (..., n, n) whose traces are all 1 within tol."""
+    a = as_square(rho, name, stack=True)
+    tr = np.trace(a, axis1=-2, axis2=-1).real
+    bad = np.abs(tr - 1.0) > tol
+    if bad.any():
+        raise ValueError(f"not-normalized: {name} has trace {tr[bad][0]:.8f}")
     return a
 
 
