@@ -305,7 +305,7 @@ def cmd_nonmarkov(cfg: RunConfig) -> int:
     return 0 if all_converged else 3
 
 
-def cmd_volume(cfg: RunConfig, n_samples: int = 200) -> int:
+def cmd_volume(cfg: RunConfig) -> int:
     out = _ensure_outdir(cfg)
     digest = cfg.digest()
     spec = cfg.spec()
@@ -322,7 +322,7 @@ def cmd_volume(cfg: RunConfig, n_samples: int = 200) -> int:
     for kind in ("process-tensor", "markov-map"):
         for idx, theta in enumerate(thetas):
             try:
-                clouds[kind, idx] = bloch_volume(kind, fit, theta, n_samples, process=spec)
+                clouds[kind, idx] = bloch_volume(kind, fit, theta, process=spec)
             except ValueError as exc:
                 if "vanishing-branch" not in str(exc):
                     raise

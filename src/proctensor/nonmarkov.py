@@ -13,8 +13,9 @@ solves it first: exact records of both gate orders pin every coefficient,
 so N is a single evaluation; exact records with local noise leave a few
 coefficients for the penalty loop; sampled records leave no member inside
 the support, and the loop runs over the full family with weight outside the
-support priced at -ln LOG_FLOOR (about 27.6 nat) per unit. scipy is needed
-only by that penalty loop, which imports it on first use.
+support priced at -ln LOG_FLOOR (about 27.6 nat) per unit. relative_entropy,
+the loop's objective and the final N share one floored-entropy evaluation.
+scipy is needed only by the penalty loop, which imports it on first use.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import action_dual, action_superop, map_to_choi, reduced_superop, superop_to_choi
-from .linalg import mat_log_psd, normalized_psd, project_psd, unvec, vec_stack
+from .linalg import clip_divided_differences, mat_log_psd, normalized_psd, project_psd, unvec, vec_stack
 from .process import ProcessSpec, first_step_env_marginal
 from .qubit import FIT_BASIS_LABELS, bloch_vector, named_projector, zy_projector
 from .tomography import RestrictedProcessTensor, action_matrix, fit_restricted_tensor
@@ -220,101 +221,86 @@ def _choi_mat(x) -> np.ndarray:
     return np.asarray(x.mat if isinstance(x, ChoiState) else x, dtype=complex)
 
 
-def relative_entropy(a, b, floor: float = LOG_FLOOR) -> float:
-    """Tr[a (ln a - ln b)] with both arguments normalized to unit trace.
+def _support_null(refn: np.ndarray) -> np.ndarray:
+    """Eigenvectors of the normalized reference below LOG_FLOOR: its null space."""
+    w, v = np.linalg.eigh(refn)
+    return v[:, w < LOG_FLOOR]
 
-    Weight of `a` on the floored subspace of `b` beyond the tolerance raises
-    SupportMismatchError rather than being silently regularized.
+
+def _floored_entropy(y: np.ndarray, log_ref: np.ndarray):
+    """Floored relative entropy of the trace-normalized positive part of y:
+    from one eigh y = V diag(w) V†, with s the clipped spectrum over its sum
+    tau, sum s ln max(s, LOG_FLOOR) minus the cross term sum s diag(V† log_ref V).
+
+    Returns (value, (w, v, tau, s, ln max(s, LOG_FLOOR), V† log_ref V, cross)),
+    or (1e6, None) when tau is below 1e-9."""
+    w, v = np.linalg.eigh(y)
+    q = np.clip(w, 0.0, None)
+    tau = float(q.sum())
+    if tau < 1e-9:
+        return 1e6, None
+    s = q / tau
+    lnf = np.log(np.maximum(s, LOG_FLOOR))
+    big_l = v.conj().T @ log_ref @ v
+    cross = float(np.sum(s * big_l.diagonal().real))
+    return float(np.sum(s * lnf)) - cross, (w, v, tau, s, lnf, big_l, cross)
+
+
+def relative_entropy(a, b) -> float:
+    """Tr[a (ln a - ln b)] with the positive part of `a` and `b` itself
+    normalized to unit trace, eigenvalues floored at LOG_FLOOR in the logs.
+
+    Weight of `a` on the floored subspace of `b` beyond SUPPORT_WEIGHT_TOL
+    raises SupportMismatchError rather than being silently regularized.
     """
     am = hermitian_part(_choi_mat(a), 1e-8, "a")
     bm = hermitian_part(_choi_mat(b), 1e-8, "b")
     if am.shape != bm.shape:
         raise ValueError(f"bad-dims: shapes {am.shape} and {bm.shape} differ")
-    am = am / float(np.trace(am).real)
     bm = bm / float(np.trace(bm).real)
-    wb, vb = np.linalg.eigh(bm)
-    floor_vecs = vb[:, wb < floor]
-    if floor_vecs.shape[1]:
-        weight = float(np.real(np.einsum("ik,ij,jk->", floor_vecs.conj(), am, floor_vecs)))
-        if weight > SUPPORT_WEIGHT_TOL:
-            raise SupportMismatchError(
-                f"support-mismatch: weight {weight:.3e} outside reference support"
-            )
-    log_b = (vb * np.log(np.maximum(wb, floor))) @ vb.conj().T
-    wa, va = np.linalg.eigh(am)
-    pos = np.clip(wa, 0.0, None)
-    ent = float(np.sum(pos * np.log(np.maximum(wa, floor))))
-    cross = float(np.real(np.trace(am @ log_b)))
-    return max(ent - cross, 0.0)
+    null = _support_null(bm)
+    weight = float(np.real(np.einsum("ik,ij,jk->", null.conj(), am / np.trace(am).real, null)))
+    if weight > SUPPORT_WEIGHT_TOL:
+        raise SupportMismatchError(
+            f"support-mismatch: weight {weight:.3e} outside reference support")
+    return max(_floored_entropy(am, mat_log_psd(bm, LOG_FLOOR))[0], 0.0)
 
 
-def _objective_terms(y: np.ndarray, log_ref: np.ndarray, floor: float):
-    """Floored relative entropy of the positive part of y, trace-normalized."""
-    w, v = np.linalg.eigh(y)
-    pos = np.clip(w, 0.0, None)
-    tau = float(pos.sum())
-    if tau < 1e-9:
-        return 1e6
-    s = pos / tau
-    ent = float(np.sum(s * np.log(np.maximum(s, floor))))
-    yn = (v * s) @ v.conj().T
-    return ent - float(np.real(np.trace(yn @ log_ref)))
-
-
-def _penalized_value_grad(c, base, dirs, log_ref, mu, floor):
+def _penalized_value_grad(c, base, dirs, log_ref, mu):
     """Value and gradient of the floored objective plus PSD penalty.
 
     The gradient treats the eigenvalue clipping, the trace normalization and
     the eigenvector rotations exactly (divided-difference term for the
     positive-part spectral map).
     """
-    y = base + np.einsum("k,kij->ij", c, dirs)
-    w, v = np.linalg.eigh(y)
-    q = np.clip(w, 0.0, None)
+    val, terms = _floored_entropy(base + np.einsum("k,kij->ij", c, dirs), log_ref)
+    if terms is None:
+        return val, np.zeros(len(c))
+    w, v, tau, s, lnf, big_l, cross = terms
     qp = (w > 0).astype(float)
     neg = np.minimum(w, 0.0)
-    tau = float(q.sum())
-    if tau < 1e-9:
-        return 1e6, np.zeros(len(c))
-    s = q / tau
-    lnf = np.log(np.maximum(s, floor))
-    etap = np.where(s > floor, lnf + 1.0, math.log(floor))
-    big_l = v.conj().T @ log_ref @ v
-    ld = big_l.diagonal().real
-    cross = float(np.sum(s * ld))
-    val = float(np.sum(s * lnf)) - cross + mu * float(np.sum(neg**2))
-
-    wd = w[:, None] - w[None, :]
-    qd = q[:, None] - q[None, :]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q1 = np.where(np.abs(wd) > 1e-12, qd / wd, 0.0)
-    q1 = np.where(np.abs(wd) <= 1e-12, (qp[:, None] + qp[None, :]) / 2.0, q1)
-    diag = (
-        etap * qp / tau
-        - float(np.sum(etap * s)) * qp / tau
-        + cross * qp / tau
-        + 2.0 * mu * neg
-    )
-    mt = -(q1 * big_l) / tau + np.diag(diag.astype(complex))
+    val += mu * float(np.sum(neg**2))
+    etap = np.where(s > LOG_FLOOR, lnf + 1.0, math.log(LOG_FLOOR))
+    diag = (etap * qp / tau - float(np.sum(etap * s)) * qp / tau + cross * qp / tau
+            + 2.0 * mu * neg)
+    mt = -(clip_divided_differences(w) * big_l) / tau + np.diag(diag.astype(complex))
     grad_mat = v @ mt @ v.conj().T
     grad_mat = (grad_mat + grad_mat.conj().T) / 2
-    grad = np.einsum("kij,ji->k", dirs, grad_mat).real
-    return val, grad
+    return val, np.einsum("kij,ji->k", dirs, grad_mat).real
 
 
 def _restrict_to_support(base, dirs, refn):
     """Members of base + sum_k c_k dirs_k lying inside the support of refn.
 
-    A PSD member Y lies in supp(refn) exactly when N† Y = 0, N spanning the
-    eigenvectors of refn below LOG_FLOOR (the rule relative_entropy applies).
+    A PSD member Y lies in supp(refn) exactly when N† Y = 0, N spanning
+    _support_null(refn), the rule relative_entropy applies too.
     That is linear in c; one SVD gives c = c0 + K z with orthonormal K, and
     the member base + sum c0_k dirs_k with the directions K^T dirs is
     returned. When even the least-squares c0 leaves an off-support block
     ||N† Y(c0)||_F above SUPPORT_WEIGHT_TOL times tr(base), no member lies in
     the support and (base, dirs) are returned unchanged.
     """
-    w, v = np.linalg.eigh(refn)
-    null = v[:, w < LOG_FLOOR]
+    null = _support_null(refn)
     if not null.shape[1]:
         return base, dirs
     nb = null.conj().T @ base
@@ -331,7 +317,7 @@ def _restrict_to_support(base, dirs, refn):
 
 
 def minimize_nonmarkovianity(fam: ChoiFamily, ref: ChoiState,
-                             max_iter: int = 60000, tol: float = 1e-10) -> MinimizeResult:
+                             max_iter: int = 60000) -> MinimizeResult:
     """Minimum relative entropy to the reference over the PSD family members.
 
     The relative entropy is finite only for members inside the support of
@@ -350,8 +336,9 @@ def minimize_nonmarkovianity(fam: ChoiFamily, ref: ChoiState,
     The loop is penalty continuation with analytic gradients; the PSD
     constraint enters through an increasing quadratic penalty on negative
     eigenvalues and the final iterate is projected onto the cone. max_iter
-    is the total quasi-Newton budget across the penalty stages.
-    Deterministic for fixed inputs.
+    is the total quasi-Newton budget across the penalty stages. N is the
+    loop's objective without its penalty at that projection, or at the
+    projected start when that is PSD and lower. Deterministic for fixed inputs.
     """
     base = _choi_mat(fam.base)
     dirs = np.stack([np.asarray(d, dtype=complex) for d in fam.directions])
@@ -373,10 +360,10 @@ def minimize_nonmarkovianity(fam: ChoiFamily, ref: ChoiState,
             res = minimize(
                 _penalized_value_grad,
                 c,
-                args=(base, dirs, log_ref, mu, LOG_FLOOR),
+                args=(base, dirs, log_ref, mu),
                 jac=True,
                 method="L-BFGS-B",
-                options={"maxiter": per_stage, "ftol": tol * 1e-3, "gtol": 1e-11},
+                options={"maxiter": per_stage, "ftol": 1e-13, "gtol": 1e-11},
             )
             c = res.x
             iterations += int(res.nit)
@@ -384,10 +371,12 @@ def minimize_nonmarkovianity(fam: ChoiFamily, ref: ChoiState,
     y = base + np.einsum("k,kij->ij", c, dirs)
     min_eig = float(np.linalg.eigvalsh(y).min())
     optimizer = project_psd(y)
-    value = max(_objective_terms(optimizer, log_ref, LOG_FLOOR), 0.0)
-    start = max(_objective_terms(project_psd(base), log_ref, LOG_FLOOR), 0.0)
-    if float(np.linalg.eigvalsh(base).min()) > -1e-10 and start < value:
-        value, optimizer = start, project_psd(base)
+    value = max(_floored_entropy(optimizer, log_ref)[0], 0.0)
+    # a pinned member is its own start, so only the loop can end above it
+    if len(dirs) and float(np.linalg.eigvalsh(base).min()) > -1e-10:
+        start = max(_floored_entropy(project_psd(base), log_ref)[0], 0.0)
+        if start < value:
+            value, optimizer = start, project_psd(base)
     converged = (not exhausted) and min_eig > -1e-6
     return MinimizeResult(
         n_value=value,
@@ -405,8 +394,7 @@ def default_theta_grid(points: int = 13) -> np.ndarray:
     return np.linspace(0.0, 11 * math.pi / 12, points)
 
 
-def sweep_theta(records_or_fit, thetas=None, *, process: ProcessSpec,
-                max_iter: int = 60000):
+def sweep_theta(records_or_fit, thetas=None, *, process: ProcessSpec):
     """Non-Markovianity versus first-step angle.
 
     Returns a list of (theta, n_value, converged, iterations); angles whose
@@ -427,7 +415,7 @@ def sweep_theta(records_or_fit, thetas=None, *, process: ProcessSpec,
                 rows.append((float(theta), None, False, 0))
                 continue
             raise
-        res = minimize_nonmarkovianity(fam, ref, max_iter=max_iter)
+        res = minimize_nonmarkovianity(fam, ref)
         rows.append((float(theta), res.n_value, res.converged, res.iterations))
     return rows
 

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import chi_to_superop, reduced_map
-from .linalg import kron, normalized_psd, partial_trace, unvec, vec_stack
+from .linalg import normalized_psd, partial_trace, unvec, vec_stack
 from .qubit import (
     CNOT,
     CZ,
@@ -195,28 +195,31 @@ def markov_predict(spec: ProcessSpec, ops: Sequence[Projector], reduced_maps):
     return None if p < P_JOINT_CUTOFF else rho
 
 
-def _stage_probabilities(spec: ProcessSpec, ops: Sequence[Projector], readouts):
+def _stage_probabilities(spec: ProcessSpec, steps: Sequence[np.ndarray], readouts: np.ndarray):
     """Conditional pass probability per projector stage plus one readout stage.
 
-    The chain is contracted once; returns one row of stage probabilities per
-    readout projector.
+    steps holds one stack (..., 2, 2) of projector matrices per interaction,
+    broadcast as in run_sequences, and readouts a stack (R, 2, 2) of readout
+    projectors. The normalized chain of each sequence is contracted once;
+    returns the stage probabilities, clipped to [0, 1], as (..., R, stages).
     """
+    rho = spec.initial_state
     probs = []
-    rho = spec.initial_state.copy()
-    for step, (u, op) in enumerate(zip(spec.interactions, ops)):
-        a = kron(op.mat, ID2)
-        sub = a @ rho @ a.conj().T
-        p = float(np.trace(sub).real)
-        probs.append(min(max(p, 0.0), 1.0))
-        rho = sub / p if p > P_JOINT_CUTOFF else np.zeros_like(sub)
+    for step, (u, mats) in enumerate(zip(spec.interactions, steps)):
+        a = np.kron(np.asarray(mats, dtype=complex), ID2)
+        sub = a @ rho @ a.conj().swapaxes(-1, -2)
+        p = np.trace(sub, axis1=-2, axis2=-1).real
+        probs.append(p)
+        rho = np.where((p > P_JOINT_CUTOFF)[..., None, None],
+                       sub / np.maximum(p, P_JOINT_CUTOFF)[..., None, None], 0.0)
         rho = u @ rho @ u.conj().T
         noise = spec.step_noise(step)
         if noise is not None:
             rho = apply_noise(rho, noise)
-    out = partial_trace(rho, 2, 2, keep="a")
-    return [
-        probs + [min(max(float(np.trace(r.mat @ out).real), 0.0), 1.0)] for r in readouts
-    ]
+    out = np.einsum("...ijkj->...ik", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)))
+    read = np.trace(readouts @ out[..., None, :, :], axis1=-2, axis2=-1).real
+    stages = np.broadcast_arrays(*[q[..., None] for q in probs], read)
+    return np.clip(np.stack(stages, axis=-1), 0.0, 1.0)
 
 
 def _derived_rng(seed: int, *parts) -> np.random.Generator:
@@ -268,7 +271,7 @@ def simulate_counts(spec: ProcessSpec, ops: Sequence[Projector], readout_axis: P
     and processes differing only in interactions or noise share random numbers.
     """
     _check_sequence(spec, ops)
-    probs = _stage_probabilities(spec, ops, [readout_axis])[0]
+    probs = _stage_probabilities(spec, [op.mat for op in ops], readout_axis.mat[None])[0]
     rng = _derived_rng(cfg.seed, spec.initial_state, *ops, readout_axis)
     return _staged_counts(probs, cfg, rng)
 
@@ -303,8 +306,7 @@ def _sampled_states(stage_probs, keys, cfg: ShotConfig):
     return states, rates.mean(axis=1)
 
 
-def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None,
-                     basis_labels=FIT_BASIS_LABELS) -> list[TomoRecord]:
+def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None) -> list[TomoRecord]:
     """Tomography records for every two-step basis combination.
 
     Without a ShotConfig the records are exact contraction results; with one,
@@ -315,15 +317,17 @@ def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None,
     """
     if spec.nsteps != 2:
         raise ValueError("bad-sequence: record generation expects a two-step process")
-    indices = list(itertools.product(range(len(basis_labels)), repeat=2))
+    basis = [named_projector(label) for label in FIT_BASIS_LABELS]
+    indices = list(itertools.product(range(len(basis)), repeat=2))
+    mats = np.array([op.mat for op in basis])
+    steps = [mats[:, None], mats[None, :]]
     if cfg is None:
-        mats = np.array([named_projector(label).mat for label in basis_labels])
-        states, p_joint = run_sequences(spec, [mats[:, None], mats[None, :]])
+        states, p_joint = run_sequences(spec, steps)
     else:
-        sequences = [[named_projector(basis_labels[i]) for i in idx] for idx in indices]
+        readouts = np.array([r.mat for r in _QST_READOUTS])
         states, p_joint = _sampled_states(
-            [_stage_probabilities(spec, ops, _QST_READOUTS) for ops in sequences],
-            [(spec.initial_state, *ops) for ops in sequences],
+            _stage_probabilities(spec, steps, readouts).reshape(len(indices), len(readouts), -1),
+            [(spec.initial_state, basis[i], basis[j]) for i, j in indices],
             cfg,
         )
     return [TomoRecord(idx, rho, float(p)) for idx, rho, p

@@ -44,6 +44,8 @@ __all__ = [
 PAIR_SUM_SLACK = 0.1
 #: Trajectory probability below which no output state is reported.
 P_JOINT_CUTOFF = 1e-12
+#: Largest residual of an operation's action outside the fit basis span.
+SPAN_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -424,19 +426,19 @@ class RestrictedProcessTensor:
         if not hasattr(self, "map_"):
             raise ValueError("not-fitted: call fit(records) first")
 
-    def _checked_action_vecs(self, op, span_tol: float):
+    def _checked_action_vecs(self, op):
         """vec of each operation's action, checked to lie in the basis span."""
         x = vec_stack(action_matrix(op))
         resid = np.linalg.norm(x - (x @ self._span_q.conj()) @ self._span_q.T, axis=-1)
         worst = float(np.max(resid, initial=0.0))
-        if worst > span_tol:
+        if worst > SPAN_TOL:
             raise ValueError(
-                f"outside-span: operation expansion residual {worst:.3e} > {span_tol:g}"
+                f"outside-span: operation expansion residual {worst:.3e} > {SPAN_TOL:g}"
             )
         return x
 
     # -- prediction ------------------------------------------------------
-    def predict_sequences(self, steps, span_tol: float = 1e-8):
+    def predict_sequences(self, steps):
         """Predict (states, p_joint) for a stack of two-operation sequences.
 
         steps holds one operation or a stack of them per step, in any form
@@ -448,25 +450,25 @@ class RestrictedProcessTensor:
         self._require_fitted()
         if len(steps) != 2:
             raise ValueError(f"bad-sequence: expected 2 operations, got {len(steps)}")
-        x0, x1 = (self._checked_action_vecs(op, span_tol) for op in steps)
+        x0, x1 = (self._checked_action_vecs(op) for op in steps)
         raw = np.einsum("kab,...a,...b->...k", self.map_.reshape(4, 16, 16), x1, x0)
         return normalized_psd(unvec(raw), P_JOINT_CUTOFF)
 
-    def predict(self, ops, span_tol: float = 1e-8):
+    def predict(self, ops):
         """Predict (rho_out, p_joint) for one two-operation sequence (see
         predict_sequences); rho_out is None below the cutoff."""
-        rho, p = self.predict_sequences(ops, span_tol)
+        rho, p = self.predict_sequences(ops)
         p = float(p)
         return (None, max(p, 0.0)) if p < P_JOINT_CUTOFF else (rho, p)
 
-    def contract_first_step(self, op, span_tol: float = 1e-8) -> np.ndarray:
+    def contract_first_step(self, op) -> np.ndarray:
         """One-step map over the remaining intervention, first step fixed.
 
         Returns the (4, 16) matrix sending a vectorized step-1 action to the
         vec of the (subnormalized) output state.
         """
         self._require_fitted()
-        x0 = self._checked_action_vecs(op, span_tol)
+        x0 = self._checked_action_vecs(op)
         t3 = self.map_.reshape(4, 16, 16)
         return np.einsum("kab,b->ka", t3, x0)
 

@@ -13,9 +13,14 @@ from proctensor import (
     generate_records,
 )
 from proctensor.channels import action_superop
-from proctensor.linalg import unvec, vec
+from proctensor.linalg import mat_log_psd, project_psd, unvec, vec
 from proctensor.nonmarkov import (
+    LOG_FLOOR,
+    SUPPORT_WEIGHT_TOL,
     SupportMismatchError,
+    _floored_entropy,
+    _penalized_value_grad,
+    _restrict_to_support,
     bloch_volume,
     condition_family,
     default_theta_grid,
@@ -376,3 +381,174 @@ def test_sweep_converges_at_intermediate_angles(cnot_cz_fit, cnot_cz_spec):
     for theta, n, converged, iterations in rows:
         assert converged, (theta, iterations)
         assert 0.3 < n < 0.6
+
+
+# ------------------------------------- one floored-entropy evaluation
+# The three evaluations the shared one replaced, kept as references: the
+# penalty loop amplifies rounding, so the value it sees must keep its bits.
+
+def ref_objective_terms(y, log_ref, floor):
+    w, v = np.linalg.eigh(y)
+    pos = np.clip(w, 0.0, None)
+    tau = float(pos.sum())
+    if tau < 1e-9:
+        return 1e6
+    s = pos / tau
+    ent = float(np.sum(s * np.log(np.maximum(s, floor))))
+    yn = (v * s) @ v.conj().T
+    return ent - float(np.real(np.trace(yn @ log_ref)))
+
+
+def ref_relative_entropy(a, b, floor):
+    am = a / float(np.trace(a).real)
+    bm = b / float(np.trace(b).real)
+    wb, vb = np.linalg.eigh(bm)
+    floor_vecs = vb[:, wb < floor]
+    if floor_vecs.shape[1]:
+        weight = float(np.real(np.einsum("ik,ij,jk->", floor_vecs.conj(), am, floor_vecs)))
+        if weight > SUPPORT_WEIGHT_TOL:
+            raise SupportMismatchError(f"support-mismatch: weight {weight:.3e}")
+    log_b = (vb * np.log(np.maximum(wb, floor))) @ vb.conj().T
+    wa, _ = np.linalg.eigh(am)
+    pos = np.clip(wa, 0.0, None)
+    ent = float(np.sum(pos * np.log(np.maximum(wa, floor))))
+    cross = float(np.real(np.trace(am @ log_b)))
+    return max(ent - cross, 0.0)
+
+
+def ref_penalized_value_grad(c, base, dirs, log_ref, mu, floor):
+    y = base + np.einsum("k,kij->ij", c, dirs)
+    w, v = np.linalg.eigh(y)
+    q = np.clip(w, 0.0, None)
+    qp = (w > 0).astype(float)
+    neg = np.minimum(w, 0.0)
+    tau = float(q.sum())
+    if tau < 1e-9:
+        return 1e6, np.zeros(len(c))
+    s = q / tau
+    lnf = np.log(np.maximum(s, floor))
+    etap = np.where(s > floor, lnf + 1.0, math.log(floor))
+    big_l = v.conj().T @ log_ref @ v
+    ld = big_l.diagonal().real
+    cross = float(np.sum(s * ld))
+    val = float(np.sum(s * lnf)) - cross + mu * float(np.sum(neg**2))
+    wd = w[:, None] - w[None, :]
+    qd = q[:, None] - q[None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q1 = np.where(np.abs(wd) > 1e-12, qd / wd, 0.0)
+    q1 = np.where(np.abs(wd) <= 1e-12, (qp[:, None] + qp[None, :]) / 2.0, q1)
+    diag = (
+        etap * qp / tau
+        - float(np.sum(etap * s)) * qp / tau
+        + cross * qp / tau
+        + 2.0 * mu * neg
+    )
+    mt = -(q1 * big_l) / tau + np.diag(diag.astype(complex))
+    grad_mat = v @ mt @ v.conj().T
+    grad_mat = (grad_mat + grad_mat.conj().T) / 2
+    return val, np.einsum("kij,ji->k", dirs, grad_mat).real
+
+
+def close_mixed_sign_pair(w):
+    # where the divided differences of the clip may differ: the old rule read
+    # 1/2 for such a pair, clip_divided_differences reads w_i / (w_i - w_j)
+    pos = w > 0
+    return bool(np.any((pos[:, None] != pos[None, :])
+                       & (np.abs(w[:, None] - w[None, :]) <= 1e-12)))
+
+
+@pytest.fixture(scope="module")
+def sampled_cnot_cz_fit(cnot_cz_spec):
+    records = generate_records(cnot_cz_spec, ShotConfig(shots=3000, seed=0))
+    return fit_restricted_tensor(records, psd=True)
+
+
+@pytest.mark.parametrize("family", ["exact", "noisy", "shots"])
+def test_floored_entropy_matches_the_three_copies(family, cnot_cz_fit, cnot_cz_spec,
+                                                  noisy_cnot_cz, sampled_cnot_cz_fit):
+    spec, fit = {"exact": (cnot_cz_spec, cnot_cz_fit), "noisy": noisy_cnot_cz,
+                 "shots": (cnot_cz_spec, sampled_cnot_cz_fit)}[family]
+    rng = np.random.default_rng(11)
+    compared = 0
+    for theta in (0.0, 0.48, math.pi / 2, 2.16, 2.88):
+        fam = condition_family(fit, theta)
+        ref = uncorrelated_choi(fit, theta, spec)
+        refn = ref.mat / np.trace(ref.mat).real
+        log_ref = mat_log_psd(refn, LOG_FLOOR)
+        full = (fam.base.mat, np.stack(fam.directions))
+        members = [full]
+        restricted = _restrict_to_support(*full, refn)
+        if len(restricted[1]) and restricted[1] is not full[1]:
+            members.append(restricted)  # what the noisy-exact loop sees
+        mixed_ref = 0.9 * refn + 0.1 * np.eye(8) / 8
+        for base, dirs in members:
+            for scale in (0.05, 0.5):
+                c = scale * rng.normal(size=len(dirs))
+                y = base + np.einsum("k,kij->ij", c, dirs)
+                for mu in (1e2, 1e12):
+                    val, grad = _penalized_value_grad(c, base, dirs, log_ref, mu)
+                    ref_val, ref_grad = ref_penalized_value_grad(c, base, dirs, log_ref, mu,
+                                                                 LOG_FLOOR)
+                    assert val == ref_val, (theta, scale, mu)
+                    if not close_mixed_sign_pair(np.linalg.eigvalsh(y)):
+                        compared += 1
+                        err = np.abs(grad - ref_grad).max()
+                        assert err <= 1e-12 * np.abs(ref_grad).max(), (theta, scale, mu, err)
+                a = project_psd(y)
+                a = a / np.trace(a).real
+                assert abs(_floored_entropy(a, log_ref)[0]
+                           - ref_objective_terms(a, log_ref, LOG_FLOOR)) <= 1e-14
+                assert abs(relative_entropy(a, mixed_ref)
+                           - ref_relative_entropy(a, mixed_ref, LOG_FLOOR)) <= 1e-14
+        res = minimize_nonmarkovianity(fam, ref, max_iter=60)
+        opt = res.optimizer.mat / np.trace(res.optimizer.mat).real
+        try:
+            expected = ref_relative_entropy(opt, ref.mat, LOG_FLOOR)
+        except SupportMismatchError:
+            with pytest.raises(SupportMismatchError):
+                relative_entropy(opt, ref)
+        else:
+            assert abs(relative_entropy(opt, ref) - expected) <= 1e-14, theta
+            # the minimiser and relative_entropy share the evaluation
+            assert relative_entropy(res.optimizer, ref) == res.n_value, theta
+    assert compared >= 20
+
+
+def test_penalized_gradient_matches_finite_differences(noisy_cnot_cz):
+    spec, fit = noisy_cnot_cz
+    fam = condition_family(fit, 0.72)
+    ref = uncorrelated_choi(fit, 0.72, spec)
+    log_ref = mat_log_psd(ref.mat / np.trace(ref.mat).real, LOG_FLOOR)
+    base, dirs = fam.base.mat, np.stack(fam.directions)
+    c = 0.05 * np.random.default_rng(3).normal(size=len(dirs))
+    _, grad = _penalized_value_grad(c, base, dirs, log_ref, 1e2)
+    h = 1e-6
+    for k in range(0, len(dirs), 5):
+        e = np.zeros(len(dirs))
+        e[k] = h
+        up, _ = _penalized_value_grad(c + e, base, dirs, log_ref, 1e2)
+        down, _ = _penalized_value_grad(c - e, base, dirs, log_ref, 1e2)
+        assert abs((up - down) / (2 * h) - grad[k]) <= 1e-5 * max(1.0, abs(grad[k])), k
+
+
+def test_pinned_point_evaluates_once(monkeypatch, cnot_cz_fit, cnot_cz_spec):
+    # with no free direction the start is the member itself, so there is
+    # nothing to compare it with
+    from proctensor import nonmarkov
+
+    calls = {"entropy": 0, "eigvalsh": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    fam = condition_family(cnot_cz_fit, math.pi / 2)
+    ref = uncorrelated_choi(cnot_cz_fit, math.pi / 2, cnot_cz_spec)
+    monkeypatch.setattr(nonmarkov, "_floored_entropy",
+                        counted("entropy", nonmarkov._floored_entropy))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    res = minimize_nonmarkovianity(fam, ref)
+    assert res.free_directions == 0
+    assert calls == {"entropy": 1, "eigvalsh": 1}

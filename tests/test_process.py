@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proctensor.linalg import kron
+from proctensor.linalg import kron, partial_trace
 from proctensor.process import (
     ProcessSpec,
     ShotConfig,
@@ -25,14 +25,16 @@ from proctensor.process import (
 from proctensor.qubit import (
     CNOT,
     CZ,
+    FIT_BASIS_LABELS,
     ID2,
     QST_AXES,
     NoiseSpec,
+    apply_noise,
     named_projector,
     projector,
     state_fidelity,
 )
-from proctensor.tomography import qst_six_axis
+from proctensor.tomography import P_JOINT_CUTOFF, qst_six_axis
 
 angles = st.floats(0.05, math.pi - 0.05, allow_nan=False)
 phases = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -290,6 +292,56 @@ def test_qpt_data_exact_mode():
 
 # ------------------------------------------- per-stream sampling reference
 
+def loop_stage_probabilities(spec, ops, readouts):
+    """Stage probabilities of one sequence from its own normalized chain.
+
+    The per-sequence form the stacked _stage_probabilities replaced; both
+    must give the same bits, since the probabilities are Bernoulli
+    thresholds.
+    """
+    probs = []
+    rho = spec.initial_state.copy()
+    for step, (u, op) in enumerate(zip(spec.interactions, ops)):
+        a = kron(op.mat, ID2)
+        sub = a @ rho @ a.conj().T
+        p = float(np.trace(sub).real)
+        probs.append(min(max(p, 0.0), 1.0))
+        rho = sub / p if p > P_JOINT_CUTOFF else np.zeros_like(sub)
+        rho = u @ rho @ u.conj().T
+        noise = spec.step_noise(step)
+        if noise is not None:
+            rho = apply_noise(rho, noise)
+    out = partial_trace(rho, 2, 2, keep="a")
+    return [
+        probs + [min(max(float(np.trace(r.mat @ out).real), 0.0), 1.0)] for r in readouts
+    ]
+
+
+SPECS = [
+    cnot_cz_process, cz_cnot_process,
+    lambda: cnot_cz_process(NoiseSpec(gamma_amp=0.05, lambda_phase=0.05)),
+]
+
+
+@pytest.mark.parametrize("make_spec", SPECS)
+def test_stacked_stage_probabilities_equal_per_sequence_chain(make_spec):
+    spec = make_spec()
+    basis = [named_projector(label) for label in FIT_BASIS_LABELS]
+    readouts = [named_projector(axis + "+") for axis in QST_AXES]
+    mats = np.array([op.mat for op in basis])
+    stacked = _stage_probabilities(spec, [mats[:, None], mats[None, :]],
+                                   np.array([r.mat for r in readouts]))
+    assert stacked.shape == (9, 9, 3, 3)
+    for i, first in enumerate(basis):
+        for j, second in enumerate(basis):
+            ref = np.array(loop_stage_probabilities(spec, [first, second], readouts))
+            assert np.array_equal(stacked[i, j], ref), (FIT_BASIS_LABELS[i], FIT_BASIS_LABELS[j])
+    # one sequence and one readout, as simulate_counts asks for them
+    single = _stage_probabilities(spec, [basis[2].mat, basis[7].mat], readouts[1].mat[None])
+    ref = loop_stage_probabilities(spec, [basis[2], basis[7]], readouts[1:2])
+    assert np.array_equal(single, np.array(ref))
+
+
 def loop_sampled_state(stage_fn, cfg, rng_parts):
     """Three-axis QST drawn one stream and one state at a time.
 
@@ -314,10 +366,7 @@ def loop_sampled_state(stage_fn, cfg, rng_parts):
 
 
 @pytest.mark.parametrize("shots,seed", [(300, 0), (3000, 7)])
-@pytest.mark.parametrize("make_spec", [
-    cnot_cz_process, cz_cnot_process,
-    lambda: cnot_cz_process(NoiseSpec(gamma_amp=0.05, lambda_phase=0.05)),
-])
+@pytest.mark.parametrize("make_spec", SPECS)
 def test_sampled_records_equal_per_stream_loop(make_spec, shots, seed):
     spec = make_spec()
     cfg = ShotConfig(shots=shots, seed=seed)
@@ -326,7 +375,7 @@ def test_sampled_records_equal_per_stream_loop(make_spec, shots, seed):
     for rec in records:
         ops = [named_projector(label) for label in rec.labels]
         rho, p = loop_sampled_state(
-            lambda ax: _stage_probabilities(spec, ops, [ax])[0], cfg,
+            lambda ax: loop_stage_probabilities(spec, ops, [ax])[0], cfg,
             (spec.initial_state, *ops),
         )
         assert rec.p_joint == p, rec.labels
