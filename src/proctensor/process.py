@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -89,8 +90,8 @@ class ProcessSpec:
         return self.noise[step]
 
 
-#: Largest accepted shot count: each stream draws shots x stages uniforms at
-#: once (24 MB at this bound with three stages).
+#: Largest accepted shot count; the CLI exits with code 2 above it. Counts are
+#: binomial draws, so neither time nor memory grows with shots.
 MAX_SHOTS = 10**6
 
 
@@ -225,11 +226,11 @@ def _stage_probabilities(spec: ProcessSpec, steps: Sequence[np.ndarray], readout
 def _derived_rng(seed: int, *parts) -> np.random.Generator:
     """Deterministic generator keyed by the seed and a tuple of task parts.
 
-    Floats are hashed via their IEEE-754 bytes, so any (sequence, readout)
-    pair maps to a stable, independent stream. Callers key on the initial
-    state, sequence, readout and seed only, not on the interactions or the
-    noise: processes that differ only there (cnot-cz and cz-cnot) draw common
-    random numbers.
+    Floats are hashed via their IEEE-754 bytes, so every key maps to a
+    stable, independent stream and the same key always gives the same
+    generator. Callers key on the initial state, sequence and seed, not on
+    the interactions or the noise, so processes that differ only there
+    (cnot-cz and cz-cnot) draw their counts from the same generators.
     """
     h = hashlib.sha256()
     h.update(int(seed).to_bytes(8, "little", signed=False))
@@ -247,17 +248,19 @@ def _derived_rng(seed: int, *parts) -> np.random.Generator:
 
 
 def _staged_counts(probs, cfg: ShotConfig, rng: np.random.Generator):
-    """Shot-major Bernoulli draws through an ordered list of stages.
+    """Counts of cfg.shots shots through ordered pass/fail stages, per row of probs.
 
-    Returns (passes including the final stage, passes of all earlier stages).
+    Row i holds each stage's conditional pass probability. A shot passes the
+    earlier stages with probability ∏ probs[i, :-1], so total_i ~ Bin(shots, ∏)
+    and then npass_i ~ Bin(total_i, probs[i, -1]) is the exact law of the
+    staged Bernoulli chain. Returns the lists (npass, total): passes including
+    the last stage and passes of all earlier ones.
     """
-    u = rng.random((cfg.shots, len(probs)))
-    passed = np.ones(cfg.shots, dtype=bool)
-    for j, p in enumerate(probs[:-1]):
-        passed &= u[:, j] < p
-    total = int(np.count_nonzero(passed))
-    npass = int(np.count_nonzero(passed & (u[:, -1] < probs[-1])))
-    return npass, total
+    rows = np.asarray(probs, dtype=float).tolist()
+    # scalar draws give the numbers rng.binomial gives on whole arrays, without
+    # the checks numpy makes on array arguments, which cost more than the draws
+    total = [rng.binomial(cfg.shots, math.prod(row[:-1])) for row in rows]
+    return [rng.binomial(n, row[-1]) for n, row in zip(total, rows)], total
 
 
 def simulate_counts(spec: ProcessSpec, ops: Sequence[Projector], readout_axis: Projector,
@@ -266,14 +269,15 @@ def simulate_counts(spec: ProcessSpec, ops: Sequence[Projector], readout_axis: P
 
     Returns (counts_pass, counts_total): counts_total shots survive every
     intervention post-selection, counts_pass additionally give the readout
-    "+" outcome. The generator is derived from (initial state, sequence,
-    readout, seed) only, so independent batches are reproducible in any order
-    and processes differing only in interactions or noise share random numbers.
+    "+" outcome. The generator is keyed on (initial state, sequence, readout,
+    seed) only, so batches are reproducible in any order and processes that
+    differ only in interactions or noise draw from the same generator.
     """
     _check_sequence(spec, ops)
-    probs = _stage_probabilities(spec, [op.mat for op in ops], readout_axis.mat[None])[0]
+    probs = _stage_probabilities(spec, [op.mat for op in ops], readout_axis.mat[None])
     rng = _derived_rng(cfg.seed, spec.initial_state, *ops, readout_axis)
-    return _staged_counts(probs, cfg, rng)
+    (npass,), (total,) = _staged_counts(probs, cfg, rng)
+    return int(npass), int(total)
 
 
 #: "+" projector of each QST axis, the readout stage of a sampled state.
@@ -283,19 +287,18 @@ _QST_READOUTS = tuple(named_projector(axis + "+") for axis in QST_AXES)
 def _sampled_states(stage_probs, keys, cfg: ShotConfig):
     """Three-axis QST of N items from sampled counts; both outcomes share each axis run.
 
-    stage_probs[i][a] lists the stage probabilities of item i read out on
-    _QST_READOUTS[a]. Stream (i, a) is _derived_rng(cfg.seed, *keys[i],
-    QST_AXES[a]), drawn and reduced to counts by _staged_counts one stream at
-    a time. Returns (states (N, 2, 2), p_joint (N,)), with p_joint the mean
+    stage_probs (N, 3, stages) holds at [i, a] the stage probabilities of item
+    i read out on _QST_READOUTS[a]. All counts of item i come from one
+    generator, _derived_rng(cfg.seed, *keys[i]), whatever items are drawn
+    with it. Returns (states (N, 2, 2), p_joint (N,)), with p_joint the mean
     post-selection rate over the three axes and the maximally mixed state
     for items that some axis never post-selects.
     """
     counts = np.array([
-        [_staged_counts(probs, cfg, _derived_rng(cfg.seed, *key, axis))
-         for probs, axis in zip(item, QST_AXES)]
-        for item, key in zip(stage_probs, keys)
-    ]).reshape(len(keys), len(QST_AXES), 2)
-    npass, total = counts[..., 0], counts[..., 1]
+        _staged_counts(probs, cfg, _derived_rng(cfg.seed, *key))
+        for probs, key in zip(stage_probs, keys)
+    ]).reshape(len(keys), 2, len(QST_AXES))
+    npass, total = counts[:, 0], counts[:, 1]
     rates = total / cfg.shots
     plus = npass / np.maximum(total, 1)
     seen = rates.min(axis=1) > 0.0
@@ -312,8 +315,8 @@ def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None) -> list[T
     Without a ShotConfig the records are exact contraction results; with one,
     each record is a three-axis sampled state estimate with the post-selection
     rate standing in for the joint probability. The chain of each sequence is
-    contracted once for its three readouts, and the streams stay keyed on
-    (initial state, sequence, axis, seed).
+    contracted once for its three readouts, and the counts of each record
+    come from one generator keyed on (initial state, sequence, seed).
     """
     if spec.nsteps != 2:
         raise ValueError("bad-sequence: record generation expects a two-step process")
@@ -340,9 +343,9 @@ def intervention_qpt_data(op: Projector, cfg: ShotConfig | None = None, run_tags
     Returns (inputs (6, 2, 2), outputs (R, 6, 2, 2)), one row of outputs per
     entry of run_tags. The six axis states are prepared exactly; the
     intervention and the three-axis state readout are sampled when a
-    ShotConfig is given, with the streams of repetition tag t keyed on
-    (t, op, input label, axis, seed). Outputs are subnormalized by the
-    measured pass rate. Without a ShotConfig every row is the exact output.
+    ShotConfig is given, input label l of repetition tag t drawing its counts
+    from one generator keyed on (t, op, l, seed). Outputs are subnormalized
+    by the measured pass rate. Without a ShotConfig every row is exact.
     """
     labels = ("x+", "x-", "y+", "y-", "z+", "z-")
     inputs = np.array([named_projector(label).mat for label in labels])
@@ -350,14 +353,11 @@ def intervention_qpt_data(op: Projector, cfg: ShotConfig | None = None, run_tags
     if cfg is None:
         exact = np.array([op.mat @ rin @ op.mat.conj().T for rin in inputs])
         return inputs, np.repeat(exact[None], len(tags), axis=0)
-    readout = [min(max(float(np.trace(r.mat @ op.mat).real), 0.0), 1.0) for r in _QST_READOUTS]
-    stages = [
-        [[min(max(float(np.trace(op.mat @ rin).real), 0.0), 1.0), q] for q in readout]
-        for rin in inputs
-    ]
-    states, p_hat = _sampled_states(
-        stages * len(tags), [(tag, op, label) for tag in tags for label in labels], cfg
-    )
+    passed = np.clip([np.trace(op.mat @ rin).real for rin in inputs], 0.0, 1.0)
+    readout = np.clip([np.trace(r.mat @ op.mat).real for r in _QST_READOUTS], 0.0, 1.0)
+    stages = np.stack(np.broadcast_arrays(passed[:, None], readout), axis=-1)
+    keys = [(tag, op, label) for tag in tags for label in labels]
+    states, p_hat = _sampled_states(np.tile(stages, (len(tags), 1, 1)), keys, cfg)
     outputs = p_hat[:, None, None] * states
     return inputs, outputs.reshape(len(tags), len(labels), 2, 2)
 

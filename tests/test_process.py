@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from proctensor.linalg import kron, partial_trace
 from proctensor.process import (
+    MAX_SHOTS,
     ProcessSpec,
     ShotConfig,
     _derived_rng,
@@ -65,9 +66,7 @@ def test_shot_config_validation():
 
 
 def test_shot_config_rejects_shots_above_bound():
-    # rejected at construction, before any stream draws shots x stages uniforms
-    from proctensor.process import MAX_SHOTS
-
+    # rejected at construction, before anything is drawn
     for shots in (MAX_SHOTS + 1, 10**10):
         with pytest.raises(ValueError, match="bad-shots"):
             ShotConfig(shots=shots)
@@ -252,6 +251,49 @@ def test_counts_independent_of_batch_order():
     assert forward == list(reversed(backward))
 
 
+STAGES = [[0.7, 0.4, 0.3], [0.5, 1.0, 0.8], [1.0, 0.05, 0.6], [0.2, 0.9, 1.0]]
+
+
+def test_staged_counts_follow_the_staged_bernoulli_law():
+    # Each shot passes the earlier stages with P = prod(earlier) and then the
+    # last with q: total ~ Bin(n, P) and npass ~ Bin(n, Pq) marginally, with
+    # cov(npass, total) = n Pq (1 - P). Sample moments over 2000 derived
+    # seeds must sit within 5 standard errors of these.
+    n, draws = 400, 2000
+    cfg = ShotConfig(shots=n)
+    counts = np.array([
+        _staged_counts(STAGES, cfg, _derived_rng(seed, "law")) for seed in range(draws)
+    ])  # (draws, 2, rows)
+    npass, total = counts[:, 0].astype(float), counts[:, 1].astype(float)
+    for row, stages in enumerate(STAGES):
+        big_p = math.prod(stages[:-1])
+        for x, p in ((total[:, row], big_p), (npass[:, row], big_p * stages[-1])):
+            var = n * p * (1 - p)
+            mu4 = var * (1 + 3 * (n - 2) * p * (1 - p))  # binomial 4th central moment
+            assert abs(x.mean() - n * p) <= 5 * math.sqrt(var / draws), (row, p)
+            assert abs(x.var(ddof=1) - var) <= 5 * math.sqrt((mu4 - var**2) / draws), (row, p)
+        # standard error of a sample covariance, normal approximation
+        pq = big_p * stages[-1]
+        cov = n * pq * (1 - big_p)
+        se = math.sqrt((n * pq * (1 - pq) * n * big_p * (1 - big_p) + cov**2) / draws)
+        assert abs(np.cov(npass[:, row], total[:, row])[0, 1] - cov) <= 5 * se, row
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, MAX_SHOTS), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4),
+       st.integers(0, 2**64 - 1), st.data())
+def test_staged_counts_properties(shots, stages, seed, data):
+    blocked = list(stages)
+    blocked[data.draw(st.integers(0, len(stages) - 2))] = 0.0
+    cfg = ShotConfig(shots=shots, seed=seed)
+    npass, total = _staged_counts([stages, blocked, [1.0] * len(stages)], cfg,
+                                  _derived_rng(seed, "properties"))
+    assert 0 <= npass[0] <= total[0] <= shots
+    # a stage that never passes stops every shot; stages that always pass keep all
+    assert (npass[1], total[1]) == (0, 0)
+    assert (npass[2], total[2]) == (shots, shots)
+
+
 # -------------------------------------------------------------- records
 
 def test_exact_records_match_oracle(cnot_cz_spec, cnot_cz_records):
@@ -290,14 +332,14 @@ def test_qpt_data_exact_mode():
         assert np.abs(op.mat @ rin @ op.mat - rout).max() < 1e-12
 
 
-# ------------------------------------------- per-stream sampling reference
+# -------------------------------------------- per-state sampling reference
 
 def loop_stage_probabilities(spec, ops, readouts):
     """Stage probabilities of one sequence from its own normalized chain.
 
     The per-sequence form the stacked _stage_probabilities replaced; both
-    must give the same bits, since the probabilities are Bernoulli
-    thresholds.
+    must give the same bits, since the binomial draws can depend on every
+    bit of the probabilities.
     """
     probs = []
     rho = spec.initial_state.copy()
@@ -343,26 +385,21 @@ def test_stacked_stage_probabilities_equal_per_sequence_chain(make_spec):
 
 
 def loop_sampled_state(stage_fn, cfg, rng_parts):
-    """Three-axis QST drawn one stream and one state at a time.
+    """Three-axis QST of one state, drawn on its own.
 
-    The per-stream form the stacked sampler replaced; both must give the
-    same bytes.
+    The state's generator draws the three axes' totals, then their passes,
+    as whole-array binomials; the stacked sampler must give the same bytes.
     """
-    plus = {}
-    totals = []
-    for axis in QST_AXES:
-        probs = stage_fn(named_projector(axis + "+"))
-        rng = _derived_rng(cfg.seed, *rng_parts, axis)
-        npass, total = _staged_counts(probs, cfg, rng)
-        plus[axis] = npass / total if total else 0.5
-        totals.append(total / cfg.shots)
+    probs = np.array([stage_fn(named_projector(axis + "+")) for axis in QST_AXES])
+    rng = _derived_rng(cfg.seed, *rng_parts)
+    total = rng.binomial(cfg.shots, np.prod(probs[:, :-1], axis=-1))
+    npass = rng.binomial(total, probs[:, -1])
+    totals = [int(t) / cfg.shots for t in total]
     p_joint = float(np.mean(totals))
     if min(totals) <= 0.0:
         return ID2 / 2, p_joint
-    probabilities = [
-        plus["x"], 1 - plus["x"], plus["y"], 1 - plus["y"], plus["z"], 1 - plus["z"],
-    ]
-    return qst_six_axis(probabilities), p_joint
+    plus = [int(n) / int(t) for n, t in zip(npass, total)]
+    return qst_six_axis([q for p in plus for q in (p, 1 - p)]), p_joint
 
 
 @pytest.mark.parametrize("shots,seed", [(300, 0), (3000, 7)])
