@@ -52,13 +52,11 @@ from .process import (
     reduced_step_maps,
     run_process,
     run_sequences,
-    simulate_counts,
 )
 from .tomography import (
     RestrictedProcessTensor,
     TomoRecord,
     fit_restricted_tensor,
-    qpt_chi,
     qst_six_axis,
     records_from_text,
     records_to_text,
@@ -90,10 +88,9 @@ __all__ = [
     "chi_of_operator", "reduced_map",
     "ProcessSpec", "ShotConfig", "cnot_cz_process", "cz_cnot_process",
     "generate_records", "markov_predict", "markov_sequences", "reduced_step_maps",
-    "run_process", "run_sequences", "simulate_counts",
+    "run_process", "run_sequences",
     "RestrictedProcessTensor", "TomoRecord", "fit_restricted_tensor",
-    "qpt_chi", "qst_six_axis", "records_from_text",
-    "records_to_text",
+    "qst_six_axis", "records_from_text", "records_to_text",
     "ChoiFamily", "ChoiState", "MinimizeResult", "SupportMismatchError",
     "bloch_volume", "condition_family", "default_theta_grid",
     "minimize_nonmarkovianity", "relative_entropy", "sweep_theta",

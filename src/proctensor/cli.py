@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .channels import chi_fidelity, chi_of_operator, reduced_map
+from .channels import chi_fidelity, chi_from_process, chi_of_operator, reduced_map
 from .fileio import config_digest, write_matrix, write_table
 from .nonmarkov import bloch_volume, default_theta_grid, sweep_theta
 from .process import (
@@ -41,7 +41,7 @@ from .qubit import (
     named_projector,
     state_fidelity,
 )
-from .tomography import fit_restricted_tensor, qpt_chi, records_to_text
+from .tomography import fit_restricted_tensor, records_to_text
 
 __all__ = ["RunConfig", "main"]
 
@@ -197,7 +197,7 @@ def cmd_characterize_povm(cfg: RunConfig) -> int:
         ideal = chi_of_operator(op.mat)
         first = index * QPT_REPETITIONS
         inputs, outputs = intervention_qpt_data(op, shot_cfg, range(first, first + reps))
-        chis = qpt_chi(inputs, outputs, psd=shot_cfg is not None)
+        chis = chi_from_process(inputs, outputs, psd=shot_cfg is not None)
         fids = [chi_fidelity(chi, ideal) for chi in chis]
         rows.extend((label, rep, fid) for rep, fid in enumerate(fids))
         write_matrix(out / f"chi_povm_{_safe_name(label)}.txt", chis[0])

@@ -42,6 +42,12 @@ class HermEigen:
         v = self.eigenvectors
         return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
+    def apply(self, fn) -> np.ndarray:
+        """Hermitian matrix function V fn(w) V† of the decomposed matrix or stack."""
+        v = self.eigenvectors
+        out = (v * fn(self.eigenvalues)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+        return (out + out.conj().swapaxes(-1, -2)) / 2
+
 
 def kron(a, b) -> np.ndarray:
     """Kronecker product a ⊗ b of two matrices."""
@@ -77,29 +83,21 @@ def herm_eig(m, tol: float = 1e-8) -> HermEigen:
     return HermEigen(w[..., ::-1].copy(), np.ascontiguousarray(v[..., ::-1]))
 
 
-def _spectral(m, fn) -> np.ndarray:
-    """Hermitian matrix function V fn(w) V† on the descending eigenpairs of m."""
-    e = herm_eig(m)
-    v = e.eigenvectors
-    out = (v * fn(e.eigenvalues)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return (out + out.conj().swapaxes(-1, -2)) / 2
-
-
 def mat_sqrt_psd(m) -> np.ndarray:
     """Hermitian PSD square root; negative eigenvalues are clipped to zero."""
-    return _spectral(m, lambda w: np.sqrt(np.clip(w, 0.0, None)))
+    return herm_eig(m).apply(lambda w: np.sqrt(np.clip(w, 0.0, None)))
 
 
 def mat_log_psd(m, floor: float = 1e-12) -> np.ndarray:
     """Matrix logarithm with eigenvalues floored at `floor` (must be > 0)."""
     if not floor > 0:
         raise ValueError(f"bad-floor: floor must be positive, got {floor}")
-    return _spectral(m, lambda w: np.log(np.maximum(w, floor)))
+    return herm_eig(m).apply(lambda w: np.log(np.maximum(w, floor)))
 
 
 def project_psd(m) -> np.ndarray:
     """Nearest PSD matrix in Frobenius norm (eigenvalue clipping)."""
-    return _spectral(m, lambda w: np.clip(w, 0.0, None))
+    return herm_eig(m).apply(lambda w: np.clip(w, 0.0, None))
 
 
 def normalized_psd(m, cutoff: float):

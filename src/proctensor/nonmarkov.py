@@ -9,13 +9,13 @@ first-step branch probability.
 
 The relative entropy is finite only for members inside the support of the
 reference, a linear condition on the family coefficients. The minimiser
-solves it first: exact records of both gate orders pin every coefficient,
-so N is a single evaluation; exact records with local noise leave a few
-coefficients for the penalty loop; sampled records leave no member inside
-the support, and the loop runs over the full family with weight outside the
-support priced at -ln LOG_FLOOR (about 27.6 nat) per unit. relative_entropy,
-the loop's objective and the final N share one floored-entropy evaluation.
-scipy is needed only by the penalty loop, which imports it on first use.
+solves it first, in the least-squares sense, and works on that support from
+then on. Records without noise pin every coefficient, so N is a single
+evaluation. Records with local noise leave a few coefficients, and damped
+Newton on the Lagrange dual of the convex problem finds the minimum.
+Sampled records leave the least-squares member partly outside the support,
+and it is compressed onto it. Only numpy is needed. relative_entropy and
+the final N share one floored-entropy evaluation.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import action_dual, action_superop, map_to_choi, reduced_superop, superop_to_choi
-from .linalg import clip_divided_differences, mat_log_psd, normalized_psd, project_psd, unvec, vec_stack
+from .linalg import herm_eig, normalized_psd, project_psd, unvec, vec_stack
 from .process import ProcessSpec, first_step_env_marginal
 from .qubit import FIT_BASIS_LABELS, bloch_vector, named_projector, zy_projector
 from .tomography import RestrictedProcessTensor, action_matrix, fit_restricted_tensor
@@ -50,6 +50,8 @@ __all__ = [
 
 LOG_FLOOR = 1e-12
 SUPPORT_WEIGHT_TOL = 1e-6
+NEWTON_TOL = 1e-15
+NEWTON_STEPS = 100
 
 
 class SupportMismatchError(ValueError):
@@ -76,10 +78,12 @@ class ChoiFamily:
 
 @dataclass(frozen=True)
 class MinimizeResult:
-    """Minimiser outcome. free_directions counts the family coefficients
-    left after the support restriction (all of them when it does not apply);
-    min_eig is the minimum eigenvalue of the final member before it is
-    projected onto the PSD cone."""
+    """Minimiser outcome. iterations counts Newton steps and free_directions
+    the coefficients left after the support restriction; min_eig is the
+    minimum eigenvalue of the final member before its PSD projection;
+    off_support is ||N† Y(c0)||_F / tr Y(c0) for the least-squares member, N
+    spanning the null space of the reference; optimality is the last half
+    squared Newton decrement, an estimate of the distance to the minimum."""
 
     n_value: float
     optimizer: ChoiState
@@ -87,6 +91,8 @@ class MinimizeResult:
     iterations: int
     free_directions: int
     min_eig: float
+    off_support: float
+    optimality: float
 
 
 def _as_fit(records_or_fit) -> RestrictedProcessTensor:
@@ -221,29 +227,32 @@ def _choi_mat(x) -> np.ndarray:
     return np.asarray(x.mat if isinstance(x, ChoiState) else x, dtype=complex)
 
 
-def _support_null(refn: np.ndarray) -> np.ndarray:
-    """Eigenvectors of the normalized reference below LOG_FLOOR: its null space."""
-    w, v = np.linalg.eigh(refn)
-    return v[:, w < LOG_FLOOR]
+def _reference_spectrum(refn: np.ndarray):
+    """One eigendecomposition of a normalized reference gives ln refn with
+    eigenvalues floored at LOG_FLOOR, the eigenvectors spanning its support
+    and its null space (eigenvalues below LOG_FLOOR), and the logarithms of
+    the support eigenvalues. Returns (log_ref, support, null, log_w)."""
+    e = herm_eig(refn)
+    keep = e.eigenvalues >= LOG_FLOOR
+    # ascending, as np.linalg.eigh gives them: the pinned members keep their bits
+    null = e.eigenvectors[:, ~keep][:, ::-1]
+    log_ref = e.apply(lambda w: np.log(np.maximum(w, LOG_FLOOR)))
+    return log_ref, e.eigenvectors[:, keep], null, np.log(e.eigenvalues[keep])
 
 
-def _floored_entropy(y: np.ndarray, log_ref: np.ndarray):
+def _floored_entropy(y: np.ndarray, log_ref: np.ndarray) -> float:
     """Floored relative entropy of the trace-normalized positive part of y:
-    from one eigh y = V diag(w) V†, with s the clipped spectrum over its sum
-    tau, sum s ln max(s, LOG_FLOOR) minus the cross term sum s diag(V† log_ref V).
-
-    Returns (value, (w, v, tau, s, ln max(s, LOG_FLOOR), V† log_ref V, cross)),
-    or (1e6, None) when tau is below 1e-9."""
+    from one eigh y = V diag(w) V†, with s the clipped spectrum over its sum,
+    sum s ln max(s, LOG_FLOOR) minus the cross term sum s diag(V† log_ref V).
+    Returns 1e6 when the positive part has trace below 1e-9."""
     w, v = np.linalg.eigh(y)
     q = np.clip(w, 0.0, None)
     tau = float(q.sum())
     if tau < 1e-9:
-        return 1e6, None
+        return 1e6
     s = q / tau
-    lnf = np.log(np.maximum(s, LOG_FLOOR))
-    big_l = v.conj().T @ log_ref @ v
-    cross = float(np.sum(s * big_l.diagonal().real))
-    return float(np.sum(s * lnf)) - cross, (w, v, tau, s, lnf, big_l, cross)
+    cross = float(np.sum(s * (v.conj().T @ log_ref @ v).diagonal().real))
+    return float(np.sum(s * np.log(np.maximum(s, LOG_FLOOR)))) - cross
 
 
 def relative_entropy(a, b) -> float:
@@ -257,52 +266,27 @@ def relative_entropy(a, b) -> float:
     bm = hermitian_part(_choi_mat(b), 1e-8, "b")
     if am.shape != bm.shape:
         raise ValueError(f"bad-dims: shapes {am.shape} and {bm.shape} differ")
-    bm = bm / float(np.trace(bm).real)
-    null = _support_null(bm)
+    log_b, _, null, _ = _reference_spectrum(bm / float(np.trace(bm).real))
     weight = float(np.real(np.einsum("ik,ij,jk->", null.conj(), am / np.trace(am).real, null)))
     if weight > SUPPORT_WEIGHT_TOL:
         raise SupportMismatchError(
             f"support-mismatch: weight {weight:.3e} outside reference support")
-    return max(_floored_entropy(am, mat_log_psd(bm, LOG_FLOOR))[0], 0.0)
+    return max(_floored_entropy(am, log_b), 0.0)
 
 
-def _penalized_value_grad(c, base, dirs, log_ref, mu):
-    """Value and gradient of the floored objective plus PSD penalty.
+def _restrict_to_support(base, dirs, null):
+    """The least-squares member for the support condition, and the
+    directions that leave it unchanged.
 
-    The gradient treats the eigenvalue clipping, the trace normalization and
-    the eigenvector rotations exactly (divided-difference term for the
-    positive-part spectral map).
+    A PSD member Y lies in the support of the reference exactly when
+    N† Y = 0, N spanning its null space (the rule relative_entropy applies
+    too). That is linear in c; one SVD gives the least-squares c = c0 + K z
+    with orthonormal K. Returns the member Y(c0) = base + sum c0_k dirs_k,
+    the directions K^T dirs and the relative off-support residual
+    ||N† Y(c0)||_F / tr Y(c0).
     """
-    val, terms = _floored_entropy(base + np.einsum("k,kij->ij", c, dirs), log_ref)
-    if terms is None:
-        return val, np.zeros(len(c))
-    w, v, tau, s, lnf, big_l, cross = terms
-    qp = (w > 0).astype(float)
-    neg = np.minimum(w, 0.0)
-    val += mu * float(np.sum(neg**2))
-    etap = np.where(s > LOG_FLOOR, lnf + 1.0, math.log(LOG_FLOOR))
-    diag = (etap * qp / tau - float(np.sum(etap * s)) * qp / tau + cross * qp / tau
-            + 2.0 * mu * neg)
-    mt = -(clip_divided_differences(w) * big_l) / tau + np.diag(diag.astype(complex))
-    grad_mat = v @ mt @ v.conj().T
-    grad_mat = (grad_mat + grad_mat.conj().T) / 2
-    return val, np.einsum("kij,ji->k", dirs, grad_mat).real
-
-
-def _restrict_to_support(base, dirs, refn):
-    """Members of base + sum_k c_k dirs_k lying inside the support of refn.
-
-    A PSD member Y lies in supp(refn) exactly when N† Y = 0, N spanning
-    _support_null(refn), the rule relative_entropy applies too.
-    That is linear in c; one SVD gives c = c0 + K z with orthonormal K, and
-    the member base + sum c0_k dirs_k with the directions K^T dirs is
-    returned. When even the least-squares c0 leaves an off-support block
-    ||N† Y(c0)||_F above SUPPORT_WEIGHT_TOL times tr(base), no member lies in
-    the support and (base, dirs) are returned unchanged.
-    """
-    null = _support_null(refn)
     if not null.shape[1]:
-        return base, dirs
+        return base, dirs, 0.0
     nb = null.conj().T @ base
     nd = np.einsum("ai,kab->kib", null.conj(), dirs)
     a = np.concatenate([nd.real, nd.imag], axis=1).reshape(len(dirs), -1).T
@@ -310,81 +294,126 @@ def _restrict_to_support(base, dirs, refn):
     u, svals, vh = np.linalg.svd(a)
     rank = int(np.sum(svals > 1e-10 * svals[0]))
     c0 = -vh[:rank].T @ ((u[:, :rank].T @ b) / svals[:rank])
-    if np.linalg.norm(a @ c0 + b) > SUPPORT_WEIGHT_TOL * abs(np.trace(base).real):
-        return base, dirs
     base = base + np.einsum("k,kij->ij", c0, dirs)
-    return base, np.einsum("jk,kab->jab", vh[rank:], dirs)
+    off_support = float(np.linalg.norm(a @ c0 + b)) / abs(float(np.trace(base).real))
+    return base, np.einsum("jk,kab->jab", vh[rank:], dirs), off_support
 
 
-def minimize_nonmarkovianity(fam: ChoiFamily, ref: ChoiState,
-                             max_iter: int = 60000) -> MinimizeResult:
+def _dual_terms(y, log_w, g):
+    """psi(y) = ln tr exp(H), H = diag(log_w) + sum_i y_i g_i, with its
+    gradient and Hessian, and the state exp(H) / tr exp(H).
+
+    The Hessian takes the divided differences of exp on the spectrum of H
+    (Daleckii-Krein), each written with the larger exponent of its pair so
+    that no term overflows.
+    """
+    theta, v = np.linalg.eigh(np.diag(log_w) + np.einsum("i,iab->ab", y, g))
+    e = np.exp(theta - theta[-1])
+    z = float(e.sum())
+    gt = v.conj().T @ g @ v
+    grad = np.einsum("jaa,a->j", gt, e).real / z
+    d = np.abs(theta[:, None] - theta[None, :])
+    with np.errstate(invalid="ignore"):
+        gamma = np.maximum(e[:, None], e[None, :]) * np.where(d > 0, -np.expm1(-d) / d, 1.0)
+    flat = gt.reshape(len(g), len(theta) ** 2)
+    hess = ((flat.conj() * gamma.reshape(-1)) @ flat.T).real / z - np.outer(grad, grad)
+    return float(theta[-1] + math.log(z)), grad, hess, (v * (e / z)) @ v.conj().T
+
+
+def _dual_newton(z0, zk, log_w):
+    """Minimum relative entropy to R = diag(exp(log_w)) over the unit-trace
+    states of span{z0, zk}, by damped Newton on the Lagrange dual.
+
+    The unit-trace states t z0 + sum_k d_k zk_k form an affine slice, on
+    which S(rho||R) is convex. With g spanning the Hermitian matrices
+    orthogonal to the span, the minimiser is exp(H) / tr exp(H) at the
+    minimum of the convex psi(y) = ln tr exp(ln R + sum_i y_i g_i), and
+    S = -psi there. Every dual point gives a positive definite state, so the
+    PSD bound needs neither a start inside the cone nor a penalty. As every
+    state has S(rho||R) <= -min(log_w), psi < min(log_w) proves that the
+    slice holds no PSD state.
+
+    Returns (c, steps, converged, optimality): c = d / t at the minimiser
+    (zeros for a slice without PSD state, or when Newton stops short), the
+    Newton steps, whether the half squared Newton decrement reached
+    NEWTON_TOL or the slice was proved empty, and the last half squared
+    decrement.
+    """
+    hb = _herm_basis(len(log_w))
+    span = np.einsum("gab,kba->kg", hb, np.concatenate([z0[None], zk])).real
+    _, svals, vh = np.linalg.svd(span)
+    g = np.einsum("ig,gab->iab", vh[int(np.sum(svals > 1e-10 * svals[0])):], hb)
+    y = np.zeros(len(g))
+    value, grad, hess, rho = _dual_terms(y, log_w, g)
+    for step in range(NEWTON_STEPS + 1):
+        direction = np.linalg.lstsq(hess, -grad, rcond=None)[0]
+        half_decrement = float(-grad @ direction) / 2
+        if value < log_w.min():
+            return np.zeros(len(zk)), step, True, half_decrement
+        if half_decrement <= NEWTON_TOL or step == NEWTON_STEPS:
+            break
+        for t in 0.5 ** np.arange(40):
+            trial = _dual_terms(y + t * direction, log_w, g)
+            if trial[0] <= value - t * half_decrement / 2:
+                break
+        else:
+            break
+        y = y + t * direction
+        value, grad, hess, rho = trial
+    coef = np.linalg.lstsq(span.T, np.einsum("gab,ba->g", hb, rho).real, rcond=None)[0]
+    if half_decrement > NEWTON_TOL or coef[0] <= 0:
+        return np.zeros(len(zk)), step, False, half_decrement
+    return coef[1:] / coef[0], step, True, half_decrement
+
+
+def minimize_nonmarkovianity(fam: ChoiFamily, ref: ChoiState) -> MinimizeResult:
     """Minimum relative entropy to the reference over the PSD family members.
 
     The relative entropy is finite only for members inside the support of
     the reference, so the family is first restricted to them (a linear
-    condition on the coefficients, solved once). Three outcomes follow:
+    condition on the coefficients, solved once in the least-squares sense).
+    When no direction is left (records without noise, exact or sampled), N
+    is one evaluation of that member, with 0 iterations. Otherwise damped
+    Newton (_dual_newton) minimises over the normalized members on the
+    support of the reference.
 
-    * no free direction is left (every exact point of the two gate orders):
-      N is one evaluation of that member, with 0 iterations, and converged
-      means its minimum eigenvalue is above -1e-6;
-    * some directions are left (exact records with local noise): the penalty
-      loop below runs over those only;
-    * no member lies in the support within SUPPORT_WEIGHT_TOL (sampled
-      records): the loop runs over the full family, and weight outside the
-      support is priced at -ln LOG_FLOOR per unit.
+    Exact records leave the least-squares member inside the support, within
+    SUPPORT_WEIGHT_TOL of its trace. Sampled records leave it partly
+    outside; the member and its directions are then compressed onto the
+    support (P Y P, P the support projector). N is the floored relative
+    entropy of the PSD projection of the final member, the value
+    relative_entropy gives it.
 
-    The loop is penalty continuation with analytic gradients; the PSD
-    constraint enters through an increasing quadratic penalty on negative
-    eigenvalues and the final iterate is projected onto the cone. max_iter
-    is the total quasi-Newton budget across the penalty stages. N is the
-    loop's objective without its penalty at that projection, or at the
-    projected start when that is PSD and lower. Deterministic for fixed inputs.
+    converged means that Newton reached its stop, or proved that the
+    compressed members hold no PSD state (the least-squares member is then
+    evaluated), and, for a member inside the support, that its minimum
+    eigenvalue is above -1e-6. A compressed member of sampled records may
+    keep a negative eigenvalue from shot noise: min_eig reports it, and it
+    does not count as non-convergence. Deterministic for fixed inputs.
     """
-    base = _choi_mat(fam.base)
     dirs = np.stack([np.asarray(d, dtype=complex) for d in fam.directions])
-    refn = _choi_mat(ref)
-    refn = hermitian_part(refn, 1e-8, "ref") / float(np.trace(refn).real)
-    log_ref = mat_log_psd(refn, LOG_FLOOR)
-    base, dirs = _restrict_to_support(base, dirs, refn)
-
-    schedule = (1e2, 1e4, 1e6, 1e8, 1e10, 1e12)
-    per_stage = max(max_iter // len(schedule), 10)
-    c = np.zeros(len(dirs))
-    iterations = 0
-    exhausted = False
-    # L-BFGS-B rejects an empty coefficient vector: a pinned member needs no
-    # loop. Only the loop needs scipy, so it is imported here, on first use.
+    refn = hermitian_part(_choi_mat(ref), 1e-8, "ref")
+    log_ref, support, null, log_w = _reference_spectrum(refn / float(np.trace(refn).real))
+    base, dirs, off_support = _restrict_to_support(_choi_mat(fam.base), dirs, null)
+    c, iterations, converged, optimality = np.zeros(len(dirs)), 0, True, 0.0
     if len(dirs):
-        from scipy.optimize import minimize
-        for mu in schedule:
-            res = minimize(
-                _penalized_value_grad,
-                c,
-                args=(base, dirs, log_ref, mu),
-                jac=True,
-                method="L-BFGS-B",
-                options={"maxiter": per_stage, "ftol": 1e-13, "gtol": 1e-11},
-            )
-            c = res.x
-            iterations += int(res.nit)
-            exhausted = res.status == 1
+        on_support = support.conj().T @ np.concatenate([base[None], dirs]) @ support
+        c, iterations, converged, optimality = _dual_newton(on_support[0], on_support[1:], log_w)
     y = base + np.einsum("k,kij->ij", c, dirs)
+    compressed = off_support > SUPPORT_WEIGHT_TOL
+    if compressed:
+        y = support @ (support.conj().T @ y @ support) @ support.conj().T
     min_eig = float(np.linalg.eigvalsh(y).min())
     optimizer = project_psd(y)
-    value = max(_floored_entropy(optimizer, log_ref)[0], 0.0)
-    # a pinned member is its own start, so only the loop can end above it
-    if len(dirs) and float(np.linalg.eigvalsh(base).min()) > -1e-10:
-        start = max(_floored_entropy(project_psd(base), log_ref)[0], 0.0)
-        if start < value:
-            value, optimizer = start, project_psd(base)
-    converged = (not exhausted) and min_eig > -1e-6
     return MinimizeResult(
-        n_value=value,
+        n_value=max(_floored_entropy(optimizer, log_ref), 0.0),
         optimizer=ChoiState(optimizer, fam.base.normalization),
-        converged=converged,
+        converged=converged and (compressed or min_eig > -1e-6),
         iterations=iterations,
         free_directions=len(dirs),
         min_eig=min_eig,
+        off_support=off_support,
+        optimality=optimality,
     )
 
 

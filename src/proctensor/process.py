@@ -44,7 +44,6 @@ __all__ = [
     "reduced_step_maps",
     "markov_sequences",
     "markov_predict",
-    "simulate_counts",
     "generate_records",
     "intervention_qpt_data",
     "first_step_env_marginal",
@@ -261,23 +260,6 @@ def _staged_counts(probs, cfg: ShotConfig, rng: np.random.Generator):
     # the checks numpy makes on array arguments, which cost more than the draws
     total = [rng.binomial(cfg.shots, math.prod(row[:-1])) for row in rows]
     return [rng.binomial(n, row[-1]) for n, row in zip(total, rows)], total
-
-
-def simulate_counts(spec: ProcessSpec, ops: Sequence[Projector], readout_axis: Projector,
-                    cfg: ShotConfig):
-    """Sampled post-selection counts for one sequence and readout.
-
-    Returns (counts_pass, counts_total): counts_total shots survive every
-    intervention post-selection, counts_pass additionally give the readout
-    "+" outcome. The generator is keyed on (initial state, sequence, readout,
-    seed) only, so batches are reproducible in any order and processes that
-    differ only in interactions or noise draw from the same generator.
-    """
-    _check_sequence(spec, ops)
-    probs = _stage_probabilities(spec, [op.mat for op in ops], readout_axis.mat[None])
-    rng = _derived_rng(cfg.seed, spec.initial_state, *ops, readout_axis)
-    (npass,), (total,) = _staged_counts(probs, cfg, rng)
-    return int(npass), int(total)
 
 
 #: "+" projector of each QST axis, the readout stage of a sampled state.

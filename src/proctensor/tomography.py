@@ -17,7 +17,6 @@ import numpy as np
 
 from .channels import (
     action_superop,
-    chi_from_process,
     choi_to_map,
     map_to_choi,
     step_choi_factor,
@@ -30,7 +29,6 @@ __all__ = [
     "TomoRecord",
     "qst_six_axis",
     "six_axis_probabilities",
-    "qpt_chi",
     "action_matrix",
     "sequence_vector",
     "RestrictedProcessTensor",
@@ -105,14 +103,6 @@ def six_axis_probabilities(rho) -> list[float]:
         for sign in ("+", "-"):
             out.append(float(np.trace(named_projector(axis + sign).mat @ a).real))
     return out
-
-
-def qpt_chi(prepared_inputs, measured_outputs, psd: bool = False) -> np.ndarray:
-    """Least-squares chi matrix from state-tomography input/output pairs.
-
-    A stack of outputs (R, k, d, d) gives R chi matrices; see chi_from_process.
-    """
-    return chi_from_process(prepared_inputs, measured_outputs, psd=psd)
 
 
 def action_matrix(op) -> np.ndarray:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from proctensor.channels import chi_fidelity, chi_of_operator
+from proctensor.channels import chi_fidelity, chi_from_process, chi_of_operator
 from proctensor.linalg import kron, partial_trace, project_psd
 from proctensor.nonmarkov import (
     condition_family,
@@ -40,7 +40,7 @@ from proctensor.qubit import (
     projector,
     state_fidelity,
 )
-from proctensor.tomography import fit_restricted_tensor, qpt_chi
+from proctensor.tomography import fit_restricted_tensor
 
 LN2 = math.log(2)
 SEED = 7
@@ -163,7 +163,7 @@ def test_criterion_5_finite_shot_tomography():
         inputs, outputs = intervention_qpt_data(
             op, ShotConfig(shots=SHOTS, seed=SEED), [run_tag]
         )
-        chi = qpt_chi(inputs, outputs[0], psd=True)
+        chi = chi_from_process(inputs, outputs[0], psd=True)
         fids.append(chi_fidelity(chi, chi_of_operator(op.mat)))
     fids = np.array(fids)
     assert np.all(fids >= 0.95) and np.all(fids <= 1.0)

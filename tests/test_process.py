@@ -11,6 +11,7 @@ from proctensor.process import (
     ProcessSpec,
     ShotConfig,
     _derived_rng,
+    _sampled_states,
     _stage_probabilities,
     _staged_counts,
     cnot_cz_process,
@@ -21,7 +22,6 @@ from proctensor.process import (
     markov_predict,
     reduced_step_maps,
     run_process,
-    simulate_counts,
 )
 from proctensor.qubit import (
     CNOT,
@@ -29,6 +29,9 @@ from proctensor.qubit import (
     FIT_BASIS_LABELS,
     ID2,
     QST_AXES,
+    SX,
+    SY,
+    SZ,
     NoiseSpec,
     apply_noise,
     named_projector,
@@ -78,8 +81,8 @@ def test_shot_config_rejects_seed_beyond_64_bits():
         ShotConfig(seed=2**64)
     # the largest accepted seed still keys a stream
     cfg = ShotConfig(shots=10, seed=2**64 - 1)
-    ops = [named_projector("z+"), named_projector("z+")]
-    assert simulate_counts(cnot_cz_process(), ops, named_projector("z+"), cfg) == (10, 10)
+    _, p_joint = _sampled_states(np.ones((1, 3, 2)), [("largest",)], cfg)
+    assert p_joint.tolist() == [1.0]
 
 
 def test_run_process_length_mismatch():
@@ -207,48 +210,55 @@ def test_markov_reduced_map_count_check():
 
 # ------------------------------------------------------------- sampling
 
+def pure_state(bloch):
+    n = np.asarray(bloch, dtype=float) / np.linalg.norm(bloch)
+    return 0.5 * (ID2 + sum(c * p for c, p in zip(n, (SX, SY, SZ))))
+
+
 def test_counts_certain_and_impossible():
-    spec = cnot_cz_process()
-    cfg = ShotConfig(shots=500, seed=3)
-    ops = [named_projector("z+"), named_projector("z+")]
-    npass, total = simulate_counts(spec, ops, named_projector("z+"), cfg)
-    assert total == 500
-    assert npass == 500  # output is exactly |0>
-    npass, total = simulate_counts(spec, ops, named_projector("z-"), cfg)
-    assert npass == 0
+    # stage probabilities (item, axis, stage): certain stages draw every
+    # shot whatever the seed, impossible ones none
+    probs = np.array([[[1.0, 1.0]] * 3, [[1.0, 0.0]] * 3, [[0.0, 0.5]] * 3])
+    for seed in (3, 4):
+        states, p_joint = _sampled_states(probs, [("a",), ("b",), ("c",)],
+                                          ShotConfig(shots=500, seed=seed))
+        assert p_joint.tolist() == [1.0, 1.0, 0.0]
+        # every readout passes: (1, 1, 1) is PSD-projected onto the sphere
+        assert np.abs(states[0] - pure_state([1, 1, 1])).max() < 1e-12
+        assert np.abs(states[1] - pure_state([-1, -1, -1])).max() < 1e-12
+        # a blocked earlier stage post-selects nothing: the maximally mixed state
+        assert np.array_equal(states[2], ID2 / 2)
 
 
 def test_counts_binomial_band():
-    # readout probability is exactly 1/2; 5 sigma of Bin(3000, 1/2) is 137
-    spec = cnot_cz_process()
-    cfg = ShotConfig(shots=3000, seed=11)
-    ops = [named_projector("z+"), named_projector("x+")]
-    npass, total = simulate_counts(spec, ops, named_projector("y+"), cfg)
-    assert abs(npass - total / 2) <= 137
+    # every readout probability is exactly 1/2; 5 sigma of Bin(3000, 1/2) is
+    # 137, so each Bloch component 2 npass / 3000 - 1 lies within 2 * 137 / 3000
+    states, p_joint = _sampled_states(np.full((40, 3, 2), [1.0, 0.5]),
+                                      [(k,) for k in range(40)], ShotConfig(shots=3000, seed=11))
+    assert np.array_equal(p_joint, np.ones(40))
+    for pauli in (SX, SY, SZ):
+        assert np.abs(np.trace(states @ pauli, axis1=1, axis2=2)).max() <= 2 * 137 / 3000
 
 
-def test_counts_deterministic_per_seed():
-    spec = cnot_cz_process()
-    ops = [named_projector("y-"), named_projector("x+")]
-    readout = named_projector("z+")
-    a = simulate_counts(spec, ops, readout, ShotConfig(shots=2000, seed=5))
-    b = simulate_counts(spec, ops, readout, ShotConfig(shots=2000, seed=5))
-    c = simulate_counts(spec, ops, readout, ShotConfig(shots=2000, seed=6))
-    assert a == b
-    assert a != c
+def test_counts_deterministic_per_seed(cnot_cz_spec):
+    a, b, c = (generate_records(cnot_cz_spec, ShotConfig(shots=2000, seed=seed))
+               for seed in (5, 5, 6))
+    assert all(np.array_equal(ra.rho_measured, rb.rho_measured) and ra.p_joint == rb.p_joint
+               for ra, rb in zip(a, b))
+    assert any(not np.array_equal(ra.rho_measured, rc.rho_measured) for ra, rc in zip(a, c))
 
 
 def test_counts_independent_of_batch_order():
-    spec = cnot_cz_process()
+    # each item draws from the generator keyed on its own key, wherever it sits
     cfg = ShotConfig(shots=1000, seed=9)
-    seqs = [
-        [named_projector("y-"), named_projector("x+")],
-        [named_projector("z+"), named_projector("y+")],
-    ]
-    readout = named_projector("z+")
-    forward = [simulate_counts(spec, s, readout, cfg) for s in seqs]
-    backward = [simulate_counts(spec, s, readout, cfg) for s in reversed(seqs)]
-    assert forward == list(reversed(backward))
+    probs = np.array([[[0.7, 0.4]] * 3, [[0.5, 0.9]] * 3, [[0.9, 0.2]] * 3])
+    keys = [("y-", "x+"), ("z+", "y+"), ("x+", "x+")]
+    forward = _sampled_states(probs, keys, cfg)
+    backward = _sampled_states(probs[::-1], keys[::-1], cfg)
+    assert np.array_equal(forward[0], backward[0][::-1])
+    assert np.array_equal(forward[1], backward[1][::-1])
+    alone = _sampled_states(probs[1:2], keys[1:2], cfg)
+    assert np.array_equal(alone[0][0], forward[0][1]) and alone[1][0] == forward[1][1]
 
 
 STAGES = [[0.7, 0.4, 0.3], [0.5, 1.0, 0.8], [1.0, 0.05, 0.6], [0.2, 0.9, 1.0]]
@@ -378,7 +388,7 @@ def test_stacked_stage_probabilities_equal_per_sequence_chain(make_spec):
         for j, second in enumerate(basis):
             ref = np.array(loop_stage_probabilities(spec, [first, second], readouts))
             assert np.array_equal(stacked[i, j], ref), (FIT_BASIS_LABELS[i], FIT_BASIS_LABELS[j])
-    # one sequence and one readout, as simulate_counts asks for them
+    # one sequence and one readout
     single = _stage_probabilities(spec, [basis[2].mat, basis[7].mat], readouts[1].mat[None])
     ref = loop_stage_probabilities(spec, [basis[2], basis[7]], readouts[1:2])
     assert np.array_equal(single, np.array(ref))

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from proctensor.channels import (
     action_superop,
     chi_fidelity,
+    chi_from_process,
     chi_of_operator,
     choi_to_map,
     map_to_choi,
@@ -30,7 +31,6 @@ from proctensor.tomography import (
     RestrictedProcessTensor,
     TomoRecord,
     fit_restricted_tensor,
-    qpt_chi,
     qst_six_axis,
     records_from_text,
     records_to_text,
@@ -121,7 +121,7 @@ def test_qpt_identity_process():
     inputs, outputs = intervention_qpt_data(named_projector("z+"))
     # replace with identity-process data
     ident = [r.copy() for r in inputs]
-    chi = qpt_chi(inputs, ident)
+    chi = chi_from_process(inputs, ident)
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
     assert np.abs(chi - expected).max() < 1e-10
@@ -130,7 +130,7 @@ def test_qpt_identity_process():
 def test_qpt_ideal_y_minus():
     op = named_projector("y-")
     inputs, outputs = intervention_qpt_data(op)
-    chi = qpt_chi(inputs, outputs[0])
+    chi = chi_from_process(inputs, outputs[0])
     assert np.abs(chi - chi_of_operator(op.mat)).max() < 1e-10
 
 
@@ -139,7 +139,7 @@ def test_qpt_sampled_fidelity_band():
     for run_tag, label in enumerate(FIT_BASIS_LABELS):
         op = named_projector(label)
         inputs, outputs = intervention_qpt_data(op, cfg, [run_tag])
-        chi = qpt_chi(inputs, outputs[0], psd=True)
+        chi = chi_from_process(inputs, outputs[0], psd=True)
         fid = chi_fidelity(chi, chi_of_operator(op.mat))
         assert 0.95 <= fid <= 1.0, (label, fid)
 
