@@ -166,6 +166,17 @@ class RefitInfo(NamedTuple):
     optimality: float
 
 
+def _cell_means(cells, weights, targets, nb):
+    """Weighted totals (nb*nb,) and means (4, nb, nb) of the targets per basis pair.
+
+    cells[r] = i1 * nb + i0 is record r's basis pair; every pair must occur.
+    """
+    w = np.bincount(cells, weights, nb * nb)
+    t = np.zeros((nb * nb, 4), dtype=complex)
+    np.add.at(t, cells, weights[:, None] * targets)
+    return w, (t / w[:, None]).T.reshape(4, nb, nb)
+
+
 class _PairGridLeastSquares:
     """The refit objective 1/2 ||A(Y) - b||^2 on the 9x9 grid of basis pairs.
 
@@ -180,11 +191,9 @@ class _PairGridLeastSquares:
 
     def __init__(self, basis_vecs, cells, weights, targets):
         nb = len(basis_vecs)
-        w = np.bincount(cells, weights, nb * nb)
-        t = np.zeros((nb * nb, 4), dtype=complex)
-        np.add.at(t, cells, weights[:, None] * targets)
+        w, mean = _cell_means(cells, weights, targets, nb)
         self.sqrt_w = np.sqrt(w).reshape(nb, nb)
-        self.b = (t / w[:, None]).T.reshape(4, nb, nb) * self.sqrt_w
+        self.b = mean * self.sqrt_w
         self.b_coords = self.to_coords(self.b)
         self.offset = float(np.sum(weights * np.sum(np.abs(targets) ** 2, axis=1))
                             - np.sum(np.abs(self.b) ** 2))
@@ -332,8 +341,11 @@ def _psd_refit_choi(map0, basis_vecs, cells, weights, targets):
 class RestrictedProcessTensor:
     """Two-step process tensor fitted from projective-intervention records.
 
-    The linear solve is the SVD minimum-norm least-squares solution, which
-    keeps contraction and direct sub-fits consistent to machine precision.
+    The linear solve is the minimum-norm least-squares solution. The distinct
+    design rows of a complete record set are kron(B, B), B the 9x16 basis
+    actions of full row rank, so that solution fits each basis pair's mean
+    target exactly and takes the closed form M_k = B+ G_k B+^T per output
+    entry k, with B+ from one SVD of B and G_k the 9x9 grid of cell means.
 
     Parameters
     ----------
@@ -346,8 +358,8 @@ class RestrictedProcessTensor:
     -----------------
     map_ : (4, 256) array mapping sequence vectors to vec of the
         subnormalized output state.
-    kernel_basis_ : (k, 256) array spanning the directions left unconstrained
-        by the projective records.
+    kernel_basis_ : (175, 256) orthonormal rows spanning the directions left
+        unconstrained by the projective records.
     basis_labels_ : the nine projector labels of the fit basis.
     residual_ : worst training-record residual of map_.
     choi_ : 32x32 PSD Choi state of the refined tensor (only when psd=True).
@@ -387,29 +399,34 @@ class RestrictedProcessTensor:
                 f"incomplete-records: {len(missing)} basis combinations missing, "
                 f"first {missing[0]}"
             )
-        # design row kron(x1, x0) of each record's pair of basis action vectors
+        # record r's design row is kron(B[i1], B[i0]); the closed form of the
+        # class docstring needs only the SVD of B
         bv = _basis_action_vectors()
         i0, i1 = np.array([rec.basis_indices for rec in records]).T
-        design = (bv[i1][:, :, None] * bv[i0][:, None, :]).reshape(len(records), -1)
-        targets = np.array([rec.p_joint * vec(rec.rho_measured) for rec in records])
-        u, svals, vh = np.linalg.svd(design)
-        rank = int(np.sum(svals > 1e-10 * svals[0]))
-        coef = (u[:, :rank].conj().T @ targets) / svals[:rank, None]
-        self.map_ = coef.T @ vh[:rank].conj()
-        self.kernel_basis_ = vh[rank:].conj().copy()
+        cells = i1 * nb + i0
+        p = np.array([rec.p_joint for rec in records])
+        targets = p[:, None] * vec_stack(np.array([rec.rho_measured for rec in records]))
+        u, svals, vh = np.linalg.svd(bv)
+        row, null = vh[:nb], vh[nb:]
+        pinv = (row.conj().T / svals) @ u.conj().T
+        _, grid = _cell_means(cells, np.ones(len(records)), targets, nb)
+        self.map_ = (pinv @ grid @ pinv.T).reshape(4, 256)
+        # B annihilates conj(null), so kron(B, B) annihilates the orthonormal
+        # rows conj(kron(null, any)) and conj(kron(row, null))
+        self.kernel_basis_ = np.concatenate([np.kron(null, vh), np.kron(row, null)]).conj()
         self.basis_labels_ = tuple(FIT_BASIS_LABELS)
-        self._span_q, _ = np.linalg.qr(bv.T)
+        self._span_q = row.T
         if self.psd:
-            p = np.array([rec.p_joint for rec in records])
             weights = 1.0 / np.sqrt(np.maximum(p, 0.05**2))
             self.choi_, self.refit_info_ = _psd_refit_choi(
-                self.map_, bv, i1 * nb + i0, weights, targets
+                self.map_, bv, cells, weights, targets
             )
             self.map_ = choi_to_map(self.choi_, 2)
         else:
             self.choi_ = None
             self.refit_info_ = None
-        self.residual_ = float(np.abs(design @ self.map_.T - targets).max())
+        predicted = bv @ self.map_.reshape(4, 16, 16) @ bv.T
+        self.residual_ = float(np.abs(predicted[:, i1, i0].T - targets).max())
         return self
 
     def _require_fitted(self):

@@ -199,32 +199,55 @@ def test_nonmarkov_vanishing_point_marked_absent(tmp_path):
     assert rows[1][1] == "absent"
 
 
+NOISY = ("--noise-gamma", "0.05", "--noise-lambda", "0.05")
+
+
+def run_cli_at_threads(tmp_path, threads, args):
+    """Run the CLI in a fresh interpreter at a BLAS thread count; return its --out."""
+    out = tmp_path / threads
+    proc = subprocess.run(
+        [sys.executable, "-m", "proctensor.cli", *args, "--out", str(out)],
+        env=subprocess_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
+        timeout=600,
+    )
+    assert proc.returncode == 0, (threads, proc.stderr)
+    return out
+
+
 @pytest.mark.parametrize("records,tol", [
-    ((), 1e-12),
-    (("--noise-gamma", "0.05", "--noise-lambda", "0.05"), 1e-9),
-    (("--shots", "3000"), 1e-9),
-], ids=["exact", "noisy", "shots"])
+    (("--process", "cnot-cz"), None),
+    (("--process", "cz-cnot"), None),
+    (("--process", "cnot-cz", *NOISY), None),
+    (("--process", "cnot-cz", "--shots", "3000"), 1e-9),
+], ids=["exact", "exact-cz-cnot", "noisy", "shots"])
 def test_nonmarkov_independent_of_blas_threads(tmp_path, records, tol):
     # exit 0 means every point converged; noisy points run Newton, whose
-    # minimum is unique because the problem is convex
+    # minimum is unique because the problem is convex. Exact and noisy
+    # records give equal bytes; sampled records go through the PSD refit,
+    # whose eigh and Newton solves round differently at each thread count.
     grid = list(default_theta_grid()) + [math.pi / 2]
     grid_arg = ",".join(format(float(t), ".17g") for t in grid)
-    tables = {}
-    for threads in ("1", "2"):
-        out = tmp_path / threads
-        env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "proctensor.cli", "nonmarkov", "--process", "cnot-cz",
-             *records, "--theta-grid", grid_arg, "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=600,
-        )
-        assert proc.returncode == 0, (threads, proc.stderr)
-        _, rows = read_table_rows(out / "nonmarkovianity.csv")
-        tables[threads] = rows
-    one, two = tables["1"], tables["2"]
+    one, two = (run_cli_at_threads(tmp_path, threads,
+                                   ["nonmarkov", *records, "--theta-grid", grid_arg])
+                / "nonmarkovianity.csv" for threads in ("1", "2"))
+    if tol is None:
+        assert one.read_bytes() == two.read_bytes()
+        return
+    _, one = read_table_rows(one)
+    _, two = read_table_rows(two)
     assert [r[2] for r in one] == [r[2] for r in two]
     for r1, r2 in zip(one, two):
         assert abs(float(r1[1]) - float(r2[1])) <= tol, (r1, r2)
+
+
+@pytest.mark.parametrize("args", [
+    ("tomo-predict",), ("tomo-predict", *NOISY), ("volume",), ("volume", *NOISY),
+], ids=["tomo-predict", "tomo-predict-noisy", "volume", "volume-noisy"])
+def test_linear_fit_outputs_independent_of_blas_threads(tmp_path, args):
+    # exact and noisy records skip the PSD refit, and the closed-form linear
+    # fit rounds alike at any BLAS thread count, so every output byte agrees
+    one, two = (read_tree(run_cli_at_threads(tmp_path, threads, args)) for threads in ("1", "2"))
+    assert one == two
 
 
 _PREDICT_SCRIPT = """
@@ -246,18 +269,12 @@ def test_tomo_predict_shots_independent_of_blas_threads(tmp_path):
     # unconverged refit exits 3)
     tables, fits = {}, {}
     for threads in ("1", "2"):
-        out = tmp_path / threads
-        env = subprocess_env(OPENBLAS_NUM_THREADS=threads)
-        proc = subprocess.run(
-            [sys.executable, "-m", "proctensor.cli", "tomo-predict", "--shots", "3000",
-             "--out", str(out)],
-            env=env, capture_output=True, text=True, timeout=600,
-        )
-        assert proc.returncode == 0, (threads, proc.stderr)
+        out = run_cli_at_threads(tmp_path, threads, ["tomo-predict", "--shots", "3000"])
         _, tables[threads] = read_table_rows(out / "predictions.csv")
         proc = subprocess.run(
             [sys.executable, "-c", _PREDICT_SCRIPT, str(out / "records.txt")],
-            env=env, capture_output=True, text=True, timeout=600, check=True,
+            env=subprocess_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
+            timeout=600, check=True,
         )
         fits[threads] = json.loads(proc.stdout)
     assert (tmp_path / "1" / "records.txt").read_bytes() == (tmp_path / "2" / "records.txt").read_bytes()

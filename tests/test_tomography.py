@@ -200,6 +200,30 @@ def test_fit_reproduces_training_records(cnot_cz_fit, cnot_cz_records):
             assert state_fidelity(rho, rec.rho_measured) >= 1 - 1e-8
 
 
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 100_000), st.integers(0, 40))
+def test_grid_fit_equals_explicit_least_squares(seed, duplicates):
+    # a complete record set in shuffled order, some cells repeated with other
+    # states: the Kronecker closed form against lstsq on the explicit design
+    rng = np.random.default_rng(seed)
+    nb = len(FIT_BASIS_LABELS)
+    cells = np.concatenate([np.arange(nb * nb), rng.integers(0, nb * nb, duplicates)])
+    records = []
+    for cell in rng.permutation(cells):
+        a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        rho = a @ a.conj().T
+        records.append(TomoRecord((cell % nb, cell // nb), rho / np.trace(rho).real, rng.random()))
+    fit = fit_restricted_tensor(records)
+    design, targets, _ = _refit_problem(records)
+    ref = np.linalg.lstsq(design, targets, rcond=None)[0].T
+    assert np.linalg.norm(fit.map_ - ref) <= 1e-12 * np.linalg.norm(ref)
+    kernel = fit.kernel_basis_
+    assert kernel.shape == (175, 256)
+    assert np.abs(kernel @ kernel.conj().T - np.eye(175)).max() < 1e-12
+    assert np.abs(design @ kernel.T).max() < 1e-12
+    assert abs(fit.residual_ - np.abs(design @ ref.T - targets).max()) < 1e-12
+
+
 def test_estimator_params_round_trip():
     est = RestrictedProcessTensor(psd=True)
     assert est.get_params() == {"psd": True}
@@ -333,6 +357,7 @@ def test_psd_refit_is_optimal(cnot_cz_spec, cnot_cz_fit):
     assert info.optimality < 1e-8 and abs(info.optimality - residual) < 1e-12
     objective = float(np.sum(w * np.sum(np.abs(design @ fit.map_.T - targets) ** 2, axis=1)))
     assert abs(info.objective - objective) <= 1e-12 * objective
+    assert abs(fit.residual_ - np.abs(design @ fit.map_.T - targets).max()) < 1e-12
     assert info.objective <= FISTA_OBJECTIVE_500_3
     assert cnot_cz_fit.refit_info_ is None
 
