@@ -66,6 +66,7 @@ from .nonmarkov import (
     ChoiState,
     MinimizeResult,
     SupportMismatchError,
+    VanishingBranchError,
     bloch_volume,
     condition_family,
     default_theta_grid,
@@ -92,7 +93,7 @@ __all__ = [
     "RestrictedProcessTensor", "TomoRecord", "fit_restricted_tensor",
     "qst_six_axis", "records_from_text", "records_to_text",
     "ChoiFamily", "ChoiState", "MinimizeResult", "SupportMismatchError",
-    "bloch_volume", "condition_family", "default_theta_grid",
+    "VanishingBranchError", "bloch_volume", "condition_family", "default_theta_grid",
     "minimize_nonmarkovianity", "relative_entropy", "sweep_theta",
     "uncorrelated_choi",
 ]

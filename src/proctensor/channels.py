@@ -22,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from .linalg import kron, project_psd, unvec, vec, vec_stack
+from .linalg import kron, kron_stack, project_psd, unvec, vec, vec_stack
 from .qubit import PAULIS, NoiseSpec, apply_noise
 from .validation import as_matrix, as_square, check_unitary, qubit_count
 
@@ -67,10 +67,13 @@ _CHOI_LEGS = {1: (1, 5, 3, 0, 4, 2), 2: (1, 5, 3, 9, 7, 0, 4, 2, 8, 6)}
 
 
 def map_to_choi(m, steps: int) -> np.ndarray:
-    """Choi state of a (4, 16**steps) map over intervention actions."""
-    legs = _CHOI_LEGS[steps]
+    """Choi state of a (4, 16**steps) map over intervention actions, or of
+    each map of a stack (..., 4, 16**steps)."""
+    m = np.asarray(m)
+    lead, legs, n = m.shape[:-2], _CHOI_LEGS[steps], m.ndim - 2
     side = 2 ** (len(legs) // 2)
-    return np.asarray(m).reshape((2,) * len(legs)).transpose(legs).reshape(side, side)
+    t = m.reshape(lead + (2,) * len(legs))
+    return t.transpose(*range(n), *(n + leg for leg in legs)).reshape(lead + (side, side))
 
 
 def choi_to_map(choi, steps: int) -> np.ndarray:
@@ -207,23 +210,28 @@ def superop_to_chi(superop) -> np.ndarray:
 
 
 def superop_to_choi(superop) -> np.ndarray:
-    """Choi matrix Σ_ij Λ(E_ij) ⊗ E_ij with output legs first."""
-    s = as_square(superop, "superop")
-    d = int(round(np.sqrt(s.shape[0])))
-    return s.reshape(d, d, d, d).transpose(1, 3, 0, 2).reshape(d * d, d * d)
+    """Choi matrix Σ_ij Λ(E_ij) ⊗ E_ij with output legs first, of one
+    superoperator or of each of a stack (..., d², d²)."""
+    s = as_square(superop, "superop", stack=True)
+    d = int(round(np.sqrt(s.shape[-1])))
+    n = s.ndim - 2
+    t = s.reshape(s.shape[:-2] + (d, d, d, d))
+    return t.transpose(*range(n), n + 1, n + 3, n, n + 2).reshape(s.shape[:-2] + (d * d, d * d))
 
 
 def reduced_superop(u, rho_env, noise: NoiseSpec | None = None) -> np.ndarray:
-    """Superoperator of rho_S -> Tr_E[U (rho_S ⊗ rho_env) U†] (noise optional)."""
+    """Superoperator of rho_S -> Tr_E[U (rho_S ⊗ rho_env) U†] (noise optional);
+    a stack (..., 2, 2) of environment states gives a stack (..., 4, 4)."""
     uu = check_unitary(u, 1e-8, "u")
     if uu.shape[0] != 4:
         raise ValueError(f"bad-dims: expected a two-qubit unitary, got {uu.shape}")
-    env = as_square(rho_env, "rho_env")
+    env = as_square(rho_env, "rho_env", stack=True)
     # column 2j + i is the image of the unit matrix E_ij, whose vec is that unit vector
-    joint = uu @ np.kron(unvec(np.eye(4)), env) @ uu.conj().T
+    joint = uu @ kron_stack(unvec(np.eye(4)), env[..., None, :, :]) @ uu.conj().T
     if noise is not None:
         joint = apply_noise(joint, noise)
-    return vec_stack(np.einsum("nijkj->nik", joint.reshape(4, 2, 2, 2, 2))).T
+    reduced = np.einsum("...nijkj->...nik", joint.reshape(joint.shape[:-2] + (2, 2, 2, 2)))
+    return vec_stack(reduced).swapaxes(-1, -2)
 
 
 def reduced_map(u, rho_env, noise: NoiseSpec | None = None) -> np.ndarray:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import functools
 import math
 import sys
 from dataclasses import dataclass
@@ -21,7 +22,7 @@ import numpy as np
 
 from .channels import chi_fidelity, chi_from_process, chi_of_operator, reduced_map
 from .fileio import config_digest, write_matrix, write_table
-from .nonmarkov import bloch_volume, default_theta_grid, sweep_theta
+from .nonmarkov import VanishingBranchError, bloch_volume, default_theta_grid, sweep_theta
 from .process import (
     MAX_SHOTS,
     P_JOINT_CUTOFF,
@@ -323,9 +324,7 @@ def cmd_volume(cfg: RunConfig) -> int:
         for idx, theta in enumerate(thetas):
             try:
                 clouds[kind, idx] = bloch_volume(kind, fit, theta, process=spec)
-            except ValueError as exc:
-                if "vanishing-branch" not in str(exc):
-                    raise
+            except VanishingBranchError as exc:
                 raise ConfigError(f"theta {theta!r}: {exc}") from None
     for (kind, idx), cloud in clouds.items():
         write_table(
@@ -366,8 +365,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _main_parser() -> argparse.ArgumentParser:
+    """The parser main uses, built once per process: a parser holds reference
+    cycles that only the cyclic collector frees, so one parser per call grew
+    the heap of a process that calls main many times."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         cfg = resolve_config(args)
     except (ConfigError, ValueError) as exc:

@@ -18,6 +18,7 @@ from .validation import as_matrix, as_square, hermitian_part
 __all__ = [
     "HermEigen",
     "kron",
+    "kron_stack",
     "partial_trace",
     "herm_eig",
     "mat_sqrt_psd",
@@ -55,6 +56,14 @@ def kron(a, b) -> np.ndarray:
     if a.ndim != 2 or b.ndim != 2:
         raise ValueError(f"bad-dims: kron takes two matrices, got {a.shape} and {b.shape}")
     return np.kron(a, b)
+
+
+def kron_stack(a, b) -> np.ndarray:
+    """Kronecker product matrix by matrix of two stacks (..., r, c) that
+    broadcast; each product equals np.kron of its two matrices."""
+    a, b = np.asarray(a), np.asarray(b)
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
 def partial_trace(m, dim_a: int, dim_b: int, keep) -> np.ndarray:
@@ -141,7 +150,7 @@ def vec(m) -> np.ndarray:
 def vec_stack(m) -> np.ndarray:
     """Column-stacking vectorization of each matrix of a stack (..., rows, cols)."""
     a = as_matrix(m, "m")
-    return a.swapaxes(-1, -2).reshape(a.shape[:-2] + (-1,))
+    return a.swapaxes(-1, -2).reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
 
 
 def unvec(v, rows: int = 2, cols: int = 2) -> np.ndarray:

@@ -10,7 +10,7 @@ first-step branch probability.
 The relative entropy is finite only for members inside the support of the
 reference, a linear condition on the family coefficients. The minimiser
 solves it first, in the least-squares sense, and works on that support from
-then on. Records without noise pin every coefficient, so N is a single
+then on. A sweep stacks its angles, and each step runs once on the stack. Records without noise pin every coefficient, so N is a single
 evaluation. Records with local noise leave a few coefficients, and damped
 Newton on the Lagrange dual of the convex problem finds the minimum.
 Sampled records leave the least-squares member partly outside the support,
@@ -27,8 +27,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import action_dual, action_superop, map_to_choi, reduced_superop, superop_to_choi
-from .linalg import herm_eig, normalized_psd, project_psd, unvec, vec_stack
-from .process import ProcessSpec, first_step_env_marginal
+from .linalg import herm_eig, kron_stack, normalized_psd, project_psd, unvec, vec_stack
+from .process import (
+    BRANCH_CUTOFF,
+    ProcessSpec,
+    VanishingBranchError,
+    check_branch,
+    first_step_env_marginal,
+    first_step_env_marginals,
+)
 from .qubit import FIT_BASIS_LABELS, bloch_vector, named_projector, zy_projector
 from .tomography import RestrictedProcessTensor, action_matrix, fit_restricted_tensor
 from .validation import hermitian_part
@@ -38,6 +45,7 @@ __all__ = [
     "ChoiFamily",
     "MinimizeResult",
     "SupportMismatchError",
+    "VanishingBranchError",
     "condition_family",
     "uncorrelated_choi",
     "family_predict",
@@ -135,8 +143,7 @@ def _kernel_directions() -> np.ndarray:
     result is computed once.
     """
     hb = _herm_basis(8)
-    basis = np.array([named_projector(label).mat for label in FIT_BASIS_LABELS])
-    m = family_predict(hb[:, None], basis[None])
+    m = family_predict(hb[:, None], _fit_basis()[0][None])
     cons = np.stack([m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1].real, m[..., 0, 1].imag],
                     axis=-1)
     _, svals, vh = np.linalg.svd(cons.reshape(len(hb), -1).T)
@@ -152,15 +159,50 @@ def _push(t1: np.ndarray, mats) -> np.ndarray:
     return unvec((t1 @ vec_stack(action_superop(mats))[..., None])[..., 0])
 
 
+@functools.cache
+def _fit_basis():
+    """Read-only fit basis projectors P_k (9, 2, 2), and the pseudo-inverse
+    (4, 9) of the map vec(rho) -> tr(P_k rho)."""
+    mats = np.array([named_projector(label).mat for label in FIT_BASIS_LABELS])
+    pinv = np.linalg.pinv(vec_stack(mats).conj())
+    mats.setflags(write=False)
+    pinv.setflags(write=False)
+    return mats, pinv
+
+
+def _zy_mats(thetas) -> np.ndarray:
+    """Stack (T, 2, 2) of the zy_projector(theta) matrices of the angles."""
+    return np.array([zy_projector(theta).mat for theta in thetas], dtype=complex).reshape(-1, 2, 2)
+
+
+def _conditioned_maps(fit: RestrictedProcessTensor, mats: np.ndarray):
+    """One-step maps (T, 4, 16) conditioned on a stack (T, 2, 2) of
+    first-step projectors, each divided by its branch probability, and the
+    branch probabilities (T,). A map whose branch is below BRANCH_CUTOFF is
+    left undivided."""
+    t1 = fit.contract_first_step(mats)
+    z_pm = np.array([named_projector(label).mat for label in ("z+", "z-")])
+    p_branch = np.trace(_push(t1[:, None], z_pm), axis1=-2, axis2=-1).real.sum(axis=-1)
+    return t1 / np.where(p_branch >= BRANCH_CUTOFF, p_branch, 1.0)[:, None, None], p_branch
+
+
 def _conditioned_map(fit: RestrictedProcessTensor, theta: float):
-    """(normalized one-step map, branch probability) at first-step angle theta."""
-    op = zy_projector(theta)
-    t1 = fit.contract_first_step(op)
-    outs = _push(t1, np.array([named_projector(label).mat for label in ("z+", "z-")]))
-    p_branch = float(np.trace(outs, axis1=-2, axis2=-1).real.sum())
-    if p_branch < 1e-9:
-        raise ValueError(f"vanishing-branch: first-step probability {p_branch:.3e}")
-    return t1 / p_branch, p_branch
+    """(normalized one-step map, branch probability) at first-step angle theta;
+    raises VanishingBranchError when the branch vanishes."""
+    t1, p_branch = _conditioned_maps(fit, _zy_mats([theta]))
+    return t1[0], check_branch(float(p_branch[0]))
+
+
+def _family_bases(t1: np.ndarray) -> np.ndarray:
+    """Family bases (T, 8, 8) of normalized one-step maps (T, 4, 16): each
+    Choi state shifted along the kernel to trace 2."""
+    base = hermitian_part(map_to_choi(t1, 1), tol=np.inf)
+    # projective records leave the trace free: the kernel combination of
+    # unit trace and least norm moves it without leaving the family
+    dirs = _kernel_directions()
+    traces = np.trace(dirs, axis1=-2, axis2=-1).real
+    shift = np.einsum("k,kij->ij", traces / (traces @ traces), dirs)
+    return base + (2.0 - np.trace(base, axis1=-2, axis2=-1).real)[:, None, None] * shift
 
 
 def condition_family(records_or_fit, theta: float) -> ChoiFamily:
@@ -173,34 +215,34 @@ def condition_family(records_or_fit, theta: float) -> ChoiFamily:
     family as a set.
     """
     t1, p_branch = _conditioned_map(_as_fit(records_or_fit), theta)
-    return _family_of_map(t1, p_branch, theta)
+    base = ChoiState(_family_bases(t1[None])[0], p_branch)
+    return ChoiFamily(base, tuple(_kernel_directions()), float(theta))
 
 
-def _family_of_map(t1: np.ndarray, p_branch: float, theta: float) -> ChoiFamily:
-    base = hermitian_part(map_to_choi(t1, 1), tol=np.inf)
-    dirs = _kernel_directions()
-    traces = np.array([float(np.trace(d).real) for d in dirs])
-    norm2 = float(traces @ traces)
-    if norm2 > 1e-12:
-        gap = 2.0 - float(np.trace(base).real)
-        base = base + np.einsum("k,kij->ij", gap * traces / norm2, dirs)
-    return ChoiFamily(ChoiState(base, p_branch), tuple(dirs), float(theta))
+def _intermediate_states(t1: np.ndarray):
+    """System marginals (T, 2, 2) entering the second intervention, from
+    data alone, and their traces (T,) before normalization.
 
-
-def _avg_state_after_first(t1: np.ndarray) -> np.ndarray:
-    """System marginal entering the second intervention, from data alone.
-
-    Inverts the nine basis-projection probabilities encoded in the
-    conditioned map (least squares, PSD projection, unit trace).
+    Inverts the nine basis-projection probabilities encoded in each
+    conditioned map (one pseudo-inverse, PSD projection, unit trace); a
+    marginal of trace <= 0 is left undivided.
     """
-    mats = np.array([named_projector(label).mat for label in FIT_BASIS_LABELS])
-    probs = np.trace(_push(t1, mats), axis1=-2, axis2=-1).real
-    sol, *_ = np.linalg.lstsq(vec_stack(mats).conj(), probs, rcond=None)
-    rho = project_psd(unvec(sol))
-    tr = float(np.trace(rho).real)
-    if tr <= 0:
-        raise ValueError("vanishing-branch: degenerate intermediate state")
-    return rho / tr
+    mats, pinv = _fit_basis()
+    probs = np.trace(_push(t1[:, None], mats), axis1=-2, axis2=-1).real
+    rho = project_psd(unvec((pinv @ probs[..., None])[..., 0]))
+    tr = np.trace(rho, axis1=-2, axis2=-1).real
+    return rho / np.where(tr > 0, tr, 1.0)[:, None, None], tr
+
+
+def _references(t1: np.ndarray, mats: np.ndarray, process: ProcessSpec):
+    """Product references (T, 8, 8) of normalized one-step maps (T, 4, 16)
+    and their first-step projectors (T, 2, 2), with the traces of the
+    intermediate states and the process's branch probabilities (T,); a
+    branch vanishes where either is too small."""
+    rho1, tr = _intermediate_states(t1)
+    env, p_env = first_step_env_marginals(process, mats)
+    sup = reduced_superop(process.interactions[1], env, process.step_noise(1))
+    return kron_stack(superop_to_choi(sup), rho1), tr, p_env
 
 
 def uncorrelated_choi(records_or_fit, theta: float, process: ProcessSpec) -> ChoiState:
@@ -212,15 +254,11 @@ def uncorrelated_choi(records_or_fit, theta: float, process: ProcessSpec) -> Cho
     are 2 for a branch-normalized trace-preserving step).
     """
     t1, p_branch = _conditioned_map(_as_fit(records_or_fit), theta)
-    return _reference_of_map(t1, p_branch, theta, process)
-
-
-def _reference_of_map(t1: np.ndarray, p_branch: float, theta: float,
-                      process: ProcessSpec) -> ChoiState:
-    rho1 = _avg_state_after_first(t1)
-    env, _ = first_step_env_marginal(process, zy_projector(theta))
-    sup = reduced_superop(process.interactions[1], env, process.step_noise(1))
-    return ChoiState(np.kron(superop_to_choi(sup), rho1), p_branch)
+    ref, tr, p_env = _references(t1[None], _zy_mats([theta]), process)
+    if not tr[0] > 0:
+        raise VanishingBranchError("vanishing-branch: degenerate intermediate state")
+    check_branch(float(p_env[0]))
+    return ChoiState(ref[0], p_branch)
 
 
 def _choi_mat(x) -> np.ndarray:
@@ -228,31 +266,29 @@ def _choi_mat(x) -> np.ndarray:
 
 
 def _reference_spectrum(refn: np.ndarray):
-    """One eigendecomposition of a normalized reference gives ln refn with
-    eigenvalues floored at LOG_FLOOR, the eigenvectors spanning its support
-    and its null space (eigenvalues below LOG_FLOOR), and the logarithms of
-    the support eigenvalues. Returns (log_ref, support, null, log_w)."""
+    """One eigendecomposition of a normalized reference, or of each of a
+    stack (..., n, n), gives ln refn with eigenvalues floored at LOG_FLOOR,
+    and the eigenvalues and eigenvectors, descending, with the mask keep of
+    those at or above LOG_FLOOR. The kept eigenvectors span the support,
+    the others the null space. Returns (log_ref, w, v, keep)."""
     e = herm_eig(refn)
-    keep = e.eigenvalues >= LOG_FLOOR
-    # ascending, as np.linalg.eigh gives them: the pinned members keep their bits
-    null = e.eigenvectors[:, ~keep][:, ::-1]
     log_ref = e.apply(lambda w: np.log(np.maximum(w, LOG_FLOOR)))
-    return log_ref, e.eigenvectors[:, keep], null, np.log(e.eigenvalues[keep])
+    return log_ref, e.eigenvalues, e.eigenvectors, e.eigenvalues >= LOG_FLOOR
 
 
-def _floored_entropy(y: np.ndarray, log_ref: np.ndarray) -> float:
-    """Floored relative entropy of the trace-normalized positive part of y:
-    from one eigh y = V diag(w) V†, with s the clipped spectrum over its sum,
-    sum s ln max(s, LOG_FLOOR) minus the cross term sum s diag(V† log_ref V).
-    Returns 1e6 when the positive part has trace below 1e-9."""
+def _floored_entropy(y: np.ndarray, log_ref: np.ndarray):
+    """Floored relative entropy of the trace-normalized positive part of y,
+    or of each of a stack: from one eigh y = V diag(w) V†, with s the clipped
+    spectrum over its sum, sum s ln max(s, LOG_FLOOR) minus the cross term
+    sum s diag(V† log_ref V). Gives 1e6 where the positive part has trace
+    below 1e-9."""
     w, v = np.linalg.eigh(y)
     q = np.clip(w, 0.0, None)
-    tau = float(q.sum())
-    if tau < 1e-9:
-        return 1e6
-    s = q / tau
-    cross = float(np.sum(s * (v.conj().T @ log_ref @ v).diagonal().real))
-    return float(np.sum(s * np.log(np.maximum(s, LOG_FLOOR)))) - cross
+    tau = q.sum(axis=-1)
+    empty = tau < 1e-9
+    s = q / np.where(empty, 1.0, tau)[..., None]
+    cross = np.sum(s * (v.conj().swapaxes(-1, -2) @ log_ref @ v).diagonal(0, -2, -1).real, axis=-1)
+    return np.where(empty, 1e6, np.sum(s * np.log(np.maximum(s, LOG_FLOOR)), axis=-1) - cross)
 
 
 def relative_entropy(a, b) -> float:
@@ -266,37 +302,45 @@ def relative_entropy(a, b) -> float:
     bm = hermitian_part(_choi_mat(b), 1e-8, "b")
     if am.shape != bm.shape:
         raise ValueError(f"bad-dims: shapes {am.shape} and {bm.shape} differ")
-    log_b, _, null, _ = _reference_spectrum(bm / float(np.trace(bm).real))
+    log_b, _, v, keep = _reference_spectrum(bm / float(np.trace(bm).real))
+    null = v * ~keep
     weight = float(np.real(np.einsum("ik,ij,jk->", null.conj(), am / np.trace(am).real, null)))
     if weight > SUPPORT_WEIGHT_TOL:
         raise SupportMismatchError(
             f"support-mismatch: weight {weight:.3e} outside reference support")
-    return max(_floored_entropy(am, log_b), 0.0)
+    return max(float(_floored_entropy(am, log_b)), 0.0)
 
 
 def _restrict_to_support(base, dirs, null):
-    """The least-squares member for the support condition, and the
-    directions that leave it unchanged.
+    """The least-squares members for the support condition, and the
+    directions that leave them unchanged, for a stack of points.
 
     A PSD member Y lies in the support of the reference exactly when
     N† Y = 0, N spanning its null space (the rule relative_entropy applies
-    too). That is linear in c; one SVD gives the least-squares c = c0 + K z
-    with orthonormal K. Returns the member Y(c0) = base + sum c0_k dirs_k,
-    the directions K^T dirs and the relative off-support residual
-    ||N† Y(c0)||_F / tr Y(c0).
+    too). That is linear in c; one thin SVD per point gives the least-squares
+    c = c0 + K z with orthonormal K. base is a stack (T, n, n), dirs (K, n, n)
+    are shared by the points, and null (T, n, n) holds each null space
+    zero-padded to n columns, so that points of every null size share one
+    stacked SVD. Returns the members Y(c0) = base + sum c0_k dirs_k, the
+    right singular vectors vh (T, K, K) with the mask free (T, K) of the rows
+    that span K (point i keeps the directions vh[i][free[i]] @ dirs), and the
+    relative off-support residuals ||N† Y(c0)||_F / tr Y(c0).
     """
-    if not null.shape[1]:
-        return base, dirs, 0.0
-    nb = null.conj().T @ base
-    nd = np.einsum("ai,kab->kib", null.conj(), dirs)
-    a = np.concatenate([nd.real, nd.imag], axis=1).reshape(len(dirs), -1).T
-    b = np.concatenate([nb.real, nb.imag]).reshape(-1)
-    u, svals, vh = np.linalg.svd(a)
-    rank = int(np.sum(svals > 1e-10 * svals[0]))
-    c0 = -vh[:rank].T @ ((u[:, :rank].T @ b) / svals[:rank])
-    base = base + np.einsum("k,kij->ij", c0, dirs)
-    off_support = float(np.linalg.norm(a @ c0 + b)) / abs(float(np.trace(base).real))
-    return base, np.einsum("jk,kab->jab", vh[rank:], dirs), off_support
+    # N† acts on the stacked real and imaginary parts [Re X; Im X] of a
+    # matrix X as the real block matrix [[Re N†, -Im N†], [Im N†, Re N†]]
+    rows = 2 * base.shape[-1] ** 2
+    nh = null.conj().swapaxes(-1, -2)
+    real_nh = np.block([[nh.real, -nh.imag], [nh.imag, nh.real]])
+    parts = np.concatenate([dirs.real, dirs.imag], axis=-2)
+    a = (real_nh[:, None] @ parts).reshape(len(base), len(dirs), rows).swapaxes(1, 2)
+    b = (real_nh @ np.concatenate([base.real, base.imag], axis=-2)).reshape(len(base), rows)
+    u, svals, vh = np.linalg.svd(a, full_matrices=False)
+    free = ~(svals > 1e-10 * svals[:, :1])
+    proj = (b[:, None] @ u)[:, 0]
+    c0 = -(np.where(free, 0.0, proj / np.where(free, 1.0, svals))[:, None] @ vh)[:, 0]
+    members = base + np.einsum("tk,kij->tij", c0, dirs)
+    resid = np.linalg.norm(nh @ members, axis=(-2, -1))
+    return members, vh, free, resid / np.abs(np.trace(members, axis1=-2, axis2=-1).real)
 
 
 def _dual_terms(y, log_w, g):
@@ -392,29 +436,49 @@ def minimize_nonmarkovianity(fam: ChoiFamily, ref: ChoiState) -> MinimizeResult:
     does not count as non-convergence. Deterministic for fixed inputs.
     """
     dirs = np.stack([np.asarray(d, dtype=complex) for d in fam.directions])
-    refn = hermitian_part(_choi_mat(ref), 1e-8, "ref")
-    log_ref, support, null, log_w = _reference_spectrum(refn / float(np.trace(refn).real))
-    base, dirs, off_support = _restrict_to_support(_choi_mat(fam.base), dirs, null)
-    c, iterations, converged, optimality = np.zeros(len(dirs)), 0, True, 0.0
-    if len(dirs):
-        on_support = support.conj().T @ np.concatenate([base[None], dirs]) @ support
-        c, iterations, converged, optimality = _dual_newton(on_support[0], on_support[1:], log_w)
-    y = base + np.einsum("k,kij->ij", c, dirs)
+    return _minimize_stack(_choi_mat(fam.base)[None], dirs, _choi_mat(ref)[None],
+                           [fam.base.normalization])[0]
+
+
+def _minimize_stack(bases, dirs, refs, normalizations) -> list[MinimizeResult]:
+    """minimize_nonmarkovianity for a stack of points sharing their
+    directions: bases and references (T, n, n), directions (K, n, n), and
+    the branch probabilities (T,). Every step but the Newton solve of a
+    point with free directions runs once on the whole stack."""
+    refn = hermitian_part(refs, 1e-8, "ref")
+    refn = refn / np.trace(refn, axis1=-2, axis2=-1).real[:, None, None]
+    log_ref, w, v, keep = _reference_spectrum(refn)
+    y, vh, free, off_support = _restrict_to_support(bases, dirs, v * ~keep[:, None, :])
+    iterations = np.zeros(len(y), dtype=int)
+    converged = np.ones(len(y), dtype=bool)
+    optimality = np.zeros(len(y))
+    for i in np.flatnonzero(free.any(axis=-1)):
+        free_dirs = np.einsum("jk,kab->jab", vh[i][free[i]], dirs)
+        support = v[i][:, keep[i]]
+        on_support = support.conj().T @ np.concatenate([y[i][None], free_dirs]) @ support
+        c, iterations[i], converged[i], optimality[i] = _dual_newton(
+            on_support[0], on_support[1:], np.log(w[i][keep[i]]))
+        y[i] = y[i] + np.einsum("k,kij->ij", c, free_dirs)
     compressed = off_support > SUPPORT_WEIGHT_TOL
-    if compressed:
-        y = support @ (support.conj().T @ y @ support) @ support.conj().T
-    min_eig = float(np.linalg.eigvalsh(y).min())
+    support = v[compressed] * keep[compressed][:, None, :]
+    support_h = support.conj().swapaxes(-1, -2)
+    y[compressed] = support @ (support_h @ y[compressed] @ support) @ support_h
+    min_eig = np.linalg.eigvalsh(y).min(axis=-1)
     optimizer = project_psd(y)
-    return MinimizeResult(
-        n_value=max(_floored_entropy(optimizer, log_ref), 0.0),
-        optimizer=ChoiState(optimizer, fam.base.normalization),
-        converged=converged and (compressed or min_eig > -1e-6),
-        iterations=iterations,
-        free_directions=len(dirs),
-        min_eig=min_eig,
-        off_support=off_support,
-        optimality=optimality,
-    )
+    n_value = np.maximum(_floored_entropy(optimizer, log_ref), 0.0)
+    return [
+        MinimizeResult(
+            n_value=float(n_value[i]),
+            optimizer=ChoiState(optimizer[i], normalizations[i]),
+            converged=bool(converged[i] and (compressed[i] or min_eig[i] > -1e-6)),
+            iterations=int(iterations[i]),
+            free_directions=int(free[i].sum()),
+            min_eig=float(min_eig[i]),
+            off_support=float(off_support[i]),
+            optimality=float(optimality[i]),
+        )
+        for i in range(len(y))
+    ]
 
 
 def default_theta_grid(points: int = 13) -> np.ndarray:
@@ -426,26 +490,24 @@ def default_theta_grid(points: int = 13) -> np.ndarray:
 def sweep_theta(records_or_fit, thetas=None, *, process: ProcessSpec):
     """Non-Markovianity versus first-step angle.
 
-    Returns a list of (theta, n_value, converged, iterations); angles whose
-    first-step branch vanishes are reported as (theta, None, False, 0).
+    Each layer runs once on the stack of angles; only the points that keep
+    free directions (records with noise) run their own Newton solve. Every
+    row equals minimize_nonmarkovianity(condition_family(...),
+    uncorrelated_choi(...)) at its angle. Returns a list of (theta, n_value,
+    converged, iterations); angles whose first-step branch vanishes are
+    reported as (theta, None, False, 0).
     """
     fit = _as_fit(records_or_fit)
-    if thetas is None:
-        thetas = default_theta_grid()
-    rows = []
-    for theta in thetas:
-        try:
-            # one conditioned map per angle, shared by the family and the reference
-            t1, p_branch = _conditioned_map(fit, theta)
-            fam = _family_of_map(t1, p_branch, theta)
-            ref = _reference_of_map(t1, p_branch, theta, process)
-        except ValueError as exc:
-            if "vanishing-branch" in str(exc):
-                rows.append((float(theta), None, False, 0))
-                continue
-            raise
-        res = minimize_nonmarkovianity(fam, ref)
-        rows.append((float(theta), res.n_value, res.converged, res.iterations))
+    thetas = np.asarray(default_theta_grid() if thetas is None else thetas, dtype=float)
+    mats = _zy_mats(thetas)
+    t1, p_branch = _conditioned_maps(fit, mats)
+    refs, tr, p_env = _references(t1, mats, process)
+    live = (p_branch >= BRANCH_CUTOFF) & (tr > 0) & (p_env >= BRANCH_CUTOFF)
+    results = _minimize_stack(_family_bases(t1[live]), _kernel_directions(), refs[live],
+                              p_branch[live].tolist())
+    rows = [(theta, None, False, 0) for theta in thetas.tolist()]
+    for i, res in zip(np.flatnonzero(live), results):
+        rows[i] = (rows[i][0], res.n_value, res.converged, res.iterations)
     return rows
 
 

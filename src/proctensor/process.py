@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import chi_to_superop, reduced_map
-from .linalg import normalized_psd, partial_trace, unvec, vec_stack
+from .linalg import normalized_psd, unvec, vec_stack
 from .qubit import (
     CNOT,
     CZ,
@@ -46,6 +46,10 @@ __all__ = [
     "markov_predict",
     "generate_records",
     "intervention_qpt_data",
+    "BRANCH_CUTOFF",
+    "VanishingBranchError",
+    "check_branch",
+    "first_step_env_marginals",
     "first_step_env_marginal",
 ]
 
@@ -344,16 +348,42 @@ def intervention_qpt_data(op: Projector, cfg: ShotConfig | None = None, run_tags
     return inputs, outputs.reshape(len(tags), len(labels), 2, 2)
 
 
-def first_step_env_marginal(spec: ProcessSpec, op: Projector):
-    """Environment marginal right after the first intervention branch.
+#: First-step branch probability below which a branch counts as vanished.
+BRANCH_CUTOFF = 1e-9
 
-    Returns (env_rho, branch probability); raises when the branch probability
-    vanishes.
+
+class VanishingBranchError(ValueError):
+    """A first-step branch of (numerically) zero probability; nothing can be
+    conditioned on it. The message starts with "vanishing-branch:"."""
+
+
+def check_branch(p: float) -> float:
+    """Return the branch probability p, or raise VanishingBranchError below BRANCH_CUTOFF."""
+    if p < BRANCH_CUTOFF:
+        raise VanishingBranchError(f"vanishing-branch: first-step probability {p:.3e}")
+    return p
+
+
+def first_step_env_marginals(spec: ProcessSpec, mats):
+    """Environment marginals right after a stack (..., 2, 2) of first-step
+    projector matrices, with the branch probabilities (...).
+
+    A marginal whose branch probability is below BRANCH_CUTOFF is left
+    undivided; callers mask those branches.
     """
     if spec.nsteps < 1:
         raise ValueError("bad-sequence: process has no interactions")
-    rho = _chain(spec, [op.mat])
-    p = float(np.trace(rho).real)
-    if p < 1e-9:
-        raise ValueError(f"vanishing-branch: first-step probability {p:.3e}")
-    return partial_trace(rho / p, 2, 2, keep="b"), p
+    rho = _chain(spec, [np.asarray(mats, dtype=complex)])
+    p = np.trace(rho, axis1=-2, axis2=-1).real
+    rho = rho / np.where(p >= BRANCH_CUTOFF, p, 1.0)[..., None, None]
+    return np.einsum("...ijik->...jk", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))), p
+
+
+def first_step_env_marginal(spec: ProcessSpec, op: Projector):
+    """Environment marginal right after the first intervention branch.
+
+    Returns (env_rho, branch probability); raises VanishingBranchError when
+    the branch probability vanishes.
+    """
+    env, p = first_step_env_marginals(spec, op.mat)
+    return env, check_branch(float(p))

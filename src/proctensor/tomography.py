@@ -472,12 +472,13 @@ class RestrictedProcessTensor:
         """One-step map over the remaining intervention, first step fixed.
 
         Returns the (4, 16) matrix sending a vectorized step-1 action to the
-        vec of the (subnormalized) output state.
+        vec of the (subnormalized) output state; a stack of first-step
+        operations gives a stack (..., 4, 16).
         """
         self._require_fitted()
         x0 = self._checked_action_vecs(op)
         t3 = self.map_.reshape(4, 16, 16)
-        return np.einsum("kab,b->ka", t3, x0)
+        return np.einsum("kab,...b->...ka", t3, x0)
 
 
 def fit_restricted_tensor(records, psd: bool = False):

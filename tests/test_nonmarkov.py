@@ -2,13 +2,15 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proctensor import (
     NoiseSpec,
     ShotConfig,
+    VanishingBranchError,
     cnot_cz_process,
+    cz_cnot_process,
     fit_restricted_tensor,
     generate_records,
 )
@@ -22,6 +24,7 @@ from proctensor.nonmarkov import (
     _dual_terms,
     _floored_entropy,
     _herm_basis,
+    _intermediate_states,
     _reference_spectrum,
     _restrict_to_support,
     bloch_volume,
@@ -33,6 +36,7 @@ from proctensor.nonmarkov import (
     sweep_theta,
     uncorrelated_choi,
 )
+from proctensor.process import first_step_env_marginal
 from proctensor.qubit import named_projector, zy_projector
 
 LN2 = math.log(2)
@@ -133,6 +137,27 @@ def test_family_base_trace(cnot_cz_fit):
 def test_vanishing_branch_raises(cnot_cz_fit):
     with pytest.raises(ValueError, match="vanishing-branch"):
         condition_family(cnot_cz_fit, math.pi)
+
+
+def test_vanishing_branch_error_type(cnot_cz_fit, cnot_cz_spec):
+    # every place that conditions on the first-step branch raises the one type
+    calls = (
+        lambda: condition_family(cnot_cz_fit, math.pi),
+        lambda: uncorrelated_choi(cnot_cz_fit, math.pi, cnot_cz_spec),
+        lambda: first_step_env_marginal(cnot_cz_spec, zy_projector(math.pi)),
+        lambda: bloch_volume("process-tensor", cnot_cz_fit, math.pi, 8),
+        lambda: bloch_volume("markov-map", cnot_cz_fit, math.pi, 8, process=cnot_cz_spec),
+    )
+    for call in calls:
+        with pytest.raises(VanishingBranchError, match="^vanishing-branch: "):
+            call()
+
+
+def test_degenerate_intermediate_state_is_masked():
+    # a map without any output leaves no intermediate state: its trace is
+    # reported as 0, and the stack stays finite
+    rho, tr = _intermediate_states(np.zeros((2, 4, 16), dtype=complex))
+    assert np.array_equal(tr, [0.0, 0.0]) and np.isfinite(rho).all()
 
 
 # ------------------------------------------------- uncorrelated reference
@@ -320,6 +345,12 @@ def test_sweep_reports_vanishing_branch(cnot_cz_fit, cnot_cz_spec):
     assert rows[0][1] is None
 
 
+def test_sweep_empty_and_all_vanishing_grids(cnot_cz_fit, cnot_cz_spec):
+    assert sweep_theta(cnot_cz_fit, [], process=cnot_cz_spec) == []
+    rows = sweep_theta(cnot_cz_fit, [math.pi, math.pi], process=cnot_cz_spec)
+    assert rows == [(math.pi, None, False, 0)] * 2
+
+
 def test_default_grid():
     grid = default_theta_grid()
     assert len(grid) == 13
@@ -435,6 +466,13 @@ def ref_relative_entropy(a, b, floor):
     return max(ent - cross, 0.0)
 
 
+def restrict_one(base, dirs, null):
+    """_restrict_to_support for one point, null zero-padded to 8 columns:
+    (member, free directions, off-support residual)."""
+    members, vh, free, off_support = _restrict_to_support(base[None], dirs, null[None])
+    return members[0], np.einsum("jk,kab->jab", vh[0][free[0]], dirs), off_support[0]
+
+
 @pytest.fixture(scope="module")
 def sampled_cnot_cz_fit(cnot_cz_spec):
     return sampled_fit(cnot_cz_spec, 3000, 0)
@@ -450,13 +488,16 @@ def test_floored_entropy_matches_the_three_copies(family, cnot_cz_fit, cnot_cz_s
         fam = condition_family(fit, theta)
         ref = uncorrelated_choi(fit, theta, spec)
         refn = ref.mat / np.trace(ref.mat).real
-        log_ref, support, null, log_w = _reference_spectrum(refn)
+        log_ref, w, v, keep = _reference_spectrum(refn)
         # one decomposition gives the floored log, the support and the null space
         assert np.array_equal(log_ref, mat_log_psd(refn, LOG_FLOOR))
-        assert support.shape[1] + null.shape[1] == 8 and len(log_w) == support.shape[1]
+        assert np.abs(w - np.linalg.eigvalsh(refn)[::-1]).max() < 1e-14
+        assert np.array_equal(keep, np.arange(8) < keep.sum())
+        assert w[keep].min() >= LOG_FLOOR and np.all(w[~keep] < LOG_FLOOR)
+        null = v[:, ~keep]
         assert np.abs(null.conj().T @ refn @ null).max() < 1e-12
         full = (fam.base.mat, np.stack(fam.directions))
-        members = [full, _restrict_to_support(*full, null)[:2]]
+        members = [full, restrict_one(*full, v * ~keep)[:2]]
         mixed_ref = 0.9 * refn + 0.1 * np.eye(8) / 8
         for base, dirs in members:
             for scale in (0.05, 0.5):
@@ -481,10 +522,11 @@ def noisy_slice(noisy_cnot_cz, theta):
     spec, fit = noisy_cnot_cz
     fam = condition_family(fit, theta)
     ref = uncorrelated_choi(fit, theta, spec)
-    _, support, null, log_w = _reference_spectrum(ref.mat / np.trace(ref.mat).real)
-    base, dirs, _ = _restrict_to_support(fam.base.mat, np.stack(fam.directions), null)
+    _, w, v, keep = _reference_spectrum(ref.mat / np.trace(ref.mat).real)
+    base, dirs, _ = restrict_one(fam.base.mat, np.stack(fam.directions), v * ~keep)
+    support = v[:, keep]
     on_support = support.conj().T @ np.concatenate([base[None], dirs]) @ support
-    return on_support[0], on_support[1:], log_w
+    return on_support[0], on_support[1:], np.log(w[keep])
 
 
 def test_dual_gradient_and_hessian_match_finite_differences(noisy_cnot_cz):
@@ -549,8 +591,8 @@ def test_noisy_minimum_is_not_beaten_by_nearby_members(noisy_cnot_cz):
         ref = uncorrelated_choi(fit, theta, spec)
         res = minimize_nonmarkovianity(fam, ref)
         assert res.converged and res.free_directions == 11 and res.optimality <= 1e-15
-        _, _, null, _ = _reference_spectrum(ref.mat / np.trace(ref.mat).real)
-        _, dirs, off_support = _restrict_to_support(fam.base.mat, np.stack(fam.directions), null)
+        _, _, v, keep = _reference_spectrum(ref.mat / np.trace(ref.mat).real)
+        _, dirs, off_support = restrict_one(fam.base.mat, np.stack(fam.directions), v * ~keep)
         assert off_support <= SUPPORT_WEIGHT_TOL
         checked = 0
         for scale in (1e-3, 1e-5, 1e-7):
@@ -585,3 +627,110 @@ def test_pinned_point_evaluates_once(monkeypatch, cnot_cz_fit, cnot_cz_spec):
     res = minimize_nonmarkovianity(fam, ref)
     assert res.free_directions == 0
     assert calls == {"entropy": 1, "eigvalsh": 1}
+
+
+# ----------------------------------------------- stacked sweep over angles
+
+SWEEP_GRID = [float(t) for t in default_theta_grid()] + [math.pi / 2, math.pi]
+SWEEP_CASES = [(order, kind) for order in ("cnot-cz", "cz-cnot")
+               for kind in ("exact", "noisy", "shots")]
+
+
+@pytest.fixture(scope="module")
+def sweep_cases(cnot_cz_spec, cnot_cz_fit, cz_cnot_spec, cz_cnot_fit, noisy_cnot_cz,
+                sampled_cnot_cz_fit):
+    """(spec, fit) per process order and record kind: exact records, records
+    with noise gamma = lambda = 0.05 and 3000-shot records of seed 0."""
+    noisy_cz = cz_cnot_process(NoiseSpec(gamma_amp=0.05, lambda_phase=0.05))
+    return {
+        ("cnot-cz", "exact"): (cnot_cz_spec, cnot_cz_fit),
+        ("cnot-cz", "noisy"): noisy_cnot_cz,
+        ("cnot-cz", "shots"): (cnot_cz_spec, sampled_cnot_cz_fit),
+        ("cz-cnot", "exact"): (cz_cnot_spec, cz_cnot_fit),
+        ("cz-cnot", "noisy"): (noisy_cz, fit_restricted_tensor(generate_records(noisy_cz))),
+        ("cz-cnot", "shots"): (cz_cnot_spec, sampled_fit(cz_cnot_spec, 3000, 0)),
+    }
+
+
+@pytest.mark.parametrize("case", SWEEP_CASES)
+def test_sweep_rows_equal_per_angle_minimisation(case, sweep_cases):
+    # the stacked sweep is the per-angle computation, row by row, with the
+    # vanishing branch at pi as its absent row
+    spec, fit = sweep_cases[case]
+    rows = sweep_theta(fit, SWEEP_GRID, process=spec)
+    assert [row[0] for row in rows] == SWEEP_GRID
+    assert rows[-1][1:] == (None, False, 0)
+    for theta, n_value, converged, iterations in rows:
+        try:
+            res = minimize_nonmarkovianity(condition_family(fit, theta),
+                                           uncorrelated_choi(fit, theta, spec))
+        except VanishingBranchError:
+            assert (n_value, converged, iterations) == (None, False, 0), theta
+            continue
+        assert (converged, iterations) == (res.converged, res.iterations), theta
+        assert abs(n_value - res.n_value) <= 1e-13, theta
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(SWEEP_CASES),
+       st.lists(st.sampled_from(SWEEP_GRID) | st.floats(0.0, 3.0), min_size=1, max_size=8))
+@example(("cnot-cz", "noisy"), [math.pi, 0.0, math.pi / 2, 0.0, math.pi])
+@example(("cz-cnot", "shots"), [0.24, math.pi, 0.24])
+def test_sweep_row_independent_of_its_stack(sweep_cases, case, thetas):
+    # a row depends on its own angle only, not on the angles stacked with it
+    # or on their order
+    spec, fit = sweep_cases[case]
+    rows = sweep_theta(fit, thetas, process=spec)
+    backwards = sweep_theta(fit, thetas[::-1], process=spec)[::-1]
+    for theta, row, other in zip(thetas, rows, backwards):
+        alone = sweep_theta(fit, [theta], process=spec)[0]
+        for stacked in (row, other):
+            assert stacked[0] == theta and stacked[2:] == alone[2:], (theta, stacked, alone)
+            if alone[1] is None:
+                assert stacked[1] is None, theta
+            else:
+                assert abs(stacked[1] - alone[1]) <= 1e-13, theta
+
+
+def ref_restrict_to_support(base, dirs, null):
+    """The one-point restriction on the unpadded null space, with a full
+    SVD: (member, orthogonal projector onto the free coefficients,
+    off-support residual)."""
+    if not null.shape[1]:
+        return base, np.eye(len(dirs)), 0.0
+    nb = null.conj().T @ base
+    nd = np.einsum("ai,kab->kib", null.conj(), dirs)
+    a = np.concatenate([nd.real, nd.imag], axis=1).reshape(len(dirs), -1).T
+    b = np.concatenate([nb.real, nb.imag]).reshape(-1)
+    u, svals, vh = np.linalg.svd(a)
+    rank = int(np.sum(svals > 1e-10 * svals[0]))
+    c0 = -vh[:rank].T @ ((u[:, :rank].T @ b) / svals[:rank])
+    member = base + np.einsum("k,kij->ij", c0, dirs)
+    off_support = float(np.linalg.norm(a @ c0 + b)) / abs(float(np.trace(member).real))
+    return member, vh[rank:].T @ vh[rank:], off_support
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_restrict_to_support_ragged_null_sizes(noisy, cnot_cz_fit, cnot_cz_spec, noisy_cnot_cz):
+    # theta = 0 has a larger null space than theta > 0; padded into one
+    # stack, each point still gets its lone member, directions and residual
+    spec, fit = noisy_cnot_cz if noisy else (cnot_cz_spec, cnot_cz_fit)
+    thetas = (0.0, 0.72, math.pi / 2)
+    bases = np.array([condition_family(fit, theta).base.mat for theta in thetas])
+    refs = np.array([uncorrelated_choi(fit, theta, spec).mat for theta in thetas])
+    _, _, v, keep = _reference_spectrum(refs / np.trace(refs, axis1=1, axis2=2).real[:, None, None])
+    assert (~keep).sum(axis=1).tolist() == ([5, 2, 2] if noisy else [7, 4, 4])
+    dirs = np.stack(condition_family(fit, 0.0).directions)
+    members, vh, free, off_support = _restrict_to_support(bases, dirs, v * ~keep[:, None, :])
+    for i in range(len(thetas)):
+        member, directions, lone_off = restrict_one(bases[i], dirs, v[i] * ~keep[i])
+        free_dirs = np.einsum("jk,kab->jab", vh[i][free[i]], dirs)
+        assert np.abs(members[i] - member).max() <= 1e-13
+        assert free_dirs.shape == directions.shape
+        assert np.abs(free_dirs - directions).max(initial=0.0) <= 1e-13
+        assert abs(off_support[i] - lone_off) <= 1e-15
+        ref_member, ref_free, ref_off = ref_restrict_to_support(bases[i], dirs, v[i][:, ~keep[i]])
+        assert np.abs(members[i] - ref_member).max() <= 1e-12
+        assert np.abs(vh[i][free[i]].T @ vh[i][free[i]] - ref_free).max() <= 1e-12
+        assert abs(off_support[i] - ref_off) <= 1e-12
+    assert free.sum(axis=1).tolist() == ([0, 11, 11] if noisy else [0, 0, 0])

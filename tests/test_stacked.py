@@ -13,14 +13,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from proctensor.channels import action_superop, apply_chi, reduced_superop
+from proctensor.channels import (
+    action_superop,
+    apply_chi,
+    map_to_choi,
+    reduced_superop,
+    superop_to_choi,
+)
 from proctensor.cli import main
-from proctensor.linalg import kron, mat_sqrt_psd, partial_trace, project_psd, unvec, vec, vec_stack
-from proctensor.nonmarkov import _conditioned_map, _herm_basis, bloch_volume
+from proctensor.linalg import (
+    kron,
+    kron_stack,
+    mat_sqrt_psd,
+    partial_trace,
+    project_psd,
+    unvec,
+    vec,
+    vec_stack,
+)
+from proctensor.nonmarkov import _conditioned_map, _herm_basis, _zy_mats, bloch_volume
 from proctensor.process import (
     PROCESS_NAMES,
     ShotConfig,
     first_step_env_marginal,
+    first_step_env_marginals,
     generate_records,
     markov_sequences,
     reduced_step_maps,
@@ -238,6 +254,37 @@ def test_vec_stack_round_trip():
     flat = vec_stack(mats)
     assert np.array_equal(flat[1, 2], vec(mats[1, 2]))
     assert np.array_equal(unvec(flat), mats)
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 10_000), st.integers(1, 4))
+def test_choi_reshuffles_and_kron_of_stacks_are_per_matrix(seed, count):
+    rng = np.random.default_rng(seed)
+
+    def complex_normal(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    maps, sups = complex_normal(count, 4, 16), complex_normal(count, 4, 4)
+    a, b = complex_normal(count, 4, 4), complex_normal(count, 2, 2)
+    for i in range(count):
+        assert np.array_equal(map_to_choi(maps, 1)[i], map_to_choi(maps[i], 1))
+        assert np.array_equal(superop_to_choi(sups)[i], superop_to_choi(sups[i]))
+        assert np.array_equal(kron_stack(a, b)[i], np.kron(a[i], b[i]))
+        assert np.array_equal(kron_stack(a[i], b)[i], np.kron(a[i], b[i]))
+
+
+@pytest.mark.parametrize("noisy", [False, True])
+def test_env_marginals_and_reduced_channels_of_stacks_are_per_angle(noisy):
+    spec = PROCESS_NAMES["cnot-cz"](NOISE if noisy else None)
+    thetas = [0.0, 0.4, math.pi / 2, 2.9]
+    mats = _zy_mats(thetas)
+    env, p = first_step_env_marginals(spec, mats)
+    sups = reduced_superop(spec.interactions[1], env, spec.step_noise(1))
+    for i, theta in enumerate(thetas):
+        lone_env, lone_p = first_step_env_marginal(spec, zy_projector(theta))
+        assert np.array_equal(env[i], lone_env) and p[i] == lone_p
+        assert np.array_equal(sups[i], reduced_superop(spec.interactions[1], lone_env,
+                                                       spec.step_noise(1)))
 
 
 def test_herm_basis_keeps_the_loop_order():
