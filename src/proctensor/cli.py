@@ -22,7 +22,7 @@ import numpy as np
 
 from .channels import chi_fidelity, chi_from_process, chi_of_operator, reduced_map
 from .fileio import config_digest, write_matrix, write_table
-from .nonmarkov import VanishingBranchError, bloch_volume, default_theta_grid, sweep_theta
+from .nonmarkov import VanishingBranchError, bloch_volume, sweep_theta
 from .process import (
     MAX_SHOTS,
     P_JOINT_CUTOFF,
@@ -31,7 +31,6 @@ from .process import (
     generate_records,
     intervention_qpt_data,
     markov_sequences,
-    reduced_step_maps,
     run_sequences,
 )
 from .qubit import (
@@ -254,7 +253,7 @@ def cmd_tomo_predict(cfg: RunConfig) -> int:
     steps = (mats[:, None], mats[None, :])
     truth, p_true = run_sequences(spec, steps)
     predicted, p_pred = fit.predict_sequences(steps)
-    baseline, p_markov = markov_sequences(spec, steps, reduced_step_maps(spec))
+    baseline, p_markov = markov_sequences(spec, steps)
     # 0.0 marks a pair the tensor or the baseline has no state for
     fid_tensor = np.where(p_pred >= P_JOINT_CUTOFF, state_fidelity(truth, predicted), 0.0)
     fid_markov = np.where(p_markov >= P_JOINT_CUTOFF, state_fidelity(truth, baseline), 0.0)
@@ -287,8 +286,7 @@ def cmd_nonmarkov(cfg: RunConfig) -> int:
     spec = cfg.spec()
     records = generate_records(spec, cfg.shot_config())
     fit = fit_restricted_tensor(records, psd=cfg.shots is not None)
-    thetas = cfg.theta_grid if cfg.theta_grid is not None else default_theta_grid()
-    results = sweep_theta(fit, thetas, process=spec)
+    results = sweep_theta(fit, cfg.theta_grid, process=spec)
     rows = []
     all_converged = _refit_converged(fit)
     for theta, n_value, converged, iterations in results:

@@ -85,9 +85,10 @@ def partial_trace(m, dim_a: int, dim_b: int, keep) -> np.ndarray:
     raise ValueError(f"bad-dims: keep must be 'a' or 'b', got {keep!r}")
 
 
-def herm_eig(m, tol: float = 1e-8) -> HermEigen:
-    """Eigendecomposition of a Hermitian matrix or stack, eigenvalues descending."""
-    h = hermitian_part(m, tol, "m")
+def herm_eig(m) -> HermEigen:
+    """Eigendecomposition of a Hermitian matrix or stack, eigenvalues
+    descending; an anti-Hermitian part above 1e-8 entrywise is rejected."""
+    h = hermitian_part(m, 1e-8, "m")
     w, v = np.linalg.eigh(h)
     return HermEigen(w[..., ::-1].copy(), np.ascontiguousarray(v[..., ::-1]))
 

@@ -10,12 +10,16 @@ first-step branch probability.
 The relative entropy is finite only for members inside the support of the
 reference, a linear condition on the family coefficients. The minimiser
 solves it first, in the least-squares sense, and works on that support from
-then on. A sweep stacks its angles, and each step runs once on the stack. Records without noise pin every coefficient, so N is a single
-evaluation. Records with local noise leave a few coefficients, and damped
-Newton on the Lagrange dual of the convex problem finds the minimum.
-Sampled records leave the least-squares member partly outside the support,
-and it is compressed onto it. Only numpy is needed. relative_entropy and
-the final N share one floored-entropy evaluation.
+then on. A sweep stacks its angles, and each step runs once on the stack.
+Records without noise pin every coefficient, so N is a single evaluation.
+Records with local noise leave a few coefficients, and damped Newton on the
+Lagrange dual of the convex problem finds the minimum. Sampled records leave
+the least-squares member partly outside the support, and it is compressed
+onto it. Only numpy is needed. relative_entropy and the final N share one
+floored-entropy evaluation.
+
+The entry points take a fitted RestrictedProcessTensor; contracting an
+unfitted one raises "not-fitted".
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from .process import (
     first_step_env_marginals,
 )
 from .qubit import FIT_BASIS_LABELS, bloch_vector, named_projector, zy_projector
-from .tomography import RestrictedProcessTensor, action_matrix, fit_restricted_tensor
+from .tomography import RestrictedProcessTensor, action_matrix
 from .validation import hermitian_part
 
 __all__ = [
@@ -60,6 +64,8 @@ LOG_FLOOR = 1e-12
 SUPPORT_WEIGHT_TOL = 1e-6
 NEWTON_TOL = 1e-15
 NEWTON_STEPS = 100
+#: Second interventions sampled by bloch_volume.
+VOLUME_SAMPLES = 200
 
 
 class SupportMismatchError(ValueError):
@@ -101,13 +107,6 @@ class MinimizeResult:
     min_eig: float
     off_support: float
     optimality: float
-
-
-def _as_fit(records_or_fit) -> RestrictedProcessTensor:
-    if isinstance(records_or_fit, RestrictedProcessTensor):
-        records_or_fit._require_fitted()
-        return records_or_fit
-    return fit_restricted_tensor(records_or_fit)
 
 
 def family_predict(choi, op) -> np.ndarray:
@@ -205,8 +204,8 @@ def _family_bases(t1: np.ndarray) -> np.ndarray:
     return base + (2.0 - np.trace(base, axis1=-2, axis2=-1).real)[:, None, None] * shift
 
 
-def condition_family(records_or_fit, theta: float) -> ChoiFamily:
-    """Affine family of conditioned Choi states consistent with the records.
+def condition_family(fit: RestrictedProcessTensor, theta: float) -> ChoiFamily:
+    """Affine family of conditioned Choi states consistent with the fit's records.
 
     The returned base is the minimum-norm solution shifted along the kernel
     so that its trace equals 2, the value every branch-normalized physical
@@ -214,7 +213,7 @@ def condition_family(records_or_fit, theta: float) -> ChoiFamily:
     records, so this choice picks a representative without changing the
     family as a set.
     """
-    t1, p_branch = _conditioned_map(_as_fit(records_or_fit), theta)
+    t1, p_branch = _conditioned_map(fit, theta)
     base = ChoiState(_family_bases(t1[None])[0], p_branch)
     return ChoiFamily(base, tuple(_kernel_directions()), float(theta))
 
@@ -245,7 +244,8 @@ def _references(t1: np.ndarray, mats: np.ndarray, process: ProcessSpec):
     return kron_stack(superop_to_choi(sup), rho1), tr, p_env
 
 
-def uncorrelated_choi(records_or_fit, theta: float, process: ProcessSpec) -> ChoiState:
+def uncorrelated_choi(fit: RestrictedProcessTensor, theta: float,
+                      process: ProcessSpec) -> ChoiState:
     """Product reference: reduced last-step channel ⊗ average intermediate state.
 
     The channel is conditioned on the environment marginal of the first-step
@@ -253,7 +253,7 @@ def uncorrelated_choi(records_or_fit, theta: float, process: ProcessSpec) -> Cho
     definition supplies it. The trace equals that of the family base (both
     are 2 for a branch-normalized trace-preserving step).
     """
-    t1, p_branch = _conditioned_map(_as_fit(records_or_fit), theta)
+    t1, p_branch = _conditioned_map(fit, theta)
     ref, tr, p_env = _references(t1[None], _zy_mats([theta]), process)
     if not tr[0] > 0:
         raise VanishingBranchError("vanishing-branch: degenerate intermediate state")
@@ -296,15 +296,22 @@ def relative_entropy(a, b) -> float:
     normalized to unit trace, eigenvalues floored at LOG_FLOOR in the logs.
 
     Weight of `a` on the floored subspace of `b` beyond SUPPORT_WEIGHT_TOL
-    raises SupportMismatchError rather than being silently regularized.
+    raises SupportMismatchError rather than being silently regularized. A
+    trace <= 0 raises "bad-trace", an eigenvalue of the normalized `b` below
+    -1e-8 "not-psd".
     """
     am = hermitian_part(_choi_mat(a), 1e-8, "a")
     bm = hermitian_part(_choi_mat(b), 1e-8, "b")
     if am.shape != bm.shape:
         raise ValueError(f"bad-dims: shapes {am.shape} and {bm.shape} differ")
-    log_b, _, v, keep = _reference_spectrum(bm / float(np.trace(bm).real))
+    tr_a, tr_b = float(np.trace(am).real), float(np.trace(bm).real)
+    if not (tr_a > 0 and tr_b > 0):
+        raise ValueError(f"bad-trace: traces {tr_a:.3e} and {tr_b:.3e} must be positive")
+    log_b, w, v, keep = _reference_spectrum(bm / tr_b)
+    if w[-1] < -1e-8:
+        raise ValueError(f"not-psd: reference has eigenvalue {w[-1]:.3e}")
     null = v * ~keep
-    weight = float(np.real(np.einsum("ik,ij,jk->", null.conj(), am / np.trace(am).real, null)))
+    weight = float(np.real(np.einsum("ik,ij,jk->", null.conj(), am / tr_a, null)))
     if weight > SUPPORT_WEIGHT_TOL:
         raise SupportMismatchError(
             f"support-mismatch: weight {weight:.3e} outside reference support")
@@ -481,13 +488,13 @@ def _minimize_stack(bases, dirs, refs, normalizations) -> list[MinimizeResult]:
     ]
 
 
-def default_theta_grid(points: int = 13) -> np.ndarray:
-    """Uniform grid on [0, 11π/12]; θ = π is excluded since the first-step
-    branch probability vanishes there."""
-    return np.linspace(0.0, 11 * math.pi / 12, points)
+def default_theta_grid() -> np.ndarray:
+    """13-point uniform grid on [0, 11π/12]; θ = π is excluded since the
+    first-step branch probability vanishes there."""
+    return np.linspace(0.0, 11 * math.pi / 12, 13)
 
 
-def sweep_theta(records_or_fit, thetas=None, *, process: ProcessSpec):
+def sweep_theta(fit: RestrictedProcessTensor, thetas=None, *, process: ProcessSpec):
     """Non-Markovianity versus first-step angle.
 
     Each layer runs once on the stack of angles; only the points that keep
@@ -497,7 +504,6 @@ def sweep_theta(records_or_fit, thetas=None, *, process: ProcessSpec):
     converged, iterations); angles whose first-step branch vanishes are
     reported as (theta, None, False, 0).
     """
-    fit = _as_fit(records_or_fit)
     thetas = np.asarray(default_theta_grid() if thetas is None else thetas, dtype=float)
     mats = _zy_mats(thetas)
     t1, p_branch = _conditioned_maps(fit, mats)
@@ -511,21 +517,18 @@ def sweep_theta(records_or_fit, thetas=None, *, process: ProcessSpec):
     return rows
 
 
-def bloch_volume(map_kind: str, records_or_fit, theta: float, n_samples: int = 200,
+def bloch_volume(map_kind: str, fit: RestrictedProcessTensor, theta: float,
                  *, process: ProcessSpec | None = None) -> np.ndarray:
     """Accessible output states under the chosen last-step description.
 
-    Samples second interventions on a Fibonacci lattice and pushes the whole
-    cloud through either the conditioned process tensor or the uncorrelated
-    (memoryless) channel as one stack. Rows are (theta_a1, phi_a1, bx, by,
-    bz); vanishing trajectories are skipped.
+    Samples VOLUME_SAMPLES second interventions on a Fibonacci lattice and
+    pushes the whole cloud through either the conditioned process tensor or
+    the uncorrelated (memoryless) channel as one stack. Rows are (theta_a1,
+    phi_a1, bx, by, bz); vanishing trajectories are skipped.
     """
-    if n_samples < 1:
-        raise ValueError(f"bad-samples: n_samples must be >= 1, got {n_samples}")
-    fit = _as_fit(records_or_fit)
     # Fibonacci lattice: deterministic and nearly uniform over the sphere
-    i = np.arange(n_samples)
-    th = np.arccos(np.clip(1.0 - (2.0 * i + 1.0) / n_samples, -1.0, 1.0))
+    i = np.arange(VOLUME_SAMPLES)
+    th = np.arccos(np.clip(1.0 - (2.0 * i + 1.0) / VOLUME_SAMPLES, -1.0, 1.0))
     ph = np.fmod(math.pi * (3.0 - math.sqrt(5.0)) * i, 2 * math.pi)
     kets = np.stack([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)], axis=-1)
     mats = kets[:, :, None] * kets[:, None, :].conj()

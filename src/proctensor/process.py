@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import chi_to_superop, reduced_map
+from .channels import reduced_superop, superop_to_chi
 from .linalg import normalized_psd, unvec, vec_stack
 from .qubit import (
     CNOT,
@@ -166,15 +166,20 @@ def run_process(spec: ProcessSpec, ops: Sequence[Projector]):
     return (None if p < P_JOINT_CUTOFF else rho), float(p)
 
 
-def reduced_step_maps(spec: ProcessSpec) -> list[np.ndarray]:
-    """Per-step reduced chi matrices conditioned on the environment staying in |0⟩."""
+def _step_superops(spec: ProcessSpec) -> list[np.ndarray]:
+    """Per-step reduced superoperators with the environment in |0⟩."""
     return [
-        reduced_map(u, _GROUND1, spec.step_noise(i))
+        reduced_superop(u, _GROUND1, spec.step_noise(i))
         for i, u in enumerate(spec.interactions)
     ]
 
 
-def markov_sequences(spec: ProcessSpec, steps: Sequence[np.ndarray], reduced_maps):
+def reduced_step_maps(spec: ProcessSpec) -> list[np.ndarray]:
+    """Per-step reduced chi matrices conditioned on the environment staying in |0⟩."""
+    return [superop_to_chi(sup) for sup in _step_superops(spec)]
+
+
+def markov_sequences(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     """Memoryless baseline over a stack of sequences (steps as in run_sequences).
 
     From the system ground state, alternately applies each projector and the
@@ -182,20 +187,16 @@ def markov_sequences(spec: ProcessSpec, steps: Sequence[np.ndarray], reduced_map
     trace PSD states, maximally mixed where p is below the reporting cutoff.
     """
     _check_sequence(spec, steps)
-    if len(reduced_maps) != spec.nsteps:
-        raise ValueError(
-            f"bad-sequence: {len(reduced_maps)} reduced maps for {spec.nsteps} steps"
-        )
     rho = _GROUND1
-    for mats, sup in zip(steps, [chi_to_superop(chi) for chi in reduced_maps]):
+    for mats, sup in zip(steps, _step_superops(spec)):
         rho = mats @ rho @ np.conj(mats).swapaxes(-1, -2)
         rho = unvec(vec_stack(rho) @ sup.T)
     return normalized_psd(rho, P_JOINT_CUTOFF)
 
 
-def markov_predict(spec: ProcessSpec, ops: Sequence[Projector], reduced_maps):
+def markov_predict(spec: ProcessSpec, ops: Sequence[Projector]):
     """Memoryless baseline for one sequence (see markov_sequences); None below the cutoff."""
-    rho, p = markov_sequences(spec, [op.mat for op in ops], reduced_maps)
+    rho, p = markov_sequences(spec, [op.mat for op in ops])
     return None if p < P_JOINT_CUTOFF else rho
 
 

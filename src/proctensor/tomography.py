@@ -55,10 +55,11 @@ class TomoRecord:
     p_joint: float
 
     def __post_init__(self):
-        i0, i1 = self.basis_indices
-        nb = len(FIT_BASIS_LABELS)
-        if not (0 <= i0 < nb and 0 <= i1 < nb):
-            raise ValueError(f"bad-dims: basis indices {self.basis_indices} out of range")
+        idx, nb = self.basis_indices, len(FIT_BASIS_LABELS)
+        if len(idx) != 2 or not all(isinstance(i, (int, np.integer)) and 0 <= i < nb for i in idx):
+            raise ValueError(f"bad-dims: basis indices {idx} are not two integers in [0, {nb})")
+        if np.shape(self.rho_measured) != (2, 2):
+            raise ValueError(f"bad-dims: state of shape {np.shape(self.rho_measured)}, not 2x2")
         if not -1e-9 <= self.p_joint <= 1 + 1e-9:
             raise ValueError(f"bad-probability: p_joint={self.p_joint}")
         object.__setattr__(self, "rho_measured", check_density_matrix(self.rho_measured))
@@ -369,20 +370,6 @@ class RestrictedProcessTensor:
 
     def __init__(self, psd: bool = False):
         self.psd = psd
-
-    # -- sklearn-style parameter plumbing -------------------------------
-    def get_params(self, deep: bool = True) -> dict:
-        return {"psd": self.psd}
-
-    def set_params(self, **params) -> "RestrictedProcessTensor":
-        for key, value in params.items():
-            if key != "psd":
-                raise ValueError(f"bad-param: unknown parameter {key!r}")
-            setattr(self, key, value)
-        return self
-
-    def __repr__(self) -> str:
-        return f"RestrictedProcessTensor(psd={self.psd!r})"
 
     # -- fitting ---------------------------------------------------------
     def fit(self, records) -> "RestrictedProcessTensor":

@@ -27,7 +27,6 @@ from proctensor.process import (
     generate_records,
     intervention_qpt_data,
     markov_predict,
-    reduced_step_maps,
     run_process,
 )
 from proctensor.qubit import (
@@ -48,7 +47,6 @@ SHOTS = 3000
 
 
 def _grid_fidelities(spec, fit):
-    reduced = reduced_step_maps(spec)
     tensor_fids, markov_fids, pairs = [], [], []
     for l0 in OVERCOMPLETE_LABELS:
         for l1 in OVERCOMPLETE_LABELS:
@@ -58,7 +56,7 @@ def _grid_fidelities(spec, fit):
                 continue
             rho, _ = fit.predict(ops)
             tensor_fids.append(state_fidelity(truth, rho))
-            baseline = markov_predict(spec, ops, reduced)
+            baseline = markov_predict(spec, ops)
             markov_fids.append(state_fidelity(truth, baseline))
             pairs.append((l0, l1))
     return np.array(tensor_fids), np.array(markov_fids), pairs
@@ -91,10 +89,9 @@ def test_criterion_1_oracle_equivalence(ideal):
 def test_criterion_2_markov_baseline_split(ideal):
     """The memoryless baseline fails with memory and succeeds without."""
     spec_nc, fit_nc = ideal["cnot-cz"]
-    reduced = reduced_step_maps(spec_nc)
     ops = [named_projector("y-"), named_projector("x+")]
     truth, _ = run_process(spec_nc, ops)
-    baseline = markov_predict(spec_nc, ops, reduced)
+    baseline = markov_predict(spec_nc, ops)
     fid_memory = state_fidelity(truth, baseline)
     assert abs(fid_memory - 0.5) <= 1e-6
 

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import math
 import os
@@ -291,6 +293,18 @@ def test_tomo_predict_shots_independent_of_blas_threads(tmp_path):
         assert abs(float(r1[2]) - float(r2[2])) <= 1e-12, (r1, r2)
         for col in (3, 4):
             assert abs(float(r1[col]) - float(r2[col])) <= 1e-9, (r1, r2)
+
+
+def test_readme_library_tour_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(tour, "README.md", "exec"), {})
+    fidelity, baseline, n_value = (float(line) for line in out.getvalue().split())
+    assert abs(fidelity - 1.0) <= 1e-9
+    assert abs(baseline - 0.5) <= 1e-9
+    assert abs(n_value - math.log(2)) <= 1e-9
 
 
 def test_volume_files(tmp_path):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from proctensor import (
     NoiseSpec,
+    RestrictedProcessTensor,
     ShotConfig,
     VanishingBranchError,
     cnot_cz_process,
@@ -78,6 +79,23 @@ def test_relative_entropy_support_mismatch():
         relative_entropy(np.diag([0.5, 0.5]), np.diag([1.0, 0.0]))
 
 
+@pytest.mark.parametrize("a, b", [
+    (np.zeros((8, 8)), np.eye(8) / 8),
+    (-np.eye(8) / 8, np.eye(8) / 8),
+    (np.diag([1.0, -1.0, 0, 0, 0, 0, 0, 0]), np.eye(8) / 8),
+    (np.eye(8) / 8, -np.eye(8) / 8),
+    (np.eye(8) / 8, np.zeros((8, 8))),
+], ids=["zero-a", "negative-a", "traceless-a", "negative-b", "zero-b"])
+def test_relative_entropy_rejects_nonpositive_trace(a, b):
+    with pytest.raises(ValueError, match="bad-trace"):
+        relative_entropy(a, b)
+
+
+def test_relative_entropy_rejects_reference_that_is_not_psd():
+    with pytest.raises(ValueError, match="not-psd"):
+        relative_entropy(np.eye(8) / 8, np.diag([0.6, 0.5, -0.1, 0, 0, 0, 0, 0]))
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 100_000), st.integers(0, 100_000))
 def test_relative_entropy_nonnegative(seed_a, seed_b):
@@ -139,14 +157,28 @@ def test_vanishing_branch_raises(cnot_cz_fit):
         condition_family(cnot_cz_fit, math.pi)
 
 
+def test_memory_measure_requires_fitted_tensor(cnot_cz_spec):
+    unfitted = RestrictedProcessTensor()
+    calls = (
+        lambda: condition_family(unfitted, 0.3),
+        lambda: uncorrelated_choi(unfitted, 0.3, cnot_cz_spec),
+        lambda: sweep_theta(unfitted, [0.0, 0.3], process=cnot_cz_spec),
+        lambda: sweep_theta(unfitted, [], process=cnot_cz_spec),
+        lambda: bloch_volume("process-tensor", unfitted, 0.3),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="^not-fitted"):
+            call()
+
+
 def test_vanishing_branch_error_type(cnot_cz_fit, cnot_cz_spec):
     # every place that conditions on the first-step branch raises the one type
     calls = (
         lambda: condition_family(cnot_cz_fit, math.pi),
         lambda: uncorrelated_choi(cnot_cz_fit, math.pi, cnot_cz_spec),
         lambda: first_step_env_marginal(cnot_cz_spec, zy_projector(math.pi)),
-        lambda: bloch_volume("process-tensor", cnot_cz_fit, math.pi, 8),
-        lambda: bloch_volume("markov-map", cnot_cz_fit, math.pi, 8, process=cnot_cz_spec),
+        lambda: bloch_volume("process-tensor", cnot_cz_fit, math.pi),
+        lambda: bloch_volume("markov-map", cnot_cz_fit, math.pi, process=cnot_cz_spec),
     )
     for call in calls:
         with pytest.raises(VanishingBranchError, match="^vanishing-branch: "):
@@ -361,7 +393,7 @@ def test_default_grid():
 # --------------------------------------------------------------- volumes
 
 def test_volume_identity_branch(cnot_cz_fit, cnot_cz_spec):
-    cloud = bloch_volume("markov-map", cnot_cz_fit, 0.0, 64, process=cnot_cz_spec)
+    cloud = bloch_volume("markov-map", cnot_cz_fit, 0.0, process=cnot_cz_spec)
     # reduced step is the identity: outputs coincide with the sampled inputs
     for theta_a1, phi_a1, bx, by, bz in cloud:
         direction = np.array(
@@ -375,30 +407,27 @@ def test_volume_identity_branch(cnot_cz_fit, cnot_cz_spec):
 
 
 def test_volume_markov_collapses_to_z_axis(cnot_cz_fit, cnot_cz_spec):
-    cloud = bloch_volume("markov-map", cnot_cz_fit, math.pi / 2, 64, process=cnot_cz_spec)
+    cloud = bloch_volume("markov-map", cnot_cz_fit, math.pi / 2, process=cnot_cz_spec)
     assert np.abs(cloud[:, 2:4]).max() < 1e-8  # bx, by vanish
 
 
 def test_volume_tensor_keeps_off_axis_structure(cnot_cz_fit, cnot_cz_spec):
-    cloud = bloch_volume("process-tensor", cnot_cz_fit, math.pi / 2, 64,
-                         process=cnot_cz_spec)
+    cloud = bloch_volume("process-tensor", cnot_cz_fit, math.pi / 2, process=cnot_cz_spec)
     planar = np.hypot(cloud[:, 2], cloud[:, 3])
     assert planar.max() > 0.4
 
 
 def test_volume_deterministic(cnot_cz_fit, cnot_cz_spec):
-    a = bloch_volume("process-tensor", cnot_cz_fit, 0.3, 32, process=cnot_cz_spec)
-    b = bloch_volume("process-tensor", cnot_cz_fit, 0.3, 32, process=cnot_cz_spec)
+    a = bloch_volume("process-tensor", cnot_cz_fit, 0.3, process=cnot_cz_spec)
+    b = bloch_volume("process-tensor", cnot_cz_fit, 0.3, process=cnot_cz_spec)
     assert np.array_equal(a, b)
 
 
 def test_volume_argument_validation(cnot_cz_fit, cnot_cz_spec):
-    with pytest.raises(ValueError, match="bad-samples"):
-        bloch_volume("markov-map", cnot_cz_fit, 0.0, 0, process=cnot_cz_spec)
     with pytest.raises(ValueError, match="bad-map-kind"):
-        bloch_volume("other", cnot_cz_fit, 0.0, 8, process=cnot_cz_spec)
+        bloch_volume("other", cnot_cz_fit, 0.0, process=cnot_cz_spec)
     with pytest.raises(ValueError, match="bad-map-kind"):
-        bloch_volume("markov-map", cnot_cz_fit, 0.0, 8)
+        bloch_volume("markov-map", cnot_cz_fit, 0.0)
 
 
 def test_family_contains_memory_choi(cnot_cz_fit):

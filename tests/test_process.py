@@ -171,22 +171,20 @@ def test_reduced_step_maps_cnot_cz():
 
 def test_markov_matches_oracle_for_cz_cnot():
     spec = cz_cnot_process()
-    reduced = reduced_step_maps(spec)
     for l0 in ("z+", "y-", "xz+"):
         for l1 in ("x+", "zy-", "y+"):
             ops = [named_projector(l0), named_projector(l1)]
             truth, p = run_process(spec, ops)
             if truth is None:
                 continue
-            predicted = markov_predict(spec, ops, reduced)
+            predicted = markov_predict(spec, ops)
             assert state_fidelity(truth, predicted) >= 1 - 1e-9, (l0, l1)
 
 
 def test_markov_fails_on_memory_trajectory():
     spec = cnot_cz_process()
-    reduced = reduced_step_maps(spec)
     ops = [named_projector("y-"), named_projector("x+")]
-    predicted = markov_predict(spec, ops, reduced)
+    predicted = markov_predict(spec, ops)
     # the baseline predicts the pure x+ state while the process outputs I/2
     assert np.abs(predicted - named_projector("x+").mat).max() < 1e-9
     truth, _ = run_process(spec, ops)
@@ -195,17 +193,10 @@ def test_markov_fails_on_memory_trajectory():
 
 def test_markov_agrees_when_environment_stays_put():
     spec = cnot_cz_process()
-    reduced = reduced_step_maps(spec)
     ops = [named_projector("z+"), named_projector("x+")]
     truth, _ = run_process(spec, ops)
-    predicted = markov_predict(spec, ops, reduced)
+    predicted = markov_predict(spec, ops)
     assert state_fidelity(truth, predicted) >= 1 - 1e-12
-
-
-def test_markov_reduced_map_count_check():
-    spec = cnot_cz_process()
-    with pytest.raises(ValueError, match="bad-sequence"):
-        markov_predict(spec, [named_projector("z+")] * 2, [np.eye(4)])
 
 
 # ------------------------------------------------------------- sampling

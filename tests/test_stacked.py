@@ -160,7 +160,7 @@ def test_grid_matches_per_pair_loop(grid_case):
     steps = (mats[:, None], mats[None, :])
     truth, p_true = run_sequences(spec, steps)
     predicted, p_pred = fit.predict_sequences(steps)
-    baseline, p_base = markov_sequences(spec, steps, reduced_step_maps(spec))
+    baseline, p_base = markov_sequences(spec, steps)
     # the chain does the same products in the same order: bit for bit
     assert np.array_equal(p_true, ref_p_true)
     assert np.array_equal(truth, _filled(ref["truth"]))
@@ -335,7 +335,7 @@ def test_bloch_volume_matches_per_sample_loop(kind, noisy):
     spec = PROCESS_NAMES["cnot-cz"](NOISE if noisy else None)
     fit = fit_restricted_tensor(generate_records(spec))
     for theta in (0.0, math.pi / 4, math.pi / 2):
-        cloud = bloch_volume(kind, fit, theta, 200, process=spec)
+        cloud = bloch_volume(kind, fit, theta, process=spec)
         ref = ref_bloch_volume(kind, fit, theta, 200, spec)
         assert cloud.shape == ref.shape
         assert np.abs(cloud - ref).max() <= 1e-12
