@@ -181,6 +181,12 @@ def _refit_converged(fit) -> bool:
     return False
 
 
+def _records_and_fit(cfg: RunConfig, spec):
+    """Records of the process and their restricted-tensor fit; sampled records get the PSD refit."""
+    records = generate_records(spec, cfg.shot_config())
+    return records, fit_restricted_tensor(records, psd=cfg.shots is not None)
+
+
 def _safe_name(label: str) -> str:
     return label.replace("+", "p").replace("-", "m")
 
@@ -244,9 +250,8 @@ def cmd_tomo_predict(cfg: RunConfig) -> int:
     out = _ensure_outdir(cfg)
     digest = cfg.digest()
     spec = cfg.spec()
-    records = generate_records(spec, cfg.shot_config())
+    records, fit = _records_and_fit(cfg, spec)
     (out / "records.txt").write_text(records_to_text(records))
-    fit = fit_restricted_tensor(records, psd=cfg.shots is not None)
     # every pair of the overcomplete set at once: arrays indexed [a0, a1]
     labels = np.array(OVERCOMPLETE_LABELS)
     mats = np.array([named_projector(label).mat for label in labels])
@@ -284,8 +289,7 @@ def cmd_nonmarkov(cfg: RunConfig) -> int:
     out = _ensure_outdir(cfg)
     digest = cfg.digest()
     spec = cfg.spec()
-    records = generate_records(spec, cfg.shot_config())
-    fit = fit_restricted_tensor(records, psd=cfg.shots is not None)
+    _, fit = _records_and_fit(cfg, spec)
     results = sweep_theta(fit, cfg.theta_grid, process=spec)
     rows = []
     all_converged = _refit_converged(fit)
@@ -308,8 +312,7 @@ def cmd_volume(cfg: RunConfig) -> int:
     out = _ensure_outdir(cfg)
     digest = cfg.digest()
     spec = cfg.spec()
-    records = generate_records(spec, cfg.shot_config())
-    fit = fit_restricted_tensor(records, psd=cfg.shots is not None)
+    _, fit = _records_and_fit(cfg, spec)
     thetas = (
         cfg.theta_grid
         if cfg.theta_grid is not None

@@ -47,7 +47,11 @@ def write_matrix(path, m) -> None:
 
 def read_matrix(path) -> np.ndarray:
     lines = Path(path).read_text().splitlines()
+    if not lines:
+        raise ValueError("bad-dims: empty matrix file")
     rows, cols = (int(v) for v in lines[0].split())
+    if len(lines) != 1 + rows:
+        raise ValueError(f"bad-dims: header gives {rows} rows, file holds {len(lines) - 1}")
     out = np.empty((rows, cols), dtype=complex)
     for i in range(rows):
         vals = [float(v) for v in lines[1 + i].split()]

@@ -2,15 +2,14 @@
 
 A process is an alternating chain: local projector on the system, joint
 system-environment unitary, optional local noise. The simulator contracts the
-chain exactly; the sampling layer draws seed-reproducible Bernoulli counts
-consistent with the exact stage probabilities.
+chain exactly; a sampled record is that exact record seen through seeded,
+finite-shot three-axis tomography.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -200,33 +199,6 @@ def markov_predict(spec: ProcessSpec, ops: Sequence[Projector]):
     return None if p < P_JOINT_CUTOFF else rho
 
 
-def _stage_probabilities(spec: ProcessSpec, steps: Sequence[np.ndarray], readouts: np.ndarray):
-    """Conditional pass probability per projector stage plus one readout stage.
-
-    steps holds one stack (..., 2, 2) of projector matrices per interaction,
-    broadcast as in run_sequences, and readouts a stack (R, 2, 2) of readout
-    projectors. The normalized chain of each sequence is contracted once;
-    returns the stage probabilities, clipped to [0, 1], as (..., R, stages).
-    """
-    rho = spec.initial_state
-    probs = []
-    for step, (u, mats) in enumerate(zip(spec.interactions, steps)):
-        a = np.kron(np.asarray(mats, dtype=complex), ID2)
-        sub = a @ rho @ a.conj().swapaxes(-1, -2)
-        p = np.trace(sub, axis1=-2, axis2=-1).real
-        probs.append(p)
-        rho = np.where((p > P_JOINT_CUTOFF)[..., None, None],
-                       sub / np.maximum(p, P_JOINT_CUTOFF)[..., None, None], 0.0)
-        rho = u @ rho @ u.conj().T
-        noise = spec.step_noise(step)
-        if noise is not None:
-            rho = apply_noise(rho, noise)
-    out = np.einsum("...ijkj->...ik", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)))
-    read = np.trace(readouts @ out[..., None, :, :], axis1=-2, axis2=-1).real
-    stages = np.broadcast_arrays(*[q[..., None] for q in probs], read)
-    return np.clip(np.stack(stages, axis=-1), 0.0, 1.0)
-
-
 def _derived_rng(seed: int, *parts) -> np.random.Generator:
     """Deterministic generator keyed by the seed and a tuple of task parts.
 
@@ -251,39 +223,45 @@ def _derived_rng(seed: int, *parts) -> np.random.Generator:
     return np.random.default_rng(np.frombuffer(h.digest(), dtype="<u4"))
 
 
-def _staged_counts(probs, cfg: ShotConfig, rng: np.random.Generator):
-    """Counts of cfg.shots shots through ordered pass/fail stages, per row of probs.
+def _staged_counts(passed: float, readout, cfg: ShotConfig, rng: np.random.Generator):
+    """Counts of cfg.shots shots per readout axis: post-selected, then read out.
 
-    Row i holds each stage's conditional pass probability. A shot passes the
-    earlier stages with probability ∏ probs[i, :-1], so total_i ~ Bin(shots, ∏)
-    and then npass_i ~ Bin(total_i, probs[i, -1]) is the exact law of the
-    staged Bernoulli chain. Returns the lists (npass, total): passes including
-    the last stage and passes of all earlier ones.
+    A shot is post-selected with probability passed and then reads "+" on
+    axis a with probability readout[a], so total_a ~ Bin(shots, passed) and
+    npass_a ~ Bin(total_a, readout[a]). All totals are drawn before the
+    passes. Returns the lists (npass, total).
     """
-    rows = np.asarray(probs, dtype=float).tolist()
     # scalar draws give the numbers rng.binomial gives on whole arrays, without
     # the checks numpy makes on array arguments, which cost more than the draws
-    total = [rng.binomial(cfg.shots, math.prod(row[:-1])) for row in rows]
-    return [rng.binomial(n, row[-1]) for n, row in zip(total, rows)], total
+    total = [rng.binomial(cfg.shots, passed) for _ in readout]
+    return [rng.binomial(n, q) for n, q in zip(total, readout)], total
 
 
-#: "+" projector of each QST axis, the readout stage of a sampled state.
-_QST_READOUTS = tuple(named_projector(axis + "+") for axis in QST_AXES)
+#: "+" projector of each QST axis, the readout of a sampled state.
+_QST_READOUTS = np.array([named_projector(axis + "+").mat for axis in QST_AXES])
 
 
-def _sampled_states(stage_probs, keys, cfg: ShotConfig):
+def _readout_probabilities(states):
+    """"+" probability on each of _QST_READOUTS, (..., 3), of states (..., 2, 2)."""
+    return np.trace(_QST_READOUTS @ states[..., None, :, :], axis1=-2, axis2=-1).real
+
+
+def _sampled_states(passed, readout, keys, cfg: ShotConfig):
     """Three-axis QST of N items from sampled counts; both outcomes share each axis run.
 
-    stage_probs (N, 3, stages) holds at [i, a] the stage probabilities of item
-    i read out on _QST_READOUTS[a]. All counts of item i come from one
-    generator, _derived_rng(cfg.seed, *keys[i]), whatever items are drawn
-    with it. Returns (states (N, 2, 2), p_joint (N,)), with p_joint the mean
+    passed (N,) holds each item's post-selection probability and readout
+    (N, 3) its "+" probability on each of _QST_READOUTS; both are clipped to
+    [0, 1]. All counts of item i come from one generator,
+    _derived_rng(cfg.seed, *keys[i]), whatever items are drawn with it.
+    Returns (states (N, 2, 2), p_joint (N,)), with p_joint the mean
     post-selection rate over the three axes and the maximally mixed state
     for items that some axis never post-selects.
     """
+    passed = np.clip(passed, 0.0, 1.0).tolist()
+    readout = np.clip(readout, 0.0, 1.0).tolist()
     counts = np.array([
-        _staged_counts(probs, cfg, _derived_rng(cfg.seed, *key))
-        for probs, key in zip(stage_probs, keys)
+        _staged_counts(p, q, cfg, _derived_rng(cfg.seed, *key))
+        for p, q, key in zip(passed, readout, keys)
     ]).reshape(len(keys), 2, len(QST_AXES))
     npass, total = counts[:, 0], counts[:, 1]
     rates = total / cfg.shots
@@ -300,25 +278,22 @@ def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None) -> list[T
     """Tomography records for every two-step basis combination.
 
     Without a ShotConfig the records are exact contraction results; with one,
-    each record is a three-axis sampled state estimate with the post-selection
-    rate standing in for the joint probability. The chain of each sequence is
-    contracted once for its three readouts, and the counts of each record
-    come from one generator keyed on (initial state, sequence, seed).
+    each exact record is seen through three-axis tomography of cfg.shots
+    shots per axis, the post-selection rate standing in for the joint
+    probability. The counts of each record come from one generator keyed on
+    (initial state, sequence, seed).
     """
     if spec.nsteps != 2:
         raise ValueError("bad-sequence: record generation expects a two-step process")
     basis = [named_projector(label) for label in FIT_BASIS_LABELS]
     indices = list(itertools.product(range(len(basis)), repeat=2))
     mats = np.array([op.mat for op in basis])
-    steps = [mats[:, None], mats[None, :]]
-    if cfg is None:
-        states, p_joint = run_sequences(spec, steps)
-    else:
-        readouts = np.array([r.mat for r in _QST_READOUTS])
+    states, p_joint = run_sequences(spec, [mats[:, None], mats[None, :]])
+    if cfg is not None:
+        keys = [(spec.initial_state, basis[i], basis[j]) for i, j in indices]
         states, p_joint = _sampled_states(
-            _stage_probabilities(spec, steps, readouts).reshape(len(indices), len(readouts), -1),
-            [(spec.initial_state, basis[i], basis[j]) for i, j in indices],
-            cfg,
+            p_joint.reshape(-1), _readout_probabilities(states).reshape(-1, len(QST_AXES)),
+            keys, cfg,
         )
     return [TomoRecord(idx, rho, float(p)) for idx, rho, p
             in zip(indices, states.reshape(-1, 2, 2), p_joint.reshape(-1))]
@@ -340,11 +315,12 @@ def intervention_qpt_data(op: Projector, cfg: ShotConfig | None = None, run_tags
     if cfg is None:
         exact = np.array([op.mat @ rin @ op.mat.conj().T for rin in inputs])
         return inputs, np.repeat(exact[None], len(tags), axis=0)
-    passed = np.clip([np.trace(op.mat @ rin).real for rin in inputs], 0.0, 1.0)
-    readout = np.clip([np.trace(r.mat @ op.mat).real for r in _QST_READOUTS], 0.0, 1.0)
-    stages = np.stack(np.broadcast_arrays(passed[:, None], readout), axis=-1)
+    # the projected state is op itself, whatever the input
+    passed = [np.trace(op.mat @ rin).real for rin in inputs]
     keys = [(tag, op, label) for tag in tags for label in labels]
-    states, p_hat = _sampled_states(np.tile(stages, (len(tags), 1, 1)), keys, cfg)
+    states, p_hat = _sampled_states(np.tile(passed, len(tags)),
+                                    np.tile(_readout_probabilities(op.mat), (len(keys), 1)),
+                                    keys, cfg)
     outputs = p_hat[:, None, None] * states
     return inputs, outputs.reshape(len(tags), len(labels), 2, 2)
 

@@ -21,9 +21,11 @@ def test_matrix_round_trip(tmp_path):
 
 def test_matrix_rejects_corrupt_row(tmp_path):
     path = tmp_path / "m.txt"
-    path.write_text("1 2\n0.0 0.0 1.0\n")
-    with pytest.raises(ValueError, match="bad-dims"):
-        read_matrix(path)
+    # a short row, an empty file, fewer rows than the header and more rows
+    for text in ("1 2\n0.0 0.0 1.0\n", "", "2 2\n1 0 0 0\n", "1 1\n1 0\n0 0\n"):
+        path.write_text(text)
+        with pytest.raises(ValueError, match="bad-dims"):
+            read_matrix(path)
 
 
 def test_config_digest_stable_and_order_free():

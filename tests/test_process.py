@@ -12,7 +12,6 @@ from proctensor.process import (
     ShotConfig,
     _derived_rng,
     _sampled_states,
-    _stage_probabilities,
     _staged_counts,
     cnot_cz_process,
     cz_cnot_process,
@@ -34,6 +33,7 @@ from proctensor.qubit import (
     SZ,
     NoiseSpec,
     apply_noise,
+    bloch_vector,
     named_projector,
     projector,
     state_fidelity,
@@ -81,7 +81,7 @@ def test_shot_config_rejects_seed_beyond_64_bits():
         ShotConfig(seed=2**64)
     # the largest accepted seed still keys a stream
     cfg = ShotConfig(shots=10, seed=2**64 - 1)
-    _, p_joint = _sampled_states(np.ones((1, 3, 2)), [("largest",)], cfg)
+    _, p_joint = _sampled_states(np.ones(1), np.ones((1, 3)), [("largest",)], cfg)
     assert p_joint.tolist() == [1.0]
 
 
@@ -207,24 +207,24 @@ def pure_state(bloch):
 
 
 def test_counts_certain_and_impossible():
-    # stage probabilities (item, axis, stage): certain stages draw every
-    # shot whatever the seed, impossible ones none
-    probs = np.array([[[1.0, 1.0]] * 3, [[1.0, 0.0]] * 3, [[0.0, 0.5]] * 3])
+    # certain probabilities draw every shot whatever the seed, impossible ones none
+    passed = np.array([1.0, 1.0, 0.0])
+    readout = np.array([[1.0] * 3, [0.0] * 3, [0.5] * 3])
     for seed in (3, 4):
-        states, p_joint = _sampled_states(probs, [("a",), ("b",), ("c",)],
+        states, p_joint = _sampled_states(passed, readout, [("a",), ("b",), ("c",)],
                                           ShotConfig(shots=500, seed=seed))
         assert p_joint.tolist() == [1.0, 1.0, 0.0]
         # every readout passes: (1, 1, 1) is PSD-projected onto the sphere
         assert np.abs(states[0] - pure_state([1, 1, 1])).max() < 1e-12
         assert np.abs(states[1] - pure_state([-1, -1, -1])).max() < 1e-12
-        # a blocked earlier stage post-selects nothing: the maximally mixed state
+        # a blocked post-selection keeps nothing: the maximally mixed state
         assert np.array_equal(states[2], ID2 / 2)
 
 
 def test_counts_binomial_band():
     # every readout probability is exactly 1/2; 5 sigma of Bin(3000, 1/2) is
     # 137, so each Bloch component 2 npass / 3000 - 1 lies within 2 * 137 / 3000
-    states, p_joint = _sampled_states(np.full((40, 3, 2), [1.0, 0.5]),
+    states, p_joint = _sampled_states(np.ones(40), np.full((40, 3), 0.5),
                                       [(k,) for k in range(40)], ShotConfig(shots=3000, seed=11))
     assert np.array_equal(p_joint, np.ones(40))
     for pauli in (SX, SY, SZ):
@@ -242,57 +242,67 @@ def test_counts_deterministic_per_seed(cnot_cz_spec):
 def test_counts_independent_of_batch_order():
     # each item draws from the generator keyed on its own key, wherever it sits
     cfg = ShotConfig(shots=1000, seed=9)
-    probs = np.array([[[0.7, 0.4]] * 3, [[0.5, 0.9]] * 3, [[0.9, 0.2]] * 3])
+    passed = np.array([0.7, 0.5, 0.9])
+    readout = np.array([[0.4, 0.6, 0.1], [0.9, 0.5, 0.3], [0.2, 0.8, 0.7]])
     keys = [("y-", "x+"), ("z+", "y+"), ("x+", "x+")]
-    forward = _sampled_states(probs, keys, cfg)
-    backward = _sampled_states(probs[::-1], keys[::-1], cfg)
+    forward = _sampled_states(passed, readout, keys, cfg)
+    backward = _sampled_states(passed[::-1], readout[::-1], keys[::-1], cfg)
     assert np.array_equal(forward[0], backward[0][::-1])
     assert np.array_equal(forward[1], backward[1][::-1])
-    alone = _sampled_states(probs[1:2], keys[1:2], cfg)
+    alone = _sampled_states(passed[1:2], readout[1:2], keys[1:2], cfg)
     assert np.array_equal(alone[0][0], forward[0][1]) and alone[1][0] == forward[1][1]
 
 
-STAGES = [[0.7, 0.4, 0.3], [0.5, 1.0, 0.8], [1.0, 0.05, 0.6], [0.2, 0.9, 1.0]]
+#: (post-selection probability, readout probability per axis) of each law case
+LAW_CASES = [(0.28, [0.3, 0.8, 0.6]), (0.5, [0.8, 1.0, 0.05]),
+             (0.05, [0.6, 0.3, 0.5]), (0.18, [1.0, 0.4, 0.9])]
 
 
 def test_staged_counts_follow_the_staged_bernoulli_law():
-    # Each shot passes the earlier stages with P = prod(earlier) and then the
-    # last with q: total ~ Bin(n, P) and npass ~ Bin(n, Pq) marginally, with
-    # cov(npass, total) = n Pq (1 - P). Sample moments over 2000 derived
-    # seeds must sit within 5 standard errors of these.
+    # Each shot is post-selected with P and then reads "+" on axis a with
+    # q_a: total_a ~ Bin(n, P) and npass_a ~ Bin(n, P q_a) marginally, with
+    # cov(npass_a, total_a) = n P q_a (1 - P), and the axes are independent
+    # runs. Sample moments over 2000 derived seeds must sit within 5
+    # standard errors of these.
     n, draws = 400, 2000
     cfg = ShotConfig(shots=n)
-    counts = np.array([
-        _staged_counts(STAGES, cfg, _derived_rng(seed, "law")) for seed in range(draws)
-    ])  # (draws, 2, rows)
-    npass, total = counts[:, 0].astype(float), counts[:, 1].astype(float)
-    for row, stages in enumerate(STAGES):
-        big_p = math.prod(stages[:-1])
-        for x, p in ((total[:, row], big_p), (npass[:, row], big_p * stages[-1])):
-            var = n * p * (1 - p)
-            mu4 = var * (1 + 3 * (n - 2) * p * (1 - p))  # binomial 4th central moment
-            assert abs(x.mean() - n * p) <= 5 * math.sqrt(var / draws), (row, p)
-            assert abs(x.var(ddof=1) - var) <= 5 * math.sqrt((mu4 - var**2) / draws), (row, p)
-        # standard error of a sample covariance, normal approximation
-        pq = big_p * stages[-1]
-        cov = n * pq * (1 - big_p)
-        se = math.sqrt((n * pq * (1 - pq) * n * big_p * (1 - big_p) + cov**2) / draws)
-        assert abs(np.cov(npass[:, row], total[:, row])[0, 1] - cov) <= 5 * se, row
+    for case, (big_p, readout) in enumerate(LAW_CASES):
+        counts = np.array([
+            _staged_counts(big_p, readout, cfg, _derived_rng(seed, "law", case))
+            for seed in range(draws)
+        ])  # (draws, 2, axes)
+        npass, total = counts[:, 0].astype(float), counts[:, 1].astype(float)
+        for axis, q in enumerate(readout):
+            for x, p in ((total[:, axis], big_p), (npass[:, axis], big_p * q)):
+                var = n * p * (1 - p)
+                mu4 = var * (1 + 3 * (n - 2) * p * (1 - p))  # binomial 4th central moment
+                assert abs(x.mean() - n * p) <= 5 * math.sqrt(var / draws), (case, axis, p)
+                assert abs(x.var(ddof=1) - var) <= 5 * math.sqrt((mu4 - var**2) / draws), \
+                    (case, axis, p)
+            # standard error of a sample covariance, normal approximation
+            pq = big_p * q
+            cov = n * pq * (1 - big_p)
+            se = math.sqrt((n * pq * (1 - pq) * n * big_p * (1 - big_p) + cov**2) / draws)
+            assert abs(np.cov(npass[:, axis], total[:, axis])[0, 1] - cov) <= 5 * se, (case, axis)
+        # totals of different axes are uncorrelated
+        var = n * big_p * (1 - big_p)
+        assert abs(np.cov(total[:, 0], total[:, 1])[0, 1]) <= 5 * var / math.sqrt(draws), case
 
 
 @settings(max_examples=100, deadline=None)
-@given(st.integers(1, MAX_SHOTS), st.lists(st.floats(0.0, 1.0), min_size=2, max_size=4),
-       st.integers(0, 2**64 - 1), st.data())
-def test_staged_counts_properties(shots, stages, seed, data):
-    blocked = list(stages)
-    blocked[data.draw(st.integers(0, len(stages) - 2))] = 0.0
+@given(st.integers(1, MAX_SHOTS), st.floats(0.0, 1.0),
+       st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3), st.integers(0, 2**64 - 1))
+def test_staged_counts_properties(shots, passed, readout, seed):
     cfg = ShotConfig(shots=shots, seed=seed)
-    npass, total = _staged_counts([stages, blocked, [1.0] * len(stages)], cfg,
-                                  _derived_rng(seed, "properties"))
-    assert 0 <= npass[0] <= total[0] <= shots
-    # a stage that never passes stops every shot; stages that always pass keep all
-    assert (npass[1], total[1]) == (0, 0)
-    assert (npass[2], total[2]) == (shots, shots)
+    rng = _derived_rng(seed, "properties")
+    npass, total = _staged_counts(passed, readout, cfg, rng)
+    assert all(0 <= k <= t <= shots for k, t in zip(npass, total))
+    # a blocked post-selection stops every shot; certain stages keep all
+    axes = len(readout)
+    assert _staged_counts(0.0, readout, cfg, rng) == ([0] * axes, [0] * axes)
+    assert _staged_counts(1.0, [1.0] * axes, cfg, rng) == ([shots] * axes, [shots] * axes)
+    # a readout that never reads "+" passes nothing on its axis
+    assert _staged_counts(passed, [0.0] * axes, cfg, rng)[0] == [0] * axes
 
 
 # -------------------------------------------------------------- records
@@ -325,6 +335,31 @@ def test_sampled_records_close_to_exact(cnot_cz_spec, cnot_cz_records):
             assert state_fidelity(exact.rho_measured, noisy.rho_measured) > 0.95
 
 
+@pytest.mark.parametrize("shots", [3000, 300_000, MAX_SHOTS])
+def test_sampled_records_within_binomial_errors(cnot_cz_spec, cnot_cz_records, shots):
+    # Each axis post-selects total_a ~ Bin(n, p) shots, so the mean rate has
+    # standard error sqrt(p (1 - p) / 3n), and at 5 of them every total is at
+    # least t = n p - 5 sqrt(n p (1 - p)). Given its total, the raw Bloch
+    # component 2 npass_a / total_a - 1 has standard error at most
+    # se_a = 2 sqrt(q_a (1 - q_a) / t), with q_a the exact "+" probability.
+    # qst_six_axis moves the raw vector radially onto the Bloch ball, which
+    # brings it no farther from the exact vector inside the ball, so with each
+    # raw component within 5 se_a every reported component lies within
+    # 5 |se| of the exact one.
+    cfg = ShotConfig(shots=shots, seed=0)
+    for exact, rec in zip(cnot_cz_records, generate_records(cnot_cz_spec, cfg)):
+        p = exact.p_joint
+        assert abs(rec.p_joint - p) <= 5 * math.sqrt(p * (1 - p) / (3 * shots)) + 1e-12, \
+            rec.labels
+        t = shots * p - 5 * math.sqrt(shots * p * (1 - p))
+        if t < 1:
+            continue
+        r = bloch_vector(exact.rho_measured)
+        q = np.clip((1 + r) / 2, 0.0, 1.0)
+        bound = 5 * np.linalg.norm(2 * np.sqrt(q * (1 - q) / t)) + 1e-12
+        assert np.abs(bloch_vector(rec.rho_measured) - r).max() <= bound, rec.labels
+
+
 def test_qpt_data_exact_mode():
     op = named_projector("y-")
     inputs, outputs = intervention_qpt_data(op)
@@ -335,29 +370,28 @@ def test_qpt_data_exact_mode():
 
 # -------------------------------------------- per-state sampling reference
 
-def loop_stage_probabilities(spec, ops, readouts):
-    """Stage probabilities of one sequence from its own normalized chain.
+def loop_exact_record(spec, ops):
+    """Normalized system output and joint probability of one sequence from its own chain.
 
-    The per-sequence form the stacked _stage_probabilities replaced; both
-    must give the same bits, since the binomial draws can depend on every
-    bit of the probabilities.
+    The per-sequence form of run_sequences; both must give the same bits,
+    since the binomial draws can depend on every bit of the probabilities.
     """
-    probs = []
     rho = spec.initial_state.copy()
     for step, (u, op) in enumerate(zip(spec.interactions, ops)):
         a = kron(op.mat, ID2)
-        sub = a @ rho @ a.conj().T
-        p = float(np.trace(sub).real)
-        probs.append(min(max(p, 0.0), 1.0))
-        rho = sub / p if p > P_JOINT_CUTOFF else np.zeros_like(sub)
+        rho = a @ rho @ a.conj().T
         rho = u @ rho @ u.conj().T
         noise = spec.step_noise(step)
         if noise is not None:
             rho = apply_noise(rho, noise)
-    out = partial_trace(rho, 2, 2, keep="a")
-    return [
-        probs + [min(max(float(np.trace(r.mat @ out).real), 0.0), 1.0)] for r in readouts
-    ]
+    p = max(float(np.trace(rho).real), 0.0)
+    if p < P_JOINT_CUTOFF:
+        return ID2 / 2, p
+    return partial_trace(rho, 2, 2, keep="a") / p, p
+
+
+def clipped(p):
+    return min(max(float(p), 0.0), 1.0)
 
 
 SPECS = [
@@ -366,35 +400,18 @@ SPECS = [
 ]
 
 
-@pytest.mark.parametrize("make_spec", SPECS)
-def test_stacked_stage_probabilities_equal_per_sequence_chain(make_spec):
-    spec = make_spec()
-    basis = [named_projector(label) for label in FIT_BASIS_LABELS]
-    readouts = [named_projector(axis + "+") for axis in QST_AXES]
-    mats = np.array([op.mat for op in basis])
-    stacked = _stage_probabilities(spec, [mats[:, None], mats[None, :]],
-                                   np.array([r.mat for r in readouts]))
-    assert stacked.shape == (9, 9, 3, 3)
-    for i, first in enumerate(basis):
-        for j, second in enumerate(basis):
-            ref = np.array(loop_stage_probabilities(spec, [first, second], readouts))
-            assert np.array_equal(stacked[i, j], ref), (FIT_BASIS_LABELS[i], FIT_BASIS_LABELS[j])
-    # one sequence and one readout
-    single = _stage_probabilities(spec, [basis[2].mat, basis[7].mat], readouts[1].mat[None])
-    ref = loop_stage_probabilities(spec, [basis[2], basis[7]], readouts[1:2])
-    assert np.array_equal(single, np.array(ref))
-
-
-def loop_sampled_state(stage_fn, cfg, rng_parts):
+def loop_sampled_state(passed, readout_fn, cfg, rng_parts):
     """Three-axis QST of one state, drawn on its own.
 
-    The state's generator draws the three axes' totals, then their passes,
-    as whole-array binomials; the stacked sampler must give the same bytes.
+    passed is the state's post-selection probability and readout_fn gives
+    its "+" probability for a readout projector. The state's generator draws
+    the three axes' totals, then their passes, as whole-array binomials; the
+    stacked sampler must give the same bytes.
     """
-    probs = np.array([stage_fn(named_projector(axis + "+")) for axis in QST_AXES])
+    readout = [clipped(readout_fn(named_projector(axis + "+"))) for axis in QST_AXES]
     rng = _derived_rng(cfg.seed, *rng_parts)
-    total = rng.binomial(cfg.shots, np.prod(probs[:, :-1], axis=-1))
-    npass = rng.binomial(total, probs[:, -1])
+    total = rng.binomial(cfg.shots, np.full(len(QST_AXES), clipped(passed)))
+    npass = rng.binomial(total, readout)
     totals = [int(t) / cfg.shots for t in total]
     p_joint = float(np.mean(totals))
     if min(totals) <= 0.0:
@@ -412,9 +429,9 @@ def test_sampled_records_equal_per_stream_loop(make_spec, shots, seed):
     assert len(records) == 81
     for rec in records:
         ops = [named_projector(label) for label in rec.labels]
+        out, p_joint = loop_exact_record(spec, ops)
         rho, p = loop_sampled_state(
-            lambda ax: loop_stage_probabilities(spec, ops, [ax])[0], cfg,
-            (spec.initial_state, *ops),
+            p_joint, lambda r: np.trace(r.mat @ out).real, cfg, (spec.initial_state, *ops),
         )
         assert rec.p_joint == p, rec.labels
         assert np.array_equal(rec.rho_measured, rho), rec.labels
@@ -431,13 +448,10 @@ def test_qpt_data_equals_per_stream_loop(label):
         for k, axis_label in enumerate(("x+", "x-", "y+", "y-", "z+", "z-")):
             rin = named_projector(axis_label).mat
             assert np.array_equal(inputs[k], rin)
-            p_pass = min(max(float(np.trace(op.mat @ rin).real), 0.0), 1.0)
-
-            def stages(readout, _p=p_pass):
-                q = float(np.trace(readout.mat @ op.mat).real)
-                return [_p, min(max(q, 0.0), 1.0)]
-
-            rho, p_hat = loop_sampled_state(stages, cfg, (tag, op, axis_label))
+            rho, p_hat = loop_sampled_state(
+                np.trace(op.mat @ rin).real, lambda r: np.trace(r.mat @ op.mat).real, cfg,
+                (tag, op, axis_label),
+            )
             assert np.array_equal(outputs[rep, k], p_hat * rho), (tag, axis_label)
 
 
