@@ -6,17 +6,6 @@ records, benchmark it against a memoryless baseline, and quantify memory as a
 PSD-constrained minimum relative entropy.
 """
 
-from .linalg import (
-    HermEigen,
-    herm_eig,
-    kron,
-    mat_log_psd,
-    mat_sqrt_psd,
-    partial_trace,
-    project_psd,
-    unvec,
-    vec,
-)
 from .qubit import (
     CNOT,
     CZ,
@@ -25,19 +14,15 @@ from .qubit import (
     NoiseSpec,
     Projector,
     apply_noise,
-    apply_projector,
     bloch_vector,
     named_projector,
     projector,
-    rotation_gate,
     state_fidelity,
     zy_projector,
 )
 from .channels import (
-    apply_chi,
     chi_fidelity,
     chi_from_process,
-    chi_is_trace_preserving,
     chi_of_operator,
     reduced_map,
 )
@@ -49,7 +34,6 @@ from .process import (
     generate_records,
     markov_predict,
     markov_sequences,
-    reduced_step_maps,
     run_process,
     run_sequences,
 )
@@ -79,17 +63,13 @@ from .nonmarkov import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "HermEigen", "herm_eig", "kron", "mat_log_psd", "mat_sqrt_psd",
-    "partial_trace", "project_psd", "unvec", "vec",
     "CNOT", "CZ", "FIT_BASIS_LABELS", "OVERCOMPLETE_LABELS", "NoiseSpec",
-    "Projector", "apply_noise", "apply_projector", "bloch_vector",
-    "named_projector", "projector", "rotation_gate", "state_fidelity",
-    "zy_projector",
-    "apply_chi", "chi_fidelity", "chi_from_process", "chi_is_trace_preserving",
-    "chi_of_operator", "reduced_map",
+    "Projector", "apply_noise", "bloch_vector", "named_projector", "projector",
+    "state_fidelity", "zy_projector",
+    "chi_fidelity", "chi_from_process", "chi_of_operator", "reduced_map",
     "ProcessSpec", "ShotConfig", "cnot_cz_process", "cz_cnot_process",
-    "generate_records", "markov_predict", "markov_sequences", "reduced_step_maps",
-    "run_process", "run_sequences",
+    "generate_records", "markov_predict", "markov_sequences", "run_process",
+    "run_sequences",
     "RestrictedProcessTensor", "TomoRecord", "fit_restricted_tensor",
     "qst_six_axis", "records_from_text", "records_to_text",
     "ChoiFamily", "ChoiState", "MinimizeResult", "SupportMismatchError",

@@ -22,7 +22,7 @@ import itertools
 
 import numpy as np
 
-from .linalg import kron, kron_stack, project_psd, unvec, vec, vec_stack
+from .linalg import kron_stack, project_psd, unvec, vec_stack
 from .qubit import PAULIS, NoiseSpec, apply_noise
 from .validation import as_matrix, as_square, check_unitary, qubit_count
 
@@ -32,10 +32,7 @@ __all__ = [
     "action_dual",
     "chi_of_operator",
     "chi_from_process",
-    "apply_chi",
     "chi_fidelity",
-    "chi_is_trace_preserving",
-    "chi_to_superop",
     "superop_to_chi",
     "superop_to_choi",
     "map_to_choi",
@@ -50,7 +47,7 @@ def pauli_basis(nqubits: int) -> list[np.ndarray]:
     """Pauli product basis ordered (I, X, Y, Z)^⊗n."""
     if nqubits == 1:
         return list(PAULIS)
-    return [kron(a, b) for a, b in itertools.product(PAULIS, PAULIS)]
+    return [np.kron(a, b) for a, b in itertools.product(PAULIS, PAULIS)]
 
 
 @functools.cache
@@ -167,16 +164,6 @@ def chi_from_process(prepared_inputs, measured_outputs, psd: bool = False) -> np
     return chi[0] if single else chi
 
 
-def apply_chi(chi, rho) -> np.ndarray:
-    """Evaluate Λ(ρ) = Σ_mn χ_mn E_m ρ E_n†."""
-    c = as_square(chi, "chi")
-    r = as_square(rho, "rho")
-    d = r.shape[0]
-    if c.shape[0] != d * d:
-        raise ValueError(f"bad-dims: chi side {c.shape[0]} does not match state dim {d}")
-    return unvec(chi_to_superop(c) @ vec(r), d, d)
-
-
 def chi_fidelity(chi, chi_ideal) -> float:
     """Tr[chi_ideal chi] with both matrices normalized to unit trace."""
     a = as_square(chi, "chi")
@@ -186,19 +173,6 @@ def chi_fidelity(chi, chi_ideal) -> float:
     ta = float(np.trace(a).real)
     tb = float(np.trace(b).real)
     return float(np.trace(b @ a).real) / (ta * tb)
-
-
-def chi_is_trace_preserving(chi, tol: float = 1e-6) -> bool:
-    """Check Σ_mn χ_mn E_n† E_m = I, i.e. vec(I)† S = vec(I)† for the superoperator S."""
-    s = chi_to_superop(chi)
-    v = vec(np.eye(int(round(np.sqrt(s.shape[0])))))
-    return bool(np.abs(v @ s - v).max() <= tol)
-
-
-def chi_to_superop(chi) -> np.ndarray:
-    c = as_square(chi, "chi")
-    n = qubit_count(int(round(np.sqrt(c.shape[0]))), "chi")
-    return np.einsum("mn,mnij->ij", c, _pauli_pairs(n))
 
 
 def superop_to_chi(superop) -> np.ndarray:

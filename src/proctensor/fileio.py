@@ -49,7 +49,10 @@ def read_matrix(path) -> np.ndarray:
     lines = Path(path).read_text().splitlines()
     if not lines:
         raise ValueError("bad-dims: empty matrix file")
-    rows, cols = (int(v) for v in lines[0].split())
+    dims = lines[0].split()
+    if len(dims) != 2 or not all(v.isdecimal() for v in dims):
+        raise ValueError(f"bad-dims: header {lines[0]!r} is not two counts")
+    rows, cols = (int(v) for v in dims)
     if len(lines) != 1 + rows:
         raise ValueError(f"bad-dims: header gives {rows} rows, file holds {len(lines) - 1}")
     out = np.empty((rows, cols), dtype=complex)

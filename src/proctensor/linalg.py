@@ -1,10 +1,9 @@
 """Dense complex linear-algebra kernel.
 
-Kronecker products, partial traces, Hermitian eigendecomposition, PSD-safe
-matrix functions, PSD projection and column-stacking vectorization. All
-functions are pure and operate on plain numpy arrays. The spectral functions,
-vec_stack and unvec also take stacks (..., n, n) and treat each matrix as
-they treat a single one.
+Stacked Kronecker products, Hermitian eigendecomposition, PSD projection and
+column-stacking vectorization. All functions are pure and operate on plain
+numpy arrays. The spectral functions, vec_stack and unvec also take stacks
+(..., n, n) and treat each matrix as they treat a single one.
 """
 
 from __future__ import annotations
@@ -13,16 +12,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .validation import as_matrix, as_square, hermitian_part
+from .validation import as_matrix, hermitian_part
 
 __all__ = [
     "HermEigen",
-    "kron",
     "kron_stack",
-    "partial_trace",
     "herm_eig",
-    "mat_sqrt_psd",
-    "mat_log_psd",
     "project_psd",
     "normalized_psd",
     "clip_divided_differences",
@@ -39,23 +34,11 @@ class HermEigen:
     eigenvalues: np.ndarray
     eigenvectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        v = self.eigenvectors
-        return (v * self.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
-
     def apply(self, fn) -> np.ndarray:
         """Hermitian matrix function V fn(w) V† of the decomposed matrix or stack."""
         v = self.eigenvectors
         out = (v * fn(self.eigenvalues)[..., None, :]) @ v.conj().swapaxes(-1, -2)
         return (out + out.conj().swapaxes(-1, -2)) / 2
-
-
-def kron(a, b) -> np.ndarray:
-    """Kronecker product a ⊗ b of two matrices."""
-    a, b = as_matrix(a, "a"), as_matrix(b, "b")
-    if a.ndim != 2 or b.ndim != 2:
-        raise ValueError(f"bad-dims: kron takes two matrices, got {a.shape} and {b.shape}")
-    return np.kron(a, b)
 
 
 def kron_stack(a, b) -> np.ndarray:
@@ -66,43 +49,12 @@ def kron_stack(a, b) -> np.ndarray:
     return prod.reshape(prod.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-def partial_trace(m, dim_a: int, dim_b: int, keep) -> np.ndarray:
-    """Trace out one factor of a (dim_a*dim_b)-dimensional square matrix.
-
-    keep selects the surviving subsystem: "a"/0 for the first factor,
-    "b"/1 for the second.
-    """
-    a = as_square(m, "m")
-    if a.shape[0] != dim_a * dim_b:
-        raise ValueError(
-            f"bad-dims: side {a.shape[0]} does not factor as {dim_a}*{dim_b}"
-        )
-    t = a.reshape(dim_a, dim_b, dim_a, dim_b)
-    if keep in ("a", "A", 0):
-        return np.einsum("ijkj->ik", t)
-    if keep in ("b", "B", 1):
-        return np.einsum("ijik->jk", t)
-    raise ValueError(f"bad-dims: keep must be 'a' or 'b', got {keep!r}")
-
-
 def herm_eig(m) -> HermEigen:
     """Eigendecomposition of a Hermitian matrix or stack, eigenvalues
     descending; an anti-Hermitian part above 1e-8 entrywise is rejected."""
     h = hermitian_part(m, 1e-8, "m")
     w, v = np.linalg.eigh(h)
     return HermEigen(w[..., ::-1].copy(), np.ascontiguousarray(v[..., ::-1]))
-
-
-def mat_sqrt_psd(m) -> np.ndarray:
-    """Hermitian PSD square root; negative eigenvalues are clipped to zero."""
-    return herm_eig(m).apply(lambda w: np.sqrt(np.clip(w, 0.0, None)))
-
-
-def mat_log_psd(m, floor: float = 1e-12) -> np.ndarray:
-    """Matrix logarithm with eigenvalues floored at `floor` (must be > 0)."""
-    if not floor > 0:
-        raise ValueError(f"bad-floor: floor must be positive, got {floor}")
-    return herm_eig(m).apply(lambda w: np.log(np.maximum(w, floor)))
 
 
 def project_psd(m) -> np.ndarray:

@@ -37,7 +37,6 @@ from .process import (
     ProcessSpec,
     VanishingBranchError,
     check_branch,
-    first_step_env_marginal,
     first_step_env_marginals,
 )
 from .qubit import FIT_BASIS_LABELS, bloch_vector, named_projector, zy_projector
@@ -538,7 +537,8 @@ def bloch_volume(map_kind: str, fit: RestrictedProcessTensor, theta: float,
     elif map_kind == "markov-map":
         if process is None:
             raise ValueError("bad-map-kind: markov-map requires the process spec")
-        env, _ = first_step_env_marginal(process, zy_projector(theta))
+        env, p_env = first_step_env_marginals(process, zy_projector(theta).mat)
+        check_branch(float(p_env))
         sup = reduced_superop(process.interactions[1], env, process.step_noise(1))
         out = unvec(vec_stack(mats) @ sup.T)
     else:

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .channels import reduced_superop, superop_to_chi
+from .channels import reduced_superop
 from .linalg import normalized_psd, unvec, vec_stack
 from .qubit import (
     CNOT,
@@ -40,7 +40,6 @@ __all__ = [
     "PROCESS_NAMES",
     "run_sequences",
     "run_process",
-    "reduced_step_maps",
     "markov_sequences",
     "markov_predict",
     "generate_records",
@@ -49,7 +48,6 @@ __all__ = [
     "VanishingBranchError",
     "check_branch",
     "first_step_env_marginals",
-    "first_step_env_marginal",
 ]
 
 _GROUND1 = np.diag([1.0, 0.0]).astype(complex)
@@ -173,11 +171,6 @@ def _step_superops(spec: ProcessSpec) -> list[np.ndarray]:
     ]
 
 
-def reduced_step_maps(spec: ProcessSpec) -> list[np.ndarray]:
-    """Per-step reduced chi matrices conditioned on the environment staying in |0⟩."""
-    return [superop_to_chi(sup) for sup in _step_superops(spec)]
-
-
 def markov_sequences(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     """Memoryless baseline over a stack of sequences (steps as in run_sequences).
 
@@ -194,9 +187,12 @@ def markov_sequences(spec: ProcessSpec, steps: Sequence[np.ndarray]):
 
 
 def markov_predict(spec: ProcessSpec, ops: Sequence[Projector]):
-    """Memoryless baseline for one sequence (see markov_sequences); None below the cutoff."""
+    """(rho_out, p) of the memoryless baseline for one sequence (see
+    markov_sequences); rho_out is None below the reporting cutoff, p is
+    clipped at 0."""
     rho, p = markov_sequences(spec, [op.mat for op in ops])
-    return None if p < P_JOINT_CUTOFF else rho
+    p = float(p)
+    return (None if p < P_JOINT_CUTOFF else rho), max(p, 0.0)
 
 
 def _derived_rng(seed: int, *parts) -> np.random.Generator:
@@ -346,7 +342,7 @@ def first_step_env_marginals(spec: ProcessSpec, mats):
     projector matrices, with the branch probabilities (...).
 
     A marginal whose branch probability is below BRANCH_CUTOFF is left
-    undivided; callers mask those branches.
+    undivided; callers mask those branches or reject them with check_branch.
     """
     if spec.nsteps < 1:
         raise ValueError("bad-sequence: process has no interactions")
@@ -354,13 +350,3 @@ def first_step_env_marginals(spec: ProcessSpec, mats):
     p = np.trace(rho, axis1=-2, axis2=-1).real
     rho = rho / np.where(p >= BRANCH_CUTOFF, p, 1.0)[..., None, None]
     return np.einsum("...ijik->...jk", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))), p
-
-
-def first_step_env_marginal(spec: ProcessSpec, op: Projector):
-    """Environment marginal right after the first intervention branch.
-
-    Returns (env_rho, branch probability); raises VanishingBranchError when
-    the branch probability vanishes.
-    """
-    env, p = first_step_env_marginals(spec, op.mat)
-    return env, check_branch(float(p))

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .linalg import kron
 from .validation import as_square, check_normalized, qubit_count
 
 __all__ = [
@@ -26,7 +25,6 @@ __all__ = [
     "PAULIS",
     "CZ",
     "CNOT",
-    "rotation_gate",
     "Projector",
     "projector",
     "named_projector",
@@ -35,7 +33,6 @@ __all__ = [
     "FIT_BASIS_LABELS",
     "OVERCOMPLETE_LABELS",
     "QST_AXES",
-    "apply_projector",
     "state_fidelity",
     "bloch_vector",
     "NoiseSpec",
@@ -94,17 +91,6 @@ OVERCOMPLETE_LABELS: tuple[str, ...] = FIT_BASIS_LABELS + (
 QST_AXES = ("x", "y", "z")
 
 
-def rotation_gate(theta: float, phi: float) -> np.ndarray:
-    """Rotation by theta about the in-plane axis with azimuth phi + pi/2.
-
-    Maps |0⟩ to cos(θ/2)|0⟩ + e^{iφ} sin(θ/2)|1⟩, so a z-axis projection
-    sandwiched between this gate and its inverse realizes projector(θ, φ).
-    """
-    alpha = phi + _PI / 2
-    axis = math.cos(alpha) * SX + math.sin(alpha) * SY
-    return math.cos(theta / 2) * ID2 - 1j * math.sin(theta / 2) * axis
-
-
 @dataclass(frozen=True, eq=False)
 class Projector:
     """Rank-1 projector |p⟩⟨p| onto the Bloch direction (theta, phi)."""
@@ -125,9 +111,6 @@ class Projector:
             ],
             dtype=complex,
         )
-
-    def antipode(self) -> "Projector":
-        return Projector(_PI - self.theta, self.phi + _PI)
 
 
 def projector(theta: float, phi: float) -> Projector:
@@ -150,28 +133,6 @@ def zy_projector(theta: float) -> Projector:
     zy_projector(pi/4) projects onto cos(π/8)|0⟩ - i sin(π/8)|1⟩.
     """
     return Projector(float(theta), -_PI / 2)
-
-
-def apply_projector(rho, p: Projector, target: int = 0):
-    """Apply (P ⊗ I) rho (P ⊗ I) on the target qubit.
-
-    Returns the subnormalized post-measurement state and the outcome
-    probability Tr[(P ⊗ I) rho]. Projecting one qubit of a two-qubit state
-    breaks entanglement: the output always factorizes.
-    """
-    a = as_square(rho, "rho")
-    n = qubit_count(a.shape[0], "rho")
-    if not 0 <= target < n:
-        raise ValueError(f"bad-target: qubit {target} out of range for {n} qubit(s)")
-    if n == 1:
-        op = p.mat
-    elif target == 0:
-        op = kron(p.mat, ID2)
-    else:
-        op = kron(ID2, p.mat)
-    sub = op @ a @ op.conj().T
-    prob = float(np.trace(op @ a).real)
-    return sub, prob
 
 
 def state_fidelity(rho, sigma):
@@ -239,9 +200,9 @@ def apply_noise(rho, spec: NoiseSpec) -> np.ndarray:
         if n == 1:
             ops = ks
         elif q == 0:
-            ops = [kron(k, ID2) for k in ks]
+            ops = [np.kron(k, ID2) for k in ks]
         else:
-            ops = [kron(ID2, k) for k in ks]
+            ops = [np.kron(ID2, k) for k in ks]
         a = sum(op @ a @ op.conj().T for op in ops)
     return a
 

@@ -23,12 +23,11 @@ from .channels import (
 )
 from .linalg import clip_divided_differences, normalized_psd, project_psd, unvec, vec, vec_stack
 from .qubit import FIT_BASIS_LABELS, PAULIS, Projector, named_projector
-from .validation import as_square, check_density_matrix
+from .validation import check_density_matrix
 
 __all__ = [
     "TomoRecord",
     "qst_six_axis",
-    "six_axis_probabilities",
     "action_matrix",
     "sequence_vector",
     "RestrictedProcessTensor",
@@ -94,16 +93,6 @@ def qst_six_axis(probabilities) -> np.ndarray:
     rho = 0.5 * (PAULIS[0] + x * PAULIS[1] + y * PAULIS[2] + z * PAULIS[3])
     rho = project_psd(rho)
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
-
-
-def six_axis_probabilities(rho) -> list[float]:
-    """Exact axis-projection probabilities of a state, ordered as qst_six_axis."""
-    a = as_square(rho, "rho")
-    out = []
-    for axis in ("x", "y", "z"):
-        for sign in ("+", "-"):
-            out.append(float(np.trace(named_projector(axis + sign).mat @ a).real))
-    return out
 
 
 def action_matrix(op) -> np.ndarray:
@@ -453,7 +442,7 @@ class RestrictedProcessTensor:
         predict_sequences); rho_out is None below the cutoff."""
         rho, p = self.predict_sequences(ops)
         p = float(p)
-        return (None, max(p, 0.0)) if p < P_JOINT_CUTOFF else (rho, p)
+        return (None if p < P_JOINT_CUTOFF else rho), max(p, 0.0)
 
     def contract_first_step(self, op) -> np.ndarray:
         """One-step map over the remaining intervention, first step fixed.
@@ -505,8 +494,10 @@ def records_from_text(text: str) -> list[TomoRecord]:
         l0, l1 = parts[0], parts[1]
         if l0 not in label_index or l1 not in label_index:
             raise ValueError(f"bad-label: unknown basis labels {l0!r}, {l1!r}")
-        p = float(parts[2])
-        vals = [float(v) for v in parts[3:]]
+        try:
+            p, *vals = (float(v) for v in parts[2:])
+        except ValueError:
+            raise ValueError(f"bad-record: non-numeric field in {line!r}") from None
         rho = np.array(
             [
                 [vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]],

@@ -21,8 +21,10 @@ def test_matrix_round_trip(tmp_path):
 
 def test_matrix_rejects_corrupt_row(tmp_path):
     path = tmp_path / "m.txt"
-    # a short row, an empty file, fewer rows than the header and more rows
-    for text in ("1 2\n0.0 0.0 1.0\n", "", "2 2\n1 0 0 0\n", "1 1\n1 0\n0 0\n"):
+    # a short row, an empty file, fewer rows than the header, more rows, and
+    # headers with one count, a non-integer, a negative count and three counts
+    for text in ("1 2\n0.0 0.0 1.0\n", "", "2 2\n1 0 0 0\n", "1 1\n1 0\n0 0\n",
+                 "2\n", "a b\n", "0 -2\n", "1 2 3\n"):
         path.write_text(text)
         with pytest.raises(ValueError, match="bad-dims"):
             read_matrix(path)

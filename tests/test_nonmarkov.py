@@ -5,6 +5,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from oracles import mat_log_psd
 from proctensor import (
     NoiseSpec,
     RestrictedProcessTensor,
@@ -16,7 +17,7 @@ from proctensor import (
     generate_records,
 )
 from proctensor.channels import action_superop
-from proctensor.linalg import mat_log_psd, project_psd, unvec, vec
+from proctensor.linalg import project_psd, unvec, vec
 from proctensor.nonmarkov import (
     LOG_FLOOR,
     SUPPORT_WEIGHT_TOL,
@@ -37,7 +38,6 @@ from proctensor.nonmarkov import (
     sweep_theta,
     uncorrelated_choi,
 )
-from proctensor.process import first_step_env_marginal
 from proctensor.qubit import named_projector, zy_projector
 
 LN2 = math.log(2)
@@ -176,7 +176,6 @@ def test_vanishing_branch_error_type(cnot_cz_fit, cnot_cz_spec):
     calls = (
         lambda: condition_family(cnot_cz_fit, math.pi),
         lambda: uncorrelated_choi(cnot_cz_fit, math.pi, cnot_cz_spec),
-        lambda: first_step_env_marginal(cnot_cz_spec, zy_projector(math.pi)),
         lambda: bloch_volume("process-tensor", cnot_cz_fit, math.pi),
         lambda: bloch_volume("markov-map", cnot_cz_fit, math.pi, process=cnot_cz_spec),
     )
@@ -261,8 +260,6 @@ def test_minimize_memory_peak(cnot_cz_fit, cnot_cz_spec):
 
 def test_minimize_never_exceeds_psd_start(cnot_cz_fit, cnot_cz_spec):
     # floored evaluation of the starting point dominates the optimum
-    from proctensor.linalg import mat_log_psd, project_psd
-
     for theta in (0.4, 0.7, math.pi / 2):
         fam = condition_family(cnot_cz_fit, theta)
         ref = uncorrelated_choi(cnot_cz_fit, theta, cnot_cz_spec)

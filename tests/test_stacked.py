@@ -13,19 +13,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import apply_chi, mat_sqrt_psd, partial_trace, reduced_step_maps
 from proctensor.channels import (
     action_superop,
-    apply_chi,
     map_to_choi,
     reduced_superop,
     superop_to_choi,
 )
 from proctensor.cli import main
 from proctensor.linalg import (
-    kron,
     kron_stack,
-    mat_sqrt_psd,
-    partial_trace,
     project_psd,
     unvec,
     vec,
@@ -35,11 +32,9 @@ from proctensor.nonmarkov import _conditioned_map, _herm_basis, _zy_mats, bloch_
 from proctensor.process import (
     PROCESS_NAMES,
     ShotConfig,
-    first_step_env_marginal,
     first_step_env_marginals,
     generate_records,
     markov_sequences,
-    reduced_step_maps,
     run_sequences,
 )
 from proctensor.qubit import (
@@ -66,7 +61,7 @@ LABELS = OVERCOMPLETE_LABELS
 def ref_run_process(spec, ops):
     rho = spec.initial_state.copy()
     for step, (u, op) in enumerate(zip(spec.interactions, ops)):
-        a = kron(op.mat, ID2)
+        a = np.kron(op.mat, ID2)
         rho = a @ rho @ a.conj().T
         rho = u @ rho @ u.conj().T
         noise = spec.step_noise(step)
@@ -281,7 +276,7 @@ def test_env_marginals_and_reduced_channels_of_stacks_are_per_angle(noisy):
     env, p = first_step_env_marginals(spec, mats)
     sups = reduced_superop(spec.interactions[1], env, spec.step_noise(1))
     for i, theta in enumerate(thetas):
-        lone_env, lone_p = first_step_env_marginal(spec, zy_projector(theta))
+        lone_env, lone_p = first_step_env_marginals(spec, zy_projector(theta).mat)
         assert np.array_equal(env[i], lone_env) and p[i] == lone_p
         assert np.array_equal(sups[i], reduced_superop(spec.interactions[1], lone_env,
                                                        spec.step_noise(1)))
@@ -310,7 +305,7 @@ def ref_bloch_volume(kind, fit, theta, n, process):
         def push(op):
             return unvec(t1 @ vec(action_superop(op.mat)))
     else:
-        env, _ = first_step_env_marginal(process, zy_projector(theta))
+        env, _ = first_step_env_marginals(process, zy_projector(theta).mat)
         sup = reduced_superop(process.interactions[1], env, process.step_noise(1))
 
         def push(op):

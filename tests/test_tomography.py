@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import six_axis_probabilities
 from proctensor.channels import (
     action_superop,
     chi_fidelity,
@@ -34,7 +35,6 @@ from proctensor.tomography import (
     records_from_text,
     records_to_text,
     sequence_vector,
-    six_axis_probabilities,
 )
 
 
@@ -180,6 +180,18 @@ def test_records_text_ignores_comments(cnot_cz_records):
     assert len(records_from_text(text)) == 2
 
 
+def test_records_text_rejects_malformed_lines(cnot_cz_records):
+    good = records_to_text(cnot_cz_records[:1]).split()
+    cases = {
+        "bad-record": " ".join(good[:-1]),                 # ten fields
+        "bad-label": " ".join(["w+"] + good[1:]),          # unknown label
+        "bad-record: non-numeric": " ".join(good[:3] + ["one"] + good[4:]),
+    }
+    for prefix, line in cases.items():
+        with pytest.raises(ValueError, match=f"^{prefix}"):
+            records_from_text(line + "\n")
+
+
 # ------------------------------------------------------------- fitting
 
 def test_fit_requires_all_combinations(cnot_cz_records):
@@ -262,7 +274,7 @@ def test_oracle_equivalence_and_markov_cz_cnot(cz_cnot_spec, cz_cnot_fit):
                 continue
             rho, _ = cz_cnot_fit.predict(ops)
             assert state_fidelity(truth, rho) >= 1 - 1e-6, (l0, l1)
-            baseline = markov_predict(cz_cnot_spec, ops)
+            baseline, _ = markov_predict(cz_cnot_spec, ops)
             assert state_fidelity(truth, baseline) >= 1 - 1e-6, (l0, l1)
 
 
