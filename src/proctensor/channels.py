@@ -196,7 +196,7 @@ def superop_to_choi(superop) -> np.ndarray:
 def reduced_superop(u, rho_env, noise: NoiseSpec | None = None) -> np.ndarray:
     """Superoperator of rho_S -> Tr_E[U (rho_S ⊗ rho_env) U†] (noise optional);
     a stack (..., 2, 2) of environment states gives a stack (..., 4, 4)."""
-    uu = check_unitary(u, 1e-8, "u")
+    uu = check_unitary(u, "u")
     if uu.shape[0] != 4:
         raise ValueError(f"bad-dims: expected a two-qubit unitary, got {uu.shape}")
     env = as_square(rho_env, "rho_env", stack=True)

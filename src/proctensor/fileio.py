@@ -57,9 +57,14 @@ def read_matrix(path) -> np.ndarray:
         raise ValueError(f"bad-dims: header gives {rows} rows, file holds {len(lines) - 1}")
     out = np.empty((rows, cols), dtype=complex)
     for i in range(rows):
-        vals = [float(v) for v in lines[1 + i].split()]
+        try:
+            vals = [float(v) for v in lines[1 + i].split()]
+        except ValueError:
+            raise ValueError(f"bad-dims: row {i} holds a non-numeric value") from None
         if len(vals) != 2 * cols:
             raise ValueError(f"bad-dims: row {i} has {len(vals)} values, expected {2 * cols}")
+        if not np.isfinite(vals).all():
+            raise ValueError(f"non-finite: row {i} holds NaN or Inf")
         out[i] = np.array(vals[0::2]) + 1j * np.array(vals[1::2])
     return out
 

@@ -52,7 +52,7 @@ def kron_stack(a, b) -> np.ndarray:
 def herm_eig(m) -> HermEigen:
     """Eigendecomposition of a Hermitian matrix or stack, eigenvalues
     descending; an anti-Hermitian part above 1e-8 entrywise is rejected."""
-    h = hermitian_part(m, 1e-8, "m")
+    h = hermitian_part(m, "m")
     w, v = np.linalg.eigh(h)
     return HermEigen(w[..., ::-1].copy(), np.ascontiguousarray(v[..., ::-1]))
 
@@ -106,9 +106,9 @@ def vec_stack(m) -> np.ndarray:
     return a.swapaxes(-1, -2).reshape(a.shape[:-2] + (a.shape[-2] * a.shape[-1],))
 
 
-def unvec(v, rows: int = 2, cols: int = 2) -> np.ndarray:
-    """Inverse of vec for a rows x cols matrix, or of vec_stack for a stack (..., rows*cols)."""
+def unvec(v) -> np.ndarray:
+    """Inverse of vec for a 2 x 2 matrix, or of vec_stack for a stack (..., 4)."""
     a = np.asarray(v, dtype=complex)
-    if a.ndim == 0 or a.shape[-1] != rows * cols:
-        raise ValueError(f"bad-dims: shape {a.shape} does not end in {rows}*{cols}")
-    return a.reshape(a.shape[:-1] + (cols, rows)).swapaxes(-1, -2)
+    if a.ndim == 0 or a.shape[-1] != 4:
+        raise ValueError(f"bad-dims: shape {a.shape} does not end in 4")
+    return a.reshape(a.shape[:-1] + (2, 2)).swapaxes(-1, -2)

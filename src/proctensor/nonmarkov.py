@@ -30,14 +30,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import action_dual, action_superop, map_to_choi, reduced_superop, superop_to_choi
+from .channels import action_dual, action_superop, map_to_choi, superop_to_choi
 from .linalg import herm_eig, kron_stack, normalized_psd, project_psd, unvec, vec_stack
 from .process import (
     BRANCH_CUTOFF,
     ProcessSpec,
     VanishingBranchError,
     check_branch,
-    first_step_env_marginals,
+    last_step_superops,
 )
 from .qubit import FIT_BASIS_LABELS, bloch_vector, named_projector, zy_projector
 from .tomography import RestrictedProcessTensor, action_matrix
@@ -194,7 +194,8 @@ def _conditioned_map(fit: RestrictedProcessTensor, theta: float):
 def _family_bases(t1: np.ndarray) -> np.ndarray:
     """Family bases (T, 8, 8) of normalized one-step maps (T, 4, 16): each
     Choi state shifted along the kernel to trace 2."""
-    base = hermitian_part(map_to_choi(t1, 1), tol=np.inf)
+    choi = map_to_choi(t1, 1)
+    base = (choi + choi.conj().swapaxes(-1, -2)) / 2
     # projective records leave the trace free: the kernel combination of
     # unit trace and least norm moves it without leaving the family
     dirs = _kernel_directions()
@@ -238,8 +239,7 @@ def _references(t1: np.ndarray, mats: np.ndarray, process: ProcessSpec):
     intermediate states and the process's branch probabilities (T,); a
     branch vanishes where either is too small."""
     rho1, tr = _intermediate_states(t1)
-    env, p_env = first_step_env_marginals(process, mats)
-    sup = reduced_superop(process.interactions[1], env, process.step_noise(1))
+    sup, p_env = last_step_superops(process, mats)
     return kron_stack(superop_to_choi(sup), rho1), tr, p_env
 
 
@@ -299,8 +299,8 @@ def relative_entropy(a, b) -> float:
     trace <= 0 raises "bad-trace", an eigenvalue of the normalized `b` below
     -1e-8 "not-psd".
     """
-    am = hermitian_part(_choi_mat(a), 1e-8, "a")
-    bm = hermitian_part(_choi_mat(b), 1e-8, "b")
+    am = hermitian_part(_choi_mat(a), "a")
+    bm = hermitian_part(_choi_mat(b), "b")
     if am.shape != bm.shape:
         raise ValueError(f"bad-dims: shapes {am.shape} and {bm.shape} differ")
     tr_a, tr_b = float(np.trace(am).real), float(np.trace(bm).real)
@@ -451,7 +451,7 @@ def _minimize_stack(bases, dirs, refs, normalizations) -> list[MinimizeResult]:
     directions: bases and references (T, n, n), directions (K, n, n), and
     the branch probabilities (T,). Every step but the Newton solve of a
     point with free directions runs once on the whole stack."""
-    refn = hermitian_part(refs, 1e-8, "ref")
+    refn = hermitian_part(refs, "ref")
     refn = refn / np.trace(refn, axis1=-2, axis2=-1).real[:, None, None]
     log_ref, w, v, keep = _reference_spectrum(refn)
     y, vh, free, off_support = _restrict_to_support(bases, dirs, v * ~keep[:, None, :])
@@ -537,9 +537,8 @@ def bloch_volume(map_kind: str, fit: RestrictedProcessTensor, theta: float,
     elif map_kind == "markov-map":
         if process is None:
             raise ValueError("bad-map-kind: markov-map requires the process spec")
-        env, p_env = first_step_env_marginals(process, zy_projector(theta).mat)
+        sup, p_env = last_step_superops(process, zy_projector(theta).mat)
         check_branch(float(p_env))
-        sup = reduced_superop(process.interactions[1], env, process.step_noise(1))
         out = unvec(vec_stack(mats) @ sup.T)
     else:
         raise ValueError(f"bad-map-kind: {map_kind!r}")

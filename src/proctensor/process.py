@@ -1,16 +1,17 @@
-"""Brute-force simulator and data generator for two-qubit open processes.
+"""Brute-force simulator and data generator for the two-step process.
 
-A process is an alternating chain: local projector on the system, joint
-system-environment unitary, optional local noise. The simulator contracts the
-chain exactly; a sampled record is that exact record seen through seeded,
-finite-shot three-axis tomography.
+The system and environment qubits start in |00⟩. Each of the two steps
+projects the system, applies a joint system-environment unitary and then the
+optional local noise. The simulator contracts the chain exactly; a sampled
+record is that exact record seen through seeded, finite-shot three-axis
+tomography.
 """
 
 from __future__ import annotations
 
 import hashlib
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -29,7 +30,7 @@ from .qubit import (
     named_projector,
 )
 from .tomography import P_JOINT_CUTOFF, TomoRecord, qst_six_axis
-from .validation import as_square, check_normalized, check_unitary
+from .validation import check_unitary
 
 __all__ = [
     "ProcessSpec",
@@ -48,6 +49,7 @@ __all__ = [
     "VanishingBranchError",
     "check_branch",
     "first_step_env_marginals",
+    "last_step_superops",
 ]
 
 _GROUND1 = np.diag([1.0, 0.0]).astype(complex)
@@ -56,38 +58,21 @@ _GROUND2 = np.kron(_GROUND1, _GROUND1)
 
 @dataclass(frozen=True)
 class ProcessSpec:
-    """Ordered joint unitaries with optional per-step noise.
-
-    noise may be a single NoiseSpec (applied after every interaction), a
-    sequence with one entry per interaction, or None.
-    """
+    """The two joint unitaries of the chain from |00⟩, and the local noise
+    (a NoiseSpec applied after each of them) or None."""
 
     interactions: tuple
-    initial_state: np.ndarray = field(default_factory=lambda: _GROUND2.copy())
-    noise: NoiseSpec | Sequence[NoiseSpec] | None = None
+    noise: NoiseSpec | None = None
 
     def __post_init__(self):
-        us = tuple(check_unitary(u, 1e-8, "interaction") for u in self.interactions)
+        if len(self.interactions) != 2:
+            raise ValueError(
+                f"bad-sequence: {len(self.interactions)} interactions, the process has 2"
+            )
+        if self.noise is not None and not isinstance(self.noise, NoiseSpec):
+            raise ValueError(f"bad-noise: noise must be a NoiseSpec or None, got {self.noise!r}")
+        us = tuple(check_unitary(u, "interaction") for u in self.interactions)
         object.__setattr__(self, "interactions", us)
-        state = as_square(self.initial_state, "initial_state")
-        object.__setattr__(self, "initial_state", check_normalized(state, 1e-6, "initial_state"))
-        if isinstance(self.noise, Sequence) and not isinstance(self.noise, NoiseSpec):
-            if len(self.noise) != len(us):
-                raise ValueError(
-                    f"bad-sequence: {len(self.noise)} noise entries for {len(us)} interactions"
-                )
-            object.__setattr__(self, "noise", tuple(self.noise))
-
-    @property
-    def nsteps(self) -> int:
-        return len(self.interactions)
-
-    def step_noise(self, step: int) -> NoiseSpec | None:
-        if self.noise is None:
-            return None
-        if isinstance(self.noise, NoiseSpec):
-            return self.noise
-        return self.noise[step]
 
 
 #: Largest accepted shot count; the CLI exits with code 2 above it. Counts are
@@ -118,24 +103,21 @@ def cz_cnot_process(noise: NoiseSpec | None = None) -> ProcessSpec:
 PROCESS_NAMES = {"cnot-cz": cnot_cz_process, "cz-cnot": cz_cnot_process}
 
 
-def _check_sequence(spec: ProcessSpec, ops: Sequence):
-    if len(ops) != spec.nsteps:
-        raise ValueError(
-            f"bad-sequence: {len(ops)} interventions for {spec.nsteps} interactions"
-        )
+def _check_sequence(ops: Sequence):
+    if len(ops) != 2:
+        raise ValueError(f"bad-sequence: {len(ops)} interventions for 2 interactions")
 
 
 def _chain(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     """Contract the chain over per-step stacks of projector matrices, up to
     the last given step, into subnormalized joint states."""
-    rho = spec.initial_state
-    for step, (u, mats) in enumerate(zip(spec.interactions, steps)):
+    rho = _GROUND2
+    for u, mats in zip(spec.interactions, steps):
         a = np.kron(mats, ID2)
         rho = a @ rho @ a.conj().swapaxes(-1, -2)
         rho = u @ rho @ u.conj().T
-        noise = spec.step_noise(step)
-        if noise is not None:
-            rho = apply_noise(rho, noise)
+        if spec.noise is not None:
+            rho = apply_noise(rho, spec.noise)
     return rho
 
 
@@ -148,7 +130,7 @@ def run_sequences(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     at 0, and the normalized system marginals (..., 2, 2), maximally mixed
     where p_joint is below the reporting cutoff, as (states, p_joint).
     """
-    _check_sequence(spec, steps)
+    _check_sequence(steps)
     rho = _chain(spec, [np.asarray(m, dtype=complex) for m in steps])
     p_joint = np.maximum(np.trace(rho, axis1=-2, axis2=-1).real, 0.0)
     out = np.einsum("...ijkj->...ik", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)))
@@ -165,10 +147,7 @@ def run_process(spec: ProcessSpec, ops: Sequence[Projector]):
 
 def _step_superops(spec: ProcessSpec) -> list[np.ndarray]:
     """Per-step reduced superoperators with the environment in |0⟩."""
-    return [
-        reduced_superop(u, _GROUND1, spec.step_noise(i))
-        for i, u in enumerate(spec.interactions)
-    ]
+    return [reduced_superop(u, _GROUND1, spec.noise) for u in spec.interactions]
 
 
 def markov_sequences(spec: ProcessSpec, steps: Sequence[np.ndarray]):
@@ -178,7 +157,7 @@ def markov_sequences(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     environment-in-ground reduced map of its step. Returns (states, p): unit
     trace PSD states, maximally mixed where p is below the reporting cutoff.
     """
-    _check_sequence(spec, steps)
+    _check_sequence(steps)
     rho = _GROUND1
     for mats, sup in zip(steps, _step_superops(spec)):
         rho = mats @ rho @ np.conj(mats).swapaxes(-1, -2)
@@ -200,9 +179,12 @@ def _derived_rng(seed: int, *parts) -> np.random.Generator:
 
     Floats are hashed via their IEEE-754 bytes, so every key maps to a
     stable, independent stream and the same key always gives the same
-    generator. Callers key on the initial state, sequence and seed, not on
-    the interactions or the noise, so processes that differ only there
-    (cnot-cz and cz-cnot) draw their counts from the same generators.
+    generator. generate_records keys on the |00⟩ state _GROUND2, the
+    sequence and the seed, not on the interactions or the noise, so
+    processes that differ only there (cnot-cz and cz-cnot) draw their counts
+    from the same generators. The state stays in the key, although every
+    process starts from it, because its bytes are part of every stream drawn
+    so far: dropping it would change every sampled output.
     """
     h = hashlib.sha256()
     h.update(int(seed).to_bytes(8, "little", signed=False))
@@ -277,16 +259,14 @@ def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None) -> list[T
     each exact record is seen through three-axis tomography of cfg.shots
     shots per axis, the post-selection rate standing in for the joint
     probability. The counts of each record come from one generator keyed on
-    (initial state, sequence, seed).
+    (|00⟩, sequence, seed).
     """
-    if spec.nsteps != 2:
-        raise ValueError("bad-sequence: record generation expects a two-step process")
     basis = [named_projector(label) for label in FIT_BASIS_LABELS]
     indices = list(itertools.product(range(len(basis)), repeat=2))
     mats = np.array([op.mat for op in basis])
     states, p_joint = run_sequences(spec, [mats[:, None], mats[None, :]])
     if cfg is not None:
-        keys = [(spec.initial_state, basis[i], basis[j]) for i, j in indices]
+        keys = [(_GROUND2, basis[i], basis[j]) for i, j in indices]
         states, p_joint = _sampled_states(
             p_joint.reshape(-1), _readout_probabilities(states).reshape(-1, len(QST_AXES)),
             keys, cfg,
@@ -344,9 +324,19 @@ def first_step_env_marginals(spec: ProcessSpec, mats):
     A marginal whose branch probability is below BRANCH_CUTOFF is left
     undivided; callers mask those branches or reject them with check_branch.
     """
-    if spec.nsteps < 1:
-        raise ValueError("bad-sequence: process has no interactions")
     rho = _chain(spec, [np.asarray(mats, dtype=complex)])
     p = np.trace(rho, axis1=-2, axis2=-1).real
     rho = rho / np.where(p >= BRANCH_CUTOFF, p, 1.0)[..., None, None]
     return np.einsum("...ijik->...jk", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))), p
+
+
+def last_step_superops(spec: ProcessSpec, mats):
+    """Reduced superoperators (..., 4, 4) of the last step, each conditioned
+    on the environment marginal of its branch of a stack (..., 2, 2) of
+    first-step projector matrices, with the branch probabilities (...).
+
+    The channel of a branch below BRANCH_CUTOFF comes from its undivided
+    marginal (see first_step_env_marginals).
+    """
+    env, p = first_step_env_marginals(spec, mats)
+    return reduced_superop(spec.interactions[1], env, spec.noise), p

@@ -97,7 +97,7 @@ class Projector:
 
     theta: float
     phi: float
-    mat: np.ndarray = field(repr=False, default=None)
+    mat: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         k = self.ket()
@@ -144,8 +144,8 @@ def state_fidelity(rho, sigma):
     raise bad-dims. The determinants are clipped at 0 and F to [0, 1].
     Returns a float for two matrices and an array for stacks.
     """
-    a = check_normalized(rho, 1e-6, "rho")
-    b = check_normalized(sigma, 1e-6, "sigma")
+    a = check_normalized(rho, "rho")
+    b = check_normalized(sigma, "sigma")
     if a.shape[-2:] != (2, 2) or b.shape[-2:] != (2, 2):
         raise ValueError(f"bad-dims: expected qubit states, got shapes {a.shape} and {b.shape}")
     # entrywise, so a matrix gives the same bits alone as in any stack

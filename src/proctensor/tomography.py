@@ -21,6 +21,7 @@ from .channels import (
     map_to_choi,
     step_choi_factor,
 )
+from .fileio import format_value
 from .linalg import clip_divided_differences, normalized_psd, project_psd, unvec, vec, vec_stack
 from .qubit import FIT_BASIS_LABELS, PAULIS, Projector, named_projector
 from .validation import check_density_matrix
@@ -350,7 +351,6 @@ class RestrictedProcessTensor:
         subnormalized output state.
     kernel_basis_ : (175, 256) orthonormal rows spanning the directions left
         unconstrained by the projective records.
-    basis_labels_ : the nine projector labels of the fit basis.
     residual_ : worst training-record residual of map_.
     choi_ : 32x32 PSD Choi state of the refined tensor (only when psd=True).
     refit_info_ : RefitInfo of the PSD refit (Newton steps, converged,
@@ -390,7 +390,6 @@ class RestrictedProcessTensor:
         # B annihilates conj(null), so kron(B, B) annihilates the orthonormal
         # rows conj(kron(null, any)) and conj(kron(row, null))
         self.kernel_basis_ = np.concatenate([np.kron(null, vh), np.kron(row, null)]).conj()
-        self.basis_labels_ = tuple(FIT_BASIS_LABELS)
         self._span_q = row.T
         if self.psd:
             weights = 1.0 / np.sqrt(np.maximum(p, 0.05**2))
@@ -464,19 +463,15 @@ def fit_restricted_tensor(records, psd: bool = False):
 
 # -- record serialization -------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), ".17g")
-
-
 def records_to_text(records) -> str:
     """One record per line: labels, p_joint, then row-major re/im state entries."""
     lines = []
     for rec in records:
         l0, l1 = rec.labels
-        parts = [l0, l1, _fmt(rec.p_joint)]
+        parts = [l0, l1, format_value(rec.p_joint)]
         for entry in np.asarray(rec.rho_measured).reshape(-1):
-            parts.append(_fmt(entry.real))
-            parts.append(_fmt(entry.imag))
+            parts.append(format_value(entry.real))
+            parts.append(format_value(entry.imag))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 

@@ -35,30 +35,31 @@ def as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
     return a
 
 
-def hermitian_part(m, tol: float = 1e-8, name: str = "matrix") -> np.ndarray:
+def hermitian_part(m, name: str = "matrix") -> np.ndarray:
     """Return (m + m†)/2 of a matrix or a stack (..., n, n).
 
-    Rejects the input if its anti-Hermitian part exceeds tol entrywise.
+    Rejects the input if its anti-Hermitian part exceeds 1e-8 entrywise.
     """
     a = as_square(m, name, stack=True)
     ah = a.conj().swapaxes(-1, -2)
     asym = float(np.abs(a - ah).max(initial=0.0))
-    if asym > tol:
+    if asym > 1e-8:
         raise ValueError(f"not-hermitian: {name} deviates from Hermiticity by {asym:.3e}")
     return (a + ah) / 2
 
 
-def check_unitary(u, tol: float = 1e-8, name: str = "matrix") -> np.ndarray:
+def check_unitary(u, name: str = "matrix") -> np.ndarray:
+    """Coerce a square matrix that is unitary within 1e-8 entrywise."""
     a = as_square(u, name)
     dev = float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
-    if dev > tol:
+    if dev > 1e-8:
         raise ValueError(f"not-unitary: {name} deviates from unitarity by {dev:.3e}")
     return a
 
 
 def check_density_matrix(rho, name: str = "state") -> np.ndarray:
     """Validate Hermiticity, positivity and trace of a (possibly subnormalized) state."""
-    a = hermitian_part(as_square(rho, name), 1e-8, name)
+    a = hermitian_part(as_square(rho, name), name)
     w = np.linalg.eigvalsh(a)
     if w.min() < -1e-8:
         raise ValueError(f"not-psd: {name} has eigenvalue {w.min():.3e}")
@@ -68,11 +69,11 @@ def check_density_matrix(rho, name: str = "state") -> np.ndarray:
     return a
 
 
-def check_normalized(rho, tol: float = 1e-6, name: str = "state") -> np.ndarray:
-    """Coerce a square matrix or a stack (..., n, n) whose traces are all 1 within tol."""
+def check_normalized(rho, name: str = "state") -> np.ndarray:
+    """Coerce a square matrix or a stack (..., n, n) whose traces are all 1 within 1e-6."""
     a = as_square(rho, name, stack=True)
     tr = np.trace(a, axis1=-2, axis2=-1).real
-    bad = np.abs(tr - 1.0) > tol
+    bad = np.abs(tr - 1.0) > 1e-6
     if bad.any():
         raise ValueError(f"not-normalized: {name} has trace {tr[bad][0]:.8f}")
     return a

@@ -10,7 +10,7 @@ import math
 import numpy as np
 
 from proctensor.channels import _pauli_pairs, superop_to_chi
-from proctensor.linalg import herm_eig, unvec, vec
+from proctensor.linalg import herm_eig, vec
 from proctensor.process import _step_superops
 from proctensor.qubit import ID2, SX, SY, Projector, named_projector
 from proctensor.validation import as_square, qubit_count
@@ -119,7 +119,7 @@ def apply_chi(chi, rho) -> np.ndarray:
     d = r.shape[0]
     if c.shape[0] != d * d:
         raise ValueError(f"bad-dims: chi side {c.shape[0]} does not match state dim {d}")
-    return unvec(chi_to_superop(c) @ vec(r), d, d)
+    return (chi_to_superop(c) @ vec(r)).reshape(d, d).T
 
 
 def chi_is_trace_preserving(chi, tol: float = 1e-6) -> bool:

@@ -312,7 +312,7 @@ def loop_superop_to_choi(s):
     for i in range(d):
         for j in range(d):
             e = unit(i, j, d)
-            choi += np.kron(unvec(s @ vec(e), d, d), e)
+            choi += np.kron((s @ vec(e)).reshape(d, d).T, e)
     return choi
 
 

@@ -317,7 +317,7 @@ def test_volume_files(tmp_path):
             assert len(rows) > 100
 
 
-@pytest.mark.parametrize("command", ["tomo-predict", "characterize-povm"])
+@pytest.mark.parametrize("command", ["tomo-predict", "characterize-povm", "nonmarkov", "volume"])
 def test_byte_identical_reruns(tmp_path, command):
     out1 = tmp_path / "a"
     out2 = tmp_path / "b"

@@ -22,12 +22,21 @@ def test_matrix_round_trip(tmp_path):
 def test_matrix_rejects_corrupt_row(tmp_path):
     path = tmp_path / "m.txt"
     # a short row, an empty file, fewer rows than the header, more rows, and
-    # headers with one count, a non-integer, a negative count and three counts
+    # headers with one count, a non-integer, a negative count and three
+    # counts, and a row with a non-numeric value
     for text in ("1 2\n0.0 0.0 1.0\n", "", "2 2\n1 0 0 0\n", "1 1\n1 0\n0 0\n",
-                 "2\n", "a b\n", "0 -2\n", "1 2 3\n"):
+                 "2\n", "a b\n", "0 -2\n", "1 2 3\n", "1 1\n1 x\n"):
         path.write_text(text)
         with pytest.raises(ValueError, match="bad-dims"):
             read_matrix(path)
+
+
+@pytest.mark.parametrize("row", ["nan 0", "inf 0", "0 -inf"])
+def test_matrix_rejects_non_finite_row(tmp_path, row):
+    path = tmp_path / "m.txt"
+    path.write_text(f"1 1\n{row}\n")
+    with pytest.raises(ValueError, match="non-finite"):
+        read_matrix(path)
 
 
 def test_config_digest_stable_and_order_free():

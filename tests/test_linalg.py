@@ -303,9 +303,9 @@ def test_vec_diag_order():
 
 
 def test_vec_unvec_round_trip():
-    assert np.allclose(unvec(vec(SX), 2, 2), SX)
+    assert np.allclose(unvec(vec(SX)), SX)
 
 
 def test_unvec_bad_length():
     with pytest.raises(ValueError, match="bad-dims"):
-        unvec(np.ones(5), 2, 2)
+        unvec(np.ones(5))

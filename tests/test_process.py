@@ -47,17 +47,18 @@ phases = st.floats(-math.pi, math.pi, allow_nan=False)
 
 def test_spec_rejects_nonunitary():
     with pytest.raises(ValueError, match="not-unitary"):
-        ProcessSpec(interactions=(np.eye(4) * 2,))
+        ProcessSpec(interactions=(CZ, np.eye(4) * 2))
 
 
-def test_spec_rejects_unnormalized_initial_state():
-    with pytest.raises(ValueError, match="not-normalized"):
-        ProcessSpec(interactions=(CZ,), initial_state=np.eye(4))
-
-
-def test_spec_noise_list_length():
+@pytest.mark.parametrize("interactions", [(CZ,), (CZ, CNOT, CZ)])
+def test_spec_takes_two_interactions(interactions):
     with pytest.raises(ValueError, match="bad-sequence"):
-        ProcessSpec(interactions=(CZ, CNOT), noise=[NoiseSpec()])
+        ProcessSpec(interactions=interactions)
+
+
+def test_spec_rejects_noise_list():
+    with pytest.raises(ValueError, match="bad-noise"):
+        ProcessSpec(interactions=(CZ, CNOT), noise=[NoiseSpec(), NoiseSpec()])
 
 
 def test_shot_config_validation():
@@ -370,19 +371,19 @@ def test_qpt_data_exact_mode():
 # -------------------------------------------- per-state sampling reference
 
 def loop_exact_record(spec, ops):
-    """Normalized system output and joint probability of one sequence from its own chain.
+    """Normalized system output and joint probability of one sequence from
+    its own chain, started in |00⟩.
 
     The per-sequence form of run_sequences; both must give the same bits,
     since the binomial draws can depend on every bit of the probabilities.
     """
-    rho = spec.initial_state.copy()
-    for step, (u, op) in enumerate(zip(spec.interactions, ops)):
+    rho = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex)
+    for u, op in zip(spec.interactions, ops):
         a = np.kron(op.mat, ID2)
         rho = a @ rho @ a.conj().T
         rho = u @ rho @ u.conj().T
-        noise = spec.step_noise(step)
-        if noise is not None:
-            rho = apply_noise(rho, noise)
+        if spec.noise is not None:
+            rho = apply_noise(rho, spec.noise)
     p = max(float(np.trace(rho).real), 0.0)
     if p < P_JOINT_CUTOFF:
         return ID2 / 2, p
@@ -426,11 +427,13 @@ def test_sampled_records_equal_per_stream_loop(make_spec, shots, seed):
     cfg = ShotConfig(shots=shots, seed=seed)
     records = generate_records(spec, cfg)
     assert len(records) == 81
+    # every record's generator is keyed on the |00⟩ state, then the sequence
+    ground = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex)
     for rec in records:
         ops = [named_projector(label) for label in rec.labels]
         out, p_joint = loop_exact_record(spec, ops)
         rho, p = loop_sampled_state(
-            p_joint, lambda r: np.trace(r.mat @ out).real, cfg, (spec.initial_state, *ops),
+            p_joint, lambda r: np.trace(r.mat @ out).real, cfg, (ground, *ops),
         )
         assert rec.p_joint == p, rec.labels
         assert np.array_equal(rec.rho_measured, rho), rec.labels
@@ -463,17 +466,13 @@ def test_qpt_data_repetitions_are_independent_streams():
     assert not np.array_equal(both[0], both[1])
 
 
-def test_per_step_noise_list():
-    quiet = NoiseSpec()
-    loud = NoiseSpec(gamma_amp=0.3, lambda_phase=0.3)
-    spec_first = ProcessSpec(interactions=(CNOT, CZ), noise=[loud, quiet])
-    spec_second = ProcessSpec(interactions=(CNOT, CZ), noise=[quiet, loud])
+def test_noise_acts_before_the_second_projection():
     ops = [named_projector("y-"), named_projector("xz+")]
-    rho_a, p_a = run_process(spec_first, ops)
-    rho_b, p_b = run_process(spec_second, ops)
-    # noise before the second post-selection shifts the branch probability
-    # (damping raises the ground population of the entangled marginal);
-    # noise placed after it instead reshapes the output state
-    assert abs(p_b - 0.25) < 1e-12
-    assert abs(p_a - 0.25) > 1e-2
-    assert np.abs(rho_a - rho_b).max() > 1e-2
+    _, p_clean = run_process(cnot_cz_process(), ops)
+    _, p_noisy = run_process(cnot_cz_process(NoiseSpec(gamma_amp=0.3, lambda_phase=0.3)), ops)
+    # after y- and CNOT the system marginal is I/2 with weight 1/2; damping
+    # moves it to diag(1 + γ, 1 - γ)/2 before xz+ (cos²(π/8), sin²(π/8))
+    # reads it, so p = (1 + γ cos(π/4))/4. Noise only after the second
+    # projection would leave p at 1/4.
+    assert abs(p_clean - 0.25) < 1e-12
+    assert abs(p_noisy - (1 + 0.3 * math.cos(math.pi / 4)) / 4) < 1e-12

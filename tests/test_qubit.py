@@ -14,6 +14,7 @@ from proctensor.qubit import (
     ID2,
     OVERCOMPLETE_LABELS,
     NoiseSpec,
+    Projector,
     apply_noise,
     bloch_vector,
     named_projector,
@@ -77,6 +78,12 @@ def test_projector_unitary_sandwich(theta, phi):
 def test_projector_poles():
     assert np.allclose(projector(0, 0).mat, np.diag([1, 0]))
     assert np.abs(projector(math.pi, 0).mat - np.diag([0, 1])).max() < 1e-12
+
+
+def test_projector_matrix_is_not_an_argument():
+    # the matrix always follows from the angles
+    with pytest.raises(TypeError):
+        Projector(0.0, 0.0, np.eye(2))
 
 
 def test_named_zy_plus_state():

@@ -34,6 +34,7 @@ from proctensor.process import (
     ShotConfig,
     first_step_env_marginals,
     generate_records,
+    last_step_superops,
     markov_sequences,
     run_sequences,
 )
@@ -59,14 +60,13 @@ LABELS = OVERCOMPLETE_LABELS
 # ------------------------------------------------------ per-pair references
 
 def ref_run_process(spec, ops):
-    rho = spec.initial_state.copy()
-    for step, (u, op) in enumerate(zip(spec.interactions, ops)):
+    rho = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex)
+    for u, op in zip(spec.interactions, ops):
         a = np.kron(op.mat, ID2)
         rho = a @ rho @ a.conj().T
         rho = u @ rho @ u.conj().T
-        noise = spec.step_noise(step)
-        if noise is not None:
-            rho = apply_noise(rho, noise)
+        if spec.noise is not None:
+            rho = apply_noise(rho, spec.noise)
     p_joint = float(np.trace(rho).real)
     if p_joint < 1e-12:
         return None, max(p_joint, 0.0)
@@ -274,12 +274,13 @@ def test_env_marginals_and_reduced_channels_of_stacks_are_per_angle(noisy):
     thetas = [0.0, 0.4, math.pi / 2, 2.9]
     mats = _zy_mats(thetas)
     env, p = first_step_env_marginals(spec, mats)
-    sups = reduced_superop(spec.interactions[1], env, spec.step_noise(1))
+    sups, p_sups = last_step_superops(spec, mats)
+    assert np.array_equal(p_sups, p)
     for i, theta in enumerate(thetas):
         lone_env, lone_p = first_step_env_marginals(spec, zy_projector(theta).mat)
         assert np.array_equal(env[i], lone_env) and p[i] == lone_p
         assert np.array_equal(sups[i], reduced_superop(spec.interactions[1], lone_env,
-                                                       spec.step_noise(1)))
+                                                       spec.noise))
 
 
 def test_herm_basis_keeps_the_loop_order():
@@ -306,7 +307,7 @@ def ref_bloch_volume(kind, fit, theta, n, process):
             return unvec(t1 @ vec(action_superop(op.mat)))
     else:
         env, _ = first_step_env_marginals(process, zy_projector(theta).mat)
-        sup = reduced_superop(process.interactions[1], env, process.step_noise(1))
+        sup = reduced_superop(process.interactions[1], env, process.noise)
 
         def push(op):
             return unvec(sup @ vec(op.mat))
