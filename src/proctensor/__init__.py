@@ -29,6 +29,7 @@ from .channels import (
 from .process import (
     ProcessSpec,
     ShotConfig,
+    VanishingBranchError,
     cnot_cz_process,
     cz_cnot_process,
     generate_records,
@@ -47,10 +48,8 @@ from .tomography import (
 )
 from .nonmarkov import (
     ChoiFamily,
-    ChoiState,
     MinimizeResult,
     SupportMismatchError,
-    VanishingBranchError,
     bloch_volume,
     condition_family,
     default_theta_grid,
@@ -67,13 +66,13 @@ __all__ = [
     "Projector", "apply_noise", "bloch_vector", "named_projector", "projector",
     "state_fidelity", "zy_projector",
     "chi_fidelity", "chi_from_process", "chi_of_operator", "reduced_map",
-    "ProcessSpec", "ShotConfig", "cnot_cz_process", "cz_cnot_process",
-    "generate_records", "markov_predict", "markov_sequences", "run_process",
-    "run_sequences",
+    "ProcessSpec", "ShotConfig", "VanishingBranchError", "cnot_cz_process",
+    "cz_cnot_process", "generate_records", "markov_predict", "markov_sequences",
+    "run_process", "run_sequences",
     "RestrictedProcessTensor", "TomoRecord", "fit_restricted_tensor",
     "qst_six_axis", "records_from_text", "records_to_text",
-    "ChoiFamily", "ChoiState", "MinimizeResult", "SupportMismatchError",
-    "VanishingBranchError", "bloch_volume", "condition_family", "default_theta_grid",
+    "ChoiFamily", "MinimizeResult", "SupportMismatchError",
+    "bloch_volume", "condition_family", "default_theta_grid",
     "minimize_nonmarkovianity", "relative_entropy", "sweep_theta",
     "uncorrelated_choi",
 ]

@@ -2,7 +2,8 @@
 
 Subcommands reproduce the full workflow as machine-readable files:
 characterize-povm, reduced-maps, tomo-predict, nonmarkov and volume. A
-key-value config file with [run] and [noise] sections may supply defaults;
+key-value config file with [run] and [noise] sections may supply defaults
+(CONFIG_KEYS lists the keys; any other section or key is a config error);
 command-line flags override file keys. Exit codes: 0 success, 2 config
 error, 3 numeric non-convergence (a sweep point or the PSD refit; output is
 still written), 4 I/O error.
@@ -22,12 +23,13 @@ import numpy as np
 
 from .channels import chi_fidelity, chi_from_process, chi_of_operator, reduced_map
 from .fileio import config_digest, write_matrix, write_table
-from .nonmarkov import VanishingBranchError, bloch_volume, sweep_theta
+from .nonmarkov import bloch_volume, default_theta_grid, sweep_theta
 from .process import (
     MAX_SHOTS,
     P_JOINT_CUTOFF,
     PROCESS_NAMES,
     ShotConfig,
+    VanishingBranchError,
     generate_records,
     intervention_qpt_data,
     markov_sequences,
@@ -47,6 +49,11 @@ __all__ = ["RunConfig", "main"]
 
 DEFAULT_NOISE_RATE = 0.01
 QPT_REPETITIONS = 20
+#: The keys a config file may set, by section.
+CONFIG_KEYS = {
+    "run": {"process", "shots", "seed", "theta_grid", "output_dir"},
+    "noise": {"gamma", "lambda"},
+}
 
 
 class ConfigError(Exception):
@@ -104,6 +111,14 @@ def _load_file(path: str) -> dict:
         raise ConfigError(f"bad config file {path!r}: {exc}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
+    # [DEFAULT] takes no keys: configparser would read each as a key of every section
+    for name, section in parser.items():
+        if name != parser.default_section and name not in CONFIG_KEYS:
+            raise ConfigError(f"config file {path!r}: unknown section [{name}]; "
+                              f"choose from {sorted(CONFIG_KEYS)}")
+        unknown = sorted(set(section) - CONFIG_KEYS.get(name, set()))
+        if unknown:
+            raise ConfigError(f"config file {path!r}: unknown key(s) {unknown} in [{name}]")
     out: dict = {}
     if parser.has_section("run"):
         run = parser["run"]
@@ -130,10 +145,8 @@ def resolve_config(args) -> RunConfig:
             values["output_dir" if key == "out" else key] = flag
     if args.noise_gamma is not None:
         values["noise_gamma"] = args.noise_gamma
-        values.setdefault("noise_lambda", DEFAULT_NOISE_RATE)
     if args.noise_lambda is not None:
         values["noise_lambda"] = args.noise_lambda
-        values.setdefault("noise_gamma", DEFAULT_NOISE_RATE)
 
     process = values.get("process", "cnot-cz")
     if process not in PROCESS_NAMES:
@@ -290,15 +303,17 @@ def cmd_nonmarkov(cfg: RunConfig) -> int:
     digest = cfg.digest()
     spec = cfg.spec()
     _, fit = _records_and_fit(cfg, spec)
-    results = sweep_theta(fit, cfg.theta_grid, process=spec)
+    thetas = cfg.theta_grid
+    if thetas is None:
+        thetas = default_theta_grid().tolist()
     rows = []
     all_converged = _refit_converged(fit)
-    for theta, n_value, converged, iterations in results:
-        if n_value is None:
-            rows.append((theta, "absent", False, iterations))
+    for theta, res in zip(thetas, sweep_theta(fit, thetas, process=spec)):
+        if res is None:
+            rows.append((theta, "absent", False, 0))
             continue
-        rows.append((theta, n_value, converged, iterations))
-        all_converged = all_converged and converged
+        rows.append((theta, res.n_value, res.converged, res.iterations))
+        all_converged = all_converged and res.converged
     write_table(
         out / "nonmarkovianity.csv",
         ["theta", "n_value", "converged", "iterations"],
@@ -320,20 +335,20 @@ def cmd_volume(cfg: RunConfig) -> int:
     )
     # Every cloud is computed before any is written, so a vanishing branch
     # leaves no partial output.
-    clouds = {}
-    for kind in ("process-tensor", "markov-map"):
-        for idx, theta in enumerate(thetas):
-            try:
-                clouds[kind, idx] = bloch_volume(kind, fit, theta, process=spec)
-            except VanishingBranchError as exc:
-                raise ConfigError(f"theta {theta!r}: {exc}") from None
-    for (kind, idx), cloud in clouds.items():
-        write_table(
-            out / f"volume_{kind}_theta{idx}.csv",
-            ["theta_a1", "phi_a1", "bx", "by", "bz"],
-            [tuple(row) for row in cloud],
-            digest,
-        )
+    clouds = []
+    for theta in thetas:
+        try:
+            clouds.append(bloch_volume(fit, theta, spec))
+        except VanishingBranchError as exc:
+            raise ConfigError(f"theta {theta!r}: {exc}") from None
+    for idx, pair in enumerate(clouds):
+        for kind, cloud in zip(("process-tensor", "markov-map"), pair):
+            write_table(
+                out / f"volume_{kind}_theta{idx}.csv",
+                ["theta_a1", "phi_a1", "bx", "by", "bz"],
+                [tuple(row) for row in cloud],
+                digest,
+            )
     return 0 if _refit_converged(fit) else 3
 
 

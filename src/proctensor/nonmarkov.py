@@ -44,11 +44,9 @@ from .tomography import RestrictedProcessTensor, action_matrix
 from .validation import hermitian_part
 
 __all__ = [
-    "ChoiState",
     "ChoiFamily",
     "MinimizeResult",
     "SupportMismatchError",
-    "VanishingBranchError",
     "condition_family",
     "uncorrelated_choi",
     "family_predict",
@@ -73,20 +71,14 @@ class SupportMismatchError(ValueError):
 
 
 @dataclass(frozen=True)
-class ChoiState:
-    """8x8 conditioned Choi state and the branch probability divided out."""
-
-    mat: np.ndarray
-    normalization: float
-
-
-@dataclass(frozen=True)
 class ChoiFamily:
-    """Affine family of data-consistent conditioned Choi states."""
+    """Affine family of data-consistent conditioned Choi states: base (8, 8)
+    plus any real combination of the directions (K, 8, 8). normalization is
+    the first-step branch probability divided out of the base."""
 
-    base: ChoiState
-    directions: tuple
-    theta: float
+    base: np.ndarray
+    directions: np.ndarray
+    normalization: float
 
 
 @dataclass(frozen=True)
@@ -99,7 +91,7 @@ class MinimizeResult:
     squared Newton decrement, an estimate of the distance to the minimum."""
 
     n_value: float
-    optimizer: ChoiState
+    optimizer: np.ndarray
     converged: bool
     iterations: int
     free_directions: int
@@ -111,7 +103,7 @@ class MinimizeResult:
 def family_predict(choi, op) -> np.ndarray:
     """Contract a conditioned Choi state against one intervention; stacks of
     states (..., 8, 8) and of operations broadcast and give (..., 2, 2)."""
-    c = np.asarray(choi.mat if isinstance(choi, ChoiState) else choi, dtype=complex)
+    c = np.asarray(choi, dtype=complex)
     b = action_dual(action_matrix(op))
     y6 = c.reshape(c.shape[:-2] + (2, 4, 2, 4))
     return np.einsum("...oapc,...ca->...op", y6, b)
@@ -214,8 +206,7 @@ def condition_family(fit: RestrictedProcessTensor, theta: float) -> ChoiFamily:
     family as a set.
     """
     t1, p_branch = _conditioned_map(fit, theta)
-    base = ChoiState(_family_bases(t1[None])[0], p_branch)
-    return ChoiFamily(base, tuple(_kernel_directions()), float(theta))
+    return ChoiFamily(_family_bases(t1[None])[0], _kernel_directions(), p_branch)
 
 
 def _intermediate_states(t1: np.ndarray):
@@ -244,24 +235,21 @@ def _references(t1: np.ndarray, mats: np.ndarray, process: ProcessSpec):
 
 
 def uncorrelated_choi(fit: RestrictedProcessTensor, theta: float,
-                      process: ProcessSpec) -> ChoiState:
-    """Product reference: reduced last-step channel ⊗ average intermediate state.
+                      process: ProcessSpec) -> np.ndarray:
+    """Product reference (8, 8): reduced last-step channel ⊗ average
+    intermediate state.
 
     The channel is conditioned on the environment marginal of the first-step
     branch, which projective system records cannot identify; the process
     definition supplies it. The trace equals that of the family base (both
     are 2 for a branch-normalized trace-preserving step).
     """
-    t1, p_branch = _conditioned_map(fit, theta)
+    t1, _ = _conditioned_map(fit, theta)
     ref, tr, p_env = _references(t1[None], _zy_mats([theta]), process)
     if not tr[0] > 0:
         raise VanishingBranchError("vanishing-branch: degenerate intermediate state")
     check_branch(float(p_env[0]))
-    return ChoiState(ref[0], p_branch)
-
-
-def _choi_mat(x) -> np.ndarray:
-    return np.asarray(x.mat if isinstance(x, ChoiState) else x, dtype=complex)
+    return ref[0]
 
 
 def _reference_spectrum(refn: np.ndarray):
@@ -290,7 +278,7 @@ def _floored_entropy(y: np.ndarray, log_ref: np.ndarray):
     return np.where(empty, 1e6, np.sum(s * np.log(np.maximum(s, LOG_FLOOR)), axis=-1) - cross)
 
 
-def relative_entropy(a, b) -> float:
+def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:
     """Tr[a (ln a - ln b)] with the positive part of `a` and `b` itself
     normalized to unit trace, eigenvalues floored at LOG_FLOOR in the logs.
 
@@ -299,8 +287,8 @@ def relative_entropy(a, b) -> float:
     trace <= 0 raises "bad-trace", an eigenvalue of the normalized `b` below
     -1e-8 "not-psd".
     """
-    am = hermitian_part(_choi_mat(a), "a")
-    bm = hermitian_part(_choi_mat(b), "b")
+    am = hermitian_part(a, "a")
+    bm = hermitian_part(b, "b")
     if am.shape != bm.shape:
         raise ValueError(f"bad-dims: shapes {am.shape} and {bm.shape} differ")
     tr_a, tr_b = float(np.trace(am).real), float(np.trace(bm).real)
@@ -416,7 +404,7 @@ def _dual_newton(z0, zk, log_w):
     return coef[1:] / coef[0], step, True, half_decrement
 
 
-def minimize_nonmarkovianity(fam: ChoiFamily, ref: ChoiState) -> MinimizeResult:
+def minimize_nonmarkovianity(fam: ChoiFamily, ref: np.ndarray) -> MinimizeResult:
     """Minimum relative entropy to the reference over the PSD family members.
 
     The relative entropy is finite only for members inside the support of
@@ -441,16 +429,14 @@ def minimize_nonmarkovianity(fam: ChoiFamily, ref: ChoiState) -> MinimizeResult:
     keep a negative eigenvalue from shot noise: min_eig reports it, and it
     does not count as non-convergence. Deterministic for fixed inputs.
     """
-    dirs = np.stack([np.asarray(d, dtype=complex) for d in fam.directions])
-    return _minimize_stack(_choi_mat(fam.base)[None], dirs, _choi_mat(ref)[None],
-                           [fam.base.normalization])[0]
+    return _minimize_stack(fam.base[None], fam.directions, ref[None])[0]
 
 
-def _minimize_stack(bases, dirs, refs, normalizations) -> list[MinimizeResult]:
+def _minimize_stack(bases, dirs, refs) -> list[MinimizeResult]:
     """minimize_nonmarkovianity for a stack of points sharing their
-    directions: bases and references (T, n, n), directions (K, n, n), and
-    the branch probabilities (T,). Every step but the Newton solve of a
-    point with free directions runs once on the whole stack."""
+    directions: bases and references (T, n, n) and directions (K, n, n).
+    Every step but the Newton solve of a point with free directions runs
+    once on the whole stack."""
     refn = hermitian_part(refs, "ref")
     refn = refn / np.trace(refn, axis1=-2, axis2=-1).real[:, None, None]
     log_ref, w, v, keep = _reference_spectrum(refn)
@@ -475,7 +461,7 @@ def _minimize_stack(bases, dirs, refs, normalizations) -> list[MinimizeResult]:
     return [
         MinimizeResult(
             n_value=float(n_value[i]),
-            optimizer=ChoiState(optimizer[i], normalizations[i]),
+            optimizer=optimizer[i],
             converged=bool(converged[i] and (compressed[i] or min_eig[i] > -1e-6)),
             iterations=int(iterations[i]),
             free_directions=int(free[i].sum()),
@@ -493,37 +479,35 @@ def default_theta_grid() -> np.ndarray:
     return np.linspace(0.0, 11 * math.pi / 12, 13)
 
 
-def sweep_theta(fit: RestrictedProcessTensor, thetas=None, *, process: ProcessSpec):
+def sweep_theta(fit: RestrictedProcessTensor, thetas, *,
+                process: ProcessSpec) -> list[MinimizeResult | None]:
     """Non-Markovianity versus first-step angle.
 
     Each layer runs once on the stack of angles; only the points that keep
-    free directions (records with noise) run their own Newton solve. Every
-    row equals minimize_nonmarkovianity(condition_family(...),
-    uncorrelated_choi(...)) at its angle. Returns a list of (theta, n_value,
-    converged, iterations); angles whose first-step branch vanishes are
-    reported as (theta, None, False, 0).
+    free directions (records with noise) run their own Newton solve. Returns
+    one result per angle, equal to minimize_nonmarkovianity(
+    condition_family(...), uncorrelated_choi(...)) at that angle, or None
+    where the first-step branch vanishes.
     """
-    thetas = np.asarray(default_theta_grid() if thetas is None else thetas, dtype=float)
-    mats = _zy_mats(thetas)
+    mats = _zy_mats(np.asarray(thetas, dtype=float))
     t1, p_branch = _conditioned_maps(fit, mats)
     refs, tr, p_env = _references(t1, mats, process)
     live = (p_branch >= BRANCH_CUTOFF) & (tr > 0) & (p_env >= BRANCH_CUTOFF)
-    results = _minimize_stack(_family_bases(t1[live]), _kernel_directions(), refs[live],
-                              p_branch[live].tolist())
-    rows = [(theta, None, False, 0) for theta in thetas.tolist()]
-    for i, res in zip(np.flatnonzero(live), results):
-        rows[i] = (rows[i][0], res.n_value, res.converged, res.iterations)
-    return rows
+    results = [None] * len(mats)
+    stack = _minimize_stack(_family_bases(t1[live]), _kernel_directions(), refs[live])
+    for i, res in zip(np.flatnonzero(live), stack):
+        results[i] = res
+    return results
 
 
-def bloch_volume(map_kind: str, fit: RestrictedProcessTensor, theta: float,
-                 *, process: ProcessSpec | None = None) -> np.ndarray:
-    """Accessible output states under the chosen last-step description.
+def bloch_volume(fit: RestrictedProcessTensor, theta: float,
+                 process: ProcessSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Accessible output states of the conditioned process tensor and of the
+    uncorrelated (memoryless) channel, as the pair (tensor, markov).
 
     Samples VOLUME_SAMPLES second interventions on a Fibonacci lattice and
-    pushes the whole cloud through either the conditioned process tensor or
-    the uncorrelated (memoryless) channel as one stack. Rows are (theta_a1,
-    phi_a1, bx, by, bz); vanishing trajectories are skipped.
+    pushes the whole cloud through each description as one stack. Rows are
+    (theta_a1, phi_a1, bx, by, bz); vanishing trajectories are skipped.
     """
     # Fibonacci lattice: deterministic and nearly uniform over the sphere
     i = np.arange(VOLUME_SAMPLES)
@@ -531,17 +515,11 @@ def bloch_volume(map_kind: str, fit: RestrictedProcessTensor, theta: float,
     ph = np.fmod(math.pi * (3.0 - math.sqrt(5.0)) * i, 2 * math.pi)
     kets = np.stack([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)], axis=-1)
     mats = kets[:, :, None] * kets[:, None, :].conj()
-    if map_kind == "process-tensor":
-        t1, _ = _conditioned_map(fit, theta)
-        out = _push(t1, mats)
-    elif map_kind == "markov-map":
-        if process is None:
-            raise ValueError("bad-map-kind: markov-map requires the process spec")
-        sup, p_env = last_step_superops(process, zy_projector(theta).mat)
-        check_branch(float(p_env))
-        out = unvec(vec_stack(mats) @ sup.T)
-    else:
-        raise ValueError(f"bad-map-kind: {map_kind!r}")
-    states, p = normalized_psd(out, 1e-9)
-    keep = p >= 1e-9
-    return np.column_stack([th, ph, bloch_vector(states)])[keep]
+    t1, _ = _conditioned_map(fit, theta)
+    sup, p_env = last_step_superops(process, zy_projector(theta).mat)
+    check_branch(float(p_env))
+    clouds = []
+    for out in (_push(t1, mats), unvec(vec_stack(mats) @ sup.T)):
+        states, p = normalized_psd(out, 1e-9)
+        clouds.append(np.column_stack([th, ph, bloch_vector(states)])[p >= 1e-9])
+    return tuple(clouds)

@@ -122,9 +122,9 @@ def test_criterion_3_nonmarkovianity_peak(ideal):
 
     spec_cn, fit_cn = ideal["cz-cnot"]
     start = time.time()
-    rows = sweep_theta(fit_cn, default_theta_grid(), process=spec_cn)
+    results = sweep_theta(fit_cn, default_theta_grid(), process=spec_cn)
     elapsed = time.time() - start
-    flat_max = max(n for _, n, _, _ in rows)
+    flat_max = max(res.n_value for res in results)
     assert flat_max <= 0.02
     assert elapsed < 60.0, f"sweep runtime {elapsed:.1f}s exceeds 60s"
     print(f"\nPASS criterion 3: N(pi/2) = {peak.n_value:.4f} = ln2 ± 0.02, "

@@ -83,6 +83,46 @@ def test_config_without_section_header_exits_2(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text", [
+    "[run]\nshot = 3000\n",
+    "[runn]\nshots = 3000\n",
+    "[run]\nshots = 3000\n[noise]\ngama = 0.05\n",
+    "[Run]\nshots = 3000\n",
+    "[DEFAULT]\nshots = 3000\n[run]\nseed = 1\n",
+    "[DEFAULT]\nseed = 1\n",
+], ids=["unknown-run-key", "unknown-section", "unknown-noise-key", "section-case",
+        "default-key", "default-key-alone"])
+def test_config_unknown_section_or_key_exits_2(tmp_path, capsys, text):
+    # a misspelt key or section is an error, not a silent exact run; a
+    # [DEFAULT] key would be read as a key of every section, so it is one too
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(text)
+    out = tmp_path / "o"
+    assert run_cli(["nonmarkov", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+    assert not out.exists()
+
+
+def test_config_keys_are_the_documented_ones(tmp_path):
+    # every key CONFIG_KEYS lists is accepted, keys case-insensitively as
+    # configparser reads them, and an empty [DEFAULT] header is harmless
+    cfg_file = tmp_path / "run.cfg"
+    cfg_file.write_text("[DEFAULT]\n[run]\nprocess = cz-cnot\nSHOTS = 500\nseed = 2\n"
+                        "theta_grid = 0.1,0.2\noutput_dir = elsewhere\n"
+                        "[noise]\ngamma = 0.02\nlambda = 0.03\n")
+    cfg = resolve_config(build_parser().parse_args(["nonmarkov", "--config", str(cfg_file)]))
+    assert (cfg.process, cfg.shots, cfg.seed, cfg.theta_grid) == ("cz-cnot", 500, 2, (0.1, 0.2))
+    assert cfg.output_dir == Path("elsewhere")
+    assert (cfg.noise.gamma_amp, cfg.noise.lambda_phase) == (0.02, 0.03)
+
+
+def test_one_noise_flag_defaults_the_other_rate():
+    for flags, rates in ((["--noise-gamma", "0.2"], (0.2, 0.01)),
+                         (["--noise-lambda", "0.3"], (0.01, 0.3))):
+        cfg = resolve_config(build_parser().parse_args(["nonmarkov", *flags]))
+        assert (cfg.noise.gamma_amp, cfg.noise.lambda_phase) == rates, flags
+
+
 def test_bad_theta_grid_exits_2(tmp_path):
     for grid in ("a,b", "nan,0.5", "inf"):
         assert run_cli(["nonmarkov", "--theta-grid", grid, "--out", tmp_path]) == 2, grid
@@ -301,10 +341,14 @@ def test_readme_library_tour_runs():
     out = io.StringIO()
     with contextlib.redirect_stdout(out):
         exec(compile(tour, "README.md", "exec"), {})
-    fidelity, baseline, n_value = (float(line) for line in out.getvalue().split())
+    lines = out.getvalue().splitlines()
+    fidelity, baseline, n_value, sweep_max = (float(line) for line in lines[:4])
     assert abs(fidelity - 1.0) <= 1e-9
     assert abs(baseline - 0.5) <= 1e-9
     assert abs(n_value - math.log(2)) <= 1e-9
+    # the default grid steps over pi/2, so its largest N sits just below ln 2
+    assert 0.68 < sweep_max < math.log(2)
+    assert lines[4:] == ["(200, 5) (200, 5)"]
 
 
 def test_volume_files(tmp_path):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -21,6 +22,7 @@ from proctensor.linalg import project_psd, unvec, vec
 from proctensor.nonmarkov import (
     LOG_FLOOR,
     SUPPORT_WEIGHT_TOL,
+    MinimizeResult,
     SupportMismatchError,
     _dual_newton,
     _dual_terms,
@@ -120,12 +122,12 @@ def test_relative_entropy_unitary_invariance():
 
 def test_family_shape_and_consistency(cnot_cz_fit):
     fam = condition_family(cnot_cz_fit, math.pi / 2)
-    assert fam.base.mat.shape == (8, 8)
-    assert len(fam.directions) == 28
-    assert abs(fam.base.normalization - 0.5) < 1e-9
+    assert fam.base.shape == (8, 8)
+    assert fam.directions.shape == (28, 8, 8)
+    assert abs(fam.normalization - 0.5) < 1e-9
     # base reproduces the conditioned one-step data
     t1 = cnot_cz_fit.contract_first_step(zy_projector(math.pi / 2))
-    t1 = t1 / fam.base.normalization
+    t1 = t1 / fam.normalization
     for label in ("x+", "y-", "z+", "yz+"):
         p = named_projector(label)
         direct = unvec(t1 @ vec(action_superop(p.mat)))
@@ -136,7 +138,7 @@ def test_family_directions_annihilate_data(cnot_cz_fit):
     fam = condition_family(cnot_cz_fit, math.pi / 4)
     rng = np.random.default_rng(0)
     coeffs = rng.normal(size=len(fam.directions))
-    shifted = fam.base.mat + sum(c * d for c, d in zip(coeffs, fam.directions))
+    shifted = fam.base + sum(c * d for c, d in zip(coeffs, fam.directions))
     for label in ("x+", "x-", "y+", "y-", "z+", "z-", "xy+", "xz+", "yz+"):
         p = named_projector(label)
         a = family_predict(shifted, p)
@@ -149,7 +151,7 @@ def test_family_base_trace(cnot_cz_fit):
     # representative shifted to the physical value of 2
     for theta in (0.0, 0.3, math.pi / 2):
         fam = condition_family(cnot_cz_fit, theta)
-        assert abs(np.trace(fam.base.mat).real - 2.0) < 1e-8
+        assert abs(np.trace(fam.base).real - 2.0) < 1e-8
 
 
 def test_vanishing_branch_raises(cnot_cz_fit):
@@ -164,7 +166,7 @@ def test_memory_measure_requires_fitted_tensor(cnot_cz_spec):
         lambda: uncorrelated_choi(unfitted, 0.3, cnot_cz_spec),
         lambda: sweep_theta(unfitted, [0.0, 0.3], process=cnot_cz_spec),
         lambda: sweep_theta(unfitted, [], process=cnot_cz_spec),
-        lambda: bloch_volume("process-tensor", unfitted, 0.3),
+        lambda: bloch_volume(unfitted, 0.3, cnot_cz_spec),
     )
     for call in calls:
         with pytest.raises(ValueError, match="^not-fitted"):
@@ -176,8 +178,7 @@ def test_vanishing_branch_error_type(cnot_cz_fit, cnot_cz_spec):
     calls = (
         lambda: condition_family(cnot_cz_fit, math.pi),
         lambda: uncorrelated_choi(cnot_cz_fit, math.pi, cnot_cz_spec),
-        lambda: bloch_volume("process-tensor", cnot_cz_fit, math.pi),
-        lambda: bloch_volume("markov-map", cnot_cz_fit, math.pi, process=cnot_cz_spec),
+        lambda: bloch_volume(cnot_cz_fit, math.pi, cnot_cz_spec),
     )
     for call in calls:
         with pytest.raises(VanishingBranchError, match="^vanishing-branch: "):
@@ -201,7 +202,7 @@ def test_uncorrelated_theta_zero(cnot_cz_fit, cnot_cz_spec):
         for j in range(2):
             omega[2 * i + i, 2 * j + j] = 1.0
     expected = np.kron(omega, np.diag([1.0, 0.0]))
-    assert np.abs(ref.mat - expected).max() < 1e-8
+    assert np.abs(ref - expected).max() < 1e-8
 
 
 def test_uncorrelated_theta_half_pi(cnot_cz_fit, cnot_cz_spec):
@@ -211,14 +212,14 @@ def test_uncorrelated_theta_half_pi(cnot_cz_fit, cnot_cz_spec):
     deph = np.zeros((4, 4), dtype=complex)
     deph[0, 0] = deph[3, 3] = 1.0
     expected = np.kron(deph, np.eye(2) / 2)
-    assert np.abs(ref.mat - expected).max() < 1e-8
+    assert np.abs(ref - expected).max() < 1e-8
 
 
 def test_uncorrelated_trace_matches_family(cnot_cz_fit, cnot_cz_spec):
     for theta in (0.0, 0.4, math.pi / 2):
         fam = condition_family(cnot_cz_fit, theta)
         ref = uncorrelated_choi(cnot_cz_fit, theta, cnot_cz_spec)
-        assert abs(np.trace(ref.mat).real - np.trace(fam.base.mat).real) < 1e-6
+        assert abs(np.trace(ref).real - np.trace(fam.base).real) < 1e-6
 
 
 def test_uncorrelated_equals_family_on_product_branch(cz_cnot_fit, cz_cnot_spec):
@@ -228,7 +229,7 @@ def test_uncorrelated_equals_family_on_product_branch(cz_cnot_fit, cz_cnot_spec)
     ref = uncorrelated_choi(cz_cnot_fit, math.pi / 3, cz_cnot_spec)
     for label in ("x+", "y-", "z+", "xz+"):
         p = named_projector(label)
-        a = family_predict(ref.mat, p)
+        a = family_predict(ref, p)
         b = family_predict(fam.base, p)
         assert np.abs(a - b).max() < 1e-8
 
@@ -249,11 +250,11 @@ def test_minimize_memory_peak(cnot_cz_fit, cnot_cz_spec):
     res = minimize_nonmarkovianity(fam, ref)
     assert abs(res.n_value - LN2) <= 0.02
     # optimizer output is PSD and data-consistent
-    w = np.linalg.eigvalsh(res.optimizer.mat)
+    w = np.linalg.eigvalsh(res.optimizer)
     assert w.min() > -1e-8
     for label in ("x+", "y-", "z+", "yz+"):
         p = named_projector(label)
-        a = family_predict(res.optimizer.mat, p)
+        a = family_predict(res.optimizer, p)
         b = family_predict(fam.base, p)
         assert np.abs(a - b).max() < 1e-6, label
 
@@ -264,25 +265,22 @@ def test_minimize_never_exceeds_psd_start(cnot_cz_fit, cnot_cz_spec):
         fam = condition_family(cnot_cz_fit, theta)
         ref = uncorrelated_choi(cnot_cz_fit, theta, cnot_cz_spec)
         res = minimize_nonmarkovianity(fam, ref)
-        b = project_psd(fam.base.mat)
+        b = project_psd(fam.base)
         b = b / np.trace(b).real
-        r = ref.mat / np.trace(ref.mat).real
+        r = ref / np.trace(ref).real
         start = np.trace(b @ (mat_log_psd(b) - mat_log_psd(r))).real
         assert res.n_value <= start + 1e-9, theta
 
 
 def test_minimize_unitary_covariance(cnot_cz_fit, cnot_cz_spec):
-    from proctensor.nonmarkov import ChoiFamily, ChoiState
+    from proctensor.nonmarkov import ChoiFamily
 
     fam = condition_family(cnot_cz_fit, math.pi / 2)
     ref = uncorrelated_choi(cnot_cz_fit, math.pi / 2, cnot_cz_spec)
     u = random_unitary(3, dim=8)
-    fam_u = ChoiFamily(
-        ChoiState(u @ fam.base.mat @ u.conj().T, fam.base.normalization),
-        tuple(u @ d @ u.conj().T for d in fam.directions),
-        fam.theta,
-    )
-    ref_u = ChoiState(u @ ref.mat @ u.conj().T, ref.normalization)
+    fam_u = ChoiFamily(u @ fam.base @ u.conj().T, u @ fam.directions @ u.conj().T,
+                       fam.normalization)
+    ref_u = u @ ref @ u.conj().T
     res = minimize_nonmarkovianity(fam, ref)
     res_u = minimize_nonmarkovianity(fam_u, ref_u)
     assert abs(res.n_value - res_u.n_value) < 1e-10
@@ -361,8 +359,8 @@ def test_minimize_sampled_memory_falls_with_shots(seed, cnot_cz_spec, cz_cnot_sp
 
 def test_sweep_peak_location(cnot_cz_fit, cnot_cz_spec):
     grid = [0.0, math.pi / 4, math.pi / 2, 3 * math.pi / 4]
-    rows = sweep_theta(cnot_cz_fit, grid, process=cnot_cz_spec)
-    values = {theta: n for theta, n, _, _ in rows}
+    results = sweep_theta(cnot_cz_fit, grid, process=cnot_cz_spec)
+    values = {theta: res.n_value for theta, res in zip(grid, results)}
     peak = values[math.pi / 2]
     for theta, n in values.items():
         if theta != math.pi / 2:
@@ -370,14 +368,12 @@ def test_sweep_peak_location(cnot_cz_fit, cnot_cz_spec):
 
 
 def test_sweep_reports_vanishing_branch(cnot_cz_fit, cnot_cz_spec):
-    rows = sweep_theta(cnot_cz_fit, [math.pi], process=cnot_cz_spec)
-    assert rows[0][1] is None
+    assert sweep_theta(cnot_cz_fit, [math.pi], process=cnot_cz_spec) == [None]
 
 
 def test_sweep_empty_and_all_vanishing_grids(cnot_cz_fit, cnot_cz_spec):
     assert sweep_theta(cnot_cz_fit, [], process=cnot_cz_spec) == []
-    rows = sweep_theta(cnot_cz_fit, [math.pi, math.pi], process=cnot_cz_spec)
-    assert rows == [(math.pi, None, False, 0)] * 2
+    assert sweep_theta(cnot_cz_fit, [math.pi, math.pi], process=cnot_cz_spec) == [None, None]
 
 
 def test_default_grid():
@@ -390,7 +386,7 @@ def test_default_grid():
 # --------------------------------------------------------------- volumes
 
 def test_volume_identity_branch(cnot_cz_fit, cnot_cz_spec):
-    cloud = bloch_volume("markov-map", cnot_cz_fit, 0.0, process=cnot_cz_spec)
+    _, cloud = bloch_volume(cnot_cz_fit, 0.0, cnot_cz_spec)
     # reduced step is the identity: outputs coincide with the sampled inputs
     for theta_a1, phi_a1, bx, by, bz in cloud:
         direction = np.array(
@@ -404,27 +400,20 @@ def test_volume_identity_branch(cnot_cz_fit, cnot_cz_spec):
 
 
 def test_volume_markov_collapses_to_z_axis(cnot_cz_fit, cnot_cz_spec):
-    cloud = bloch_volume("markov-map", cnot_cz_fit, math.pi / 2, process=cnot_cz_spec)
+    _, cloud = bloch_volume(cnot_cz_fit, math.pi / 2, cnot_cz_spec)
     assert np.abs(cloud[:, 2:4]).max() < 1e-8  # bx, by vanish
 
 
 def test_volume_tensor_keeps_off_axis_structure(cnot_cz_fit, cnot_cz_spec):
-    cloud = bloch_volume("process-tensor", cnot_cz_fit, math.pi / 2, process=cnot_cz_spec)
+    cloud, _ = bloch_volume(cnot_cz_fit, math.pi / 2, cnot_cz_spec)
     planar = np.hypot(cloud[:, 2], cloud[:, 3])
     assert planar.max() > 0.4
 
 
 def test_volume_deterministic(cnot_cz_fit, cnot_cz_spec):
-    a = bloch_volume("process-tensor", cnot_cz_fit, 0.3, process=cnot_cz_spec)
-    b = bloch_volume("process-tensor", cnot_cz_fit, 0.3, process=cnot_cz_spec)
-    assert np.array_equal(a, b)
-
-
-def test_volume_argument_validation(cnot_cz_fit, cnot_cz_spec):
-    with pytest.raises(ValueError, match="bad-map-kind"):
-        bloch_volume("other", cnot_cz_fit, 0.0, process=cnot_cz_spec)
-    with pytest.raises(ValueError, match="bad-map-kind"):
-        bloch_volume("markov-map", cnot_cz_fit, 0.0)
+    a = bloch_volume(cnot_cz_fit, 0.3, cnot_cz_spec)
+    b = bloch_volume(cnot_cz_fit, 0.3, cnot_cz_spec)
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_family_contains_memory_choi(cnot_cz_fit):
@@ -443,19 +432,19 @@ def test_family_contains_memory_choi(cnot_cz_fit):
         b = family_predict(fam.base, p)
         assert np.abs(a - b).max() < 1e-8, label
     # and it lies in the affine family: base plus a kernel combination
-    resid = memory - fam.base.mat
+    resid = memory - fam.base
     coeffs = np.array([np.trace(d @ resid).real for d in fam.directions])
-    recon = fam.base.mat + sum(c * d for c, d in zip(coeffs, fam.directions))
+    recon = fam.base + sum(c * d for c, d in zip(coeffs, fam.directions))
     assert np.abs(recon - memory).max() < 1e-8
 
 
 def test_sweep_converges_at_intermediate_angles(cnot_cz_fit, cnot_cz_spec):
     # points away from the peak must terminate cleanly with a value inside
     # the memory band
-    rows = sweep_theta(cnot_cz_fit, [0.72, 2.16], process=cnot_cz_spec)
-    for theta, n, converged, iterations in rows:
-        assert converged, (theta, iterations)
-        assert 0.3 < n < 0.6
+    grid = [0.72, 2.16]
+    for theta, res in zip(grid, sweep_theta(cnot_cz_fit, grid, process=cnot_cz_spec)):
+        assert res.converged, (theta, res.iterations)
+        assert 0.3 < res.n_value < 0.6
 
 
 # ------------------------------------- one floored-entropy evaluation
@@ -513,7 +502,7 @@ def test_floored_entropy_matches_the_three_copies(family, cnot_cz_fit, cnot_cz_s
     for theta in (0.0, 0.48, math.pi / 2, 2.16, 2.88):
         fam = condition_family(fit, theta)
         ref = uncorrelated_choi(fit, theta, spec)
-        refn = ref.mat / np.trace(ref.mat).real
+        refn = ref / np.trace(ref).real
         log_ref, w, v, keep = _reference_spectrum(refn)
         # one decomposition gives the floored log, the support and the null space
         assert np.array_equal(log_ref, mat_log_psd(refn, LOG_FLOOR))
@@ -522,7 +511,7 @@ def test_floored_entropy_matches_the_three_copies(family, cnot_cz_fit, cnot_cz_s
         assert w[keep].min() >= LOG_FLOOR and np.all(w[~keep] < LOG_FLOOR)
         null = v[:, ~keep]
         assert np.abs(null.conj().T @ refn @ null).max() < 1e-12
-        full = (fam.base.mat, np.stack(fam.directions))
+        full = (fam.base, fam.directions)
         members = [full, restrict_one(*full, v * ~keep)[:2]]
         mixed_ref = 0.9 * refn + 0.1 * np.eye(8) / 8
         for base, dirs in members:
@@ -535,8 +524,8 @@ def test_floored_entropy_matches_the_three_copies(family, cnot_cz_fit, cnot_cz_s
                 assert abs(relative_entropy(a, mixed_ref)
                            - ref_relative_entropy(a, mixed_ref, LOG_FLOOR)) <= 1e-14
         res = minimize_nonmarkovianity(fam, ref)
-        opt = res.optimizer.mat / np.trace(res.optimizer.mat).real
-        assert abs(relative_entropy(opt, ref) - ref_relative_entropy(opt, ref.mat, LOG_FLOOR)) <= 1e-14
+        opt = res.optimizer / np.trace(res.optimizer).real
+        assert abs(relative_entropy(opt, ref) - ref_relative_entropy(opt, ref, LOG_FLOOR)) <= 1e-14
         # the minimiser and relative_entropy share the evaluation
         assert relative_entropy(res.optimizer, ref) == res.n_value, theta
 
@@ -548,8 +537,8 @@ def noisy_slice(noisy_cnot_cz, theta):
     spec, fit = noisy_cnot_cz
     fam = condition_family(fit, theta)
     ref = uncorrelated_choi(fit, theta, spec)
-    _, w, v, keep = _reference_spectrum(ref.mat / np.trace(ref.mat).real)
-    base, dirs, _ = restrict_one(fam.base.mat, np.stack(fam.directions), v * ~keep)
+    _, w, v, keep = _reference_spectrum(ref / np.trace(ref).real)
+    base, dirs, _ = restrict_one(fam.base, fam.directions, v * ~keep)
     support = v[:, keep]
     on_support = support.conj().T @ np.concatenate([base[None], dirs]) @ support
     return on_support[0], on_support[1:], np.log(w[keep])
@@ -617,13 +606,13 @@ def test_noisy_minimum_is_not_beaten_by_nearby_members(noisy_cnot_cz):
         ref = uncorrelated_choi(fit, theta, spec)
         res = minimize_nonmarkovianity(fam, ref)
         assert res.converged and res.free_directions == 11 and res.optimality <= 1e-15
-        _, _, v, keep = _reference_spectrum(ref.mat / np.trace(ref.mat).real)
-        _, dirs, off_support = restrict_one(fam.base.mat, np.stack(fam.directions), v * ~keep)
+        _, _, v, keep = _reference_spectrum(ref / np.trace(ref).real)
+        _, dirs, off_support = restrict_one(fam.base, fam.directions, v * ~keep)
         assert off_support <= SUPPORT_WEIGHT_TOL
         checked = 0
         for scale in (1e-3, 1e-5, 1e-7):
             for _ in range(10):
-                y = res.optimizer.mat + scale * np.einsum("k,kij->ij", rng.normal(size=11), dirs)
+                y = res.optimizer + scale * np.einsum("k,kij->ij", rng.normal(size=11), dirs)
                 # the two null eigenvalues of the reference stay 0 up to rounding
                 if np.linalg.eigvalsh(y).min() < -1e-12:
                     continue
@@ -678,23 +667,32 @@ def sweep_cases(cnot_cz_spec, cnot_cz_fit, cz_cnot_spec, cz_cnot_fit, noisy_cnot
     }
 
 
+def assert_same_result(a, b, theta):
+    """Every field of two results equal, the optimizer byte for byte (a
+    frozen dataclass with an array field cannot be compared with ==)."""
+    for field in dataclasses.fields(MinimizeResult):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if field.name == "optimizer":
+            assert x.shape == y.shape and x.tobytes() == y.tobytes(), theta
+        else:
+            assert type(x) is type(y) and x == y, (theta, field.name, x, y)
+
+
 @pytest.mark.parametrize("case", SWEEP_CASES)
 def test_sweep_rows_equal_per_angle_minimisation(case, sweep_cases):
-    # the stacked sweep is the per-angle computation, row by row, with the
-    # vanishing branch at pi as its absent row
+    # the stacked sweep is the per-angle computation, point by point, with
+    # the vanishing branch at pi as its absent point
     spec, fit = sweep_cases[case]
-    rows = sweep_theta(fit, SWEEP_GRID, process=spec)
-    assert [row[0] for row in rows] == SWEEP_GRID
-    assert rows[-1][1:] == (None, False, 0)
-    for theta, n_value, converged, iterations in rows:
+    results = sweep_theta(fit, SWEEP_GRID, process=spec)
+    assert len(results) == len(SWEEP_GRID) and results[-1] is None
+    for theta, res in zip(SWEEP_GRID, results):
         try:
-            res = minimize_nonmarkovianity(condition_family(fit, theta),
-                                           uncorrelated_choi(fit, theta, spec))
+            alone = minimize_nonmarkovianity(condition_family(fit, theta),
+                                             uncorrelated_choi(fit, theta, spec))
         except VanishingBranchError:
-            assert (n_value, converged, iterations) == (None, False, 0), theta
+            assert res is None, theta
             continue
-        assert (converged, iterations) == (res.converged, res.iterations), theta
-        assert abs(n_value - res.n_value) <= 1e-13, theta
+        assert_same_result(res, alone, theta)
 
 
 @settings(max_examples=30, deadline=None)
@@ -706,16 +704,16 @@ def test_sweep_row_independent_of_its_stack(sweep_cases, case, thetas):
     # a row depends on its own angle only, not on the angles stacked with it
     # or on their order
     spec, fit = sweep_cases[case]
-    rows = sweep_theta(fit, thetas, process=spec)
+    results = sweep_theta(fit, thetas, process=spec)
     backwards = sweep_theta(fit, thetas[::-1], process=spec)[::-1]
-    for theta, row, other in zip(thetas, rows, backwards):
+    for theta, res, other in zip(thetas, results, backwards):
         alone = sweep_theta(fit, [theta], process=spec)[0]
-        for stacked in (row, other):
-            assert stacked[0] == theta and stacked[2:] == alone[2:], (theta, stacked, alone)
-            if alone[1] is None:
-                assert stacked[1] is None, theta
-            else:
-                assert abs(stacked[1] - alone[1]) <= 1e-13, theta
+        for stacked in (res, other):
+            if alone is None:
+                assert stacked is None, theta
+                continue
+            assert (stacked.converged, stacked.iterations) == (alone.converged, alone.iterations)
+            assert abs(stacked.n_value - alone.n_value) <= 1e-13, theta
 
 
 def ref_restrict_to_support(base, dirs, null):
@@ -742,11 +740,11 @@ def test_restrict_to_support_ragged_null_sizes(noisy, cnot_cz_fit, cnot_cz_spec,
     # stack, each point still gets its lone member, directions and residual
     spec, fit = noisy_cnot_cz if noisy else (cnot_cz_spec, cnot_cz_fit)
     thetas = (0.0, 0.72, math.pi / 2)
-    bases = np.array([condition_family(fit, theta).base.mat for theta in thetas])
-    refs = np.array([uncorrelated_choi(fit, theta, spec).mat for theta in thetas])
+    bases = np.array([condition_family(fit, theta).base for theta in thetas])
+    refs = np.array([uncorrelated_choi(fit, theta, spec) for theta in thetas])
     _, _, v, keep = _reference_spectrum(refs / np.trace(refs, axis1=1, axis2=2).real[:, None, None])
     assert (~keep).sum(axis=1).tolist() == ([5, 2, 2] if noisy else [7, 4, 4])
-    dirs = np.stack(condition_family(fit, 0.0).directions)
+    dirs = condition_family(fit, 0.0).directions
     members, vh, free, off_support = _restrict_to_support(bases, dirs, v * ~keep[:, None, :])
     for i in range(len(thetas)):
         member, directions, lone_off = restrict_one(bases[i], dirs, v[i] * ~keep[i])
