@@ -326,14 +326,15 @@ def ref_bloch_volume(kind, fit, theta, n, process):
 
 
 @pytest.mark.parametrize("noisy", [False, True])
-def test_bloch_volume_matches_per_sample_loop(noisy):
+@pytest.mark.parametrize("kind", ["process-tensor", "markov-map"])
+def test_bloch_volume_matches_per_sample_loop(kind, noisy):
     # one call gives both clouds, the tensor's first
     spec = PROCESS_NAMES["cnot-cz"](NOISE if noisy else None)
     fit = fit_restricted_tensor(generate_records(spec))
     for theta in (0.0, math.pi / 4, math.pi / 2):
         clouds = bloch_volume(fit, theta, spec)
         assert len(clouds) == 2
-        for kind, cloud in zip(("process-tensor", "markov-map"), clouds):
-            ref = ref_bloch_volume(kind, fit, theta, 200, spec)
-            assert cloud.shape == ref.shape, kind
-            assert np.abs(cloud - ref).max() <= 1e-12, kind
+        cloud = clouds[("process-tensor", "markov-map").index(kind)]
+        ref = ref_bloch_volume(kind, fit, theta, 200, spec)
+        assert cloud.shape == ref.shape
+        assert np.abs(cloud - ref).max() <= 1e-12
