@@ -34,9 +34,7 @@ from .process import (
     cz_cnot_process,
     generate_records,
     markov_predict,
-    markov_sequences,
     run_process,
-    run_sequences,
 )
 from .tomography import (
     RestrictedProcessTensor,
@@ -67,8 +65,7 @@ __all__ = [
     "state_fidelity", "zy_projector",
     "chi_fidelity", "chi_from_process", "chi_of_operator", "reduced_map",
     "ProcessSpec", "ShotConfig", "VanishingBranchError", "cnot_cz_process",
-    "cz_cnot_process", "generate_records", "markov_predict", "markov_sequences",
-    "run_process", "run_sequences",
+    "cz_cnot_process", "generate_records", "markov_predict", "run_process",
     "RestrictedProcessTensor", "TomoRecord", "fit_restricted_tensor",
     "qst_six_axis", "records_from_text", "records_to_text",
     "ChoiFamily", "MinimizeResult", "SupportMismatchError",

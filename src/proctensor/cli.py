@@ -25,6 +25,7 @@ from .channels import chi_fidelity, chi_from_process, chi_of_operator, reduced_m
 from .fileio import config_digest, write_matrix, write_table
 from .nonmarkov import bloch_volume, default_theta_grid, sweep_theta
 from .process import (
+    BRANCH_CUTOFF,
     MAX_SHOTS,
     P_JOINT_CUTOFF,
     PROCESS_NAMES,
@@ -32,8 +33,8 @@ from .process import (
     VanishingBranchError,
     generate_records,
     intervention_qpt_data,
-    markov_sequences,
-    run_sequences,
+    markov_predict,
+    run_process,
 )
 from .qubit import (
     CNOT,
@@ -269,13 +270,13 @@ def cmd_tomo_predict(cfg: RunConfig) -> int:
     labels = np.array(OVERCOMPLETE_LABELS)
     mats = np.array([named_projector(label).mat for label in labels])
     steps = (mats[:, None], mats[None, :])
-    truth, p_true = run_sequences(spec, steps)
-    predicted, p_pred = fit.predict_sequences(steps)
-    baseline, p_markov = markov_sequences(spec, steps)
+    truth, p_true = run_process(spec, steps)
+    predicted, p_pred = fit.predict(steps)
+    baseline, p_markov = markov_predict(spec, steps)
     # 0.0 marks a pair the tensor or the baseline has no state for
     fid_tensor = np.where(p_pred >= P_JOINT_CUTOFF, state_fidelity(truth, predicted), 0.0)
     fid_markov = np.where(p_markov >= P_JOINT_CUTOFF, state_fidelity(truth, baseline), 0.0)
-    keep = p_true >= 1e-9
+    keep = p_true >= BRANCH_CUTOFF
     a0, a1 = np.nonzero(keep)
     rows = zip(labels[a0], labels[a1], p_true[keep], fid_tensor[keep], fid_markov[keep])
     write_table(

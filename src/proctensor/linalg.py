@@ -66,13 +66,13 @@ def normalized_psd(m, cutoff: float):
     """Unit-trace PSD projections of a matrix or stack, with the traces before projection.
 
     Matrices whose trace is below cutoff become the maximally mixed state.
-    Returns (states (..., n, n), traces (...)).
+    Returns (states (..., n, n), traces (...) clipped at 0).
     """
     a = as_matrix(m, "m")
     tr = np.trace(a, axis1=-2, axis2=-1).real
     mixed = np.eye(a.shape[-1]) / a.shape[-1]
     rho = project_psd(np.where((tr >= cutoff)[..., None, None], a, mixed))
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None], tr
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None], np.maximum(tr, 0.0)
 
 
 def clip_divided_differences(eigenvalues) -> np.ndarray:

@@ -520,6 +520,6 @@ def bloch_volume(fit: RestrictedProcessTensor, theta: float,
     check_branch(float(p_env))
     clouds = []
     for out in (_push(t1, mats), unvec(vec_stack(mats) @ sup.T)):
-        states, p = normalized_psd(out, 1e-9)
-        clouds.append(np.column_stack([th, ph, bloch_vector(states)])[p >= 1e-9])
+        states, p = normalized_psd(out, BRANCH_CUTOFF)
+        clouds.append(np.column_stack([th, ph, bloch_vector(states)])[p >= BRANCH_CUTOFF])
     return tuple(clouds)

@@ -30,7 +30,7 @@ from .qubit import (
     named_projector,
 )
 from .tomography import P_JOINT_CUTOFF, TomoRecord, qst_six_axis
-from .validation import check_unitary
+from .validation import check_two_steps, check_unitary
 
 __all__ = [
     "ProcessSpec",
@@ -39,9 +39,7 @@ __all__ = [
     "cnot_cz_process",
     "cz_cnot_process",
     "PROCESS_NAMES",
-    "run_sequences",
     "run_process",
-    "markov_sequences",
     "markov_predict",
     "generate_records",
     "intervention_qpt_data",
@@ -65,10 +63,7 @@ class ProcessSpec:
     noise: NoiseSpec | None = None
 
     def __post_init__(self):
-        if len(self.interactions) != 2:
-            raise ValueError(
-                f"bad-sequence: {len(self.interactions)} interactions, the process has 2"
-            )
+        check_two_steps(self.interactions, "interactions")
         if self.noise is not None and not isinstance(self.noise, NoiseSpec):
             raise ValueError(f"bad-noise: noise must be a NoiseSpec or None, got {self.noise!r}")
         us = tuple(check_unitary(u, "interaction") for u in self.interactions)
@@ -103,11 +98,6 @@ def cz_cnot_process(noise: NoiseSpec | None = None) -> ProcessSpec:
 PROCESS_NAMES = {"cnot-cz": cnot_cz_process, "cz-cnot": cz_cnot_process}
 
 
-def _check_sequence(ops: Sequence):
-    if len(ops) != 2:
-        raise ValueError(f"bad-sequence: {len(ops)} interventions for 2 interactions")
-
-
 def _chain(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     """Contract the chain over per-step stacks of projector matrices, up to
     the last given step, into subnormalized joint states."""
@@ -121,16 +111,17 @@ def _chain(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     return rho
 
 
-def run_sequences(spec: ProcessSpec, steps: Sequence[np.ndarray]):
-    """Exact contraction of a stack of intervened sequences.
+def run_process(spec: ProcessSpec, steps: Sequence[np.ndarray]):
+    """Exact contraction of one intervened sequence or a stack of them.
 
     steps holds one stack (..., 2, 2) of projector matrices per interaction;
-    the stacks broadcast, so a column and a row stack give a whole grid.
-    Returns the joint probabilities of all outcomes p_joint (...), clipped
-    at 0, and the normalized system marginals (..., 2, 2), maximally mixed
-    where p_joint is below the reporting cutoff, as (states, p_joint).
+    the stacks broadcast, so two 2x2 matrices give one sequence and a column
+    and a row stack give a whole grid. Returns the joint probabilities of all
+    outcomes p_joint (...), clipped at 0, and the normalized system marginals
+    (..., 2, 2), maximally mixed where p_joint is below the reporting cutoff,
+    as (states, p_joint).
     """
-    _check_sequence(steps)
+    check_two_steps(steps)
     rho = _chain(spec, [np.asarray(m, dtype=complex) for m in steps])
     p_joint = np.maximum(np.trace(rho, axis1=-2, axis2=-1).real, 0.0)
     out = np.einsum("...ijkj->...ik", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)))
@@ -138,40 +129,25 @@ def run_sequences(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     return np.where((p_joint >= P_JOINT_CUTOFF)[..., None, None], out, ID2 / 2), p_joint
 
 
-def run_process(spec: ProcessSpec, ops: Sequence[Projector]):
-    """(rho_out, p_joint) of one sequence of Projectors (see run_sequences);
-    rho_out is None below the reporting cutoff."""
-    rho, p = run_sequences(spec, [op.mat for op in ops])
-    return (None if p < P_JOINT_CUTOFF else rho), float(p)
-
-
 def _step_superops(spec: ProcessSpec) -> list[np.ndarray]:
     """Per-step reduced superoperators with the environment in |0⟩."""
     return [reduced_superop(u, _GROUND1, spec.noise) for u in spec.interactions]
 
 
-def markov_sequences(spec: ProcessSpec, steps: Sequence[np.ndarray]):
-    """Memoryless baseline over a stack of sequences (steps as in run_sequences).
+def markov_predict(spec: ProcessSpec, steps: Sequence[np.ndarray]):
+    """Memoryless baseline of one sequence or a stack (steps as in run_process).
 
     From the system ground state, alternately applies each projector and the
     environment-in-ground reduced map of its step. Returns (states, p): unit
-    trace PSD states, maximally mixed where p is below the reporting cutoff.
+    trace PSD states, maximally mixed where p is below the reporting cutoff,
+    and p clipped at 0.
     """
-    _check_sequence(steps)
+    check_two_steps(steps)
     rho = _GROUND1
     for mats, sup in zip(steps, _step_superops(spec)):
         rho = mats @ rho @ np.conj(mats).swapaxes(-1, -2)
         rho = unvec(vec_stack(rho) @ sup.T)
     return normalized_psd(rho, P_JOINT_CUTOFF)
-
-
-def markov_predict(spec: ProcessSpec, ops: Sequence[Projector]):
-    """(rho_out, p) of the memoryless baseline for one sequence (see
-    markov_sequences); rho_out is None below the reporting cutoff, p is
-    clipped at 0."""
-    rho, p = markov_sequences(spec, [op.mat for op in ops])
-    p = float(p)
-    return (None if p < P_JOINT_CUTOFF else rho), max(p, 0.0)
 
 
 def _derived_rng(seed: int, *parts) -> np.random.Generator:
@@ -264,7 +240,7 @@ def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None) -> list[T
     basis = [named_projector(label) for label in FIT_BASIS_LABELS]
     indices = list(itertools.product(range(len(basis)), repeat=2))
     mats = np.array([op.mat for op in basis])
-    states, p_joint = run_sequences(spec, [mats[:, None], mats[None, :]])
+    states, p_joint = run_process(spec, [mats[:, None], mats[None, :]])
     if cfg is not None:
         keys = [(_GROUND2, basis[i], basis[j]) for i, j in indices]
         states, p_joint = _sampled_states(
@@ -301,7 +277,9 @@ def intervention_qpt_data(op: Projector, cfg: ShotConfig | None = None, run_tags
     return inputs, outputs.reshape(len(tags), len(labels), 2, 2)
 
 
-#: First-step branch probability below which a branch counts as vanished.
+#: Probability below which a first-step branch or a trajectory counts as
+#: vanished: nothing is conditioned on such a branch, and such a trajectory
+#: (a tomo-predict pair, a Bloch-cloud sample) is left out of the outputs.
 BRANCH_CUTOFF = 1e-9
 
 

@@ -24,7 +24,7 @@ from .channels import (
 from .fileio import format_value
 from .linalg import clip_divided_differences, normalized_psd, project_psd, unvec, vec, vec_stack
 from .qubit import FIT_BASIS_LABELS, PAULIS, Projector, named_projector
-from .validation import check_density_matrix
+from .validation import check_density_matrix, check_two_steps
 
 __all__ = [
     "TomoRecord",
@@ -115,8 +115,7 @@ def action_matrix(op) -> np.ndarray:
 
 def sequence_vector(ops) -> np.ndarray:
     """256-vector of a two-step sequence: vec(action(A1)) ⊗ vec(action(A0))."""
-    if len(ops) != 2:
-        raise ValueError(f"bad-sequence: expected 2 operations, got {len(ops)}")
+    check_two_steps(ops, "operations")
     x0 = vec(action_matrix(ops[0]))
     x1 = vec(action_matrix(ops[1]))
     return np.kron(x1, x0)
@@ -420,28 +419,20 @@ class RestrictedProcessTensor:
         return x
 
     # -- prediction ------------------------------------------------------
-    def predict_sequences(self, steps):
-        """Predict (states, p_joint) for a stack of two-operation sequences.
+    def predict(self, steps):
+        """Predict (states, p_joint) for one two-operation sequence or a stack of them.
 
         steps holds one operation or a stack of them per step, in any form
-        action_matrix takes; the stacks broadcast as in run_sequences. Each
-        operation must lie in the span of the projector-action basis (all
+        action_matrix takes; the stacks broadcast as in process.run_process.
+        Each operation must lie in the span of the projector-action basis (all
         rank-1 projectors do). The states are PSD-projected and unit-trace,
-        maximally mixed where p_joint is below P_JOINT_CUTOFF.
+        maximally mixed where p_joint is below P_JOINT_CUTOFF; p_joint is
+        clipped at 0.
         """
         self._require_fitted()
-        if len(steps) != 2:
-            raise ValueError(f"bad-sequence: expected 2 operations, got {len(steps)}")
-        x0, x1 = (self._checked_action_vecs(op) for op in steps)
+        x0, x1 = (self._checked_action_vecs(op) for op in check_two_steps(steps, "operations"))
         raw = np.einsum("kab,...a,...b->...k", self.map_.reshape(4, 16, 16), x1, x0)
         return normalized_psd(unvec(raw), P_JOINT_CUTOFF)
-
-    def predict(self, ops):
-        """Predict (rho_out, p_joint) for one two-operation sequence (see
-        predict_sequences); rho_out is None below the cutoff."""
-        rho, p = self.predict_sequences(ops)
-        p = float(p)
-        return (None if p < P_JOINT_CUTOFF else rho), max(p, 0.0)
 
     def contract_first_step(self, op) -> np.ndarray:
         """One-step map over the remaining intervention, first step fixed.

@@ -48,6 +48,13 @@ def hermitian_part(m, name: str = "matrix") -> np.ndarray:
     return (a + ah) / 2
 
 
+def check_two_steps(steps, name: str = "interventions"):
+    """Return steps if it holds one entry per step of the two-step process."""
+    if len(steps) != 2:
+        raise ValueError(f"bad-sequence: {len(steps)} {name}, the process has 2 steps")
+    return steps
+
+
 def check_unitary(u, name: str = "matrix") -> np.ndarray:
     """Coerce a square matrix that is unitary within 1e-8 entrywise."""
     a = as_square(u, name)

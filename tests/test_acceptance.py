@@ -50,9 +50,9 @@ def _grid_fidelities(spec, fit):
     tensor_fids, markov_fids, pairs = [], [], []
     for l0 in OVERCOMPLETE_LABELS:
         for l1 in OVERCOMPLETE_LABELS:
-            ops = [named_projector(l0), named_projector(l1)]
+            ops = [named_projector(l0).mat, named_projector(l1).mat]
             truth, p = run_process(spec, ops)
-            if truth is None or p < 1e-9:
+            if p < 1e-9:
                 continue
             rho, _ = fit.predict(ops)
             tensor_fids.append(state_fidelity(truth, rho))
@@ -89,7 +89,7 @@ def test_criterion_1_oracle_equivalence(ideal):
 def test_criterion_2_markov_baseline_split(ideal):
     """The memoryless baseline fails with memory and succeeds without."""
     spec_nc, fit_nc = ideal["cnot-cz"]
-    ops = [named_projector("y-"), named_projector("x+")]
+    ops = [named_projector("y-").mat, named_projector("x+").mat]
     truth, _ = run_process(spec_nc, ops)
     baseline, _ = markov_predict(spec_nc, ops)
     fid_memory = state_fidelity(truth, baseline)
@@ -244,8 +244,8 @@ def test_criterion_7_property_bundle(ideal):
     for _ in range(10):
         a0 = projector(rng.uniform(0.1, math.pi - 0.1), rng.uniform(-math.pi, math.pi))
         a1 = projector(rng.uniform(0.1, math.pi - 0.1), rng.uniform(-math.pi, math.pi))
-        _, p_plus = run_process(spec_nc, [a0, a1])
-        _, p_minus = run_process(spec_nc, [a0, antipode(a1)])
+        _, p_plus = run_process(spec_nc, [a0.mat, a1.mat])
+        _, p_minus = run_process(spec_nc, [a0.mat, antipode(a1).mat])
         op = np.kron(a0.mat, np.eye(2))
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
@@ -253,7 +253,7 @@ def test_criterion_7_property_bundle(ideal):
         assert abs(p_plus + p_minus - p_branch) < 1e-10
 
     # forbidden trajectory
-    _, p_forbidden = run_process(spec_nc, [named_projector("z+"), named_projector("z-")])
+    _, p_forbidden = run_process(spec_nc, [named_projector("z+").mat, named_projector("z-").mat])
     assert p_forbidden <= 1e-9
     print("\nPASS criterion 7: property bundle (algebra, projectors, fidelity, "
           "entropy, PSD projection, probability conservation, forbidden "

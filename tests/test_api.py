@@ -60,3 +60,19 @@ def test_bench_trace_targets_resolve():
         tracer.uninstall()
     for (module_name, attr), original in originals.items():
         assert resolve(module_name, attr) is original, attr
+
+
+def test_traced_tomo_predict_counts_every_prediction_layer(tmp_path):
+    # the bench's per-layer metrics of tomo-predict read these spans
+    import proctensor.cli
+
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        assert proctensor.cli.main(["tomo-predict", "--out", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    stats = tracer.layers(0)
+    for name in ("process.generate_records", "process.run_process", "process.markov_predict",
+                 "tomography.fit", "tomography.predict", "qubit.state_fidelity"):
+        assert stats.get(name, {"calls": 0})["calls"] >= 1, name

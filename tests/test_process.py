@@ -87,7 +87,7 @@ def test_shot_config_rejects_seed_beyond_64_bits():
 
 def test_run_process_length_mismatch():
     with pytest.raises(ValueError, match="bad-sequence"):
-        run_process(cnot_cz_process(), [named_projector("z+")])
+        run_process(cnot_cz_process(), [named_projector("z+").mat])
 
 
 # ------------------------------------------------------------ exact runs
@@ -110,8 +110,8 @@ def test_first_intervention_creates_max_entanglement():
 
 def test_forbidden_trajectory():
     spec = cnot_cz_process()
-    rho, p = run_process(spec, [named_projector("z+"), named_projector("z-")])
-    assert rho is None
+    rho, p = run_process(spec, [named_projector("z+").mat, named_projector("z-").mat])
+    assert p < P_JOINT_CUTOFF and np.array_equal(rho, ID2 / 2)
     assert p <= 1e-9
 
 
@@ -121,14 +121,14 @@ def test_ground_branch_passes_everything_through():
     spec = cnot_cz_process()
     for label in ("x+", "y-", "xz+", "zy-"):
         op = named_projector(label)
-        rho, p = run_process(spec, [named_projector("z+"), op])
+        rho, p = run_process(spec, [named_projector("z+").mat, op.mat])
         assert np.abs(rho - op.mat).max() < 1e-10, label
 
 
 def test_memory_trajectory_oracle():
     # statevector oracle gives I/2 for the (y-, x+) trajectory
     spec = cnot_cz_process()
-    rho, p = run_process(spec, [named_projector("y-"), named_projector("x+")])
+    rho, p = run_process(spec, [named_projector("y-").mat, named_projector("x+").mat])
     assert abs(p - 0.25) < 1e-12
     assert np.abs(rho - np.eye(2) / 2).max() < 1e-10
 
@@ -140,21 +140,21 @@ def test_probability_conservation(theta0, phi0, theta1, phi1):
     spec = cnot_cz_process()
     a0 = projector(theta0, phi0)
     a1 = projector(theta1, phi1)
-    _, p_plus = run_process(spec, [a0, a1])
-    _, p_minus = run_process(spec, [a0, antipode(a1)])
+    _, p_plus = run_process(spec, [a0.mat, a1.mat])
+    _, p_minus = run_process(spec, [a0.mat, antipode(a1).mat])
     _, p_branch = first_step_env_marginals(spec, a0.mat)
     assert abs((p_plus + p_minus) - p_branch) < 1e-10
 
 
 def test_all_diagonal_ground_trajectory_keeps_unit_probability():
     spec = cz_cnot_process()
-    rho, p = run_process(spec, [named_projector("z+"), named_projector("z+")])
+    rho, p = run_process(spec, [named_projector("z+").mat, named_projector("z+").mat])
     assert abs(p - 1.0) < 1e-12
 
 
 def test_noise_lowers_purity():
     noisy = cnot_cz_process(NoiseSpec(gamma_amp=0.05, lambda_phase=0.05))
-    rho, p = run_process(noisy, [named_projector("y-"), named_projector("x+")])
+    rho, p = run_process(noisy, [named_projector("y-").mat, named_projector("x+").mat])
     assert abs(np.trace(rho).real - 1.0) < 1e-10
     assert np.linalg.eigvalsh(rho).min() > -1e-10
 
@@ -173,9 +173,9 @@ def test_markov_matches_oracle_for_cz_cnot():
     spec = cz_cnot_process()
     for l0 in ("z+", "y-", "xz+"):
         for l1 in ("x+", "zy-", "y+"):
-            ops = [named_projector(l0), named_projector(l1)]
+            ops = [named_projector(l0).mat, named_projector(l1).mat]
             truth, p = run_process(spec, ops)
-            if truth is None:
+            if p < P_JOINT_CUTOFF:
                 continue
             predicted, _ = markov_predict(spec, ops)
             assert state_fidelity(truth, predicted) >= 1 - 1e-9, (l0, l1)
@@ -183,7 +183,7 @@ def test_markov_matches_oracle_for_cz_cnot():
 
 def test_markov_fails_on_memory_trajectory():
     spec = cnot_cz_process()
-    ops = [named_projector("y-"), named_projector("x+")]
+    ops = [named_projector("y-").mat, named_projector("x+").mat]
     predicted, _ = markov_predict(spec, ops)
     # the baseline predicts the pure x+ state while the process outputs I/2
     assert np.abs(predicted - named_projector("x+").mat).max() < 1e-9
@@ -193,7 +193,7 @@ def test_markov_fails_on_memory_trajectory():
 
 def test_markov_agrees_when_environment_stays_put():
     spec = cnot_cz_process()
-    ops = [named_projector("z+"), named_projector("x+")]
+    ops = [named_projector("z+").mat, named_projector("x+").mat]
     truth, _ = run_process(spec, ops)
     predicted, _ = markov_predict(spec, ops)
     assert state_fidelity(truth, predicted) >= 1 - 1e-12
@@ -310,10 +310,9 @@ def test_staged_counts_properties(shots, passed, readout, seed):
 def test_exact_records_match_oracle(cnot_cz_spec, cnot_cz_records):
     assert len(cnot_cz_records) == 81
     for rec in cnot_cz_records:
-        ops = [named_projector(l) for l in rec.labels]
-        truth, p = run_process(cnot_cz_spec, ops)
+        truth, p = run_process(cnot_cz_spec, [named_projector(l).mat for l in rec.labels])
         assert abs(rec.p_joint - p) < 1e-12
-        if truth is not None:
+        if p >= P_JOINT_CUTOFF:
             assert np.abs(rec.rho_measured - truth).max() < 1e-10
 
 
@@ -374,8 +373,9 @@ def loop_exact_record(spec, ops):
     """Normalized system output and joint probability of one sequence from
     its own chain, started in |00⟩.
 
-    The per-sequence form of run_sequences; both must give the same bits,
-    since the binomial draws can depend on every bit of the probabilities.
+    A loop form of run_process on one sequence; both must give the same
+    bits, since the binomial draws can depend on every bit of the
+    probabilities.
     """
     rho = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex)
     for u, op in zip(spec.interactions, ops):
@@ -467,7 +467,7 @@ def test_qpt_data_repetitions_are_independent_streams():
 
 
 def test_noise_acts_before_the_second_projection():
-    ops = [named_projector("y-"), named_projector("xz+")]
+    ops = [named_projector("y-").mat, named_projector("xz+").mat]
     _, p_clean = run_process(cnot_cz_process(), ops)
     _, p_noisy = run_process(cnot_cz_process(NoiseSpec(gamma_amp=0.3, lambda_phase=0.3)), ops)
     # after y- and CNOT the system marginal is I/2 with weight 1/2; damping

@@ -35,8 +35,8 @@ from proctensor.process import (
     first_step_env_marginals,
     generate_records,
     last_step_superops,
-    markov_sequences,
-    run_sequences,
+    markov_predict,
+    run_process,
 )
 from proctensor.qubit import (
     ID2,
@@ -153,9 +153,20 @@ def test_grid_matches_per_pair_loop(grid_case):
     _, _, spec, fit, (ref, ref_p_true, _) = grid_case
     mats = np.array([named_projector(label).mat for label in LABELS])
     steps = (mats[:, None], mats[None, :])
-    truth, p_true = run_sequences(spec, steps)
-    predicted, p_pred = fit.predict_sequences(steps)
-    baseline, p_base = markov_sequences(spec, steps)
+    layers = {
+        "truth": lambda s: run_process(spec, s),
+        "pred": fit.predict,
+        "base": lambda s: markov_predict(spec, s),
+    }
+    grids = {key: layer(steps) for key, layer in layers.items()}
+    (truth, p_true), (predicted, p_pred), (baseline, p_base) = grids.values()
+    for key, (states, p) in grids.items():
+        assert (p >= 0).all(), key
+        # each sequence alone gives the bits of its grid entry
+        for a, b in np.ndindex(p.shape):
+            one, p_one = layers[key]([mats[a], mats[b]])
+            assert np.array_equal(one, states[a, b]) and np.array_equal(p_one, p[a, b]), \
+                (key, LABELS[a], LABELS[b])
     # the chain does the same products in the same order: bit for bit
     assert np.array_equal(p_true, ref_p_true)
     assert np.array_equal(truth, _filled(ref["truth"]))
@@ -193,13 +204,13 @@ def test_tomo_predict_table_matches_per_pair_loop(grid_case, tmp_path):
         assert abs(float(row[4]) - ref[4]) <= 3e-8, (row, ref)
 
 
-def test_predict_sequences_checks_every_operation(cnot_cz_fit):
+def test_predict_checks_every_operation(cnot_cz_fit):
     mats = np.array([named_projector(label).mat for label in LABELS[:3]])
     trash = np.outer(vec(np.diag([1.0, 0.0])), vec(np.eye(2)).conj())
     stacked = np.array([action_superop(mats[0]), trash])
     with pytest.raises(ValueError, match="outside-span"):
-        cnot_cz_fit.predict_sequences((mats, stacked[:, None]))
-    states, p = cnot_cz_fit.predict_sequences((mats[:, None], mats[None, :]))
+        cnot_cz_fit.predict((mats, stacked[:, None]))
+    states, p = cnot_cz_fit.predict((mats[:, None], mats[None, :]))
     assert states.shape == (3, 3, 2, 2) and p.shape == (3, 3)
 
 
