@@ -12,7 +12,6 @@ from .qubit import (
     FIT_BASIS_LABELS,
     OVERCOMPLETE_LABELS,
     NoiseSpec,
-    Projector,
     apply_noise,
     bloch_vector,
     named_projector,
@@ -61,7 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CNOT", "CZ", "FIT_BASIS_LABELS", "OVERCOMPLETE_LABELS", "NoiseSpec",
-    "Projector", "apply_noise", "bloch_vector", "named_projector", "projector",
+    "apply_noise", "bloch_vector", "named_projector", "projector",
     "state_fidelity", "zy_projector",
     "chi_fidelity", "chi_from_process", "chi_of_operator", "reduced_map",
     "ProcessSpec", "ShotConfig", "VanishingBranchError", "cnot_cz_process",

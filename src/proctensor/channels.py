@@ -128,22 +128,21 @@ def chi_from_process(prepared_inputs, measured_outputs, psd: bool = False) -> np
 
     The inputs must span the operator space of the qubit register; outputs may
     be subnormalized (probability-weighted), which is how non-trace-preserving
-    measurement operators are characterized. measured_outputs holds one output
-    per input, or a stack (R, k, d, d) of R repetitions measured on the same k
-    inputs; a stack gives R chi matrices (R, d², d²) from one design, one
-    least-squares solve with R right-hand sides and one stacked projection.
-    For one qubit each matrix equals the one-repetition result bit for bit;
-    on the larger two-qubit design LAPACK may round the many-column solve
-    differently (measured: within 3e-15 relative).
+    measurement operators are characterized. measured_outputs is a stack
+    (R, k, d, d) of R repetitions measured on the same k inputs (R = 1 for
+    one repetition); it gives R chi matrices (R, d², d²) from one design,
+    one least-squares solve with R right-hand sides and one stacked
+    projection. For one qubit each matrix equals the one-repetition result
+    bit for bit; on the larger two-qubit design LAPACK may round the
+    many-column solve differently (measured: within 3e-15 relative).
     """
     inputs = as_matrix(prepared_inputs, "input")
     outputs = as_matrix(measured_outputs, "output")
-    single = outputs.ndim == 3
-    stack = outputs[None] if single else outputs
     if inputs.ndim != 3 or inputs.shape[1] != inputs.shape[2]:
         raise ValueError(f"bad-dims: inputs must be square matrices, got shape {inputs.shape}")
-    if not len(inputs) or stack.ndim != 4 or stack.shape[1:] != inputs.shape:
-        raise ValueError("insufficient-basis: need matching, nonempty input/output lists")
+    if not len(inputs) or outputs.ndim != 4 or outputs.shape[1:] != inputs.shape:
+        raise ValueError("insufficient-basis: need nonempty inputs (k, d, d) and outputs "
+                         "(R, k, d, d) measured on them")
     k, d = inputs.shape[:2]
     n = qubit_count(d, "input")
     # vec(r) is column-stacking: the transpose read row by row
@@ -155,13 +154,13 @@ def chi_from_process(prepared_inputs, measured_outputs, psd: bool = False) -> np
     # design: vec(out) = sum_mn chi_mn (conj(E_n) ⊗ E_m) vec(in)
     flat = pairs.reshape(nb * nb, d * d, d * d)
     design = np.vstack([(flat @ vin).T for vin in in_mat])
-    y = stack.swapaxes(-1, -2).reshape(len(stack), k * d * d).T
+    y = outputs.swapaxes(-1, -2).reshape(len(outputs), k * d * d).T
     sol, *_ = np.linalg.lstsq(design, y, rcond=None)
     chi = sol.T.reshape(-1, nb, nb)
     chi = (chi + chi.conj().swapaxes(-1, -2)) / 2
     if psd:
         chi = project_psd(chi)
-    return chi[0] if single else chi
+    return chi
 
 
 def chi_fidelity(chi, chi_ideal) -> float:

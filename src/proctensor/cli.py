@@ -40,6 +40,7 @@ from .qubit import (
     CNOT,
     CZ,
     OVERCOMPLETE_LABELS,
+    PROJECTOR_ANGLES,
     NoiseSpec,
     named_projector,
     state_fidelity,
@@ -213,10 +214,10 @@ def cmd_characterize_povm(cfg: RunConfig) -> int:
     rows = []
     summary = []
     for index, label in enumerate(OVERCOMPLETE_LABELS):
-        op = named_projector(label)
-        ideal = chi_of_operator(op.mat)
+        ideal = chi_of_operator(named_projector(label))
         first = index * QPT_REPETITIONS
-        inputs, outputs = intervention_qpt_data(op, shot_cfg, range(first, first + reps))
+        inputs, outputs = intervention_qpt_data(PROJECTOR_ANGLES[label], shot_cfg,
+                                                range(first, first + reps))
         chis = chi_from_process(inputs, outputs, psd=shot_cfg is not None)
         fids = [chi_fidelity(chi, ideal) for chi in chis]
         rows.extend((label, rep, fid) for rep, fid in enumerate(fids))
@@ -238,9 +239,9 @@ def cmd_reduced_maps(cfg: RunConfig) -> int:
     write_matrix(out / "chi_cz.txt", chi_of_operator(CZ))
     write_matrix(out / "chi_cnot.txt", chi_of_operator(CNOT))
     env_states = {
-        "e0": named_projector("z+").mat,
-        "e1": named_projector("z-").mat,
-        "eym": named_projector("y-").mat,
+        "e0": named_projector("z+"),
+        "e1": named_projector("z-"),
+        "eym": named_projector("y-"),
     }
     rows = []
     for tag, env in env_states.items():
@@ -268,7 +269,7 @@ def cmd_tomo_predict(cfg: RunConfig) -> int:
     (out / "records.txt").write_text(records_to_text(records))
     # every pair of the overcomplete set at once: arrays indexed [a0, a1]
     labels = np.array(OVERCOMPLETE_LABELS)
-    mats = np.array([named_projector(label).mat for label in labels])
+    mats = np.array([named_projector(label) for label in labels])
     steps = (mats[:, None], mats[None, :])
     truth, p_true = run_process(spec, steps)
     predicted, p_pred = fit.predict(steps)

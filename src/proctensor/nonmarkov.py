@@ -39,7 +39,7 @@ from .process import (
     check_branch,
     last_step_superops,
 )
-from .qubit import FIT_BASIS_LABELS, bloch_vector, named_projector, zy_projector
+from .qubit import FIT_BASIS, bloch_vector, named_projector, projector, zy_projector
 from .tomography import RestrictedProcessTensor, action_matrix
 from .validation import hermitian_part
 
@@ -133,7 +133,7 @@ def _kernel_directions() -> np.ndarray:
     result is computed once.
     """
     hb = _herm_basis(8)
-    m = family_predict(hb[:, None], _fit_basis()[0][None])
+    m = family_predict(hb[:, None], FIT_BASIS[None])
     cons = np.stack([m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1].real, m[..., 0, 1].imag],
                     axis=-1)
     _, svals, vh = np.linalg.svd(cons.reshape(len(hb), -1).T)
@@ -150,19 +150,12 @@ def _push(t1: np.ndarray, mats) -> np.ndarray:
 
 
 @functools.cache
-def _fit_basis():
-    """Read-only fit basis projectors P_k (9, 2, 2), and the pseudo-inverse
-    (4, 9) of the map vec(rho) -> tr(P_k rho)."""
-    mats = np.array([named_projector(label).mat for label in FIT_BASIS_LABELS])
-    pinv = np.linalg.pinv(vec_stack(mats).conj())
-    mats.setflags(write=False)
+def _fit_basis_pinv() -> np.ndarray:
+    """Read-only pseudo-inverse (4, 9) of the map vec(rho) -> tr(P_k rho),
+    P_k the fit basis projectors."""
+    pinv = np.linalg.pinv(vec_stack(FIT_BASIS).conj())
     pinv.setflags(write=False)
-    return mats, pinv
-
-
-def _zy_mats(thetas) -> np.ndarray:
-    """Stack (T, 2, 2) of the zy_projector(theta) matrices of the angles."""
-    return np.array([zy_projector(theta).mat for theta in thetas], dtype=complex).reshape(-1, 2, 2)
+    return pinv
 
 
 def _conditioned_maps(fit: RestrictedProcessTensor, mats: np.ndarray):
@@ -171,7 +164,7 @@ def _conditioned_maps(fit: RestrictedProcessTensor, mats: np.ndarray):
     branch probabilities (T,). A map whose branch is below BRANCH_CUTOFF is
     left undivided."""
     t1 = fit.contract_first_step(mats)
-    z_pm = np.array([named_projector(label).mat for label in ("z+", "z-")])
+    z_pm = np.array([named_projector(label) for label in ("z+", "z-")])
     p_branch = np.trace(_push(t1[:, None], z_pm), axis1=-2, axis2=-1).real.sum(axis=-1)
     return t1 / np.where(p_branch >= BRANCH_CUTOFF, p_branch, 1.0)[:, None, None], p_branch
 
@@ -179,7 +172,7 @@ def _conditioned_maps(fit: RestrictedProcessTensor, mats: np.ndarray):
 def _conditioned_map(fit: RestrictedProcessTensor, theta: float):
     """(normalized one-step map, branch probability) at first-step angle theta;
     raises VanishingBranchError when the branch vanishes."""
-    t1, p_branch = _conditioned_maps(fit, _zy_mats([theta]))
+    t1, p_branch = _conditioned_maps(fit, zy_projector([theta]))
     return t1[0], check_branch(float(p_branch[0]))
 
 
@@ -217,9 +210,8 @@ def _intermediate_states(t1: np.ndarray):
     conditioned map (one pseudo-inverse, PSD projection, unit trace); a
     marginal of trace <= 0 is left undivided.
     """
-    mats, pinv = _fit_basis()
-    probs = np.trace(_push(t1[:, None], mats), axis1=-2, axis2=-1).real
-    rho = project_psd(unvec((pinv @ probs[..., None])[..., 0]))
+    probs = np.trace(_push(t1[:, None], FIT_BASIS), axis1=-2, axis2=-1).real
+    rho = project_psd(unvec((_fit_basis_pinv() @ probs[..., None])[..., 0]))
     tr = np.trace(rho, axis1=-2, axis2=-1).real
     return rho / np.where(tr > 0, tr, 1.0)[:, None, None], tr
 
@@ -245,7 +237,7 @@ def uncorrelated_choi(fit: RestrictedProcessTensor, theta: float,
     are 2 for a branch-normalized trace-preserving step).
     """
     t1, _ = _conditioned_map(fit, theta)
-    ref, tr, p_env = _references(t1[None], _zy_mats([theta]), process)
+    ref, tr, p_env = _references(t1[None], zy_projector([theta]), process)
     if not tr[0] > 0:
         raise VanishingBranchError("vanishing-branch: degenerate intermediate state")
     check_branch(float(p_env[0]))
@@ -489,7 +481,7 @@ def sweep_theta(fit: RestrictedProcessTensor, thetas, *,
     condition_family(...), uncorrelated_choi(...)) at that angle, or None
     where the first-step branch vanishes.
     """
-    mats = _zy_mats(np.asarray(thetas, dtype=float))
+    mats = zy_projector(thetas)
     t1, p_branch = _conditioned_maps(fit, mats)
     refs, tr, p_env = _references(t1, mats, process)
     live = (p_branch >= BRANCH_CUTOFF) & (tr > 0) & (p_env >= BRANCH_CUTOFF)
@@ -513,10 +505,9 @@ def bloch_volume(fit: RestrictedProcessTensor, theta: float,
     i = np.arange(VOLUME_SAMPLES)
     th = np.arccos(np.clip(1.0 - (2.0 * i + 1.0) / VOLUME_SAMPLES, -1.0, 1.0))
     ph = np.fmod(math.pi * (3.0 - math.sqrt(5.0)) * i, 2 * math.pi)
-    kets = np.stack([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)], axis=-1)
-    mats = kets[:, :, None] * kets[:, None, :].conj()
+    mats = projector(th, ph)
     t1, _ = _conditioned_map(fit, theta)
-    sup, p_env = last_step_superops(process, zy_projector(theta).mat)
+    sup, p_env = last_step_superops(process, zy_projector(theta))
     check_branch(float(p_env))
     clouds = []
     for out in (_push(t1, mats), unvec(vec_stack(mats) @ sup.T)):

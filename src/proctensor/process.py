@@ -21,13 +21,14 @@ from .linalg import normalized_psd, unvec, vec_stack
 from .qubit import (
     CNOT,
     CZ,
-    FIT_BASIS_LABELS,
+    FIT_BASIS,
+    FIT_BASIS_ANGLES,
     ID2,
     NoiseSpec,
-    Projector,
     QST_AXES,
     apply_noise,
     named_projector,
+    projector,
 )
 from .tomography import P_JOINT_CUTOFF, TomoRecord, qst_six_axis
 from .validation import check_two_steps, check_unitary
@@ -153,22 +154,22 @@ def markov_predict(spec: ProcessSpec, steps: Sequence[np.ndarray]):
 def _derived_rng(seed: int, *parts) -> np.random.Generator:
     """Deterministic generator keyed by the seed and a tuple of task parts.
 
-    Floats are hashed via their IEEE-754 bytes, so every key maps to a
-    stable, independent stream and the same key always gives the same
-    generator. generate_records keys on the |00⟩ state _GROUND2, the
-    sequence and the seed, not on the interactions or the noise, so
-    processes that differ only there (cnot-cz and cz-cnot) draw their counts
-    from the same generators. The state stays in the key, although every
-    process starts from it, because its bytes are part of every stream drawn
-    so far: dropping it would change every sampled output.
+    An array is hashed as its own bytes (float angles as their IEEE-754
+    bytes), a string as UTF-8 and an integer as 8 signed little-endian
+    bytes, after the seed's 8 unsigned ones; every key maps to a stable,
+    independent stream. generate_records keys on the complex128 |00⟩ state
+    _GROUND2, the float64 angles (θ, φ) of each step and the seed, not on
+    the interactions or the noise, so processes that differ only there
+    (cnot-cz and cz-cnot) draw their counts from the same generators. The
+    state stays in the key, although every process starts from it, because
+    its bytes are part of every stream drawn so far: dropping it would
+    change every sampled output.
     """
     h = hashlib.sha256()
     h.update(int(seed).to_bytes(8, "little", signed=False))
     for part in parts:
-        if isinstance(part, Projector):
-            h.update(np.float64([part.theta, part.phi]).tobytes())
-        elif isinstance(part, np.ndarray):
-            h.update(np.ascontiguousarray(part, dtype=complex).tobytes())
+        if isinstance(part, np.ndarray):
+            h.update(np.ascontiguousarray(part).tobytes())
         elif isinstance(part, str):
             h.update(part.encode())
         else:
@@ -192,7 +193,7 @@ def _staged_counts(passed: float, readout, cfg: ShotConfig, rng: np.random.Gener
 
 
 #: "+" projector of each QST axis, the readout of a sampled state.
-_QST_READOUTS = np.array([named_projector(axis + "+").mat for axis in QST_AXES])
+_QST_READOUTS = np.array([named_projector(axis + "+") for axis in QST_AXES])
 
 
 def _readout_probabilities(states):
@@ -235,14 +236,12 @@ def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None) -> list[T
     each exact record is seen through three-axis tomography of cfg.shots
     shots per axis, the post-selection rate standing in for the joint
     probability. The counts of each record come from one generator keyed on
-    (|00⟩, sequence, seed).
+    (|00⟩, the float64 angles (θ, φ) of each step, seed).
     """
-    basis = [named_projector(label) for label in FIT_BASIS_LABELS]
-    indices = list(itertools.product(range(len(basis)), repeat=2))
-    mats = np.array([op.mat for op in basis])
-    states, p_joint = run_process(spec, [mats[:, None], mats[None, :]])
+    indices = list(itertools.product(range(len(FIT_BASIS)), repeat=2))
+    states, p_joint = run_process(spec, [FIT_BASIS[:, None], FIT_BASIS[None, :]])
     if cfg is not None:
-        keys = [(_GROUND2, basis[i], basis[j]) for i, j in indices]
+        keys = [(_GROUND2, FIT_BASIS_ANGLES[i], FIT_BASIS_ANGLES[j]) for i, j in indices]
         states, p_joint = _sampled_states(
             p_joint.reshape(-1), _readout_probabilities(states).reshape(-1, len(QST_AXES)),
             keys, cfg,
@@ -251,27 +250,31 @@ def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None) -> list[T
             in zip(indices, states.reshape(-1, 2, 2), p_joint.reshape(-1))]
 
 
-def intervention_qpt_data(op: Projector, cfg: ShotConfig | None = None, run_tags=(0,)):
-    """Input/output pairs characterizing a single projective intervention.
+def intervention_qpt_data(angles, cfg: ShotConfig | None = None, run_tags=(0,)):
+    """Input/output pairs characterizing the projective intervention
+    projector(theta, phi) of the Bloch angles (theta, phi).
 
     Returns (inputs (6, 2, 2), outputs (R, 6, 2, 2)), one row of outputs per
     entry of run_tags. The six axis states are prepared exactly; the
     intervention and the three-axis state readout are sampled when a
     ShotConfig is given, input label l of repetition tag t drawing its counts
-    from one generator keyed on (t, op, l, seed). Outputs are subnormalized
-    by the measured pass rate. Without a ShotConfig every row is exact.
+    from one generator keyed on (t, the float64 angles, l, seed). Outputs
+    are subnormalized by the measured pass rate. Without a ShotConfig every
+    row is exact.
     """
+    angles = np.asarray(angles, dtype=float)
+    op = projector(*angles)
     labels = ("x+", "x-", "y+", "y-", "z+", "z-")
-    inputs = np.array([named_projector(label).mat for label in labels])
+    inputs = np.array([named_projector(label) for label in labels])
     tags = list(run_tags)
     if cfg is None:
-        exact = np.array([op.mat @ rin @ op.mat.conj().T for rin in inputs])
+        exact = np.array([op @ rin @ op.conj().T for rin in inputs])
         return inputs, np.repeat(exact[None], len(tags), axis=0)
     # the projected state is op itself, whatever the input
-    passed = [np.trace(op.mat @ rin).real for rin in inputs]
-    keys = [(tag, op, label) for tag in tags for label in labels]
+    passed = [np.trace(op @ rin).real for rin in inputs]
+    keys = [(tag, angles, label) for tag in tags for label in labels]
     states, p_hat = _sampled_states(np.tile(passed, len(tags)),
-                                    np.tile(_readout_probabilities(op.mat), (len(keys), 1)),
+                                    np.tile(_readout_probabilities(op), (len(keys), 1)),
                                     keys, cfg)
     outputs = p_hat[:, None, None] * states
     return inputs, outputs.reshape(len(tags), len(labels), 2, 2)

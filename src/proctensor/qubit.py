@@ -5,13 +5,14 @@ Conventions used throughout the package:
 * Pauli operator order is (I, X, Y, Z).
 * Two-qubit tensor order is system ⊗ environment; the system is the first
   factor and controls the CNOT.
-* projector(theta, phi) projects onto cos(θ/2)|0⟩ + e^{iφ} sin(θ/2)|1⟩.
+* projector(theta, phi) is the matrix projecting onto cos(θ/2)|0⟩ +
+  e^{iφ} sin(θ/2)|1⟩; angle arrays broadcast to a stack (..., 2, 2).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,7 +26,6 @@ __all__ = [
     "PAULIS",
     "CZ",
     "CNOT",
-    "Projector",
     "projector",
     "named_projector",
     "zy_projector",
@@ -91,48 +91,40 @@ OVERCOMPLETE_LABELS: tuple[str, ...] = FIT_BASIS_LABELS + (
 QST_AXES = ("x", "y", "z")
 
 
-@dataclass(frozen=True, eq=False)
-class Projector:
-    """Rank-1 projector |p⟩⟨p| onto the Bloch direction (theta, phi)."""
-
-    theta: float
-    phi: float
-    mat: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        k = self.ket()
-        object.__setattr__(self, "mat", np.outer(k, k.conj()))
-
-    def ket(self) -> np.ndarray:
-        return np.array(
-            [
-                math.cos(self.theta / 2),
-                np.exp(1j * self.phi) * math.sin(self.theta / 2),
-            ],
-            dtype=complex,
-        )
+def projector(theta, phi) -> np.ndarray:
+    """Rank-1 projector |p⟩⟨p| onto the Bloch direction (theta, phi), or a
+    stack (..., 2, 2) of them: the angles broadcast against each other."""
+    theta, phi = np.asarray(theta, dtype=float), np.asarray(phi, dtype=float)
+    up, down = np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)
+    ket = np.stack(np.broadcast_arrays(up, down), axis=-1)
+    return ket[..., :, None] * ket[..., None, :].conj()
 
 
-def projector(theta: float, phi: float) -> Projector:
-    return Projector(float(theta), float(phi))
-
-
-def named_projector(label: str) -> Projector:
+def named_projector(label: str) -> np.ndarray:
     try:
         theta, phi = PROJECTOR_ANGLES[label]
     except KeyError:
         raise ValueError(f"bad-label: unknown projector label {label!r}") from None
-    return Projector(theta, phi)
+    return projector(theta, phi)
 
 
-def zy_projector(theta: float) -> Projector:
-    """Projector at polar angle theta in the z/(-y) great circle.
+def zy_projector(theta) -> np.ndarray:
+    """Rank-1 projector at polar angle theta in the z/(-y) great circle, or
+    a stack (..., 2, 2) for an array of angles.
 
     This is the plane swept when conditioning the last-step process on the
     first intervention: zy_projector(0) is z+, zy_projector(pi/2) is y-, and
     zy_projector(pi/4) projects onto cos(π/8)|0⟩ - i sin(π/8)|1⟩.
     """
-    return Projector(float(theta), -_PI / 2)
+    return projector(theta, -_PI / 2)
+
+
+#: Angles (9, 2) and read-only projector stack (9, 2, 2) of the fit basis,
+#: in FIT_BASIS_LABELS order.
+FIT_BASIS_ANGLES = np.array([PROJECTOR_ANGLES[label] for label in FIT_BASIS_LABELS])
+FIT_BASIS = projector(*FIT_BASIS_ANGLES.T)
+FIT_BASIS_ANGLES.setflags(write=False)
+FIT_BASIS.setflags(write=False)
 
 
 def state_fidelity(rho, sigma):

@@ -23,7 +23,7 @@ from .channels import (
 )
 from .fileio import format_value
 from .linalg import clip_divided_differences, normalized_psd, project_psd, unvec, vec, vec_stack
-from .qubit import FIT_BASIS_LABELS, PAULIS, Projector, named_projector
+from .qubit import FIT_BASIS, FIT_BASIS_LABELS, PAULIS
 from .validation import check_density_matrix, check_two_steps
 
 __all__ = [
@@ -99,12 +99,10 @@ def qst_six_axis(probabilities) -> np.ndarray:
 def action_matrix(op) -> np.ndarray:
     """4x4 superoperator of an intervention, or a stack (..., 4, 4) of them.
 
-    Accepts a Projector, 2x2 operators K (interpreted as rho -> K rho K†),
-    or precomputed 4x4 action superoperators (useful for affine combinations
-    of operations), singly or as a stack (..., 2, 2) or (..., 4, 4).
+    Accepts 2x2 operators K (interpreted as rho -> K rho K†) or precomputed
+    4x4 action superoperators (useful for affine combinations of
+    operations), singly or as a stack (..., 2, 2) or (..., 4, 4).
     """
-    if isinstance(op, Projector):
-        return action_superop(op.mat)
     a = np.asarray(op, dtype=complex)
     if a.shape[-2:] == (2, 2):
         return action_superop(a)
@@ -121,8 +119,9 @@ def sequence_vector(ops) -> np.ndarray:
     return np.kron(x1, x0)
 
 
-def _basis_action_vectors() -> np.ndarray:
-    return vec_stack(action_superop(np.array([named_projector(l).mat for l in FIT_BASIS_LABELS])))
+#: Read-only vec of the fit basis actions (9, 16), the B of the fit.
+_BASIS_VECS = vec_stack(action_superop(FIT_BASIS))
+_BASIS_VECS.setflags(write=False)
 
 
 #: Stop of the PSD refit: projected-gradient fixed-point residual of the
@@ -376,7 +375,7 @@ class RestrictedProcessTensor:
             )
         # record r's design row is kron(B[i1], B[i0]); the closed form of the
         # class docstring needs only the SVD of B
-        bv = _basis_action_vectors()
+        bv = _BASIS_VECS
         i0, i1 = np.array([rec.basis_indices for rec in records]).T
         cells = i1 * nb + i0
         p = np.array([rec.p_joint for rec in records])

@@ -12,7 +12,7 @@ import numpy as np
 from proctensor.channels import _pauli_pairs, superop_to_chi
 from proctensor.linalg import herm_eig, vec
 from proctensor.process import _step_superops
-from proctensor.qubit import ID2, SX, SY, Projector, named_projector
+from proctensor.qubit import ID2, SX, SY, named_projector
 from proctensor.validation import as_square, qubit_count
 
 
@@ -68,12 +68,12 @@ def rotation_gate(theta: float, phi: float) -> np.ndarray:
     return math.cos(theta / 2) * ID2 - 1j * math.sin(theta / 2) * axis
 
 
-def antipode(p: Projector) -> Projector:
-    """The projector onto the opposite Bloch direction."""
-    return Projector(math.pi - p.theta, p.phi + math.pi)
+def antipode(theta: float, phi: float) -> tuple[float, float]:
+    """Bloch angles of the opposite direction of (theta, phi)."""
+    return math.pi - theta, phi + math.pi
 
 
-def apply_projector(rho, p: Projector, target: int = 0):
+def apply_projector(rho, p, target: int = 0):
     """Apply (P ⊗ I) rho (P ⊗ I) on the target qubit.
 
     Returns the subnormalized post-measurement state and the outcome
@@ -84,11 +84,11 @@ def apply_projector(rho, p: Projector, target: int = 0):
     if not 0 <= target < n:
         raise ValueError(f"bad-target: qubit {target} out of range for {n} qubit(s)")
     if n == 1:
-        op = p.mat
+        op = p
     elif target == 0:
-        op = np.kron(p.mat, ID2)
+        op = np.kron(p, ID2)
     else:
-        op = np.kron(ID2, p.mat)
+        op = np.kron(ID2, p)
     sub = op @ a @ op.conj().T
     prob = float(np.trace(op @ a).real)
     return sub, prob
@@ -100,7 +100,7 @@ def six_axis_probabilities(rho) -> list[float]:
     out = []
     for axis in ("x", "y", "z"):
         for sign in ("+", "-"):
-            out.append(float(np.trace(named_projector(axis + sign).mat @ a).real))
+            out.append(float(np.trace(named_projector(axis + sign) @ a).real))
     return out
 
 

@@ -34,6 +34,7 @@ from proctensor.qubit import (
     CZ,
     FIT_BASIS_LABELS,
     OVERCOMPLETE_LABELS,
+    PROJECTOR_ANGLES,
     NoiseSpec,
     named_projector,
     projector,
@@ -50,7 +51,7 @@ def _grid_fidelities(spec, fit):
     tensor_fids, markov_fids, pairs = [], [], []
     for l0 in OVERCOMPLETE_LABELS:
         for l1 in OVERCOMPLETE_LABELS:
-            ops = [named_projector(l0).mat, named_projector(l1).mat]
+            ops = [named_projector(l0), named_projector(l1)]
             truth, p = run_process(spec, ops)
             if p < 1e-9:
                 continue
@@ -89,7 +90,7 @@ def test_criterion_1_oracle_equivalence(ideal):
 def test_criterion_2_markov_baseline_split(ideal):
     """The memoryless baseline fails with memory and succeeds without."""
     spec_nc, fit_nc = ideal["cnot-cz"]
-    ops = [named_projector("y-").mat, named_projector("x+").mat]
+    ops = [named_projector("y-"), named_projector("x+")]
     truth, _ = run_process(spec_nc, ops)
     baseline, _ = markov_predict(spec_nc, ops)
     fid_memory = state_fidelity(truth, baseline)
@@ -156,12 +157,11 @@ def test_criterion_5_finite_shot_tomography():
     """Sampled characterization stays in band; sampled fit predicts well."""
     fids = []
     for run_tag, label in enumerate(FIT_BASIS_LABELS):
-        op = named_projector(label)
         inputs, outputs = intervention_qpt_data(
-            op, ShotConfig(shots=SHOTS, seed=SEED), [run_tag]
+            PROJECTOR_ANGLES[label], ShotConfig(shots=SHOTS, seed=SEED), [run_tag]
         )
-        chi = chi_from_process(inputs, outputs[0], psd=True)
-        fids.append(chi_fidelity(chi, chi_of_operator(op.mat)))
+        chi = chi_from_process(inputs, outputs, psd=True)[0]
+        fids.append(chi_fidelity(chi, chi_of_operator(named_projector(label))))
     fids = np.array(fids)
     assert np.all(fids >= 0.95) and np.all(fids <= 1.0)
 
@@ -187,7 +187,7 @@ def test_criterion_6_reduced_map_identities():
     ]
     worst = 0.0
     for label, expected in cases:
-        got = reduced_map(CZ, named_projector(label).mat)
+        got = reduced_map(CZ, named_projector(label))
         worst = max(worst, float(np.abs(got - expected).max()))
     assert worst < 1e-9
     print(f"\nPASS criterion 6: reduced maps identity/Z/mixture within "
@@ -211,14 +211,14 @@ def test_criterion_7_property_bundle(ideal):
     # projector idempotence and entanglement-breaking factorization
     for label in OVERCOMPLETE_LABELS:
         p = named_projector(label)
-        assert np.abs(p.mat @ p.mat - p.mat).max() < 1e-10
+        assert np.abs(p @ p - p).max() < 1e-10
     for _ in range(10):
         rho = rand_rho(4)
         p = projector(rng.uniform(0, math.pi), rng.uniform(-math.pi, math.pi))
         out, prob = apply_projector(rho, p)
         if prob > 1e-9:
             env = partial_trace(out, 2, 2, "b")
-            assert np.abs(out - np.kron(p.mat, env)).max() < 1e-10
+            assert np.abs(out - np.kron(p, env)).max() < 1e-10
 
     # fidelity bounds and symmetry
     for _ in range(10):
@@ -243,17 +243,17 @@ def test_criterion_7_property_bundle(ideal):
     spec_nc, _ = ideal["cnot-cz"]
     for _ in range(10):
         a0 = projector(rng.uniform(0.1, math.pi - 0.1), rng.uniform(-math.pi, math.pi))
-        a1 = projector(rng.uniform(0.1, math.pi - 0.1), rng.uniform(-math.pi, math.pi))
-        _, p_plus = run_process(spec_nc, [a0.mat, a1.mat])
-        _, p_minus = run_process(spec_nc, [a0.mat, antipode(a1).mat])
-        op = np.kron(a0.mat, np.eye(2))
+        angles1 = rng.uniform(0.1, math.pi - 0.1), rng.uniform(-math.pi, math.pi)
+        _, p_plus = run_process(spec_nc, [a0, projector(*angles1)])
+        _, p_minus = run_process(spec_nc, [a0, projector(*antipode(*angles1))])
+        op = np.kron(a0, np.eye(2))
         rho = np.zeros((4, 4), dtype=complex)
         rho[0, 0] = 1.0
         p_branch = float(np.trace(op @ rho @ op.conj().T).real)
         assert abs(p_plus + p_minus - p_branch) < 1e-10
 
     # forbidden trajectory
-    _, p_forbidden = run_process(spec_nc, [named_projector("z+").mat, named_projector("z-").mat])
+    _, p_forbidden = run_process(spec_nc, [named_projector("z+"), named_projector("z-")])
     assert p_forbidden <= 1e-9
     print("\nPASS criterion 7: property bundle (algebra, projectors, fidelity, "
           "entropy, PSD projection, probability conservation, forbidden "

@@ -22,7 +22,7 @@ from proctensor.linalg import project_psd, unvec, vec
 from proctensor.qubit import CNOT, CZ, ID2, SZ, NoiseSpec, named_projector
 
 AXIS = ["x+", "x-", "y+", "y-", "z+", "z-"]
-AXIS_STATES = [named_projector(l).mat for l in AXIS]
+AXIS_STATES = [named_projector(l) for l in AXIS]
 
 
 def random_unitary(seed, dim=2):
@@ -58,7 +58,7 @@ def test_chi_z_gate():
 def test_chi_y_minus_pattern():
     # projector on -y: quarter-magnitude block on the (I, Y) indices with
     # signs (+, -, -, +)
-    chi = chi_of_operator(named_projector("y-").mat)
+    chi = chi_of_operator(named_projector("y-"))
     expected = np.zeros((4, 4), dtype=complex)
     expected[0, 0] = 0.25
     expected[0, 2] = -0.25
@@ -82,16 +82,16 @@ def test_chi_cz_pattern():
 
 def test_chi_from_process_identity():
     outputs = [s.copy() for s in AXIS_STATES]
-    chi = chi_from_process(AXIS_STATES, outputs)
+    chi = chi_from_process(AXIS_STATES, [outputs])[0]
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
     assert np.abs(chi - expected).max() < 1e-10
 
 
 def test_chi_from_process_y_minus():
-    p = named_projector("y-").mat
+    p = named_projector("y-")
     outputs = [p @ s @ p for s in AXIS_STATES]
-    chi = chi_from_process(AXIS_STATES, outputs)
+    chi = chi_from_process(AXIS_STATES, [outputs])[0]
     assert np.abs(chi - chi_of_operator(p)).max() < 1e-10
     # every element off the quarter-block stays below the display cutoff
     mask = np.ones((4, 4), dtype=bool)
@@ -105,20 +105,20 @@ def test_chi_round_trip_random_unitary(seed):
     u = random_unitary(seed)
     chi_true = chi_of_operator(u)
     outputs = [u @ s @ u.conj().T for s in AXIS_STATES]
-    chi = chi_from_process(AXIS_STATES, outputs)
+    chi = chi_from_process(AXIS_STATES, [outputs])[0]
     assert np.abs(chi - chi_true).max() < 1e-8
 
 
 def test_chi_from_process_insufficient_basis():
     ins = [AXIS_STATES[0]] * 6
     with pytest.raises(ValueError, match="insufficient-basis"):
-        chi_from_process(ins, ins)
+        chi_from_process(ins, [ins])
 
 
 def test_chi_two_qubit_cz_estimate():
     inputs = [np.kron(a, b) for a in AXIS_STATES for b in AXIS_STATES]
     outputs = [CZ @ r @ CZ.conj().T for r in inputs]
-    chi = chi_from_process(inputs, outputs)
+    chi = chi_from_process(inputs, [outputs])[0]
     assert np.abs(chi - chi_of_operator(CZ)).max() < 1e-8
 
 
@@ -130,14 +130,14 @@ def test_apply_chi_identity():
 
 
 def test_apply_chi_z_on_plus():
-    plus = named_projector("x+").mat
-    minus = named_projector("x-").mat
+    plus = named_projector("x+")
+    minus = named_projector("x-")
     assert np.abs(apply_chi(chi_of_operator(SZ), plus) - minus).max() < 1e-12
 
 
 def test_apply_chi_y_minus_on_ground():
     # direct P rho P evaluation: P|0><0|P = (1/2)|y-><y-|
-    chi = chi_of_operator(named_projector("y-").mat)
+    chi = chi_of_operator(named_projector("y-"))
     out = apply_chi(chi, np.diag([1.0, 0.0]).astype(complex))
     expected = np.array([[0.25, 0.25j], [-0.25j, 0.25]])
     assert np.abs(out - expected).max() < 1e-12
@@ -159,7 +159,7 @@ def test_apply_chi_cp_preserves_psd(seed_u, seed_r):
 # -------------------------------------------------------- chi fidelity
 
 def test_chi_fidelity_self():
-    chi = chi_of_operator(named_projector("x+").mat)
+    chi = chi_of_operator(named_projector("x+"))
     assert abs(chi_fidelity(chi, chi) - 1.0) < 1e-12
 
 
@@ -174,15 +174,15 @@ def test_chi_fidelity_bad_dims():
 
 def test_trace_preserving_check():
     assert chi_is_trace_preserving(chi_of_operator(ID2))
-    assert not chi_is_trace_preserving(chi_of_operator(named_projector("z+").mat))
+    assert not chi_is_trace_preserving(chi_of_operator(named_projector("z+")))
 
 
 # -------------------------------------------------------- reduced maps
 
 def test_reduced_cz_identities():
-    ground = named_projector("z+").mat
-    excited = named_projector("z-").mat
-    y_minus = named_projector("y-").mat
+    ground = named_projector("z+")
+    excited = named_projector("z-")
+    y_minus = named_projector("y-")
 
     chi_id = np.zeros((4, 4)); chi_id[0, 0] = 1.0
     chi_z = np.zeros((4, 4)); chi_z[3, 3] = 1.0
@@ -194,7 +194,7 @@ def test_reduced_cz_identities():
 
 
 def test_reduced_cnot_ground_is_dephasing():
-    chi = reduced_map(CNOT, named_projector("z+").mat)
+    chi = reduced_map(CNOT, named_projector("z+"))
     expected = np.zeros((4, 4)); expected[0, 0] = 0.5; expected[3, 3] = 0.5
     assert np.abs(chi - expected).max() < 1e-9
 
@@ -214,7 +214,7 @@ def test_reduced_map_rejects_nonunitary():
 
 def test_reduced_map_with_noise_still_tp():
     noise = NoiseSpec(gamma_amp=0.05, lambda_phase=0.05)
-    chi = reduced_map(CZ, named_projector("z+").mat, noise)
+    chi = reduced_map(CZ, named_projector("z+"), noise)
     assert chi_is_trace_preserving(chi, tol=1e-8)
 
 
@@ -260,7 +260,7 @@ def test_pauli_basis_sizes():
 
 def test_chi_from_process_z_gate():
     outputs = [SZ @ s @ SZ for s in AXIS_STATES]
-    chi = chi_from_process(AXIS_STATES, outputs)
+    chi = chi_from_process(AXIS_STATES, [outputs])[0]
     expected = np.zeros((4, 4))
     expected[3, 3] = 1.0
     assert np.abs(chi - expected).max() < 1e-10
@@ -411,7 +411,7 @@ def test_chi_from_process_matches_pair_loop(seed, nqubits):
     d = 2**nqubits
     inputs = [random_density(seed + k, d) for k in range(d * d)]
     outputs = [random_density(seed + 100 + k, d) for k in range(d * d)]
-    assert np.array_equal(chi_from_process(inputs, outputs),
+    assert np.array_equal(chi_from_process(inputs, [outputs])[0],
                           loop_chi_from_process(inputs, outputs))
 
 
@@ -425,7 +425,7 @@ def stacked_chi_case(seed, d, reps, psd):
         reference = loop_chi_from_process(inputs, outputs)
         if psd:
             reference = project_psd(reference)
-        yield chi, reference, chi_from_process(inputs, list(outputs), psd=psd)
+        yield chi, reference, chi_from_process(inputs, outputs[None], psd=psd)[0]
 
 
 @settings(max_examples=25, deadline=None)

@@ -130,7 +130,7 @@ def test_family_shape_and_consistency(cnot_cz_fit):
     t1 = t1 / fam.normalization
     for label in ("x+", "y-", "z+", "yz+"):
         p = named_projector(label)
-        direct = unvec(t1 @ vec(action_superop(p.mat)))
+        direct = unvec(t1 @ vec(action_superop(p)))
         assert np.abs(family_predict(fam.base, p) - direct).max() < 1e-9
 
 

@@ -1,4 +1,6 @@
+import hashlib
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -10,6 +12,7 @@ from proctensor.process import (
     MAX_SHOTS,
     ProcessSpec,
     ShotConfig,
+    _GROUND2,
     _derived_rng,
     _sampled_states,
     _staged_counts,
@@ -26,6 +29,7 @@ from proctensor.qubit import (
     CZ,
     FIT_BASIS_LABELS,
     ID2,
+    PROJECTOR_ANGLES,
     QST_AXES,
     SX,
     SY,
@@ -87,7 +91,7 @@ def test_shot_config_rejects_seed_beyond_64_bits():
 
 def test_run_process_length_mismatch():
     with pytest.raises(ValueError, match="bad-sequence"):
-        run_process(cnot_cz_process(), [named_projector("z+").mat])
+        run_process(cnot_cz_process(), [named_projector("z+")])
 
 
 # ------------------------------------------------------------ exact runs
@@ -96,11 +100,11 @@ def test_first_intervention_creates_max_entanglement():
     # after projecting onto -y and the CNOT, the joint state is
     # (|00> - i|11>)/sqrt(2)
     spec = cnot_cz_process()
-    env, p = first_step_env_marginals(spec, named_projector("y-").mat)
+    env, p = first_step_env_marginals(spec, named_projector("y-"))
     assert abs(p - 0.5) < 1e-12
     assert np.abs(env - np.eye(2) / 2).max() < 1e-12  # MES marginal
 
-    op = np.kron(named_projector("y-").mat, np.eye(2))
+    op = np.kron(named_projector("y-"), np.eye(2))
     rho = np.zeros((4, 4), dtype=complex)
     rho[0, 0] = 1.0
     joint = CNOT @ (op @ rho @ op.conj().T) @ CNOT.conj().T
@@ -110,7 +114,7 @@ def test_first_intervention_creates_max_entanglement():
 
 def test_forbidden_trajectory():
     spec = cnot_cz_process()
-    rho, p = run_process(spec, [named_projector("z+").mat, named_projector("z-").mat])
+    rho, p = run_process(spec, [named_projector("z+"), named_projector("z-")])
     assert p < P_JOINT_CUTOFF and np.array_equal(rho, ID2 / 2)
     assert p <= 1e-9
 
@@ -121,14 +125,14 @@ def test_ground_branch_passes_everything_through():
     spec = cnot_cz_process()
     for label in ("x+", "y-", "xz+", "zy-"):
         op = named_projector(label)
-        rho, p = run_process(spec, [named_projector("z+").mat, op.mat])
-        assert np.abs(rho - op.mat).max() < 1e-10, label
+        rho, p = run_process(spec, [named_projector("z+"), op])
+        assert np.abs(rho - op).max() < 1e-10, label
 
 
 def test_memory_trajectory_oracle():
     # statevector oracle gives I/2 for the (y-, x+) trajectory
     spec = cnot_cz_process()
-    rho, p = run_process(spec, [named_projector("y-").mat, named_projector("x+").mat])
+    rho, p = run_process(spec, [named_projector("y-"), named_projector("x+")])
     assert abs(p - 0.25) < 1e-12
     assert np.abs(rho - np.eye(2) / 2).max() < 1e-10
 
@@ -139,22 +143,21 @@ def test_probability_conservation(theta0, phi0, theta1, phi1):
     # complementary second projections exhaust the first-step branch
     spec = cnot_cz_process()
     a0 = projector(theta0, phi0)
-    a1 = projector(theta1, phi1)
-    _, p_plus = run_process(spec, [a0.mat, a1.mat])
-    _, p_minus = run_process(spec, [a0.mat, antipode(a1).mat])
-    _, p_branch = first_step_env_marginals(spec, a0.mat)
+    _, p_plus = run_process(spec, [a0, projector(theta1, phi1)])
+    _, p_minus = run_process(spec, [a0, projector(*antipode(theta1, phi1))])
+    _, p_branch = first_step_env_marginals(spec, a0)
     assert abs((p_plus + p_minus) - p_branch) < 1e-10
 
 
 def test_all_diagonal_ground_trajectory_keeps_unit_probability():
     spec = cz_cnot_process()
-    rho, p = run_process(spec, [named_projector("z+").mat, named_projector("z+").mat])
+    rho, p = run_process(spec, [named_projector("z+"), named_projector("z+")])
     assert abs(p - 1.0) < 1e-12
 
 
 def test_noise_lowers_purity():
     noisy = cnot_cz_process(NoiseSpec(gamma_amp=0.05, lambda_phase=0.05))
-    rho, p = run_process(noisy, [named_projector("y-").mat, named_projector("x+").mat])
+    rho, p = run_process(noisy, [named_projector("y-"), named_projector("x+")])
     assert abs(np.trace(rho).real - 1.0) < 1e-10
     assert np.linalg.eigvalsh(rho).min() > -1e-10
 
@@ -173,7 +176,7 @@ def test_markov_matches_oracle_for_cz_cnot():
     spec = cz_cnot_process()
     for l0 in ("z+", "y-", "xz+"):
         for l1 in ("x+", "zy-", "y+"):
-            ops = [named_projector(l0).mat, named_projector(l1).mat]
+            ops = [named_projector(l0), named_projector(l1)]
             truth, p = run_process(spec, ops)
             if p < P_JOINT_CUTOFF:
                 continue
@@ -183,17 +186,17 @@ def test_markov_matches_oracle_for_cz_cnot():
 
 def test_markov_fails_on_memory_trajectory():
     spec = cnot_cz_process()
-    ops = [named_projector("y-").mat, named_projector("x+").mat]
+    ops = [named_projector("y-"), named_projector("x+")]
     predicted, _ = markov_predict(spec, ops)
     # the baseline predicts the pure x+ state while the process outputs I/2
-    assert np.abs(predicted - named_projector("x+").mat).max() < 1e-9
+    assert np.abs(predicted - named_projector("x+")).max() < 1e-9
     truth, _ = run_process(spec, ops)
     assert abs(state_fidelity(truth, predicted) - 0.5) < 1e-6
 
 
 def test_markov_agrees_when_environment_stays_put():
     spec = cnot_cz_process()
-    ops = [named_projector("z+").mat, named_projector("x+").mat]
+    ops = [named_projector("z+"), named_projector("x+")]
     truth, _ = run_process(spec, ops)
     predicted, _ = markov_predict(spec, ops)
     assert state_fidelity(truth, predicted) >= 1 - 1e-12
@@ -310,7 +313,7 @@ def test_staged_counts_properties(shots, passed, readout, seed):
 def test_exact_records_match_oracle(cnot_cz_spec, cnot_cz_records):
     assert len(cnot_cz_records) == 81
     for rec in cnot_cz_records:
-        truth, p = run_process(cnot_cz_spec, [named_projector(l).mat for l in rec.labels])
+        truth, p = run_process(cnot_cz_spec, [named_projector(l) for l in rec.labels])
         assert abs(rec.p_joint - p) < 1e-12
         if p >= P_JOINT_CUTOFF:
             assert np.abs(rec.rho_measured - truth).max() < 1e-10
@@ -361,10 +364,10 @@ def test_sampled_records_within_binomial_errors(cnot_cz_spec, cnot_cz_records, s
 
 def test_qpt_data_exact_mode():
     op = named_projector("y-")
-    inputs, outputs = intervention_qpt_data(op)
+    inputs, outputs = intervention_qpt_data(PROJECTOR_ANGLES["y-"])
     assert len(inputs) == len(outputs[0]) == 6
     for rin, rout in zip(inputs, outputs[0]):
-        assert np.abs(op.mat @ rin @ op.mat - rout).max() < 1e-12
+        assert np.abs(op @ rin @ op - rout).max() < 1e-12
 
 
 # -------------------------------------------- per-state sampling reference
@@ -379,7 +382,7 @@ def loop_exact_record(spec, ops):
     """
     rho = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex)
     for u, op in zip(spec.interactions, ops):
-        a = np.kron(op.mat, ID2)
+        a = np.kron(op, ID2)
         rho = a @ rho @ a.conj().T
         rho = u @ rho @ u.conj().T
         if spec.noise is not None:
@@ -427,13 +430,14 @@ def test_sampled_records_equal_per_stream_loop(make_spec, shots, seed):
     cfg = ShotConfig(shots=shots, seed=seed)
     records = generate_records(spec, cfg)
     assert len(records) == 81
-    # every record's generator is keyed on the |00⟩ state, then the sequence
+    # every record's generator is keyed on the |00⟩ state, then the
+    # float64 angles of each step
     ground = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex)
     for rec in records:
-        ops = [named_projector(label) for label in rec.labels]
-        out, p_joint = loop_exact_record(spec, ops)
+        angles = [np.array(PROJECTOR_ANGLES[label], dtype=np.float64) for label in rec.labels]
+        out, p_joint = loop_exact_record(spec, [projector(*a) for a in angles])
         rho, p = loop_sampled_state(
-            p_joint, lambda r: np.trace(r.mat @ out).real, cfg, (ground, *ops),
+            p_joint, lambda r: np.trace(r @ out).real, cfg, (ground, *angles),
         )
         assert rec.p_joint == p, rec.labels
         assert np.array_equal(rec.rho_measured, rho), rec.labels
@@ -441,33 +445,53 @@ def test_sampled_records_equal_per_stream_loop(make_spec, shots, seed):
 
 @pytest.mark.parametrize("label", ["x+", "y-", "z+", "zy-", "xz+"])
 def test_qpt_data_equals_per_stream_loop(label):
-    op = named_projector(label)
+    angles = np.array(PROJECTOR_ANGLES[label], dtype=np.float64)
+    op = projector(*angles)
     cfg = ShotConfig(shots=500, seed=4)
     tags = [0, 3, 17, 359]
-    inputs, outputs = intervention_qpt_data(op, cfg, tags)
+    inputs, outputs = intervention_qpt_data(PROJECTOR_ANGLES[label], cfg, tags)
     assert outputs.shape == (len(tags), 6, 2, 2)
     for rep, tag in enumerate(tags):
         for k, axis_label in enumerate(("x+", "x-", "y+", "y-", "z+", "z-")):
-            rin = named_projector(axis_label).mat
+            rin = named_projector(axis_label)
             assert np.array_equal(inputs[k], rin)
             rho, p_hat = loop_sampled_state(
-                np.trace(op.mat @ rin).real, lambda r: np.trace(r.mat @ op.mat).real, cfg,
-                (tag, op, axis_label),
+                np.trace(op @ rin).real, lambda r: np.trace(r @ op).real, cfg,
+                (tag, angles, axis_label),
             )
             assert np.array_equal(outputs[rep, k], p_hat * rho), (tag, axis_label)
 
 
+def test_stream_keys_are_sha256_of_their_parts():
+    # the key format, pinned apart from numpy's generators: SHA-256 of the
+    # seed's 8 unsigned little-endian bytes, then each part's bytes in order,
+    # the digest's eight little-endian 32-bit words seeding default_rng
+    def expected(seed, *blobs):
+        digest = hashlib.sha256(seed.to_bytes(8, "little") + b"".join(blobs)).digest()
+        return np.random.default_rng(list(struct.unpack("<8I", digest))).bit_generator.state
+
+    seed = 2**64 - 5
+    a_i, a_j = (np.array(PROJECTOR_ANGLES[label], dtype=np.float64) for label in ("xz+", "y-"))
+    ground = struct.pack("<32d", 1.0, *[0.0] * 31)  # complex128 |00><00|, row-major
+    record = _derived_rng(seed, _GROUND2, a_i, a_j).bit_generator.state
+    assert record == expected(seed, ground, struct.pack("<2d", math.pi / 4, 0.0),
+                              struct.pack("<2d", math.pi / 2, -math.pi / 2))
+    qpt = _derived_rng(seed, 359, a_j, "z-").bit_generator.state
+    assert qpt == expected(seed, (359).to_bytes(8, "little", signed=True),
+                           struct.pack("<2d", math.pi / 2, -math.pi / 2), b"z-")
+
+
 def test_qpt_data_repetitions_are_independent_streams():
     cfg = ShotConfig(shots=500, seed=4)
-    op = named_projector("x+")
-    _, both = intervention_qpt_data(op, cfg, [5, 6])
-    _, alone = intervention_qpt_data(op, cfg, [6])
+    angles = PROJECTOR_ANGLES["x+"]
+    _, both = intervention_qpt_data(angles, cfg, [5, 6])
+    _, alone = intervention_qpt_data(angles, cfg, [6])
     assert np.array_equal(both[1], alone[0])
     assert not np.array_equal(both[0], both[1])
 
 
 def test_noise_acts_before_the_second_projection():
-    ops = [named_projector("y-").mat, named_projector("xz+").mat]
+    ops = [named_projector("y-"), named_projector("xz+")]
     _, p_clean = run_process(cnot_cz_process(), ops)
     _, p_noisy = run_process(cnot_cz_process(NoiseSpec(gamma_amp=0.3, lambda_phase=0.3)), ops)
     # after y- and CNOT the system marginal is I/2 with weight 1/2; damping

@@ -13,8 +13,8 @@ from proctensor.qubit import (
     FIT_BASIS_LABELS,
     ID2,
     OVERCOMPLETE_LABELS,
+    PROJECTOR_ANGLES,
     NoiseSpec,
-    Projector,
     apply_noise,
     bloch_vector,
     named_projector,
@@ -60,8 +60,7 @@ def test_rotation_is_unitary_and_prepares_target(theta, phi):
     r = rotation_gate(theta, phi)
     assert np.abs(r.conj().T @ r - ID2).max() < 1e-12
     out = r @ np.array([1, 0])
-    target = projector(theta, phi).ket()
-    assert abs(abs(np.vdot(target, out)) - 1) < 1e-10
+    assert np.abs(np.outer(out, out.conj()) - projector(theta, phi)).max() < 1e-10
 
 
 @settings(max_examples=25, deadline=None)
@@ -70,49 +69,63 @@ def test_projector_unitary_sandwich(theta, phi):
     # realizing the projector as a rotated ground-state projection
     r = rotation_gate(theta, phi)
     ground = np.diag([1.0, 0.0]).astype(complex)
-    assert np.abs(r @ ground @ r.conj().T - projector(theta, phi).mat).max() < 1e-12
+    assert np.abs(r @ ground @ r.conj().T - projector(theta, phi)).max() < 1e-12
 
 
 # ---------------------------------------------------------- projectors
 
 def test_projector_poles():
-    assert np.allclose(projector(0, 0).mat, np.diag([1, 0]))
-    assert np.abs(projector(math.pi, 0).mat - np.diag([0, 1])).max() < 1e-12
+    assert np.allclose(projector(0, 0), np.diag([1, 0]))
+    assert np.abs(projector(math.pi, 0) - np.diag([0, 1])).max() < 1e-12
 
 
-def test_projector_matrix_is_not_an_argument():
-    # the matrix always follows from the angles
-    with pytest.raises(TypeError):
-        Projector(0.0, 0.0, np.eye(2))
+@settings(max_examples=50, deadline=None)
+@given(st.lists(angles, min_size=1, max_size=4), st.lists(phases, min_size=1, max_size=4))
+def test_projector_broadcasts_rank1_projectors(thetas, phis):
+    stack = projector(np.array(thetas)[:, None], phis)
+    assert stack.shape == (len(thetas), len(phis), 2, 2)
+    for i, theta in enumerate(thetas):
+        for j, phi in enumerate(phis):
+            p = projector(theta, phi)
+            # every element of a stack is the scalar call, bit for bit
+            assert stack[i, j].tobytes() == p.tobytes()
+            assert np.abs(p - p.conj().T).max() < 1e-15
+            assert np.abs(p @ p - p).max() < 1e-12
+            assert abs(np.trace(p) - 1) < 1e-12
+            direction = [math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                         math.cos(theta)]
+            assert np.abs(bloch_vector(p) - direction).max() < 1e-12
+    zy = zy_projector(np.array(thetas))
+    for i, theta in enumerate(thetas):
+        assert zy[i].tobytes() == zy_projector(theta).tobytes()
 
 
 def test_named_zy_plus_state():
     # exterior bisector of +z/+y carries a -i relative phase
-    k = named_projector("zy+").ket()
     expected = np.array([math.cos(math.pi / 8), -1j * math.sin(math.pi / 8)])
-    assert abs(abs(np.vdot(expected, k)) - 1) < 1e-12
-    assert np.abs(named_projector("zy+").mat - zy_projector(math.pi / 4).mat).max() < 1e-12
+    assert np.abs(named_projector("zy+") - np.outer(expected, expected.conj())).max() < 1e-12
+    assert np.abs(named_projector("zy+") - zy_projector(math.pi / 4)).max() < 1e-12
 
 
 def test_zy_projector_endpoints():
-    assert np.abs(zy_projector(0).mat - named_projector("z+").mat).max() < 1e-12
-    assert np.abs(zy_projector(math.pi / 2).mat - named_projector("y-").mat).max() < 1e-12
+    assert np.abs(zy_projector(0) - named_projector("z+")).max() < 1e-12
+    assert np.abs(zy_projector(math.pi / 2) - named_projector("y-")).max() < 1e-12
 
 
 def test_all_labels_are_rank1_projectors():
     for label in OVERCOMPLETE_LABELS:
-        p = named_projector(label).mat
+        p = named_projector(label)
         assert np.abs(p @ p - p).max() < 1e-10, label
         assert abs(np.trace(p).real - 1) < 1e-10, label
 
 
 def test_antipodal_pairs_sum_to_identity():
     for label in FIT_BASIS_LABELS:
-        p = named_projector(label)
-        q = antipode(p)
-        assert np.abs(p.mat + q.mat - ID2).max() < 1e-10, label
+        q = projector(*antipode(*PROJECTOR_ANGLES[label]))
+        assert np.abs(named_projector(label) + q - ID2).max() < 1e-10, label
     # explicit antipodal labels agree with antipode()
-    assert np.abs(named_projector("xy-").mat - antipode(named_projector("xy+")).mat).max() < 1e-10
+    xy_minus = projector(*antipode(*PROJECTOR_ANGLES["xy+"]))
+    assert np.abs(named_projector("xy-") - xy_minus).max() < 1e-10
 
 
 def test_named_projector_directions():
@@ -126,7 +139,7 @@ def test_named_projector_directions():
         "zy+": np.array([0, -1, 1]) / math.sqrt(2),
     }
     for label, direction in expected.items():
-        assert np.abs(bloch_vector(named_projector(label).mat) - direction).max() < 1e-10
+        assert np.abs(bloch_vector(named_projector(label)) - direction).max() < 1e-10
 
 
 def test_bad_label():
@@ -154,7 +167,7 @@ def test_apply_projector_entangled_oracle():
     # statevector oracle: project S of (|00> - i|11>)/sqrt(2) on x+
     phi = np.array([1, 0, 0, -1j], dtype=complex) / math.sqrt(2)
     p_x = named_projector("x+")
-    op = np.kron(p_x.mat, np.eye(2))
+    op = np.kron(p_x, np.eye(2))
     collapsed = op @ phi
     p_oracle = float(np.vdot(collapsed, collapsed).real)
     env_oracle = np.array([[0.5, 0.5j], [-0.5j, 0.5]])
@@ -175,10 +188,10 @@ def test_apply_projector_breaks_entanglement(seed, theta, phi):
     if prob < 1e-9:
         return
     env = partial_trace(out, 2, 2, keep="b")
-    assert np.abs(out - np.kron(p.mat, env)).max() < 1e-10
+    assert np.abs(out - np.kron(p, env)).max() < 1e-10
     # the system marginal is steered onto the projector state
     sys = partial_trace(out, 2, 2, keep="a") / prob
-    assert np.abs(sys - p.mat).max() < 1e-10
+    assert np.abs(sys - p).max() < 1e-10
 
 
 def test_apply_projector_bad_target():
@@ -282,5 +295,5 @@ def test_apply_projector_on_environment():
     assert abs(prob - 0.5) < 1e-12
     # projecting the environment steers the system onto the mirrored state
     sys = partial_trace(out, 2, 2, keep="a") / prob
-    expected = named_projector("x-").mat  # <y+| collapses (|00>-i|11>)/sqrt2 to |x->
+    expected = named_projector("x-")  # <y+| collapses (|00>-i|11>)/sqrt2 to |x->
     assert np.abs(sys - expected).max() < 1e-10

@@ -28,7 +28,7 @@ from proctensor.linalg import (
     vec,
     vec_stack,
 )
-from proctensor.nonmarkov import _conditioned_map, _herm_basis, _zy_mats, bloch_volume
+from proctensor.nonmarkov import _conditioned_map, _herm_basis, bloch_volume
 from proctensor.process import (
     PROCESS_NAMES,
     ShotConfig,
@@ -45,9 +45,9 @@ from proctensor.qubit import (
     SY,
     SZ,
     NoiseSpec,
-    Projector,
     apply_noise,
     named_projector,
+    projector,
     state_fidelity,
     zy_projector,
 )
@@ -62,7 +62,7 @@ LABELS = OVERCOMPLETE_LABELS
 def ref_run_process(spec, ops):
     rho = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex)
     for u, op in zip(spec.interactions, ops):
-        a = np.kron(op.mat, ID2)
+        a = np.kron(op, ID2)
         rho = a @ rho @ a.conj().T
         rho = u @ rho @ u.conj().T
         if spec.noise is not None:
@@ -85,7 +85,7 @@ def ref_predict(fit, ops):
 def ref_markov_predict(ops, reduced_maps):
     rho = np.diag([1.0, 0.0]).astype(complex)
     for op, chi in zip(ops, reduced_maps):
-        rho = op.mat @ rho @ op.mat.conj().T
+        rho = op @ rho @ op.conj().T
         rho = apply_chi(chi, rho)
     p = float(np.trace(rho).real)
     if p < 1e-12:
@@ -151,7 +151,7 @@ def _filled(states):
 
 def test_grid_matches_per_pair_loop(grid_case):
     _, _, spec, fit, (ref, ref_p_true, _) = grid_case
-    mats = np.array([named_projector(label).mat for label in LABELS])
+    mats = np.array([named_projector(label) for label in LABELS])
     steps = (mats[:, None], mats[None, :])
     layers = {
         "truth": lambda s: run_process(spec, s),
@@ -205,7 +205,7 @@ def test_tomo_predict_table_matches_per_pair_loop(grid_case, tmp_path):
 
 
 def test_predict_checks_every_operation(cnot_cz_fit):
-    mats = np.array([named_projector(label).mat for label in LABELS[:3]])
+    mats = np.array([named_projector(label) for label in LABELS[:3]])
     trash = np.outer(vec(np.diag([1.0, 0.0])), vec(np.eye(2)).conj())
     stacked = np.array([action_superop(mats[0]), trash])
     with pytest.raises(ValueError, match="outside-span"):
@@ -251,7 +251,7 @@ def test_fidelity_rejects_unnormalized_member_and_non_qubit_states():
 # ------------------------------------------------------- stacked primitives
 
 def test_action_superop_stack_is_per_matrix_kron():
-    mats = np.array([named_projector(label).mat for label in LABELS])
+    mats = np.array([named_projector(label) for label in LABELS])
     assert np.array_equal(action_superop(mats), [np.kron(m.conj(), m) for m in mats])
 
 
@@ -283,12 +283,12 @@ def test_choi_reshuffles_and_kron_of_stacks_are_per_matrix(seed, count):
 def test_env_marginals_and_reduced_channels_of_stacks_are_per_angle(noisy):
     spec = PROCESS_NAMES["cnot-cz"](NOISE if noisy else None)
     thetas = [0.0, 0.4, math.pi / 2, 2.9]
-    mats = _zy_mats(thetas)
+    mats = zy_projector(thetas)
     env, p = first_step_env_marginals(spec, mats)
     sups, p_sups = last_step_superops(spec, mats)
     assert np.array_equal(p_sups, p)
     for i, theta in enumerate(thetas):
-        lone_env, lone_p = first_step_env_marginals(spec, zy_projector(theta).mat)
+        lone_env, lone_p = first_step_env_marginals(spec, zy_projector(theta))
         assert np.array_equal(env[i], lone_env) and p[i] == lone_p
         assert np.array_equal(sups[i], reduced_superop(spec.interactions[1], lone_env,
                                                        spec.noise))
@@ -315,19 +315,19 @@ def ref_bloch_volume(kind, fit, theta, n, process):
         t1, _ = _conditioned_map(fit, theta)
 
         def push(op):
-            return unvec(t1 @ vec(action_superop(op.mat)))
+            return unvec(t1 @ vec(action_superop(op)))
     else:
-        env, _ = first_step_env_marginals(process, zy_projector(theta).mat)
+        env, _ = first_step_env_marginals(process, zy_projector(theta))
         sup = reduced_superop(process.interactions[1], env, process.noise)
 
         def push(op):
-            return unvec(sup @ vec(op.mat))
+            return unvec(sup @ vec(op))
     golden = math.pi * (3.0 - math.sqrt(5.0))
     rows = []
     for i in range(n):
         th = math.acos(min(max(1.0 - (2.0 * i + 1.0) / n, -1.0), 1.0))
         ph = math.fmod(golden * i, 2 * math.pi)
-        out = push(Projector(th, ph))
+        out = push(projector(th, ph))
         if float(np.trace(out).real) < 1e-9:
             continue
         rho = project_psd(out)

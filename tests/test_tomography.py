@@ -23,6 +23,7 @@ from proctensor.qubit import (
     FIT_BASIS_LABELS,
     OVERCOMPLETE_LABELS,
     PAULIS,
+    PROJECTOR_ANGLES,
     named_projector,
     projector,
     state_fidelity,
@@ -118,29 +119,26 @@ def test_stacked_qst_checks_every_row():
 # ------------------------------------------------------------------ QPT
 
 def test_qpt_identity_process():
-    inputs, outputs = intervention_qpt_data(named_projector("z+"))
+    inputs, _ = intervention_qpt_data(PROJECTOR_ANGLES["z+"])
     # replace with identity-process data
-    ident = [r.copy() for r in inputs]
-    chi = chi_from_process(inputs, ident)
+    chi = chi_from_process(inputs, inputs[None])[0]
     expected = np.zeros((4, 4))
     expected[0, 0] = 1.0
     assert np.abs(chi - expected).max() < 1e-10
 
 
 def test_qpt_ideal_y_minus():
-    op = named_projector("y-")
-    inputs, outputs = intervention_qpt_data(op)
-    chi = chi_from_process(inputs, outputs[0])
-    assert np.abs(chi - chi_of_operator(op.mat)).max() < 1e-10
+    inputs, outputs = intervention_qpt_data(PROJECTOR_ANGLES["y-"])
+    chi = chi_from_process(inputs, outputs)[0]
+    assert np.abs(chi - chi_of_operator(named_projector("y-"))).max() < 1e-10
 
 
 def test_qpt_sampled_fidelity_band():
     cfg = ShotConfig(shots=3000, seed=7)
     for run_tag, label in enumerate(FIT_BASIS_LABELS):
-        op = named_projector(label)
-        inputs, outputs = intervention_qpt_data(op, cfg, [run_tag])
-        chi = chi_from_process(inputs, outputs[0], psd=True)
-        fid = chi_fidelity(chi, chi_of_operator(op.mat))
+        inputs, outputs = intervention_qpt_data(PROJECTOR_ANGLES[label], cfg, [run_tag])
+        chi = chi_from_process(inputs, outputs, psd=True)[0]
+        fid = chi_fidelity(chi, chi_of_operator(named_projector(label)))
         assert 0.95 <= fid <= 1.0, (label, fid)
 
 
@@ -257,7 +255,7 @@ def test_predict_requires_fit():
 def test_oracle_equivalence_cnot_cz(cnot_cz_spec, cnot_cz_fit):
     for l0 in OVERCOMPLETE_LABELS:
         for l1 in OVERCOMPLETE_LABELS:
-            ops = [named_projector(l0).mat, named_projector(l1).mat]
+            ops = [named_projector(l0), named_projector(l1)]
             truth, p = run_process(cnot_cz_spec, ops)
             if p < 1e-9:
                 continue
@@ -269,7 +267,7 @@ def test_oracle_equivalence_cnot_cz(cnot_cz_spec, cnot_cz_fit):
 def test_oracle_equivalence_and_markov_cz_cnot(cz_cnot_spec, cz_cnot_fit):
     for l0 in OVERCOMPLETE_LABELS[::3]:
         for l1 in OVERCOMPLETE_LABELS[::3]:
-            ops = [named_projector(l0).mat, named_projector(l1).mat]
+            ops = [named_projector(l0), named_projector(l1)]
             truth, p = run_process(cz_cnot_spec, ops)
             if p < 1e-9:
                 continue
@@ -293,8 +291,8 @@ def test_outside_span_rejected(cnot_cz_fit):
 
 
 def test_multilinearity_on_subnormalized_outputs(cnot_cz_fit):
-    a = action_superop(named_projector("xz+").mat)
-    b = action_superop(named_projector("y-").mat)
+    a = action_superop(named_projector("xz+"))
+    b = action_superop(named_projector("y-"))
     fixed = named_projector("x+")
     alpha, beta = 0.3, 1.1
 
@@ -315,8 +313,8 @@ def test_containment_property(cnot_cz_spec, cnot_cz_fit):
         contracted = cnot_cz_fit.contract_first_step(p0)
         rows, targets = [], []
         for l1 in FIT_BASIS_LABELS:
-            rho, p = run_process(cnot_cz_spec, [p0.mat, named_projector(l1).mat])
-            rows.append(vec(action_superop(named_projector(l1).mat)))
+            rho, p = run_process(cnot_cz_spec, [p0, named_projector(l1)])
+            rows.append(vec(action_superop(named_projector(l1))))
             targets.append(p * vec(rho))
         direct, *_ = np.linalg.lstsq(np.array(rows), np.array(targets), rcond=None)
         assert np.abs(contracted - direct.T).max() < 1e-8, l0
@@ -379,12 +377,12 @@ def test_refit_newton_matrix_matches_operator(cnot_cz_spec):
     # matrix-free, with J from the divided differences of eigenvalue clipping
     from proctensor.linalg import clip_divided_differences
     from proctensor.process import generate_records
-    from proctensor.tomography import _PairGridLeastSquares, _basis_action_vectors
+    from proctensor.tomography import _BASIS_VECS, _PairGridLeastSquares
 
     records = generate_records(cnot_cz_spec, ShotConfig(shots=400, seed=2))
     design, targets, w = _refit_problem(records)
     cells = np.array([i1 * 9 + i0 for i0, i1 in (r.basis_indices for r in records)])
-    problem = _PairGridLeastSquares(_basis_action_vectors(), cells, w, targets)
+    problem = _PairGridLeastSquares(_BASIS_VECS, cells, w, targets)
     rng = np.random.default_rng(5)
     # forward/adjoint: the record predictions, and adjoint in the real inner product
     m = rng.normal(size=(4, 256)) + 1j * rng.normal(size=(4, 256))
