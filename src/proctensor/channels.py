@@ -44,9 +44,11 @@ __all__ = [
 
 
 def pauli_basis(nqubits: int) -> list[np.ndarray]:
-    """Pauli product basis ordered (I, X, Y, Z)^⊗n."""
+    """Pauli product basis ordered (I, X, Y, Z)^⊗n, n = 1 or 2."""
     if nqubits == 1:
         return list(PAULIS)
+    if nqubits != 2:
+        raise ValueError(f"bad-dims: Pauli basis of {nqubits} qubits, not 1 or 2")
     return [np.kron(a, b) for a, b in itertools.product(PAULIS, PAULIS)]
 
 

@@ -10,7 +10,6 @@ tomography.
 from __future__ import annotations
 
 import hashlib
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -30,7 +29,7 @@ from .qubit import (
     named_projector,
     projector,
 )
-from .tomography import P_JOINT_CUTOFF, TomoRecord, qst_six_axis
+from .tomography import P_JOINT_CUTOFF, qst_six_axis, records_from_arrays
 from .validation import check_two_steps, check_unitary
 
 __all__ = [
@@ -229,16 +228,19 @@ def _sampled_states(passed, readout, keys, cfg: ShotConfig):
     return states, rates.mean(axis=1)
 
 
-def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None) -> list[TomoRecord]:
+def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None) -> np.recarray:
     """Tomography records for every two-step basis combination.
 
-    Without a ShotConfig the records are exact contraction results; with one,
-    each exact record is seen through three-axis tomography of cfg.shots
-    shots per axis, the post-selection rate standing in for the joint
-    probability. The counts of each record come from one generator keyed on
-    (|00⟩, the float64 angles (θ, φ) of each step, seed).
+    Returns the record array (81,) of tomography.records_from_arrays, with
+    basis indices (i, j) in row-major order. Without a ShotConfig the records
+    are exact contraction results; with one, each exact record is seen
+    through three-axis tomography of cfg.shots shots per axis, the
+    post-selection rate standing in for the joint probability. The counts of
+    each record come from one generator keyed on (|00⟩, the float64 angles
+    (θ, φ) of each step, seed).
     """
-    indices = list(itertools.product(range(len(FIT_BASIS)), repeat=2))
+    nb = len(FIT_BASIS)
+    indices = np.indices((nb, nb)).reshape(2, -1).T
     states, p_joint = run_process(spec, [FIT_BASIS[:, None], FIT_BASIS[None, :]])
     if cfg is not None:
         keys = [(_GROUND2, FIT_BASIS_ANGLES[i], FIT_BASIS_ANGLES[j]) for i, j in indices]
@@ -246,8 +248,7 @@ def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None) -> list[T
             p_joint.reshape(-1), _readout_probabilities(states).reshape(-1, len(QST_AXES)),
             keys, cfg,
         )
-    return [TomoRecord(idx, rho, float(p)) for idx, rho, p
-            in zip(indices, states.reshape(-1, 2, 2), p_joint.reshape(-1))]
+    return records_from_arrays(indices, states.reshape(-1, 2, 2), p_joint.reshape(-1))
 
 
 def intervention_qpt_data(angles, cfg: ShotConfig | None = None, run_tags=(0,)):

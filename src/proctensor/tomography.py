@@ -9,8 +9,6 @@ multilinearity in the intervention expansion holds by construction.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -24,10 +22,10 @@ from .channels import (
 from .fileio import format_value
 from .linalg import clip_divided_differences, normalized_psd, project_psd, unvec, vec, vec_stack
 from .qubit import FIT_BASIS, FIT_BASIS_LABELS, PAULIS
-from .validation import check_density_matrix, check_two_steps
+from .validation import check_two_steps, hermitian_part
 
 __all__ = [
-    "TomoRecord",
+    "records_from_arrays",
     "qst_six_axis",
     "action_matrix",
     "sequence_vector",
@@ -46,28 +44,50 @@ P_JOINT_CUTOFF = 1e-12
 SPAN_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class TomoRecord:
-    """One tomography record: basis pair, state estimate, joint probability."""
+#: Fields of a record array: the basis pair (i0, i1) as indices into
+#: FIT_BASIS_LABELS, the state estimate and the pair's joint probability.
+_RECORD_DTYPE = np.dtype([
+    ("basis_indices", np.intp, (2,)),
+    ("rho_measured", complex, (2, 2)),
+    ("p_joint", float),
+])
 
-    basis_indices: tuple[int, int]
-    rho_measured: np.ndarray
-    p_joint: float
 
-    def __post_init__(self):
-        idx, nb = self.basis_indices, len(FIT_BASIS_LABELS)
-        if len(idx) != 2 or not all(isinstance(i, (int, np.integer)) and 0 <= i < nb for i in idx):
-            raise ValueError(f"bad-dims: basis indices {idx} are not two integers in [0, {nb})")
-        if np.shape(self.rho_measured) != (2, 2):
-            raise ValueError(f"bad-dims: state of shape {np.shape(self.rho_measured)}, not 2x2")
-        if not -1e-9 <= self.p_joint <= 1 + 1e-9:
-            raise ValueError(f"bad-probability: p_joint={self.p_joint}")
-        object.__setattr__(self, "rho_measured", check_density_matrix(self.rho_measured))
+def _reject_first(bad, message):
+    """Raise ValueError(message(r)) for the first record r flagged in bad."""
+    if bad.any():
+        raise ValueError(message(int(np.argmax(bad))))
 
-    @property
-    def labels(self) -> tuple[str, str]:
-        return (FIT_BASIS_LABELS[self.basis_indices[0]],
-                FIT_BASIS_LABELS[self.basis_indices[1]])
+
+def records_from_arrays(basis_indices, rho_measured, p_joint) -> np.recarray:
+    """Record array (R,) of _RECORD_DTYPE, checked as one stack.
+
+    basis_indices (R, 2) holds integer indices into FIT_BASIS_LABELS,
+    rho_measured (R, 2, 2) the state estimates and p_joint (R,) the joint
+    probabilities, each in [0, 1]. Each state must be finite, Hermitian, PSD
+    and of trace in [0, 1], all within 1e-8; its Hermitian part (a + a†)/2
+    is stored. The checks run in that order over the whole stack.
+    """
+    idx, p = np.asarray(basis_indices), np.asarray(p_joint, dtype=float)
+    rho, nb = np.asarray(rho_measured, dtype=complex), len(FIT_BASIS_LABELS)
+    if (p.ndim != 1 or idx.shape != (len(p), 2) or rho.shape != (len(p), 2, 2)
+            or not np.issubdtype(idx.dtype, np.integer)):
+        raise ValueError(f"bad-dims: need integer basis indices (R, 2), states (R, 2, 2) and "
+                         f"p_joint (R,), got {idx.dtype} {idx.shape}, {rho.shape} and {p.shape}")
+    _reject_first(((idx < 0) | (idx >= nb)).any(axis=1), lambda r: (
+        f"bad-dims: basis indices {tuple(idx[r].tolist())} of record {r} are not in [0, {nb})"))
+    _reject_first(~((p >= -1e-9) & (p <= 1 + 1e-9)),
+                  lambda r: f"bad-probability: p_joint={p[r]} of record {r}")
+    rho = hermitian_part(rho, "state")
+    low = np.linalg.eigvalsh(rho)[:, 0]
+    _reject_first(low < -1e-8,
+                  lambda r: f"not-psd: state of record {r} has eigenvalue {low[r]:.3e}")
+    tr = np.trace(rho, axis1=1, axis2=2).real
+    _reject_first((tr < -1e-8) | (tr > 1 + 1e-8),
+                  lambda r: f"bad-trace: state of record {r} has trace {tr[r]:.6f}")
+    records = np.recarray(len(p), dtype=_RECORD_DTYPE)
+    records.basis_indices, records.rho_measured, records.p_joint = idx, rho, p
+    return records
 
 
 def qst_six_axis(probabilities) -> np.ndarray:
@@ -360,26 +380,22 @@ class RestrictedProcessTensor:
 
     # -- fitting ---------------------------------------------------------
     def fit(self, records) -> "RestrictedProcessTensor":
-        records = list(records)
+        """Fit to a record array of records_from_arrays holding every basis pair."""
         nb = len(FIT_BASIS_LABELS)
-        seen = {r.basis_indices for r in records}
-        missing = [
-            (i0, i1)
-            for i0, i1 in itertools.product(range(nb), range(nb))
-            if (i0, i1) not in seen
-        ]
-        if missing:
+        i0, i1 = records.basis_indices.T
+        cells = i1 * nb + i0
+        # the pairs (i0, i1) no record holds, in row-major order
+        missing = np.argwhere(np.bincount(cells, minlength=nb * nb).reshape(nb, nb).T == 0)
+        if len(missing):
             raise ValueError(
                 f"incomplete-records: {len(missing)} basis combinations missing, "
-                f"first {missing[0]}"
+                f"first {tuple(missing[0].tolist())}"
             )
         # record r's design row is kron(B[i1], B[i0]); the closed form of the
         # class docstring needs only the SVD of B
         bv = _BASIS_VECS
-        i0, i1 = np.array([rec.basis_indices for rec in records]).T
-        cells = i1 * nb + i0
-        p = np.array([rec.p_joint for rec in records])
-        targets = p[:, None] * vec_stack(np.array([rec.rho_measured for rec in records]))
+        p = records.p_joint
+        targets = p[:, None] * vec_stack(records.rho_measured)
         u, svals, vh = np.linalg.svd(bv)
         row, null = vh[:nb], vh[nb:]
         pinv = (row.conj().T / svals) @ u.conj().T
@@ -456,19 +472,19 @@ def fit_restricted_tensor(records, psd: bool = False):
 def records_to_text(records) -> str:
     """One record per line: labels, p_joint, then row-major re/im state entries."""
     lines = []
-    for rec in records:
-        l0, l1 = rec.labels
-        parts = [l0, l1, format_value(rec.p_joint)]
-        for entry in np.asarray(rec.rho_measured).reshape(-1):
+    for (i0, i1), rho, p in zip(records.basis_indices, records.rho_measured, records.p_joint):
+        parts = [FIT_BASIS_LABELS[i0], FIT_BASIS_LABELS[i1], format_value(p)]
+        for entry in rho.reshape(-1):
             parts.append(format_value(entry.real))
             parts.append(format_value(entry.imag))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
 
 
-def records_from_text(text: str) -> list[TomoRecord]:
-    records = []
+def records_from_text(text: str) -> np.recarray:
+    """Records of records_to_text's format; blank lines and # comments are skipped."""
     label_index = {l: i for i, l in enumerate(FIT_BASIS_LABELS)}
+    indices, values = [], []
     for line in text.splitlines():
         line = line.strip()
         if not line or line.startswith("#"):
@@ -480,14 +496,10 @@ def records_from_text(text: str) -> list[TomoRecord]:
         if l0 not in label_index or l1 not in label_index:
             raise ValueError(f"bad-label: unknown basis labels {l0!r}, {l1!r}")
         try:
-            p, *vals = (float(v) for v in parts[2:])
+            values.append([float(v) for v in parts[2:]])
         except ValueError:
             raise ValueError(f"bad-record: non-numeric field in {line!r}") from None
-        rho = np.array(
-            [
-                [vals[0] + 1j * vals[1], vals[2] + 1j * vals[3]],
-                [vals[4] + 1j * vals[5], vals[6] + 1j * vals[7]],
-            ]
-        )
-        records.append(TomoRecord((label_index[l0], label_index[l1]), rho, p))
-    return records
+        indices.append((label_index[l0], label_index[l1]))
+    v = np.array(values, dtype=float).reshape(-1, 9)
+    rho = (v[:, 1::2] + 1j * v[:, 2::2]).reshape(-1, 2, 2)
+    return records_from_arrays(np.array(indices, dtype=np.intp).reshape(-1, 2), rho, v[:, 0])

@@ -9,7 +9,6 @@ __all__ = [
     "as_square",
     "hermitian_part",
     "check_unitary",
-    "check_density_matrix",
     "check_normalized",
     "qubit_count",
 ]
@@ -61,18 +60,6 @@ def check_unitary(u, name: str = "matrix") -> np.ndarray:
     dev = float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
     if dev > 1e-8:
         raise ValueError(f"not-unitary: {name} deviates from unitarity by {dev:.3e}")
-    return a
-
-
-def check_density_matrix(rho, name: str = "state") -> np.ndarray:
-    """Validate Hermiticity, positivity and trace of a (possibly subnormalized) state."""
-    a = hermitian_part(as_square(rho, name), name)
-    w = np.linalg.eigvalsh(a)
-    if w.min() < -1e-8:
-        raise ValueError(f"not-psd: {name} has eigenvalue {w.min():.3e}")
-    tr = float(np.trace(a).real)
-    if tr < -1e-8 or tr > 1 + 1e-8:
-        raise ValueError(f"bad-trace: {name} has trace {tr:.6f}")
     return a
 
 

@@ -76,3 +76,19 @@ def test_traced_tomo_predict_counts_every_prediction_layer(tmp_path):
     for name in ("process.generate_records", "process.run_process", "process.markov_predict",
                  "tomography.fit", "tomography.predict", "qubit.state_fidelity"):
         assert stats.get(name, {"calls": 0})["calls"] >= 1, name
+
+
+def test_traced_refit_objective_equals_the_fit_diagnostic():
+    # the bench's fit hook iterates the records and reads each record's
+    # basis_indices, p_joint and rho_measured; its objective is the refit's
+    from proctensor import ShotConfig, cnot_cz_process, fit_restricted_tensor, generate_records
+
+    records = generate_records(cnot_cz_process(), ShotConfig(100, 0))
+    tracer = load_tracing().Tracer()
+    tracer.install()
+    try:
+        fit = fit_restricted_tensor(records, psd=True)
+    finally:
+        tracer.uninstall()
+    objective = fit.refit_info_.objective
+    assert abs(tracer.counters["tomography.refit.objective"] - objective) <= 1e-10 * objective

@@ -256,6 +256,9 @@ def test_pauli_basis_sizes():
     assert len(pauli_basis(1)) == 4
     assert len(pauli_basis(2)) == 16
     assert np.allclose(pauli_basis(2)[0], np.eye(4))
+    for nqubits in (0, 3, -1):
+        with pytest.raises(ValueError, match="bad-dims"):
+            pauli_basis(nqubits)
 
 
 def test_chi_from_process_z_gate():

@@ -313,7 +313,8 @@ def test_staged_counts_properties(shots, passed, readout, seed):
 def test_exact_records_match_oracle(cnot_cz_spec, cnot_cz_records):
     assert len(cnot_cz_records) == 81
     for rec in cnot_cz_records:
-        truth, p = run_process(cnot_cz_spec, [named_projector(l) for l in rec.labels])
+        ops = [named_projector(FIT_BASIS_LABELS[i]) for i in rec.basis_indices]
+        truth, p = run_process(cnot_cz_spec, ops)
         assert abs(rec.p_joint - p) < 1e-12
         if p >= P_JOINT_CUTOFF:
             assert np.abs(rec.rho_measured - truth).max() < 1e-10
@@ -352,14 +353,14 @@ def test_sampled_records_within_binomial_errors(cnot_cz_spec, cnot_cz_records, s
     for exact, rec in zip(cnot_cz_records, generate_records(cnot_cz_spec, cfg)):
         p = exact.p_joint
         assert abs(rec.p_joint - p) <= 5 * math.sqrt(p * (1 - p) / (3 * shots)) + 1e-12, \
-            rec.labels
+            rec.basis_indices
         t = shots * p - 5 * math.sqrt(shots * p * (1 - p))
         if t < 1:
             continue
         r = bloch_vector(exact.rho_measured)
         q = np.clip((1 + r) / 2, 0.0, 1.0)
         bound = 5 * np.linalg.norm(2 * np.sqrt(q * (1 - q) / t)) + 1e-12
-        assert np.abs(bloch_vector(rec.rho_measured) - r).max() <= bound, rec.labels
+        assert np.abs(bloch_vector(rec.rho_measured) - r).max() <= bound, rec.basis_indices
 
 
 def test_qpt_data_exact_mode():
@@ -434,13 +435,14 @@ def test_sampled_records_equal_per_stream_loop(make_spec, shots, seed):
     # float64 angles of each step
     ground = np.kron(np.diag([1.0, 0.0]), np.diag([1.0, 0.0])).astype(complex)
     for rec in records:
-        angles = [np.array(PROJECTOR_ANGLES[label], dtype=np.float64) for label in rec.labels]
+        labels = [FIT_BASIS_LABELS[i] for i in rec.basis_indices]
+        angles = [np.array(PROJECTOR_ANGLES[label], dtype=np.float64) for label in labels]
         out, p_joint = loop_exact_record(spec, [projector(*a) for a in angles])
         rho, p = loop_sampled_state(
             p_joint, lambda r: np.trace(r @ out).real, cfg, (ground, *angles),
         )
-        assert rec.p_joint == p, rec.labels
-        assert np.array_equal(rec.rho_measured, rho), rec.labels
+        assert rec.p_joint == p, labels
+        assert np.array_equal(rec.rho_measured, rho), labels
 
 
 @pytest.mark.parametrize("label", ["x+", "y-", "z+", "zy-", "xz+"])

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 from oracles import six_axis_probabilities
 from proctensor.channels import (
     action_superop,
-    chi_fidelity,
     chi_from_process,
     chi_of_operator,
     choi_to_map,
@@ -31,9 +30,9 @@ from proctensor.qubit import (
 from proctensor.tomography import (
     P_JOINT_CUTOFF,
     RestrictedProcessTensor,
-    TomoRecord,
     fit_restricted_tensor,
     qst_six_axis,
+    records_from_arrays,
     records_from_text,
     records_to_text,
     sequence_vector,
@@ -133,35 +132,42 @@ def test_qpt_ideal_y_minus():
     assert np.abs(chi - chi_of_operator(named_projector("y-"))).max() < 1e-10
 
 
-def test_qpt_sampled_fidelity_band():
-    cfg = ShotConfig(shots=3000, seed=7)
-    for run_tag, label in enumerate(FIT_BASIS_LABELS):
-        inputs, outputs = intervention_qpt_data(PROJECTOR_ANGLES[label], cfg, [run_tag])
-        chi = chi_from_process(inputs, outputs, psd=True)[0]
-        fid = chi_fidelity(chi, chi_of_operator(named_projector(label)))
-        assert 0.95 <= fid <= 1.0, (label, fid)
-
-
 # ------------------------------------------------------------- records
+
+def one_record(indices=(0, 0), rho=np.eye(2) / 2, p=0.5):
+    """records_from_arrays of the single record (indices, rho, p)."""
+    return records_from_arrays([indices], [rho], [p])
+
 
 def test_record_validation():
     with pytest.raises(ValueError, match="bad-dims"):
-        TomoRecord((0, 99), np.eye(2) / 2, 0.5)
+        one_record(indices=(0, 99))
     with pytest.raises(ValueError, match="bad-probability"):
-        TomoRecord((0, 0), np.eye(2) / 2, 1.5)
+        one_record(p=1.5)
     with pytest.raises(ValueError, match="not-psd"):
-        TomoRecord((0, 0), np.diag([1.0, -0.4]), 0.5)
+        one_record(rho=np.diag([1.0, -0.4]))
+    # a stack is checked as a whole: the first failing record is named, and
+    # an earlier check fails first wherever its record sits
+    indices, p = np.zeros((5, 2), dtype=int), np.full(5, 0.5)
+    states = np.tile(np.eye(2) / 2, (5, 1, 1))
+    states[3] = np.diag([1.0, -0.4])
+    with pytest.raises(ValueError, match="^not-psd: state of record 3 "):
+        records_from_arrays(indices, states, p)
+    p[4] = 1.5
+    with pytest.raises(ValueError, match="^bad-probability: p_joint=1.5 of record 4$"):
+        records_from_arrays(indices, states, p)
 
 
 def test_record_rejects_non_qubit_state_and_non_integer_indices():
     # either would construct, then fail in the fit or not read back from text
     with pytest.raises(ValueError, match="bad-dims"):
-        TomoRecord((0, 0), np.eye(4) / 4, 0.5)
+        one_record(rho=np.eye(4) / 4)
     for indices in ((0.5, 1), (0, 1.0), (0,), (0, 1, 2)):
         with pytest.raises(ValueError, match="bad-dims"):
-            TomoRecord(indices, np.eye(2) / 2, 0.5)
-    assert TomoRecord((np.int64(2), 3), np.eye(2) / 2, 0.5).labels == (
-        FIT_BASIS_LABELS[2], FIT_BASIS_LABELS[3])
+            one_record(indices=indices)
+    rec = one_record(indices=(np.int64(2), 3))
+    assert np.array_equal(rec.basis_indices, [[2, 3]])
+    assert records_to_text(rec).split()[:2] == [FIT_BASIS_LABELS[2], FIT_BASIS_LABELS[3]]
 
 
 def test_records_serialization_round_trip(cnot_cz_records):
@@ -169,7 +175,7 @@ def test_records_serialization_round_trip(cnot_cz_records):
     back = records_from_text(text)
     assert len(back) == len(cnot_cz_records)
     for a, b in zip(cnot_cz_records, back):
-        assert a.basis_indices == b.basis_indices
+        assert np.array_equal(a.basis_indices, b.basis_indices)
         assert a.p_joint == b.p_joint
         assert np.array_equal(a.rho_measured, b.rho_measured)
 
@@ -185,6 +191,9 @@ def test_records_text_rejects_malformed_lines(cnot_cz_records):
         "bad-record": " ".join(good[:-1]),                 # ten fields
         "bad-label": " ".join(["w+"] + good[1:]),          # unknown label
         "bad-record: non-numeric": " ".join(good[:3] + ["one"] + good[4:]),
+        "not-psd": " ".join(good[:3] + ["-0.4"] + good[4:]),           # first diagonal entry
+        "bad-probability": " ".join(good[:2] + ["1.5"] + good[3:]),
+        "non-finite": " ".join(good[:4] + ["nan"] + good[5:]),         # imaginary part of entry 0
     }
     for prefix, line in cases.items():
         with pytest.raises(ValueError, match=f"^{prefix}"):
@@ -214,7 +223,7 @@ def test_fit_kernel_dimensions(cnot_cz_fit):
 
 def test_fit_reproduces_training_records(cnot_cz_fit, cnot_cz_records):
     for rec in cnot_cz_records[::7]:
-        ops = [named_projector(l) for l in rec.labels]
+        ops = [named_projector(FIT_BASIS_LABELS[i]) for i in rec.basis_indices]
         rho, p = cnot_cz_fit.predict(ops)
         assert abs(p - rec.p_joint) < 1e-9
         if p >= P_JOINT_CUTOFF and rec.p_joint > 1e-9:
@@ -229,11 +238,14 @@ def test_grid_fit_equals_explicit_least_squares(seed, duplicates):
     rng = np.random.default_rng(seed)
     nb = len(FIT_BASIS_LABELS)
     cells = np.concatenate([np.arange(nb * nb), rng.integers(0, nb * nb, duplicates)])
-    records = []
+    indices, states, p = [], [], []
     for cell in rng.permutation(cells):
         a = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
         rho = a @ a.conj().T
-        records.append(TomoRecord((cell % nb, cell // nb), rho / np.trace(rho).real, rng.random()))
+        indices.append((cell % nb, cell // nb))
+        states.append(rho / np.trace(rho).real)
+        p.append(rng.random())
+    records = records_from_arrays(indices, states, p)
     fit = fit_restricted_tensor(records)
     design, targets, _ = _refit_problem(records)
     ref = np.linalg.lstsq(design, targets, rcond=None)[0].T
