@@ -142,7 +142,7 @@ def resolve_config(args) -> RunConfig:
     if args.config:
         values.update(_load_file(args.config))
     for key in ("process", "shots", "seed", "out", "theta_grid"):
-        flag = getattr(args, key.replace("-", "_"), None)
+        flag = getattr(args, key, None)
         if flag is not None:
             values["output_dir" if key == "out" else key] = flag
     if args.noise_gamma is not None:
@@ -211,53 +211,40 @@ def cmd_characterize_povm(cfg: RunConfig) -> int:
     digest = cfg.digest()
     shot_cfg = cfg.shot_config()
     reps = 1 if shot_cfg is None else QPT_REPETITIONS
-    rows = []
-    summary = []
-    for index, label in enumerate(OVERCOMPLETE_LABELS):
-        ideal = chi_of_operator(named_projector(label))
-        first = index * QPT_REPETITIONS
-        inputs, outputs = intervention_qpt_data(PROJECTOR_ANGLES[label], shot_cfg,
-                                                range(first, first + reps))
-        chis = chi_from_process(inputs, outputs, psd=shot_cfg is not None)
-        fids = [chi_fidelity(chi, ideal) for chi in chis]
-        rows.extend((label, rep, fid) for rep, fid in enumerate(fids))
-        write_matrix(out / f"chi_povm_{_safe_name(label)}.txt", chis[0])
-        summary.append((label, float(np.mean(fids)), float(np.std(fids))))
+    labels = OVERCOMPLETE_LABELS
+    # every projector's repetitions at once: arrays indexed [label, rep]
+    tags = QPT_REPETITIONS * np.arange(len(labels))[:, None] + np.arange(reps)
+    inputs, outputs = intervention_qpt_data([PROJECTOR_ANGLES[label] for label in labels],
+                                            shot_cfg, tags)
+    chis = chi_from_process(inputs, outputs, psd=shot_cfg is not None)
+    ideal = chi_of_operator(np.array([named_projector(label) for label in labels]))
+    fids = chi_fidelity(chis, ideal[:, None])
+    rows = [(label, rep, fid) for label, row in zip(labels, fids) for rep, fid in enumerate(row)]
+    summary = [(label, float(np.mean(row)), float(np.std(row))) for label, row in zip(labels, fids)]
+    for label, chi in zip(labels, chis[:, 0]):
+        write_matrix(out / f"chi_povm_{_safe_name(label)}.txt", chi)
     write_table(out / "povm_fidelities.csv", ["povm", "rep", "fidelity"], rows, digest)
-    write_table(
-        out / "povm_fidelity_summary.csv",
-        ["povm", "mean_fidelity", "std_fidelity"],
-        summary,
-        digest,
-    )
+    write_table(out / "povm_fidelity_summary.csv", ["povm", "mean_fidelity", "std_fidelity"],
+                summary, digest)
     return 0
 
 
 def cmd_reduced_maps(cfg: RunConfig) -> int:
     out = _ensure_outdir(cfg)
     digest = cfg.digest()
-    write_matrix(out / "chi_cz.txt", chi_of_operator(CZ))
-    write_matrix(out / "chi_cnot.txt", chi_of_operator(CNOT))
-    env_states = {
-        "e0": named_projector("z+"),
-        "e1": named_projector("z-"),
-        "eym": named_projector("y-"),
-    }
-    rows = []
-    for tag, env in env_states.items():
-        exact = reduced_map(CZ, env)
-        write_matrix(out / f"chi_reduced_cz_{tag}.txt", exact)
-        if cfg.noise is not None:
-            noisy = reduced_map(CZ, env, cfg.noise)
-            write_matrix(out / f"chi_reduced_cz_{tag}_noisy.txt", noisy)
-            rows.append((tag, chi_fidelity(noisy, exact)))
-    if rows:
-        write_table(
-            out / "reduced_map_fidelities.csv",
-            ["env_state", "fidelity_vs_exact"],
-            rows,
-            digest,
-        )
+    for name, chi in zip(("cz", "cnot"), chi_of_operator(np.array([CZ, CNOT]))):
+        write_matrix(out / f"chi_{name}.txt", chi)
+    tags = ("e0", "e1", "eym")
+    envs = np.array([named_projector(label) for label in ("z+", "z-", "y-")])
+    exact = reduced_map(CZ, envs)
+    for tag, chi in zip(tags, exact):
+        write_matrix(out / f"chi_reduced_cz_{tag}.txt", chi)
+    if cfg.noise is not None:
+        noisy = reduced_map(CZ, envs, cfg.noise)
+        for tag, chi in zip(tags, noisy):
+            write_matrix(out / f"chi_reduced_cz_{tag}_noisy.txt", chi)
+        write_table(out / "reduced_map_fidelities.csv", ["env_state", "fidelity_vs_exact"],
+                    zip(tags, chi_fidelity(noisy, exact)), digest)
     return 0
 
 
@@ -305,9 +292,7 @@ def cmd_nonmarkov(cfg: RunConfig) -> int:
     digest = cfg.digest()
     spec = cfg.spec()
     _, fit = _records_and_fit(cfg, spec)
-    thetas = cfg.theta_grid
-    if thetas is None:
-        thetas = default_theta_grid().tolist()
+    thetas = cfg.theta_grid or default_theta_grid().tolist()
     rows = []
     all_converged = _refit_converged(fit)
     for theta, res in zip(thetas, sweep_theta(fit, thetas, process=spec)):
@@ -316,12 +301,8 @@ def cmd_nonmarkov(cfg: RunConfig) -> int:
             continue
         rows.append((theta, res.n_value, res.converged, res.iterations))
         all_converged = all_converged and res.converged
-    write_table(
-        out / "nonmarkovianity.csv",
-        ["theta", "n_value", "converged", "iterations"],
-        rows,
-        digest,
-    )
+    write_table(out / "nonmarkovianity.csv", ["theta", "n_value", "converged", "iterations"],
+                rows, digest)
     return 0 if all_converged else 3
 
 
@@ -330,27 +311,13 @@ def cmd_volume(cfg: RunConfig) -> int:
     digest = cfg.digest()
     spec = cfg.spec()
     _, fit = _records_and_fit(cfg, spec)
-    thetas = (
-        cfg.theta_grid
-        if cfg.theta_grid is not None
-        else (0.0, math.pi / 4, math.pi / 2)
-    )
+    thetas = cfg.theta_grid or (0.0, math.pi / 4, math.pi / 2)
     # Every cloud is computed before any is written, so a vanishing branch
-    # leaves no partial output.
-    clouds = []
-    for theta in thetas:
-        try:
-            clouds.append(bloch_volume(fit, theta, spec))
-        except VanishingBranchError as exc:
-            raise ConfigError(f"theta {theta!r}: {exc}") from None
-    for idx, pair in enumerate(clouds):
+    # (a config error) leaves no partial output.
+    for idx, pair in enumerate(bloch_volume(fit, thetas, spec)):
         for kind, cloud in zip(("process-tensor", "markov-map"), pair):
-            write_table(
-                out / f"volume_{kind}_theta{idx}.csv",
-                ["theta_a1", "phi_a1", "bx", "by", "bz"],
-                [tuple(row) for row in cloud],
-                digest,
-            )
+            write_table(out / f"volume_{kind}_theta{idx}.csv",
+                        ["theta_a1", "phi_a1", "bx", "by", "bz"], cloud, digest)
     return 0 if _refit_converged(fit) else 3
 
 
@@ -400,7 +367,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return COMMANDS[args.command](cfg)
-    except ConfigError as exc:
+    except (ConfigError, VanishingBranchError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

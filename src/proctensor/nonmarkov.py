@@ -492,25 +492,38 @@ def sweep_theta(fit: RestrictedProcessTensor, thetas, *,
     return results
 
 
-def bloch_volume(fit: RestrictedProcessTensor, theta: float,
-                 process: ProcessSpec) -> tuple[np.ndarray, np.ndarray]:
+def bloch_volume(fit: RestrictedProcessTensor, thetas,
+                 process: ProcessSpec) -> list[tuple[np.ndarray, np.ndarray]]:
     """Accessible output states of the conditioned process tensor and of the
-    uncorrelated (memoryless) channel, as the pair (tensor, markov).
+    uncorrelated (memoryless) channel, one pair (tensor, markov) per
+    first-step angle of thetas.
 
     Samples VOLUME_SAMPLES second interventions on a Fibonacci lattice and
-    pushes the whole cloud through each description as one stack. Rows are
-    (theta_a1, phi_a1, bx, by, bz); vanishing trajectories are skipped.
+    pushes the whole cloud through each description of every angle as one
+    stack. Rows are (theta_a1, phi_a1, bx, by, bz); vanishing trajectories
+    are skipped. A vanishing first-step branch raises VanishingBranchError
+    naming the first such angle.
     """
     # Fibonacci lattice: deterministic and nearly uniform over the sphere
     i = np.arange(VOLUME_SAMPLES)
     th = np.arccos(np.clip(1.0 - (2.0 * i + 1.0) / VOLUME_SAMPLES, -1.0, 1.0))
     ph = np.fmod(math.pi * (3.0 - math.sqrt(5.0)) * i, 2 * math.pi)
     mats = projector(th, ph)
-    t1, _ = _conditioned_map(fit, theta)
-    sup, p_env = last_step_superops(process, zy_projector(theta))
-    check_branch(float(p_env))
+    thetas = np.asarray(thetas, dtype=float)
+    if thetas.ndim != 1:
+        raise ValueError(f"bad-dims: thetas must be a 1-D stack, got shape {thetas.shape}")
+    first = zy_projector(thetas)
+    t1, p_branch = _conditioned_maps(fit, first)
+    sup, p_env = last_step_superops(process, first)
+    # the fit's branch probability is checked first, then the process's
+    p = np.where(p_branch < BRANCH_CUTOFF, p_branch, p_env)
+    if (p < BRANCH_CUTOFF).any():
+        k = np.argmax(p < BRANCH_CUTOFF)  # the first vanishing angle
+        raise VanishingBranchError(f"vanishing-branch: first-step probability {p[k]:.3e} "
+                                   f"at theta {float(thetas[k])!r}")
     clouds = []
-    for out in (_push(t1, mats), unvec(vec_stack(mats) @ sup.T)):
-        states, p = normalized_psd(out, BRANCH_CUTOFF)
-        clouds.append(np.column_stack([th, ph, bloch_vector(states)])[p >= BRANCH_CUTOFF])
-    return tuple(clouds)
+    for out in (_push(t1[:, None], mats), unvec(vec_stack(mats) @ sup.swapaxes(-1, -2))):
+        states, p_out = normalized_psd(out, BRANCH_CUTOFF)
+        clouds.append([np.column_stack([th, ph, b])[keep]
+                       for b, keep in zip(bloch_vector(states), p_out >= BRANCH_CUTOFF)])
+    return list(zip(*clouds))

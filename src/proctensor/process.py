@@ -251,34 +251,37 @@ def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None) -> np.rec
     return records_from_arrays(indices, states.reshape(-1, 2, 2), p_joint.reshape(-1))
 
 
-def intervention_qpt_data(angles, cfg: ShotConfig | None = None, run_tags=(0,)):
-    """Input/output pairs characterizing the projective intervention
-    projector(theta, phi) of the Bloch angles (theta, phi).
+def intervention_qpt_data(angles, cfg: ShotConfig | None = None, run_tags=((0,),)):
+    """Input/output pairs characterizing the projective interventions
+    projector(theta, phi) of a stack (L, 2) of Bloch angles (theta, phi).
 
-    Returns (inputs (6, 2, 2), outputs (R, 6, 2, 2)), one row of outputs per
-    entry of run_tags. The six axis states are prepared exactly; the
-    intervention and the three-axis state readout are sampled when a
-    ShotConfig is given, input label l of repetition tag t drawing its counts
-    from one generator keyed on (t, the float64 angles, l, seed). Outputs
-    are subnormalized by the measured pass rate. Without a ShotConfig every
-    row is exact.
+    run_tags (L, R), or a row that broadcasts to it, tags the R repetitions
+    of each intervention. Returns (inputs (6, 2, 2), outputs (L, R, 6, 2, 2)).
+    The six axis states are prepared exactly; the intervention and the
+    three-axis state readout are sampled when a ShotConfig is given, input
+    label l of repetition tag t of angles a drawing its counts from one
+    generator keyed on (t, the float64 angles a, l, seed). Outputs are
+    subnormalized by the measured pass rate. Without a ShotConfig every
+    repetition is exact.
     """
     angles = np.asarray(angles, dtype=float)
-    op = projector(*angles)
+    if angles.ndim != 2 or angles.shape[1] != 2:
+        raise ValueError(f"bad-dims: angles must be a stack (L, 2), got shape {angles.shape}")
+    ops = projector(angles[:, 0], angles[:, 1])[:, None]
+    tags = np.broadcast_to(run_tags, (len(angles), np.shape(run_tags)[-1]))
     labels = ("x+", "x-", "y+", "y-", "z+", "z-")
     inputs = np.array([named_projector(label) for label in labels])
-    tags = list(run_tags)
+    shape = tags.shape + inputs.shape
     if cfg is None:
-        exact = np.array([op @ rin @ op.conj().T for rin in inputs])
-        return inputs, np.repeat(exact[None], len(tags), axis=0)
-    # the projected state is op itself, whatever the input
-    passed = [np.trace(op @ rin).real for rin in inputs]
-    keys = [(tag, angles, label) for tag in tags for label in labels]
-    states, p_hat = _sampled_states(np.tile(passed, len(tags)),
-                                    np.tile(_readout_probabilities(op), (len(keys), 1)),
-                                    keys, cfg)
-    outputs = p_hat[:, None, None] * states
-    return inputs, outputs.reshape(len(tags), len(labels), 2, 2)
+        exact = ops @ inputs @ ops.conj().swapaxes(-1, -2)
+        return inputs, np.broadcast_to(exact[:, None], shape).copy()
+    # the projected state is the projector itself, whatever the input
+    passed = np.trace(ops @ inputs, axis1=-2, axis2=-1).real
+    keys = [(tag, a, label) for a, row in zip(angles, tags) for tag in row for label in labels]
+    readout = np.broadcast_to(_readout_probabilities(ops)[:, None], shape[:3] + (3,))
+    states, p_hat = _sampled_states(np.broadcast_to(passed[:, None], shape[:3]).ravel(),
+                                    readout.reshape(-1, 3), keys, cfg)
+    return inputs, (p_hat[:, None, None] * states).reshape(shape)
 
 
 #: Probability below which a first-step branch or a trajectory counts as

@@ -43,7 +43,9 @@ ID2 = np.eye(2, dtype=complex)
 SX = np.array([[0, 1], [1, 0]], dtype=complex)
 SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SZ = np.array([[1, 0], [0, -1]], dtype=complex)
-PAULIS = (ID2, SX, SY, SZ)
+#: Read-only stack (4, 2, 2) of I, X, Y and Z.
+PAULIS = np.array([ID2, SX, SY, SZ])
+PAULIS.setflags(write=False)
 
 CZ = np.diag([1, 1, 1, -1]).astype(complex)
 CNOT = np.array(
@@ -150,8 +152,8 @@ def state_fidelity(rho, sigma):
 
 def bloch_vector(rho) -> np.ndarray:
     """Bloch vector (tr ρX, tr ρY, tr ρZ) of a state, or (..., 3) of a stack."""
-    a = as_square(rho, "rho", stack=True)
-    return np.einsum("...ij,kji->...k", a, np.array(PAULIS[1:])).real
+    a = as_square(rho, "rho")
+    return np.einsum("...ij,kji->...k", a, PAULIS[1:]).real
 
 
 @dataclass(frozen=True)
@@ -185,7 +187,7 @@ def apply_noise(rho, spec: NoiseSpec) -> np.ndarray:
     """Amplitude damping then dephasing, applied to each qubit independently.
 
     Takes one state or a stack (..., d, d) of states."""
-    a = as_square(rho, "rho", stack=True)
+    a = as_square(rho, "rho")
     n = qubit_count(a.shape[-1], "rho")
     ks = spec.kraus_ops()
     for q in range(n):

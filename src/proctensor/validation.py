@@ -24,13 +24,12 @@ def as_matrix(m, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def as_square(m, name: str = "matrix", stack: bool = False) -> np.ndarray:
-    """Coerce to one square complex matrix with finite entries, or with
-    stack=True to a stack (..., n, n) of them."""
+def as_square(m, name: str = "matrix") -> np.ndarray:
+    """Coerce to a stack (..., n, n) of square complex matrices with finite
+    entries; one matrix is a stack without leading axes."""
     a = as_matrix(m, name)
-    if (a.ndim != 2 and not stack) or a.shape[-1] != a.shape[-2]:
-        kind = "square matrices" if stack else "a square matrix"
-        raise ValueError(f"bad-dims: {name} must be {kind}, got shape {a.shape}")
+    if a.shape[-1] != a.shape[-2]:
+        raise ValueError(f"bad-dims: {name} must be square matrices, got shape {a.shape}")
     return a
 
 
@@ -39,7 +38,7 @@ def hermitian_part(m, name: str = "matrix") -> np.ndarray:
 
     Rejects the input if its anti-Hermitian part exceeds 1e-8 entrywise.
     """
-    a = as_square(m, name, stack=True)
+    a = as_square(m, name)
     ah = a.conj().swapaxes(-1, -2)
     asym = float(np.abs(a - ah).max(initial=0.0))
     if asym > 1e-8:
@@ -55,9 +54,9 @@ def check_two_steps(steps, name: str = "interventions"):
 
 
 def check_unitary(u, name: str = "matrix") -> np.ndarray:
-    """Coerce a square matrix that is unitary within 1e-8 entrywise."""
+    """Coerce a stack (..., n, n) of matrices that are unitary within 1e-8 entrywise."""
     a = as_square(u, name)
-    dev = float(np.abs(a.conj().T @ a - np.eye(a.shape[0])).max())
+    dev = float(np.abs(a.conj().swapaxes(-1, -2) @ a - np.eye(a.shape[-1])).max(initial=0.0))
     if dev > 1e-8:
         raise ValueError(f"not-unitary: {name} deviates from unitarity by {dev:.3e}")
     return a
@@ -65,7 +64,7 @@ def check_unitary(u, name: str = "matrix") -> np.ndarray:
 
 def check_normalized(rho, name: str = "state") -> np.ndarray:
     """Coerce a square matrix or a stack (..., n, n) whose traces are all 1 within 1e-6."""
-    a = as_square(rho, name, stack=True)
+    a = as_square(rho, name)
     tr = np.trace(a, axis1=-2, axis2=-1).real
     bad = np.abs(tr - 1.0) > 1e-6
     if bad.any():

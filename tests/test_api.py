@@ -78,6 +78,30 @@ def test_traced_tomo_predict_counts_every_prediction_layer(tmp_path):
         assert stats.get(name, {"calls": 0})["calls"] >= 1, name
 
 
+def test_traced_subcommands_call_each_layer_once(tmp_path):
+    # characterize-povm and volume stack their projectors and their angles
+    import proctensor.cli
+
+    runs = {
+        "characterize-povm": ("--shots", "100"),
+        "volume": (),
+    }
+    expected = {
+        "characterize-povm": ("process.intervention_qpt_data", "channels.chi_from_process"),
+        "volume": ("nonmarkov.bloch_volume",),
+    }
+    for command, flags in runs.items():
+        tracer = load_tracing().Tracer()
+        tracer.install()
+        try:
+            assert proctensor.cli.main([command, *flags, "--out", str(tmp_path / command)]) == 0
+        finally:
+            tracer.uninstall()
+        stats = tracer.layers(0)
+        for name in expected[command]:
+            assert stats.get(name, {"calls": 0})["calls"] == 1, (command, name)
+
+
 def test_traced_refit_objective_equals_the_fit_diagnostic():
     # the bench's fit hook iterates the records and reads each record's
     # basis_indices, p_joint and rho_measured; its objective is the refit's

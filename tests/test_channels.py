@@ -172,6 +172,17 @@ def test_chi_fidelity_bad_dims():
         chi_fidelity(np.eye(4), np.eye(16))
 
 
+def test_chi_fidelity_rejects_nonpositive_traces():
+    ideal = chi_of_operator(named_projector("z+"))
+    with pytest.raises(ValueError, match="^bad-trace"):
+        chi_fidelity(np.zeros((4, 4)), ideal)
+    with pytest.raises(ValueError, match="^bad-trace"):
+        chi_fidelity(ideal, -ideal)
+    # one vanishing member of a stack is enough
+    with pytest.raises(ValueError, match="^bad-trace"):
+        chi_fidelity(np.array([ideal, np.zeros((4, 4))]), ideal)
+
+
 def test_trace_preserving_check():
     assert chi_is_trace_preserving(chi_of_operator(ID2))
     assert not chi_is_trace_preserving(chi_of_operator(named_projector("z+")))
@@ -393,8 +404,15 @@ def test_map_to_choi_matches_unit_matrix_loops(seed):
     assert np.array_equal(map_to_choi(one, 1), loop_one_step_choi(one))
 
 
+def test_superops_of_one_or_two_qubits_only():
+    for side in (3, 9, 64):
+        for convert in (superop_to_chi, superop_to_choi):
+            with pytest.raises(ValueError, match="^bad-dims"):
+                convert(np.eye(side))
+
+
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([2, 3, 4]))
+@given(st.integers(0, 10_000), st.sampled_from([2, 4]))
 def test_superop_to_choi_matches_unit_matrix_loop(seed, d):
     s = random_complex(seed, (d * d, d * d))
     assert np.array_equal(superop_to_choi(s), loop_superop_to_choi(s))

@@ -166,7 +166,7 @@ def test_memory_measure_requires_fitted_tensor(cnot_cz_spec):
         lambda: uncorrelated_choi(unfitted, 0.3, cnot_cz_spec),
         lambda: sweep_theta(unfitted, [0.0, 0.3], process=cnot_cz_spec),
         lambda: sweep_theta(unfitted, [], process=cnot_cz_spec),
-        lambda: bloch_volume(unfitted, 0.3, cnot_cz_spec),
+        lambda: bloch_volume(unfitted, [0.3], cnot_cz_spec),
     )
     for call in calls:
         with pytest.raises(ValueError, match="^not-fitted"):
@@ -178,11 +178,21 @@ def test_vanishing_branch_error_type(cnot_cz_fit, cnot_cz_spec):
     calls = (
         lambda: condition_family(cnot_cz_fit, math.pi),
         lambda: uncorrelated_choi(cnot_cz_fit, math.pi, cnot_cz_spec),
-        lambda: bloch_volume(cnot_cz_fit, math.pi, cnot_cz_spec),
+        lambda: bloch_volume(cnot_cz_fit, [0.3, math.pi], cnot_cz_spec),
     )
     for call in calls:
         with pytest.raises(VanishingBranchError, match="^vanishing-branch: "):
             call()
+
+
+def test_bloch_volume_checks_its_angles(cnot_cz_fit, cnot_cz_spec):
+    # the first vanishing angle is named; the angles are a 1-D stack
+    thetas = np.array([0.3, math.pi, 3.14159265358979])
+    with pytest.raises(VanishingBranchError, match=r"at theta 3\.141592653589793$"):
+        bloch_volume(cnot_cz_fit, thetas, cnot_cz_spec)
+    assert bloch_volume(cnot_cz_fit, [], cnot_cz_spec) == []
+    with pytest.raises(ValueError, match="^bad-dims"):
+        bloch_volume(cnot_cz_fit, 0.3, cnot_cz_spec)
 
 
 def test_degenerate_intermediate_state_is_masked():
@@ -386,7 +396,7 @@ def test_default_grid():
 # --------------------------------------------------------------- volumes
 
 def test_volume_identity_branch(cnot_cz_fit, cnot_cz_spec):
-    _, cloud = bloch_volume(cnot_cz_fit, 0.0, cnot_cz_spec)
+    [(_, cloud)] = bloch_volume(cnot_cz_fit, [0.0], cnot_cz_spec)
     # reduced step is the identity: outputs coincide with the sampled inputs
     for theta_a1, phi_a1, bx, by, bz in cloud:
         direction = np.array(
@@ -400,19 +410,19 @@ def test_volume_identity_branch(cnot_cz_fit, cnot_cz_spec):
 
 
 def test_volume_markov_collapses_to_z_axis(cnot_cz_fit, cnot_cz_spec):
-    _, cloud = bloch_volume(cnot_cz_fit, math.pi / 2, cnot_cz_spec)
+    [(_, cloud)] = bloch_volume(cnot_cz_fit, [math.pi / 2], cnot_cz_spec)
     assert np.abs(cloud[:, 2:4]).max() < 1e-8  # bx, by vanish
 
 
 def test_volume_tensor_keeps_off_axis_structure(cnot_cz_fit, cnot_cz_spec):
-    cloud, _ = bloch_volume(cnot_cz_fit, math.pi / 2, cnot_cz_spec)
+    [(cloud, _)] = bloch_volume(cnot_cz_fit, [math.pi / 2], cnot_cz_spec)
     planar = np.hypot(cloud[:, 2], cloud[:, 3])
     assert planar.max() > 0.4
 
 
 def test_volume_deterministic(cnot_cz_fit, cnot_cz_spec):
-    a = bloch_volume(cnot_cz_fit, 0.3, cnot_cz_spec)
-    b = bloch_volume(cnot_cz_fit, 0.3, cnot_cz_spec)
+    [a] = bloch_volume(cnot_cz_fit, [0.3], cnot_cz_spec)
+    [b] = bloch_volume(cnot_cz_fit, [0.3], cnot_cz_spec)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 

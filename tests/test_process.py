@@ -364,11 +364,18 @@ def test_sampled_records_within_binomial_errors(cnot_cz_spec, cnot_cz_records, s
 
 
 def test_qpt_data_exact_mode():
+    labels = ["y-", *PROJECTOR_ANGLES]
+    inputs, outputs = intervention_qpt_data([PROJECTOR_ANGLES[label] for label in labels])
+    assert len(inputs) == 6 and outputs.shape == (len(labels), 1, 6, 2, 2)
     op = named_projector("y-")
-    inputs, outputs = intervention_qpt_data(PROJECTOR_ANGLES["y-"])
-    assert len(inputs) == len(outputs[0]) == 6
-    for rin, rout in zip(inputs, outputs[0]):
+    for rin, rout in zip(inputs, outputs[0, 0]):
         assert np.abs(op @ rin @ op - rout).max() < 1e-12
+    # each label's row of the stack is its own one-label stack, bit for bit
+    for label, row in zip(labels, outputs):
+        assert np.array_equal(row, intervention_qpt_data([PROJECTOR_ANGLES[label]])[1][0]), label
+    # the angles are a stack (L, 2), also for one projector
+    with pytest.raises(ValueError, match="^bad-dims"):
+        intervention_qpt_data(PROJECTOR_ANGLES["y-"])
 
 
 # -------------------------------------------- per-state sampling reference
@@ -445,14 +452,26 @@ def test_sampled_records_equal_per_stream_loop(make_spec, shots, seed):
         assert np.array_equal(rec.rho_measured, rho), labels
 
 
-@pytest.mark.parametrize("label", ["x+", "y-", "z+", "zy-", "xz+"])
+QPT_LABELS = ["x+", "y-", "z+", "zy-", "xz+"]
+
+
+@pytest.mark.parametrize("label", QPT_LABELS)
 def test_qpt_data_equals_per_stream_loop(label):
     angles = np.array(PROJECTOR_ANGLES[label], dtype=np.float64)
     op = projector(*angles)
     cfg = ShotConfig(shots=500, seed=4)
     tags = [0, 3, 17, 359]
-    inputs, outputs = intervention_qpt_data(PROJECTOR_ANGLES[label], cfg, tags)
+    _, [outputs] = intervention_qpt_data([PROJECTOR_ANGLES[label]], cfg, [tags])
     assert outputs.shape == (len(tags), 6, 2, 2)
+    # the label's row of a stack over every label, each with its own tags,
+    # is its own one-label stack: each stream keeps its key
+    offsets = 1000 * np.arange(len(QPT_LABELS))[:, None]
+    inputs, stacked = intervention_qpt_data([PROJECTOR_ANGLES[lbl] for lbl in QPT_LABELS], cfg,
+                                            offsets + tags)
+    assert stacked.shape == (len(QPT_LABELS), len(tags), 6, 2, 2)
+    row = QPT_LABELS.index(label)
+    _, [shifted] = intervention_qpt_data([angles], cfg, [[t + 1000 * row for t in tags]])
+    assert np.array_equal(stacked[row], shifted)
     for rep, tag in enumerate(tags):
         for k, axis_label in enumerate(("x+", "x-", "y+", "y-", "z+", "z-")):
             rin = named_projector(axis_label)
@@ -486,8 +505,8 @@ def test_stream_keys_are_sha256_of_their_parts():
 def test_qpt_data_repetitions_are_independent_streams():
     cfg = ShotConfig(shots=500, seed=4)
     angles = PROJECTOR_ANGLES["x+"]
-    _, both = intervention_qpt_data(angles, cfg, [5, 6])
-    _, alone = intervention_qpt_data(angles, cfg, [6])
+    _, [both] = intervention_qpt_data([angles], cfg, [[5, 6]])
+    _, [alone] = intervention_qpt_data([angles], cfg, [[6]])
     assert np.array_equal(both[1], alone[0])
     assert not np.array_equal(both[0], both[1])
 

@@ -16,8 +16,12 @@ from hypothesis import strategies as st
 from oracles import apply_chi, mat_sqrt_psd, partial_trace, reduced_step_maps
 from proctensor.channels import (
     action_superop,
+    chi_fidelity,
+    chi_of_operator,
     map_to_choi,
+    reduced_map,
     reduced_superop,
+    superop_to_chi,
     superop_to_choi,
 )
 from proctensor.cli import main
@@ -272,11 +276,20 @@ def test_choi_reshuffles_and_kron_of_stacks_are_per_matrix(seed, count):
 
     maps, sups = complex_normal(count, 4, 16), complex_normal(count, 4, 4)
     a, b = complex_normal(count, 4, 4), complex_normal(count, 2, 2)
+    # chi matrices of operators have positive traces, as chi_fidelity asks
+    chi_a, chi_b = chi_of_operator(a), chi_of_operator(b)
+    fid = chi_fidelity(chi_b, chi_b[::-1])
     for i in range(count):
+        one = slice(i, i + 1)
         assert np.array_equal(map_to_choi(maps, 1)[i], map_to_choi(maps[i], 1))
         assert np.array_equal(superop_to_choi(sups)[i], superop_to_choi(sups[i]))
         assert np.array_equal(kron_stack(a, b)[i], np.kron(a[i], b[i]))
         assert np.array_equal(kron_stack(a[i], b)[i], np.kron(a[i], b[i]))
+        assert np.array_equal(chi_a[i], chi_of_operator(a[one])[0])
+        assert np.array_equal(chi_b[i], chi_of_operator(b[one])[0])
+        assert np.array_equal(superop_to_chi(sups)[i], superop_to_chi(sups[one])[0])
+        assert np.array_equal(superop_to_chi(a)[i], superop_to_chi(a[one])[0])
+        assert fid[i] == chi_fidelity(chi_b[one], chi_b[::-1][one])[0]
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -287,11 +300,14 @@ def test_env_marginals_and_reduced_channels_of_stacks_are_per_angle(noisy):
     env, p = first_step_env_marginals(spec, mats)
     sups, p_sups = last_step_superops(spec, mats)
     assert np.array_equal(p_sups, p)
+    chis = reduced_map(spec.interactions[1], env, spec.noise)
     for i, theta in enumerate(thetas):
         lone_env, lone_p = first_step_env_marginals(spec, zy_projector(theta))
         assert np.array_equal(env[i], lone_env) and p[i] == lone_p
         assert np.array_equal(sups[i], reduced_superop(spec.interactions[1], lone_env,
                                                        spec.noise))
+        assert np.array_equal(chis[i], reduced_map(spec.interactions[1], env[i:i + 1],
+                                                   spec.noise)[0])
 
 
 def test_herm_basis_keeps_the_loop_order():
@@ -339,13 +355,18 @@ def ref_bloch_volume(kind, fit, theta, n, process):
 @pytest.mark.parametrize("noisy", [False, True])
 @pytest.mark.parametrize("kind", ["process-tensor", "markov-map"])
 def test_bloch_volume_matches_per_sample_loop(kind, noisy):
-    # one call gives both clouds, the tensor's first
+    # one call gives both clouds of every angle, the tensor's first
     spec = PROCESS_NAMES["cnot-cz"](NOISE if noisy else None)
     fit = fit_restricted_tensor(generate_records(spec))
-    for theta in (0.0, math.pi / 4, math.pi / 2):
-        clouds = bloch_volume(fit, theta, spec)
+    thetas = (0.0, math.pi / 4, math.pi / 2, 0.3, 2.9)
+    stacked = bloch_volume(fit, thetas, spec)
+    assert len(stacked) == len(thetas)
+    for theta, clouds in zip(thetas, stacked):
         assert len(clouds) == 2
         cloud = clouds[("process-tensor", "markov-map").index(kind)]
         ref = ref_bloch_volume(kind, fit, theta, 200, spec)
         assert cloud.shape == ref.shape
         assert np.abs(cloud - ref).max() <= 1e-12
+        # an angle alone gives the bits of its row in the stack
+        [alone] = bloch_volume(fit, [theta], spec)
+        assert all(np.array_equal(a, b) for a, b in zip(alone, clouds)), theta

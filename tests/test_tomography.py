@@ -118,7 +118,7 @@ def test_stacked_qst_checks_every_row():
 # ------------------------------------------------------------------ QPT
 
 def test_qpt_identity_process():
-    inputs, _ = intervention_qpt_data(PROJECTOR_ANGLES["z+"])
+    inputs, _ = intervention_qpt_data([PROJECTOR_ANGLES["z+"]])
     # replace with identity-process data
     chi = chi_from_process(inputs, inputs[None])[0]
     expected = np.zeros((4, 4))
@@ -127,8 +127,8 @@ def test_qpt_identity_process():
 
 
 def test_qpt_ideal_y_minus():
-    inputs, outputs = intervention_qpt_data(PROJECTOR_ANGLES["y-"])
-    chi = chi_from_process(inputs, outputs)[0]
+    inputs, outputs = intervention_qpt_data([PROJECTOR_ANGLES["y-"]])
+    chi = chi_from_process(inputs, outputs)[0, 0]
     assert np.abs(chi - chi_of_operator(named_projector("y-"))).max() < 1e-10
 
 
