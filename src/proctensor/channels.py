@@ -169,12 +169,17 @@ def chi_from_process(prepared_inputs, measured_outputs, psd: bool = False) -> np
 
 def chi_fidelity(chi, chi_ideal) -> np.ndarray:
     """Tr[chi_ideal chi] with both matrices normalized to unit trace; stacks
-    (..., n, n) broadcast. A trace <= 0 raises "bad-trace"."""
+    (..., n, n) broadcast. Stacks whose leading axes do not broadcast raise
+    "bad-dims", a trace <= 0 "bad-trace"."""
     # in C order each trace sums its diagonal as one matrix's trace does
     a = np.ascontiguousarray(as_square(chi, "chi"))
     b = np.ascontiguousarray(as_square(chi_ideal, "chi_ideal"))
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"bad-dims: shapes {a.shape} and {b.shape} differ")
+    try:
+        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
+    except ValueError:
+        raise ValueError(f"bad-dims: stacks {a.shape} and {b.shape} do not broadcast") from None
     ta = np.trace(a, axis1=-2, axis2=-1).real
     tb = np.trace(b, axis1=-2, axis2=-1).real
     if not ((ta > 0).all() and (tb > 0).all()):

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -150,22 +150,21 @@ def markov_predict(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     return normalized_psd(rho, P_JOINT_CUTOFF)
 
 
-def _derived_rng(seed: int, *parts) -> np.random.Generator:
-    """Deterministic generator keyed by the seed and a tuple of task parts.
+def _stream_digest(seed: int, parts) -> bytes:
+    """SHA-256 digest that keys one stream: the seed's 8 unsigned
+    little-endian bytes, then each part's bytes in order.
 
     An array is hashed as its own bytes (float angles as their IEEE-754
-    bytes), a string as UTF-8 and an integer as 8 signed little-endian
-    bytes, after the seed's 8 unsigned ones; every key maps to a stable,
-    independent stream. generate_records keys on the complex128 |00⟩ state
-    _GROUND2, the float64 angles (θ, φ) of each step and the seed, not on
-    the interactions or the noise, so processes that differ only there
-    (cnot-cz and cz-cnot) draw their counts from the same generators. The
-    state stays in the key, although every process starts from it, because
-    its bytes are part of every stream drawn so far: dropping it would
-    change every sampled output.
+    bytes), a string as UTF-8 and an integer as 8 signed little-endian bytes;
+    every key maps to a stable, independent stream. generate_records keys on
+    the complex128 |00⟩ state _GROUND2, the float64 angles (θ, φ) of each
+    step and the seed, not on the interactions or the noise, so processes
+    that differ only there (cnot-cz and cz-cnot) draw their counts from the
+    same streams. The state stays in the key, although every process starts
+    from it, because its bytes are part of every stream drawn so far:
+    dropping it would change every sampled output.
     """
-    h = hashlib.sha256()
-    h.update(int(seed).to_bytes(8, "little", signed=False))
+    h = hashlib.sha256(int(seed).to_bytes(8, "little", signed=False))
     for part in parts:
         if isinstance(part, np.ndarray):
             h.update(np.ascontiguousarray(part).tobytes())
@@ -173,8 +172,81 @@ def _derived_rng(seed: int, *parts) -> np.random.Generator:
             h.update(part.encode())
         else:
             h.update(int(part).to_bytes(8, "little", signed=True))
-    # the digest's eight little-endian 32-bit words are the seed entropy
-    return np.random.default_rng(np.frombuffer(h.digest(), dtype="<u4"))
+    return h.digest()
+
+
+def _hash_steps(init: int, mult: int, n: int) -> list[tuple[np.uint32, np.uint32]]:
+    """(xor, multiplier) constants of n successive SeedSequence hash steps:
+    each step xors with the running constant, then multiplies by its next
+    value, so the constants do not depend on the data."""
+    steps = []
+    for _ in range(n):
+        steps.append((np.uint32(init), np.uint32(init * mult & 0xFFFFFFFF)))
+        init = int(steps[-1][1])
+    return steps
+
+
+# numpy's SeedSequence (NEP 19) with its pool of four words, fed eight words:
+# 4 + 12 + 16 mixing hashes, then 8 output hashes; and PCG64's 128-bit LCG
+_MIX_HASHES = _hash_steps(0x43B0D7E5, 0x931E8875, 32)
+_OUT_HASHES = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
+_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _pcg64_states(words) -> Iterator[dict]:
+    """bit_generator.state of np.random.default_rng(row) for each row of
+    words (N, 8) uint32, in order; SeedSequence runs for all rows at once.
+
+    default_rng seeds PCG64 from SeedSequence(row).generate_state(4, uint64)
+    = (s0, s1, s2, s3): inc = (s2‖s3)·2 + 1 and state = ((inc + (s0‖s1))·M +
+    inc), both mod 2¹²⁸. numpy fixes both algorithms (NEP 19; O'Neill, "PCG",
+    2014), so the states are those of every numpy version. SeedSequence's
+    uint32 arithmetic runs on uint32 arrays, one column per word, whose
+    arithmetic wraps modulo 2³² and never warns under either numpy casting
+    rule; the 128-bit step runs on Python integers.
+    """
+    hashes = iter(_MIX_HASHES)
+
+    def hashmix(value):
+        xor, mult = next(hashes)
+        value = (value ^ xor) * mult
+        return value ^ (value >> np.uint32(16))
+
+    def mix(x, y):
+        value = x * _MIX_L - y * _MIX_R
+        return value ^ (value >> np.uint32(16))
+
+    columns = np.asarray(words, dtype=np.uint32).T
+    pool = [hashmix(word) for word in columns[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in columns[4:]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    out = []
+    for k, (xor, mult) in enumerate(_OUT_HASHES):
+        value = (pool[k % 4] ^ xor) * mult
+        out.append(value ^ (value >> np.uint32(16)))
+    # generate_state(4, uint64) pairs the eight words little-endian
+    out = np.array(out, dtype=np.uint64)
+    seeds = (out[0::2] | out[1::2] << np.uint64(32)).T
+    # one row at a time, so that no list of N states is held
+    for s0, s1, s2, s3 in map(np.ndarray.tolist, seeds):
+        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
+        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
+        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
+               "has_uint32": 0, "uinteger": 0}
+
+
+def _stream_states(seed: int, keys) -> Iterator[dict]:
+    """PCG64 state of each key's stream: that of np.random.default_rng seeded
+    with the eight little-endian 32-bit words of _stream_digest(seed, key)."""
+    digests = b"".join(_stream_digest(seed, key) for key in keys)
+    return _pcg64_states(np.frombuffer(digests, dtype="<u4").reshape(-1, 8))
 
 
 def _staged_counts(passed: float, readout, cfg: ShotConfig, rng: np.random.Generator):
@@ -183,11 +255,12 @@ def _staged_counts(passed: float, readout, cfg: ShotConfig, rng: np.random.Gener
     A shot is post-selected with probability passed and then reads "+" on
     axis a with probability readout[a], so total_a ~ Bin(shots, passed) and
     npass_a ~ Bin(total_a, readout[a]). All totals are drawn before the
-    passes. Returns the lists (npass, total).
+    passes, in one call, which draws what one call per axis would. Returns
+    the lists (npass, total).
     """
+    total = rng.binomial(cfg.shots, passed, len(readout)).tolist()
     # scalar draws give the numbers rng.binomial gives on whole arrays, without
     # the checks numpy makes on array arguments, which cost more than the draws
-    total = [rng.binomial(cfg.shots, passed) for _ in readout]
     return [rng.binomial(n, q) for n, q in zip(total, readout)], total
 
 
@@ -205,18 +278,27 @@ def _sampled_states(passed, readout, keys, cfg: ShotConfig):
 
     passed (N,) holds each item's post-selection probability and readout
     (N, 3) its "+" probability on each of _QST_READOUTS; both are clipped to
-    [0, 1]. All counts of item i come from one generator,
-    _derived_rng(cfg.seed, *keys[i]), whatever items are drawn with it.
-    Returns (states (N, 2, 2), p_joint (N,)), with p_joint the mean
-    post-selection rate over the three axes and the maximally mixed state
-    for items that some axis never post-selects.
+    [0, 1]. All counts of item i come from one stream, whatever items are
+    drawn with it: that of np.random.default_rng seeded with the SHA-256
+    digest of (cfg.seed, keys[i]). _stream_states derives the PCG64 states
+    of all N streams in one pass of SeedSequence's mixing and PCG64's
+    seeding, which numpy fixes, so they do not depend on its version. One
+    reused generator draws each item's counts from its state, as a fresh one
+    would: numpy's binomial caches only a setup computed from (n, p), and
+    each state resets has_uint32. Returns (states (N, 2, 2), p_joint (N,)),
+    with p_joint the mean post-selection rate over the three axes and the
+    maximally mixed state for items that some axis never post-selects.
     """
     passed = np.clip(passed, 0.0, 1.0).tolist()
     readout = np.clip(readout, 0.0, 1.0).tolist()
-    counts = np.array([
-        _staged_counts(p, q, cfg, _derived_rng(cfg.seed, *key))
-        for p, q, key in zip(passed, readout, keys)
-    ]).reshape(len(keys), 2, len(QST_AXES))
+    rng = np.random.Generator(np.random.PCG64())
+    bits = rng.bit_generator
+    counts = []
+    for p, q, state in zip(passed, readout, _stream_states(cfg.seed, keys)):
+        bits.state = state
+        npass, total = _staged_counts(p, q, cfg, rng)
+        counts += npass + total
+    counts = np.array(counts).reshape(len(keys), 2, len(QST_AXES))
     npass, total = counts[:, 0], counts[:, 1]
     rates = total / cfg.shots
     plus = npass / np.maximum(total, 1)
@@ -236,7 +318,7 @@ def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None) -> np.rec
     are exact contraction results; with one, each exact record is seen
     through three-axis tomography of cfg.shots shots per axis, the
     post-selection rate standing in for the joint probability. The counts of
-    each record come from one generator keyed on (|00⟩, the float64 angles
+    each record come from one stream keyed on (|00⟩, the float64 angles
     (θ, φ) of each step, seed).
     """
     nb = len(FIT_BASIS)
@@ -255,20 +337,26 @@ def intervention_qpt_data(angles, cfg: ShotConfig | None = None, run_tags=((0,),
     """Input/output pairs characterizing the projective interventions
     projector(theta, phi) of a stack (L, 2) of Bloch angles (theta, phi).
 
-    run_tags (L, R), or a row that broadcasts to it, tags the R repetitions
-    of each intervention. Returns (inputs (6, 2, 2), outputs (L, R, 6, 2, 2)).
-    The six axis states are prepared exactly; the intervention and the
-    three-axis state readout are sampled when a ShotConfig is given, input
-    label l of repetition tag t of angles a drawing its counts from one
-    generator keyed on (t, the float64 angles a, l, seed). Outputs are
-    subnormalized by the measured pass rate. Without a ShotConfig every
-    repetition is exact.
+    run_tags, int64 integers (L, R) or a row (R,) that broadcasts to it,
+    tags the R repetitions of each intervention; other tags raise
+    "bad-dims". Returns (inputs (6, 2, 2), outputs (L, R, 6, 2, 2)). The six
+    axis states are prepared exactly; the intervention and the three-axis
+    state readout are sampled when a ShotConfig is given, input label l of
+    repetition tag t of angles a drawing its counts from one stream keyed on
+    (t, the float64 angles a, l, seed). Outputs are subnormalized by the
+    measured pass rate. Without a ShotConfig every repetition is exact.
     """
     angles = np.asarray(angles, dtype=float)
     if angles.ndim != 2 or angles.shape[1] != 2:
         raise ValueError(f"bad-dims: angles must be a stack (L, 2), got shape {angles.shape}")
+    tags = np.asarray(run_tags)
+    # a tag keys its streams as 8 signed bytes
+    if (tags.dtype.kind not in "iu" or not np.can_cast(tags.dtype, np.int64)
+            or not (tags.ndim == 1 or tags.ndim == 2 and tags.shape[0] in (1, len(angles)))):
+        raise ValueError(f"bad-dims: run_tags must be int64 integers (L, R) or a row (R,) for "
+                         f"{len(angles)} angles, got {tags.dtype} of shape {tags.shape}")
+    tags = np.broadcast_to(tags, (len(angles), tags.shape[-1]))
     ops = projector(angles[:, 0], angles[:, 1])[:, None]
-    tags = np.broadcast_to(run_tags, (len(angles), np.shape(run_tags)[-1]))
     labels = ("x+", "x-", "y+", "y-", "z+", "z-")
     inputs = np.array([named_projector(label) for label in labels])
     shape = tags.shape + inputs.shape

@@ -5,7 +5,9 @@ stacked, or not at all. Each stays here as an independent oracle, with the
 arithmetic and checks it had in the package, and its own tests pin it.
 """
 
+import hashlib
 import math
+import struct
 
 import numpy as np
 
@@ -132,3 +134,25 @@ def chi_is_trace_preserving(chi, tol: float = 1e-6) -> bool:
 def reduced_step_maps(spec) -> list[np.ndarray]:
     """Per-step reduced chi matrices conditioned on the environment staying in |0⟩."""
     return [superop_to_chi(sup) for sup in _step_superops(spec)]
+
+
+# ------------------------------------------------------------- sample streams
+
+def derived_rng(seed: int, *parts) -> np.random.Generator:
+    """A fresh generator for one keyed stream.
+
+    Key: SHA-256 of the seed's 8 unsigned little-endian bytes, then each
+    part's bytes in order (an array's own bytes, a string's UTF-8, an
+    integer's 8 signed little-endian bytes). Seed: np.random.default_rng fed
+    the digest's eight little-endian 32-bit words, through its own
+    SeedSequence.
+    """
+    h = hashlib.sha256(struct.pack("<Q", seed))
+    for part in parts:
+        if isinstance(part, np.ndarray):
+            h.update(part.tobytes())
+        elif isinstance(part, str):
+            h.update(part.encode())
+        else:
+            h.update(struct.pack("<q", part))
+    return np.random.default_rng(list(struct.unpack("<8I", h.digest())))

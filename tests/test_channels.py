@@ -183,6 +183,12 @@ def test_chi_fidelity_rejects_nonpositive_traces():
         chi_fidelity(np.array([ideal, np.zeros((4, 4))]), ideal)
 
 
+def test_chi_fidelity_rejects_stacks_that_do_not_broadcast():
+    chi = chi_of_operator(named_projector("z+"))
+    with pytest.raises(ValueError, match="^bad-dims"):
+        chi_fidelity(np.array([chi, chi]), np.array([chi, chi, chi]))
+
+
 def test_trace_preserving_check():
     assert chi_is_trace_preserving(chi_of_operator(ID2))
     assert not chi_is_trace_preserving(chi_of_operator(named_projector("z+")))

@@ -7,15 +7,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import antipode, partial_trace, reduced_step_maps
+from oracles import antipode, derived_rng, partial_trace, reduced_step_maps
 from proctensor.process import (
     MAX_SHOTS,
     ProcessSpec,
     ShotConfig,
     _GROUND2,
-    _derived_rng,
+    _pcg64_states,
     _sampled_states,
     _staged_counts,
+    _stream_states,
     cnot_cz_process,
     cz_cnot_process,
     first_step_env_marginals,
@@ -271,7 +272,7 @@ def test_staged_counts_follow_the_staged_bernoulli_law():
     cfg = ShotConfig(shots=n)
     for case, (big_p, readout) in enumerate(LAW_CASES):
         counts = np.array([
-            _staged_counts(big_p, readout, cfg, _derived_rng(seed, "law", case))
+            _staged_counts(big_p, readout, cfg, derived_rng(seed, "law", case))
             for seed in range(draws)
         ])  # (draws, 2, axes)
         npass, total = counts[:, 0].astype(float), counts[:, 1].astype(float)
@@ -297,7 +298,7 @@ def test_staged_counts_follow_the_staged_bernoulli_law():
        st.lists(st.floats(0.0, 1.0), min_size=1, max_size=3), st.integers(0, 2**64 - 1))
 def test_staged_counts_properties(shots, passed, readout, seed):
     cfg = ShotConfig(shots=shots, seed=seed)
-    rng = _derived_rng(seed, "properties")
+    rng = derived_rng(seed, "properties")
     npass, total = _staged_counts(passed, readout, cfg, rng)
     assert all(0 <= k <= t <= shots for k, t in zip(npass, total))
     # a blocked post-selection stops every shot; certain stages keep all
@@ -378,6 +379,22 @@ def test_qpt_data_exact_mode():
         intervention_qpt_data(PROJECTOR_ANGLES["y-"])
 
 
+def test_qpt_data_rejects_tags_that_do_not_broadcast():
+    # a (2, 2) tag stack cannot tag one projector's repetitions
+    cfg = ShotConfig(shots=100, seed=1)
+    for tags in ([[0, 1], [2, 3]], [[[0, 1]]], 7):
+        with pytest.raises(ValueError, match="^bad-dims"):
+            intervention_qpt_data([PROJECTOR_ANGLES["x+"]], cfg, tags)
+
+
+def test_qpt_data_rejects_tags_that_are_not_integers():
+    # a tag of 0.5 would key the stream of tag 0
+    cfg = ShotConfig(shots=100, seed=1)
+    for tags in ([[0.5]], [[True]], np.array([[2**63]], dtype=np.uint64)):
+        with pytest.raises(ValueError, match="^bad-dims"):
+            intervention_qpt_data([PROJECTOR_ANGLES["x+"]], cfg, tags)
+
+
 # -------------------------------------------- per-state sampling reference
 
 def loop_exact_record(spec, ops):
@@ -411,19 +428,30 @@ SPECS = [
 ]
 
 
+def loop_counts(passed, readout, cfg, rng_parts):
+    """Counts (npass, total) of one state from a fresh generator of its
+    stream: the three axes' totals, then their passes, as whole-array
+    binomials."""
+    rng = derived_rng(cfg.seed, *rng_parts)
+    total = rng.binomial(cfg.shots, np.full(len(readout), clipped(passed)))
+    return rng.binomial(total, [clipped(q) for q in readout]), total
+
+
 def loop_sampled_state(passed, readout_fn, cfg, rng_parts):
     """Three-axis QST of one state, drawn on its own.
 
     passed is the state's post-selection probability and readout_fn gives
-    its "+" probability for a readout projector. The state's generator draws
-    the three axes' totals, then their passes, as whole-array binomials; the
-    stacked sampler must give the same bytes.
+    its "+" probability for a readout projector. The counts are loop_counts;
+    the stacked sampler must give the same bytes.
     """
-    readout = [clipped(readout_fn(named_projector(axis + "+"))) for axis in QST_AXES]
-    rng = _derived_rng(cfg.seed, *rng_parts)
-    total = rng.binomial(cfg.shots, np.full(len(QST_AXES), clipped(passed)))
-    npass = rng.binomial(total, readout)
-    totals = [int(t) / cfg.shots for t in total]
+    readout = [readout_fn(named_projector(axis + "+")) for axis in QST_AXES]
+    return state_from_counts(*loop_counts(passed, readout, cfg, rng_parts), cfg.shots)
+
+
+def state_from_counts(npass, total, shots):
+    """(state, p_joint) of one state's counts: three-axis QST of the pass
+    ratios, with the mean post-selection rate."""
+    totals = [int(t) / shots for t in total]
     p_joint = float(np.mean(totals))
     if min(totals) <= 0.0:
         return ID2 / 2, p_joint
@@ -484,7 +512,7 @@ def test_qpt_data_equals_per_stream_loop(label):
 
 
 def test_stream_keys_are_sha256_of_their_parts():
-    # the key format, pinned apart from numpy's generators: SHA-256 of the
+    # the key format, pinned apart from the package's key code: SHA-256 of the
     # seed's 8 unsigned little-endian bytes, then each part's bytes in order,
     # the digest's eight little-endian 32-bit words seeding default_rng
     def expected(seed, *blobs):
@@ -494,12 +522,52 @@ def test_stream_keys_are_sha256_of_their_parts():
     seed = 2**64 - 5
     a_i, a_j = (np.array(PROJECTOR_ANGLES[label], dtype=np.float64) for label in ("xz+", "y-"))
     ground = struct.pack("<32d", 1.0, *[0.0] * 31)  # complex128 |00><00|, row-major
-    record = _derived_rng(seed, _GROUND2, a_i, a_j).bit_generator.state
+    record, qpt = _stream_states(seed, [(_GROUND2, a_i, a_j), (359, a_j, "z-")])
     assert record == expected(seed, ground, struct.pack("<2d", math.pi / 4, 0.0),
                               struct.pack("<2d", math.pi / 2, -math.pi / 2))
-    qpt = _derived_rng(seed, 359, a_j, "z-").bit_generator.state
     assert qpt == expected(seed, (359).to_bytes(8, "little", signed=True),
                            struct.pack("<2d", math.pi / 2, -math.pi / 2), b"z-")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=8, max_size=8),
+                min_size=1, max_size=5))
+def test_pcg64_states_equal_default_rng(rows):
+    # the states of N streams, derived at once, are those default_rng gives
+    # each row through its own SeedSequence, also for the extreme words
+    words = np.array(rows + [[0] * 8, [2**32 - 1] * 8], dtype=np.uint32)
+    states = list(_pcg64_states(words))
+    assert len(states) == len(words)
+    for row, state in zip(words, states):
+        assert state == np.random.default_rng(row).bit_generator.state, row.tolist()
+        assert list(_pcg64_states(row[None])) == [state]
+
+
+@pytest.mark.parametrize("shots", [100, 3000])
+def test_reused_generator_draws_each_streams_fresh_counts(shots):
+    # _sampled_states sets one generator to each stream's state in turn; every
+    # binomial case must draw what a fresh generator of that stream draws
+    near_one = 1 - 1e-5
+    items = [
+        (0.0, [0.3, 0.6, 0.9]),  # p = 0 draws nothing
+        (1.0, [1.0, 0.0, 1.0]),  # p = 1, and p = 0 on an axis
+        (0.8, [0.7, 0.95, 0.6]),  # p > 1/2: numpy draws the complement
+        (0.005, [0.2, 0.05, 0.5]),  # n p < 30: inversion
+        (0.3, [0.4, 0.5, 0.2]),  # n p > 30 at 3000 shots: BTPE
+        (0.3, [0.4, 0.5, 0.2]),  # consecutive streams with the same (n, p)
+        (near_one, [0.5, 0.5, near_one]),  # when every shot passes, the last draw is
+        (near_one, [0.5, 0.5, near_one]),  # Bin(n, near_one), this stream's first: cached
+    ]
+    cfg = ShotConfig(shots=shots, seed=12)
+    keys = [("reuse", k) for k in range(len(items))]
+    states, p_joint = _sampled_states(np.array([p for p, _ in items]),
+                                      np.array([q for _, q in items]), keys, cfg)
+    fresh = [loop_counts(p, q, cfg, key) for (p, q), key in zip(items, keys)]
+    # the cached setup is reached: all shots pass on the last axis before it
+    assert fresh[-2][1][-1] == shots
+    for k, (npass, total) in enumerate(fresh):
+        rho, p_hat = state_from_counts(npass, total, shots)
+        assert p_joint[k] == p_hat and np.array_equal(states[k], rho), items[k]
 
 
 def test_qpt_data_repetitions_are_independent_streams():
