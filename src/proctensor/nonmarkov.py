@@ -11,12 +11,17 @@ The relative entropy is finite only for members inside the support of the
 reference, a linear condition on the family coefficients. The minimiser
 solves it first, in the least-squares sense, and works on that support from
 then on. A sweep stacks its angles, and each step runs once on the stack.
-Records without noise pin every coefficient, so N is a single evaluation.
-Records with local noise leave a few coefficients, and damped Newton on the
+One stacked QR factors the condition of every point; where its triangular
+factor proves the condition well posed (singular values within a factor
+1e10, the rule that decides which directions are free), that QR solves it.
+Records without noise pin every coefficient this way, so N is a single
+evaluation. Records with local noise leave a few coefficients: their points
+take a thin SVD, which names the free directions, and damped Newton on the
 Lagrange dual of the convex problem finds the minimum. Sampled records leave
 the least-squares member partly outside the support, and it is compressed
-onto it. Only numpy is needed. relative_entropy and the final N share one
-floored-entropy evaluation.
+onto it. One eigendecomposition of each final member gives its smallest
+eigenvalue, its PSD projection and N. Only numpy is needed. relative_entropy
+and the final N share one floored-entropy evaluation.
 
 The entry points take a fitted RestrictedProcessTensor; contracting an
 unfitted one raises "not-fitted".
@@ -255,13 +260,12 @@ def _reference_spectrum(refn: np.ndarray):
     return log_ref, e.eigenvalues, e.eigenvectors, e.eigenvalues >= LOG_FLOOR
 
 
-def _floored_entropy(y: np.ndarray, log_ref: np.ndarray):
-    """Floored relative entropy of the trace-normalized positive part of y,
-    or of each of a stack: from one eigh y = V diag(w) V†, with s the clipped
-    spectrum over its sum, sum s ln max(s, LOG_FLOOR) minus the cross term
-    sum s diag(V† log_ref V). Gives 1e6 where the positive part has trace
-    below 1e-9."""
-    w, v = np.linalg.eigh(y)
+def _floored_entropy(w: np.ndarray, v: np.ndarray, log_ref: np.ndarray):
+    """Floored relative entropy of the trace-normalized positive part of
+    y = V diag(w) V†, or of each of a stack, from that eigendecomposition:
+    with s the clipped spectrum over its sum, sum s ln max(s, LOG_FLOOR)
+    minus the cross term sum s diag(V† log_ref V). Gives 1e6 where the
+    positive part has trace below 1e-9."""
     q = np.clip(w, 0.0, None)
     tau = q.sum(axis=-1)
     empty = tau < 1e-9
@@ -294,7 +298,7 @@ def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:
     if weight > SUPPORT_WEIGHT_TOL:
         raise SupportMismatchError(
             f"support-mismatch: weight {weight:.3e} outside reference support")
-    return max(float(_floored_entropy(am, log_b)), 0.0)
+    return max(float(_floored_entropy(*np.linalg.eigh(am), log_b)), 0.0)
 
 
 def _restrict_to_support(base, dirs, null):
@@ -303,27 +307,57 @@ def _restrict_to_support(base, dirs, null):
 
     A PSD member Y lies in the support of the reference exactly when
     N† Y = 0, N spanning its null space (the rule relative_entropy applies
-    too). That is linear in c; one thin SVD per point gives the least-squares
-    c = c0 + K z with orthonormal K. base is a stack (T, n, n), dirs (K, n, n)
-    are shared by the points, and null (T, n, n) holds each null space
-    zero-padded to n columns, so that points of every null size share one
-    stacked SVD. Returns the members Y(c0) = base + sum c0_k dirs_k, the
-    right singular vectors vh (T, K, K) with the mask free (T, K) of the rows
-    that span K (point i keeps the directions vh[i][free[i]] @ dirs), and the
-    relative off-support residuals ||N† Y(c0)||_F / tr Y(c0).
+    too). That is linear in c, a c = -b; the least-squares solution is
+    c = c0 + K z with orthonormal K spanning the directions that a cannot
+    see, those of singular value at most 1e-10 times the largest. base is a
+    stack (T, n, n), dirs (K, n, n) are shared by the points, and null
+    (T, n, n) holds each null space zero-padded to n columns, so that points
+    of every null size share one stacked factorization.
+
+    One stacked QR of the augmented [a | b] gives R, the triangular factor
+    of a, and Q† b. Where ||R||_F ||R^-1||_F < 1e10, which bounds the ratio
+    of the largest to the smallest singular value of a, no direction is free
+    and c0 = -R^-1 Q† b. The other points (a zero column, a null space too
+    small to pin every coefficient, as with noisy records) take one stacked
+    thin SVD: c0 is the minimum-norm solution, and its right singular
+    vectors vh with the mask free of those at most 1e-10 times the largest
+    give K. Returns the members Y(c0) = base + sum c0_k dirs_k, vh (T, K, K)
+    (the identity at a point the bound clears) with free (T, K) (point i
+    keeps the directions vh[i][free[i]] @ dirs), and the relative
+    off-support residuals ||N† Y(c0)||_F / tr Y(c0).
     """
     # N† acts on the stacked real and imaginary parts [Re X; Im X] of a
     # matrix X as the real block matrix [[Re N†, -Im N†], [Im N†, Re N†]]
-    rows = 2 * base.shape[-1] ** 2
+    t, k, n = len(base), len(dirs), base.shape[-1]
     nh = null.conj().swapaxes(-1, -2)
     real_nh = np.block([[nh.real, -nh.imag], [nh.imag, nh.real]])
-    parts = np.concatenate([dirs.real, dirs.imag], axis=-2)
-    a = (real_nh[:, None] @ parts).reshape(len(base), len(dirs), rows).swapaxes(1, 2)
-    b = (real_nh @ np.concatenate([base.real, base.imag], axis=-2)).reshape(len(base), rows)
-    u, svals, vh = np.linalg.svd(a, full_matrices=False)
-    free = ~(svals > 1e-10 * svals[:, :1])
-    proj = (b[:, None] @ u)[:, 0]
-    c0 = -(np.where(free, 0.0, proj / np.where(free, 1.0, svals))[:, None] @ vh)[:, 0]
+    # the columns of the augmented [a | b], each a real (2n, n) block
+    ab = np.empty((t, k + 1, 2 * n, n))
+    np.matmul(real_nh[:, None], np.concatenate([dirs.real, dirs.imag], axis=-2), out=ab[:, :k])
+    np.matmul(real_nh, np.concatenate([base.real, base.imag], axis=-2), out=ab[:, k])
+    ab = ab.reshape(t, k + 1, 2 * n * n).swapaxes(1, 2)
+    a, b = ab[..., :k], ab[..., k]
+    r = np.linalg.qr(ab, mode="r")
+    r_a, qb = r[:, :k, :k], r[:, :k, k]
+    # a triangular R has sigma_min <= min |r_ii| and sigma_max >= max |r_ii|,
+    # so a point whose diagonal spans more than the rule fails the bound;
+    # only the others are inverted, and their pivots are nonzero
+    diag = np.abs(np.diagonal(r_a, axis1=-2, axis2=-1))
+    tried = np.flatnonzero(diag.min(axis=-1) > 1e-10 * diag.max(axis=-1))
+    r_inv = np.linalg.inv(r_a[tried])
+    ok = np.linalg.norm(r_a[tried], axis=(-2, -1)) * np.linalg.norm(r_inv, axis=(-2, -1)) < 1e10
+    proved = tried[ok]
+    c0 = np.empty((t, k))
+    c0[proved] = -(r_inv[ok] @ qb[proved][..., None])[..., 0]
+    vh = np.broadcast_to(np.eye(k), (t, k, k)).copy()
+    free = np.zeros((t, k), dtype=bool)
+    rest = np.setdiff1d(np.arange(t), proved)
+    if len(rest):
+        u, svals, vh[rest] = np.linalg.svd(a[rest], full_matrices=False)
+        free[rest] = ~(svals > 1e-10 * svals[:, :1])
+        proj = (b[rest][:, None] @ u)[:, 0]
+        c0[rest] = -(np.where(free[rest], 0.0, proj / np.where(free[rest], 1.0, svals))[:, None]
+                     @ vh[rest])[:, 0]
     members = base + np.einsum("tk,kij->tij", c0, dirs)
     resid = np.linalg.norm(nh @ members, axis=(-2, -1))
     return members, vh, free, resid / np.abs(np.trace(members, axis1=-2, axis2=-1).real)
@@ -428,7 +462,10 @@ def _minimize_stack(bases, dirs, refs) -> list[MinimizeResult]:
     """minimize_nonmarkovianity for a stack of points sharing their
     directions: bases and references (T, n, n) and directions (K, n, n).
     Every step but the Newton solve of a point with free directions runs
-    once on the whole stack."""
+    once on the whole stack: one eigh of the references, one QR of the
+    support conditions (an SVD only for the points that its bound does not
+    clear, see _restrict_to_support) and one eigh of the final members,
+    which gives min_eig, the optimizer and N."""
     refn = hermitian_part(refs, "ref")
     refn = refn / np.trace(refn, axis1=-2, axis2=-1).real[:, None, None]
     log_ref, w, v, keep = _reference_spectrum(refn)
@@ -447,9 +484,10 @@ def _minimize_stack(bases, dirs, refs) -> list[MinimizeResult]:
     support = v[compressed] * keep[compressed][:, None, :]
     support_h = support.conj().swapaxes(-1, -2)
     y[compressed] = support @ (support_h @ y[compressed] @ support) @ support_h
-    min_eig = np.linalg.eigvalsh(y).min(axis=-1)
-    optimizer = project_psd(y)
-    n_value = np.maximum(_floored_entropy(optimizer, log_ref), 0.0)
+    e = herm_eig(y)
+    min_eig = e.eigenvalues[:, -1]
+    optimizer = e.apply(lambda w: np.clip(w, 0.0, None))
+    n_value = np.maximum(_floored_entropy(e.eigenvalues, e.eigenvectors, log_ref), 0.0)
     return [
         MinimizeResult(
             n_value=float(n_value[i]),

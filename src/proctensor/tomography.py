@@ -9,6 +9,7 @@ multilinearity in the intervention expansion holds by construction.
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -144,6 +145,38 @@ _BASIS_VECS = vec_stack(action_superop(FIT_BASIS))
 _BASIS_VECS.setflags(write=False)
 
 
+class _FitBasis(NamedTuple):
+    """Constants of the linear fit that depend on the fit basis B alone.
+
+    pinv: B+ (16, 9), from one SVD of B. kernel: the (175, 256) orthonormal
+    rows that kron(B, B) annihilates, every fit's kernel_basis_. span_q:
+    (16, 9) orthonormal columns spanning the rows of B.
+    """
+
+    pinv: np.ndarray
+    kernel: np.ndarray
+    span_q: np.ndarray
+
+
+@functools.cache
+def _fit_basis() -> _FitBasis:
+    """The _FitBasis of the module-constant fit basis, computed on first use
+    and shared, read-only, by every fit."""
+    nb = len(_BASIS_VECS)
+    u, svals, vh = np.linalg.svd(_BASIS_VECS)
+    row, null = vh[:nb], vh[nb:]
+    constants = _FitBasis(
+        pinv=(row.conj().T / svals) @ u.conj().T,
+        # B annihilates conj(null), so kron(B, B) annihilates the
+        # orthonormal rows conj(kron(null, any)) and conj(kron(row, null))
+        kernel=np.concatenate([np.kron(null, vh), np.kron(row, null)]).conj(),
+        span_q=row.T,
+    )
+    for a in constants:
+        a.setflags(write=False)
+    return constants
+
+
 #: Stop of the PSD refit: projected-gradient fixed-point residual of the
 #: Choi state, relative to its norm.
 REFIT_TOL = 1e-10
@@ -213,7 +246,10 @@ class _PairGridLeastSquares:
         self.lipschitz = float(np.linalg.eigvalsh(gram)[-1])
         # A* of the coordinate (mu, cell) is sqrt(w) kron(P_mu, F_i1, F_i0),
         # P_mu = Pauli/sqrt(2) = sum_p d_p u_p u_p† and F_i = f_i f_i† the
-        # rank-1 step factors of the conjugate basis actions
+        # rank-1 step factors of the conjugate basis actions. They depend on
+        # the basis alone but are formed per refit: cached for the life of
+        # the process, they left glibc trimming the heap after every Newton
+        # step (15 times the page faults, a refit about 20% slower)
         d, u = np.linalg.eigh(np.array(PAULIS) / np.sqrt(2))
         fw, fv = np.linalg.eigh(step_choi_factor(self._bvc))
         f = fv[:, :, -1] * np.sqrt(fw[:, -1:])
@@ -368,7 +404,8 @@ class RestrictedProcessTensor:
     map_ : (4, 256) array mapping sequence vectors to vec of the
         subnormalized output state.
     kernel_basis_ : (175, 256) orthonormal rows spanning the directions left
-        unconstrained by the projective records.
+        unconstrained by the projective records; one read-only array that
+        every fit shares.
     residual_ : worst training-record residual of map_.
     choi_ : 32x32 PSD Choi state of the refined tensor (only when psd=True).
     refit_info_ : RefitInfo of the PSD refit (Newton steps, converged,
@@ -392,19 +429,14 @@ class RestrictedProcessTensor:
                 f"first {tuple(missing[0].tolist())}"
             )
         # record r's design row is kron(B[i1], B[i0]); the closed form of the
-        # class docstring needs only the SVD of B
+        # class docstring needs only B+
         bv = _BASIS_VECS
         p = records.p_joint
         targets = p[:, None] * vec_stack(records.rho_measured)
-        u, svals, vh = np.linalg.svd(bv)
-        row, null = vh[:nb], vh[nb:]
-        pinv = (row.conj().T / svals) @ u.conj().T
+        pinv = _fit_basis().pinv
         _, grid = _cell_means(cells, np.ones(len(records)), targets, nb)
         self.map_ = (pinv @ grid @ pinv.T).reshape(4, 256)
-        # B annihilates conj(null), so kron(B, B) annihilates the orthonormal
-        # rows conj(kron(null, any)) and conj(kron(row, null))
-        self.kernel_basis_ = np.concatenate([np.kron(null, vh), np.kron(row, null)]).conj()
-        self._span_q = row.T
+        self.kernel_basis_ = _fit_basis().kernel
         if self.psd:
             weights = 1.0 / np.sqrt(np.maximum(p, 0.05**2))
             self.choi_, self.refit_info_ = _psd_refit_choi(
@@ -425,7 +457,8 @@ class RestrictedProcessTensor:
     def _checked_action_vecs(self, op):
         """vec of each operation's action, checked to lie in the basis span."""
         x = vec_stack(action_matrix(op))
-        resid = np.linalg.norm(x - (x @ self._span_q.conj()) @ self._span_q.T, axis=-1)
+        span_q = _fit_basis().span_q
+        resid = np.linalg.norm(x - (x @ span_q.conj()) @ span_q.T, axis=-1)
         worst = float(np.max(resid, initial=0.0))
         if worst > SPAN_TOL:
             raise ValueError(

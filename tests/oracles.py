@@ -156,3 +156,16 @@ def derived_rng(seed: int, *parts) -> np.random.Generator:
         else:
             h.update(struct.pack("<q", part))
     return np.random.default_rng(list(struct.unpack("<8I", h.digest())))
+
+
+# ------------------------------------------------------------ fit constants
+
+def fit_basis_constants(basis_vecs):
+    """The fit's basis constants as each fit formed them, from the basis
+    action vecs B (9, 16): (B+, kernel basis, span columns)."""
+    nb = len(basis_vecs)
+    u, svals, vh = np.linalg.svd(basis_vecs)
+    row, null = vh[:nb], vh[nb:]
+    pinv = (row.conj().T / svals) @ u.conj().T
+    kernel = np.concatenate([np.kron(null, vh), np.kron(row, null)]).conj()
+    return pinv, kernel, row.T

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -18,7 +19,7 @@ from proctensor import (
     generate_records,
 )
 from proctensor.channels import action_superop
-from proctensor.linalg import project_psd, unvec, vec
+from proctensor.linalg import herm_eig, project_psd, unvec, vec
 from proctensor.nonmarkov import (
     LOG_FLOOR,
     SUPPORT_WEIGHT_TOL,
@@ -529,15 +530,17 @@ def test_floored_entropy_matches_the_three_copies(family, cnot_cz_fit, cnot_cz_s
                 c = scale * rng.normal(size=len(dirs))
                 a = project_psd(base + np.einsum("k,kij->ij", c, dirs))
                 a = a / np.trace(a).real
-                assert abs(_floored_entropy(a, log_ref)
+                assert abs(_floored_entropy(*np.linalg.eigh(a), log_ref)
                            - ref_objective_terms(a, log_ref, LOG_FLOOR)) <= 1e-14
                 assert abs(relative_entropy(a, mixed_ref)
                            - ref_relative_entropy(a, mixed_ref, LOG_FLOOR)) <= 1e-14
         res = minimize_nonmarkovianity(fam, ref)
         opt = res.optimizer / np.trace(res.optimizer).real
         assert abs(relative_entropy(opt, ref) - ref_relative_entropy(opt, ref, LOG_FLOOR)) <= 1e-14
-        # the minimiser and relative_entropy share the evaluation
-        assert relative_entropy(res.optimizer, ref) == res.n_value, theta
+        # the minimiser and relative_entropy share the evaluation; the
+        # minimiser takes the spectrum of its final member, whose positive
+        # part is the optimizer, so the two agree to rounding
+        assert abs(relative_entropy(res.optimizer, ref) - res.n_value) <= 1e-14, theta
 
 
 # ------------------------------------------------------ dual Newton
@@ -633,10 +636,11 @@ def test_noisy_minimum_is_not_beaten_by_nearby_members(noisy_cnot_cz):
 
 def test_pinned_point_evaluates_once(monkeypatch, cnot_cz_fit, cnot_cz_spec):
     # with no free direction the start is the member itself, so there is
-    # nothing to compare it with
+    # nothing to compare it with; the QR bound pins it without an SVD, and
+    # one eigh of the member gives min_eig, the optimizer and N
     from proctensor import nonmarkov
 
-    calls = {"entropy": 0, "eigvalsh": 0}
+    calls = {"entropy": 0, "eigvalsh": 0, "eigh": 0, "svd": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -648,10 +652,21 @@ def test_pinned_point_evaluates_once(monkeypatch, cnot_cz_fit, cnot_cz_spec):
     ref = uncorrelated_choi(cnot_cz_fit, math.pi / 2, cnot_cz_spec)
     monkeypatch.setattr(nonmarkov, "_floored_entropy",
                         counted("entropy", nonmarkov._floored_entropy))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted("eigvalsh", np.linalg.eigvalsh))
+    for name in ("eigvalsh", "eigh", "svd"):
+        monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
     res = minimize_nonmarkovianity(fam, ref)
     assert res.free_directions == 0
-    assert calls == {"entropy": 1, "eigvalsh": 1}
+    # one eigh of the reference, one of the final member
+    assert calls == {"entropy": 1, "eigvalsh": 0, "eigh": 2, "svd": 0}
+    monkeypatch.undo()
+    refn = ref / np.trace(ref).real
+    log_ref, _, v, keep = _reference_spectrum(refn)
+    member, _, off_support = restrict_one(fam.base, fam.directions, v * ~keep)
+    assert off_support <= SUPPORT_WEIGHT_TOL
+    e = herm_eig(member)
+    assert res.optimizer.tobytes() == e.apply(lambda w: np.clip(w, 0.0, None)).tobytes()
+    assert res.min_eig == e.eigenvalues[-1]
+    assert res.n_value == max(float(_floored_entropy(e.eigenvalues, e.eigenvectors, log_ref)), 0.0)
 
 
 # ----------------------------------------------- stacked sweep over angles
@@ -768,3 +783,60 @@ def test_restrict_to_support_ragged_null_sizes(noisy, cnot_cz_fit, cnot_cz_spec,
         assert np.abs(vh[i][free[i]].T @ vh[i][free[i]] - ref_free).max() <= 1e-12
         assert abs(off_support[i] - ref_off) <= 1e-12
     assert free.sum(axis=1).tolist() == ([0, 11, 11] if noisy else [0, 0, 0])
+
+
+def random_restriction(seed, k, points, n=4):
+    """A stack for _restrict_to_support: k orthonormal off-diagonal units of
+    _herm_basis(n) as the directions (traceless, so every member keeps the
+    trace of its base) and, per point (kind, m), a random Hermitian base
+    plus n times the identity with a null space of m columns, zero-padded:
+    the first m unit vectors ("unit"), which leave the constraint column of
+    every unit not touching them exactly zero, or random orthonormal ones."""
+    rng = np.random.default_rng(seed)
+    dirs = _herm_basis(n)[n + rng.choice(n * n - n, k, replace=False)]
+    bases, nulls = [], []
+    for kind, m in points:
+        x = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        bases.append(x + x.conj().T + n * np.eye(n))
+        q = np.eye(n, dtype=complex)
+        if kind == "random":
+            q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+        nulls.append(q * (np.arange(n) < m))
+    return np.array(bases), dirs, np.array(nulls)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 12),
+       st.lists(st.tuples(st.sampled_from(["unit", "random"]), st.integers(0, 4)),
+                min_size=1, max_size=6))
+@example(0, 6, [("unit", 1), ("random", 4), ("unit", 0), ("random", 1), ("unit", 4)])
+@example(1, 12, [("random", 1), ("unit", 2), ("random", 4)])
+def test_restrict_to_support_matches_minimum_norm_lstsq(seed, k, points):
+    # full-rank and rank-deficient points, some with exactly zero constraint
+    # columns, in one stack: the QR bound and the SVD fallback give the
+    # minimum-norm solution and the SVD rule's free directions, and a row
+    # does not depend on the points stacked with it
+    bases, dirs, nulls = random_restriction(seed, k, points)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        members, vh, free, off_support = _restrict_to_support(bases, dirs, nulls)
+        alone = [_restrict_to_support(bases[i:i + 1], dirs, nulls[i:i + 1])
+                 for i in range(len(points))]
+    for i, (kind, m) in enumerate(points):
+        for stacked, single in zip((members, vh, free, off_support), alone[i]):
+            assert stacked[i].tobytes() == single[0].tobytes(), (i, kind, m)
+        null = nulls[i][:, :m]
+        nd = np.einsum("ai,kab->kib", null.conj(), dirs)
+        nb = null.conj().T @ bases[i]
+        a = np.concatenate([nd.real, nd.imag], axis=1).reshape(k, -1).T
+        b = np.concatenate([nb.real, nb.imag]).reshape(-1)
+        ref = np.linalg.lstsq(a, -b, rcond=1e-10)[0]
+        # the directions are orthonormal, so c0 is read off the member
+        c0 = np.einsum("kab,ab->k", dirs.conj(), members[i] - bases[i]).real
+        assert np.abs(c0 - ref).max() <= 1e-12 * max(1.0, np.abs(ref).max()), (i, kind, m)
+        svals = np.linalg.svd(a, compute_uv=False) if m else np.zeros(0)
+        rank = int(np.sum(svals > 1e-10 * svals.max(initial=0.0)))
+        assert free[i].sum() == k - rank, (i, kind, m)
+        if rank < k:
+            # the free rows span the directions a cannot see
+            assert np.abs(a @ vh[i][free[i]].T).max(initial=0.0) <= 1e-12

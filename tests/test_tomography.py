@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import six_axis_probabilities
+from oracles import fit_basis_constants, six_axis_probabilities
 from proctensor.channels import (
     action_superop,
     chi_from_process,
@@ -255,6 +255,25 @@ def test_grid_fit_equals_explicit_least_squares(seed, duplicates):
     assert np.abs(kernel @ kernel.conj().T - np.eye(175)).max() < 1e-12
     assert np.abs(design @ kernel.T).max() < 1e-12
     assert abs(fit.residual_ - np.abs(design @ ref.T - targets).max()) < 1e-12
+
+
+def test_fit_basis_constants_are_shared_and_read_only(cnot_cz_spec, cnot_cz_fit, cz_cnot_fit):
+    # B+, the kernel basis and the span columns depend on the basis alone and
+    # are formed once: every fit holds the same read-only kernel basis, and
+    # each constant has the bytes the per-fit formula gives
+    from proctensor.process import generate_records
+    from proctensor.tomography import _BASIS_VECS, _fit_basis
+
+    basis = _fit_basis()
+    records = generate_records(cnot_cz_spec, ShotConfig(shots=400, seed=2))
+    for fit in (cnot_cz_fit, cz_cnot_fit, fit_restricted_tensor(records)):
+        assert fit.kernel_basis_ is basis.kernel
+    assert _fit_basis() is basis
+    for name, value, ref in zip(basis._fields, basis, fit_basis_constants(_BASIS_VECS)):
+        assert value.shape == ref.shape and value.tobytes() == ref.tobytes(), name
+        assert not value.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            value[...] = 0
 
 
 def test_predict_requires_fit():
