@@ -11,7 +11,7 @@ The relative entropy is finite only for members inside the support of the
 reference, a linear condition on the family coefficients. The minimiser
 solves it first, in the least-squares sense, and works on that support from
 then on. A sweep stacks its angles, and each step runs once on the stack.
-One stacked QR factors the condition of every point; where its triangular
+A stacked QR factors the condition of every point; where its triangular
 factor proves the condition well posed (singular values within a factor
 1e10, the rule that decides which directions are free), that QR solves it.
 Records without noise pin every coefficient this way, so N is a single
@@ -46,7 +46,7 @@ from .process import (
 )
 from .qubit import FIT_BASIS, bloch_vector, named_projector, projector, zy_projector
 from .tomography import RestrictedProcessTensor, action_matrix
-from .validation import hermitian_part
+from .validation import check_angles, hermitian_part
 
 __all__ = [
     "ChoiFamily",
@@ -176,8 +176,9 @@ def _conditioned_maps(fit: RestrictedProcessTensor, mats: np.ndarray):
 
 def _conditioned_map(fit: RestrictedProcessTensor, theta: float):
     """(normalized one-step map, branch probability) at first-step angle theta;
-    raises VanishingBranchError when the branch vanishes."""
-    t1, p_branch = _conditioned_maps(fit, zy_projector([theta]))
+    raises bad-dims unless theta is one angle, non-finite unless it is
+    finite, and VanishingBranchError when the branch vanishes."""
+    t1, p_branch = _conditioned_maps(fit, zy_projector(check_angles(theta, 0)[None]))
     return t1[0], check_branch(float(p_branch[0]))
 
 
@@ -314,16 +315,17 @@ def _restrict_to_support(base, dirs, null):
     (T, n, n) holds each null space zero-padded to n columns, so that points
     of every null size share one stacked factorization.
 
-    One stacked QR of the augmented [a | b] gives R, the triangular factor
+    A stacked QR of the augmented [a | b] gives R, the triangular factor
     of a, and Q† b. Where ||R||_F ||R^-1||_F < 1e10, which bounds the ratio
     of the largest to the smallest singular value of a, no direction is free
     and c0 = -R^-1 Q† b. The other points (a zero column, a null space too
     small to pin every coefficient, as with noisy records) take one stacked
     thin SVD: c0 is the minimum-norm solution, and its right singular
     vectors vh with the mask free of those at most 1e-10 times the largest
-    give K. Returns the members Y(c0) = base + sum c0_k dirs_k, vh (T, K, K)
-    (the identity at a point the bound clears) with free (T, K) (point i
-    keeps the directions vh[i][free[i]] @ dirs), and the relative
+    give K; a boolean mask picks those points (np.setdiff1d would import
+    numpy.ma). Returns the members Y(c0) = base + sum c0_k dirs_k, vh
+    (T, K, K) (the identity at a point the bound clears) with free (T, K)
+    (point i keeps the directions vh[i][free[i]] @ dirs), and the relative
     off-support residuals ||N† Y(c0)||_F / tr Y(c0).
     """
     # N† acts on the stacked real and imaginary parts [Re X; Im X] of a
@@ -337,7 +339,11 @@ def _restrict_to_support(base, dirs, null):
     np.matmul(real_nh, np.concatenate([base.real, base.imag], axis=-2), out=ab[:, k])
     ab = ab.reshape(t, k + 1, 2 * n * n).swapaxes(1, 2)
     a, b = ab[..., :k], ab[..., k]
-    r = np.linalg.qr(ab, mode="r")
+    # the QR in two calls: np.linalg.qr copies its input, and the stack with
+    # a whole copy outgrew twice the stack, glibc's trim threshold once the
+    # first stack is freed, so the heap was trimmed after every sweep and
+    # its pages faulted back in on the next
+    r = np.concatenate([np.linalg.qr(half, mode="r") for half in np.array_split(ab, 2)])
     r_a, qb = r[:, :k, :k], r[:, :k, k]
     # a triangular R has sigma_min <= min |r_ii| and sigma_max >= max |r_ii|,
     # so a point whose diagonal spans more than the rule fails the bound;
@@ -351,8 +357,9 @@ def _restrict_to_support(base, dirs, null):
     c0[proved] = -(r_inv[ok] @ qb[proved][..., None])[..., 0]
     vh = np.broadcast_to(np.eye(k), (t, k, k)).copy()
     free = np.zeros((t, k), dtype=bool)
-    rest = np.setdiff1d(np.arange(t), proved)
-    if len(rest):
+    rest = np.ones(t, dtype=bool)
+    rest[proved] = False
+    if rest.any():
         u, svals, vh[rest] = np.linalg.svd(a[rest], full_matrices=False)
         free[rest] = ~(svals > 1e-10 * svals[:, :1])
         proj = (b[rest][:, None] @ u)[:, 0]
@@ -462,7 +469,7 @@ def _minimize_stack(bases, dirs, refs) -> list[MinimizeResult]:
     """minimize_nonmarkovianity for a stack of points sharing their
     directions: bases and references (T, n, n) and directions (K, n, n).
     Every step but the Newton solve of a point with free directions runs
-    once on the whole stack: one eigh of the references, one QR of the
+    once on the whole stack: one eigh of the references, a QR of the
     support conditions (an SVD only for the points that its bound does not
     clear, see _restrict_to_support) and one eigh of the final members,
     which gives min_eig, the optimizer and N."""
@@ -517,9 +524,11 @@ def sweep_theta(fit: RestrictedProcessTensor, thetas, *,
     free directions (records with noise) run their own Newton solve. Returns
     one result per angle, equal to minimize_nonmarkovianity(
     condition_family(...), uncorrelated_choi(...)) at that angle, or None
-    where the first-step branch vanishes.
+    where the first-step branch vanishes. thetas must be a 1-D stack of
+    finite angles (bad-dims, non-finite); condition_family and
+    uncorrelated_choi take one finite angle.
     """
-    mats = zy_projector(thetas)
+    mats = zy_projector(check_angles(thetas, 1, "thetas"))
     t1, p_branch = _conditioned_maps(fit, mats)
     refs, tr, p_env = _references(t1, mats, process)
     live = (p_branch >= BRANCH_CUTOFF) & (tr > 0) & (p_env >= BRANCH_CUTOFF)
@@ -539,17 +548,16 @@ def bloch_volume(fit: RestrictedProcessTensor, thetas,
     Samples VOLUME_SAMPLES second interventions on a Fibonacci lattice and
     pushes the whole cloud through each description of every angle as one
     stack. Rows are (theta_a1, phi_a1, bx, by, bz); vanishing trajectories
-    are skipped. A vanishing first-step branch raises VanishingBranchError
+    are skipped. thetas must be a 1-D stack of finite angles (bad-dims,
+    non-finite). A vanishing first-step branch raises VanishingBranchError
     naming the first such angle.
     """
+    thetas = check_angles(thetas, 1, "thetas")
     # Fibonacci lattice: deterministic and nearly uniform over the sphere
     i = np.arange(VOLUME_SAMPLES)
     th = np.arccos(np.clip(1.0 - (2.0 * i + 1.0) / VOLUME_SAMPLES, -1.0, 1.0))
     ph = np.fmod(math.pi * (3.0 - math.sqrt(5.0)) * i, 2 * math.pi)
     mats = projector(th, ph)
-    thetas = np.asarray(thetas, dtype=float)
-    if thetas.ndim != 1:
-        raise ValueError(f"bad-dims: thetas must be a 1-D stack, got shape {thetas.shape}")
     first = zy_projector(thetas)
     t1, p_branch = _conditioned_maps(fit, first)
     sup, p_env = last_step_superops(process, first)

@@ -148,13 +148,12 @@ _BASIS_VECS.setflags(write=False)
 class _FitBasis(NamedTuple):
     """Constants of the linear fit that depend on the fit basis B alone.
 
-    pinv: B+ (16, 9), from one SVD of B. kernel: the (175, 256) orthonormal
-    rows that kron(B, B) annihilates, every fit's kernel_basis_. span_q:
-    (16, 9) orthonormal columns spanning the rows of B.
+    pinv: B+ (16, 9), from one SVD of B. span_q: (16, 9) orthonormal columns
+    spanning the rows of B. The directions kron(B, B) annihilates need no
+    basis (see RestrictedProcessTensor).
     """
 
     pinv: np.ndarray
-    kernel: np.ndarray
     span_q: np.ndarray
 
 
@@ -164,14 +163,8 @@ def _fit_basis() -> _FitBasis:
     and shared, read-only, by every fit."""
     nb = len(_BASIS_VECS)
     u, svals, vh = np.linalg.svd(_BASIS_VECS)
-    row, null = vh[:nb], vh[nb:]
-    constants = _FitBasis(
-        pinv=(row.conj().T / svals) @ u.conj().T,
-        # B annihilates conj(null), so kron(B, B) annihilates the
-        # orthonormal rows conj(kron(null, any)) and conj(kron(row, null))
-        kernel=np.concatenate([np.kron(null, vh), np.kron(row, null)]).conj(),
-        span_q=row.T,
-    )
+    row = vh[:nb]
+    constants = _FitBasis(pinv=(row.conj().T / svals) @ u.conj().T, span_q=row.T)
     for a in constants:
         a.setflags(write=False)
     return constants
@@ -284,16 +277,21 @@ class _PairGridLeastSquares:
 
         Entry (i, j) of A J A* is <V† A*(e_i) V, Omega o V† A*(e_j) V>. Omega
         vanishes outside the rows and columns of the positive eigenvalues, so
-        only those rows are formed, the mirrored columns counted twice.
+        only those rows are formed, the mirrored columns counted twice. They
+        are formed conjugated, conj(g_pos w) g^T, so that only g_pos is
+        copied, not all of g; x x^T multiplies the imaginary parts in pairs,
+        so H has the same bytes either way.
         """
         pos = w > 0
         omega = clip_divided_differences(w)[pos]
         omega[:, ~pos] *= 2
         g = (self._factors @ v.conj()).transpose(0, 2, 3, 1)
-        rows = (g[:, :, pos] * self._factor_weights[:, :, None]) @ g.conj().swapaxes(-1, -2)
+        rows = g[:, :, pos] * self._factor_weights[:, :, None]
+        rows = np.conjugate(rows, out=rows) @ g.swapaxes(-1, -2)
         rows *= np.sqrt(omega)
         x = rows.reshape(self.b_coords.size, -1).view(float)
-        h = sigma * (x @ x.T)
+        h = x @ x.T
+        h *= sigma
         h[np.diag_indices_from(h)] += 1
         return h
 
@@ -391,6 +389,9 @@ class RestrictedProcessTensor:
     actions of full row rank, so that solution fits each basis pair's mean
     target exactly and takes the closed form M_k = B+ G_k B+^T per output
     entry k, with B+ from one SVD of B and G_k the 9x9 grid of cell means.
+    The 175 sequence directions that kron(B, B) annihilates are left free by
+    the records; the minimum-norm solution has no component along them, and
+    no basis of them is formed.
 
     Parameters
     ----------
@@ -403,9 +404,6 @@ class RestrictedProcessTensor:
     -----------------
     map_ : (4, 256) array mapping sequence vectors to vec of the
         subnormalized output state.
-    kernel_basis_ : (175, 256) orthonormal rows spanning the directions left
-        unconstrained by the projective records; one read-only array that
-        every fit shares.
     residual_ : worst training-record residual of map_.
     choi_ : 32x32 PSD Choi state of the refined tensor (only when psd=True).
     refit_info_ : RefitInfo of the PSD refit (Newton steps, converged,
@@ -436,7 +434,6 @@ class RestrictedProcessTensor:
         pinv = _fit_basis().pinv
         _, grid = _cell_means(cells, np.ones(len(records)), targets, nb)
         self.map_ = (pinv @ grid @ pinv.T).reshape(4, 256)
-        self.kernel_basis_ = _fit_basis().kernel
         if self.psd:
             weights = 1.0 / np.sqrt(np.maximum(p, 0.05**2))
             self.choi_, self.refit_info_ = _psd_refit_choi(

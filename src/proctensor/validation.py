@@ -53,6 +53,18 @@ def check_two_steps(steps, name: str = "interventions"):
     return steps
 
 
+def check_angles(theta, ndim: int, name: str = "theta") -> np.ndarray:
+    """Coerce to one finite angle (ndim 0) or a 1-D stack of them (ndim 1),
+    checked before any trigonometric function sees it."""
+    a = np.asarray(theta, dtype=float)
+    if a.ndim != ndim:
+        shape = "one angle" if ndim == 0 else "a 1-D stack of angles"
+        raise ValueError(f"bad-dims: {name} must be {shape}, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise ValueError(f"non-finite: {name} contains NaN or Inf")
+    return a
+
+
 def check_unitary(u, name: str = "matrix") -> np.ndarray:
     """Coerce a stack (..., n, n) of matrices that are unitary within 1e-8 entrywise."""
     a = as_square(u, name)

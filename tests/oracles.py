@@ -12,7 +12,7 @@ import struct
 import numpy as np
 
 from proctensor.channels import _pauli_pairs, superop_to_chi
-from proctensor.linalg import herm_eig, vec
+from proctensor.linalg import clip_divided_differences, herm_eig, vec
 from proctensor.process import _step_superops
 from proctensor.qubit import ID2, SX, SY, named_projector
 from proctensor.validation import as_square, qubit_count
@@ -162,10 +162,27 @@ def derived_rng(seed: int, *parts) -> np.random.Generator:
 
 def fit_basis_constants(basis_vecs):
     """The fit's basis constants as each fit formed them, from the basis
-    action vecs B (9, 16): (B+, kernel basis, span columns)."""
+    action vecs B (9, 16): (B+, span columns)."""
     nb = len(basis_vecs)
     u, svals, vh = np.linalg.svd(basis_vecs)
-    row, null = vh[:nb], vh[nb:]
+    row = vh[:nb]
     pinv = (row.conj().T / svals) @ u.conj().T
-    kernel = np.concatenate([np.kron(null, vh), np.kron(row, null)]).conj()
-    return pinv, kernel, row.T
+    return pinv, row.T
+
+
+# -------------------------------------------------------------- PSD refit
+
+def newton_matrix(problem, sigma, w, v):
+    """I + sigma A J A* of a _PairGridLeastSquares problem, with the rows
+    formed unconjugated from a conjugated copy of every factor product and
+    the Gram scaled into a new array."""
+    pos = w > 0
+    omega = clip_divided_differences(w)[pos]
+    omega[:, ~pos] *= 2
+    g = (problem._factors @ v.conj()).transpose(0, 2, 3, 1)
+    rows = (g[:, :, pos] * problem._factor_weights[:, :, None]) @ g.conj().swapaxes(-1, -2)
+    rows *= np.sqrt(omega)
+    x = rows.reshape(problem.b_coords.size, -1).view(float)
+    h = sigma * (x @ x.T)
+    h[np.diag_indices_from(h)] += 1
+    return h

@@ -395,7 +395,7 @@ def test_characterize_povm_sampled_band(tmp_path):
     assert len(rep_rows) == 18 * 20
 
 
-# ------------------------------------------------------------- no scipy
+# ------------------------------------------------- no scipy, no numpy.ma
 
 _SCIPY_FREE_CALLS = (
     ("tomo-predict",),
@@ -412,19 +412,20 @@ _SCIPY_BLOCKED_SCRIPT = """
 import json, sys
 
 
-class BlockScipy:
+class Block:
     def find_spec(self, name, path=None, target=None):
-        if name == "scipy" or name.startswith("scipy."):
-            raise ImportError("scipy is blocked: " + name)
+        if name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "ma"]:
+            raise ImportError("blocked: " + name)
 
 
-sys.meta_path.insert(0, BlockScipy())
-try:
-    import scipy
-except ImportError:
-    pass
-else:
-    sys.exit("the blocker let scipy through")
+sys.meta_path.insert(0, Block())
+for name in ("scipy", "numpy.ma"):
+    try:
+        __import__(name)
+    except ImportError:
+        pass
+    else:
+        sys.exit("the blocker let " + name + " through")
 import proctensor.cli as cli
 
 calls = json.loads(sys.argv[2])
@@ -433,6 +434,8 @@ print(json.dumps([cli.main(call + ["--out", f"{sys.argv[1]}/{i}"]) for i, call i
 
 
 def test_cli_runs_without_scipy(tmp_path):
+    # scipy is optional; numpy.ma is never needed, and np.unique-based set
+    # routines such as np.setdiff1d import it on first use
     blocked, free = tmp_path / "blocked", tmp_path / "free"
     proc = subprocess.run(
         [sys.executable, "-c", _SCIPY_BLOCKED_SCRIPT, str(blocked), json.dumps(_SCIPY_FREE_CALLS)],

@@ -196,6 +196,30 @@ def test_bloch_volume_checks_its_angles(cnot_cz_fit, cnot_cz_spec):
         bloch_volume(cnot_cz_fit, 0.3, cnot_cz_spec)
 
 
+@pytest.mark.parametrize("entry", ["sweep_theta", "bloch_volume", "condition_family",
+                                   "uncorrelated_choi"])
+def test_angles_are_checked_before_any_trig(cnot_cz_fit, cnot_cz_spec, entry):
+    # sweeps and volumes take a 1-D stack of finite angles, the family and
+    # the reference one finite angle; an infinite angle must not reach cos
+    call = {
+        "sweep_theta": lambda t: sweep_theta(cnot_cz_fit, t, process=cnot_cz_spec),
+        "bloch_volume": lambda t: bloch_volume(cnot_cz_fit, t, cnot_cz_spec),
+        "condition_family": lambda t: condition_family(cnot_cz_fit, t),
+        "uncorrelated_choi": lambda t: uncorrelated_choi(cnot_cz_fit, t, cnot_cz_spec),
+    }[entry]
+    stack = entry in ("sweep_theta", "bloch_volume")
+    bad_shapes = (0.3, [[0.1, 0.2]]) if stack else ([0.1, 0.2], [[0.3]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for thetas in bad_shapes:
+            with pytest.raises(ValueError, match="^bad-dims"):
+                call(thetas)
+        for bad in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError, match="^non-finite"):
+                call([0.3, bad] if stack else bad)
+        call([0.3] if stack else 0.3)
+
+
 def test_degenerate_intermediate_state_is_masked():
     # a map without any output leaves no intermediate state: its trace is
     # reported as 0, and the stack stays finite

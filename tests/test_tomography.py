@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fit_basis_constants, six_axis_probabilities
+from oracles import fit_basis_constants, newton_matrix, six_axis_probabilities
 from proctensor.channels import (
     action_superop,
     chi_from_process,
@@ -211,16 +211,6 @@ def test_fit_training_residual(cnot_cz_fit):
     assert cnot_cz_fit.residual_ <= 1e-8
 
 
-def test_fit_kernel_dimensions(cnot_cz_fit):
-    assert cnot_cz_fit.kernel_basis_.shape == (175, 256)
-    basis = [named_projector(l) for l in FIT_BASIS_LABELS]
-    for i0 in (0, 4):
-        for i1 in (2, 8):
-            x = sequence_vector([basis[i0], basis[i1]])
-            prods = cnot_cz_fit.kernel_basis_ @ x
-            assert np.abs(prods).max() < 1e-8
-
-
 def test_fit_reproduces_training_records(cnot_cz_fit, cnot_cz_records):
     for rec in cnot_cz_records[::7]:
         ops = [named_projector(FIT_BASIS_LABELS[i]) for i in rec.basis_indices]
@@ -249,25 +239,19 @@ def test_grid_fit_equals_explicit_least_squares(seed, duplicates):
     fit = fit_restricted_tensor(records)
     design, targets, _ = _refit_problem(records)
     ref = np.linalg.lstsq(design, targets, rcond=None)[0].T
+    # lstsq's solution is the minimum-norm one
     assert np.linalg.norm(fit.map_ - ref) <= 1e-12 * np.linalg.norm(ref)
-    kernel = fit.kernel_basis_
-    assert kernel.shape == (175, 256)
-    assert np.abs(kernel @ kernel.conj().T - np.eye(175)).max() < 1e-12
-    assert np.abs(design @ kernel.T).max() < 1e-12
     assert abs(fit.residual_ - np.abs(design @ ref.T - targets).max()) < 1e-12
 
 
-def test_fit_basis_constants_are_shared_and_read_only(cnot_cz_spec, cnot_cz_fit, cz_cnot_fit):
-    # B+, the kernel basis and the span columns depend on the basis alone and
-    # are formed once: every fit holds the same read-only kernel basis, and
-    # each constant has the bytes the per-fit formula gives
+def test_fit_basis_constants_are_shared_and_read_only(cnot_cz_spec):
+    # B+ and the span columns depend on the basis alone and are formed once,
+    # read-only, with the bytes the per-fit formula gives
     from proctensor.process import generate_records
     from proctensor.tomography import _BASIS_VECS, _fit_basis
 
     basis = _fit_basis()
-    records = generate_records(cnot_cz_spec, ShotConfig(shots=400, seed=2))
-    for fit in (cnot_cz_fit, cz_cnot_fit, fit_restricted_tensor(records)):
-        assert fit.kernel_basis_ is basis.kernel
+    fit_restricted_tensor(generate_records(cnot_cz_spec, ShotConfig(shots=400, seed=2)))
     assert _fit_basis() is basis
     for name, value, ref in zip(basis._fields, basis, fit_basis_constants(_BASIS_VECS)):
         assert value.shape == ref.shape and value.tobytes() == ref.tobytes(), name
@@ -439,6 +423,39 @@ def test_refit_newton_matrix_matches_operator(cnot_cz_spec):
     for d in rng.normal(size=(3, 4, 81)):
         assert np.abs(newton @ d.reshape(-1) - apply(d).reshape(-1)).max() < 1e-12 * scale
     assert np.allclose(newton, newton.T, rtol=0, atol=1e-12 * scale)
+
+
+def test_refit_newton_matrix_keeps_its_bytes(cnot_cz_spec):
+    # the rows are formed conjugated and the Gram scaled in place; the matrix
+    # keeps the bytes of the unconjugated formula, at the refit's own points
+    # (a partial positive set) and at fully positive and fully clipped ones
+    from proctensor.process import generate_records
+    from proctensor.tomography import _BASIS_VECS, _PairGridLeastSquares
+
+    records = generate_records(cnot_cz_spec, ShotConfig(shots=400, seed=2))
+    design, targets, w = _refit_problem(records)
+    cells = np.array([i1 * 9 + i0 for i0, i1 in (r.basis_indices for r in records)])
+    problem = _PairGridLeastSquares(_BASIS_VECS, cells, w, targets)
+    y0 = map_to_choi(fit_restricted_tensor(records).map_, 2)
+    rng = np.random.default_rng(11)
+    a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
+    points = [(y0 + y0.conj().T) / 2, a @ a.conj().T, -a @ a.conj().T]
+    for sigma, y in zip((1e3, 5e3, 1e5), points):
+        vals, vecs = np.linalg.eigh(y)
+        newton = problem.newton_matrix(sigma, vals, vecs)
+        ref = newton_matrix(problem, sigma, vals, vecs)
+        assert newton.tobytes() == ref.tobytes()
+
+
+def test_refit_converges_on_high_shot_records(cnot_cz_spec):
+    # records of 3e4 shots: the refit reaches REFIT_TOL inside the step cap
+    from proctensor.process import generate_records
+    from proctensor.tomography import REFIT_TOL
+
+    records = generate_records(cnot_cz_spec, ShotConfig(shots=30_000, seed=1))
+    info = fit_restricted_tensor(records, psd=True).refit_info_
+    assert info.converged
+    assert info.optimality < REFIT_TOL
 
 
 def test_refit_step_cap_reports_unconverged(cnot_cz_spec, monkeypatch):
