@@ -339,10 +339,12 @@ def _restrict_to_support(base, dirs, null):
     np.matmul(real_nh, np.concatenate([base.real, base.imag], axis=-2), out=ab[:, k])
     ab = ab.reshape(t, k + 1, 2 * n * n).swapaxes(1, 2)
     a, b = ab[..., :k], ab[..., k]
-    # the QR in two calls: np.linalg.qr copies its input, and the stack with
-    # a whole copy outgrew twice the stack, glibc's trim threshold once the
-    # first stack is freed, so the heap was trimmed after every sweep and
-    # its pages faulted back in on the next
+    # the QR in two calls, one per half of the points, changes no byte. It is
+    # tuned to glibc's dynamic trim threshold at the default and bench grids
+    # (T = 13, 14), not required by the algorithm: np.linalg.qr copies its
+    # input, and in one call the stack and its copy outgrew the threshold, so
+    # the heap was trimmed after every sweep and its pages faulted back in on
+    # the next. At T = 60 the halves outgrow it as well
     r = np.concatenate([np.linalg.qr(half, mode="r") for half in np.array_split(ab, 2)])
     r_a, qb = r[:, :k, :k], r[:, :k, k]
     # a triangular R has sigma_min <= min |r_ii| and sigma_max >= max |r_ii|,

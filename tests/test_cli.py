@@ -411,15 +411,21 @@ _SCIPY_FREE_CALLS = (
 _SCIPY_BLOCKED_SCRIPT = """
 import json, sys
 
+import numpy
+
+# numpy 1.x imports numpy.ma with numpy itself; only a numpy that loads it
+# lazily can show whether a subcommand imports it
+blocked = ["scipy"] + (["numpy.ma"] if "numpy.ma" not in sys.modules else [])
+
 
 class Block:
     def find_spec(self, name, path=None, target=None):
-        if name.split(".")[0] == "scipy" or name.split(".")[:2] == ["numpy", "ma"]:
+        if any(name == b or name.startswith(b + ".") for b in blocked):
             raise ImportError("blocked: " + name)
 
 
 sys.meta_path.insert(0, Block())
-for name in ("scipy", "numpy.ma"):
+for name in blocked:
     try:
         __import__(name)
     except ImportError:
