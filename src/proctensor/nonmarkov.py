@@ -7,24 +7,32 @@ non-Markovianity is the minimum relative entropy between a PSD member of that
 affine family and the uncorrelated product reference, normalized per the
 first-step branch probability.
 
+Each layer takes a stack of angles and runs once on it: condition_family
+gives the families of a stack, uncorrelated_choi their references and
+minimize_nonmarkovianity one result per point; sweep_theta is the three
+composed. One rule marks a point absent (None): the fit's branch
+probability is below BRANCH_CUTOFF, or its reference is the zero matrix,
+which it is where the process's branch vanishes or the fit leaves no
+intermediate state. Only bloch_volume, which has no absent cloud, raises
+VanishingBranchError.
+
 The relative entropy is finite only for members inside the support of the
 reference, a linear condition on the family coefficients. The minimiser
 solves it first, in the least-squares sense, and works on that support from
-then on. A sweep stacks its angles, and each step runs once on the stack.
-A stacked QR factors the condition of every point; where its triangular
-factor proves the condition well posed (singular values within a factor
-1e10, the rule that decides which directions are free), that QR solves it.
-Records without noise pin every coefficient this way, so N is a single
-evaluation. Records with local noise leave a few coefficients: their points
-take a thin SVD, which names the free directions, and damped Newton on the
-Lagrange dual of the convex problem finds the minimum. Sampled records leave
-the least-squares member partly outside the support, and it is compressed
-onto it. One eigendecomposition of each final member gives its smallest
-eigenvalue, its PSD projection and N. Only numpy is needed. relative_entropy
-and the final N share one floored-entropy evaluation.
+then on. A stacked QR factors the condition of every point; where its
+triangular factor proves the condition well posed (singular values within a
+factor 1e10, the rule that decides which directions are free), that QR
+solves it. Records without noise pin every coefficient this way, so N is a
+single evaluation. Records with local noise leave a few coefficients: their
+points take a thin SVD, which names the free directions, and damped Newton
+on the Lagrange dual of the convex problem finds the minimum. Sampled
+records leave the least-squares member partly outside the support, and it is
+compressed onto it. One eigendecomposition of each final member gives its
+smallest eigenvalue, its PSD projection and N. Only numpy is needed.
+relative_entropy and the final N share one floored-entropy evaluation.
 
-The entry points take a fitted RestrictedProcessTensor; contracting an
-unfitted one raises "not-fitted".
+condition_family, sweep_theta and bloch_volume take a fitted
+RestrictedProcessTensor; contracting an unfitted one raises "not-fitted".
 """
 
 from __future__ import annotations
@@ -37,13 +45,7 @@ import numpy as np
 
 from .channels import action_dual, action_superop, map_to_choi, superop_to_choi
 from .linalg import herm_eig, kron_stack, normalized_psd, project_psd, unvec, vec_stack
-from .process import (
-    BRANCH_CUTOFF,
-    ProcessSpec,
-    VanishingBranchError,
-    check_branch,
-    last_step_superops,
-)
+from .process import BRANCH_CUTOFF, ProcessSpec, VanishingBranchError, last_step_superops
 from .qubit import FIT_BASIS, bloch_vector, named_projector, projector, zy_projector
 from .tomography import RestrictedProcessTensor, action_matrix
 from .validation import check_angles, hermitian_part
@@ -77,13 +79,19 @@ class SupportMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class ChoiFamily:
-    """Affine family of data-consistent conditioned Choi states: base (8, 8)
-    plus any real combination of the directions (K, 8, 8). normalization is
-    the first-step branch probability divided out of the base."""
+    """Affine families of data-consistent conditioned Choi states, one per
+    first-step angle of thetas (T,): base (T, 8, 8) plus any real
+    combination of the directions (K, 8, 8), which every point shares.
+    normalization (T,) holds the first-step branch probabilities divided out
+    of the bases, and intermediate (T, 2, 2) the system states entering the
+    last step, which every member of a family predicts alike (the zero
+    matrix where the fit leaves none)."""
 
+    thetas: np.ndarray
     base: np.ndarray
     directions: np.ndarray
-    normalization: float
+    normalization: np.ndarray
+    intermediate: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -174,17 +182,20 @@ def _conditioned_maps(fit: RestrictedProcessTensor, mats: np.ndarray):
     return t1 / np.where(p_branch >= BRANCH_CUTOFF, p_branch, 1.0)[:, None, None], p_branch
 
 
-def _conditioned_map(fit: RestrictedProcessTensor, theta: float):
-    """(normalized one-step map, branch probability) at first-step angle theta;
-    raises bad-dims unless theta is one angle, non-finite unless it is
-    finite, and VanishingBranchError when the branch vanishes."""
-    t1, p_branch = _conditioned_maps(fit, zy_projector(check_angles(theta, 0)[None]))
-    return t1[0], check_branch(float(p_branch[0]))
+def condition_family(fit: RestrictedProcessTensor, thetas) -> ChoiFamily:
+    """Affine families of conditioned Choi states consistent with the fit's
+    records, one per first-step angle of thetas, a 1-D stack of finite
+    angles (bad-dims, non-finite).
 
-
-def _family_bases(t1: np.ndarray) -> np.ndarray:
-    """Family bases (T, 8, 8) of normalized one-step maps (T, 4, 16): each
-    Choi state shifted along the kernel to trace 2."""
+    Each base is the minimum-norm solution shifted along the kernel so that
+    its trace equals 2, the value every branch-normalized physical process
+    carries; the trace functional itself is not fixed by projective records,
+    so this choice picks a representative without changing the family as a
+    set. A map whose branch is below BRANCH_CUTOFF is left undivided, and
+    the minimiser leaves that point absent.
+    """
+    thetas = check_angles(thetas, 1, "thetas")
+    t1, p_branch = _conditioned_maps(fit, zy_projector(thetas))
     choi = map_to_choi(t1, 1)
     base = (choi + choi.conj().swapaxes(-1, -2)) / 2
     # projective records leave the trace free: the kernel combination of
@@ -192,62 +203,39 @@ def _family_bases(t1: np.ndarray) -> np.ndarray:
     dirs = _kernel_directions()
     traces = np.trace(dirs, axis1=-2, axis2=-1).real
     shift = np.einsum("k,kij->ij", traces / (traces @ traces), dirs)
-    return base + (2.0 - np.trace(base, axis1=-2, axis2=-1).real)[:, None, None] * shift
+    base = base + (2.0 - np.trace(base, axis1=-2, axis2=-1).real)[:, None, None] * shift
+    return ChoiFamily(thetas, base, dirs, p_branch, _intermediate_states(t1))
 
 
-def condition_family(fit: RestrictedProcessTensor, theta: float) -> ChoiFamily:
-    """Affine family of conditioned Choi states consistent with the fit's records.
-
-    The returned base is the minimum-norm solution shifted along the kernel
-    so that its trace equals 2, the value every branch-normalized physical
-    process carries; the trace functional itself is not fixed by projective
-    records, so this choice picks a representative without changing the
-    family as a set.
-    """
-    t1, p_branch = _conditioned_map(fit, theta)
-    return ChoiFamily(_family_bases(t1[None])[0], _kernel_directions(), p_branch)
-
-
-def _intermediate_states(t1: np.ndarray):
+def _intermediate_states(t1: np.ndarray) -> np.ndarray:
     """System marginals (T, 2, 2) entering the second intervention, from
-    data alone, and their traces (T,) before normalization.
+    data alone.
 
     Inverts the nine basis-projection probabilities encoded in each
     conditioned map (one pseudo-inverse, PSD projection, unit trace); a
-    marginal of trace <= 0 is left undivided.
+    marginal of trace <= 0 is the zero matrix.
     """
     probs = np.trace(_push(t1[:, None], FIT_BASIS), axis1=-2, axis2=-1).real
     rho = project_psd(unvec((_fit_basis_pinv() @ probs[..., None])[..., 0]))
     tr = np.trace(rho, axis1=-2, axis2=-1).real
-    return rho / np.where(tr > 0, tr, 1.0)[:, None, None], tr
+    return np.where((tr > 0)[:, None, None], rho, 0.0) / np.where(tr > 0, tr, 1.0)[:, None, None]
 
 
-def _references(t1: np.ndarray, mats: np.ndarray, process: ProcessSpec):
-    """Product references (T, 8, 8) of normalized one-step maps (T, 4, 16)
-    and their first-step projectors (T, 2, 2), with the traces of the
-    intermediate states and the process's branch probabilities (T,); a
-    branch vanishes where either is too small."""
-    rho1, tr = _intermediate_states(t1)
-    sup, p_env = last_step_superops(process, mats)
-    return kron_stack(superop_to_choi(sup), rho1), tr, p_env
-
-
-def uncorrelated_choi(fit: RestrictedProcessTensor, theta: float,
-                      process: ProcessSpec) -> np.ndarray:
-    """Product reference (8, 8): reduced last-step channel ⊗ average
-    intermediate state.
+def uncorrelated_choi(fam: ChoiFamily, process: ProcessSpec) -> np.ndarray:
+    """Product references (T, 8, 8) of a family stack: reduced last-step
+    channel ⊗ intermediate state, per first-step angle.
 
     The channel is conditioned on the environment marginal of the first-step
     branch, which projective system records cannot identify; the process
     definition supplies it. The trace equals that of the family base (both
-    are 2 for a branch-normalized trace-preserving step).
+    are 2 for a branch-normalized trace-preserving step). A reference is the
+    zero matrix where the process's branch is below BRANCH_CUTOFF, and where
+    the family's intermediate state is.
     """
-    t1, _ = _conditioned_map(fit, theta)
-    ref, tr, p_env = _references(t1[None], zy_projector([theta]), process)
-    if not tr[0] > 0:
-        raise VanishingBranchError("vanishing-branch: degenerate intermediate state")
-    check_branch(float(p_env[0]))
-    return ref[0]
+    sup, p_env = last_step_superops(process, zy_projector(fam.thetas))
+    refs = kron_stack(superop_to_choi(sup), fam.intermediate)
+    refs[p_env < BRANCH_CUTOFF] = 0.0
+    return refs
 
 
 def _reference_spectrum(refn: np.ndarray):
@@ -439,8 +427,14 @@ def _dual_newton(z0, zk, log_w):
     return coef[1:] / coef[0], step, True, half_decrement
 
 
-def minimize_nonmarkovianity(fam: ChoiFamily, ref: np.ndarray) -> MinimizeResult:
-    """Minimum relative entropy to the reference over the PSD family members.
+def minimize_nonmarkovianity(fam: ChoiFamily, refs) -> list[MinimizeResult | None]:
+    """Minimum relative entropy to its reference over the PSD members of
+    each family of a stack: one result per point of fam, refs (T, 8, 8)
+    holding the references, or None where the point is absent.
+
+    A point is absent where the fit's branch probability (fam.normalization)
+    is below BRANCH_CUTOFF or its reference is the zero matrix, which
+    uncorrelated_choi gives where the process's branch vanishes.
 
     The relative entropy is finite only for members inside the support of
     the reference, so the family is first restricted to them (a linear
@@ -462,23 +456,30 @@ def minimize_nonmarkovianity(fam: ChoiFamily, ref: np.ndarray) -> MinimizeResult
     evaluated), and, for a member inside the support, that its minimum
     eigenvalue is above -1e-6. A compressed member of sampled records may
     keep a negative eigenvalue from shot noise: min_eig reports it, and it
-    does not count as non-convergence. Deterministic for fixed inputs.
+    does not count as non-convergence. Deterministic for fixed inputs; a
+    point's result does not depend on the points stacked with it.
     """
-    return _minimize_stack(fam.base[None], fam.directions, ref[None])[0]
+    return _minimize_stack(fam, refs)
 
 
-def _minimize_stack(bases, dirs, refs) -> list[MinimizeResult]:
-    """minimize_nonmarkovianity for a stack of points sharing their
-    directions: bases and references (T, n, n) and directions (K, n, n).
-    Every step but the Newton solve of a point with free directions runs
-    once on the whole stack: one eigh of the references, a QR of the
-    support conditions (an SVD only for the points that its bound does not
-    clear, see _restrict_to_support) and one eigh of the final members,
-    which gives min_eig, the optimizer and N."""
-    refn = hermitian_part(refs, "ref")
+def _minimize_stack(fam: ChoiFamily, refs) -> list[MinimizeResult | None]:
+    """The body of minimize_nonmarkovianity. Every step but the Newton solve
+    of a point with free directions runs once on the stack of the points
+    that are not absent: one eigh of the references, a QR of the support
+    conditions (an SVD only for the points that its bound does not clear,
+    see _restrict_to_support) and one eigh of the final members, which
+    gives min_eig, the optimizer and N."""
+    refs = hermitian_part(refs, "ref")
+    if refs.shape != fam.base.shape:
+        raise ValueError(f"bad-dims: references of shape {refs.shape} for bases of shape "
+                         f"{fam.base.shape}")
+    live = (fam.normalization >= BRANCH_CUTOFF) & refs.any(axis=(-2, -1))
+    dirs = fam.directions
+    refn = refs[live]
     refn = refn / np.trace(refn, axis1=-2, axis2=-1).real[:, None, None]
     log_ref, w, v, keep = _reference_spectrum(refn)
-    y, vh, free, off_support = _restrict_to_support(bases, dirs, v * ~keep[:, None, :])
+    y, vh, free, off_support = _restrict_to_support(fam.base[live], dirs,
+                                                    v * ~keep[:, None, :])
     iterations = np.zeros(len(y), dtype=int)
     converged = np.ones(len(y), dtype=bool)
     optimality = np.zeros(len(y))
@@ -497,8 +498,9 @@ def _minimize_stack(bases, dirs, refs) -> list[MinimizeResult]:
     min_eig = e.eigenvalues[:, -1]
     optimizer = e.apply(lambda w: np.clip(w, 0.0, None))
     n_value = np.maximum(_floored_entropy(e.eigenvalues, e.eigenvectors, log_ref), 0.0)
-    return [
-        MinimizeResult(
+    results = [None] * len(live)
+    for i, point in enumerate(np.flatnonzero(live)):
+        results[point] = MinimizeResult(
             n_value=float(n_value[i]),
             optimizer=optimizer[i],
             converged=bool(converged[i] and (compressed[i] or min_eig[i] > -1e-6)),
@@ -508,8 +510,7 @@ def _minimize_stack(bases, dirs, refs) -> list[MinimizeResult]:
             off_support=float(off_support[i]),
             optimality=float(optimality[i]),
         )
-        for i in range(len(y))
-    ]
+    return results
 
 
 def default_theta_grid() -> np.ndarray:
@@ -520,25 +521,17 @@ def default_theta_grid() -> np.ndarray:
 
 def sweep_theta(fit: RestrictedProcessTensor, thetas, *,
                 process: ProcessSpec) -> list[MinimizeResult | None]:
-    """Non-Markovianity versus first-step angle.
-
-    Each layer runs once on the stack of angles; only the points that keep
-    free directions (records with noise) run their own Newton solve. Returns
-    one result per angle, equal to minimize_nonmarkovianity(
-    condition_family(...), uncorrelated_choi(...)) at that angle, or None
-    where the first-step branch vanishes. thetas must be a 1-D stack of
-    finite angles (bad-dims, non-finite); condition_family and
-    uncorrelated_choi take one finite angle.
+    """Non-Markovianity versus first-step angle: the results of
+    minimize_nonmarkovianity(fam, uncorrelated_choi(fam, process)) for the
+    families fam = condition_family(fit, thetas), one per angle, None where
+    the point is absent. Each layer runs once on the stack of angles; only
+    the points that keep free directions (records with noise) run their own
+    Newton solve.
     """
-    mats = zy_projector(check_angles(thetas, 1, "thetas"))
-    t1, p_branch = _conditioned_maps(fit, mats)
-    refs, tr, p_env = _references(t1, mats, process)
-    live = (p_branch >= BRANCH_CUTOFF) & (tr > 0) & (p_env >= BRANCH_CUTOFF)
-    results = [None] * len(mats)
-    stack = _minimize_stack(_family_bases(t1[live]), _kernel_directions(), refs[live])
-    for i, res in zip(np.flatnonzero(live), stack):
-        results[i] = res
-    return results
+    fam = condition_family(fit, thetas)
+    # the minimiser's private body: the bench tracer's hook on
+    # minimize_nonmarkovianity reads the fields of one result, not of a list
+    return _minimize_stack(fam, uncorrelated_choi(fam, process))
 
 
 def bloch_volume(fit: RestrictedProcessTensor, thetas,

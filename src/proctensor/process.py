@@ -30,7 +30,7 @@ from .qubit import (
     projector,
 )
 from .tomography import P_JOINT_CUTOFF, qst_six_axis, records_from_arrays
-from .validation import check_two_steps, check_unitary
+from .validation import as_matrix, check_angles, check_two_steps, check_unitary
 
 __all__ = [
     "ProcessSpec",
@@ -45,7 +45,6 @@ __all__ = [
     "intervention_qpt_data",
     "BRANCH_CUTOFF",
     "VanishingBranchError",
-    "check_branch",
     "first_step_env_marginals",
     "last_step_superops",
 ]
@@ -111,6 +110,12 @@ def _chain(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     return rho
 
 
+def _checked_steps(steps) -> list[np.ndarray]:
+    """The projector stacks of a two-step sequence as complex arrays; a NaN
+    or infinite entry raises "non-finite" before any arithmetic."""
+    return [as_matrix(m, "step") for m in check_two_steps(steps)]
+
+
 def run_process(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     """Exact contraction of one intervened sequence or a stack of them.
 
@@ -119,10 +124,10 @@ def run_process(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     and a row stack give a whole grid. Returns the joint probabilities of all
     outcomes p_joint (...), clipped at 0, and the normalized system marginals
     (..., 2, 2), maximally mixed where p_joint is below the reporting cutoff,
-    as (states, p_joint).
+    as (states, p_joint). A step with a NaN or infinite entry raises
+    "non-finite".
     """
-    check_two_steps(steps)
-    rho = _chain(spec, [np.asarray(m, dtype=complex) for m in steps])
+    rho = _chain(spec, _checked_steps(steps))
     p_joint = np.maximum(np.trace(rho, axis1=-2, axis2=-1).real, 0.0)
     out = np.einsum("...ijkj->...ik", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)))
     out = out / np.maximum(p_joint, P_JOINT_CUTOFF)[..., None, None]
@@ -140,11 +145,11 @@ def markov_predict(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     From the system ground state, alternately applies each projector and the
     environment-in-ground reduced map of its step. Returns (states, p): unit
     trace PSD states, maximally mixed where p is below the reporting cutoff,
-    and p clipped at 0.
+    and p clipped at 0. A step with a NaN or infinite entry raises
+    "non-finite".
     """
-    check_two_steps(steps)
     rho = _GROUND1
-    for mats, sup in zip(steps, _step_superops(spec)):
+    for mats, sup in zip(_checked_steps(steps), _step_superops(spec)):
         rho = mats @ rho @ np.conj(mats).swapaxes(-1, -2)
         rho = unvec(vec_stack(rho) @ sup.T)
     return normalized_psd(rho, P_JOINT_CUTOFF)
@@ -335,7 +340,9 @@ def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None) -> np.rec
 
 def intervention_qpt_data(angles, cfg: ShotConfig | None = None, run_tags=((0,),)):
     """Input/output pairs characterizing the projective interventions
-    projector(theta, phi) of a stack (L, 2) of Bloch angles (theta, phi).
+    projector(theta, phi) of a stack (L, 2) of finite Bloch angles (theta,
+    phi); another shape raises "bad-dims" and a NaN or infinite angle
+    "non-finite", before any trigonometry.
 
     run_tags, int64 integers (L, R) or a row (R,) that broadcasts to it,
     tags the R repetitions of each intervention; other tags raise
@@ -346,9 +353,7 @@ def intervention_qpt_data(angles, cfg: ShotConfig | None = None, run_tags=((0,),
     (t, the float64 angles a, l, seed). Outputs are subnormalized by the
     measured pass rate. Without a ShotConfig every repetition is exact.
     """
-    angles = np.asarray(angles, dtype=float)
-    if angles.ndim != 2 or angles.shape[1] != 2:
-        raise ValueError(f"bad-dims: angles must be a stack (L, 2), got shape {angles.shape}")
+    angles = check_angles(angles, 2, "angles")
     tags = np.asarray(run_tags)
     # a tag keys its streams as 8 signed bytes
     if (tags.dtype.kind not in "iu" or not np.can_cast(tags.dtype, np.int64)
@@ -383,19 +388,12 @@ class VanishingBranchError(ValueError):
     conditioned on it. The message starts with "vanishing-branch:"."""
 
 
-def check_branch(p: float) -> float:
-    """Return the branch probability p, or raise VanishingBranchError below BRANCH_CUTOFF."""
-    if p < BRANCH_CUTOFF:
-        raise VanishingBranchError(f"vanishing-branch: first-step probability {p:.3e}")
-    return p
-
-
 def first_step_env_marginals(spec: ProcessSpec, mats):
     """Environment marginals right after a stack (..., 2, 2) of first-step
     projector matrices, with the branch probabilities (...).
 
     A marginal whose branch probability is below BRANCH_CUTOFF is left
-    undivided; callers mask those branches or reject them with check_branch.
+    undivided; callers mask those branches or reject them.
     """
     rho = _chain(spec, [np.asarray(mats, dtype=complex)])
     p = np.trace(rho, axis1=-2, axis2=-1).real

@@ -54,11 +54,12 @@ def check_two_steps(steps, name: str = "interventions"):
 
 
 def check_angles(theta, ndim: int, name: str = "theta") -> np.ndarray:
-    """Coerce to one finite angle (ndim 0) or a 1-D stack of them (ndim 1),
-    checked before any trigonometric function sees it."""
+    """Coerce to a 1-D stack of finite angles (ndim 1) or a stack (L, 2) of
+    finite angle pairs (ndim 2), checked before any trigonometric function
+    sees them."""
     a = np.asarray(theta, dtype=float)
-    if a.ndim != ndim:
-        shape = "one angle" if ndim == 0 else "a 1-D stack of angles"
+    if a.ndim != ndim or a.shape[1:] != (2,) * (ndim - 1):
+        shape = "a 1-D stack of angles" if ndim == 1 else "a stack (L, 2)"
         raise ValueError(f"bad-dims: {name} must be {shape}, got shape {a.shape}")
     if not np.isfinite(a).all():
         raise ValueError(f"non-finite: {name} contains NaN or Inf")

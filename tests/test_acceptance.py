@@ -111,15 +111,11 @@ def test_criterion_2_markov_baseline_split(ideal):
 def test_criterion_3_nonmarkovianity_peak(ideal):
     """Peak at ln 2 with memory, flat without; full sweep under a minute."""
     spec_nc, fit_nc = ideal["cnot-cz"]
-    peak = minimize_nonmarkovianity(
-        condition_family(fit_nc, math.pi / 2),
-        uncorrelated_choi(fit_nc, math.pi / 2, spec_nc),
-    )
+    fam = condition_family(fit_nc, [math.pi / 2])
+    [peak] = minimize_nonmarkovianity(fam, uncorrelated_choi(fam, spec_nc))
     assert abs(peak.n_value - LN2) <= 0.02
-    floor_res = minimize_nonmarkovianity(
-        condition_family(fit_nc, 0.0),
-        uncorrelated_choi(fit_nc, 0.0, spec_nc),
-    )
+    fam = condition_family(fit_nc, [0.0])
+    [floor_res] = minimize_nonmarkovianity(fam, uncorrelated_choi(fam, spec_nc))
     assert floor_res.n_value <= 0.02
 
     spec_cn, fit_cn = ideal["cz-cnot"]
@@ -137,17 +133,13 @@ def test_criterion_3_nonmarkovianity_peak(ideal):
 def test_criterion_4_noise_monotonicity(ideal):
     """Local noise lowers the peak but does not erase the memory."""
     spec_nc, fit_nc = ideal["cnot-cz"]
-    ideal_peak = minimize_nonmarkovianity(
-        condition_family(fit_nc, math.pi / 2),
-        uncorrelated_choi(fit_nc, math.pi / 2, spec_nc),
-    ).n_value
+    fam = condition_family(fit_nc, [math.pi / 2])
+    ideal_peak = minimize_nonmarkovianity(fam, uncorrelated_choi(fam, spec_nc))[0].n_value
 
     noisy_spec = cnot_cz_process(NoiseSpec(gamma_amp=0.05, lambda_phase=0.05))
     noisy_fit = fit_restricted_tensor(generate_records(noisy_spec))
-    noisy_peak = minimize_nonmarkovianity(
-        condition_family(noisy_fit, math.pi / 2),
-        uncorrelated_choi(noisy_fit, math.pi / 2, noisy_spec),
-    ).n_value
+    fam = condition_family(noisy_fit, [math.pi / 2])
+    noisy_peak = minimize_nonmarkovianity(fam, uncorrelated_choi(fam, noisy_spec))[0].n_value
     assert noisy_peak < ideal_peak
     assert noisy_peak > 0.2
     print(f"\nPASS criterion 4: noisy peak {noisy_peak:.4f} in (0.2, "

@@ -4,6 +4,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import math
 import pkgutil
 from pathlib import Path
 
@@ -79,27 +80,31 @@ def test_traced_tomo_predict_counts_every_prediction_layer(tmp_path):
 
 
 def test_traced_subcommands_call_each_layer_once(tmp_path):
-    # characterize-povm and volume stack their projectors and their angles
+    # characterize-povm and volume stack their projectors and their angles,
+    # and a memory sweep calls the family and the reference layer once; the
+    # traced hook on the minimiser reads one result, so a sweep that handed
+    # it a list would fail here
     import proctensor.cli
 
-    runs = {
-        "characterize-povm": ("--shots", "100"),
-        "volume": (),
-    }
-    expected = {
-        "characterize-povm": ("process.intervention_qpt_data", "channels.chi_from_process"),
-        "volume": ("nonmarkov.bloch_volume",),
-    }
-    for command, flags in runs.items():
+    runs = [
+        ("characterize-povm", ("--shots", "100"),
+         ("process.intervention_qpt_data", "channels.chi_from_process")),
+        ("volume", (), ("nonmarkov.bloch_volume",)),
+        ("nonmarkov", (), ("nonmarkov.condition_family", "nonmarkov.uncorrelated_choi")),
+        ("nonmarkov", ("--theta-grid", f"0.3,{math.pi!r}"),
+         ("nonmarkov.condition_family", "nonmarkov.uncorrelated_choi")),
+    ]
+    for index, (command, flags, expected) in enumerate(runs):
         tracer = load_tracing().Tracer()
         tracer.install()
         try:
-            assert proctensor.cli.main([command, *flags, "--out", str(tmp_path / command)]) == 0
+            out = tmp_path / f"{command}-{index}"
+            assert proctensor.cli.main([command, *flags, "--out", str(out)]) == 0, command
         finally:
             tracer.uninstall()
         stats = tracer.layers(0)
-        for name in expected[command]:
-            assert stats.get(name, {"calls": 0})["calls"] == 1, (command, name)
+        for name in expected:
+            assert stats.get(name, {"calls": 0})["calls"] == 1, (command, flags, name)
 
 
 def test_traced_refit_objective_equals_the_fit_diagnostic():

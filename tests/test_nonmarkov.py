@@ -18,11 +18,13 @@ from proctensor import (
     fit_restricted_tensor,
     generate_records,
 )
+from proctensor.process import BRANCH_CUTOFF
 from proctensor.channels import action_superop
 from proctensor.linalg import herm_eig, project_psd, unvec, vec
 from proctensor.nonmarkov import (
     LOG_FLOOR,
     SUPPORT_WEIGHT_TOL,
+    ChoiFamily,
     MinimizeResult,
     SupportMismatchError,
     _dual_newton,
@@ -58,6 +60,15 @@ def random_unitary(seed, dim=8):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(a)
     return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def one_angle(fit, theta, spec):
+    """The family, the reference (8, 8) and the result at one angle, each
+    layer called on a one-element stack."""
+    fam = condition_family(fit, [theta])
+    ref = uncorrelated_choi(fam, spec)
+    [res] = minimize_nonmarkovianity(fam, ref)
+    return fam, ref[0], res
 
 
 # ---------------------------------------------------- relative entropy
@@ -122,28 +133,31 @@ def test_relative_entropy_unitary_invariance():
 # ------------------------------------------------------ family building
 
 def test_family_shape_and_consistency(cnot_cz_fit):
-    fam = condition_family(cnot_cz_fit, math.pi / 2)
-    assert fam.base.shape == (8, 8)
+    fam = condition_family(cnot_cz_fit, [math.pi / 2])
+    assert fam.thetas.tolist() == [math.pi / 2]
+    assert fam.base.shape == (1, 8, 8)
     assert fam.directions.shape == (28, 8, 8)
-    assert abs(fam.normalization - 0.5) < 1e-9
+    assert fam.normalization.shape == (1,)
+    assert fam.intermediate.shape == (1, 2, 2)
+    assert abs(fam.normalization[0] - 0.5) < 1e-9
     # base reproduces the conditioned one-step data
     t1 = cnot_cz_fit.contract_first_step(zy_projector(math.pi / 2))
-    t1 = t1 / fam.normalization
+    t1 = t1 / fam.normalization[0]
     for label in ("x+", "y-", "z+", "yz+"):
         p = named_projector(label)
         direct = unvec(t1 @ vec(action_superop(p)))
-        assert np.abs(family_predict(fam.base, p) - direct).max() < 1e-9
+        assert np.abs(family_predict(fam.base[0], p) - direct).max() < 1e-9
 
 
 def test_family_directions_annihilate_data(cnot_cz_fit):
-    fam = condition_family(cnot_cz_fit, math.pi / 4)
+    fam = condition_family(cnot_cz_fit, [math.pi / 4])
     rng = np.random.default_rng(0)
     coeffs = rng.normal(size=len(fam.directions))
-    shifted = fam.base + sum(c * d for c, d in zip(coeffs, fam.directions))
+    shifted = fam.base[0] + sum(c * d for c, d in zip(coeffs, fam.directions))
     for label in ("x+", "x-", "y+", "y-", "z+", "z-", "xy+", "xz+", "yz+"):
         p = named_projector(label)
         a = family_predict(shifted, p)
-        b = family_predict(fam.base, p)
+        b = family_predict(fam.base[0], p)
         assert np.abs(a - b).max() < 1e-8, label
 
 
@@ -151,20 +165,15 @@ def test_family_base_trace(cnot_cz_fit):
     # the trace functional is outside the projective span; the base is the
     # representative shifted to the physical value of 2
     for theta in (0.0, 0.3, math.pi / 2):
-        fam = condition_family(cnot_cz_fit, theta)
-        assert abs(np.trace(fam.base).real - 2.0) < 1e-8
-
-
-def test_vanishing_branch_raises(cnot_cz_fit):
-    with pytest.raises(ValueError, match="vanishing-branch"):
-        condition_family(cnot_cz_fit, math.pi)
+        fam = condition_family(cnot_cz_fit, [theta])
+        assert abs(np.trace(fam.base[0]).real - 2.0) < 1e-8
 
 
 def test_memory_measure_requires_fitted_tensor(cnot_cz_spec):
     unfitted = RestrictedProcessTensor()
     calls = (
-        lambda: condition_family(unfitted, 0.3),
-        lambda: uncorrelated_choi(unfitted, 0.3, cnot_cz_spec),
+        lambda: condition_family(unfitted, [0.3]),
+        lambda: condition_family(unfitted, []),
         lambda: sweep_theta(unfitted, [0.0, 0.3], process=cnot_cz_spec),
         lambda: sweep_theta(unfitted, [], process=cnot_cz_spec),
         lambda: bloch_volume(unfitted, [0.3], cnot_cz_spec),
@@ -174,16 +183,36 @@ def test_memory_measure_requires_fitted_tensor(cnot_cz_spec):
             call()
 
 
-def test_vanishing_branch_error_type(cnot_cz_fit, cnot_cz_spec):
-    # every place that conditions on the first-step branch raises the one type
-    calls = (
-        lambda: condition_family(cnot_cz_fit, math.pi),
-        lambda: uncorrelated_choi(cnot_cz_fit, math.pi, cnot_cz_spec),
-        lambda: bloch_volume(cnot_cz_fit, [0.3, math.pi], cnot_cz_spec),
-    )
-    for call in calls:
-        with pytest.raises(VanishingBranchError, match="^vanishing-branch: "):
-            call()
+@pytest.fixture(scope="module")
+def sampled_cnot_cz_fit(cnot_cz_spec):
+    return sampled_fit(cnot_cz_spec, 3000, 0)
+
+
+@pytest.mark.parametrize("kind", ["exact", "shots"])
+def test_one_vanishing_rule(kind, cnot_cz_fit, cnot_cz_spec, sampled_cnot_cz_fit):
+    # a point is absent where the fit's branch is below the cutoff or its
+    # reference is zero; the reference is zero where the process's branch
+    # vanishes. At pi the exact fit's branch vanishes; the sampled fit's
+    # reads 4.0e-3, and the process's is 0
+    fit = {"exact": cnot_cz_fit, "shots": sampled_cnot_cz_fit}[kind]
+    fam = condition_family(fit, [0.3, math.pi])
+    refs = uncorrelated_choi(fam, cnot_cz_spec)
+    if kind == "exact":
+        assert fam.normalization[1] < BRANCH_CUTOFF
+    else:
+        assert abs(fam.normalization[1] - 4.0e-3) < 5e-5
+        assert np.array_equal(refs[1], np.zeros((8, 8)))
+    assert refs[0].any()
+    results = minimize_nonmarkovianity(fam, refs)
+    assert results[1] is None and isinstance(results[0], MinimizeResult)
+    with pytest.raises(ValueError, match="^bad-dims"):
+        minimize_nonmarkovianity(fam, refs[:1])
+    swept = sweep_theta(fit, [0.3, math.pi], process=cnot_cz_spec)
+    assert swept[1] is None
+    assert_same_result(swept[0], results[0], 0.3)
+    # the Bloch clouds still reject a vanishing branch, with the one type
+    with pytest.raises(VanishingBranchError, match="^vanishing-branch: "):
+        bloch_volume(fit, [0.3, math.pi], cnot_cz_spec)
 
 
 def test_bloch_volume_checks_its_angles(cnot_cz_fit, cnot_cz_spec):
@@ -197,38 +226,37 @@ def test_bloch_volume_checks_its_angles(cnot_cz_fit, cnot_cz_spec):
 @pytest.mark.parametrize("entry", ["sweep_theta", "bloch_volume", "condition_family",
                                    "uncorrelated_choi"])
 def test_angles_are_checked_before_any_trig(cnot_cz_fit, cnot_cz_spec, entry):
-    # sweeps and volumes take a 1-D stack of finite angles, the family and
-    # the reference one finite angle; an infinite angle must not reach cos
+    # every entry point takes a 1-D stack of finite angles, the reference
+    # through its family; an infinite angle must not reach cos
     call = {
         "sweep_theta": lambda t: sweep_theta(cnot_cz_fit, t, process=cnot_cz_spec),
         "bloch_volume": lambda t: bloch_volume(cnot_cz_fit, t, cnot_cz_spec),
         "condition_family": lambda t: condition_family(cnot_cz_fit, t),
-        "uncorrelated_choi": lambda t: uncorrelated_choi(cnot_cz_fit, t, cnot_cz_spec),
+        "uncorrelated_choi": lambda t: uncorrelated_choi(condition_family(cnot_cz_fit, t),
+                                                         cnot_cz_spec),
     }[entry]
-    stack = entry in ("sweep_theta", "bloch_volume")
-    bad_shapes = (0.3, [[0.1, 0.2]]) if stack else ([0.1, 0.2], [[0.3]])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        for thetas in bad_shapes:
+        for thetas in (0.3, [[0.1, 0.2]]):
             with pytest.raises(ValueError, match="^bad-dims"):
                 call(thetas)
         for bad in (math.inf, -math.inf, math.nan):
             with pytest.raises(ValueError, match="^non-finite"):
-                call([0.3, bad] if stack else bad)
-        call([0.3] if stack else 0.3)
+                call([0.3, bad])
+        call([0.3])
 
 
 def test_degenerate_intermediate_state_is_masked():
-    # a map without any output leaves no intermediate state: its trace is
-    # reported as 0, and the stack stays finite
-    rho, tr = _intermediate_states(np.zeros((2, 4, 16), dtype=complex))
-    assert np.array_equal(tr, [0.0, 0.0]) and np.isfinite(rho).all()
+    # a map without any output leaves no intermediate state: it is the zero
+    # matrix, so that the point's reference is zero and the point absent
+    rho = _intermediate_states(np.zeros((2, 4, 16), dtype=complex))
+    assert np.array_equal(rho, np.zeros((2, 2, 2)))
 
 
 # ------------------------------------------------- uncorrelated reference
 
 def test_uncorrelated_theta_zero(cnot_cz_fit, cnot_cz_spec):
-    ref = uncorrelated_choi(cnot_cz_fit, 0.0, cnot_cz_spec)
+    ref = uncorrelated_choi(condition_family(cnot_cz_fit, [0.0]), cnot_cz_spec)[0]
     # identity channel Choi ⊗ ground state
     omega = np.zeros((4, 4), dtype=complex)
     for i in range(2):
@@ -241,7 +269,7 @@ def test_uncorrelated_theta_zero(cnot_cz_fit, cnot_cz_spec):
 def test_uncorrelated_theta_half_pi(cnot_cz_fit, cnot_cz_spec):
     # the environment marginal is maximally mixed, so the reduced step is a
     # complete dephasing channel and the average state is maximally mixed
-    ref = uncorrelated_choi(cnot_cz_fit, math.pi / 2, cnot_cz_spec)
+    ref = uncorrelated_choi(condition_family(cnot_cz_fit, [math.pi / 2]), cnot_cz_spec)[0]
     deph = np.zeros((4, 4), dtype=complex)
     deph[0, 0] = deph[3, 3] = 1.0
     expected = np.kron(deph, np.eye(2) / 2)
@@ -250,37 +278,33 @@ def test_uncorrelated_theta_half_pi(cnot_cz_fit, cnot_cz_spec):
 
 def test_uncorrelated_trace_matches_family(cnot_cz_fit, cnot_cz_spec):
     for theta in (0.0, 0.4, math.pi / 2):
-        fam = condition_family(cnot_cz_fit, theta)
-        ref = uncorrelated_choi(cnot_cz_fit, theta, cnot_cz_spec)
-        assert abs(np.trace(ref).real - np.trace(fam.base).real) < 1e-6
+        fam = condition_family(cnot_cz_fit, [theta])
+        [ref] = uncorrelated_choi(fam, cnot_cz_spec)
+        assert abs(np.trace(ref).real - np.trace(fam.base[0]).real) < 1e-6
 
 
 def test_uncorrelated_equals_family_on_product_branch(cz_cnot_fit, cz_cnot_spec):
     # CZ first leaves the joint state product for any first projection, so
     # the data-consistent family contains the reference itself
-    fam = condition_family(cz_cnot_fit, math.pi / 3)
-    ref = uncorrelated_choi(cz_cnot_fit, math.pi / 3, cz_cnot_spec)
+    fam = condition_family(cz_cnot_fit, [math.pi / 3])
+    [ref] = uncorrelated_choi(fam, cz_cnot_spec)
     for label in ("x+", "y-", "z+", "xz+"):
         p = named_projector(label)
         a = family_predict(ref, p)
-        b = family_predict(fam.base, p)
+        b = family_predict(fam.base[0], p)
         assert np.abs(a - b).max() < 1e-8
 
 
 # ----------------------------------------------------------- minimizer
 
 def test_minimize_memoryless_branch(cnot_cz_fit, cnot_cz_spec):
-    fam = condition_family(cnot_cz_fit, 0.0)
-    ref = uncorrelated_choi(cnot_cz_fit, 0.0, cnot_cz_spec)
-    res = minimize_nonmarkovianity(fam, ref)
+    _, _, res = one_angle(cnot_cz_fit, 0.0, cnot_cz_spec)
     assert res.n_value <= 0.02
     assert res.converged
 
 
 def test_minimize_memory_peak(cnot_cz_fit, cnot_cz_spec):
-    fam = condition_family(cnot_cz_fit, math.pi / 2)
-    ref = uncorrelated_choi(cnot_cz_fit, math.pi / 2, cnot_cz_spec)
-    res = minimize_nonmarkovianity(fam, ref)
+    fam, _, res = one_angle(cnot_cz_fit, math.pi / 2, cnot_cz_spec)
     assert abs(res.n_value - LN2) <= 0.02
     # optimizer output is PSD and data-consistent
     w = np.linalg.eigvalsh(res.optimizer)
@@ -288,17 +312,15 @@ def test_minimize_memory_peak(cnot_cz_fit, cnot_cz_spec):
     for label in ("x+", "y-", "z+", "yz+"):
         p = named_projector(label)
         a = family_predict(res.optimizer, p)
-        b = family_predict(fam.base, p)
+        b = family_predict(fam.base[0], p)
         assert np.abs(a - b).max() < 1e-6, label
 
 
 def test_minimize_never_exceeds_psd_start(cnot_cz_fit, cnot_cz_spec):
     # floored evaluation of the starting point dominates the optimum
     for theta in (0.4, 0.7, math.pi / 2):
-        fam = condition_family(cnot_cz_fit, theta)
-        ref = uncorrelated_choi(cnot_cz_fit, theta, cnot_cz_spec)
-        res = minimize_nonmarkovianity(fam, ref)
-        b = project_psd(fam.base)
+        fam, ref, res = one_angle(cnot_cz_fit, theta, cnot_cz_spec)
+        b = project_psd(fam.base[0])
         b = b / np.trace(b).real
         r = ref / np.trace(ref).real
         start = np.trace(b @ (mat_log_psd(b) - mat_log_psd(r))).real
@@ -306,24 +328,20 @@ def test_minimize_never_exceeds_psd_start(cnot_cz_fit, cnot_cz_spec):
 
 
 def test_minimize_unitary_covariance(cnot_cz_fit, cnot_cz_spec):
-    from proctensor.nonmarkov import ChoiFamily
-
-    fam = condition_family(cnot_cz_fit, math.pi / 2)
-    ref = uncorrelated_choi(cnot_cz_fit, math.pi / 2, cnot_cz_spec)
+    fam = condition_family(cnot_cz_fit, [math.pi / 2])
+    ref = uncorrelated_choi(fam, cnot_cz_spec)
     u = random_unitary(3, dim=8)
-    fam_u = ChoiFamily(u @ fam.base @ u.conj().T, u @ fam.directions @ u.conj().T,
-                       fam.normalization)
+    fam_u = ChoiFamily(fam.thetas, u @ fam.base @ u.conj().T, u @ fam.directions @ u.conj().T,
+                       fam.normalization, fam.intermediate)
     ref_u = u @ ref @ u.conj().T
-    res = minimize_nonmarkovianity(fam, ref)
-    res_u = minimize_nonmarkovianity(fam_u, ref_u)
+    [res] = minimize_nonmarkovianity(fam, ref)
+    [res_u] = minimize_nonmarkovianity(fam_u, ref_u)
     assert abs(res.n_value - res_u.n_value) < 1e-10
 
 
 def test_minimize_exact_peak_needs_no_iterations(cnot_cz_fit, cnot_cz_spec):
     # the support condition pins every coefficient, so N is one evaluation
-    fam = condition_family(cnot_cz_fit, math.pi / 2)
-    ref = uncorrelated_choi(cnot_cz_fit, math.pi / 2, cnot_cz_spec)
-    res = minimize_nonmarkovianity(fam, ref)
+    _, _, res = one_angle(cnot_cz_fit, math.pi / 2, cnot_cz_spec)
     assert abs(res.n_value - LN2) < 1e-10
     assert res.iterations == 0
     assert res.free_directions == 0
@@ -332,9 +350,7 @@ def test_minimize_exact_peak_needs_no_iterations(cnot_cz_fit, cnot_cz_spec):
 
 def test_minimize_exact_memoryless_order_is_zero(cz_cnot_fit, cz_cnot_spec):
     for theta in default_theta_grid():
-        fam = condition_family(cz_cnot_fit, theta)
-        ref = uncorrelated_choi(cz_cnot_fit, theta, cz_cnot_spec)
-        res = minimize_nonmarkovianity(fam, ref)
+        _, _, res = one_angle(cz_cnot_fit, theta, cz_cnot_spec)
         assert res.n_value <= 1e-12, theta
         assert res.converged and res.iterations == 0, theta
 
@@ -350,9 +366,7 @@ def test_minimize_value_is_relative_entropy_of_optimizer(noisy, cnot_cz_fit, cno
                                                          noisy_cnot_cz):
     spec, fit = noisy_cnot_cz if noisy else (cnot_cz_spec, cnot_cz_fit)
     for theta in default_theta_grid():
-        fam = condition_family(fit, theta)
-        ref = uncorrelated_choi(fit, theta, spec)
-        res = minimize_nonmarkovianity(fam, ref)
+        _, ref, res = one_angle(fit, theta, spec)
         assert abs(relative_entropy(res.optimizer, ref) - res.n_value) < 1e-12, theta
         assert res.converged, theta
         if noisy:
@@ -373,12 +387,9 @@ def test_minimize_sampled_memory_falls_with_shots(seed, cnot_cz_spec, cz_cnot_sp
     cz_first_max, peak_error = [], []
     for shots in (3000, 30000):
         fit = sampled_fit(cz_cnot_spec, shots, seed)
-        results = [minimize_nonmarkovianity(condition_family(fit, theta),
-                                            uncorrelated_choi(fit, theta, cz_cnot_spec))
-                   for theta in default_theta_grid()]
+        results = [one_angle(fit, theta, cz_cnot_spec)[2] for theta in default_theta_grid()]
         fit = sampled_fit(cnot_cz_spec, shots, seed)
-        results.append(minimize_nonmarkovianity(condition_family(fit, math.pi / 2),
-                                                uncorrelated_choi(fit, math.pi / 2, cnot_cz_spec)))
+        results.append(one_angle(fit, math.pi / 2, cnot_cz_spec)[2])
         for res in results:
             assert res.converged and res.iterations == 0 and res.free_directions == 0
             assert SUPPORT_WEIGHT_TOL < res.off_support < 0.5
@@ -452,7 +463,8 @@ def test_volume_deterministic(cnot_cz_fit, cnot_cz_spec):
 def test_family_contains_memory_choi(cnot_cz_fit):
     # the physically constructed memory state for the maximally entangled
     # branch is data-consistent with the fitted family
-    fam = condition_family(cnot_cz_fit, math.pi / 2)
+    fam = condition_family(cnot_cz_fit, [math.pi / 2])
+    base = fam.base[0]
     omega_p = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2)
     omega_m = np.array([1, 0, 0, -1], dtype=complex) / math.sqrt(2)
     e00 = np.diag([1.0, 0.0]).astype(complex)
@@ -462,12 +474,12 @@ def test_family_contains_memory_choi(cnot_cz_fit):
     for label in ("x+", "y-", "z+", "xz+", "yz+"):
         p = named_projector(label)
         a = family_predict(memory, p)
-        b = family_predict(fam.base, p)
+        b = family_predict(base, p)
         assert np.abs(a - b).max() < 1e-8, label
     # and it lies in the affine family: base plus a kernel combination
-    resid = memory - fam.base
+    resid = memory - base
     coeffs = np.array([np.trace(d @ resid).real for d in fam.directions])
-    recon = fam.base + sum(c * d for c, d in zip(coeffs, fam.directions))
+    recon = base + sum(c * d for c, d in zip(coeffs, fam.directions))
     assert np.abs(recon - memory).max() < 1e-8
 
 
@@ -521,11 +533,6 @@ def restrict_one(base, dirs, null):
     return members[0], np.einsum("jk,kab->jab", vh[0][free[0]], dirs), off_support[0]
 
 
-@pytest.fixture(scope="module")
-def sampled_cnot_cz_fit(cnot_cz_spec):
-    return sampled_fit(cnot_cz_spec, 3000, 0)
-
-
 @pytest.mark.parametrize("family", ["exact", "noisy", "shots"])
 def test_floored_entropy_matches_the_three_copies(family, cnot_cz_fit, cnot_cz_spec,
                                                   noisy_cnot_cz, sampled_cnot_cz_fit):
@@ -533,8 +540,7 @@ def test_floored_entropy_matches_the_three_copies(family, cnot_cz_fit, cnot_cz_s
                  "shots": (cnot_cz_spec, sampled_cnot_cz_fit)}[family]
     rng = np.random.default_rng(11)
     for theta in (0.0, 0.48, math.pi / 2, 2.16, 2.88):
-        fam = condition_family(fit, theta)
-        ref = uncorrelated_choi(fit, theta, spec)
+        fam, ref, res = one_angle(fit, theta, spec)
         refn = ref / np.trace(ref).real
         log_ref, w, v, keep = _reference_spectrum(refn)
         # one decomposition gives the floored log, the support and the null space
@@ -544,7 +550,7 @@ def test_floored_entropy_matches_the_three_copies(family, cnot_cz_fit, cnot_cz_s
         assert w[keep].min() >= LOG_FLOOR and np.all(w[~keep] < LOG_FLOOR)
         null = v[:, ~keep]
         assert np.abs(null.conj().T @ refn @ null).max() < 1e-12
-        full = (fam.base, fam.directions)
+        full = (fam.base[0], fam.directions)
         members = [full, restrict_one(*full, v * ~keep)[:2]]
         mixed_ref = 0.9 * refn + 0.1 * np.eye(8) / 8
         for base, dirs in members:
@@ -556,7 +562,6 @@ def test_floored_entropy_matches_the_three_copies(family, cnot_cz_fit, cnot_cz_s
                            - ref_objective_terms(a, log_ref, LOG_FLOOR)) <= 1e-14
                 assert abs(relative_entropy(a, mixed_ref)
                            - ref_relative_entropy(a, mixed_ref, LOG_FLOOR)) <= 1e-14
-        res = minimize_nonmarkovianity(fam, ref)
         opt = res.optimizer / np.trace(res.optimizer).real
         assert abs(relative_entropy(opt, ref) - ref_relative_entropy(opt, ref, LOG_FLOOR)) <= 1e-14
         # the minimiser and relative_entropy share the evaluation; the
@@ -570,10 +575,10 @@ def test_floored_entropy_matches_the_three_copies(family, cnot_cz_fit, cnot_cz_s
 def noisy_slice(noisy_cnot_cz, theta):
     """Support-compressed least-squares member and free directions of a noisy point."""
     spec, fit = noisy_cnot_cz
-    fam = condition_family(fit, theta)
-    ref = uncorrelated_choi(fit, theta, spec)
+    fam = condition_family(fit, [theta])
+    [ref] = uncorrelated_choi(fam, spec)
     _, w, v, keep = _reference_spectrum(ref / np.trace(ref).real)
-    base, dirs, _ = restrict_one(fam.base, fam.directions, v * ~keep)
+    base, dirs, _ = restrict_one(fam.base[0], fam.directions, v * ~keep)
     support = v[:, keep]
     on_support = support.conj().T @ np.concatenate([base[None], dirs]) @ support
     return on_support[0], on_support[1:], np.log(w[keep])
@@ -621,11 +626,11 @@ def test_newton_step_cap_is_reported(monkeypatch, noisy_cnot_cz):
     from proctensor import nonmarkov
 
     spec, fit = noisy_cnot_cz
-    fam = condition_family(fit, 0.48)
-    ref = uncorrelated_choi(fit, 0.48, spec)
-    full = minimize_nonmarkovianity(fam, ref)
+    fam = condition_family(fit, [0.48])
+    ref = uncorrelated_choi(fam, spec)
+    [full] = minimize_nonmarkovianity(fam, ref)
     monkeypatch.setattr(nonmarkov, "NEWTON_STEPS", 2)
-    cut = minimize_nonmarkovianity(fam, ref)
+    [cut] = minimize_nonmarkovianity(fam, ref)
     assert full.converged and full.iterations > 2
     assert not cut.converged and cut.iterations == 2 and cut.optimality > nonmarkov.NEWTON_TOL
 
@@ -637,12 +642,10 @@ def test_noisy_minimum_is_not_beaten_by_nearby_members(noisy_cnot_cz):
     spec, fit = noisy_cnot_cz
     rng = np.random.default_rng(5)
     for theta in (0.24, 0.48, 0.96, 2.16):
-        fam = condition_family(fit, theta)
-        ref = uncorrelated_choi(fit, theta, spec)
-        res = minimize_nonmarkovianity(fam, ref)
+        fam, ref, res = one_angle(fit, theta, spec)
         assert res.converged and res.free_directions == 11 and res.optimality <= 1e-15
         _, _, v, keep = _reference_spectrum(ref / np.trace(ref).real)
-        _, dirs, off_support = restrict_one(fam.base, fam.directions, v * ~keep)
+        _, dirs, off_support = restrict_one(fam.base[0], fam.directions, v * ~keep)
         assert off_support <= SUPPORT_WEIGHT_TOL
         checked = 0
         for scale in (1e-3, 1e-5, 1e-7):
@@ -670,20 +673,21 @@ def test_pinned_point_evaluates_once(monkeypatch, cnot_cz_fit, cnot_cz_spec):
             return fn(*args, **kwargs)
         return wrapper
 
-    fam = condition_family(cnot_cz_fit, math.pi / 2)
-    ref = uncorrelated_choi(cnot_cz_fit, math.pi / 2, cnot_cz_spec)
+    fam = condition_family(cnot_cz_fit, [math.pi / 2])
+    refs = uncorrelated_choi(fam, cnot_cz_spec)
+    ref = refs[0]
     monkeypatch.setattr(nonmarkov, "_floored_entropy",
                         counted("entropy", nonmarkov._floored_entropy))
     for name in ("eigvalsh", "eigh", "svd"):
         monkeypatch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-    res = minimize_nonmarkovianity(fam, ref)
+    [res] = minimize_nonmarkovianity(fam, refs)
     assert res.free_directions == 0
     # one eigh of the reference, one of the final member
     assert calls == {"entropy": 1, "eigvalsh": 0, "eigh": 2, "svd": 0}
     monkeypatch.undo()
     refn = ref / np.trace(ref).real
     log_ref, _, v, keep = _reference_spectrum(refn)
-    member, _, off_support = restrict_one(fam.base, fam.directions, v * ~keep)
+    member, _, off_support = restrict_one(fam.base[0], fam.directions, v * ~keep)
     assert off_support <= SUPPORT_WEIGHT_TOL
     e = herm_eig(member)
     assert res.optimizer.tobytes() == e.apply(lambda w: np.clip(w, 0.0, None)).tobytes()
@@ -733,10 +737,9 @@ def test_sweep_rows_equal_per_angle_minimisation(case, sweep_cases):
     results = sweep_theta(fit, SWEEP_GRID, process=spec)
     assert len(results) == len(SWEEP_GRID) and results[-1] is None
     for theta, res in zip(SWEEP_GRID, results):
-        try:
-            alone = minimize_nonmarkovianity(condition_family(fit, theta),
-                                             uncorrelated_choi(fit, theta, spec))
-        except VanishingBranchError:
+        fam = condition_family(fit, [theta])
+        [alone] = minimize_nonmarkovianity(fam, uncorrelated_choi(fam, spec))
+        if alone is None:
             assert res is None, theta
             continue
         assert_same_result(res, alone, theta)
@@ -787,11 +790,12 @@ def test_restrict_to_support_ragged_null_sizes(noisy, cnot_cz_fit, cnot_cz_spec,
     # stack, each point still gets its lone member, directions and residual
     spec, fit = noisy_cnot_cz if noisy else (cnot_cz_spec, cnot_cz_fit)
     thetas = (0.0, 0.72, math.pi / 2)
-    bases = np.array([condition_family(fit, theta).base for theta in thetas])
-    refs = np.array([uncorrelated_choi(fit, theta, spec) for theta in thetas])
+    fams = [condition_family(fit, [theta]) for theta in thetas]
+    bases = np.concatenate([fam.base for fam in fams])
+    refs = np.concatenate([uncorrelated_choi(fam, spec) for fam in fams])
     _, _, v, keep = _reference_spectrum(refs / np.trace(refs, axis1=1, axis2=2).real[:, None, None])
     assert (~keep).sum(axis=1).tolist() == ([5, 2, 2] if noisy else [7, 4, 4])
-    dirs = condition_family(fit, 0.0).directions
+    dirs = condition_family(fit, [0.0]).directions
     members, vh, free, off_support = _restrict_to_support(bases, dirs, v * ~keep[:, None, :])
     for i in range(len(thetas)):
         member, directions, lone_off = restrict_one(bases[i], dirs, v[i] * ~keep[i])

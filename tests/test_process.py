@@ -95,6 +95,19 @@ def test_run_process_length_mismatch():
         run_process(cnot_cz_process(), [named_projector("z+")])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_run_process_rejects_non_finite_steps(bad, cnot_cz_fit):
+    # as the baseline and the fitted prediction do, before any arithmetic
+    # can warn; with RuntimeWarning an error, a warning fails the test too
+    steps = [np.stack([named_projector("x+"), np.full((2, 2), bad)]), named_projector("z+")]
+    for predict in (lambda s: run_process(cnot_cz_process(), s),
+                    lambda s: markov_predict(cnot_cz_process(), s), cnot_cz_fit.predict):
+        with pytest.raises(ValueError, match="^non-finite"):
+            predict(steps)
+        with pytest.raises(ValueError, match="^non-finite"):
+            predict(steps[::-1])
+
+
 # ------------------------------------------------------------ exact runs
 
 def test_first_intervention_creates_max_entanglement():
@@ -377,6 +390,15 @@ def test_qpt_data_exact_mode():
     # the angles are a stack (L, 2), also for one projector
     with pytest.raises(ValueError, match="^bad-dims"):
         intervention_qpt_data(PROJECTOR_ANGLES["y-"])
+
+
+@pytest.mark.parametrize("cfg", [None, ShotConfig(shots=3000, seed=0)], ids=["exact", "shots"])
+def test_qpt_data_rejects_non_finite_angles(cfg):
+    # checked before any trigonometry: an infinite angle reached cos, and a
+    # NaN one gave NaN outputs when exact and failed in binomial when sampled
+    for bad in ([math.inf, 0.0], [0.3, -math.inf], [math.nan, 0.0], [0.3, math.nan]):
+        with pytest.raises(ValueError, match="^non-finite: angles"):
+            intervention_qpt_data([PROJECTOR_ANGLES["x+"], bad], cfg)
 
 
 def test_qpt_data_rejects_tags_that_do_not_broadcast():

@@ -32,7 +32,7 @@ from proctensor.linalg import (
     vec,
     vec_stack,
 )
-from proctensor.nonmarkov import _conditioned_map, _herm_basis, bloch_volume
+from proctensor.nonmarkov import _conditioned_maps, _herm_basis, bloch_volume
 from proctensor.process import (
     PROCESS_NAMES,
     ShotConfig,
@@ -328,7 +328,7 @@ def test_herm_basis_keeps_the_loop_order():
 
 def ref_bloch_volume(kind, fit, theta, n, process):
     if kind == "process-tensor":
-        t1, _ = _conditioned_map(fit, theta)
+        t1 = _conditioned_maps(fit, zy_projector([theta]))[0][0]
 
         def push(op):
             return unvec(t1 @ vec(action_superop(op)))
