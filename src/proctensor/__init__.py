@@ -28,7 +28,6 @@ from .channels import (
 from .process import (
     ProcessSpec,
     ShotConfig,
-    VanishingBranchError,
     cnot_cz_process,
     cz_cnot_process,
     generate_records,
@@ -63,8 +62,8 @@ __all__ = [
     "apply_noise", "bloch_vector", "named_projector", "projector",
     "state_fidelity", "zy_projector",
     "chi_fidelity", "chi_from_process", "chi_of_operator", "reduced_map",
-    "ProcessSpec", "ShotConfig", "VanishingBranchError", "cnot_cz_process",
-    "cz_cnot_process", "generate_records", "markov_predict", "run_process",
+    "ProcessSpec", "ShotConfig", "cnot_cz_process", "cz_cnot_process",
+    "generate_records", "markov_predict", "run_process",
     "RestrictedProcessTensor", "fit_restricted_tensor", "qst_six_axis",
     "records_from_arrays", "records_from_text", "records_to_text",
     "ChoiFamily", "MinimizeResult", "SupportMismatchError",

@@ -24,7 +24,7 @@ import numpy as np
 
 from .linalg import kron_stack, project_psd, unvec, vec_stack
 from .qubit import PAULIS, NoiseSpec, apply_noise
-from .validation import as_matrix, as_square, check_unitary, qubit_count
+from .validation import as_matrix, as_square, check_broadcast, check_unitary, qubit_count
 
 __all__ = [
     "pauli_basis",
@@ -176,10 +176,7 @@ def chi_fidelity(chi, chi_ideal) -> np.ndarray:
     b = np.ascontiguousarray(as_square(chi_ideal, "chi_ideal"))
     if a.shape[-1] != b.shape[-1]:
         raise ValueError(f"bad-dims: shapes {a.shape} and {b.shape} differ")
-    try:
-        np.broadcast_shapes(a.shape[:-2], b.shape[:-2])
-    except ValueError:
-        raise ValueError(f"bad-dims: stacks {a.shape} and {b.shape} do not broadcast") from None
+    check_broadcast([a, b])
     ta = np.trace(a, axis1=-2, axis2=-1).real
     tb = np.trace(b, axis1=-2, axis2=-1).real
     if not ((ta > 0).all() and (tb > 0).all()):

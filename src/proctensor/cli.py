@@ -23,14 +23,12 @@ import numpy as np
 
 from .channels import chi_fidelity, chi_from_process, chi_of_operator, reduced_map
 from .fileio import config_digest, write_matrix, write_table
+from .linalg import BRANCH_CUTOFF
 from .nonmarkov import bloch_volume, default_theta_grid, sweep_theta
 from .process import (
-    BRANCH_CUTOFF,
     MAX_SHOTS,
-    P_JOINT_CUTOFF,
     PROCESS_NAMES,
     ShotConfig,
-    VanishingBranchError,
     generate_records,
     intervention_qpt_data,
     markov_predict,
@@ -262,8 +260,8 @@ def cmd_tomo_predict(cfg: RunConfig) -> int:
     predicted, p_pred = fit.predict(steps)
     baseline, p_markov = markov_predict(spec, steps)
     # 0.0 marks a pair the tensor or the baseline has no state for
-    fid_tensor = np.where(p_pred >= P_JOINT_CUTOFF, state_fidelity(truth, predicted), 0.0)
-    fid_markov = np.where(p_markov >= P_JOINT_CUTOFF, state_fidelity(truth, baseline), 0.0)
+    fid_tensor = np.where(p_pred >= BRANCH_CUTOFF, state_fidelity(truth, predicted), 0.0)
+    fid_markov = np.where(p_markov >= BRANCH_CUTOFF, state_fidelity(truth, baseline), 0.0)
     keep = p_true >= BRANCH_CUTOFF
     a0, a1 = np.nonzero(keep)
     rows = zip(labels[a0], labels[a1], p_true[keep], fid_tensor[keep], fid_markov[keep])
@@ -312,9 +310,12 @@ def cmd_volume(cfg: RunConfig) -> int:
     spec = cfg.spec()
     _, fit = _records_and_fit(cfg, spec)
     thetas = cfg.theta_grid or (0.0, math.pi / 4, math.pi / 2)
-    # Every cloud is computed before any is written, so a vanishing branch
-    # (a config error) leaves no partial output.
-    for idx, pair in enumerate(bloch_volume(fit, thetas, spec)):
+    # every cloud is computed before any is written: an absent angle writes nothing
+    volumes = bloch_volume(fit, thetas, spec)
+    if None in volumes:
+        theta = thetas[volumes.index(None)]
+        raise ConfigError(f"vanishing-branch: the first-step branch vanishes at theta {theta!r}")
+    for idx, pair in enumerate(volumes):
         for kind, cloud in zip(("process-tensor", "markov-map"), pair):
             write_table(out / f"volume_{kind}_theta{idx}.csv",
                         ["theta_a1", "phi_a1", "bx", "by", "bz"], cloud, digest)
@@ -367,7 +368,7 @@ def main(argv=None) -> int:
         return 2
     try:
         return COMMANDS[args.command](cfg)
-    except (ConfigError, VanishingBranchError) as exc:
+    except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:

@@ -15,6 +15,7 @@ import numpy as np
 from .validation import as_matrix, hermitian_part
 
 __all__ = [
+    "BRANCH_CUTOFF",
     "HermEigen",
     "kron_stack",
     "herm_eig",
@@ -62,16 +63,21 @@ def project_psd(m) -> np.ndarray:
     return herm_eig(m).apply(lambda w: np.clip(w, 0.0, None))
 
 
-def normalized_psd(m, cutoff: float):
+#: Probability below which a branch or a trajectory has vanished: nothing is
+#: conditioned on it, and no state is reported for it.
+BRANCH_CUTOFF = 1e-9
+
+
+def normalized_psd(m):
     """Unit-trace PSD projections of a matrix or stack, with the traces before projection.
 
-    Matrices whose trace is below cutoff become the maximally mixed state.
-    Returns (states (..., n, n), traces (...) clipped at 0).
+    Matrices whose trace is below BRANCH_CUTOFF become the maximally mixed
+    state. Returns (states (..., n, n), traces (...) clipped at 0).
     """
     a = as_matrix(m, "m")
     tr = np.trace(a, axis1=-2, axis2=-1).real
     mixed = np.eye(a.shape[-1]) / a.shape[-1]
-    rho = project_psd(np.where((tr >= cutoff)[..., None, None], a, mixed))
+    rho = project_psd(np.where((tr >= BRANCH_CUTOFF)[..., None, None], a, mixed))
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None], np.maximum(tr, 0.0)
 
 

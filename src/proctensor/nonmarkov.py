@@ -13,8 +13,8 @@ minimize_nonmarkovianity one result per point; sweep_theta is the three
 composed. One rule marks a point absent (None): the fit's branch
 probability is below BRANCH_CUTOFF, or its reference is the zero matrix,
 which it is where the process's branch vanishes or the fit leaves no
-intermediate state. Only bloch_volume, which has no absent cloud, raises
-VanishingBranchError.
+intermediate state. bloch_volume applies the branch half: its pair is None
+where the fit's or the process's branch is below BRANCH_CUTOFF.
 
 The relative entropy is finite only for members inside the support of the
 reference, a linear condition on the family coefficients. The minimiser
@@ -44,8 +44,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channels import action_dual, action_superop, map_to_choi, superop_to_choi
-from .linalg import herm_eig, kron_stack, normalized_psd, project_psd, unvec, vec_stack
-from .process import BRANCH_CUTOFF, ProcessSpec, VanishingBranchError, last_step_superops
+from .linalg import (BRANCH_CUTOFF, herm_eig, kron_stack, normalized_psd, project_psd, unvec,
+                     vec_stack)
+from .process import ProcessSpec, last_step_superops
 from .qubit import FIT_BASIS, bloch_vector, named_projector, projector, zy_projector
 from .tomography import RestrictedProcessTensor, action_matrix
 from .validation import check_angles, hermitian_part
@@ -535,17 +536,17 @@ def sweep_theta(fit: RestrictedProcessTensor, thetas, *,
 
 
 def bloch_volume(fit: RestrictedProcessTensor, thetas,
-                 process: ProcessSpec) -> list[tuple[np.ndarray, np.ndarray]]:
+                 process: ProcessSpec) -> list[tuple[np.ndarray, np.ndarray] | None]:
     """Accessible output states of the conditioned process tensor and of the
     uncorrelated (memoryless) channel, one pair (tensor, markov) per
-    first-step angle of thetas.
+    first-step angle of thetas, None where the fit's or the process's
+    first-step branch is below BRANCH_CUTOFF.
 
     Samples VOLUME_SAMPLES second interventions on a Fibonacci lattice and
     pushes the whole cloud through each description of every angle as one
     stack. Rows are (theta_a1, phi_a1, bx, by, bz); vanishing trajectories
     are skipped. thetas must be a 1-D stack of finite angles (bad-dims,
-    non-finite). A vanishing first-step branch raises VanishingBranchError
-    naming the first such angle.
+    non-finite).
     """
     thetas = check_angles(thetas, 1, "thetas")
     # Fibonacci lattice: deterministic and nearly uniform over the sphere
@@ -556,15 +557,10 @@ def bloch_volume(fit: RestrictedProcessTensor, thetas,
     first = zy_projector(thetas)
     t1, p_branch = _conditioned_maps(fit, first)
     sup, p_env = last_step_superops(process, first)
-    # the fit's branch probability is checked first, then the process's
-    p = np.where(p_branch < BRANCH_CUTOFF, p_branch, p_env)
-    if (p < BRANCH_CUTOFF).any():
-        k = np.argmax(p < BRANCH_CUTOFF)  # the first vanishing angle
-        raise VanishingBranchError(f"vanishing-branch: first-step probability {p[k]:.3e} "
-                                   f"at theta {float(thetas[k])!r}")
     clouds = []
     for out in (_push(t1[:, None], mats), unvec(vec_stack(mats) @ sup.swapaxes(-1, -2))):
-        states, p_out = normalized_psd(out, BRANCH_CUTOFF)
+        states, p_out = normalized_psd(out)
         clouds.append([np.column_stack([th, ph, b])[keep]
                        for b, keep in zip(bloch_vector(states), p_out >= BRANCH_CUTOFF)])
-    return list(zip(*clouds))
+    live = (p_branch >= BRANCH_CUTOFF) & (p_env >= BRANCH_CUTOFF)
+    return [pair if ok else None for pair, ok in zip(zip(*clouds), live)]

@@ -16,7 +16,7 @@ from typing import Iterator, Sequence
 import numpy as np
 
 from .channels import reduced_superop
-from .linalg import normalized_psd, unvec, vec_stack
+from .linalg import BRANCH_CUTOFF, normalized_psd, unvec, vec_stack
 from .qubit import (
     CNOT,
     CZ,
@@ -29,8 +29,8 @@ from .qubit import (
     named_projector,
     projector,
 )
-from .tomography import P_JOINT_CUTOFF, qst_six_axis, records_from_arrays
-from .validation import as_matrix, check_angles, check_two_steps, check_unitary
+from .tomography import qst_six_axis, records_from_arrays
+from .validation import as_matrix, check_angles, check_broadcast, check_two_steps, check_unitary
 
 __all__ = [
     "ProcessSpec",
@@ -43,8 +43,6 @@ __all__ = [
     "markov_predict",
     "generate_records",
     "intervention_qpt_data",
-    "BRANCH_CUTOFF",
-    "VanishingBranchError",
     "first_step_env_marginals",
     "last_step_superops",
 ]
@@ -76,14 +74,17 @@ MAX_SHOTS = 10**6
 
 @dataclass(frozen=True)
 class ShotConfig:
+    """Shots per readout axis and the seed of the streams: integers, not bools."""
+
     shots: int = 3000
     seed: int = 0
 
     def __post_init__(self):
-        if not 1 <= self.shots <= MAX_SHOTS:
-            raise ValueError(f"bad-shots: shots must be in [1, {MAX_SHOTS}], got {self.shots}")
-        if not 0 <= self.seed < 2**64:
-            raise ValueError(f"bad-seed: seed must be in [0, 2**64), got {self.seed}")
+        if not (np.issubdtype(type(self.shots), np.integer) and 1 <= self.shots <= MAX_SHOTS):
+            raise ValueError(f"bad-shots: shots must be an integer in [1, {MAX_SHOTS}], "
+                             f"got {self.shots!r}")
+        if not (np.issubdtype(type(self.seed), np.integer) and 0 <= self.seed < 2**64):
+            raise ValueError(f"bad-seed: seed must be an integer in [0, 2**64), got {self.seed!r}")
 
 
 def cnot_cz_process(noise: NoiseSpec | None = None) -> ProcessSpec:
@@ -111,9 +112,12 @@ def _chain(spec: ProcessSpec, steps: Sequence[np.ndarray]):
 
 
 def _checked_steps(steps) -> list[np.ndarray]:
-    """The projector stacks of a two-step sequence as complex arrays; a NaN
-    or infinite entry raises "non-finite" before any arithmetic."""
-    return [as_matrix(m, "step") for m in check_two_steps(steps)]
+    """The projector stacks (..., 2, 2) of a two-step sequence as complex
+    arrays, checked ("non-finite", "bad-dims") before any arithmetic."""
+    mats = [as_matrix(m, "step") for m in check_two_steps(steps)]
+    if any(m.shape[-2:] != (2, 2) for m in mats):
+        raise ValueError(f"bad-dims: step shapes {[m.shape for m in mats]} are not (..., 2, 2)")
+    return check_broadcast(mats, "steps")
 
 
 def run_process(spec: ProcessSpec, steps: Sequence[np.ndarray]):
@@ -123,15 +127,14 @@ def run_process(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     the stacks broadcast, so two 2x2 matrices give one sequence and a column
     and a row stack give a whole grid. Returns the joint probabilities of all
     outcomes p_joint (...), clipped at 0, and the normalized system marginals
-    (..., 2, 2), maximally mixed where p_joint is below the reporting cutoff,
-    as (states, p_joint). A step with a NaN or infinite entry raises
-    "non-finite".
+    (..., 2, 2), maximally mixed where p_joint is below BRANCH_CUTOFF, as
+    (states, p_joint). Steps are checked as _checked_steps describes.
     """
     rho = _chain(spec, _checked_steps(steps))
     p_joint = np.maximum(np.trace(rho, axis1=-2, axis2=-1).real, 0.0)
     out = np.einsum("...ijkj->...ik", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)))
-    out = out / np.maximum(p_joint, P_JOINT_CUTOFF)[..., None, None]
-    return np.where((p_joint >= P_JOINT_CUTOFF)[..., None, None], out, ID2 / 2), p_joint
+    out = out / np.maximum(p_joint, BRANCH_CUTOFF)[..., None, None]
+    return np.where((p_joint >= BRANCH_CUTOFF)[..., None, None], out, ID2 / 2), p_joint
 
 
 def _step_superops(spec: ProcessSpec) -> list[np.ndarray]:
@@ -144,15 +147,14 @@ def markov_predict(spec: ProcessSpec, steps: Sequence[np.ndarray]):
 
     From the system ground state, alternately applies each projector and the
     environment-in-ground reduced map of its step. Returns (states, p): unit
-    trace PSD states, maximally mixed where p is below the reporting cutoff,
-    and p clipped at 0. A step with a NaN or infinite entry raises
-    "non-finite".
+    trace PSD states, maximally mixed where p is below BRANCH_CUTOFF, and p
+    clipped at 0. Steps are checked as in run_process.
     """
     rho = _GROUND1
     for mats, sup in zip(_checked_steps(steps), _step_superops(spec)):
         rho = mats @ rho @ np.conj(mats).swapaxes(-1, -2)
         rho = unvec(vec_stack(rho) @ sup.T)
-    return normalized_psd(rho, P_JOINT_CUTOFF)
+    return normalized_psd(rho)
 
 
 def _stream_digest(seed: int, parts) -> bytes:
@@ -377,23 +379,12 @@ def intervention_qpt_data(angles, cfg: ShotConfig | None = None, run_tags=((0,),
     return inputs, (p_hat[:, None, None] * states).reshape(shape)
 
 
-#: Probability below which a first-step branch or a trajectory counts as
-#: vanished: nothing is conditioned on such a branch, and such a trajectory
-#: (a tomo-predict pair, a Bloch-cloud sample) is left out of the outputs.
-BRANCH_CUTOFF = 1e-9
-
-
-class VanishingBranchError(ValueError):
-    """A first-step branch of (numerically) zero probability; nothing can be
-    conditioned on it. The message starts with "vanishing-branch:"."""
-
-
 def first_step_env_marginals(spec: ProcessSpec, mats):
     """Environment marginals right after a stack (..., 2, 2) of first-step
     projector matrices, with the branch probabilities (...).
 
     A marginal whose branch probability is below BRANCH_CUTOFF is left
-    undivided; callers mask those branches or reject them.
+    undivided; callers mark those branches absent.
     """
     rho = _chain(spec, [np.asarray(mats, dtype=complex)])
     p = np.trace(rho, axis1=-2, axis2=-1).real

@@ -23,7 +23,7 @@ from .channels import (
 from .fileio import format_value
 from .linalg import clip_divided_differences, normalized_psd, project_psd, unvec, vec, vec_stack
 from .qubit import FIT_BASIS, FIT_BASIS_LABELS, PAULIS
-from .validation import check_two_steps, hermitian_part
+from .validation import check_broadcast, check_two_steps, hermitian_part
 
 __all__ = [
     "records_from_arrays",
@@ -39,8 +39,6 @@ __all__ = [
 
 #: Pair-sum slack accepted by the six-axis estimator (finite-shot data).
 PAIR_SUM_SLACK = 0.1
-#: Trajectory probability below which no output state is reported.
-P_JOINT_CUTOFF = 1e-12
 #: Largest residual of an operation's action outside the fit basis span.
 SPAN_TOL = 1e-8
 
@@ -468,16 +466,17 @@ class RestrictedProcessTensor:
         """Predict (states, p_joint) for one two-operation sequence or a stack of them.
 
         steps holds one operation or a stack of them per step, in any form
-        action_matrix takes; the stacks broadcast as in process.run_process.
-        Each operation must lie in the span of the projector-action basis (all
-        rank-1 projectors do). The states are PSD-projected and unit-trace,
-        maximally mixed where p_joint is below P_JOINT_CUTOFF; p_joint is
-        clipped at 0.
+        action_matrix takes; the stacks broadcast as in process.run_process,
+        and stacks that do not raise "bad-dims". Each operation must lie in
+        the span of the projector-action basis (all rank-1 projectors do).
+        The states are PSD-projected and unit-trace, maximally mixed where
+        p_joint is below linalg.BRANCH_CUTOFF; p_joint is clipped at 0.
         """
         self._require_fitted()
-        x0, x1 = (self._checked_action_vecs(op) for op in check_two_steps(steps, "operations"))
+        ops = check_broadcast(check_two_steps(steps, "operations"), "operations")
+        x0, x1 = (self._checked_action_vecs(op) for op in ops)
         raw = np.einsum("kab,...a,...b->...k", self.map_.reshape(4, 16, 16), x1, x0)
-        return normalized_psd(unvec(raw), P_JOINT_CUTOFF)
+        return normalized_psd(unvec(raw))
 
     def contract_first_step(self, op) -> np.ndarray:
         """One-step map over the remaining intervention, first step fixed.

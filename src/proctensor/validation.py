@@ -46,6 +46,16 @@ def hermitian_part(m, name: str = "matrix") -> np.ndarray:
     return (a + ah) / 2
 
 
+def check_broadcast(stacks, name: str = "stacks"):
+    """Return stacks (..., r, c) whose leading axes broadcast, or raise "bad-dims"."""
+    try:
+        np.broadcast_shapes(*(np.shape(s)[:-2] for s in stacks))
+    except ValueError:
+        shapes = " and ".join(str(np.shape(s)) for s in stacks)
+        raise ValueError(f"bad-dims: {name} {shapes} do not broadcast") from None
+    return stacks
+
+
 def check_two_steps(steps, name: str = "interventions"):
     """Return steps if it holds one entry per step of the two-step process."""
     if len(steps) != 2:

@@ -295,13 +295,13 @@ def test_linear_fit_outputs_independent_of_blas_threads(tmp_path, args):
 _PREDICT_SCRIPT = """
 import json, sys
 from proctensor import OVERCOMPLETE_LABELS, fit_restricted_tensor, named_projector, records_from_text
-from proctensor.tomography import P_JOINT_CUTOFF
+from proctensor.linalg import BRANCH_CUTOFF
 fit = fit_restricted_tensor(records_from_text(open(sys.argv[1]).read()), psd=True)
 out = []
 for l0 in OVERCOMPLETE_LABELS:
     for l1 in OVERCOMPLETE_LABELS:
         rho, p = fit.predict([named_projector(l0), named_projector(l1)])
-        out.append([float(p)] + ([] if p < P_JOINT_CUTOFF else rho.view(float).ravel().tolist()))
+        out.append([float(p)] + ([] if p < BRANCH_CUTOFF else rho.view(float).ravel().tolist()))
 print(json.dumps({"converged": fit.refit_info_.converged, "predictions": out}))
 """
 

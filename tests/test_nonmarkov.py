@@ -12,15 +12,13 @@ from proctensor import (
     NoiseSpec,
     RestrictedProcessTensor,
     ShotConfig,
-    VanishingBranchError,
     cnot_cz_process,
     cz_cnot_process,
     fit_restricted_tensor,
     generate_records,
 )
-from proctensor.process import BRANCH_CUTOFF
 from proctensor.channels import action_superop
-from proctensor.linalg import herm_eig, project_psd, unvec, vec
+from proctensor.linalg import BRANCH_CUTOFF, herm_eig, project_psd, unvec, vec
 from proctensor.nonmarkov import (
     LOG_FLOOR,
     SUPPORT_WEIGHT_TOL,
@@ -210,16 +208,20 @@ def test_one_vanishing_rule(kind, cnot_cz_fit, cnot_cz_spec, sampled_cnot_cz_fit
     swept = sweep_theta(fit, [0.3, math.pi], process=cnot_cz_spec)
     assert swept[1] is None
     assert_same_result(swept[0], results[0], 0.3)
-    # the Bloch clouds still reject a vanishing branch, with the one type
-    with pytest.raises(VanishingBranchError, match="^vanishing-branch: "):
-        bloch_volume(fit, [0.3, math.pi], cnot_cz_spec)
+    # the Bloch clouds apply the branch half of the rule: the same point is
+    # absent, and the other's clouds do not depend on the points beside it
+    volumes = bloch_volume(fit, [0.3, math.pi], cnot_cz_spec)
+    assert volumes[1] is None
+    (alone,) = bloch_volume(fit, [0.3], cnot_cz_spec)
+    for stacked, single in zip(volumes[0], alone, strict=True):
+        assert stacked.shape == single.shape and stacked.tobytes() == single.tobytes()
 
 
 def test_bloch_volume_checks_its_angles(cnot_cz_fit, cnot_cz_spec):
-    # the first vanishing angle is named; an empty stack gives no volumes
+    # every vanishing angle is absent; an empty stack gives no volumes
     thetas = np.array([0.3, math.pi, 3.14159265358979])
-    with pytest.raises(VanishingBranchError, match=r"at theta 3\.141592653589793$"):
-        bloch_volume(cnot_cz_fit, thetas, cnot_cz_spec)
+    volumes = bloch_volume(cnot_cz_fit, thetas, cnot_cz_spec)
+    assert volumes[0] is not None and volumes[1:] == [None, None]
     assert bloch_volume(cnot_cz_fit, [], cnot_cz_spec) == []
 
 

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import antipode, derived_rng, partial_trace, reduced_step_maps
+from proctensor.linalg import BRANCH_CUTOFF
 from proctensor.process import (
     MAX_SHOTS,
     ProcessSpec,
@@ -42,7 +43,7 @@ from proctensor.qubit import (
     projector,
     state_fidelity,
 )
-from proctensor.tomography import P_JOINT_CUTOFF, qst_six_axis
+from proctensor.tomography import qst_six_axis
 
 angles = st.floats(0.05, math.pi - 0.05, allow_nan=False)
 phases = st.floats(-math.pi, math.pi, allow_nan=False)
@@ -90,9 +91,32 @@ def test_shot_config_rejects_seed_beyond_64_bits():
     assert p_joint.tolist() == [1.0]
 
 
+def test_shot_config_takes_integers_only():
+    # 2.5 shots would draw 2 and divide by 2.5, seed 1.5 would draw seed
+    # 1's streams, and True would run one shot
+    for shots in (2.5, 3000.0, True, np.float64(100)):
+        with pytest.raises(ValueError, match="^bad-shots"):
+            ShotConfig(shots=shots)
+    for seed in (1.5, 0.0, False):
+        with pytest.raises(ValueError, match="^bad-seed"):
+            ShotConfig(seed=seed)
+    cfg = ShotConfig(shots=np.int64(100), seed=np.uint64(2**64 - 1))
+    assert (cfg.shots, cfg.seed) == (100, 2**64 - 1)
+
+
 def test_run_process_length_mismatch():
     with pytest.raises(ValueError, match="bad-sequence"):
         run_process(cnot_cz_process(), [named_projector("z+")])
+
+
+LAYERS = ("run_process", "markov_predict", "predict")
+
+
+def prediction_layer(layer, fit):
+    """The states and probabilities of a two-step sequence from one layer."""
+    return {"run_process": lambda s: run_process(cnot_cz_process(), s),
+            "markov_predict": lambda s: markov_predict(cnot_cz_process(), s),
+            "predict": fit.predict}[layer]
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -100,12 +124,36 @@ def test_run_process_rejects_non_finite_steps(bad, cnot_cz_fit):
     # as the baseline and the fitted prediction do, before any arithmetic
     # can warn; with RuntimeWarning an error, a warning fails the test too
     steps = [np.stack([named_projector("x+"), np.full((2, 2), bad)]), named_projector("z+")]
-    for predict in (lambda s: run_process(cnot_cz_process(), s),
-                    lambda s: markov_predict(cnot_cz_process(), s), cnot_cz_fit.predict):
+    for predict in (prediction_layer(layer, cnot_cz_fit) for layer in LAYERS):
         with pytest.raises(ValueError, match="^non-finite"):
             predict(steps)
         with pytest.raises(ValueError, match="^non-finite"):
             predict(steps[::-1])
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_malformed_steps_raise_bad_dims(layer, cnot_cz_fit):
+    # rejected before any arithmetic, not by numpy's matmul or broadcasting
+    predict = prediction_layer(layer, cnot_cz_fit)
+    x, z = named_projector("x+"), named_projector("z+")
+    for steps in ([np.ones((2, 3)), z], [z, np.ones((2, 3))],
+                  [np.stack([x] * 3), np.stack([z] * 4)]):
+        with pytest.raises(ValueError, match="^bad-dims"):
+            predict(steps)
+
+
+@pytest.mark.parametrize("layer", LAYERS)
+def test_one_cutoff_for_reported_states(layer, cnot_cz_fit):
+    # a trajectory below BRANCH_CUTOFF reports the maximally mixed state in
+    # every layer; 5e-10 lies above the 1e-12 a second cutoff once used
+    predict = prediction_layer(layer, cnot_cz_fit)
+    steps = [named_projector("x+"), named_projector("z+")]
+    rho, p = predict(steps)
+    assert p > 0.1 and not np.allclose(rho, ID2 / 2)
+    scale = math.sqrt(5e-10 / p)
+    rho, p = predict([steps[0] * scale, steps[1]])
+    assert abs(p - 5e-10) < 1e-15 and p < BRANCH_CUTOFF
+    assert np.array_equal(rho, ID2 / 2)
 
 
 # ------------------------------------------------------------ exact runs
@@ -129,7 +177,7 @@ def test_first_intervention_creates_max_entanglement():
 def test_forbidden_trajectory():
     spec = cnot_cz_process()
     rho, p = run_process(spec, [named_projector("z+"), named_projector("z-")])
-    assert p < P_JOINT_CUTOFF and np.array_equal(rho, ID2 / 2)
+    assert p < BRANCH_CUTOFF and np.array_equal(rho, ID2 / 2)
     assert p <= 1e-9
 
 
@@ -192,7 +240,7 @@ def test_markov_matches_oracle_for_cz_cnot():
         for l1 in ("x+", "zy-", "y+"):
             ops = [named_projector(l0), named_projector(l1)]
             truth, p = run_process(spec, ops)
-            if p < P_JOINT_CUTOFF:
+            if p < BRANCH_CUTOFF:
                 continue
             predicted, _ = markov_predict(spec, ops)
             assert state_fidelity(truth, predicted) >= 1 - 1e-9, (l0, l1)
@@ -330,7 +378,7 @@ def test_exact_records_match_oracle(cnot_cz_spec, cnot_cz_records):
         ops = [named_projector(FIT_BASIS_LABELS[i]) for i in rec.basis_indices]
         truth, p = run_process(cnot_cz_spec, ops)
         assert abs(rec.p_joint - p) < 1e-12
-        if p >= P_JOINT_CUTOFF:
+        if p >= BRANCH_CUTOFF:
             assert np.abs(rec.rho_measured - truth).max() < 1e-10
 
 
@@ -435,7 +483,7 @@ def loop_exact_record(spec, ops):
         if spec.noise is not None:
             rho = apply_noise(rho, spec.noise)
     p = max(float(np.trace(rho).real), 0.0)
-    if p < P_JOINT_CUTOFF:
+    if p < BRANCH_CUTOFF:
         return ID2 / 2, p
     return partial_trace(rho, 2, 2, keep="a") / p, p
 

@@ -11,7 +11,7 @@ from proctensor.channels import (
     choi_to_map,
     map_to_choi,
 )
-from proctensor.linalg import project_psd, vec
+from proctensor.linalg import BRANCH_CUTOFF, project_psd, vec
 from proctensor.process import (
     ShotConfig,
     intervention_qpt_data,
@@ -28,7 +28,6 @@ from proctensor.qubit import (
     state_fidelity,
 )
 from proctensor.tomography import (
-    P_JOINT_CUTOFF,
     RestrictedProcessTensor,
     fit_restricted_tensor,
     qst_six_axis,
@@ -216,7 +215,7 @@ def test_fit_reproduces_training_records(cnot_cz_fit, cnot_cz_records):
         ops = [named_projector(FIT_BASIS_LABELS[i]) for i in rec.basis_indices]
         rho, p = cnot_cz_fit.predict(ops)
         assert abs(p - rec.p_joint) < 1e-9
-        if p >= P_JOINT_CUTOFF and rec.p_joint > 1e-9:
+        if p >= BRANCH_CUTOFF and rec.p_joint > 1e-9:
             assert state_fidelity(rho, rec.rho_measured) >= 1 - 1e-8
 
 
@@ -295,7 +294,7 @@ def test_oracle_equivalence_and_markov_cz_cnot(cz_cnot_spec, cz_cnot_fit):
 def test_forbidden_pair_prediction(cnot_cz_fit):
     rho, p = cnot_cz_fit.predict([named_projector("z+"), named_projector("z-")])
     assert p <= 1e-9
-    assert p < P_JOINT_CUTOFF and np.array_equal(rho, np.eye(2) / 2)
+    assert p < BRANCH_CUTOFF and np.array_equal(rho, np.eye(2) / 2)
 
 
 def test_outside_span_rejected(cnot_cz_fit):
