@@ -179,11 +179,6 @@ def resolve_config(args) -> RunConfig:
     )
 
 
-def _ensure_outdir(cfg: RunConfig) -> Path:
-    cfg.output_dir.mkdir(parents=True, exist_ok=True)
-    return cfg.output_dir
-
-
 def _refit_converged(fit) -> bool:
     """False, with a note on stderr, when the PSD refit of a sampled fit did not converge."""
     info = fit.refit_info_
@@ -204,9 +199,7 @@ def _safe_name(label: str) -> str:
     return label.replace("+", "p").replace("-", "m")
 
 
-def cmd_characterize_povm(cfg: RunConfig) -> int:
-    out = _ensure_outdir(cfg)
-    digest = cfg.digest()
+def cmd_characterize_povm(cfg: RunConfig, out: Path, digest: str) -> bool:
     shot_cfg = cfg.shot_config()
     reps = 1 if shot_cfg is None else QPT_REPETITIONS
     labels = OVERCOMPLETE_LABELS
@@ -224,12 +217,10 @@ def cmd_characterize_povm(cfg: RunConfig) -> int:
     write_table(out / "povm_fidelities.csv", ["povm", "rep", "fidelity"], rows, digest)
     write_table(out / "povm_fidelity_summary.csv", ["povm", "mean_fidelity", "std_fidelity"],
                 summary, digest)
-    return 0
+    return True
 
 
-def cmd_reduced_maps(cfg: RunConfig) -> int:
-    out = _ensure_outdir(cfg)
-    digest = cfg.digest()
+def cmd_reduced_maps(cfg: RunConfig, out: Path, digest: str) -> bool:
     for name, chi in zip(("cz", "cnot"), chi_of_operator(np.array([CZ, CNOT]))):
         write_matrix(out / f"chi_{name}.txt", chi)
     tags = ("e0", "e1", "eym")
@@ -243,12 +234,10 @@ def cmd_reduced_maps(cfg: RunConfig) -> int:
             write_matrix(out / f"chi_reduced_cz_{tag}_noisy.txt", chi)
         write_table(out / "reduced_map_fidelities.csv", ["env_state", "fidelity_vs_exact"],
                     zip(tags, chi_fidelity(noisy, exact)), digest)
-    return 0
+    return True
 
 
-def cmd_tomo_predict(cfg: RunConfig) -> int:
-    out = _ensure_outdir(cfg)
-    digest = cfg.digest()
+def cmd_tomo_predict(cfg: RunConfig, out: Path, digest: str) -> bool:
     spec = cfg.spec()
     records, fit = _records_and_fit(cfg, spec)
     (out / "records.txt").write_text(records_to_text(records))
@@ -282,31 +271,24 @@ def cmd_tomo_predict(cfg: RunConfig) -> int:
         summary,
         digest,
     )
-    return 0 if _refit_converged(fit) else 3
+    return _refit_converged(fit)
 
 
-def cmd_nonmarkov(cfg: RunConfig) -> int:
-    out = _ensure_outdir(cfg)
-    digest = cfg.digest()
+def cmd_nonmarkov(cfg: RunConfig, out: Path, digest: str) -> bool:
     spec = cfg.spec()
     _, fit = _records_and_fit(cfg, spec)
     thetas = cfg.theta_grid or default_theta_grid().tolist()
-    rows = []
-    all_converged = _refit_converged(fit)
-    for theta, res in zip(thetas, sweep_theta(fit, thetas, process=spec)):
-        if res is None:
-            rows.append((theta, "absent", False, 0))
-            continue
-        rows.append((theta, res.n_value, res.converged, res.iterations))
-        all_converged = all_converged and res.converged
+    converged = _refit_converged(fit)
+    results = sweep_theta(fit, thetas, process=spec)
+    rows = [(theta, "absent", False, 0) if res is None
+            else (theta, res.n_value, res.converged, res.iterations)
+            for theta, res in zip(thetas, results)]
     write_table(out / "nonmarkovianity.csv", ["theta", "n_value", "converged", "iterations"],
                 rows, digest)
-    return 0 if all_converged else 3
+    return converged and all(res is None or res.converged for res in results)
 
 
-def cmd_volume(cfg: RunConfig) -> int:
-    out = _ensure_outdir(cfg)
-    digest = cfg.digest()
+def cmd_volume(cfg: RunConfig, out: Path, digest: str) -> bool:
     spec = cfg.spec()
     _, fit = _records_and_fit(cfg, spec)
     thetas = cfg.theta_grid or (0.0, math.pi / 4, math.pi / 2)
@@ -319,7 +301,7 @@ def cmd_volume(cfg: RunConfig) -> int:
         for kind, cloud in zip(("process-tensor", "markov-map"), pair):
             write_table(out / f"volume_{kind}_theta{idx}.csv",
                         ["theta_a1", "phi_a1", "bx", "by", "bz"], cloud, digest)
-    return 0 if _refit_converged(fit) else 3
+    return _refit_converged(fit)
 
 
 COMMANDS = {
@@ -366,14 +348,18 @@ def main(argv=None) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    # each subcommand writes into the one directory made here and returns
+    # whether every refit and sweep point converged
     try:
-        return COMMANDS[args.command](cfg)
+        cfg.output_dir.mkdir(parents=True, exist_ok=True)
+        converged = COMMANDS[args.command](cfg, cfg.output_dir, cfg.digest())
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except OSError as exc:
         print(f"io-error: {exc}", file=sys.stderr)
         return 4
+    return 0 if converged else 3
 
 
 if __name__ == "__main__":

@@ -9,7 +9,7 @@ import numpy as np
 
 __all__ = [
     "config_digest",
-    "format_value",
+    "format_rows",
     "write_matrix",
     "read_matrix",
     "write_table",
@@ -23,6 +23,7 @@ def config_digest(pairs: dict) -> str:
 
 
 def format_value(x) -> str:
+    """The text of one value: true/false, an integer, or a float to 17 significant digits."""
     if isinstance(x, bool):
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
@@ -32,17 +33,16 @@ def format_value(x) -> str:
     return str(x)
 
 
+def format_rows(header, rows, sep: str) -> str:
+    """The header lines, then one line per row of format_value texts joined by sep."""
+    lines = [*header, *(sep.join(format_value(v) for v in row) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
 def write_matrix(path, m) -> None:
     """Dims header then one row per line of interleaved re/im pairs."""
-    a = np.asarray(m, dtype=complex)
-    lines = [f"{a.shape[0]} {a.shape[1]}"]
-    for row in a:
-        parts = []
-        for entry in row:
-            parts.append(format(entry.real, ".17g"))
-            parts.append(format(entry.imag, ".17g"))
-        lines.append(" ".join(parts))
-    Path(path).write_text("\n".join(lines) + "\n")
+    a = np.ascontiguousarray(m, dtype=complex)
+    Path(path).write_text(format_rows([f"{a.shape[0]} {a.shape[1]}"], a.view(float), " "))
 
 
 def read_matrix(path) -> np.ndarray:
@@ -71,7 +71,4 @@ def read_matrix(path) -> np.ndarray:
 
 def write_table(path, columns, rows, digest: str) -> None:
     """Comma-separated table with a config-hash comment and a header row."""
-    lines = [f"# config={digest}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_value(v) for v in row))
-    Path(path).write_text("\n".join(lines) + "\n")
+    Path(path).write_text(format_rows([f"# config={digest}", ",".join(columns)], rows, ","))

@@ -398,8 +398,8 @@ def _dual_newton(z0, zk, log_w):
     Returns (c, steps, converged, optimality): c = d / t at the minimiser
     (zeros for a slice without PSD state, or when Newton stops short), the
     Newton steps, whether the half squared Newton decrement reached
-    NEWTON_TOL or the slice was proved empty, and the last half squared
-    decrement.
+    NEWTON_TOL (False for a slice proved empty: it has no minimiser), and
+    the last half squared decrement.
     """
     hb = _herm_basis(len(log_w))
     span = np.einsum("gab,kba->kg", hb, np.concatenate([z0[None], zk])).real
@@ -411,7 +411,7 @@ def _dual_newton(z0, zk, log_w):
         direction = np.linalg.lstsq(hess, -grad, rcond=None)[0]
         half_decrement = float(-grad @ direction) / 2
         if value < log_w.min():
-            return np.zeros(len(zk)), step, True, half_decrement
+            return np.zeros(len(zk)), step, False, half_decrement
         if half_decrement <= NEWTON_TOL or step == NEWTON_STEPS:
             break
         for t in 0.5 ** np.arange(40):
@@ -452,12 +452,12 @@ def minimize_nonmarkovianity(fam: ChoiFamily, refs) -> list[MinimizeResult | Non
     entropy of the PSD projection of the final member, the value
     relative_entropy gives it.
 
-    converged means that Newton reached its stop, or proved that the
-    compressed members hold no PSD state (the least-squares member is then
-    evaluated), and, for a member inside the support, that its minimum
-    eigenvalue is above -1e-6. A compressed member of sampled records may
-    keep a negative eigenvalue from shot noise: min_eig reports it, and it
-    does not count as non-convergence. Deterministic for fixed inputs; a
+    converged means that Newton reached its stop and, for a member inside
+    the support, that its minimum eigenvalue is above -1e-6. Where the dual
+    proves that the compressed members hold no PSD state, the least-squares
+    member is evaluated and the point is not converged. A compressed member
+    of sampled records may keep a negative eigenvalue from shot noise:
+    min_eig reports it, and it does not count as non-convergence. Deterministic for fixed inputs; a
     point's result does not depend on the points stacked with it.
     """
     return _minimize_stack(fam, refs)

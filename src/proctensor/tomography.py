@@ -20,7 +20,7 @@ from .channels import (
     map_to_choi,
     step_choi_factor,
 )
-from .fileio import format_value
+from .fileio import format_rows
 from .linalg import clip_divided_differences, normalized_psd, project_psd, unvec, vec, vec_stack
 from .qubit import FIT_BASIS, FIT_BASIS_LABELS, PAULIS
 from .validation import check_broadcast, check_two_steps, hermitian_part
@@ -500,14 +500,10 @@ def fit_restricted_tensor(records, psd: bool = False):
 
 def records_to_text(records) -> str:
     """One record per line: labels, p_joint, then row-major re/im state entries."""
-    lines = []
-    for (i0, i1), rho, p in zip(records.basis_indices, records.rho_measured, records.p_joint):
-        parts = [FIT_BASIS_LABELS[i0], FIT_BASIS_LABELS[i1], format_value(p)]
-        for entry in rho.reshape(-1):
-            parts.append(format_value(entry.real))
-            parts.append(format_value(entry.imag))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+    states = np.ascontiguousarray(records.rho_measured).reshape(-1, 4).view(float)
+    rows = ((FIT_BASIS_LABELS[i0], FIT_BASIS_LABELS[i1], p, *state)
+            for (i0, i1), p, state in zip(records.basis_indices, records.p_joint, states))
+    return format_rows([], rows, " ")
 
 
 def records_from_text(text: str) -> np.recarray:

@@ -3,6 +3,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 import proctensor
-from proctensor.cli import main, resolve_config, build_parser
+from proctensor.cli import COMMANDS, main, resolve_config, build_parser
 from proctensor.fileio import read_matrix
 from proctensor.nonmarkov import default_theta_grid
 
@@ -94,13 +95,15 @@ def test_config_without_section_header_exits_2(tmp_path, capsys):
         "default-key", "default-key-alone"])
 def test_config_unknown_section_or_key_exits_2(tmp_path, capsys, text):
     # a misspelt key or section is an error, not a silent exact run; a
-    # [DEFAULT] key would be read as a key of every section, so it is one too
+    # [DEFAULT] key would be read as a key of every section, so it is one too.
+    # No subcommand makes its output directory before the config is read.
     cfg = tmp_path / "run.cfg"
     cfg.write_text(text)
     out = tmp_path / "o"
-    assert run_cli(["nonmarkov", "--config", cfg, "--out", out]) == 2
-    assert capsys.readouterr().err.startswith("config error:")
-    assert not out.exists()
+    for command in COMMANDS:
+        assert run_cli([command, "--config", cfg, "--out", out]) == 2, command
+        assert capsys.readouterr().err.startswith("config error:"), command
+        assert not out.exists(), command
 
 
 def test_config_keys_are_the_documented_ones(tmp_path):
@@ -135,13 +138,13 @@ def test_bad_seed_exits_2(tmp_path):
 
 
 def test_shots_above_bound_exits_2(tmp_path, capsys):
-    for shots in ("1000001", "10000000000"):
-        assert run_cli(["tomo-predict", "--shots", shots, "--out", tmp_path / "o"]) == 2, shots
-        assert "config error: shots must be in [100, 1000000]" in capsys.readouterr().err
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("[run]\nshots = 10000000000\n")
-    assert run_cli(["tomo-predict", "--config", cfg_file, "--out", tmp_path / "o"]) == 2
-    assert not (tmp_path / "o").exists()
+    for command in COMMANDS:
+        for flags in (["--shots", "1000001"], ["--shots", "10000000000"], ["--config", cfg_file]):
+            assert run_cli([command, *flags, "--out", tmp_path / "o"]) == 2, (command, flags)
+            assert "config error: shots must be in [100, 1000000]" in capsys.readouterr().err
+            assert not (tmp_path / "o").exists(), (command, flags)
 
 
 def test_volume_vanishing_branch_exits_2(tmp_path, capsys):
@@ -337,10 +340,11 @@ def test_tomo_predict_shots_independent_of_blas_threads(tmp_path):
 
 def test_readme_library_tour_runs():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    tour = readme.split("## Library tour", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
-    out = io.StringIO()
+    blocks = readme.split("## Library tour", 1)[1].split("```python\n")[1:3]
+    tour, refit = (block.split("```", 1)[0] for block in blocks)
+    namespace, out = {}, io.StringIO()
     with contextlib.redirect_stdout(out):
-        exec(compile(tour, "README.md", "exec"), {})
+        exec(compile(tour, "README.md", "exec"), namespace)
     lines = out.getvalue().splitlines()
     fidelity, baseline, n_value, sweep_max = (float(line) for line in lines[:4])
     assert abs(fidelity - 1.0) <= 1e-9
@@ -349,6 +353,17 @@ def test_readme_library_tour_runs():
     # the default grid steps over pi/2, so its largest N sits just below ln 2
     assert 0.68 < sweep_max < math.log(2)
     assert lines[4:] == ["(200, 5) (200, 5)"]
+    # the refit example continues the tour; its comment shows what it prints
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(refit, "README.md", "exec"), namespace)
+    printed, shown = out.getvalue(), re.search(r"# (RefitInfo\(.*\))", refit).group(1)
+
+    def field(text, key):
+        return re.search(rf"{key}=([^,)]*)", text).group(1)
+
+    assert field(printed, "converged") == field(shown, "converged") == "True"
+    assert field(printed, "objective").startswith(field(shown, "objective").rstrip("."))
 
 
 def test_volume_files(tmp_path):
@@ -376,8 +391,11 @@ def test_byte_identical_reruns(tmp_path, command):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_unwritable_output_exits_4():
-    assert run_cli(["reduced-maps", "--out", "/dev/null/nested"]) == 4
+def test_unwritable_output_exits_4(capsys):
+    # the output directory is made before any subcommand computes anything
+    for command in COMMANDS:
+        assert run_cli([command, "--out", "/dev/null/nested"]) == 4, command
+        assert capsys.readouterr().err.startswith("io-error:"), command
 
 
 def test_characterize_povm_sampled_band(tmp_path):

@@ -401,6 +401,18 @@ def test_minimize_sampled_memory_falls_with_shots(seed, cnot_cz_spec, cz_cnot_sp
     assert peak_error[1] < peak_error[0], peak_error
 
 
+def test_sampled_noisy_slice_proved_empty_is_not_converged():
+    # noise and 3000 shots (cnot-cz, seed 1): at theta = 0 and 11 pi / 12 the
+    # dual proves that no compressed member is PSD, so the least-squares
+    # member is evaluated. That member is no minimum, and the point says so.
+    spec = cnot_cz_process(NoiseSpec(gamma_amp=0.05, lambda_phase=0.05))
+    grid = default_theta_grid()
+    results = sweep_theta(sampled_fit(spec, 3000, 1), grid, process=spec)
+    assert [res.converged for res in results] == [False] + [True] * 11 + [False]
+    for res in (results[0], results[-1]):
+        assert res.free_directions > 0 and res.optimality > 1.0 and res.min_eig < 0
+
+
 # --------------------------------------------------------------- sweeps
 
 def test_sweep_peak_location(cnot_cz_fit, cnot_cz_spec):
@@ -617,10 +629,11 @@ def test_dual_newton_on_qubit_slices():
     assert converged and 0 < steps <= 10 and optimality <= 1e-15
     assert abs(c[0]) < 1e-9
     # with a negative eigenvalue of 1/2 on the diagonal no member is PSD: the
-    # dual value falls below min(log_w), which proves it
+    # dual value falls below min(log_w), which proves it; such a slice has
+    # no minimiser, so it is not converged
     c, steps, converged, _ = _dual_newton(np.diag([1.5, -0.5]).astype(complex), sx[None],
                                           log_w)
-    assert converged and steps > 0 and np.array_equal(c, [0.0])
+    assert not converged and steps > 0 and np.array_equal(c, [0.0])
 
 
 def test_newton_step_cap_is_reported(monkeypatch, noisy_cnot_cz):
