@@ -3,10 +3,10 @@
 Subcommands reproduce the full workflow as machine-readable files:
 characterize-povm, reduced-maps, tomo-predict, nonmarkov and volume. A
 key-value config file with [run] and [noise] sections may supply defaults
-(CONFIG_KEYS lists the keys; any other section or key is a config error);
-command-line flags override file keys. Exit codes: 0 success, 2 config
-error, 3 numeric non-convergence (a sweep point or the PSD refit; output is
-still written), 4 I/O error.
+(SETTINGS gives each setting's flag and config key; any other section or
+key is a config error); command-line flags override file keys. Exit codes:
+0 success, 2 config error, 3 numeric non-convergence (a sweep point or the
+PSD refit; output is still written), 4 I/O error.
 """
 
 from __future__ import annotations
@@ -18,11 +18,12 @@ import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .channels import chi_fidelity, chi_from_process, chi_of_operator, reduced_map
-from .fileio import config_digest, write_matrix, write_table
+from .fileio import config_digest, format_value, write_matrix, write_table
 from .linalg import BRANCH_CUTOFF
 from .nonmarkov import bloch_volume, default_theta_grid, sweep_theta
 from .process import (
@@ -49,11 +50,34 @@ __all__ = ["RunConfig", "main"]
 
 DEFAULT_NOISE_RATE = 0.01
 QPT_REPETITIONS = 20
-#: The keys a config file may set, by section.
-CONFIG_KEYS = {
-    "run": {"process", "shots", "seed", "theta_grid", "output_dir"},
-    "noise": {"gamma", "lambda"},
+
+
+class Setting(NamedTuple):
+    """A run setting: its flag, its config-file section and key, and the type its text is read as."""
+
+    flag: str
+    section: str
+    key: str
+    type: Callable = str
+    choices: tuple | None = None
+    help: str | None = None
+
+
+#: Every run setting, by its name in the parsed flags and in resolve_config:
+#: RunConfig's field, or noise_gamma and noise_lambda, its NoiseSpec's rates.
+SETTINGS = {
+    "process": Setting("--process", "run", "process", choices=tuple(sorted(PROCESS_NAMES))),
+    "shots": Setting("--shots", "run", "shots", int),
+    "seed": Setting("--seed", "run", "seed", int),
+    "noise_gamma": Setting("--noise-gamma", "noise", "gamma", float),
+    "noise_lambda": Setting("--noise-lambda", "noise", "lambda", float),
+    "output_dir": Setting("--out", "run", "output_dir", Path),
+    "theta_grid": Setting("--theta-grid", "run", "theta_grid",
+                          help="comma-separated angles in radians"),
 }
+#: The keys a config file may set, by section.
+CONFIG_KEYS = {s.section: {t.key for t in SETTINGS.values() if t.section == s.section}
+               for s in SETTINGS.values()}
 
 
 class ConfigError(Exception):
@@ -76,7 +100,7 @@ class RunConfig:
             "seed": self.seed,
             "noise_gamma": self.noise.gamma_amp if self.noise else 0.0,
             "noise_lambda": self.noise.lambda_phase if self.noise else 0.0,
-            "theta_grid": ",".join(format(t, ".17g") for t in self.theta_grid)
+            "theta_grid": ",".join(map(format_value, self.theta_grid))
             if self.theta_grid
             else "default",
         }
@@ -104,7 +128,9 @@ def _parse_theta_grid(text: str) -> tuple:
 
 
 def _load_file(path: str) -> dict:
-    parser = configparser.ConfigParser()
+    """The settings a config file sets, by name, each read through its type."""
+    # each value is read as written: no %-interpolation from other keys
+    parser = configparser.ConfigParser(interpolation=None)
     try:
         read = parser.read(path)
     except configparser.Error as exc:
@@ -119,64 +145,33 @@ def _load_file(path: str) -> dict:
         unknown = sorted(set(section) - CONFIG_KEYS.get(name, set()))
         if unknown:
             raise ConfigError(f"config file {path!r}: unknown key(s) {unknown} in [{name}]")
-    out: dict = {}
-    if parser.has_section("run"):
-        run = parser["run"]
-        for key in ("process", "theta_grid", "output_dir"):
-            if key in run:
-                out[key] = run[key]
-        for key in ("shots", "seed"):
-            if key in run:
-                out[key] = run.getint(key)
-    if parser.has_section("noise"):
-        noise = parser["noise"]
-        out["noise_gamma"] = noise.getfloat("gamma", DEFAULT_NOISE_RATE)
-        out["noise_lambda"] = noise.getfloat("lambda", DEFAULT_NOISE_RATE)
+    # a [noise] section turns noise on, even with no key
+    noise_on = parser.has_section(SETTINGS["noise_gamma"].section)
+    out = {"noise_gamma": DEFAULT_NOISE_RATE} if noise_on else {}
+    for name, s in SETTINGS.items():
+        if parser.has_option(s.section, s.key):
+            out[name] = s.type(parser.get(s.section, s.key))
     return out
 
 
 def resolve_config(args) -> RunConfig:
-    values: dict = {}
-    if args.config:
-        values.update(_load_file(args.config))
-    for key in ("process", "shots", "seed", "out", "theta_grid"):
-        flag = getattr(args, key, None)
-        if flag is not None:
-            values["output_dir" if key == "out" else key] = flag
-    if args.noise_gamma is not None:
-        values["noise_gamma"] = args.noise_gamma
-    if args.noise_lambda is not None:
-        values["noise_lambda"] = args.noise_lambda
-
-    process = values.get("process", "cnot-cz")
-    if process not in PROCESS_NAMES:
-        raise ConfigError(f"unknown process {process!r}; choose from {sorted(PROCESS_NAMES)}")
-    shots = values.get("shots")
-    if shots is not None and not 100 <= shots <= MAX_SHOTS:
-        raise ConfigError(f"shots must be in [100, {MAX_SHOTS}], got {shots}")
-    seed = values.get("seed", 0)
-    if not 0 <= seed < 2**64:
-        raise ConfigError(f"seed must be in [0, 2**64), got {seed}")
-    noise = None
-    if "noise_gamma" in values or "noise_lambda" in values:
-        try:
-            noise = NoiseSpec(
-                gamma_amp=values.get("noise_gamma", DEFAULT_NOISE_RATE),
-                lambda_phase=values.get("noise_lambda", DEFAULT_NOISE_RATE),
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    theta_grid = values.get("theta_grid")
-    if isinstance(theta_grid, str):
-        theta_grid = _parse_theta_grid(theta_grid)
-    return RunConfig(
-        process=process,
-        noise=noise,
-        shots=shots,
-        seed=seed,
-        theta_grid=theta_grid,
-        output_dir=Path(values.get("output_dir", "out")),
-    )
+    """RunConfig's defaults, overridden by the config file, then by the flags given."""
+    values = _load_file(args.config) if args.config else {}
+    values.update((name, flag) for name in SETTINGS
+                  if (flag := getattr(args, name)) is not None)
+    rates = [values.pop(name, None) for name in ("noise_gamma", "noise_lambda")]
+    cfg = RunConfig(**values)
+    if cfg.process not in PROCESS_NAMES:
+        raise ConfigError(f"unknown process {cfg.process!r}; choose from {sorted(PROCESS_NAMES)}")
+    if cfg.shots is not None and not 100 <= cfg.shots <= MAX_SHOTS:
+        raise ConfigError(f"shots must be in [100, {MAX_SHOTS}], got {cfg.shots}")
+    if not 0 <= cfg.seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2**64), got {cfg.seed}")
+    if rates != [None, None]:
+        cfg.noise = NoiseSpec(*(DEFAULT_NOISE_RATE if rate is None else rate for rate in rates))
+    if cfg.theta_grid is not None:
+        cfg.theta_grid = _parse_theta_grid(cfg.theta_grid)
+    return cfg
 
 
 def _refit_converged(fit) -> bool:
@@ -322,14 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--config", default=None, help="key-value config file")
-        p.add_argument("--process", default=None, choices=sorted(PROCESS_NAMES))
-        p.add_argument("--shots", type=int, default=None)
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--noise-gamma", type=float, default=None)
-        p.add_argument("--noise-lambda", type=float, default=None)
-        p.add_argument("--out", default=None)
-        p.add_argument("--theta-grid", dest="theta_grid", default=None,
-                       help="comma-separated angles in radians")
+        for name, setting in SETTINGS.items():
+            p.add_argument(setting.flag, dest=name, type=setting.type,
+                           choices=setting.choices, help=setting.help)
     return parser
 
 

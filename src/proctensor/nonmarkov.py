@@ -309,7 +309,8 @@ def _restrict_to_support(base, dirs, null):
     of the largest to the smallest singular value of a, no direction is free
     and c0 = -R^-1 Q† b. The other points (a zero column, a null space too
     small to pin every coefficient, as with noisy records) take one stacked
-    thin SVD: c0 is the minimum-norm solution, and its right singular
+    SVD of their R, which shares a's singular values and right singular
+    vectors: c0 is the minimum-norm solution, and the right singular
     vectors vh with the mask free of those at most 1e-10 times the largest
     give K; a boolean mask picks those points (np.setdiff1d would import
     numpy.ma). Returns the members Y(c0) = base + sum c0_k dirs_k, vh
@@ -327,7 +328,6 @@ def _restrict_to_support(base, dirs, null):
     np.matmul(real_nh[:, None], np.concatenate([dirs.real, dirs.imag], axis=-2), out=ab[:, :k])
     np.matmul(real_nh, np.concatenate([base.real, base.imag], axis=-2), out=ab[:, k])
     ab = ab.reshape(t, k + 1, 2 * n * n).swapaxes(1, 2)
-    a, b = ab[..., :k], ab[..., k]
     # the QR in two calls, one per half of the points, changes no byte. It is
     # tuned to glibc's dynamic trim threshold at the default and bench grids
     # (T = 13, 14), not required by the algorithm: np.linalg.qr copies its
@@ -351,9 +351,10 @@ def _restrict_to_support(base, dirs, null):
     rest = np.ones(t, dtype=bool)
     rest[proved] = False
     if rest.any():
-        u, svals, vh[rest] = np.linalg.svd(a[rest], full_matrices=False)
+        # a's left singular vectors are Q u, so b projects on them as Q† b on u
+        u, svals, vh[rest] = np.linalg.svd(r_a[rest])
         free[rest] = ~(svals > 1e-10 * svals[:, :1])
-        proj = (b[rest][:, None] @ u)[:, 0]
+        proj = (qb[rest][:, None] @ u)[:, 0]
         c0[rest] = -(np.where(free[rest], 0.0, proj / np.where(free[rest], 1.0, svals))[:, None]
                      @ vh[rest])[:, 0]
     members = base + np.einsum("tk,kij->tij", c0, dirs)

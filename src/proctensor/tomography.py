@@ -172,7 +172,7 @@ def _fit_basis() -> _FitBasis:
 #: Choi state, relative to its norm.
 REFIT_TOL = 1e-10
 #: Proximal parameter of the refit: first value, growth per outer step, cap.
-SIGMA_START, SIGMA_GROWTH, SIGMA_MAX = 1e3, 5.0, 1e5
+SIGMA_START, SIGMA_GROWTH, SIGMA_MAX = 1e3, 5.0, 1e7
 #: Safeguards of the refit; hitting one ends it with converged=False.
 NEWTON_MAX_STEPS = 200
 LINE_SEARCH_MIN_STEP = 1e-8

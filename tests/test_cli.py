@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import io
 import json
@@ -12,7 +13,7 @@ import numpy as np
 import pytest
 
 import proctensor
-from proctensor.cli import COMMANDS, main, resolve_config, build_parser
+from proctensor.cli import CONFIG_KEYS, COMMANDS, SETTINGS, main, resolve_config, build_parser
 from proctensor.fileio import read_matrix
 from proctensor.nonmarkov import default_theta_grid
 
@@ -117,6 +118,45 @@ def test_config_keys_are_the_documented_ones(tmp_path):
     assert (cfg.process, cfg.shots, cfg.seed, cfg.theta_grid) == ("cz-cnot", 500, 2, (0.1, 0.2))
     assert cfg.output_dir == Path("elsewhere")
     assert (cfg.noise.gamma_amp, cfg.noise.lambda_phase) == (0.02, 0.03)
+
+
+def test_config_values_are_read_as_written(tmp_path, capsys):
+    # no %-interpolation: a '%' reference is text of the value, a config
+    # error here, not configparser's uncaught InterpolationError
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nprocess = %(x)s\n")
+    assert run_cli(["tomo-predict", "--config", cfg, "--out", tmp_path / "o"]) == 2
+    assert "config error: unknown process '%(x)s'" in capsys.readouterr().err
+
+
+def test_settings_table_declares_every_flag_and_key(tmp_path):
+    # one table declares each setting's flag and config key: every subcommand
+    # takes exactly those flags besides --config, the config file exactly
+    # those keys, and README's synopsis and config example name them all
+    assert set(SETTINGS) == {"process", "shots", "seed", "theta_grid", "output_dir",
+                             "noise_gamma", "noise_lambda"}
+    flags = {s.flag for s in SETTINGS.values()}
+    subparsers = next(a for a in build_parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert set(subparsers.choices) == set(COMMANDS)
+    for name, parser in subparsers.choices.items():
+        options = {option for action in parser._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   for option in action.option_strings}
+        assert options == {"--config", *flags}, name
+    assert ({(section, key) for section, keys in CONFIG_KEYS.items() for key in keys}
+            == {(s.section, s.key) for s in SETTINGS.values()})
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    synopsis = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    assert all(flag in synopsis for flag in {"--config", *flags}), synopsis
+    # the config example is a file the CLI reads: every key, no error
+    example = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    cfg_file = tmp_path / "example.cfg"
+    cfg_file.write_text(example)
+    assert all(re.search(rf"^\[{section}\]$", example, re.M) for section in CONFIG_KEYS)
+    assert all(re.search(rf"^{s.key} = ", example, re.M) for s in SETTINGS.values())
+    cfg = resolve_config(build_parser().parse_args(["nonmarkov", "--config", str(cfg_file)]))
+    assert cfg.noise is not None and cfg.theta_grid is not None and cfg.shots is not None
 
 
 def test_one_noise_flag_defaults_the_other_rate():

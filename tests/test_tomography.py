@@ -446,12 +446,18 @@ def test_refit_newton_matrix_keeps_its_bytes(cnot_cz_spec):
         assert newton.tobytes() == ref.tobytes()
 
 
-def test_refit_converges_on_high_shot_records(cnot_cz_spec):
+def test_refit_converges_on_high_shot_records(cnot_cz_spec, cz_cnot_spec):
     # records of 3e4 shots: the refit reaches REFIT_TOL inside the step cap
     from proctensor.process import generate_records
     from proctensor.tomography import REFIT_TOL
 
     records = generate_records(cnot_cz_spec, ShotConfig(shots=30_000, seed=1))
+    info = fit_restricted_tensor(records, psd=True).refit_info_
+    assert info.converged
+    assert info.optimality < REFIT_TOL
+    # and of 3e5 shots, where a proximal weight capped at 1e5 stopped the
+    # refit at its step cap
+    records = generate_records(cz_cnot_spec, ShotConfig(shots=300_000, seed=1))
     info = fit_restricted_tensor(records, psd=True).refit_info_
     assert info.converged
     assert info.optimality < REFIT_TOL
