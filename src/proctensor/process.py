@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -182,78 +182,12 @@ def _stream_digest(seed: int, parts) -> bytes:
     return h.digest()
 
 
-def _hash_steps(init: int, mult: int, n: int) -> list[tuple[np.uint32, np.uint32]]:
-    """(xor, multiplier) constants of n successive SeedSequence hash steps:
-    each step xors with the running constant, then multiplies by its next
-    value, so the constants do not depend on the data."""
-    steps = []
-    for _ in range(n):
-        steps.append((np.uint32(init), np.uint32(init * mult & 0xFFFFFFFF)))
-        init = int(steps[-1][1])
-    return steps
-
-
-# numpy's SeedSequence (NEP 19) with its pool of four words, fed eight words:
-# 4 + 12 + 16 mixing hashes, then 8 output hashes; and PCG64's 128-bit LCG
-_MIX_HASHES = _hash_steps(0x43B0D7E5, 0x931E8875, 32)
-_OUT_HASHES = _hash_steps(0x8B51F9DD, 0x58F38DED, 8)
-_MIX_L, _MIX_R = np.uint32(0xCA01F9DD), np.uint32(0x4973F715)
-_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-_MASK128 = (1 << 128) - 1
-
-
-def _pcg64_states(words) -> Iterator[dict]:
-    """bit_generator.state of np.random.default_rng(row) for each row of
-    words (N, 8) uint32, in order; SeedSequence runs for all rows at once.
-
-    default_rng seeds PCG64 from SeedSequence(row).generate_state(4, uint64)
-    = (s0, s1, s2, s3): inc = (s2‖s3)·2 + 1 and state = ((inc + (s0‖s1))·M +
-    inc), both mod 2¹²⁸. numpy fixes both algorithms (NEP 19; O'Neill, "PCG",
-    2014), so the states are those of every numpy version. SeedSequence's
-    uint32 arithmetic runs on uint32 arrays, one column per word, whose
-    arithmetic wraps modulo 2³² and never warns under either numpy casting
-    rule; the 128-bit step runs on Python integers.
-    """
-    hashes = iter(_MIX_HASHES)
-
-    def hashmix(value):
-        xor, mult = next(hashes)
-        value = (value ^ xor) * mult
-        return value ^ (value >> np.uint32(16))
-
-    def mix(x, y):
-        value = x * _MIX_L - y * _MIX_R
-        return value ^ (value >> np.uint32(16))
-
-    columns = np.asarray(words, dtype=np.uint32).T
-    pool = [hashmix(word) for word in columns[:4]]
-    for src in range(4):
-        for dst in range(4):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
-    for word in columns[4:]:
-        for dst in range(4):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    out = []
-    for k, (xor, mult) in enumerate(_OUT_HASHES):
-        value = (pool[k % 4] ^ xor) * mult
-        out.append(value ^ (value >> np.uint32(16)))
-    # generate_state(4, uint64) pairs the eight words little-endian
-    out = np.array(out, dtype=np.uint64)
-    seeds = (out[0::2] | out[1::2] << np.uint64(32)).T
-    # one row at a time, so that no list of N states is held
-    for s0, s1, s2, s3 in map(np.ndarray.tolist, seeds):
-        inc = ((s2 << 64 | s3) << 1 | 1) & _MASK128
-        state = ((inc + (s0 << 64 | s1)) * _PCG_MULT + inc) & _MASK128
-        yield {"bit_generator": "PCG64", "state": {"state": state, "inc": inc},
-               "has_uint32": 0, "uinteger": 0}
-
-
-def _stream_states(seed: int, keys) -> Iterator[dict]:
-    """PCG64 state of each key's stream: that of np.random.default_rng seeded
-    with the eight little-endian 32-bit words of _stream_digest(seed, key)."""
-    digests = b"".join(_stream_digest(seed, key) for key in keys)
-    return _pcg64_states(np.frombuffer(digests, dtype="<u4").reshape(-1, 8))
+def _stream_states(seed: int, keys) -> np.ndarray:
+    """Philox key of each key's stream, (N, 2) uint64: the first 16 bytes of
+    _stream_digest(seed, key) as two little-endian 64-bit words. A stream's
+    state is its key with the counter at 0."""
+    digests = b"".join(_stream_digest(seed, key)[:16] for key in keys)
+    return np.frombuffer(digests, dtype="<u8").reshape(-1, 2)
 
 
 def _staged_counts(passed: float, readout, cfg: ShotConfig, rng: np.random.Generator):
@@ -285,24 +219,26 @@ def _sampled_states(passed, readout, keys, cfg: ShotConfig):
 
     passed (N,) holds each item's post-selection probability and readout
     (N, 3) its "+" probability on each of _QST_READOUTS; both are clipped to
-    [0, 1]. All counts of item i come from one stream, whatever items are
-    drawn with it: that of np.random.default_rng seeded with the SHA-256
-    digest of (cfg.seed, keys[i]). _stream_states derives the PCG64 states
-    of all N streams in one pass of SeedSequence's mixing and PCG64's
-    seeding, which numpy fixes, so they do not depend on its version. One
-    reused generator draws each item's counts from its state, as a fresh one
-    would: numpy's binomial caches only a setup computed from (n, p), and
-    each state resets has_uint32. Returns (states (N, 2, 2), p_joint (N,)),
-    with p_joint the mean post-selection rate over the three axes and the
+    [0, 1] and rounded to multiples of 2⁻⁴⁰, so that a rounding-level move
+    of an exact probability draws the same counts, dyadic values such as 1/2
+    stay put and 1 − p is exact. All counts of item i come from one stream,
+    whatever items are drawn with it: Philox keyed on the SHA-256 digest of
+    (cfg.seed, keys[i]) (_stream_states), with the counter at 0. One reused
+    generator is set to each key in turn and draws what a fresh
+    Generator(Philox(key)) would: numpy's binomial caches only a setup
+    computed from (n, p). Returns (states (N, 2, 2), p_joint (N,)), with
+    p_joint the mean post-selection rate over the three axes and the
     maximally mixed state for items that some axis never post-selects.
     """
-    passed = np.clip(passed, 0.0, 1.0).tolist()
-    readout = np.clip(readout, 0.0, 1.0).tolist()
-    rng = np.random.Generator(np.random.PCG64())
-    bits = rng.bit_generator
+    passed, readout = (
+        (np.rint(np.clip(a, 0.0, 1.0) * 2.0**40) / 2.0**40).tolist() for a in (passed, readout)
+    )
+    rng = np.random.Generator(np.random.Philox(key=0))
+    state = rng.bit_generator.state  # the counter at 0 and an empty buffer
     counts = []
-    for p, q, state in zip(passed, readout, _stream_states(cfg.seed, keys)):
-        bits.state = state
+    for p, q, key in zip(passed, readout, _stream_states(cfg.seed, keys)):
+        state["state"]["key"] = key
+        rng.bit_generator.state = state
         npass, total = _staged_counts(p, q, cfg, rng)
         counts += npass + total
     counts = np.array(counts).reshape(len(keys), 2, len(QST_AXES))
@@ -325,8 +261,9 @@ def generate_records(spec: ProcessSpec, cfg: ShotConfig | None = None) -> np.rec
     are exact contraction results; with one, each exact record is seen
     through three-axis tomography of cfg.shots shots per axis, the
     post-selection rate standing in for the joint probability. The counts of
-    each record come from one stream keyed on (|00⟩, the float64 angles
-    (θ, φ) of each step, seed).
+    each record come from one Philox stream keyed on (|00⟩, the float64
+    angles (θ, φ) of each step, seed), drawn from its exact probabilities
+    rounded to multiples of 2⁻⁴⁰ (see _sampled_states).
     """
     nb = len(FIT_BASIS)
     indices = np.indices((nb, nb)).reshape(2, -1).T
@@ -351,9 +288,10 @@ def intervention_qpt_data(angles, cfg: ShotConfig | None = None, run_tags=((0,),
     "bad-dims". Returns (inputs (6, 2, 2), outputs (L, R, 6, 2, 2)). The six
     axis states are prepared exactly; the intervention and the three-axis
     state readout are sampled when a ShotConfig is given, input label l of
-    repetition tag t of angles a drawing its counts from one stream keyed on
-    (t, the float64 angles a, l, seed). Outputs are subnormalized by the
-    measured pass rate. Without a ShotConfig every repetition is exact.
+    repetition tag t of angles a drawing its counts from one Philox stream
+    keyed on (t, the float64 angles a, l, seed), as _sampled_states draws
+    them. Outputs are subnormalized by the measured pass rate. Without a
+    ShotConfig every repetition is exact.
     """
     angles = check_angles(angles, 2, "angles")
     tags = np.asarray(run_tags)

@@ -94,8 +94,10 @@ def qst_six_axis(probabilities) -> np.ndarray:
 
     probabilities is ordered (x+, x-, y+, y-, z+, z-) along its last axis; a
     stack (..., 6) gives one state per row, (..., 2, 2). Opposite-axis pairs
-    must sum to one within the finite-shot slack. The linear inverse is
-    PSD-projected and renormalized.
+    must sum to one within the finite-shot slack. The state is ½(I + r·σ /
+    max(1, |r|)) for the raw Bloch vector r: the linear inverse, moved
+    radially onto the Bloch ball where it lies outside, which is its PSD
+    projection, renormalized.
     """
     p = np.asarray(probabilities, dtype=float)
     if p.ndim == 0 or p.shape[-1] != 6:
@@ -110,9 +112,9 @@ def qst_six_axis(probabilities) -> np.ndarray:
             f"inconsistent-probs: {'xyz'[k]}-axis pair sums to {sums[(*row, k)]:.4f}"
         )
     x, y, z = (p[..., 2 * k, None, None] - p[..., 2 * k + 1, None, None] for k in range(3))
-    rho = 0.5 * (PAULIS[0] + x * PAULIS[1] + y * PAULIS[2] + z * PAULIS[3])
-    rho = project_psd(rho)
-    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+    scale = np.maximum(1.0, np.sqrt(x * x + y * y + z * z))
+    return 0.5 * (PAULIS[0] + (x / scale) * PAULIS[1] + (y / scale) * PAULIS[2]
+                  + (z / scale) * PAULIS[3])
 
 
 def action_matrix(op) -> np.ndarray:

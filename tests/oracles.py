@@ -12,9 +12,9 @@ import struct
 import numpy as np
 
 from proctensor.channels import _pauli_pairs, superop_to_chi
-from proctensor.linalg import clip_divided_differences, herm_eig, vec
+from proctensor.linalg import clip_divided_differences, herm_eig, project_psd, vec
 from proctensor.process import _step_superops
-from proctensor.qubit import ID2, SX, SY, named_projector
+from proctensor.qubit import ID2, PAULIS, SX, SY, named_projector
 from proctensor.validation import as_square, qubit_count
 
 
@@ -143,9 +143,9 @@ def derived_rng(seed: int, *parts) -> np.random.Generator:
 
     Key: SHA-256 of the seed's 8 unsigned little-endian bytes, then each
     part's bytes in order (an array's own bytes, a string's UTF-8, an
-    integer's 8 signed little-endian bytes). Seed: np.random.default_rng fed
-    the digest's eight little-endian 32-bit words, through its own
-    SeedSequence.
+    integer's 8 signed little-endian bytes). Stream: Philox keyed on the
+    digest's first 16 bytes, read as two little-endian 64-bit words, with
+    its counter at 0.
     """
     h = hashlib.sha256(struct.pack("<Q", seed))
     for part in parts:
@@ -155,7 +155,20 @@ def derived_rng(seed: int, *parts) -> np.random.Generator:
             h.update(part.encode())
         else:
             h.update(struct.pack("<q", part))
-    return np.random.default_rng(list(struct.unpack("<8I", h.digest())))
+    key = np.array(struct.unpack("<2Q", h.digest()[:16]), dtype=np.uint64)
+    return np.random.Generator(np.random.Philox(key=key))
+
+
+# --------------------------------------------------------------- tomography
+
+def eigen_qst_six_axis(probabilities) -> np.ndarray:
+    """One-state linear inversion, PSD-projected by eigenvalue clipping and
+    renormalized: the eigen route of the closed-form qst_six_axis."""
+    p = np.asarray(probabilities, dtype=float)
+    r = [p[0] - p[1], p[2] - p[3], p[4] - p[5]]
+    rho = 0.5 * (PAULIS[0] + r[0] * PAULIS[1] + r[1] * PAULIS[2] + r[2] * PAULIS[3])
+    rho = project_psd(rho)
+    return rho / float(np.trace(rho).real)
 
 
 # ------------------------------------------------------------ fit constants

@@ -191,14 +191,14 @@ def test_one_vanishing_rule(kind, cnot_cz_fit, cnot_cz_spec, sampled_cnot_cz_fit
     # a point is absent where the fit's branch is below the cutoff or its
     # reference is zero; the reference is zero where the process's branch
     # vanishes. At pi the exact fit's branch vanishes; the sampled fit's
-    # reads 4.0e-3, and the process's is 0
+    # reads 3.56e-3, and the process's is 0
     fit = {"exact": cnot_cz_fit, "shots": sampled_cnot_cz_fit}[kind]
     fam = condition_family(fit, [0.3, math.pi])
     refs = uncorrelated_choi(fam, cnot_cz_spec)
     if kind == "exact":
         assert fam.normalization[1] < BRANCH_CUTOFF
     else:
-        assert abs(fam.normalization[1] - 4.0e-3) < 5e-5
+        assert abs(fam.normalization[1] - 3.56e-3) < 5e-5
         assert np.array_equal(refs[1], np.zeros((8, 8)))
     assert refs[0].any()
     results = minimize_nonmarkovianity(fam, refs)
@@ -402,12 +402,12 @@ def test_minimize_sampled_memory_falls_with_shots(seed, cnot_cz_spec, cz_cnot_sp
 
 
 def test_sampled_noisy_slice_proved_empty_is_not_converged():
-    # noise and 3000 shots (cnot-cz, seed 1): at theta = 0 and 11 pi / 12 the
+    # noise and 3000 shots (cnot-cz, seed 7): at theta = 0 and 11 pi / 12 the
     # dual proves that no compressed member is PSD, so the least-squares
     # member is evaluated. That member is no minimum, and the point says so.
     spec = cnot_cz_process(NoiseSpec(gamma_amp=0.05, lambda_phase=0.05))
     grid = default_theta_grid()
-    results = sweep_theta(sampled_fit(spec, 3000, 1), grid, process=spec)
+    results = sweep_theta(sampled_fit(spec, 3000, 7), grid, process=spec)
     assert [res.converged for res in results] == [False] + [True] * 11 + [False]
     for res in (results[0], results[-1]):
         assert res.free_directions > 0 and res.optimality > 1.0 and res.min_eig < 0

@@ -8,13 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import antipode, derived_rng, partial_trace, reduced_step_maps
+from proctensor import process
 from proctensor.linalg import BRANCH_CUTOFF
 from proctensor.process import (
     MAX_SHOTS,
     ProcessSpec,
     ShotConfig,
     _GROUND2,
-    _pcg64_states,
     _sampled_states,
     _staged_counts,
     _stream_states,
@@ -488,8 +488,10 @@ def loop_exact_record(spec, ops):
     return partial_trace(rho, 2, 2, keep="a") / p, p
 
 
-def clipped(p):
-    return min(max(float(p), 0.0), 1.0)
+def snapped(p):
+    """p clipped to [0, 1] and rounded to a multiple of 2**-40, as the
+    sampler draws it."""
+    return round(min(max(float(p), 0.0), 1.0) * 2**40) / 2**40
 
 
 SPECS = [
@@ -503,8 +505,8 @@ def loop_counts(passed, readout, cfg, rng_parts):
     stream: the three axes' totals, then their passes, as whole-array
     binomials."""
     rng = derived_rng(cfg.seed, *rng_parts)
-    total = rng.binomial(cfg.shots, np.full(len(readout), clipped(passed)))
-    return rng.binomial(total, [clipped(q) for q in readout]), total
+    total = rng.binomial(cfg.shots, np.full(len(readout), snapped(passed)))
+    return rng.binomial(total, [snapped(q) for q in readout]), total
 
 
 def loop_sampled_state(passed, readout_fn, cfg, rng_parts):
@@ -583,40 +585,31 @@ def test_qpt_data_equals_per_stream_loop(label):
 
 def test_stream_keys_are_sha256_of_their_parts():
     # the key format, pinned apart from the package's key code: SHA-256 of the
-    # seed's 8 unsigned little-endian bytes, then each part's bytes in order,
-    # the digest's eight little-endian 32-bit words seeding default_rng
+    # seed's 8 unsigned little-endian bytes, then each part's bytes in order;
+    # the digest's bytes 0-15, two little-endian 64-bit words, key Philox
     def expected(seed, *blobs):
         digest = hashlib.sha256(seed.to_bytes(8, "little") + b"".join(blobs)).digest()
-        return np.random.default_rng(list(struct.unpack("<8I", digest))).bit_generator.state
+        return list(struct.unpack("<2Q", digest[:16]))
 
     seed = 2**64 - 5
     a_i, a_j = (np.array(PROJECTOR_ANGLES[label], dtype=np.float64) for label in ("xz+", "y-"))
     ground = struct.pack("<32d", 1.0, *[0.0] * 31)  # complex128 |00><00|, row-major
-    record, qpt = _stream_states(seed, [(_GROUND2, a_i, a_j), (359, a_j, "z-")])
-    assert record == expected(seed, ground, struct.pack("<2d", math.pi / 4, 0.0),
-                              struct.pack("<2d", math.pi / 2, -math.pi / 2))
-    assert qpt == expected(seed, (359).to_bytes(8, "little", signed=True),
-                           struct.pack("<2d", math.pi / 2, -math.pi / 2), b"z-")
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.lists(st.lists(st.integers(0, 2**32 - 1), min_size=8, max_size=8),
-                min_size=1, max_size=5))
-def test_pcg64_states_equal_default_rng(rows):
-    # the states of N streams, derived at once, are those default_rng gives
-    # each row through its own SeedSequence, also for the extreme words
-    words = np.array(rows + [[0] * 8, [2**32 - 1] * 8], dtype=np.uint32)
-    states = list(_pcg64_states(words))
-    assert len(states) == len(words)
-    for row, state in zip(words, states):
-        assert state == np.random.default_rng(row).bit_generator.state, row.tolist()
-        assert list(_pcg64_states(row[None])) == [state]
+    keys = _stream_states(seed, [(_GROUND2, a_i, a_j), (359, a_j, "z-")])
+    assert keys.shape == (2, 2) and keys.dtype == np.uint64
+    assert keys[0].tolist() == expected(seed, ground, struct.pack("<2d", math.pi / 4, 0.0),
+                                        struct.pack("<2d", math.pi / 2, -math.pi / 2))
+    assert keys[1].tolist() == expected(seed, (359).to_bytes(8, "little", signed=True),
+                                        struct.pack("<2d", math.pi / 2, -math.pi / 2), b"z-")
+    # a stream is Philox at its key with the counter at 0
+    state = np.random.Philox(key=keys[1]).state["state"]
+    assert state["counter"].tolist() == [0] * 4 and state["key"].tolist() == keys[1].tolist()
+    assert _stream_states(seed, []).shape == (0, 2)
 
 
 @pytest.mark.parametrize("shots", [100, 3000])
 def test_reused_generator_draws_each_streams_fresh_counts(shots):
-    # _sampled_states sets one generator to each stream's state in turn; every
-    # binomial case must draw what a fresh generator of that stream draws
+    # _sampled_states sets one generator to each stream's key in turn; every
+    # binomial case must draw what a fresh Philox generator of that stream draws
     near_one = 1 - 1e-5
     items = [
         (0.0, [0.3, 0.6, 0.9]),  # p = 0 draws nothing
@@ -638,6 +631,46 @@ def test_reused_generator_draws_each_streams_fresh_counts(shots):
     for k, (npass, total) in enumerate(fresh):
         rho, p_hat = state_from_counts(npass, total, shots)
         assert p_joint[k] == p_hat and np.array_equal(states[k], rho), items[k]
+
+
+def nudged(a, rng):
+    """a with each entry moved by 1 to 4 ulp, up or down at random."""
+    steps = rng.integers(1, 5, a.shape)
+    toward = np.where(rng.random(a.shape) < 0.5, -np.inf, np.inf)
+    for k in range(4):
+        a = np.where(k < steps, np.nextafter(a, toward), a)
+    return a
+
+
+@pytest.mark.parametrize("shots", [100, 3000, MAX_SHOTS])
+@pytest.mark.parametrize("make_spec", [cnot_cz_process, cz_cnot_process])
+def test_sampled_counts_ignore_the_last_bits_of_a_probability(monkeypatch, make_spec, shots):
+    # every record's exact post-selection and readout probabilities, moved by
+    # 1-4 ulp either way, draw the same counts and states: an exact readout
+    # of 1/2 keeps numpy's branch for p > 1/2 and BTPE's mode floor((n+1) p)
+    cfg = ShotConfig(shots=shots, seed=0)
+    inputs = []
+    monkeypatch.setattr(process, "_sampled_states",
+                        lambda *args: inputs.append(args) or _sampled_states(*args))
+    records = generate_records(make_spec(), cfg)
+    [(passed, readout, keys, _)] = inputs
+    assert np.any(readout == 0.5)
+
+    def sampled(passed, readout):
+        counts = []
+        monkeypatch.setattr(process, "_staged_counts",
+                            lambda *args: counts.append(_staged_counts(*args)) or counts[-1])
+        return counts, *_sampled_states(passed, readout, keys, cfg)
+
+    counts, states, p_joint = sampled(passed, readout)
+    assert len(counts) == 81
+    assert np.array_equal(states, records.rho_measured)
+    assert np.array_equal(p_joint, records.p_joint)
+    rng = np.random.default_rng(shots)
+    for _ in range(3):
+        moved_counts, moved_states, moved_p = sampled(nudged(passed, rng), nudged(readout, rng))
+        assert moved_counts == counts
+        assert np.array_equal(moved_states, states) and np.array_equal(moved_p, p_joint)
 
 
 def test_qpt_data_repetitions_are_independent_streams():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import fit_basis_constants, newton_matrix, six_axis_probabilities
+from oracles import eigen_qst_six_axis, fit_basis_constants, newton_matrix, six_axis_probabilities
 from proctensor.channels import (
     action_superop,
     chi_from_process,
@@ -21,7 +21,6 @@ from proctensor.process import (
 from proctensor.qubit import (
     FIT_BASIS_LABELS,
     OVERCOMPLETE_LABELS,
-    PAULIS,
     PROJECTOR_ANGLES,
     named_projector,
     projector,
@@ -81,15 +80,6 @@ def test_qst_rejects_bad_range():
         qst_six_axis([1.2, -0.2, 0.5, 0.5, 0.5, 0.5])
 
 
-def loop_qst_six_axis(probabilities):
-    """One-state linear inversion, the reference for the stacked estimator."""
-    p = np.asarray(probabilities, dtype=float)
-    r = [p[0] - p[1], p[2] - p[3], p[4] - p[5]]
-    rho = 0.5 * (PAULIS[0] + r[0] * PAULIS[1] + r[1] * PAULIS[2] + r[2] * PAULIS[3])
-    rho = project_psd(rho)
-    return rho / float(np.trace(rho).real)
-
-
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
                           st.floats(-0.05, 0.05)), min_size=0, max_size=6))
@@ -100,8 +90,21 @@ def test_stacked_qst_equals_per_state(rows):
     out = qst_six_axis(probs)
     assert out.shape == (len(probs), 2, 2)
     for p, got in zip(probs, out):
-        assert np.array_equal(got, loop_qst_six_axis(p))
         assert np.array_equal(got, qst_six_axis(list(p)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.tuples(*[st.floats(0, 1)] * 3), st.floats(-0.05, 0.05))
+def test_closed_form_qst_equals_eigen_route(bloch, slack):
+    # the closed form ½(I + r·σ / max(1, |r|)) is the clipped and renormalized
+    # linear inverse, inside the Bloch ball and outside it (|r| up to √3)
+    x, y, z = bloch
+    p = [x, 1 - x, y, 1 - y, min(max(z + slack, 0.0), 1.0), 1 - z]
+    rho = qst_six_axis(p)
+    assert np.abs(rho - eigen_qst_six_axis(p)).max() <= 1e-14
+    assert np.abs(rho - rho.conj().T).max() == 0.0
+    assert np.linalg.eigvalsh(rho)[0] >= -1e-15
+    assert abs(np.trace(rho).real - 1.0) <= 1e-15
 
 
 def test_stacked_qst_checks_every_row():
@@ -347,7 +350,7 @@ def test_psd_refit_keeps_choi_positive(cnot_cz_spec):
 
 #: Weighted objective of the projected-gradient (FISTA) refit this solver
 #: replaced, on the 500-shot seed-3 cnot-cz records.
-FISTA_OBJECTIVE_500_3 = 0.0407854862
+FISTA_OBJECTIVE_500_3 = 0.0414345902
 
 
 def _refit_problem(records):
