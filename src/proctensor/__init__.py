@@ -36,7 +36,6 @@ from .process import (
 )
 from .tomography import (
     RestrictedProcessTensor,
-    fit_restricted_tensor,
     qst_six_axis,
     records_from_arrays,
     records_from_text,
@@ -64,8 +63,8 @@ __all__ = [
     "chi_fidelity", "chi_from_process", "chi_of_operator", "reduced_map",
     "ProcessSpec", "ShotConfig", "cnot_cz_process", "cz_cnot_process",
     "generate_records", "markov_predict", "run_process",
-    "RestrictedProcessTensor", "fit_restricted_tensor", "qst_six_axis",
-    "records_from_arrays", "records_from_text", "records_to_text",
+    "RestrictedProcessTensor", "qst_six_axis", "records_from_arrays",
+    "records_from_text", "records_to_text",
     "ChoiFamily", "MinimizeResult", "SupportMismatchError",
     "bloch_volume", "condition_family", "default_theta_grid",
     "minimize_nonmarkovianity", "relative_entropy", "sweep_theta",

@@ -29,7 +29,6 @@ from .validation import as_matrix, as_square, check_broadcast, check_unitary, qu
 __all__ = [
     "pauli_basis",
     "action_superop",
-    "action_dual",
     "chi_of_operator",
     "chi_from_process",
     "chi_fidelity",
@@ -101,19 +100,6 @@ def action_superop(k) -> np.ndarray:
     d = a.shape[-1]
     prod = a.conj()[..., :, None, :, None] * a[..., None, :, None, :]
     return prod.reshape(a.shape[:-2] + (d * d, d * d))
-
-
-def action_dual(superop) -> np.ndarray:
-    """Reshuffle an action superoperator, or a stack of them, into its contraction dual.
-
-    For a single-qubit action M the dual B satisfies
-    B[2k+l, 2i+j] = M[2k+i, 2l+j]; contracting a process Choi state against
-    I ⊗ B evaluates the process on the operation M represents.
-    """
-    m = as_square(superop, "superop")
-    if m.shape[-1] != 4:
-        raise ValueError(f"bad-dims: expected a 4x4 superoperator, got {m.shape}")
-    return m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(m.shape)
 
 
 def chi_of_operator(k) -> np.ndarray:

@@ -12,7 +12,6 @@ PSD refit; output is still written), 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import configparser
 import functools
 import math
 import sys
@@ -44,7 +43,7 @@ from .qubit import (
     named_projector,
     state_fidelity,
 )
-from .tomography import fit_restricted_tensor, records_to_text
+from .tomography import RestrictedProcessTensor, records_to_text
 
 __all__ = ["RunConfig", "main"]
 
@@ -129,6 +128,8 @@ def _parse_theta_grid(text: str) -> tuple:
 
 def _load_file(path: str) -> dict:
     """The settings a config file sets, by name, each read through its type."""
+    import configparser  # only a run with a config file pays for the import
+
     # each value is read as written: no %-interpolation from other keys
     parser = configparser.ConfigParser(interpolation=None)
     try:
@@ -187,7 +188,7 @@ def _refit_converged(fit) -> bool:
 def _records_and_fit(cfg: RunConfig, spec):
     """Records of the process and their restricted-tensor fit; sampled records get the PSD refit."""
     records = generate_records(spec, cfg.shot_config())
-    return records, fit_restricted_tensor(records, psd=cfg.shots is not None)
+    return records, RestrictedProcessTensor(psd=cfg.shots is not None).fit(records)
 
 
 def _safe_name(label: str) -> str:

@@ -8,17 +8,15 @@ numpy arrays. The spectral functions, vec_stack and unvec also take stacks
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .validation import as_matrix, hermitian_part
 
 __all__ = [
     "BRANCH_CUTOFF",
-    "HermEigen",
     "kron_stack",
     "herm_eig",
+    "spectral_function",
     "project_psd",
     "normalized_psd",
     "clip_divided_differences",
@@ -26,20 +24,6 @@ __all__ = [
     "vec_stack",
     "unvec",
 ]
-
-
-@dataclass(frozen=True)
-class HermEigen:
-    """Spectral decomposition with eigenvalues sorted descending."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def apply(self, fn) -> np.ndarray:
-        """Hermitian matrix function V fn(w) V† of the decomposed matrix or stack."""
-        v = self.eigenvectors
-        out = (v * fn(self.eigenvalues)[..., None, :]) @ v.conj().swapaxes(-1, -2)
-        return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
 def kron_stack(a, b) -> np.ndarray:
@@ -50,17 +34,25 @@ def kron_stack(a, b) -> np.ndarray:
     return prod.reshape(prod.shape[:-4] + (a.shape[-2] * b.shape[-2], a.shape[-1] * b.shape[-1]))
 
 
-def herm_eig(m) -> HermEigen:
-    """Eigendecomposition of a Hermitian matrix or stack, eigenvalues
-    descending; an anti-Hermitian part above 1e-8 entrywise is rejected."""
+def herm_eig(m):
+    """Eigendecomposition (w, v) of a Hermitian matrix or stack, eigenvalues w
+    descending, eigenvectors the columns of v; an anti-Hermitian part above
+    1e-8 entrywise is rejected."""
     h = hermitian_part(m, "m")
     w, v = np.linalg.eigh(h)
-    return HermEigen(w[..., ::-1].copy(), np.ascontiguousarray(v[..., ::-1]))
+    return w[..., ::-1].copy(), np.ascontiguousarray(v[..., ::-1])
+
+
+def spectral_function(w, v, fn) -> np.ndarray:
+    """Hermitian matrix function V fn(w) V† of a matrix or stack from its
+    eigendecomposition (w, v), averaged with its conjugate transpose."""
+    out = (v * fn(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    return (out + out.conj().swapaxes(-1, -2)) / 2
 
 
 def project_psd(m) -> np.ndarray:
     """Nearest PSD matrix in Frobenius norm (eigenvalue clipping)."""
-    return herm_eig(m).apply(lambda w: np.clip(w, 0.0, None))
+    return spectral_function(*herm_eig(m), lambda w: np.clip(w, 0.0, None))
 
 
 #: Probability below which a branch or a trajectory has vanished: nothing is

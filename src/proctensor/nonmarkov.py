@@ -43,13 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import action_dual, action_superop, map_to_choi, superop_to_choi
-from .linalg import (BRANCH_CUTOFF, herm_eig, kron_stack, normalized_psd, project_psd, unvec,
-                     vec_stack)
+from .channels import action_superop, map_to_choi, superop_to_choi
+from .linalg import (BRANCH_CUTOFF, herm_eig, kron_stack, normalized_psd, project_psd,
+                     spectral_function, unvec, vec_stack)
 from .process import ProcessSpec, last_step_superops
 from .qubit import FIT_BASIS, bloch_vector, named_projector, projector, zy_projector
 from .tomography import RestrictedProcessTensor, action_matrix
-from .validation import check_angles, hermitian_part
+from .validation import as_square, check_angles, hermitian_part
 
 __all__ = [
     "ChoiFamily",
@@ -118,7 +118,9 @@ def family_predict(choi, op) -> np.ndarray:
     """Contract a conditioned Choi state against one intervention; stacks of
     states (..., 8, 8) and of operations broadcast and give (..., 2, 2)."""
     c = np.asarray(choi, dtype=complex)
-    b = action_dual(action_matrix(op))
+    m = as_square(action_matrix(op), "op")
+    # b[2k+l, 2i+j] = m[2k+i, 2l+j]: contracting against I ⊗ b applies m
+    b = m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(m.shape)
     y6 = c.reshape(c.shape[:-2] + (2, 4, 2, 4))
     return np.einsum("...oapc,...ca->...op", y6, b)
 
@@ -245,9 +247,9 @@ def _reference_spectrum(refn: np.ndarray):
     and the eigenvalues and eigenvectors, descending, with the mask keep of
     those at or above LOG_FLOOR. The kept eigenvectors span the support,
     the others the null space. Returns (log_ref, w, v, keep)."""
-    e = herm_eig(refn)
-    log_ref = e.apply(lambda w: np.log(np.maximum(w, LOG_FLOOR)))
-    return log_ref, e.eigenvalues, e.eigenvectors, e.eigenvalues >= LOG_FLOOR
+    w, v = herm_eig(refn)
+    log_ref = spectral_function(w, v, lambda x: np.log(np.maximum(x, LOG_FLOOR)))
+    return log_ref, w, v, w >= LOG_FLOOR
 
 
 def _floored_entropy(w: np.ndarray, v: np.ndarray, log_ref: np.ndarray):
@@ -496,10 +498,10 @@ def _minimize_stack(fam: ChoiFamily, refs) -> list[MinimizeResult | None]:
     support = v[compressed] * keep[compressed][:, None, :]
     support_h = support.conj().swapaxes(-1, -2)
     y[compressed] = support @ (support_h @ y[compressed] @ support) @ support_h
-    e = herm_eig(y)
-    min_eig = e.eigenvalues[:, -1]
-    optimizer = e.apply(lambda w: np.clip(w, 0.0, None))
-    n_value = np.maximum(_floored_entropy(e.eigenvalues, e.eigenvectors, log_ref), 0.0)
+    wy, vy = herm_eig(y)
+    min_eig = wy[:, -1]
+    optimizer = spectral_function(wy, vy, lambda x: np.clip(x, 0.0, None))
+    n_value = np.maximum(_floored_entropy(wy, vy, log_ref), 0.0)
     results = [None] * len(live)
     for i, point in enumerate(np.flatnonzero(live)):
         results[point] = MinimizeResult(

@@ -32,7 +32,6 @@ __all__ = [
     "sequence_vector",
     "RestrictedProcessTensor",
     "RefitInfo",
-    "fit_restricted_tensor",
     "records_to_text",
     "records_from_text",
 ]
@@ -288,6 +287,7 @@ class _PairGridLeastSquares:
         g = (self._factors @ v.conj()).transpose(0, 2, 3, 1)
         rows = g[:, :, pos] * self._factor_weights[:, :, None]
         rows = np.conjugate(rows, out=rows) @ g.swapaxes(-1, -2)
+        del g
         rows *= np.sqrt(omega)
         x = rows.reshape(self.b_coords.size, -1).view(float)
         h = x @ x.T
@@ -327,8 +327,12 @@ def _solve_proximal(problem, y_k, sigma, c, gtol, steps):
         if steps == NEWTON_MAX_STEPS:
             return c, point[2], steps, False
         phi, grad, _, w, v = point
-        d = np.linalg.solve(problem.newton_matrix(sigma, w, v), -grad.reshape(-1))
-        d = d.reshape(c.shape)
+        # with no eigenvalue of Z positive the Newton matrix is I
+        if (w > 0).any():
+            d = np.linalg.solve(problem.newton_matrix(sigma, w, v), -grad.reshape(-1))
+            d = d.reshape(c.shape)
+        else:
+            d = -grad
         slope = np.sum(grad * d)
         step = 1.0
         while True:
@@ -491,11 +495,6 @@ class RestrictedProcessTensor:
         x0 = self._checked_action_vecs(op)
         t3 = self.map_.reshape(4, 16, 16)
         return np.einsum("kab,...b->...ka", t3, x0)
-
-
-def fit_restricted_tensor(records, psd: bool = False):
-    """Convenience constructor returning a fitted RestrictedProcessTensor."""
-    return RestrictedProcessTensor(psd=psd).fit(records)
 
 
 # -- record serialization -------------------------------------------------

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from proctensor import (
+    RestrictedProcessTensor,
     cnot_cz_process,
     cz_cnot_process,
-    fit_restricted_tensor,
     generate_records,
 )
 
@@ -31,12 +31,12 @@ def cz_cnot_records(cz_cnot_spec):
 
 @pytest.fixture(scope="session")
 def cnot_cz_fit(cnot_cz_records):
-    return fit_restricted_tensor(cnot_cz_records)
+    return RestrictedProcessTensor().fit(cnot_cz_records)
 
 
 @pytest.fixture(scope="session")
 def cz_cnot_fit(cz_cnot_records):
-    return fit_restricted_tensor(cz_cnot_records)
+    return RestrictedProcessTensor().fit(cz_cnot_records)
 
 
 @pytest.fixture

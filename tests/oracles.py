@@ -12,7 +12,7 @@ import struct
 import numpy as np
 
 from proctensor.channels import _pauli_pairs, superop_to_chi
-from proctensor.linalg import clip_divided_differences, herm_eig, project_psd, vec
+from proctensor.linalg import clip_divided_differences, herm_eig, project_psd, spectral_function, vec
 from proctensor.process import _step_superops
 from proctensor.qubit import ID2, PAULIS, SX, SY, named_projector
 from proctensor.validation import as_square, qubit_count
@@ -39,22 +39,21 @@ def partial_trace(m, dim_a: int, dim_b: int, keep) -> np.ndarray:
     raise ValueError(f"bad-dims: keep must be 'a' or 'b', got {keep!r}")
 
 
-def reconstruct(e) -> np.ndarray:
-    """V diag(w) V† of a HermEigen, without symmetrizing."""
-    v = e.eigenvectors
-    return (v * e.eigenvalues[..., None, :]) @ v.conj().swapaxes(-1, -2)
+def reconstruct(w, v) -> np.ndarray:
+    """V diag(w) V† of an eigendecomposition (w, v), without symmetrizing."""
+    return (v * w[..., None, :]) @ v.conj().swapaxes(-1, -2)
 
 
 def mat_sqrt_psd(m) -> np.ndarray:
     """Hermitian PSD square root; negative eigenvalues are clipped to zero."""
-    return herm_eig(m).apply(lambda w: np.sqrt(np.clip(w, 0.0, None)))
+    return spectral_function(*herm_eig(m), lambda w: np.sqrt(np.clip(w, 0.0, None)))
 
 
 def mat_log_psd(m, floor: float = 1e-12) -> np.ndarray:
     """Matrix logarithm with eigenvalues floored at `floor` (must be > 0)."""
     if not floor > 0:
         raise ValueError(f"bad-floor: floor must be positive, got {floor}")
-    return herm_eig(m).apply(lambda w: np.log(np.maximum(w, floor)))
+    return spectral_function(*herm_eig(m), lambda w: np.log(np.maximum(w, floor)))
 
 
 # ----------------------------------------------------------------- one qubit

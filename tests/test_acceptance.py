@@ -41,7 +41,7 @@ from proctensor.qubit import (
     projector,
     state_fidelity,
 )
-from proctensor.tomography import fit_restricted_tensor
+from proctensor.tomography import RestrictedProcessTensor
 
 LN2 = math.log(2)
 SEED = 7
@@ -70,7 +70,7 @@ def ideal():
     for name, factory in (("cnot-cz", cnot_cz_process), ("cz-cnot", cz_cnot_process)):
         spec = factory()
         records = generate_records(spec)
-        out[name] = (spec, fit_restricted_tensor(records))
+        out[name] = (spec, RestrictedProcessTensor().fit(records))
     return out
 
 
@@ -137,7 +137,7 @@ def test_criterion_4_noise_monotonicity(ideal):
     ideal_peak = minimize_nonmarkovianity(fam, uncorrelated_choi(fam, spec_nc))[0].n_value
 
     noisy_spec = cnot_cz_process(NoiseSpec(gamma_amp=0.05, lambda_phase=0.05))
-    noisy_fit = fit_restricted_tensor(generate_records(noisy_spec))
+    noisy_fit = RestrictedProcessTensor().fit(generate_records(noisy_spec))
     fam = condition_family(noisy_fit, [math.pi / 2])
     noisy_peak = minimize_nonmarkovianity(fam, uncorrelated_choi(fam, noisy_spec))[0].n_value
     assert noisy_peak < ideal_peak
@@ -159,7 +159,7 @@ def test_criterion_5_finite_shot_tomography():
 
     spec = cnot_cz_process()
     records = generate_records(spec, ShotConfig(shots=SHOTS, seed=SEED))
-    fit = fit_restricted_tensor(records, psd=True)
+    fit = RestrictedProcessTensor(psd=True).fit(records)
     tensor_fids, _, _ = _grid_fidelities(spec, fit)
     assert tensor_fids.mean() >= 0.99
     print(f"\nPASS criterion 5: POVM fidelities in "

@@ -110,13 +110,13 @@ def test_traced_subcommands_call_each_layer_once(tmp_path):
 def test_traced_refit_objective_equals_the_fit_diagnostic():
     # the bench's fit hook iterates the records and reads each record's
     # basis_indices, p_joint and rho_measured; its objective is the refit's
-    from proctensor import ShotConfig, cnot_cz_process, fit_restricted_tensor, generate_records
+    from proctensor import RestrictedProcessTensor, ShotConfig, cnot_cz_process, generate_records
 
     records = generate_records(cnot_cz_process(), ShotConfig(100, 0))
     tracer = load_tracing().Tracer()
     tracer.install()
     try:
-        fit = fit_restricted_tensor(records, psd=True)
+        fit = RestrictedProcessTensor(psd=True).fit(records)
     finally:
         tracer.uninstall()
     objective = fit.refit_info_.objective

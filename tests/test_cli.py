@@ -337,9 +337,9 @@ def test_linear_fit_outputs_independent_of_blas_threads(tmp_path, args):
 
 _PREDICT_SCRIPT = """
 import json, sys
-from proctensor import OVERCOMPLETE_LABELS, fit_restricted_tensor, named_projector, records_from_text
+from proctensor import OVERCOMPLETE_LABELS, RestrictedProcessTensor, named_projector, records_from_text
 from proctensor.linalg import BRANCH_CUTOFF
-fit = fit_restricted_tensor(records_from_text(open(sys.argv[1]).read()), psd=True)
+fit = RestrictedProcessTensor(psd=True).fit(records_from_text(open(sys.argv[1]).read()))
 out = []
 for l0 in OVERCOMPLETE_LABELS:
     for l1 in OVERCOMPLETE_LABELS:
@@ -495,6 +495,16 @@ import proctensor.cli as cli
 calls = json.loads(sys.argv[2])
 print(json.dumps([cli.main(call + ["--out", f"{sys.argv[1]}/{i}"]) for i, call in enumerate(calls)]))
 """
+
+
+def test_cli_start_up_does_not_import_configparser():
+    # only a run with --config reads a file, so only it imports configparser
+    script = ("import sys, proctensor.cli as cli; cli.build_parser(); "
+              "print('configparser' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", script], env=subprocess_env(),
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 def test_cli_runs_without_scipy(tmp_path):

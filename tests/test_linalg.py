@@ -12,6 +12,7 @@ from proctensor.linalg import (
     herm_eig,
     kron_stack,
     project_psd,
+    spectral_function,
     unvec,
     vec,
 )
@@ -100,30 +101,44 @@ def test_partial_trace_bad_dims():
 # ------------------------------------------------------------ herm_eig
 
 def test_herm_eig_identity():
-    e = herm_eig(I2)
-    assert np.allclose(e.eigenvalues, [1, 1])
+    w, _ = herm_eig(I2)
+    assert np.allclose(w, [1, 1])
 
 
 def test_herm_eig_sigma_x():
-    e = herm_eig(SX)
-    assert np.allclose(e.eigenvalues, [1, -1])
-    plus = e.eigenvectors[:, 0]
+    w, v = herm_eig(SX)
+    assert np.allclose(w, [1, -1])
+    plus = v[:, 0]
     assert abs(abs(plus @ np.array([1, 1]) / math.sqrt(2)) - 1) < 1e-12
 
 
 def test_herm_eig_sort_descending():
-    e = herm_eig(np.diag([3.0, 1.0, 2.0]))
-    assert np.allclose(e.eigenvalues, [3, 2, 1])
+    w, _ = herm_eig(np.diag([3.0, 1.0, 2.0]))
+    assert np.allclose(w, [3, 2, 1])
 
 
 @settings(max_examples=40, deadline=None)
 @given(matrices_2x2)
 def test_herm_eig_reconstruction_and_unitarity(m):
     h = hermitian_2x2(m)
-    e = herm_eig(h)
-    assert np.abs(reconstruct(e) - h).max() < 1e-10
-    v = e.eigenvectors
+    w, v = herm_eig(h)
+    assert np.abs(reconstruct(w, v) - h).max() < 1e-10
     assert np.abs(v.conj().T @ v - I2).max() < 1e-10
+
+
+@pytest.mark.parametrize("fn", [
+    lambda w: np.clip(w, 0.0, None),
+    lambda w: np.log(np.maximum(w, 1e-12)),
+    lambda w: np.sqrt(np.clip(w, 0.0, None)),
+], ids=["clip", "log", "sqrt"])
+def test_spectral_function_is_the_symmetrized_matrix_function(fn):
+    rng = np.random.default_rng(32)
+    a = rng.normal(size=(5, 4, 4)) + 1j * rng.normal(size=(5, 4, 4))
+    stack = a + a.conj().swapaxes(-1, -2)
+    w, v = herm_eig(stack)
+    out = (v * fn(w)[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    expected = (out + out.conj().swapaxes(-1, -2)) / 2
+    assert spectral_function(*herm_eig(stack), fn).tobytes() == expected.tobytes()
 
 
 def test_herm_eig_rejects_nonhermitian():
@@ -185,8 +200,8 @@ def test_log_requires_positive_floor():
 def test_exp_log_round_trip(m):
     h = hermitian_2x2(m)
     psd = h @ h.conj().T + 1e-3 * I2
-    e = herm_eig(mat_log_psd(psd))
-    back = (e.eigenvectors * np.exp(e.eigenvalues)) @ e.eigenvectors.conj().T
+    w, v = herm_eig(mat_log_psd(psd))
+    back = (v * np.exp(w)) @ v.conj().T
     assert np.abs(back - psd).max() < 1e-8
 
 
@@ -277,9 +292,9 @@ def test_clip_divided_differences_values():
 def test_stacked_spectral_functions_keep_shape_and_checks():
     stack = np.array([I2, SZ, np.diag([4.0, 9.0])], dtype=complex)
     assert np.abs(mat_sqrt_psd(stack)[2] - np.diag([2.0, 3.0])).max() < 1e-12
-    e = herm_eig(stack)
-    assert e.eigenvalues.shape == (3, 2)
-    assert np.abs(reconstruct(e) - stack).max() < 1e-12
+    w, v = herm_eig(stack)
+    assert w.shape == (3, 2)
+    assert np.abs(reconstruct(w, v) - stack).max() < 1e-12
     with pytest.raises(ValueError, match="not-hermitian"):
         project_psd(np.array([I2, [[0, 1], [0, 0]]], dtype=complex))
 

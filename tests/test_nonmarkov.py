@@ -14,11 +14,10 @@ from proctensor import (
     ShotConfig,
     cnot_cz_process,
     cz_cnot_process,
-    fit_restricted_tensor,
     generate_records,
 )
 from proctensor.channels import action_superop
-from proctensor.linalg import BRANCH_CUTOFF, herm_eig, project_psd, unvec, vec
+from proctensor.linalg import BRANCH_CUTOFF, herm_eig, project_psd, spectral_function, unvec, vec
 from proctensor.nonmarkov import (
     LOG_FLOOR,
     SUPPORT_WEIGHT_TOL,
@@ -145,6 +144,13 @@ def test_family_shape_and_consistency(cnot_cz_fit):
         p = named_projector(label)
         direct = unvec(t1 @ vec(action_superop(p)))
         assert np.abs(family_predict(fam.base[0], p) - direct).max() < 1e-9
+
+
+def test_family_predict_refuses_a_non_finite_operation(cnot_cz_fit):
+    fam = condition_family(cnot_cz_fit, [math.pi / 2])
+    for op in (np.full((2, 2), math.nan), np.full((4, 4), math.inf)):
+        with pytest.raises(ValueError, match="^non-finite"):
+            family_predict(fam.base[0], op)
 
 
 def test_family_directions_annihilate_data(cnot_cz_fit):
@@ -360,7 +366,7 @@ def test_minimize_exact_memoryless_order_is_zero(cz_cnot_fit, cz_cnot_spec):
 @pytest.fixture(scope="module")
 def noisy_cnot_cz():
     spec = cnot_cz_process(NoiseSpec(gamma_amp=0.05, lambda_phase=0.05))
-    return spec, fit_restricted_tensor(generate_records(spec))
+    return spec, RestrictedProcessTensor().fit(generate_records(spec))
 
 
 @pytest.mark.parametrize("noisy", [False, True])
@@ -378,7 +384,7 @@ def test_minimize_value_is_relative_entropy_of_optimizer(noisy, cnot_cz_fit, cno
 
 
 def sampled_fit(spec, shots, seed):
-    return fit_restricted_tensor(generate_records(spec, ShotConfig(shots=shots, seed=seed)), psd=True)
+    return RestrictedProcessTensor(psd=True).fit(generate_records(spec, ShotConfig(shots=shots, seed=seed)))
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -704,10 +710,10 @@ def test_pinned_point_evaluates_once(monkeypatch, cnot_cz_fit, cnot_cz_spec):
     log_ref, _, v, keep = _reference_spectrum(refn)
     member, _, off_support = restrict_one(fam.base[0], fam.directions, v * ~keep)
     assert off_support <= SUPPORT_WEIGHT_TOL
-    e = herm_eig(member)
-    assert res.optimizer.tobytes() == e.apply(lambda w: np.clip(w, 0.0, None)).tobytes()
-    assert res.min_eig == e.eigenvalues[-1]
-    assert res.n_value == max(float(_floored_entropy(e.eigenvalues, e.eigenvectors, log_ref)), 0.0)
+    w, v = herm_eig(member)
+    assert res.optimizer.tobytes() == spectral_function(w, v, lambda x: np.clip(x, 0.0, None)).tobytes()
+    assert res.min_eig == w[-1]
+    assert res.n_value == max(float(_floored_entropy(w, v, log_ref)), 0.0)
 
 
 # ----------------------------------------------- stacked sweep over angles
@@ -728,7 +734,7 @@ def sweep_cases(cnot_cz_spec, cnot_cz_fit, cz_cnot_spec, cz_cnot_fit, noisy_cnot
         ("cnot-cz", "noisy"): noisy_cnot_cz,
         ("cnot-cz", "shots"): (cnot_cz_spec, sampled_cnot_cz_fit),
         ("cz-cnot", "exact"): (cz_cnot_spec, cz_cnot_fit),
-        ("cz-cnot", "noisy"): (noisy_cz, fit_restricted_tensor(generate_records(noisy_cz))),
+        ("cz-cnot", "noisy"): (noisy_cz, RestrictedProcessTensor().fit(generate_records(noisy_cz))),
         ("cz-cnot", "shots"): (cz_cnot_spec, sampled_fit(cz_cnot_spec, 3000, 0)),
     }
 

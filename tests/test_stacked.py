@@ -55,7 +55,7 @@ from proctensor.qubit import (
     state_fidelity,
     zy_projector,
 )
-from proctensor.tomography import action_matrix, fit_restricted_tensor
+from proctensor.tomography import RestrictedProcessTensor, action_matrix
 
 NOISE = NoiseSpec(gamma_amp=0.05, lambda_phase=0.05)
 LABELS = OVERCOMPLETE_LABELS
@@ -143,7 +143,7 @@ def grid_case(request):
     name, kind = CASES[request.param]
     spec = PROCESS_NAMES[name](NOISE if kind == "noisy" else None)
     cfg = ShotConfig(shots=3000, seed=0) if kind == "shots" else None
-    fit = fit_restricted_tensor(generate_records(spec, cfg), psd=cfg is not None)
+    fit = RestrictedProcessTensor(psd=cfg is not None).fit(generate_records(spec, cfg))
     return name, kind, spec, fit, ref_tomo_predict(spec, fit)
 
 
@@ -357,7 +357,7 @@ def ref_bloch_volume(kind, fit, theta, n, process):
 def test_bloch_volume_matches_per_sample_loop(kind, noisy):
     # one call gives both clouds of every angle, the tensor's first
     spec = PROCESS_NAMES["cnot-cz"](NOISE if noisy else None)
-    fit = fit_restricted_tensor(generate_records(spec))
+    fit = RestrictedProcessTensor().fit(generate_records(spec))
     thetas = (0.0, math.pi / 4, math.pi / 2, 0.3, 2.9)
     stacked = bloch_volume(fit, thetas, spec)
     assert len(stacked) == len(thetas)

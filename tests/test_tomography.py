@@ -28,7 +28,6 @@ from proctensor.qubit import (
 )
 from proctensor.tomography import (
     RestrictedProcessTensor,
-    fit_restricted_tensor,
     qst_six_axis,
     records_from_arrays,
     records_from_text,
@@ -206,7 +205,7 @@ def test_records_text_rejects_malformed_lines(cnot_cz_records):
 
 def test_fit_requires_all_combinations(cnot_cz_records):
     with pytest.raises(ValueError, match="incomplete-records"):
-        fit_restricted_tensor(cnot_cz_records[:-1])
+        RestrictedProcessTensor().fit(cnot_cz_records[:-1])
 
 
 def test_fit_training_residual(cnot_cz_fit):
@@ -238,7 +237,7 @@ def test_grid_fit_equals_explicit_least_squares(seed, duplicates):
         states.append(rho / np.trace(rho).real)
         p.append(rng.random())
     records = records_from_arrays(indices, states, p)
-    fit = fit_restricted_tensor(records)
+    fit = RestrictedProcessTensor().fit(records)
     design, targets, _ = _refit_problem(records)
     ref = np.linalg.lstsq(design, targets, rcond=None)[0].T
     # lstsq's solution is the minimum-norm one
@@ -253,7 +252,7 @@ def test_fit_basis_constants_are_shared_and_read_only(cnot_cz_spec):
     from proctensor.tomography import _BASIS_VECS, _fit_basis
 
     basis = _fit_basis()
-    fit_restricted_tensor(generate_records(cnot_cz_spec, ShotConfig(shots=400, seed=2)))
+    RestrictedProcessTensor().fit(generate_records(cnot_cz_spec, ShotConfig(shots=400, seed=2)))
     assert _fit_basis() is basis
     for name, value, ref in zip(basis._fields, basis, fit_basis_constants(_BASIS_VECS)):
         assert value.shape == ref.shape and value.tobytes() == ref.tobytes(), name
@@ -342,7 +341,7 @@ def test_psd_refit_keeps_choi_positive(cnot_cz_spec):
     from proctensor.process import generate_records
 
     records = generate_records(cnot_cz_spec, cfg)
-    fit = fit_restricted_tensor(records, psd=True)
+    fit = RestrictedProcessTensor(psd=True).fit(records)
     assert fit.choi_ is not None
     w = np.linalg.eigvalsh(fit.choi_)
     assert w.min() > -1e-10
@@ -369,7 +368,7 @@ def test_psd_refit_is_optimal(cnot_cz_spec, cnot_cz_fit):
     from proctensor.process import generate_records
 
     records = generate_records(cnot_cz_spec, ShotConfig(shots=500, seed=3))
-    fit = fit_restricted_tensor(records, psd=True)
+    fit = RestrictedProcessTensor(psd=True).fit(records)
     info = fit.refit_info_
     assert info.converged and info.iterations > 0
     design, targets, w = _refit_problem(records)
@@ -438,7 +437,7 @@ def test_refit_newton_matrix_keeps_its_bytes(cnot_cz_spec):
     design, targets, w = _refit_problem(records)
     cells = np.array([i1 * 9 + i0 for i0, i1 in (r.basis_indices for r in records)])
     problem = _PairGridLeastSquares(_BASIS_VECS, cells, w, targets)
-    y0 = map_to_choi(fit_restricted_tensor(records).map_, 2)
+    y0 = map_to_choi(RestrictedProcessTensor().fit(records).map_, 2)
     rng = np.random.default_rng(11)
     a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
     points = [(y0 + y0.conj().T) / 2, a @ a.conj().T, -a @ a.conj().T]
@@ -455,13 +454,13 @@ def test_refit_converges_on_high_shot_records(cnot_cz_spec, cz_cnot_spec):
     from proctensor.tomography import REFIT_TOL
 
     records = generate_records(cnot_cz_spec, ShotConfig(shots=30_000, seed=1))
-    info = fit_restricted_tensor(records, psd=True).refit_info_
+    info = RestrictedProcessTensor(psd=True).fit(records).refit_info_
     assert info.converged
     assert info.optimality < REFIT_TOL
     # and of 3e5 shots, where a proximal weight capped at 1e5 stopped the
     # refit at its step cap
     records = generate_records(cz_cnot_spec, ShotConfig(shots=300_000, seed=1))
-    info = fit_restricted_tensor(records, psd=True).refit_info_
+    info = RestrictedProcessTensor(psd=True).fit(records).refit_info_
     assert info.converged
     assert info.optimality < REFIT_TOL
 
@@ -472,9 +471,30 @@ def test_refit_step_cap_reports_unconverged(cnot_cz_spec, monkeypatch):
 
     records = generate_records(cnot_cz_spec, ShotConfig(shots=400, seed=2))
     monkeypatch.setattr(tomography, "NEWTON_MAX_STEPS", 3)
-    info = fit_restricted_tensor(records, psd=True).refit_info_
+    info = RestrictedProcessTensor(psd=True).fit(records).refit_info_
     assert info.iterations == 3 and not info.converged
     assert info.optimality > tomography.REFIT_TOL
+
+
+def test_refit_forms_no_newton_system_where_no_eigenvalue_is_positive(cnot_cz_spec, monkeypatch):
+    # there the Newton matrix is I and the step is the negative gradient, so
+    # a refit that takes such steps forms fewer Newton systems than steps
+    from proctensor.process import generate_records
+    from proctensor.tomography import _PairGridLeastSquares
+
+    records = generate_records(cnot_cz_spec, ShotConfig(shots=3000, seed=0))
+    formed = []
+    original = _PairGridLeastSquares.newton_matrix
+
+    def counted(self, sigma, w, v):
+        formed.append(bool((w > 0).any()))
+        return original(self, sigma, w, v)
+
+    monkeypatch.setattr(_PairGridLeastSquares, "newton_matrix", counted)
+    info = RestrictedProcessTensor(psd=True).fit(records).refit_info_
+    assert info.converged
+    assert all(formed)
+    assert len(formed) < info.iterations
 
 
 def test_sequence_vector_shape():
