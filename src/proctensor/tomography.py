@@ -327,12 +327,8 @@ def _solve_proximal(problem, y_k, sigma, c, gtol, steps):
         if steps == NEWTON_MAX_STEPS:
             return c, point[2], steps, False
         phi, grad, _, w, v = point
-        # with no eigenvalue of Z positive the Newton matrix is I
-        if (w > 0).any():
-            d = np.linalg.solve(problem.newton_matrix(sigma, w, v), -grad.reshape(-1))
-            d = d.reshape(c.shape)
-        else:
-            d = -grad
+        d = np.linalg.solve(problem.newton_matrix(sigma, w, v), -grad.reshape(-1))
+        d = d.reshape(c.shape)
         slope = np.sum(grad * d)
         step = 1.0
         while True:

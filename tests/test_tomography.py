@@ -476,27 +476,6 @@ def test_refit_step_cap_reports_unconverged(cnot_cz_spec, monkeypatch):
     assert info.optimality > tomography.REFIT_TOL
 
 
-def test_refit_forms_no_newton_system_where_no_eigenvalue_is_positive(cnot_cz_spec, monkeypatch):
-    # there the Newton matrix is I and the step is the negative gradient, so
-    # a refit that takes such steps forms fewer Newton systems than steps
-    from proctensor.process import generate_records
-    from proctensor.tomography import _PairGridLeastSquares
-
-    records = generate_records(cnot_cz_spec, ShotConfig(shots=3000, seed=0))
-    formed = []
-    original = _PairGridLeastSquares.newton_matrix
-
-    def counted(self, sigma, w, v):
-        formed.append(bool((w > 0).any()))
-        return original(self, sigma, w, v)
-
-    monkeypatch.setattr(_PairGridLeastSquares, "newton_matrix", counted)
-    info = RestrictedProcessTensor(psd=True).fit(records).refit_info_
-    assert info.converged
-    assert all(formed)
-    assert len(formed) < info.iterations
-
-
 def test_sequence_vector_shape():
     ops = [named_projector("z+"), named_projector("x+")]
     assert sequence_vector(ops).shape == (256,)
