@@ -44,7 +44,6 @@ from .tomography import (
 from .nonmarkov import (
     ChoiFamily,
     MinimizeResult,
-    SupportMismatchError,
     bloch_volume,
     condition_family,
     default_theta_grid,
@@ -65,8 +64,7 @@ __all__ = [
     "generate_records", "markov_predict", "run_process",
     "RestrictedProcessTensor", "qst_six_axis", "records_from_arrays",
     "records_from_text", "records_to_text",
-    "ChoiFamily", "MinimizeResult", "SupportMismatchError",
-    "bloch_volume", "condition_family", "default_theta_grid",
-    "minimize_nonmarkovianity", "relative_entropy", "sweep_theta",
-    "uncorrelated_choi",
+    "ChoiFamily", "MinimizeResult", "bloch_volume", "condition_family",
+    "default_theta_grid", "minimize_nonmarkovianity", "relative_entropy",
+    "sweep_theta", "uncorrelated_choi",
 ]

@@ -21,8 +21,8 @@ reference, a linear condition on the family coefficients. The minimiser
 solves it first, in the least-squares sense, and works on that support from
 then on. A stacked QR factors the condition of every point; where its
 triangular factor proves the condition well posed (singular values within a
-factor 1e10, the rule that decides which directions are free), that QR
-solves it. Records without noise pin every coefficient this way, so N is a
+factor 1 / RANK_RTOL, the rule that decides which directions are free), that
+QR solves it. Records without noise pin every coefficient this way, so N is a
 single evaluation. Records with local noise leave a few coefficients: their
 points take a thin SVD, which names the free directions, and damped Newton
 on the Lagrange dual of the convex problem finds the minimum. Sampled
@@ -54,7 +54,6 @@ from .validation import as_square, check_angles, hermitian_part
 __all__ = [
     "ChoiFamily",
     "MinimizeResult",
-    "SupportMismatchError",
     "condition_family",
     "uncorrelated_choi",
     "family_predict",
@@ -69,13 +68,11 @@ LOG_FLOOR = 1e-12
 SUPPORT_WEIGHT_TOL = 1e-6
 NEWTON_TOL = 1e-15
 NEWTON_STEPS = 100
+#: Rank rule of every singular-value cut: a direction is free, or outside a
+#: span, when its singular value is at most RANK_RTOL times the largest.
+RANK_RTOL = 1e-10
 #: Second interventions sampled by bloch_volume.
 VOLUME_SAMPLES = 200
-
-
-class SupportMismatchError(ValueError):
-    """First argument of the relative entropy has weight outside the
-    support of the second."""
 
 
 @dataclass(frozen=True)
@@ -153,7 +150,7 @@ def _kernel_directions() -> np.ndarray:
     cons = np.stack([m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1].real, m[..., 0, 1].imag],
                     axis=-1)
     _, svals, vh = np.linalg.svd(cons.reshape(len(hb), -1).T)
-    rank = int(np.sum(svals > 1e-10))
+    rank = int(np.sum(svals > RANK_RTOL * svals[0]))
     dirs = np.einsum("kg,gij->kij", vh[rank:], hb)
     dirs.setflags(write=False)
     return dirs
@@ -257,10 +254,10 @@ def _floored_entropy(w: np.ndarray, v: np.ndarray, log_ref: np.ndarray):
     y = V diag(w) V†, or of each of a stack, from that eigendecomposition:
     with s the clipped spectrum over its sum, sum s ln max(s, LOG_FLOOR)
     minus the cross term sum s diag(V† log_ref V). Gives 1e6 where the
-    positive part has trace below 1e-9."""
+    positive part has trace below BRANCH_CUTOFF."""
     q = np.clip(w, 0.0, None)
     tau = q.sum(axis=-1)
-    empty = tau < 1e-9
+    empty = tau < BRANCH_CUTOFF
     s = q / np.where(empty, 1.0, tau)[..., None]
     cross = np.sum(s * (v.conj().swapaxes(-1, -2) @ log_ref @ v).diagonal(0, -2, -1).real, axis=-1)
     return np.where(empty, 1e6, np.sum(s * np.log(np.maximum(s, LOG_FLOOR)), axis=-1) - cross)
@@ -271,7 +268,7 @@ def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:
     normalized to unit trace, eigenvalues floored at LOG_FLOOR in the logs.
 
     Weight of `a` on the floored subspace of `b` beyond SUPPORT_WEIGHT_TOL
-    raises SupportMismatchError rather than being silently regularized. A
+    raises "support-mismatch" rather than being silently regularized. A
     trace <= 0 raises "bad-trace", an eigenvalue of the normalized `b` below
     -1e-8 "not-psd".
     """
@@ -288,8 +285,7 @@ def relative_entropy(a: np.ndarray, b: np.ndarray) -> float:
     null = v * ~keep
     weight = float(np.real(np.einsum("ik,ij,jk->", null.conj(), am / tr_a, null)))
     if weight > SUPPORT_WEIGHT_TOL:
-        raise SupportMismatchError(
-            f"support-mismatch: weight {weight:.3e} outside reference support")
+        raise ValueError(f"support-mismatch: weight {weight:.3e} outside reference support")
     return max(float(_floored_entropy(*np.linalg.eigh(am), log_b)), 0.0)
 
 
@@ -301,24 +297,24 @@ def _restrict_to_support(base, dirs, null):
     N† Y = 0, N spanning its null space (the rule relative_entropy applies
     too). That is linear in c, a c = -b; the least-squares solution is
     c = c0 + K z with orthonormal K spanning the directions that a cannot
-    see, those of singular value at most 1e-10 times the largest. base is a
-    stack (T, n, n), dirs (K, n, n) are shared by the points, and null
+    see, those of singular value at most RANK_RTOL times the largest. base
+    is a stack (T, n, n), dirs (K, n, n) are shared by the points, and null
     (T, n, n) holds each null space zero-padded to n columns, so that points
     of every null size share one stacked factorization.
 
     A stacked QR of the augmented [a | b] gives R, the triangular factor
-    of a, and Q† b. Where ||R||_F ||R^-1||_F < 1e10, which bounds the ratio
-    of the largest to the smallest singular value of a, no direction is free
-    and c0 = -R^-1 Q† b. The other points (a zero column, a null space too
-    small to pin every coefficient, as with noisy records) take one stacked
-    SVD of their R, which shares a's singular values and right singular
-    vectors: c0 is the minimum-norm solution, and the right singular
-    vectors vh with the mask free of those at most 1e-10 times the largest
-    give K; a boolean mask picks those points (np.setdiff1d would import
-    numpy.ma). Returns the members Y(c0) = base + sum c0_k dirs_k, vh
-    (T, K, K) (the identity at a point the bound clears) with free (T, K)
-    (point i keeps the directions vh[i][free[i]] @ dirs), and the relative
-    off-support residuals ||N† Y(c0)||_F / tr Y(c0).
+    of a, and Q† b. Where ||R||_F ||R^-1||_F < 1 / RANK_RTOL, which bounds
+    the ratio of the largest to the smallest singular value of a, no
+    direction is free and c0 = -R^-1 Q† b. The other points (a zero column,
+    a null space too small to pin every coefficient, as with noisy records)
+    take one stacked SVD of their R, which shares a's singular values and
+    right singular vectors: c0 is the minimum-norm solution, and the right
+    singular vectors vh with the mask free of those at most RANK_RTOL times
+    the largest give K; a boolean mask picks those points (np.setdiff1d
+    would import numpy.ma). Returns the members Y(c0) = base + sum c0_k
+    dirs_k, vh (T, K, K) (the identity at a point the bound clears) with
+    free (T, K) (point i keeps the directions vh[i][free[i]] @ dirs), and
+    the relative off-support residuals ||N† Y(c0)||_F / tr Y(c0).
     """
     # N† acts on the stacked real and imaginary parts [Re X; Im X] of a
     # matrix X as the real block matrix [[Re N†, -Im N†], [Im N†, Re N†]]
@@ -342,9 +338,10 @@ def _restrict_to_support(base, dirs, null):
     # so a point whose diagonal spans more than the rule fails the bound;
     # only the others are inverted, and their pivots are nonzero
     diag = np.abs(np.diagonal(r_a, axis1=-2, axis2=-1))
-    tried = np.flatnonzero(diag.min(axis=-1) > 1e-10 * diag.max(axis=-1))
+    tried = np.flatnonzero(diag.min(axis=-1) > RANK_RTOL * diag.max(axis=-1))
     r_inv = np.linalg.inv(r_a[tried])
-    ok = np.linalg.norm(r_a[tried], axis=(-2, -1)) * np.linalg.norm(r_inv, axis=(-2, -1)) < 1e10
+    ok = (np.linalg.norm(r_a[tried], axis=(-2, -1)) * np.linalg.norm(r_inv, axis=(-2, -1))
+          < 1 / RANK_RTOL)
     proved = tried[ok]
     c0 = np.empty((t, k))
     c0[proved] = -(r_inv[ok] @ qb[proved][..., None])[..., 0]
@@ -355,7 +352,7 @@ def _restrict_to_support(base, dirs, null):
     if rest.any():
         # a's left singular vectors are Q u, so b projects on them as Q† b on u
         u, svals, vh[rest] = np.linalg.svd(r_a[rest])
-        free[rest] = ~(svals > 1e-10 * svals[:, :1])
+        free[rest] = ~(svals > RANK_RTOL * svals[:, :1])
         proj = (qb[rest][:, None] @ u)[:, 0]
         c0[rest] = -(np.where(free[rest], 0.0, proj / np.where(free[rest], 1.0, svals))[:, None]
                      @ vh[rest])[:, 0]
@@ -407,7 +404,7 @@ def _dual_newton(z0, zk, log_w):
     hb = _herm_basis(len(log_w))
     span = np.einsum("gab,kba->kg", hb, np.concatenate([z0[None], zk])).real
     _, svals, vh = np.linalg.svd(span)
-    g = np.einsum("ig,gab->iab", vh[int(np.sum(svals > 1e-10 * svals[0])):], hb)
+    g = np.einsum("ig,gab->iab", vh[int(np.sum(svals > RANK_RTOL * svals[0])):], hb)
     y = np.zeros(len(g))
     value, grad, hess, rho = _dual_terms(y, log_w, g)
     for step in range(NEWTON_STEPS + 1):

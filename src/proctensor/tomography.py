@@ -144,29 +144,14 @@ _BASIS_VECS = vec_stack(action_superop(FIT_BASIS))
 _BASIS_VECS.setflags(write=False)
 
 
-class _FitBasis(NamedTuple):
-    """Constants of the linear fit that depend on the fit basis B alone.
-
-    pinv: B+ (16, 9), from one SVD of B. span_q: (16, 9) orthonormal columns
-    spanning the rows of B. The directions kron(B, B) annihilates need no
-    basis (see RestrictedProcessTensor).
-    """
-
-    pinv: np.ndarray
-    span_q: np.ndarray
-
-
 @functools.cache
-def _fit_basis() -> _FitBasis:
-    """The _FitBasis of the module-constant fit basis, computed on first use
-    and shared, read-only, by every fit."""
-    nb = len(_BASIS_VECS)
+def _basis_pinv() -> np.ndarray:
+    """B+ (16, 9) of the fit basis, from one SVD of B; computed on first use
+    and shared, read-only, by every fit and span check."""
     u, svals, vh = np.linalg.svd(_BASIS_VECS)
-    row = vh[:nb]
-    constants = _FitBasis(pinv=(row.conj().T / svals) @ u.conj().T, span_q=row.T)
-    for a in constants:
-        a.setflags(write=False)
-    return constants
+    pinv = (vh[:len(svals)].conj().T / svals) @ u.conj().T
+    pinv.setflags(write=False)
+    return pinv
 
 
 #: Stop of the PSD refit: projected-gradient fixed-point residual of the
@@ -180,7 +165,7 @@ LINE_SEARCH_MIN_STEP = 1e-8
 
 #: vec(Pauli)/sqrt(2): an orthonormal basis, in the real inner product, of
 #: the vec of Hermitian 2x2 matrices.
-_HERM_VECS = np.array([vec(p) for p in PAULIS]).T / np.sqrt(2)
+_HERM_VECS = vec_stack(PAULIS).T / np.sqrt(2)
 
 
 class RefitInfo(NamedTuple):
@@ -200,11 +185,13 @@ class RefitInfo(NamedTuple):
     optimality: float
 
 
-def _cell_means(cells, weights, targets, nb):
-    """Weighted totals (nb*nb,) and means (4, nb, nb) of the targets per basis pair.
+def _cell_means(cells, weights, targets):
+    """Weighted totals (nb*nb,) and means (4, nb, nb) of the targets per basis
+    pair, nb the size of the fit basis.
 
     cells[r] = i1 * nb + i0 is record r's basis pair; every pair must occur.
     """
+    nb = len(_BASIS_VECS)
     w = np.bincount(cells, weights, nb * nb)
     t = np.zeros((nb * nb, 4), dtype=complex)
     np.add.at(t, cells, weights[:, None] * targets)
@@ -223,17 +210,16 @@ class _PairGridLeastSquares:
     c (4, 81) on _HERM_VECS in each cell.
     """
 
-    def __init__(self, basis_vecs, cells, weights, targets):
-        nb = len(basis_vecs)
-        w, mean = _cell_means(cells, weights, targets, nb)
+    def __init__(self, cells, weights, targets):
+        nb = len(_BASIS_VECS)
+        w, mean = _cell_means(cells, weights, targets)
         self.sqrt_w = np.sqrt(w).reshape(nb, nb)
         self.b = mean * self.sqrt_w
         self.b_coords = self.to_coords(self.b)
         self.offset = float(np.sum(weights * np.sum(np.abs(targets) ** 2, axis=1))
                             - np.sum(np.abs(self.b) ** 2))
-        self._bv, self._bvt = basis_vecs, basis_vecs.T
-        self._bvh, self._bvc = basis_vecs.conj().T, basis_vecs.conj()
-        bb = basis_vecs @ self._bvh
+        self._bvh, self._bvc = _BASIS_VECS.conj().T, _BASIS_VECS.conj()
+        bb = _BASIS_VECS @ self._bvh
         gram = np.kron(bb, bb) * np.outer(self.sqrt_w, self.sqrt_w)
         self.lipschitz = float(np.linalg.eigvalsh(gram)[-1])
         # A* of the coordinate (mu, cell) is sqrt(w) kron(P_mu, F_i1, F_i0),
@@ -256,7 +242,7 @@ class _PairGridLeastSquares:
 
     def forward(self, y):
         """A(Y): weighted grid predictions of the two-step Choi state Y."""
-        return (self._bv @ choi_to_map(y, 2).reshape(4, 16, 16) @ self._bvt) * self.sqrt_w
+        return (_BASIS_VECS @ choi_to_map(y, 2).reshape(4, 16, 16) @ _BASIS_VECS.T) * self.sqrt_w
 
     def adjoint(self, lam):
         """A*(lam), Hermitian part (A acts on Hermitian Y)."""
@@ -346,7 +332,7 @@ def _solve_proximal(problem, y_k, sigma, c, gtol, steps):
     return c, point[2], steps, True
 
 
-def _psd_refit_choi(map0, basis_vecs, cells, weights, targets):
+def _psd_refit_choi(map0, cells, weights, targets):
     """Weighted least-squares refit of the two-step Choi onto the PSD cone.
 
     Minimizes 1/2 ||A(Y) - b||^2 over PSD Choi states Y, with A(Y) the map's
@@ -367,7 +353,7 @@ def _psd_refit_choi(map0, basis_vecs, cells, weights, targets):
     cells[r] = i1 * 9 + i0 is record r's basis pair. Returns the Choi state
     and its RefitInfo.
     """
-    problem = _PairGridLeastSquares(basis_vecs, cells, weights, targets)
+    problem = _PairGridLeastSquares(cells, weights, targets)
     y = project_psd(map_to_choi(map0, 2))
     c = problem.to_coords(problem.forward(y) - problem.b)
     optimality = problem.optimality(y)
@@ -428,22 +414,19 @@ class RestrictedProcessTensor:
             )
         # record r's design row is kron(B[i1], B[i0]); the closed form of the
         # class docstring needs only B+
-        bv = _BASIS_VECS
         p = records.p_joint
         targets = p[:, None] * vec_stack(records.rho_measured)
-        pinv = _fit_basis().pinv
-        _, grid = _cell_means(cells, np.ones(len(records)), targets, nb)
+        pinv = _basis_pinv()
+        _, grid = _cell_means(cells, np.ones(len(records)), targets)
         self.map_ = (pinv @ grid @ pinv.T).reshape(4, 256)
         if self.psd:
             weights = 1.0 / np.sqrt(np.maximum(p, 0.05**2))
-            self.choi_, self.refit_info_ = _psd_refit_choi(
-                self.map_, bv, cells, weights, targets
-            )
+            self.choi_, self.refit_info_ = _psd_refit_choi(self.map_, cells, weights, targets)
             self.map_ = choi_to_map(self.choi_, 2)
         else:
             self.choi_ = None
             self.refit_info_ = None
-        predicted = bv @ self.map_.reshape(4, 16, 16) @ bv.T
+        predicted = _BASIS_VECS @ self.map_.reshape(4, 16, 16) @ _BASIS_VECS.T
         self.residual_ = float(np.abs(predicted[:, i1, i0].T - targets).max())
         return self
 
@@ -452,10 +435,10 @@ class RestrictedProcessTensor:
             raise ValueError("not-fitted: call fit(records) first")
 
     def _checked_action_vecs(self, op):
-        """vec of each operation's action, checked to lie in the basis span."""
+        """vec of each operation's action, checked to lie in the span of the
+        basis actions: x B+ B is its orthogonal projection onto that span."""
         x = vec_stack(action_matrix(op))
-        span_q = _fit_basis().span_q
-        resid = np.linalg.norm(x - (x @ span_q.conj()) @ span_q.T, axis=-1)
+        resid = np.linalg.norm(x - (x @ _basis_pinv()) @ _BASIS_VECS, axis=-1)
         worst = float(np.max(resid, initial=0.0))
         if worst > SPAN_TOL:
             raise ValueError(

@@ -1,4 +1,3 @@
-import numpy as np
 import pytest
 
 from proctensor import (
@@ -38,19 +37,3 @@ def cnot_cz_fit(cnot_cz_records):
 def cz_cnot_fit(cz_cnot_records):
     return RestrictedProcessTensor().fit(cz_cnot_records)
 
-
-@pytest.fixture
-def rng():
-    return np.random.default_rng(20240817)
-
-
-def random_density(rng, dim=2):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
-
-
-def random_unitary(rng, dim=2):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))

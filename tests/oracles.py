@@ -2,7 +2,9 @@
 
 None of these is on a program path: the package computes the same things
 stacked, or not at all. Each stays here as an independent oracle, with the
-arithmetic and checks it had in the package, and its own tests pin it.
+arithmetic and checks it had in the package, and its own tests pin it. The
+seeded random states and unitaries that the tests draw their inputs from are
+here too.
 """
 
 import hashlib
@@ -16,6 +18,24 @@ from proctensor.linalg import clip_divided_differences, herm_eig, project_psd, s
 from proctensor.process import _step_superops
 from proctensor.qubit import ID2, PAULIS, SX, SY, named_projector
 from proctensor.validation import as_square, qubit_count
+
+
+# -------------------------------------------------------------- random inputs
+
+def random_unitary(seed, dim=2):
+    """Haar-random dim x dim unitary of the seeded generator."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    q, r = np.linalg.qr(a)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def random_density(seed, dim=2):
+    """Random full-rank dim x dim density matrix of the seeded generator."""
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
 
 
 # ------------------------------------------------------------- linear algebra
@@ -173,8 +193,9 @@ def eigen_qst_six_axis(probabilities) -> np.ndarray:
 # ------------------------------------------------------------ fit constants
 
 def fit_basis_constants(basis_vecs):
-    """The fit's basis constants as each fit formed them, from the basis
-    action vecs B (9, 16): (B+, span columns)."""
+    """From the basis action vecs B (9, 16): B+ as each fit once formed it,
+    and (16, 9) orthonormal columns spanning the rows of B, an independent
+    form of the span check's projection."""
     nb = len(basis_vecs)
     u, svals, vh = np.linalg.svd(basis_vecs)
     row = vh[:nb]

@@ -4,7 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 # oracles that other tests compare against, pinned here to closed forms
-from oracles import apply_chi, chi_is_trace_preserving, chi_to_superop
+from oracles import (
+    apply_chi,
+    chi_is_trace_preserving,
+    chi_to_superop,
+    random_density,
+    random_unitary,
+)
 from proctensor.channels import (
     chi_fidelity,
     chi_from_process,
@@ -23,20 +29,6 @@ from proctensor.qubit import CNOT, CZ, ID2, SZ, NoiseSpec, named_projector
 
 AXIS = ["x+", "x-", "y+", "y-", "z+", "z-"]
 AXIS_STATES = [named_projector(l) for l in AXIS]
-
-
-def random_unitary(seed, dim=2):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-
-def random_density(seed, dim=2):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
 
 
 # ------------------------------------------------------ chi of operators

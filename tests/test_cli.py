@@ -274,6 +274,22 @@ def test_nonmarkov_grid(tmp_path):
         assert row[2] == "true"
 
 
+@pytest.mark.parametrize("command, files", [
+    ("tomo-predict", ["predictions.csv", "predictions_by_a0.csv", "records.txt"]),
+    ("nonmarkov", ["nonmarkovianity.csv"]),
+])
+def test_unconverged_refit_exits_3_and_writes(tmp_path, capsys, monkeypatch, command, files):
+    # a refit stopped at its step cap is reported on stderr and by exit 3,
+    # and the subcommand still writes its files
+    from proctensor import tomography
+
+    monkeypatch.setattr(tomography, "NEWTON_MAX_STEPS", 3)
+    out = tmp_path / "o"
+    assert run_cli([command, "--shots", "400", "--seed", "2", "--out", out]) == 3
+    assert "PSD refit not converged after 3 Newton steps" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == files
+
+
 def test_nonmarkov_vanishing_point_marked_absent(tmp_path):
     out = tmp_path / "nmpi"
     code = run_cli([

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import mat_log_psd
+from oracles import mat_log_psd, random_unitary
 from proctensor import (
     NoiseSpec,
     RestrictedProcessTensor,
@@ -23,7 +23,6 @@ from proctensor.nonmarkov import (
     SUPPORT_WEIGHT_TOL,
     ChoiFamily,
     MinimizeResult,
-    SupportMismatchError,
     _dual_newton,
     _dual_terms,
     _floored_entropy,
@@ -50,13 +49,6 @@ def random_full_rank_state(seed, dim=4):
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T + 0.05 * np.eye(dim)
     return rho / np.trace(rho).real
-
-
-def random_unitary(seed, dim=8):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    q, r = np.linalg.qr(a)
-    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
 
 
 def one_angle(fit, theta, spec):
@@ -86,7 +78,8 @@ def test_relative_entropy_max_entangled_vs_mixed():
 
 
 def test_relative_entropy_support_mismatch():
-    with pytest.raises(SupportMismatchError, match="support-mismatch"):
+    # a library refusal is a ValueError whose message starts with its tag
+    with pytest.raises(ValueError, match="^support-mismatch: "):
         relative_entropy(np.diag([0.5, 0.5]), np.diag([1.0, 0.0]))
 
 
@@ -537,7 +530,7 @@ def ref_relative_entropy(a, b, floor):
     if floor_vecs.shape[1]:
         weight = float(np.real(np.einsum("ik,ij,jk->", floor_vecs.conj(), am, floor_vecs)))
         if weight > SUPPORT_WEIGHT_TOL:
-            raise SupportMismatchError(f"support-mismatch: weight {weight:.3e}")
+            raise ValueError(f"support-mismatch: weight {weight:.3e}")
     log_b = (vb * np.log(np.maximum(wb, floor))) @ vb.conj().T
     wa, _ = np.linalg.eigh(am)
     pos = np.clip(wa, 0.0, None)

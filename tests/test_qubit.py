@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 # oracles that other tests compare against, pinned here to closed forms
-from oracles import antipode, apply_projector, partial_trace, rotation_gate
+from oracles import (
+    antipode,
+    apply_projector,
+    partial_trace,
+    random_density,
+    rotation_gate,
+)
 from proctensor.qubit import (
     CNOT,
     CZ,
@@ -25,13 +31,6 @@ from proctensor.qubit import (
 
 angles = st.floats(0, math.pi, allow_nan=False)
 phases = st.floats(-math.pi, math.pi, allow_nan=False)
-
-
-def random_density(seed, dim=2):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
 
 
 # ------------------------------------------------------- rotation gate

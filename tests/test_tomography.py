@@ -3,7 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eigen_qst_six_axis, fit_basis_constants, newton_matrix, six_axis_probabilities
+from oracles import (
+    eigen_qst_six_axis,
+    fit_basis_constants,
+    newton_matrix,
+    random_density,
+    six_axis_probabilities,
+)
 from proctensor.channels import (
     action_superop,
     chi_from_process,
@@ -34,13 +40,6 @@ from proctensor.tomography import (
     records_to_text,
     sequence_vector,
 )
-
-
-def random_density(seed, dim=2):
-    rng = np.random.default_rng(seed)
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    rho = a @ a.conj().T
-    return rho / np.trace(rho).real
 
 
 # ------------------------------------------------------------------ QST
@@ -246,19 +245,24 @@ def test_grid_fit_equals_explicit_least_squares(seed, duplicates):
 
 
 def test_fit_basis_constants_are_shared_and_read_only(cnot_cz_spec):
-    # B+ and the span columns depend on the basis alone and are formed once,
-    # read-only, with the bytes the per-fit formula gives
+    # B+ depends on the basis alone and is formed once, read-only, with the
+    # bytes the per-fit formula gives; x B+ B, the span check's projection,
+    # is the orthogonal projection onto orthonormal columns spanning B's rows
     from proctensor.process import generate_records
-    from proctensor.tomography import _BASIS_VECS, _fit_basis
+    from proctensor.tomography import _BASIS_VECS, _basis_pinv
 
-    basis = _fit_basis()
+    pinv = _basis_pinv()
     RestrictedProcessTensor().fit(generate_records(cnot_cz_spec, ShotConfig(shots=400, seed=2)))
-    assert _fit_basis() is basis
-    for name, value, ref in zip(basis._fields, basis, fit_basis_constants(_BASIS_VECS)):
-        assert value.shape == ref.shape and value.tobytes() == ref.tobytes(), name
-        assert not value.flags.writeable, name
-        with pytest.raises(ValueError, match="read-only"):
-            value[...] = 0
+    assert _basis_pinv() is pinv
+    ref, span_q = fit_basis_constants(_BASIS_VECS)
+    assert pinv.shape == ref.shape and pinv.tobytes() == ref.tobytes()
+    assert not pinv.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        pinv[...] = 0
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(20, 16)) + 1j * rng.normal(size=(20, 16))
+    projected = (x @ span_q.conj()) @ span_q.T
+    assert np.abs((x @ pinv) @ _BASIS_VECS - projected).max() < 1e-13
 
 
 def test_predict_requires_fit():
@@ -393,12 +397,12 @@ def test_refit_newton_matrix_matches_operator(cnot_cz_spec):
     # matrix-free, with J from the divided differences of eigenvalue clipping
     from proctensor.linalg import clip_divided_differences
     from proctensor.process import generate_records
-    from proctensor.tomography import _BASIS_VECS, _PairGridLeastSquares
+    from proctensor.tomography import _PairGridLeastSquares
 
     records = generate_records(cnot_cz_spec, ShotConfig(shots=400, seed=2))
     design, targets, w = _refit_problem(records)
     cells = np.array([i1 * 9 + i0 for i0, i1 in (r.basis_indices for r in records)])
-    problem = _PairGridLeastSquares(_BASIS_VECS, cells, w, targets)
+    problem = _PairGridLeastSquares(cells, w, targets)
     rng = np.random.default_rng(5)
     # forward/adjoint: the record predictions, and adjoint in the real inner product
     m = rng.normal(size=(4, 256)) + 1j * rng.normal(size=(4, 256))
@@ -431,12 +435,12 @@ def test_refit_newton_matrix_keeps_its_bytes(cnot_cz_spec):
     # keeps the bytes of the unconjugated formula, at the refit's own points
     # (a partial positive set) and at fully positive and fully clipped ones
     from proctensor.process import generate_records
-    from proctensor.tomography import _BASIS_VECS, _PairGridLeastSquares
+    from proctensor.tomography import _PairGridLeastSquares
 
     records = generate_records(cnot_cz_spec, ShotConfig(shots=400, seed=2))
     design, targets, w = _refit_problem(records)
     cells = np.array([i1 * 9 + i0 for i0, i1 in (r.basis_indices for r in records)])
-    problem = _PairGridLeastSquares(_BASIS_VECS, cells, w, targets)
+    problem = _PairGridLeastSquares(cells, w, targets)
     y0 = map_to_choi(RestrictedProcessTensor().fit(records).map_, 2)
     rng = np.random.default_rng(11)
     a = rng.normal(size=(32, 32)) + 1j * rng.normal(size=(32, 32))
@@ -466,14 +470,20 @@ def test_refit_converges_on_high_shot_records(cnot_cz_spec, cz_cnot_spec):
 
 
 def test_refit_step_cap_reports_unconverged(cnot_cz_spec, monkeypatch):
+    # each safeguard ends the refit unconverged: the Newton step cap after
+    # 3 steps, and a line-search floor of 0.75 at the first step, whose
+    # Armijo test fails at the full step
     from proctensor import tomography
     from proctensor.process import generate_records
 
     records = generate_records(cnot_cz_spec, ShotConfig(shots=400, seed=2))
-    monkeypatch.setattr(tomography, "NEWTON_MAX_STEPS", 3)
-    info = RestrictedProcessTensor(psd=True).fit(records).refit_info_
-    assert info.iterations == 3 and not info.converged
-    assert info.optimality > tomography.REFIT_TOL
+    for name, value, iterations in (("NEWTON_MAX_STEPS", 3, 3),
+                                    ("LINE_SEARCH_MIN_STEP", 0.75, 0)):
+        with monkeypatch.context() as patch:
+            patch.setattr(tomography, name, value)
+            info = RestrictedProcessTensor(psd=True).fit(records).refit_info_
+        assert info.iterations == iterations and not info.converged, name
+        assert info.optimality > tomography.REFIT_TOL, name
 
 
 def test_sequence_vector_shape():
