@@ -186,9 +186,10 @@ def _refit_converged(fit) -> bool:
 
 
 def _records_and_fit(cfg: RunConfig, spec):
-    """Records of the process and their restricted-tensor fit; sampled records get the PSD refit."""
+    """Records of the process, their fit and whether its PSD refit (sampled records) converged."""
     records = generate_records(spec, cfg.shot_config())
-    return records, RestrictedProcessTensor(psd=cfg.shots is not None).fit(records)
+    fit = RestrictedProcessTensor(psd=cfg.shots is not None).fit(records)
+    return records, fit, _refit_converged(fit)
 
 
 def _safe_name(label: str) -> str:
@@ -235,7 +236,7 @@ def cmd_reduced_maps(cfg: RunConfig, out: Path, digest: str) -> bool:
 
 def cmd_tomo_predict(cfg: RunConfig, out: Path, digest: str) -> bool:
     spec = cfg.spec()
-    records, fit = _records_and_fit(cfg, spec)
+    records, fit, converged = _records_and_fit(cfg, spec)
     (out / "records.txt").write_text(records_to_text(records))
     # every pair of the overcomplete set at once: arrays indexed [a0, a1]
     labels = np.array(OVERCOMPLETE_LABELS)
@@ -267,14 +268,13 @@ def cmd_tomo_predict(cfg: RunConfig, out: Path, digest: str) -> bool:
         summary,
         digest,
     )
-    return _refit_converged(fit)
+    return converged
 
 
 def cmd_nonmarkov(cfg: RunConfig, out: Path, digest: str) -> bool:
     spec = cfg.spec()
-    _, fit = _records_and_fit(cfg, spec)
+    _, fit, converged = _records_and_fit(cfg, spec)
     thetas = cfg.theta_grid or default_theta_grid().tolist()
-    converged = _refit_converged(fit)
     results = sweep_theta(fit, thetas, process=spec)
     rows = [(theta, "absent", False, 0) if res is None
             else (theta, res.n_value, res.converged, res.iterations)
@@ -286,18 +286,20 @@ def cmd_nonmarkov(cfg: RunConfig, out: Path, digest: str) -> bool:
 
 def cmd_volume(cfg: RunConfig, out: Path, digest: str) -> bool:
     spec = cfg.spec()
-    _, fit = _records_and_fit(cfg, spec)
+    _, fit, converged = _records_and_fit(cfg, spec)
     thetas = cfg.theta_grid or (0.0, math.pi / 4, math.pi / 2)
     # every cloud is computed before any is written: an absent angle writes nothing
     volumes = bloch_volume(fit, thetas, spec)
     if None in volumes:
+        if not converged:  # the unconverged refit's exit 3 explains the absent angle
+            return False
         theta = thetas[volumes.index(None)]
         raise ConfigError(f"vanishing-branch: the first-step branch vanishes at theta {theta!r}")
     for idx, pair in enumerate(volumes):
         for kind, cloud in zip(("process-tensor", "markov-map"), pair):
             write_table(out / f"volume_{kind}_theta{idx}.csv",
                         ["theta_a1", "phi_a1", "bx", "by", "bz"], cloud, digest)
-    return _refit_converged(fit)
+    return converged
 
 
 COMMANDS = {

@@ -321,10 +321,14 @@ def first_step_env_marginals(spec: ProcessSpec, mats):
     """Environment marginals right after a stack (..., 2, 2) of first-step
     projector matrices, with the branch probabilities (...).
 
-    A marginal whose branch probability is below BRANCH_CUTOFF is left
+    The stack is checked ("non-finite", "bad-dims") before any arithmetic. A
+    marginal whose branch probability is below BRANCH_CUTOFF is left
     undivided; callers mark those branches absent.
     """
-    rho = _chain(spec, [np.asarray(mats, dtype=complex)])
+    mats = as_matrix(mats, "first step")
+    if mats.shape[-2:] != (2, 2):
+        raise ValueError(f"bad-dims: first-step shape {mats.shape} is not (..., 2, 2)")
+    rho = _chain(spec, [mats])
     p = np.trace(rho, axis1=-2, axis2=-1).real
     rho = rho / np.where(p >= BRANCH_CUTOFF, p, 1.0)[..., None, None]
     return np.einsum("...ijik->...jk", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))), p

@@ -101,6 +101,8 @@ def qst_six_axis(probabilities) -> np.ndarray:
     p = np.asarray(probabilities, dtype=float)
     if p.ndim == 0 or p.shape[-1] != 6:
         raise ValueError(f"bad-dims: expected 6 probabilities, got shape {p.shape}")
+    if not np.isfinite(p).all():
+        raise ValueError("non-finite: probabilities contain NaN or Inf")
     if np.any(p < -1e-9) or np.any(p > 1 + 1e-9):
         raise ValueError("inconsistent-probs: probabilities outside [0, 1]")
     sums = p[..., 0::2] + p[..., 1::2]
@@ -302,36 +304,6 @@ def _proximal_dual(problem, y_k, sigma, c):
     return phi, grad, y, w, v
 
 
-def _solve_proximal(problem, y_k, sigma, c, gtol, steps):
-    """Semismooth Newton with Armijo line search on one proximal dual, from c.
-
-    Returns (c, Y, steps, safe); safe is False when the Newton step cap or
-    the line-search floor was hit.
-    """
-    point = _proximal_dual(problem, y_k, sigma, c)
-    while np.linalg.norm(point[1]) > gtol:
-        if steps == NEWTON_MAX_STEPS:
-            return c, point[2], steps, False
-        phi, grad, _, w, v = point
-        d = np.linalg.solve(problem.newton_matrix(sigma, w, v), -grad.reshape(-1))
-        d = d.reshape(c.shape)
-        slope = np.sum(grad * d)
-        step = 1.0
-        while True:
-            trial = _proximal_dual(problem, y_k, sigma, c + step * d)
-            if trial[0] <= phi + 1e-4 * step * slope:
-                break
-            # phi's decrease is below its rounding: accept a smaller gradient
-            if (-step * slope < 1e-13 * abs(phi)
-                    and np.linalg.norm(trial[1]) < np.linalg.norm(grad)):
-                break
-            step /= 2
-            if step < LINE_SEARCH_MIN_STEP:
-                return c, point[2], steps, False
-        c, point, steps = c + step * d, trial, steps + 1
-    return c, point[2], steps, True
-
-
 def _psd_refit_choi(map0, cells, weights, targets):
     """Weighted least-squares refit of the two-step Choi onto the PSD cone.
 
@@ -345,26 +317,46 @@ def _psd_refit_choi(map0, cells, weights, targets):
     formed and solved directly: a truncated iterative solve leaves rounding
     differences that the ill-conditioned objective turns into
     thread-count-dependent results. A subproblem counts as solved once its
-    dual gradient is at most the current fixed-point residual times ||b||;
-    sigma then grows from SIGMA_START by SIGMA_GROWTH up to SIGMA_MAX.
-    Starts from the clipped Choi state of map0 and stops when the fixed-point
-    residual falls below REFIT_TOL.
+    dual gradient is at most the centre's fixed-point residual times ||b||;
+    only then does its primal become the next centre Y_k, and sigma grow
+    from SIGMA_START by SIGMA_GROWTH up to SIGMA_MAX. The centres start at
+    the clipped Choi state of map0; the refit stops when a centre's
+    fixed-point residual falls below REFIT_TOL, or at a safeguard.
 
-    cells[r] = i1 * 9 + i0 is record r's basis pair. Returns the Choi state
+    cells[r] = i1 * 9 + i0 is record r's basis pair. Returns the last centre
     and its RefitInfo.
     """
     problem = _PairGridLeastSquares(cells, weights, targets)
     y = project_psd(map_to_choi(map0, 2))
     c = problem.to_coords(problem.forward(y) - problem.b)
-    optimality = problem.optimality(y)
-    sigma, steps, safe = SIGMA_START, 0, True
-    while safe and optimality >= REFIT_TOL:
-        gtol = optimality * np.linalg.norm(problem.b)
-        c, y, steps, safe = _solve_proximal(problem, y, sigma, c, gtol, steps)
-        optimality = problem.optimality(y)
-        sigma = min(SIGMA_GROWTH * sigma, SIGMA_MAX)
-    info = RefitInfo(steps, bool(safe and optimality < REFIT_TOL), problem.objective(y), optimality)
-    return y, info
+    optimality, sigma, steps, point = problem.optimality(y), SIGMA_START, 0, None
+    while optimality >= REFIT_TOL:
+        if point is None:  # a new subproblem, centred at y
+            gtol = optimality * np.linalg.norm(problem.b)
+            point = _proximal_dual(problem, y, sigma, c)
+        phi, grad, primal, w, v = point
+        if np.linalg.norm(grad) <= gtol:
+            y, point, optimality = primal, None, problem.optimality(primal)
+            sigma = min(SIGMA_GROWTH * sigma, SIGMA_MAX)
+            continue
+        if steps == NEWTON_MAX_STEPS:
+            break
+        d = np.linalg.solve(problem.newton_matrix(sigma, w, v), -grad.reshape(-1)).reshape(c.shape)
+        slope = np.sum(grad * d)
+        step = 1.0
+        while step >= LINE_SEARCH_MIN_STEP:
+            trial = _proximal_dual(problem, y, sigma, c + step * d)
+            if trial[0] <= phi + 1e-4 * step * slope:
+                break
+            # phi's decrease is below its rounding: accept a smaller gradient
+            if (-step * slope < 1e-13 * abs(phi)
+                    and np.linalg.norm(trial[1]) < np.linalg.norm(grad)):
+                break
+            step /= 2
+        else:  # no step accepted above the line-search floor
+            break
+        c, point, steps = c + step * d, trial, steps + 1
+    return y, RefitInfo(steps, bool(optimality < REFIT_TOL), problem.objective(y), optimality)
 
 
 class RestrictedProcessTensor:

@@ -277,16 +277,21 @@ def test_nonmarkov_grid(tmp_path):
 @pytest.mark.parametrize("command, files", [
     ("tomo-predict", ["predictions.csv", "predictions_by_a0.csv", "records.txt"]),
     ("nonmarkov", ["nonmarkovianity.csv"]),
+    ("volume", [f"volume_{kind}_theta{i}.csv"
+                for kind in ("markov-map", "process-tensor") for i in range(3)]),
+    # theta = pi is an absent angle: after an unconverged refit it takes the
+    # refit's exit 3 and note, not a config error, and nothing is written
+    pytest.param(f"volume --theta-grid 0,{math.pi!r}", [], id="volume-absent-angle-files3"),
 ])
 def test_unconverged_refit_exits_3_and_writes(tmp_path, capsys, monkeypatch, command, files):
-    # a refit stopped at its step cap is reported on stderr and by exit 3,
-    # and the subcommand still writes its files
+    # a refit stopped at its step cap is reported once on stderr and by exit
+    # 3, and the subcommand still writes its files
     from proctensor import tomography
 
     monkeypatch.setattr(tomography, "NEWTON_MAX_STEPS", 3)
     out = tmp_path / "o"
-    assert run_cli([command, "--shots", "400", "--seed", "2", "--out", out]) == 3
-    assert "PSD refit not converged after 3 Newton steps" in capsys.readouterr().err
+    assert run_cli([*command.split(), "--shots", "400", "--seed", "2", "--out", out]) == 3
+    assert capsys.readouterr().err.count("PSD refit not converged after 3 Newton steps") == 1
     assert sorted(p.name for p in out.iterdir()) == files
 
 

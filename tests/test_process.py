@@ -23,6 +23,7 @@ from proctensor.process import (
     first_step_env_marginals,
     generate_records,
     intervention_qpt_data,
+    last_step_superops,
     markov_predict,
     run_process,
 )
@@ -140,6 +141,17 @@ def test_malformed_steps_raise_bad_dims(layer, cnot_cz_fit):
                   [np.stack([x] * 3), np.stack([z] * 4)]):
         with pytest.raises(ValueError, match="^bad-dims"):
             predict(steps)
+
+
+@pytest.mark.parametrize("layer", [first_step_env_marginals, last_step_superops])
+def test_first_step_layers_check_their_stack(layer):
+    # a NaN projector gave NaN marginals and channels, and a 3x3 matrix
+    # ended in numpy's untagged matmul error
+    stack = np.stack([named_projector("x+"), np.full((2, 2), math.nan)])
+    with pytest.raises(ValueError, match="^non-finite"):
+        layer(cnot_cz_process(), stack)
+    with pytest.raises(ValueError, match="^bad-dims"):
+        layer(cnot_cz_process(), np.eye(3))
 
 
 @pytest.mark.parametrize("layer", LAYERS)

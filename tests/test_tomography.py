@@ -78,6 +78,15 @@ def test_qst_rejects_bad_range():
         qst_six_axis([1.2, -0.2, 0.5, 0.5, 0.5, 0.5])
 
 
+@pytest.mark.parametrize("probs", [[np.nan] * 6, [0.5, 0.5, np.nan, 0.5, 1.0, 0.0],
+                                   [[0.5] * 6, [0.5, 0.5, 0.5, 0.5, np.inf, 0.0]]])
+def test_qst_rejects_non_finite(probs):
+    # every range and pair-sum test reads False on NaN, so without this
+    # check a NaN entry gave a NaN state
+    with pytest.raises(ValueError, match="^non-finite"):
+        qst_six_axis(probs)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.tuples(st.floats(0, 1), st.floats(0, 1), st.floats(0, 1),
                           st.floats(-0.05, 0.05)), min_size=0, max_size=6))
@@ -470,20 +479,41 @@ def test_refit_converges_on_high_shot_records(cnot_cz_spec, cz_cnot_spec):
 
 
 def test_refit_step_cap_reports_unconverged(cnot_cz_spec, monkeypatch):
-    # each safeguard ends the refit unconverged: the Newton step cap after
-    # 3 steps, and a line-search floor of 0.75 at the first step, whose
-    # Armijo test fails at the full step
+    # each safeguard ends the refit unconverged at its last proximal centre:
+    # the Newton step cap after 1-3 steps, and a line-search floor of 0.75 at
+    # the first step, whose Armijo test fails at the full step. No subproblem
+    # is solved by then, so the centre is the clipped start (objective 6.05),
+    # not the zero primal of the unsolved subproblem (objective 13.73)
     from proctensor import tomography
     from proctensor.process import generate_records
 
     records = generate_records(cnot_cz_spec, ShotConfig(shots=400, seed=2))
-    for name, value, iterations in (("NEWTON_MAX_STEPS", 3, 3),
-                                    ("LINE_SEARCH_MIN_STEP", 0.75, 0)):
+    linear_fit = RestrictedProcessTensor().fit(records)
+    start = project_psd(map_to_choi(linear_fit.map_, 2))
+    design, targets, w = _refit_problem(records)
+    residuals = design @ choi_to_map(start, 2).T - targets
+    start_objective = float(np.sum(w * np.sum(np.abs(residuals) ** 2, axis=1)))
+    assert abs(start_objective - 6.0502) < 1e-4
+
+    def capped_fit(name, value):
         with monkeypatch.context() as patch:
             patch.setattr(tomography, name, value)
-            info = RestrictedProcessTensor(psd=True).fit(records).refit_info_
-        assert info.iterations == iterations and not info.converged, name
-        assert info.optimality > tomography.REFIT_TOL, name
+            return RestrictedProcessTensor(psd=True).fit(records)
+
+    for name, value, iterations in (("NEWTON_MAX_STEPS", 1, 1), ("NEWTON_MAX_STEPS", 2, 2),
+                                    ("NEWTON_MAX_STEPS", 3, 3),
+                                    ("LINE_SEARCH_MIN_STEP", 0.75, 0)):
+        fit = capped_fit(name, value)
+        info = fit.refit_info_
+        assert info.iterations == iterations and not info.converged, (name, value)
+        assert info.optimality > tomography.REFIT_TOL, (name, value)
+        assert fit.choi_.tobytes() == start.tobytes(), (name, value)
+        assert abs(info.objective - start_objective) <= 1e-12 * start_objective, (name, value)
+    # a later cap returns a later centre: never above the start, never rising
+    objectives = [capped_fit("NEWTON_MAX_STEPS", cap).refit_info_.objective
+                  for cap in (10, 20, 30, 45)]
+    assert max(objectives) <= start_objective
+    assert all(b <= a for a, b in zip(objectives, objectives[1:])), objectives
 
 
 def test_sequence_vector_shape():
