@@ -501,8 +501,7 @@ def test_refit_step_cap_reports_unconverged(cnot_cz_spec, monkeypatch):
             return RestrictedProcessTensor(psd=True).fit(records)
 
     for name, value, iterations in (("NEWTON_MAX_STEPS", 1, 1), ("NEWTON_MAX_STEPS", 2, 2),
-                                    ("NEWTON_MAX_STEPS", 3, 3),
-                                    ("LINE_SEARCH_MIN_STEP", 0.75, 0)):
+                                    ("NEWTON_MAX_STEPS", 3, 3), ("LINE_SEARCH_MIN_STEP", 0.75, 0)):
         fit = capped_fit(name, value)
         info = fit.refit_info_
         assert info.iterations == iterations and not info.converged, (name, value)
