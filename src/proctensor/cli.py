@@ -23,7 +23,7 @@ import numpy as np
 
 from .channels import chi_fidelity, chi_from_process, chi_of_operator, reduced_map
 from .fileio import config_digest, format_value, write_matrix, write_table
-from .linalg import BRANCH_CUTOFF
+from .linalg import BRANCH_CUTOFF, one_blas_thread
 from .nonmarkov import bloch_volume, default_theta_grid, sweep_theta
 from .process import (
     MAX_SHOTS,
@@ -334,6 +334,10 @@ def _main_parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+# every kernel of a run is too small for a second BLAS thread to pay, and
+# one thread rounds alike whatever OPENBLAS_NUM_THREADS says; the pin spans
+# the whole run, since a worker woken by one call spins on into the next
+@one_blas_thread()
 def main(argv=None) -> int:
     args = _main_parser().parse_args(argv)
     try:

@@ -4,9 +4,13 @@ Stacked Kronecker products, Hermitian eigendecomposition, PSD projection and
 column-stacking vectorization. All functions are pure and operate on plain
 numpy arrays. The spectral functions, vec_stack and unvec also take stacks
 (..., n, n) and treat each matrix as they treat a single one.
+one_blas_thread runs a body with OpenBLAS on one thread.
 """
 
 from __future__ import annotations
+
+import contextlib
+import functools
 
 import numpy as np
 
@@ -23,6 +27,7 @@ __all__ = [
     "vec",
     "vec_stack",
     "unvec",
+    "one_blas_thread",
 ]
 
 
@@ -110,3 +115,61 @@ def unvec(v) -> np.ndarray:
     if a.ndim == 0 or a.shape[-1] != 4:
         raise ValueError(f"bad-dims: shape {a.shape} does not end in 4")
     return a.reshape(a.shape[:-1] + (2, 2)).swapaxes(-1, -2)
+
+
+#: The names of OpenBLAS's thread-count pair, "{}" for get or set: the
+#: scipy-openblas builds of numpy 2 (ILP64, then LP64), the ILP64 OpenBLAS of
+#: numpy 1.24 wheels and a system OpenBLAS.
+_OPENBLAS_THREAD_SYMBOLS = ("scipy_openblas_{}_num_threads64_", "scipy_openblas_{}_num_threads",
+                            "openblas_{}_num_threads64_", "openblas_{}_num_threads")
+
+
+@functools.cache
+def _openblas_thread_controls() -> tuple:
+    """The (get, set) thread-count functions of each OpenBLAS mapped into this
+    process, numpy's among them; empty where none is found (MKL, Accelerate,
+    no /proc/self/maps). Looked up on first use, once per process."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as fh:
+            paths = sorted({line.split()[-1] for line in fh
+                            if "openblas" in line.lower() and line.split()[-1].startswith("/")})
+    except OSError:
+        return ()
+    controls = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in _OPENBLAS_THREAD_SYMBOLS:
+            get, set_ = (getattr(lib, symbol.format(op), None) for op in ("get", "set"))
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                controls.append((get, set_))
+                break
+    return tuple(controls)
+
+
+@contextlib.contextmanager
+def one_blas_thread():
+    """Run the body with every OpenBLAS of the process set to one thread, and
+    restore each one's thread count on exit, after an exception too.
+
+    The CLI's and the PSD refit's kernels are small enough that a second
+    thread saves no time, yet it spin-waits between calls and rounds gemm and
+    LAPACK differently: on one thread, results do not depend on
+    OPENBLAS_NUM_THREADS. Nested use restores the outer count. Where no
+    OpenBLAS is found, the body runs unchanged. The count is process-wide.
+    """
+    controls = _openblas_thread_controls()
+    before = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(1)
+    try:
+        yield
+    finally:
+        for (_, set_), count in zip(controls, before):
+            set_(count)

@@ -7,10 +7,12 @@ from hypothesis import strategies as st
 
 # oracles that other tests compare against, pinned here to closed forms
 from oracles import mat_log_psd, mat_sqrt_psd, partial_trace, reconstruct
+from proctensor import linalg
 from proctensor.linalg import (
     clip_divided_differences,
     herm_eig,
     kron_stack,
+    one_blas_thread,
     project_psd,
     spectral_function,
     unvec,
@@ -321,3 +323,49 @@ def test_vec_unvec_round_trip():
 def test_unvec_bad_length():
     with pytest.raises(ValueError, match="bad-dims"):
         unvec(np.ones(5))
+
+
+# ------------------------------------------------------- one BLAS thread
+
+@pytest.fixture
+def blas_at_two_threads():
+    """The thread-count readers of the process's OpenBLAS, each set to 2
+    threads for the test and reset afterwards."""
+    controls = linalg._openblas_thread_controls()
+    if not controls:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    before = [get() for get, _ in controls]
+    for _, set_ in controls:
+        set_(2)
+    yield [get for get, _ in controls]
+    for (_, set_), count in zip(controls, before):
+        set_(count)
+
+
+def test_one_blas_thread_pins_and_restores(blas_at_two_threads):
+    with one_blas_thread():
+        assert [get() for get in blas_at_two_threads] == [1] * len(blas_at_two_threads)
+    assert [get() for get in blas_at_two_threads] == [2] * len(blas_at_two_threads)
+
+
+def test_one_blas_thread_restores_after_an_exception_and_nested_use(blas_at_two_threads):
+    def counts():
+        return {get() for get in blas_at_two_threads}
+
+    with pytest.raises(RuntimeError, match="body"):
+        with one_blas_thread():
+            raise RuntimeError("body")
+    assert counts() == {2}
+    with one_blas_thread():
+        with one_blas_thread():
+            assert counts() == {1}
+        assert counts() == {1}
+    assert counts() == {2}
+
+
+def test_one_blas_thread_without_openblas_runs_the_body(monkeypatch):
+    monkeypatch.setattr(linalg, "_openblas_thread_controls", lambda: ())
+    with one_blas_thread():
+        ran = True
+    assert ran
+    assert one_blas_thread()(lambda x: 2 * x)(21) == 42
