@@ -162,7 +162,8 @@ def one_blas_thread():
     thread saves no time, yet it spin-waits between calls and rounds gemm and
     LAPACK differently: on one thread, results do not depend on
     OPENBLAS_NUM_THREADS. Nested use restores the outer count. Where no
-    OpenBLAS is found, the body runs unchanged. The count is process-wide.
+    OpenBLAS is found, the body runs unchanged. The count is process-wide,
+    so bodies running in several threads at once share it.
     """
     controls = _openblas_thread_controls()
     before = [get() for get, _ in controls]
