@@ -97,9 +97,7 @@ def step_choi_factor(x) -> np.ndarray:
 def action_superop(k) -> np.ndarray:
     """Superoperator conj(K) ⊗ K of rho -> K rho K† on vec(rho), or a stack of them."""
     a = as_square(k, "k")
-    d = a.shape[-1]
-    prod = a.conj()[..., :, None, :, None] * a[..., None, :, None, :]
-    return prod.reshape(a.shape[:-2] + (d * d, d * d))
+    return kron_stack(a.conj(), a)
 
 
 def chi_of_operator(k) -> np.ndarray:

@@ -175,21 +175,17 @@ def resolve_config(args) -> RunConfig:
     return cfg
 
 
-def _refit_converged(fit) -> bool:
-    """False, with a note on stderr, when the PSD refit of a sampled fit did not converge."""
-    info = fit.refit_info_
-    if info is None or info.converged:
-        return True
-    print(f"PSD refit not converged after {info.iterations} Newton steps "
-          f"(fixed-point residual {info.optimality:.3e})", file=sys.stderr)
-    return False
-
-
 def _records_and_fit(cfg: RunConfig, spec):
-    """Records of the process, their fit and whether its PSD refit (sampled records) converged."""
+    """Records of the process, their fit and whether its PSD refit (sampled
+    records) converged, with a note on stderr where it did not."""
     records = generate_records(spec, cfg.shot_config())
     fit = RestrictedProcessTensor(psd=cfg.shots is not None).fit(records)
-    return records, fit, _refit_converged(fit)
+    info = fit.refit_info_
+    converged = info is None or info.converged
+    if not converged:
+        print(f"PSD refit not converged after {info.iterations} Newton steps "
+              f"(fixed-point residual {info.optimality:.3e})", file=sys.stderr)
+    return records, fit, converged
 
 
 def _safe_name(label: str) -> str:
@@ -281,7 +277,11 @@ def cmd_nonmarkov(cfg: RunConfig, out: Path, digest: str) -> bool:
             for theta, res in zip(thetas, results)]
     write_table(out / "nonmarkovianity.csv", ["theta", "n_value", "converged", "iterations"],
                 rows, digest)
-    return converged and all(res is None or res.converged for res in results)
+    unconverged = [format_value(t) for t, res in zip(thetas, results)
+                   if res is not None and not res.converged]
+    if unconverged:
+        print(f"memory measure not converged at theta {', '.join(unconverged)}", file=sys.stderr)
+    return converged and not unconverged
 
 
 def cmd_volume(cfg: RunConfig, out: Path, digest: str) -> bool:

@@ -559,7 +559,8 @@ def bloch_volume(fit: RestrictedProcessTensor, thetas,
     sup, p_env = last_step_superops(process, first)
     clouds = []
     for out in (_push(t1[:, None], mats), unvec(vec_stack(mats) @ sup.swapaxes(-1, -2))):
-        states, p_out = normalized_psd(out)
+        # dividing by a branch just above the cutoff lifts rounding past hermitian_part's bound
+        states, p_out = normalized_psd((out + out.conj().swapaxes(-1, -2)) / 2)
         clouds.append([np.column_stack([th, ph, b])[keep]
                        for b, keep in zip(bloch_vector(states), p_out >= BRANCH_CUTOFF)])
     live = (p_branch >= BRANCH_CUTOFF) & (p_env >= BRANCH_CUTOFF)

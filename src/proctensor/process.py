@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .channels import reduced_superop
-from .linalg import BRANCH_CUTOFF, normalized_psd, unvec, vec_stack
+from .linalg import BRANCH_CUTOFF, kron_stack, normalized_psd, unvec, vec_stack
 from .qubit import (
     CNOT,
     CZ,
@@ -43,7 +43,6 @@ __all__ = [
     "markov_predict",
     "generate_records",
     "intervention_qpt_data",
-    "first_step_env_marginals",
     "last_step_superops",
 ]
 
@@ -103,7 +102,7 @@ def _chain(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     the last given step, into subnormalized joint states."""
     rho = _GROUND2
     for u, mats in zip(spec.interactions, steps):
-        a = np.kron(mats, ID2)
+        a = kron_stack(mats, ID2)
         rho = a @ rho @ a.conj().swapaxes(-1, -2)
         rho = u @ rho @ u.conj().T
         if spec.noise is not None:
@@ -137,11 +136,6 @@ def run_process(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     return np.where((p_joint >= BRANCH_CUTOFF)[..., None, None], out, ID2 / 2), p_joint
 
 
-def _step_superops(spec: ProcessSpec) -> list[np.ndarray]:
-    """Per-step reduced superoperators with the environment in |0⟩."""
-    return [reduced_superop(u, _GROUND1, spec.noise) for u in spec.interactions]
-
-
 def markov_predict(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     """Memoryless baseline of one sequence or a stack (steps as in run_process).
 
@@ -151,9 +145,9 @@ def markov_predict(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     clipped at 0. Steps are checked as in run_process.
     """
     rho = _GROUND1
-    for mats, sup in zip(_checked_steps(steps), _step_superops(spec)):
+    for mats, u in zip(_checked_steps(steps), spec.interactions):
         rho = mats @ rho @ np.conj(mats).swapaxes(-1, -2)
-        rho = unvec(vec_stack(rho) @ sup.T)
+        rho = unvec(vec_stack(rho) @ reduced_superop(u, _GROUND1, spec.noise).T)
     return normalized_psd(rho)
 
 
@@ -317,13 +311,14 @@ def intervention_qpt_data(angles, cfg: ShotConfig | None = None, run_tags=((0,),
     return inputs, (p_hat[:, None, None] * states).reshape(shape)
 
 
-def first_step_env_marginals(spec: ProcessSpec, mats):
-    """Environment marginals right after a stack (..., 2, 2) of first-step
-    projector matrices, with the branch probabilities (...).
+def last_step_superops(spec: ProcessSpec, mats):
+    """Reduced superoperators (..., 4, 4) of the last step, each conditioned
+    on the environment marginal of its branch of a stack (..., 2, 2) of
+    first-step projector matrices, with the branch probabilities (...).
 
-    The stack is checked ("non-finite", "bad-dims") before any arithmetic. A
-    marginal whose branch probability is below BRANCH_CUTOFF is left
-    undivided; callers mark those branches absent.
+    The stack is checked ("non-finite", "bad-dims") before any arithmetic. The
+    channel of a branch below BRANCH_CUTOFF comes from its undivided
+    marginal; callers mark those branches absent.
     """
     mats = as_matrix(mats, "first step")
     if mats.shape[-2:] != (2, 2):
@@ -331,16 +326,5 @@ def first_step_env_marginals(spec: ProcessSpec, mats):
     rho = _chain(spec, [mats])
     p = np.trace(rho, axis1=-2, axis2=-1).real
     rho = rho / np.where(p >= BRANCH_CUTOFF, p, 1.0)[..., None, None]
-    return np.einsum("...ijik->...jk", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2))), p
-
-
-def last_step_superops(spec: ProcessSpec, mats):
-    """Reduced superoperators (..., 4, 4) of the last step, each conditioned
-    on the environment marginal of its branch of a stack (..., 2, 2) of
-    first-step projector matrices, with the branch probabilities (...).
-
-    The channel of a branch below BRANCH_CUTOFF comes from its undivided
-    marginal (see first_step_env_marginals).
-    """
-    env, p = first_step_env_marginals(spec, mats)
+    env = np.einsum("...ijik->...jk", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)))
     return reduced_superop(spec.interactions[1], env, spec.noise), p

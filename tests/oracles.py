@@ -13,9 +13,8 @@ import struct
 
 import numpy as np
 
-from proctensor.channels import _pauli_pairs, superop_to_chi
+from proctensor.channels import _pauli_pairs, reduced_superop, superop_to_chi
 from proctensor.linalg import clip_divided_differences, herm_eig, project_psd, spectral_function, vec
-from proctensor.process import _step_superops
 from proctensor.qubit import ID2, PAULIS, SX, SY, named_projector
 from proctensor.validation import as_square, qubit_count
 
@@ -152,7 +151,8 @@ def chi_is_trace_preserving(chi, tol: float = 1e-6) -> bool:
 
 def reduced_step_maps(spec) -> list[np.ndarray]:
     """Per-step reduced chi matrices conditioned on the environment staying in |0⟩."""
-    return [superop_to_chi(sup) for sup in _step_superops(spec)]
+    ground = np.diag([1.0, 0.0])
+    return [superop_to_chi(reduced_superop(u, ground, spec.noise)) for u in spec.interactions]
 
 
 # ------------------------------------------------------------- sample streams

@@ -308,6 +308,18 @@ def test_nonmarkov_vanishing_point_marked_absent(tmp_path):
 NOISY = ("--noise-gamma", "0.05", "--noise-lambda", "0.05")
 
 
+def test_unconverged_sweep_point_exits_3_with_a_note(tmp_path, capsys):
+    # the refit converges, but two points of the noisy 3000-shot sweep do
+    # not; exit 3 used to come with an empty stderr
+    out = tmp_path / "nm"
+    assert run_cli(["nonmarkov", *NOISY, "--shots", "3000", "--seed", "7", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.count("memory measure not converged at theta 0, 2.8797932657906435\n") == 1
+    assert "PSD refit" not in err
+    _, rows = read_table_rows(out / "nonmarkovianity.csv")
+    assert [row[0] for row in rows if row[2] == "false"] == ["0", "2.8797932657906435"]
+
+
 def run_cli_at_threads(tmp_path, threads, args):
     """Run the CLI in a fresh interpreter at a BLAS thread count; return its --out."""
     out = tmp_path / threads
@@ -426,6 +438,19 @@ def test_volume_files(tmp_path):
             header, rows = read_table_rows(out / f"volume_{kind}_theta{idx}.csv")
             assert header == ["theta_a1", "phi_a1", "bx", "by", "bz"]
             assert len(rows) > 100
+
+
+@pytest.mark.parametrize("process", ["cnot-cz", "cz-cnot"])
+@pytest.mark.parametrize("noise", [(), NOISY], ids=["exact", "noisy"])
+def test_volume_just_above_the_branch_cutoff(tmp_path, process, noise):
+    # the fit's first-step branch at theta = 3.1415 is 2.1e-9: dividing by it
+    # lifted the tensor cloud's rounding-level anti-Hermitian part past
+    # hermitian_part's 1e-8, and the call ended in a traceback (exit 1)
+    out = tmp_path / "vol"
+    args = ["volume", "--process", process, *noise, "--theta-grid", "3.1415,3.1417,3.14"]
+    assert run_cli([*args, "--out", out]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        f"volume_{kind}_theta{i}.csv" for kind in ("markov-map", "process-tensor") for i in range(3)]
 
 
 @pytest.mark.parametrize("command", ["tomo-predict", "characterize-povm", "nonmarkov", "volume"])

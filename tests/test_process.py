@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from oracles import antipode, derived_rng, partial_trace, reduced_step_maps
 from proctensor import process
+from proctensor.channels import reduced_superop
 from proctensor.linalg import BRANCH_CUTOFF
 from proctensor.process import (
     MAX_SHOTS,
@@ -20,7 +21,6 @@ from proctensor.process import (
     _stream_states,
     cnot_cz_process,
     cz_cnot_process,
-    first_step_env_marginals,
     generate_records,
     intervention_qpt_data,
     last_step_superops,
@@ -143,7 +143,7 @@ def test_malformed_steps_raise_bad_dims(layer, cnot_cz_fit):
             predict(steps)
 
 
-@pytest.mark.parametrize("layer", [first_step_env_marginals, last_step_superops])
+@pytest.mark.parametrize("layer", [last_step_superops])
 def test_first_step_layers_check_their_stack(layer):
     # a NaN projector gave NaN marginals and channels, and a 3x3 matrix
     # ended in numpy's untagged matmul error
@@ -172,11 +172,11 @@ def test_one_cutoff_for_reported_states(layer, cnot_cz_fit):
 
 def test_first_intervention_creates_max_entanglement():
     # after projecting onto -y and the CNOT, the joint state is
-    # (|00> - i|11>)/sqrt(2)
+    # (|00> - i|11>)/sqrt(2), whose environment marginal is maximally mixed
     spec = cnot_cz_process()
-    env, p = first_step_env_marginals(spec, named_projector("y-"))
+    sup, p = last_step_superops(spec, named_projector("y-"))
     assert abs(p - 0.5) < 1e-12
-    assert np.abs(env - np.eye(2) / 2).max() < 1e-12  # MES marginal
+    assert np.abs(sup - reduced_superop(CZ, np.eye(2) / 2)).max() < 1e-12
 
     op = np.kron(named_projector("y-"), np.eye(2))
     rho = np.zeros((4, 4), dtype=complex)
@@ -184,6 +184,8 @@ def test_first_intervention_creates_max_entanglement():
     joint = CNOT @ (op @ rho @ op.conj().T) @ CNOT.conj().T
     phi = np.array([1, 0, 0, -1j]) / math.sqrt(2)
     assert np.abs(joint / np.trace(joint) - np.outer(phi, phi.conj())).max() < 1e-12
+    env = partial_trace(joint / np.trace(joint), 2, 2, keep="b")
+    assert np.abs(env - np.eye(2) / 2).max() < 1e-12  # MES marginal
 
 
 def test_forbidden_trajectory():
@@ -219,7 +221,7 @@ def test_probability_conservation(theta0, phi0, theta1, phi1):
     a0 = projector(theta0, phi0)
     _, p_plus = run_process(spec, [a0, projector(theta1, phi1)])
     _, p_minus = run_process(spec, [a0, projector(*antipode(theta1, phi1))])
-    _, p_branch = first_step_env_marginals(spec, a0)
+    _, p_branch = last_step_superops(spec, a0)
     assert abs((p_plus + p_minus) - p_branch) < 1e-10
 
 

@@ -13,14 +13,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import apply_chi, mat_sqrt_psd, partial_trace, reduced_step_maps
+from oracles import apply_chi, mat_sqrt_psd, partial_trace, random_density, reduced_step_maps
 from proctensor.channels import (
     action_superop,
     chi_fidelity,
     chi_of_operator,
     map_to_choi,
     reduced_map,
-    reduced_superop,
     superop_to_chi,
     superop_to_choi,
 )
@@ -36,7 +35,6 @@ from proctensor.nonmarkov import _conditioned_maps, _herm_basis, bloch_volume
 from proctensor.process import (
     PROCESS_NAMES,
     ShotConfig,
-    first_step_env_marginals,
     generate_records,
     last_step_superops,
     markov_predict,
@@ -296,17 +294,13 @@ def test_choi_reshuffles_and_kron_of_stacks_are_per_matrix(seed, count):
 def test_env_marginals_and_reduced_channels_of_stacks_are_per_angle(noisy):
     spec = PROCESS_NAMES["cnot-cz"](NOISE if noisy else None)
     thetas = [0.0, 0.4, math.pi / 2, 2.9]
-    mats = zy_projector(thetas)
-    env, p = first_step_env_marginals(spec, mats)
-    sups, p_sups = last_step_superops(spec, mats)
-    assert np.array_equal(p_sups, p)
-    chis = reduced_map(spec.interactions[1], env, spec.noise)
+    sups, p = last_step_superops(spec, zy_projector(thetas))
+    envs = np.array([random_density(seed) for seed in range(len(thetas))])
+    chis = reduced_map(spec.interactions[1], envs, spec.noise)
     for i, theta in enumerate(thetas):
-        lone_env, lone_p = first_step_env_marginals(spec, zy_projector(theta))
-        assert np.array_equal(env[i], lone_env) and p[i] == lone_p
-        assert np.array_equal(sups[i], reduced_superop(spec.interactions[1], lone_env,
-                                                       spec.noise))
-        assert np.array_equal(chis[i], reduced_map(spec.interactions[1], env[i:i + 1],
+        lone_sup, lone_p = last_step_superops(spec, zy_projector(theta))
+        assert np.array_equal(sups[i], lone_sup) and p[i] == lone_p
+        assert np.array_equal(chis[i], reduced_map(spec.interactions[1], envs[i:i + 1],
                                                    spec.noise)[0])
 
 
@@ -333,8 +327,7 @@ def ref_bloch_volume(kind, fit, theta, n, process):
         def push(op):
             return unvec(t1 @ vec(action_superop(op)))
     else:
-        env, _ = first_step_env_marginals(process, zy_projector(theta))
-        sup = reduced_superop(process.interactions[1], env, process.noise)
+        sup, _ = last_step_superops(process, zy_projector(theta))
 
         def push(op):
             return unvec(sup @ vec(op))
