@@ -443,9 +443,10 @@ def test_volume_files(tmp_path):
 @pytest.mark.parametrize("process", ["cnot-cz", "cz-cnot"])
 @pytest.mark.parametrize("noise", [(), NOISY], ids=["exact", "noisy"])
 def test_volume_just_above_the_branch_cutoff(tmp_path, process, noise):
-    # the fit's first-step branch at theta = 3.1415 is 2.1e-9: dividing by it
-    # lifted the tensor cloud's rounding-level anti-Hermitian part past
-    # hermitian_part's 1e-8, and the call ended in a traceback (exit 1)
+    # the fit's first-step branch at 3.1415 and 3.1417 lies just above the
+    # cutoff (2.1e-9 at 3.1415 for exact cnot-cz): dividing by it lifted the
+    # tensor cloud's rounding-level anti-Hermitian part past hermitian_part's
+    # 1e-8, and the call ended in a traceback (exit 1)
     out = tmp_path / "vol"
     args = ["volume", "--process", process, *noise, "--theta-grid", "3.1415,3.1417,3.14"]
     assert run_cli([*args, "--out", out]) == 0
