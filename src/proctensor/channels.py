@@ -12,7 +12,10 @@ product, step 0 last) to vec of the output state. Its Choi state is
 Its legs are therefore: output qubit, then per step from last to first the
 action's output side followed by its input side. The Choi state of a
 superoperator is Σ_ij Λ(E_ij) ⊗ E_ij, output legs first. Both are index
-reshuffles of the map (:func:`map_to_choi`, :func:`superop_to_choi`).
+reshuffles of the map (:func:`map_to_choi`, :func:`superop_to_choi`), and
+:func:`choi_to_map` inverts the first. The memoryless one-step map applying
+an intervention to a state ρ, then a superoperator S, thus has the Choi state
+kron(superop_to_choi(S), ρ), as nonmarkov.uncorrelated_choi builds it.
 """
 
 from __future__ import annotations
@@ -65,21 +68,23 @@ def _pauli_pairs(nqubits: int) -> np.ndarray:
 _CHOI_LEGS = {1: (1, 5, 3, 0, 4, 2), 2: (1, 5, 3, 9, 7, 0, 4, 2, 8, 6)}
 
 
+def _reshuffle(a, legs, shape) -> np.ndarray:
+    """Permute the size-2 legs of each matrix of a stack (..., r, c) and reshape it to shape."""
+    a = np.asarray(a)
+    n = a.ndim - 2
+    t = a.reshape(a.shape[:n] + (2,) * len(legs)).transpose(*range(n), *(n + i for i in legs))
+    return t.reshape(a.shape[:n] + shape)
+
+
 def map_to_choi(m, steps: int) -> np.ndarray:
     """Choi state of a (4, 16**steps) map over intervention actions, or of
     each map of a stack (..., 4, 16**steps)."""
-    m = np.asarray(m)
-    lead, legs, n = m.shape[:-2], _CHOI_LEGS[steps], m.ndim - 2
-    side = 2 ** (len(legs) // 2)
-    t = m.reshape(lead + (2,) * len(legs))
-    return t.transpose(*range(n), *(n + leg for leg in legs)).reshape(lead + (side, side))
+    return _reshuffle(m, _CHOI_LEGS[steps], (2 * 4**steps, 2 * 4**steps))
 
 
 def choi_to_map(choi, steps: int) -> np.ndarray:
-    """Inverse of :func:`map_to_choi`."""
-    legs = _CHOI_LEGS[steps]
-    t = np.asarray(choi).reshape((2,) * len(legs)).transpose(np.argsort(legs))
-    return t.reshape(4, 16**steps)
+    """Inverse of :func:`map_to_choi`, on one Choi state or a stack of them."""
+    return _reshuffle(choi, np.argsort(_CHOI_LEGS[steps]), (4, 16**steps))
 
 
 def step_choi_factor(x) -> np.ndarray:
@@ -140,7 +145,7 @@ def chi_from_process(prepared_inputs, measured_outputs, psd: bool = False) -> np
     nb = pairs.shape[0]
     # design: vec(out) = sum_mn chi_mn (conj(E_n) ⊗ E_m) vec(in)
     flat = pairs.reshape(nb * nb, d * d, d * d)
-    design = np.vstack([(flat @ vin).T for vin in in_mat])
+    design = (flat @ in_mat.T).transpose(2, 1, 0).reshape(k * d * d, nb * nb)
     lead = outputs.shape[:-3]
     y = outputs.swapaxes(-1, -2).reshape(-1, k * d * d).T
     sol, *_ = np.linalg.lstsq(design, y, rcond=None)

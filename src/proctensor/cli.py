@@ -172,6 +172,8 @@ def resolve_config(args) -> RunConfig:
         cfg.noise = NoiseSpec(*(DEFAULT_NOISE_RATE if rate is None else rate for rate in rates))
     if cfg.theta_grid is not None:
         cfg.theta_grid = _parse_theta_grid(cfg.theta_grid)
+    if "\0" in str(cfg.output_dir):  # no file system takes it: Path.mkdir raises ValueError
+        raise ConfigError(f"output directory {str(cfg.output_dir)!r} contains a null byte")
     return cfg
 
 

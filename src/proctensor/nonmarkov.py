@@ -43,13 +43,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import action_superop, map_to_choi, superop_to_choi
+from .channels import choi_to_map, map_to_choi, superop_to_choi
 from .linalg import (BRANCH_CUTOFF, herm_eig, kron_stack, normalized_psd, project_psd,
                      spectral_function, unvec, vec_stack)
 from .process import ProcessSpec, last_step_superops
 from .qubit import FIT_BASIS, bloch_vector, named_projector, projector, zy_projector
 from .tomography import RestrictedProcessTensor, action_matrix
-from .validation import as_square, check_angles, hermitian_part
+from .validation import check_angles, hermitian_part
 
 __all__ = [
     "ChoiFamily",
@@ -114,12 +114,7 @@ class MinimizeResult:
 def family_predict(choi, op) -> np.ndarray:
     """Contract a conditioned Choi state against one intervention; stacks of
     states (..., 8, 8) and of operations broadcast and give (..., 2, 2)."""
-    c = np.asarray(choi, dtype=complex)
-    m = as_square(action_matrix(op), "op")
-    # b[2k+l, 2i+j] = m[2k+i, 2l+j]: contracting against I ⊗ b applies m
-    b = m.reshape(m.shape[:-2] + (2, 2, 2, 2)).swapaxes(-3, -2).reshape(m.shape)
-    y6 = c.reshape(c.shape[:-2] + (2, 4, 2, 4))
-    return np.einsum("...oapc,...ca->...op", y6, b)
+    return _push(choi_to_map(choi, 1), op)
 
 
 def _herm_basis(n: int) -> np.ndarray:
@@ -156,10 +151,10 @@ def _kernel_directions() -> np.ndarray:
     return dirs
 
 
-def _push(t1: np.ndarray, mats) -> np.ndarray:
-    """Outputs (..., 2, 2) of a one-step map (4, 16) on a stack of operators
-    (..., 2, 2), one matrix-vector product each, as for a single operator."""
-    return unvec((t1 @ vec_stack(action_superop(mats))[..., None])[..., 0])
+def _push(t1: np.ndarray, ops) -> np.ndarray:
+    """Outputs (..., 2, 2) of one-step maps (..., 4, 16) on operations in either form
+    action_matrix takes, operators K (..., 2, 2) or actions (..., 4, 4): one product each."""
+    return unvec((t1 @ vec_stack(action_matrix(ops))[..., None])[..., 0])
 
 
 @functools.cache

@@ -110,13 +110,18 @@ def _chain(spec: ProcessSpec, steps: Sequence[np.ndarray]):
     return rho
 
 
+def _checked_projectors(mats, name: str) -> np.ndarray:
+    """A projector stack (..., 2, 2), checked ("non-finite", "bad-dims") before any arithmetic."""
+    a = as_matrix(mats, name)
+    if a.shape[-2:] != (2, 2):
+        raise ValueError(f"bad-dims: {name} shape {a.shape} is not (..., 2, 2)")
+    return a
+
+
 def _checked_steps(steps) -> list[np.ndarray]:
-    """The projector stacks (..., 2, 2) of a two-step sequence as complex
-    arrays, checked ("non-finite", "bad-dims") before any arithmetic."""
-    mats = [as_matrix(m, "step") for m in check_two_steps(steps)]
-    if any(m.shape[-2:] != (2, 2) for m in mats):
-        raise ValueError(f"bad-dims: step shapes {[m.shape for m in mats]} are not (..., 2, 2)")
-    return check_broadcast(mats, "steps")
+    """The checked projector stacks of a two-step sequence, which must broadcast."""
+    return check_broadcast([_checked_projectors(m, "step") for m in check_two_steps(steps)],
+                           "steps")
 
 
 def run_process(spec: ProcessSpec, steps: Sequence[np.ndarray]):
@@ -320,10 +325,7 @@ def last_step_superops(spec: ProcessSpec, mats):
     channel of a branch below BRANCH_CUTOFF comes from its undivided
     marginal; callers mark those branches absent.
     """
-    mats = as_matrix(mats, "first step")
-    if mats.shape[-2:] != (2, 2):
-        raise ValueError(f"bad-dims: first-step shape {mats.shape} is not (..., 2, 2)")
-    rho = _chain(spec, [mats])
+    rho = _chain(spec, [_checked_projectors(mats, "first step")])
     p = np.trace(rho, axis1=-2, axis2=-1).real
     rho = rho / np.where(p >= BRANCH_CUTOFF, p, 1.0)[..., None, None]
     env = np.einsum("...ijik->...jk", rho.reshape(rho.shape[:-2] + (2, 2, 2, 2)))

@@ -189,14 +189,9 @@ def apply_noise(rho, spec: NoiseSpec) -> np.ndarray:
     Takes one state or a stack (..., d, d) of states."""
     a = as_square(rho, "rho")
     n = qubit_count(a.shape[-1], "rho")
-    ks = spec.kraus_ops()
     for q in range(n):
-        if n == 1:
-            ops = ks
-        elif q == 0:
-            ops = [np.kron(k, ID2) for k in ks]
-        else:
-            ops = [np.kron(ID2, k) for k in ks]
+        ops = [np.kron(np.kron(np.eye(2**q), k), np.eye(2 ** (n - 1 - q)))
+               for k in spec.kraus_ops()]
         a = sum(op @ a @ op.conj().T for op in ops)
     return a
 

@@ -374,12 +374,16 @@ def random_complex(seed, shape):
 
 
 @settings(max_examples=25, deadline=None)
-@given(st.integers(0, 10_000), st.sampled_from([1, 2]))
-def test_choi_map_round_trip_is_exact(seed, steps):
-    m = random_complex(seed, (4, 16**steps))
+@given(st.integers(0, 10_000), st.sampled_from([1, 2]), st.sampled_from([(), (3,), (2, 3)]))
+def test_choi_map_round_trip_is_exact(seed, steps, lead):
+    # one map, or a stack whose every map converts as it does alone
+    m = random_complex(seed, lead + (4, 16**steps))
     choi = map_to_choi(m, steps)
-    assert choi.shape == (2 * 4**steps,) * 2
+    assert choi.shape == lead + (2 * 4**steps,) * 2
     assert np.array_equal(choi_to_map(choi, steps), m)
+    for idx in np.ndindex(*lead):
+        assert np.array_equal(choi[idx], map_to_choi(m[idx], steps))
+        assert np.array_equal(choi_to_map(choi[idx], steps), m[idx])
 
 
 @settings(max_examples=25, deadline=None)

@@ -107,6 +107,18 @@ def test_config_unknown_section_or_key_exits_2(tmp_path, capsys, text):
         assert not out.exists(), command
 
 
+def test_config_output_dir_with_null_byte_exits_2(tmp_path, monkeypatch, capsys):
+    # no file system takes a NUL in a path: Path.mkdir would raise an
+    # uncaught ValueError, so the path is a config error and nothing is made
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\noutput_dir = a\0b\n")
+    monkeypatch.chdir(tmp_path)
+    for command in COMMANDS:
+        assert run_cli([command, "--config", cfg]) == 2, command
+        assert capsys.readouterr().err.startswith("config error:"), command
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["run.cfg"], command
+
+
 def test_config_keys_are_the_documented_ones(tmp_path):
     # every key CONFIG_KEYS lists is accepted, keys case-insensitively as
     # configparser reads them, and an empty [DEFAULT] header is harmless

@@ -146,6 +146,19 @@ def test_family_predict_refuses_a_non_finite_operation(cnot_cz_fit):
             family_predict(fam.base[0], op)
 
 
+def test_family_predict_stacks_equal_per_item_results():
+    # a stack of Choi states (3, 1) against a stack of operations (1, 4), as
+    # 2x2 operators and as their 4x4 actions, gives each item's own bytes
+    rng = np.random.default_rng(8)
+    chois = rng.normal(size=(3, 1, 8, 8)) + 1j * rng.normal(size=(3, 1, 8, 8))
+    ops = rng.normal(size=(1, 4, 2, 2)) + 1j * rng.normal(size=(1, 4, 2, 2))
+    for form in (ops, action_superop(ops)):
+        out = family_predict(chois, form)
+        assert out.shape == (3, 4, 2, 2)
+        for i, j in np.ndindex(3, 4):
+            assert np.array_equal(out[i, j], family_predict(chois[i, 0], form[0, j])), (i, j)
+
+
 def test_family_directions_annihilate_data(cnot_cz_fit):
     fam = condition_family(cnot_cz_fit, [math.pi / 4])
     rng = np.random.default_rng(0)

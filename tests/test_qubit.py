@@ -253,6 +253,22 @@ def test_half_dephasing_kills_coherence():
     assert np.abs(out - np.eye(2) / 2).max() < 1e-12
 
 
+@pytest.mark.parametrize("dim", [2, 4])
+def test_noise_is_the_per_qubit_kraus_embedding(dim):
+    # each qubit's Kraus operators embedded explicitly: k alone on one
+    # qubit; kron(k, I) on the system, then kron(I, k) on the environment
+    spec = NoiseSpec(gamma_amp=0.05, lambda_phase=0.2)
+    ks = spec.kraus_ops()
+    embeddings = ([ks] if dim == 2
+                  else [[np.kron(k, ID2) for k in ks], [np.kron(ID2, k) for k in ks]])
+    rho = np.array([random_density(seed, dim) for seed in (3, 4)])
+    expected = rho
+    for ops in embeddings:
+        expected = sum(op @ expected @ op.conj().T for op in ops)
+    assert np.array_equal(apply_noise(rho, spec), expected)
+    assert np.array_equal(apply_noise(rho[0], spec), expected[0])
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(0, 10_000), st.floats(0, 1), st.floats(0, 1))
 def test_noise_preserves_trace(seed, gamma, lam):
