@@ -138,10 +138,15 @@ def _kernel_directions() -> np.ndarray:
 
     These span the conditioned-Choi degrees of freedom that projective records
     cannot fix. The (module-constant) fit basis fixes them, so the read-only
-    result is computed once.
+    result is computed once. It is family_predict of every basis state on
+    every projector, as one contraction: the stacked maps and products
+    family_predict would make for 64 states grow the heap.
     """
     hb = _herm_basis(8)
-    m = family_predict(hb[:, None], FIT_BASIS[None])
+    a = action_matrix(FIT_BASIS)
+    # b[2k+l, 2i+j] = a[2k+i, 2l+j]: contracting against I ⊗ b applies a
+    b = a.reshape(-1, 2, 2, 2, 2).swapaxes(-3, -2).reshape(a.shape)
+    m = np.einsum("goapc,kca->gkop", hb.reshape(-1, 2, 4, 2, 4), b)
     cons = np.stack([m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1].real, m[..., 0, 1].imag],
                     axis=-1)
     _, svals, vh = np.linalg.svd(cons.reshape(len(hb), -1).T)

@@ -20,6 +20,7 @@ from proctensor.channels import action_superop
 from proctensor.linalg import BRANCH_CUTOFF, herm_eig, project_psd, spectral_function, unvec, vec
 from proctensor.nonmarkov import (
     LOG_FLOOR,
+    RANK_RTOL,
     SUPPORT_WEIGHT_TOL,
     ChoiFamily,
     MinimizeResult,
@@ -28,6 +29,7 @@ from proctensor.nonmarkov import (
     _floored_entropy,
     _herm_basis,
     _intermediate_states,
+    _kernel_directions,
     _reference_spectrum,
     _restrict_to_support,
     bloch_volume,
@@ -39,7 +41,7 @@ from proctensor.nonmarkov import (
     sweep_theta,
     uncorrelated_choi,
 )
-from proctensor.qubit import named_projector, zy_projector
+from proctensor.qubit import FIT_BASIS, named_projector, zy_projector
 
 LN2 = math.log(2)
 
@@ -157,6 +159,25 @@ def test_family_predict_stacks_equal_per_item_results():
         assert out.shape == (3, 4, 2, 2)
         for i, j in np.ndindex(3, 4):
             assert np.array_equal(out[i, j], family_predict(chois[i, 0], form[0, j])), (i, j)
+
+
+def test_kernel_directions_are_the_free_span_of_the_fit_basis():
+    # 28 read-only Hermitian 8x8 directions, orthonormal, that all nine
+    # fit-basis functionals annihilate; the bytes are those of the stacked
+    # family_predict construction, its SVD and the rows past its rank
+    dirs = _kernel_directions()
+    assert dirs.shape == (28, 8, 8) and not dirs.flags.writeable
+    assert np.array_equal(dirs, dirs.conj().swapaxes(-1, -2))
+    gram = np.einsum("kij,lij->kl", dirs.conj(), dirs)
+    assert np.abs(gram - np.eye(28)).max() < 1e-13
+    assert np.abs(family_predict(dirs[:, None], FIT_BASIS[None])).max() <= 1e-13
+    hb = _herm_basis(8)
+    m = family_predict(hb[:, None], FIT_BASIS[None])
+    cons = np.stack([m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1].real, m[..., 0, 1].imag],
+                    axis=-1)
+    _, svals, vh = np.linalg.svd(cons.reshape(len(hb), -1).T)
+    rank = int(np.sum(svals > RANK_RTOL * svals[0]))
+    assert dirs.tobytes() == np.einsum("kg,gij->kij", vh[rank:], hb).tobytes()
 
 
 def test_family_directions_annihilate_data(cnot_cz_fit):

@@ -478,6 +478,22 @@ def test_refit_converges_on_high_shot_records(cnot_cz_spec, cz_cnot_spec):
     assert info.optimality < REFIT_TOL
 
 
+#: Newton steps of the four 3000-shot refits below (36 + 35 + 35 + 37), at 1
+#: and at 2 BLAS threads; a change that makes the refit take more fails here.
+REFIT_STEPS_3000 = 143
+
+
+def test_refit_newton_steps_stay_within_budget(cnot_cz_spec, cz_cnot_spec):
+    # the shot-refit benchmark's records: both orders at 3000 shots, seeds 0 and 1
+    from proctensor.process import generate_records
+
+    infos = [RestrictedProcessTensor(psd=True).fit(
+                 generate_records(spec, ShotConfig(shots=3000, seed=seed))).refit_info_
+             for spec in (cnot_cz_spec, cz_cnot_spec) for seed in (0, 1)]
+    assert all(info.converged for info in infos), infos
+    assert sum(info.iterations for info in infos) <= REFIT_STEPS_3000, infos
+
+
 def test_refit_step_cap_reports_unconverged(cnot_cz_spec, monkeypatch):
     # each safeguard ends the refit unconverged at its last proximal centre:
     # the Newton step cap after 1-3 steps, and a line-search floor of 0.75 at
