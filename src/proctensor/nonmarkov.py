@@ -43,7 +43,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channels import choi_to_map, map_to_choi, superop_to_choi
+from .channels import choi_to_map, map_to_choi, step_choi_factor, superop_to_choi
 from .linalg import (BRANCH_CUTOFF, herm_eig, kron_stack, normalized_psd, project_psd,
                      spectral_function, unvec, vec_stack)
 from .process import ProcessSpec, last_step_superops
@@ -143,9 +143,7 @@ def _kernel_directions() -> np.ndarray:
     family_predict would make for 64 states grow the heap.
     """
     hb = _herm_basis(8)
-    a = action_matrix(FIT_BASIS)
-    # b[2k+l, 2i+j] = a[2k+i, 2l+j]: contracting against I ⊗ b applies a
-    b = a.reshape(-1, 2, 2, 2, 2).swapaxes(-3, -2).reshape(a.shape)
+    b = step_choi_factor(vec_stack(action_matrix(FIT_BASIS))).swapaxes(-1, -2)
     m = np.einsum("goapc,kca->gkop", hb.reshape(-1, 2, 4, 2, 4), b)
     cons = np.stack([m[..., 0, 0].real, m[..., 1, 1].real, m[..., 0, 1].real, m[..., 0, 1].imag],
                     axis=-1)

@@ -503,6 +503,26 @@ def test_characterize_povm_sampled_band(tmp_path):
     assert len(rep_rows) == 18 * 20
 
 
+# ----------------------------------------------------- the call table
+
+def test_call_table_parses_and_covers_every_subcommand():
+    # cli_calls.CALLS are the calls whose outputs CI compares; the runner
+    # gives each its --out, so a call of its own would be overridden unread
+    from cli_calls import CALLS
+
+    names = [name for name, _, _ in CALLS]
+    assert len(set(names)) == len(names)
+    covered = set()
+    for name, argv, expected in CALLS:
+        assert expected in (0, 2, 3) and "--out" not in argv, name
+        args = build_parser().parse_args(argv)
+        cfg = resolve_config(args)
+        covered.add((args.command, cfg.process, cfg.noise is not None, cfg.shots is not None))
+    modes = [(False, False), (True, False), (False, True)]
+    assert covered >= {(command, process, *mode) for command in COMMANDS
+                       for process in ("cnot-cz", "cz-cnot") for mode in modes}
+
+
 # ------------------------------------------------- no scipy, no numpy.ma
 
 _SCIPY_FREE_CALLS = (

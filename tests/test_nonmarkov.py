@@ -686,6 +686,29 @@ def test_newton_step_cap_is_reported(monkeypatch, noisy_cnot_cz):
     assert not cut.converged and cut.iterations == 2 and cut.optimality > nonmarkov.NEWTON_TOL
 
 
+def test_newton_line_search_exhaustion_is_reported(monkeypatch, noisy_cnot_cz):
+    # the slice at 0.48 takes full Newton steps; a dual that reads higher at
+    # every trial after the first two steps exhausts the 40 halvings of the
+    # third, which stops the run there, reported as not converged
+    from proctensor import nonmarkov
+
+    z0, zk, log_w = noisy_slice(noisy_cnot_cz, 0.48)
+    c, steps, converged, _ = _dual_newton(z0, zk, log_w)
+    assert converged and steps > 2 and np.abs(c).max() > 0
+    calls = []
+
+    def no_descent_after_two_steps(y, log_w, g):
+        calls.append(y)
+        value, grad, hess, rho = _dual_terms(y, log_w, g)
+        return (value if len(calls) <= 3 else value + 1.0), grad, hess, rho
+
+    monkeypatch.setattr(nonmarkov, "_dual_terms", no_descent_after_two_steps)
+    c, steps, converged, optimality = _dual_newton(z0, zk, log_w)
+    assert len(calls) == 3 + 40
+    assert not converged and steps == 2 and optimality > nonmarkov.NEWTON_TOL
+    assert np.array_equal(c, np.zeros(len(zk)))
+
+
 def test_noisy_minimum_is_not_beaten_by_nearby_members(noisy_cnot_cz):
     # the Newton point is the minimum over the PSD members, so no PSD member
     # nearby on the family reads lower (at 0.24 and 0.48 its smallest

@@ -694,6 +694,15 @@ def test_qpt_data_repetitions_are_independent_streams():
     _, [alone] = intervention_qpt_data([angles], cfg, [[6]])
     assert np.array_equal(both[1], alone[0])
     assert not np.array_equal(both[0], both[1])
+    # a row (R,) of tags is the stack (1, R), and broadcasts over the angles
+    _, [row] = intervention_qpt_data([angles], cfg, [5, 6])
+    assert row.tobytes() == both.tobytes()
+    two = [angles, PROJECTOR_ANGLES["y-"]]
+    _, broadcast = intervention_qpt_data(two, cfg, [5, 6])
+    _, per_angle = intervention_qpt_data(two, cfg, [[5, 6], [5, 6]])
+    assert broadcast.shape == (2, 2, 6, 2, 2)
+    assert broadcast.tobytes() == per_angle.tobytes()
+    assert broadcast[0].tobytes() == both.tobytes()
 
 
 def test_noise_acts_before_the_second_projection():
