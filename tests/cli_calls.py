@@ -2,14 +2,13 @@
 
     PYTHONPATH=src python tests/cli_calls.py OUT
 
-runs each call of CALLS in a fresh interpreter, as
-``python -m proctensor.cli ARGV --out OUT/<name>/files`` with this process's
-environment (its PYTHONPATH picks the source tree) and RuntimeWarning as an
-error, and writes the call's stderr and exit code to OUT/<name>/stderr and
-OUT/<name>/exit. OUT must not exist yet. The runner exits 1 when an exit code
-differs from the table's. Two runs compare under ``diff -r``: at
-OPENBLAS_NUM_THREADS=1 and 2 for rerun determinism and thread independence,
-or on two source trees for the output difference of a change.
+runs each call of CALLS with run_call, as ``python -m proctensor.cli ARGV --out
+OUT/<name>/files`` in a fresh interpreter with this process's environment (its
+PYTHONPATH picks the source tree) and RuntimeWarning as an error, and exits 1
+when a call breaks an exit rule of exit_rule_faults. OUT must not exist yet.
+Two runs compare under ``diff -r``: at OPENBLAS_NUM_THREADS=1 and 2 for rerun
+determinism and thread independence, or on two source trees for the output
+difference of a change.
 """
 
 from __future__ import annotations
@@ -88,13 +87,38 @@ CALLS = [
     # at pi a 3000-shot fit keeps a branch of 3.6e-3, so the sampled sweep
     # runs the process-side zero reference
     ("nonmarkov-grid-pi-shots", ("nonmarkov", "--shots", "3000", "--theta-grid", PI_GRID), 0),
-    # volume-cnot-cz-shots spelt with the default process and seed
-    ("volume-shots", ("volume", "--shots", "3000"), 0),
     # first-step angles off the named projectors, through the broadcasting projector kernel
     ("volume-grid", ("volume", "--theta-grid", "0.3,1.1,2.9"), 0),
     ("volume-grid-noisy", ("volume", *NOISY, "--theta-grid", "0.3,1.1,2.9"), 0),
     ("volume-grid-cz-cnot", ("volume", "--process", "cz-cnot", "--theta-grid", "0.3,1.1,2.9"), 0),
 ]
+
+
+#: name -> (argv, expected exit code)
+ROWS = {name: (argv, expected) for name, argv, expected in CALLS}
+
+
+def run_call(out: Path, name: str, env=os.environ) -> int:
+    """Run the call NAME into OUT/<name>: its files in files/, its stderr and
+    exit code in the files stderr and exit. Return the exit code."""
+    (out / name).mkdir()
+    with open(out / name / "stderr", "wb") as stderr:
+        code = subprocess.run([sys.executable, "-m", "proctensor.cli", *ROWS[name][0],
+                               "--out", str(out / name / "files")], stderr=stderr,
+                              env=dict(env, PYTHONWARNINGS="error::RuntimeWarning")).returncode
+    (out / name / "exit").write_text(f"{code}\n")
+    return code
+
+
+def exit_rule_faults(out: Path, name: str) -> list[str]:
+    """The rules OUT/<name> of the call NAME breaks: the exit code is the table's,
+    and files/ holds no file after an exit-2 call, at least one after the others."""
+    expected, code = ROWS[name][1], int((out / name / "exit").read_text())
+    wrote = any(p.is_file() for p in (out / name / "files").rglob("*"))
+    rules = ((f"exit {code}, the table says {expected}", code != expected),
+             ("an exit-2 call wrote a file", expected == 2 and wrote),
+             (f"an exit-{expected} call wrote no file", expected != 2 and not wrote))
+    return [fault for fault, broken in rules if broken]
 
 
 def main(argv: list[str]) -> int:
@@ -103,20 +127,14 @@ def main(argv: list[str]) -> int:
         return 2
     out = Path(argv[0])
     out.mkdir(parents=True)
-    env = dict(os.environ, PYTHONWARNINGS="error::RuntimeWarning")
-    wrong = 0
-    for name, args, expected in CALLS:
-        (out / name).mkdir()
-        with open(out / name / "stderr", "wb") as stderr:
-            code = subprocess.run([sys.executable, "-m", "proctensor.cli", *args,
-                                   "--out", str(out / name / "files")],
-                                  stderr=stderr, env=env).returncode
-        (out / name / "exit").write_text(f"{code}\n")
-        if code != expected:
-            wrong += 1
-            print(f"{name}: exit {code}, the table says {expected}", file=sys.stderr)
-    print(f"{len(CALLS)} calls, {wrong} with an exit code other than the table's")
-    return 1 if wrong else 0
+    faults = []
+    for name in ROWS:
+        run_call(out, name)
+        faults += [f"{name}: {fault}" for fault in exit_rule_faults(out, name)]
+    for fault in faults:
+        print(fault, file=sys.stderr)
+    print(f"{len(ROWS)} calls, {len(faults)} broken exit rules")
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":

@@ -12,10 +12,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import cli_calls
 import proctensor
 from proctensor.cli import CONFIG_KEYS, COMMANDS, SETTINGS, main, resolve_config, build_parser
 from proctensor.fileio import read_matrix
-from proctensor.nonmarkov import default_theta_grid
 
 
 def run_cli(args):
@@ -31,6 +31,12 @@ def subprocess_env(**extra):
 
 def read_tree(root):
     return {str(p.relative_to(root)): p.read_bytes() for p in Path(root).rglob("*") if p.is_file()}
+
+
+def table_calls(*names):
+    """name -> (argv, expected exit) of the calls NAMES of tests/cli_calls.py;
+    an unknown name is a KeyError at collection."""
+    return {name: cli_calls.ROWS[name] for name in names}
 
 
 def read_table_rows(path):
@@ -69,9 +75,18 @@ def test_config_file_and_flag_override(tmp_path):
     assert cfg.noise.lambda_phase == 0.01  # defaulted
 
 
-def test_bad_process_exits_2(tmp_path):
-    assert run_cli(["tomo-predict", "--process", "cnot-cz", "--shots", "10",
-                    "--out", tmp_path]) == 2
+def test_bad_process_exits_2(tmp_path, capsys):
+    # a flag outside --process's choices is argparse's usage error; the same
+    # name in a config file is a config error. Neither makes the output dir
+    out = tmp_path / "o"
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(["tomo-predict", "--process", "bogus", "--out", out])
+    assert exit_info.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("[run]\nprocess = bogus\n")
+    assert run_cli(["tomo-predict", "--config", cfg, "--out", out]) == 2
+    assert "config error: unknown process 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_missing_config_exits_2(tmp_path):
@@ -193,7 +208,8 @@ def test_shots_above_bound_exits_2(tmp_path, capsys):
     cfg_file = tmp_path / "run.cfg"
     cfg_file.write_text("[run]\nshots = 10000000000\n")
     for command in COMMANDS:
-        for flags in (["--shots", "1000001"], ["--shots", "10000000000"], ["--config", cfg_file]):
+        for flags in (["--shots", "10"], ["--shots", "99"], ["--shots", "1000001"],
+                      ["--shots", "10000000000"], ["--config", cfg_file]):
             assert run_cli([command, *flags, "--out", tmp_path / "o"]) == 2, (command, flags)
             assert "config error: shots must be in [100, 1000000]" in capsys.readouterr().err
             assert not (tmp_path / "o").exists(), (command, flags)
@@ -332,86 +348,40 @@ def test_unconverged_sweep_point_exits_3_with_a_note(tmp_path, capsys):
     assert [row[0] for row in rows if row[2] == "false"] == ["0", "2.8797932657906435"]
 
 
-def run_cli_at_threads(tmp_path, threads, args):
-    """Run the CLI in a fresh interpreter at a BLAS thread count; return its --out."""
-    out = tmp_path / threads
-    proc = subprocess.run(
-        [sys.executable, "-m", "proctensor.cli", *args, "--out", str(out)],
-        env=subprocess_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
-        timeout=600,
-    )
-    assert proc.returncode == 0, (threads, proc.stderr)
-    return out
-
-
-@pytest.mark.parametrize("records", [
-    ("--process", "cnot-cz"),
-    ("--process", "cz-cnot"),
-    ("--process", "cnot-cz", *NOISY),
-    ("--process", "cnot-cz", "--shots", "3000"),
-    # the sampled noisy point at theta = 0.24 once read another verdict at 2 threads
-    ("--process", "cz-cnot", *NOISY, "--shots", "3000", "--seed", "1"),
-], ids=["exact", "exact-cz-cnot", "noisy", "shots", "noisy-shots-cz-cnot"])
-def test_nonmarkov_independent_of_blas_threads(tmp_path, records):
-    # exit 0 means every point converged; noisy points run Newton, whose
-    # minimum is unique because the problem is convex. The CLI runs on one
-    # BLAS thread, so sampled records, which go through the PSD refit, give
-    # equal bytes at any thread count as exact and noisy records do.
-    grid = list(default_theta_grid()) + [math.pi / 2]
-    grid_arg = ",".join(format(float(t), ".17g") for t in grid)
-    one, two = (read_tree(run_cli_at_threads(tmp_path, threads,
-                                             ["nonmarkov", *records, "--theta-grid", grid_arg]))
-                for threads in ("1", "2"))
-    assert one == two
-    _, rows = read_table_rows(tmp_path / "1" / "nonmarkovianity.csv")
-    assert len(rows) == len(grid) and all(r[2] == "true" for r in rows)
-
-
-@pytest.mark.parametrize("args", [
-    ("tomo-predict",), ("tomo-predict", *NOISY), ("volume",), ("volume", *NOISY),
-], ids=["tomo-predict", "tomo-predict-noisy", "volume", "volume-noisy"])
-def test_linear_fit_outputs_independent_of_blas_threads(tmp_path, args):
-    # exact and noisy records skip the PSD refit, and the closed-form linear
-    # fit rounds alike at any BLAS thread count, so every output byte agrees
-    one, two = (read_tree(run_cli_at_threads(tmp_path, threads, args)) for threads in ("1", "2"))
-    assert one == two
-
-
-@pytest.mark.parametrize("args", [
-    ("volume", "--shots", "3000"), ("characterize-povm", "--shots", "3000"),
-], ids=["volume", "characterize-povm"])
-def test_sampled_outputs_independent_of_blas_threads(tmp_path, args):
-    # the CLI runs on one BLAS thread, so the PSD refit behind volume's clouds
-    # and the PSD-projected process tomography round alike at any count
-    one, two = (read_tree(run_cli_at_threads(tmp_path, threads, args)) for threads in ("1", "2"))
-    assert one and one == two
+# calls at 1 and at 2 BLAS threads: the linear fit of exact and noisy records
+# (no PSD refit), sampled calls (refit and QPT on the CLI's pinned BLAS thread)
+# and sweeps converged at every point; noisy sampled cz-cnot's 0.24 once flipped
+@pytest.mark.parametrize("name", table_calls(
+    "tomo-predict-cnot-cz", "tomo-predict-cnot-cz-noisy", "tomo-predict-cnot-cz-shots",
+    "volume-cnot-cz", "volume-cnot-cz-noisy", "volume-cnot-cz-shots",
+    "characterize-povm-cnot-cz-shots",
+    "nonmarkov-grid-cnot-cz", "nonmarkov-grid-cz-cnot", "nonmarkov-grid-cnot-cz-noisy",
+    "nonmarkov-grid-pi-shots", "nonmarkov-grid-cz-cnot-noisy-shots",
+))
+def test_call_independent_of_blas_threads(tmp_path, name):
+    for out in (tmp_path / "1", tmp_path / "2"):
+        out.mkdir()
+        cli_calls.run_call(out, name, subprocess_env(OPENBLAS_NUM_THREADS=out.name))
+        assert cli_calls.exit_rule_faults(out, name) == [], (out.name, (out / name / "stderr").read_text())
+    assert read_tree(tmp_path / "1") == read_tree(tmp_path / "2")
 
 
 _REFIT_SCRIPT = """
-import json, sys
-from proctensor import RestrictedProcessTensor, records_from_text
-fit = RestrictedProcessTensor(psd=True).fit(records_from_text(open(sys.argv[1]).read()))
+import json
+from proctensor import RestrictedProcessTensor, ShotConfig, cnot_cz_process, generate_records
+fit = RestrictedProcessTensor(psd=True).fit(generate_records(cnot_cz_process(), ShotConfig(3000, 0)))
 print(json.dumps({"converged": fit.refit_info_.converged, "choi": fit.choi_.tobytes().hex(),
                   "refit_info": repr(fit.refit_info_)}))
 """
 
 
-def test_tomo_predict_shots_independent_of_blas_threads(tmp_path):
-    # exit 0 at both thread counts means both PSD refits converged (an
-    # unconverged refit exits 3)
-    files, fits = {}, {}
-    for threads in ("1", "2"):
-        out = run_cli_at_threads(tmp_path, threads, ["tomo-predict", "--shots", "3000"])
-        files[threads] = read_tree(out)
-        # a library fit outside the CLI: the refit pins its own BLAS thread
-        proc = subprocess.run(
-            [sys.executable, "-c", _REFIT_SCRIPT, str(out / "records.txt")],
-            env=subprocess_env(OPENBLAS_NUM_THREADS=threads), capture_output=True, text=True,
-            timeout=600, check=True,
-        )
-        fits[threads] = json.loads(proc.stdout)
-    assert files["1"] and files["1"] == files["2"]
-    assert fits["1"]["converged"] and fits["1"] == fits["2"]
+def test_tomo_predict_shots_independent_of_blas_threads():
+    # a library fit outside the CLI, of tomo-predict-cnot-cz-shots' records:
+    # the refit pins its own BLAS thread
+    one, two = (json.loads(subprocess.run(
+        [sys.executable, "-c", _REFIT_SCRIPT], env=subprocess_env(OPENBLAS_NUM_THREADS=threads),
+        capture_output=True, text=True, timeout=600, check=True).stdout) for threads in ("1", "2"))
+    assert one["converged"] and one == two
 
 
 def test_readme_library_tour_runs():
@@ -508,12 +478,9 @@ def test_characterize_povm_sampled_band(tmp_path):
 def test_call_table_parses_and_covers_every_subcommand():
     # cli_calls.CALLS are the calls whose outputs CI compares; the runner
     # gives each its --out, so a call of its own would be overridden unread
-    from cli_calls import CALLS
-
-    names = [name for name, _, _ in CALLS]
-    assert len(set(names)) == len(names)
+    assert len(cli_calls.ROWS) == len(cli_calls.CALLS)
     covered = set()
-    for name, argv, expected in CALLS:
+    for name, (argv, expected) in cli_calls.ROWS.items():
         assert expected in (0, 2, 3) and "--out" not in argv, name
         args = build_parser().parse_args(argv)
         cfg = resolve_config(args)
@@ -523,17 +490,36 @@ def test_call_table_parses_and_covers_every_subcommand():
                        for process in ("cnot-cz", "cz-cnot") for mode in modes}
 
 
+def test_call_exit_rules_on_made_up_trees(tmp_path):
+    # made-up OUT/<name> directories of three calls, exits 0, 2 and 3 in the
+    # table: files is the number of files written, None for no files/ at all
+    done, refused, unconverged = table_calls(
+        "tomo-predict-cnot-cz", "volume-absent-cnot-cz", "nonmarkov-grid-cnot-cz-noisy-shots")
+    assert [cli_calls.ROWS[name][1] for name in (done, refused, unconverged)] == [0, 2, 3]
+    for case, (name, code, files, faults) in enumerate((
+            (done, 0, 1, []), (unconverged, 3, 2, []), (refused, 2, 0, []), (refused, 2, None, []),
+            (refused, 2, 1, ["an exit-2 call wrote a file"]),
+            (done, 0, 0, ["an exit-0 call wrote no file"]),
+            (unconverged, 3, None, ["an exit-3 call wrote no file"]),
+            (done, 1, 1, ["exit 1, the table says 0"]),
+            (unconverged, 0, 1, ["exit 0, the table says 3"]),
+            (refused, 1, 0, ["exit 1, the table says 2"]))):
+        call = tmp_path / str(case) / name
+        call.mkdir(parents=True)
+        (call / "exit").write_text(f"{code}\n")
+        if files is not None:
+            (call / "files").mkdir()
+            for file in range(files):
+                (call / "files" / f"{file}.csv").write_text("0\n")
+        assert cli_calls.exit_rule_faults(tmp_path / str(case), name) == faults, case
+
+
 # ------------------------------------------------- no scipy, no numpy.ma
 
-_SCIPY_FREE_CALLS = (
-    ("tomo-predict",),
-    ("tomo-predict", "--shots", "3000"),
-    ("characterize-povm", "--shots", "3000"),
-    ("nonmarkov",),
-    ("nonmarkov", "--noise-gamma", "0.05", "--noise-lambda", "0.05"),
-    ("nonmarkov", "--shots", "3000"),
-    ("volume",),
-    ("reduced-maps",),
+_SCIPY_FREE_CALLS = table_calls(
+    "tomo-predict-cnot-cz", "tomo-predict-cnot-cz-shots", "characterize-povm-cnot-cz-shots",
+    "nonmarkov-cnot-cz", "nonmarkov-cnot-cz-noisy", "nonmarkov-cnot-cz-shots",
+    "volume-cnot-cz", "reduced-maps-cnot-cz",
 )
 
 _SCIPY_BLOCKED_SCRIPT = """
@@ -563,7 +549,8 @@ for name in blocked:
 import proctensor.cli as cli
 
 calls = json.loads(sys.argv[2])
-print(json.dumps([cli.main(call + ["--out", f"{sys.argv[1]}/{i}"]) for i, call in enumerate(calls)]))
+print(json.dumps({name: cli.main([*argv, "--out", f"{sys.argv[1]}/{name}"])
+                  for name, (argv, _) in calls.items()}))
 """
 
 
@@ -597,8 +584,8 @@ def test_cli_runs_without_scipy(tmp_path):
         env=subprocess_env(), capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == [0] * len(_SCIPY_FREE_CALLS)
-    for i, call in enumerate(_SCIPY_FREE_CALLS):
-        assert run_cli([*call, "--out", free / str(i)]) == 0
-        files = read_tree(free / str(i))
-        assert files and read_tree(blocked / str(i)) == files, call
+    assert json.loads(proc.stdout) == {name: code for name, (_, code) in _SCIPY_FREE_CALLS.items()}
+    for name, (argv, code) in _SCIPY_FREE_CALLS.items():
+        assert run_cli([*argv, "--out", free / name]) == code
+        files = read_tree(free / name)
+        assert files and read_tree(blocked / name) == files, name
