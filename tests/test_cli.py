@@ -14,6 +14,7 @@ import pytest
 
 import cli_calls
 import proctensor
+from cli_calls import NOISY
 from proctensor.cli import CONFIG_KEYS, COMMANDS, SETTINGS, main, resolve_config, build_parser
 from proctensor.fileio import read_matrix
 
@@ -333,9 +334,6 @@ def test_nonmarkov_vanishing_point_marked_absent(tmp_path):
     assert rows[1][1] == "absent"
 
 
-NOISY = ("--noise-gamma", "0.05", "--noise-lambda", "0.05")
-
-
 def test_unconverged_sweep_point_exits_3_with_a_note(tmp_path, capsys):
     # the refit converges, but two points of the noisy 3000-shot sweep do
     # not; exit 3 used to come with an empty stderr
@@ -368,16 +366,18 @@ def test_call_independent_of_blas_threads(tmp_path, name):
 
 _REFIT_SCRIPT = """
 import json
-from proctensor import RestrictedProcessTensor, ShotConfig, cnot_cz_process, generate_records
-fit = RestrictedProcessTensor(psd=True).fit(generate_records(cnot_cz_process(), ShotConfig(3000, 0)))
+from proctensor import (RestrictedProcessTensor, ShotConfig, cnot_cz_process, generate_records,
+                        records_from_text, records_to_text)
+text = records_to_text(generate_records(cnot_cz_process(), ShotConfig(3000, 0)))
+fit = RestrictedProcessTensor(psd=True).fit(records_from_text(text))
 print(json.dumps({"converged": fit.refit_info_.converged, "choi": fit.choi_.tobytes().hex(),
                   "refit_info": repr(fit.refit_info_)}))
 """
 
 
 def test_tomo_predict_shots_independent_of_blas_threads():
-    # a library fit outside the CLI, of tomo-predict-cnot-cz-shots' records:
-    # the refit pins its own BLAS thread
+    # a library fit outside the CLI of the records.txt text that
+    # tomo-predict-cnot-cz-shots writes: the refit pins its own BLAS thread
     one, two = (json.loads(subprocess.run(
         [sys.executable, "-c", _REFIT_SCRIPT], env=subprocess_env(OPENBLAS_NUM_THREADS=threads),
         capture_output=True, text=True, timeout=600, check=True).stdout) for threads in ("1", "2"))
